@@ -1,123 +1,31 @@
-(* The full evaluation harness.
+(* The evaluation harness.
 
-   Usage: dune exec bench/main.exe [-- --quick] [-- --json PATH]
-                                   [-- fig1 e1 e3 micro ...]
+   Usage: dune exec bench/main.exe -- [--quick] [--out DIR] [--compare DIR]
+                                      [SECTION...]
 
-   With no section arguments it regenerates everything: Figure 1 (the
-   paper's penalty statistics), experiments E1-E10 with the E2b scaling
-   sweep and the A1/A2/A3 ablations (DESIGN.md §3), and the bechamel
-   micro-benchmarks of the core primitives.  [--quick] shrinks problem
-   sizes for a fast smoke pass.
+   With no section it runs every section: the print-only experiments
+   (Figure 1, E2-E11 but E4, the A1-A3 ablations; DESIGN.md §3) and the
+   ten entries of Rgpdos_workload.Bench, each of which produces one
+   committed BENCH_*.json artifact (E1 and E4 are in [hotpath]) and
+   fails the run when one of its gates does.  An unknown section name is an error that lists the valid
+   ones.  [--quick] shrinks problem sizes for a smoke pass.
 
-   [--json PATH] additionally writes a machine-readable report (see
-   Rgpdos_workload.Bench_report) holding the micro ns/op rows and the
-   E1/E4 aggregates from whichever of those sections ran — the committed
-   BENCH_hotpath.json artifact is produced by
+   [--out DIR] writes each entry's report to DIR under its artifact
+   name; every entry's regeneration command is in its [regen] field,
+   e.g. dune exec bench/main.exe -- --out . index.
 
-     dune exec bench/main.exe -- --quick micro e1 e4 --json BENCH_hotpath.json
-
-   The [vecio] section runs E1 twice — scalar device cost model vs
-   vectored run-merging — and [--vec-json PATH] writes the before/after
-   artifact; the committed BENCH_vectored_io.json is produced by
-
-     dune exec bench/main.exe -- vecio --vec-json BENCH_vectored_io.json
-
-   The [scale] section runs the sharded GDPRBench driver over 1/2/4/8
-   domains (processor-role mix) plus the E1 ded_execute sequential vs
-   parallel pair; [--scale-json PATH] writes the speedup artifact; the
-   committed BENCH_parallel_scale.json is produced by
-
-     dune exec bench/main.exe -- scale --scale-json BENCH_parallel_scale.json
-
-   The [index] section sweeps Dbfs.select selectivity (0.1%/1%/10%/100%)
-   and population size, full scan vs index pushdown, plus the
-   full-vs-incremental TTL sweep pair; [--index-json PATH] writes the
-   artifact; the committed BENCH_index_select.json is produced by
-
-     dune exec bench/main.exe -- index --index-json BENCH_index_select.json
-
-   The [mount] section measures clean-mount device reads and resident
-   cache entries against population (10^3 → 10^6 at full scale) plus the
-   Zipf-skewed Art.15/17 + DED-select workload under a fixed cache-entry
-   budget; [--mount-json PATH] writes the artifact; the committed
-   BENCH_mount_scale.json is produced by
-
-     dune exec bench/main.exe -- mount --mount-json BENCH_mount_scale.json
-
-   The [fault] section runs the deterministic fault-injection campaign
-   (crash after every device write of the scripted GDPR workload, plus
-   the named bit-rot / transient / torn-write / degraded-mode
-   scenarios); [--fault-json PATH] writes the verdict artifact; the
-   committed BENCH_fault_campaign.json is produced by
-
-     dune exec bench/main.exe -- fault --fault-json BENCH_fault_campaign.json
-
-   The [model] section runs the executable-GDPR-model refinement
-   campaign (lockstep observational equivalence, crash-refinement
-   across both allocators x group-commit windows x async depths,
-   linearizability at 1/2/4 domains, index/cache coherence at budgets
-   1/7/65536); [--model-json PATH] writes the artifact; the committed
-   BENCH_model_check.json is produced by
-
-     dune exec bench/main.exe -- model --model-json BENCH_model_check.json
-
-   The [segment] section A/B-runs the identical ingest/churn/GDPR
-   workload against the update-in-place allocator and the log-structured
-   segment store (group commit + compaction + trim) on one build;
-   [--segment-json PATH] writes the artifact; the committed
-   BENCH_segment_io.json is produced by
-
-     dune exec bench/main.exe -- segment --segment-json BENCH_segment_io.json
-
-   The [sla] section replays one saturating open-loop schedule — heavy
-   DED scans plus Poisson GDPR rights arrivals — against the FIFO and
-   EDF dispatchers (shard-wave preemption), and runs the
-   consent-revocation-storm and Art. 33 breach scenarios;
-   [--sla-json PATH] writes the artifact; the committed
-   BENCH_rights_sla.json is produced by
-
-     dune exec bench/main.exe -- sla --sla-json BENCH_rights_sla.json
-
-   The [async] section A/B-runs the E1 pipeline on one build with the
-   device's submission/completion queues off (the scalar charging every
-   committed baseline used) and on, sweeping queue depth 1/4/16/64;
-   [--async-json PATH] writes the artifact; the committed
-   BENCH_async_io.json is produced by
-
-     dune exec bench/main.exe -- async --async-json BENCH_async_io.json
-
-   [--compare OLD.json] reruns E1 and gates every stage's per-subject
-   simulated time against OLD.json (CI runs this against the committed
-   BENCH_hotpath.json).  When BENCH_vectored_io.json /
-   BENCH_parallel_scale.json / BENCH_index_select.json /
-   BENCH_mount_scale.json / BENCH_segment_io.json /
-   BENCH_rights_sla.json / BENCH_async_io.json sit next to OLD.json,
-   the merge ratio, the 4-domain speedup, the 1%-selectivity pushdown
-   speedup, the clean-mount read ratio, the segmented sustained ingest,
-   the Art. 15 p99 improvement and the async load-stage speedup are
-   gated the same way (>25% regression fails; the SLA and async gates
-   additionally keep their absolute bars).  When
-   BENCH_fault_campaign.json sits there too, a fresh (smoke-sized)
-   campaign must hold every invariant at every crash point — the
-   robustness gate is absolute (pass rate == 100%), not a regression
-   margin.  BENCH_model_check.json is gated the same absolute way
-   (conformance == 100%) and, unlike the other siblings, is REQUIRED:
-   a missing model artifact is itself a failing gate.  A missing or
-   unparseable OLD.json, and a committed sibling that exists but fails
-   to parse, are themselves failing gates (any other absent sibling is
-   simply not gated).  Every failing gate is
-   evaluated and printed before the single non-zero exit, so one run
-   reports the full damage.
+   [--compare DIR] checks each fresh report against the committed
+   artifact of the same name in DIR: the absolute bars on both, and the
+   drift gates between them.  A missing or unparseable committed
+   artifact fails.  Every failing gate is printed before the single
+   non-zero exit.
 *)
 
 open Bechamel
 open Toolkit
-
-module E = Rgpdos_workload.Experiments
-module Penalties = Rgpdos_penalties.Penalties
+module Bench = Rgpdos_workload.Bench
 module Prng = Rgpdos_util.Prng
 module Clock = Rgpdos_util.Clock
-module Hex = Rgpdos_util.Hex
 module Bignum = Rgpdos_crypto.Bignum
 module Sha256 = Rgpdos_crypto.Sha256
 module Chacha20 = Rgpdos_crypto.Chacha20
@@ -127,12 +35,6 @@ module Membrane = Rgpdos_membrane.Membrane
 module Value = Rgpdos_dbfs.Value
 module Record = Rgpdos_dbfs.Record
 module Audit_log = Rgpdos_audit.Audit_log
-
-let section title body =
-  Printf.printf "\n================================================================\n";
-  Printf.printf "%s\n" title;
-  Printf.printf "================================================================\n";
-  print_endline body
 
 (* ------------------------------------------------------------------ *)
 (* micro-benchmarks                                                   *)
@@ -219,773 +121,70 @@ let run_micro () =
       let r2 =
         match Analyze.OLS.r_square ols_result with Some r -> r | None -> nan
       in
-      { Rgpdos_workload.Bench_report.name; ns_per_op = estimate; r2 } :: acc)
+      { Bench.name; ns_per_op = estimate; r2 } :: acc)
     results []
   |> List.sort compare
 
-let render_micro rows =
-  Rgpdos_util.Table.render
-    ~align:[ Rgpdos_util.Table.Left; Rgpdos_util.Table.Right; Rgpdos_util.Table.Right ]
-    ~header:[ "benchmark"; "wall ns/op"; "r^2" ]
-    (List.map
-       (fun { Rgpdos_workload.Bench_report.name; ns_per_op; r2 } ->
-         [ name; Printf.sprintf "%.1f" ns_per_op; Printf.sprintf "%.4f" r2 ])
-       rows)
-
-(* A3: crypto-erasure cost versus the authority's key size.  Wall-clock
-   (host) timing of keygen / seal / open at growing RSA moduli — the knob
-   an operator turns when the simulation-scale default (256 bits) is not
-   enough. *)
-let run_keysize_ablation () =
-  let prng = Prng.create ~seed:4L () in
-  let payload = Prng.bytes prng 1024 in
-  let time_one f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, (Sys.time () -. t0) *. 1e3)
-  in
-  (* Sys.time has ~10ms resolution: average the cheap operations *)
-  let time_avg n f =
-    let t0 = Sys.time () in
-    let last = ref (f ()) in
-    for _ = 2 to n do
-      last := f ()
-    done;
-    (!last, (Sys.time () -. t0) *. 1e3 /. float_of_int n)
-  in
-  let rows =
-    List.map
-      (fun bits ->
-        let kp, keygen_ms = time_one (fun () -> Rsa.generate ~bits prng) in
-        let env, seal_ms =
-          time_avg 20 (fun () -> Envelope.seal prng kp.Rsa.public payload)
-        in
-        let opened, open_ms =
-          time_avg 5 (fun () -> Envelope.open_ kp.Rsa.private_ env)
-        in
-        (match opened with
-        | Ok p when String.equal p payload -> ()
-        | _ -> failwith "a3: envelope did not roundtrip");
-        [
-          string_of_int bits;
-          Printf.sprintf "%.1f" keygen_ms;
-          Printf.sprintf "%.2f" seal_ms;
-          Printf.sprintf "%.2f" open_ms;
-        ])
-      [ 256; 384; 512; 1_024 ] (* < ~224 bits cannot hold the envelope seed *)
-  in
-  Rgpdos_util.Table.render
-    ~align:Rgpdos_util.Table.[ Right; Right; Right; Right ]
-    ~header:[ "modulus bits"; "keygen ms"; "seal 1KiB ms"; "open 1KiB ms" ]
-    rows
-
-(* ------------------------------------------------------------------ *)
-(* driver                                                             *)
-
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  let rec extract_json acc = function
-    | [] -> (None, List.rev acc)
-    | "--json" :: path :: rest -> (Some path, List.rev_append acc rest)
-    | [ "--json" ] -> failwith "--json requires a PATH argument"
-    | a :: rest -> extract_json (a :: acc) rest
+  let rec parse quick out cmp names = function
+    | [] -> (quick, out, cmp, List.rev names)
+    | "--quick" :: rest -> parse true out cmp names rest
+    | "--out" :: dir :: rest -> parse quick (Some dir) cmp names rest
+    | "--compare" :: dir :: rest -> parse quick out (Some dir) names rest
+    | [ ("--out" | "--compare") as flag ] ->
+        prerr_endline (flag ^ " requires a DIR argument");
+        exit 2
+    | name :: rest -> parse quick out cmp (name :: names) rest
   in
-  let json_path, args = extract_json [] args in
-  let rec extract_flag name acc = function
-    | [] -> (None, List.rev acc)
-    | flag :: path :: rest when flag = name -> (Some path, List.rev_append acc rest)
-    | [ flag ] when flag = name -> failwith (name ^ " requires a PATH argument")
-    | a :: rest -> extract_flag name (a :: acc) rest
+  let quick, out, compare_dir, names =
+    parse false None None [] (List.tl (Array.to_list Sys.argv))
   in
-  let vec_json_path, args = extract_flag "--vec-json" [] args in
-  let scale_json_path, args = extract_flag "--scale-json" [] args in
-  let index_json_path, args = extract_flag "--index-json" [] args in
-  let mount_json_path, args = extract_flag "--mount-json" [] args in
-  let fault_json_path, args = extract_flag "--fault-json" [] args in
-  let segment_json_path, args = extract_flag "--segment-json" [] args in
-  let sla_json_path, args = extract_flag "--sla-json" [] args in
-  let async_json_path, args = extract_flag "--async-json" [] args in
-  let model_json_path, args = extract_flag "--model-json" [] args in
-  let compare_path, args = extract_flag "--compare" [] args in
-  let wanted = List.filter (fun a -> a <> "--quick") args in
-  let enabled name = wanted = [] || List.mem name wanted in
-  if json_path <> None && not (enabled "micro") then
-    failwith
-      "--json needs the micro section for a valid report; run e.g. \
-       bench/main.exe -- --quick micro e1 e4 --json PATH";
-  if vec_json_path <> None && not (enabled "vecio") then
-    failwith
-      "--vec-json needs the vecio section; run e.g. \
-       bench/main.exe -- vecio --vec-json BENCH_vectored_io.json";
-  if scale_json_path <> None && not (enabled "scale") then
-    failwith
-      "--scale-json needs the scale section; run e.g. \
-       bench/main.exe -- scale --scale-json BENCH_parallel_scale.json";
-  if index_json_path <> None && not (enabled "index") then
-    failwith
-      "--index-json needs the index section; run e.g. \
-       bench/main.exe -- index --index-json BENCH_index_select.json";
-  if mount_json_path <> None && not (enabled "mount") then
-    failwith
-      "--mount-json needs the mount section; run e.g. \
-       bench/main.exe -- mount --mount-json BENCH_mount_scale.json";
-  if fault_json_path <> None && not (enabled "fault") then
-    failwith
-      "--fault-json needs the fault section; run e.g. \
-       bench/main.exe -- fault --fault-json BENCH_fault_campaign.json";
-  if segment_json_path <> None && not (enabled "segment") then
-    failwith
-      "--segment-json needs the segment section; run e.g. \
-       bench/main.exe -- segment --segment-json BENCH_segment_io.json";
-  if sla_json_path <> None && not (enabled "sla") then
-    failwith
-      "--sla-json needs the sla section; run e.g. \
-       bench/main.exe -- sla --sla-json BENCH_rights_sla.json";
-  if async_json_path <> None && not (enabled "async") then
-    failwith
-      "--async-json needs the async section; run e.g. \
-       bench/main.exe -- async --async-json BENCH_async_io.json";
-  if model_json_path <> None && not (enabled "model") then
-    failwith
-      "--model-json needs the model section; run e.g. \
-       bench/main.exe -- model --model-json BENCH_model_check.json";
-  let d full small = if quick then small else full in
-
-  (* host wall-clock per section, for the JSON report *)
-  let timed f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, (Sys.time () -. t0) *. 1e3)
-  in
-  let micro_rows = ref [] in
-  let e1_result = ref None in
-  let e4_result = ref None in
-  let scale_speedup4 = ref None in
-  let index_speedup1pct = ref None in
-  let mount_read_ratio = ref None in
-  let fault_pass_rate = ref None in
-  let segment_ingest = ref None in
-  let sla_improvement15 = ref None in
-  let async_metrics = ref None in
-  let model_conformance = ref None in
-  (* the 1%-selectivity pushdown speedup at the smallest population >=
-     2000 — the configuration the index artifact gates on (present at
-     both quick and full scale) *)
-  let speedup_1pct_of rows =
-    List.fold_left
-      (fun best (row : E.eidx_select_row) ->
-        if row.E.eidx_selectivity_pct = 1.0 && row.E.eidx_population >= 2_000
-        then
-          match best with
-          | Some (bp, _) when bp <= row.E.eidx_population -> best
-          | _ -> Some (row.E.eidx_population, row.E.eidx_speedup)
-        else best)
-      None rows
-    |> Option.map snd
-  in
-
-  if enabled "fig1" then
-    section "FIG1 — GDPR penalty statistics (paper Figure 1)"
-      (Penalties.render_figure1 ());
-
-  if enabled "e1" then begin
-    let r, wall_ms = timed (fun () -> E.e1_ded_stages ~subjects:(d 2_000 200) ()) in
-    e1_result := Some (r, wall_ms);
-    section "E1 — DED pipeline breakdown" (E.render_e1 r)
-  end;
-
-  if enabled "e2" then
-    section "E2 — GDPRBench roles: rgpdOS vs DB-level GDPR vs vanilla"
-      (E.render_e2
-         (E.e2_gdprbench ~subjects:(d 400 80) ~ops_per_role:(d 200 50) ()));
-
-  if enabled "e2b" then
-    section "E2b — processor-role scaling sweep"
-      (E.render_e2b
-         (E.e2b_scaling
-            ~sizes:(d [ 100; 200; 400; 800 ] [ 50; 100 ])
-            ~ops:(d 100 30) ()));
-
-  if enabled "e3" then
-    section "E3 — right to be forgotten (forensic)"
-      (E.render_e3 (E.e3_erasure ~subjects:(d 300 60) ~erase_fraction:0.10 ()));
-
-  if enabled "e4" then begin
-    let r, wall_ms =
-      timed (fun () ->
-          E.e4_access
-            ~records_per_subject:(d [ 1; 10; 50; 200; 1_000 ] [ 1; 10; 50 ])
-            ())
-    in
-    e4_result := Some (r, wall_ms);
-    section "E4 — right of access latency" (E.render_e4 r)
-  end;
-
-  if enabled "e5" then
-    section "E5 — storage-limitation sweep"
-      (E.render_e5
-         (E.e5_ttl ~sizes:(d [ 500; 1_000; 2_000; 4_000 ] [ 100; 200 ]) ()));
-
-  if enabled "e6" then
-    section "E6 — membrane filter selectivity"
-      (E.render_e6 (E.e6_filter ~subjects:(d 1_000 150) ()));
-
-  if enabled "e7" then
-    section "E7 — cross-purpose leak attempts"
-      (E.render_e7 (E.e7_leak ~attacks:(d 200 40) ()));
-
-  if enabled "e8" then
-    section "E8 — ps_register purpose/implementation checks"
-      (E.render_e8 (E.e8_register ()));
-
-  if enabled "e9" then
-    section "E9 — purpose-kernel partitioning"
-      (E.render_e9 (E.e9_kernels ~jobs:(d 100 24) ()));
-
-  if enabled "e11" then
-    section "E11 — consent churn with live copies"
-      (E.render_e11
-         (E.e11_consent_churn ~subjects:(d 300 60) ~flips:(d 200 40) ()));
-
-  if enabled "a1" then
-    section "A1 — ablation: two-phase vs single-phase DBFS fetching"
-      (E.render_a1 (E.a1_fetch_mode ~subjects:(d 500 80) ()));
-
-  if enabled "a2" then
-    section "A2 — ablation: DED placement (host / PIM / PIS)"
-      (E.render_a2 (E.a2_placement ~subjects:(d 1_000 150) ()));
-
-  if enabled "e10" then
-    section "E10 — audit-chain verification"
-      (E.render_e10
-         (E.e10_audit ~sizes:(d [ 100; 1_000; 10_000; 50_000 ] [ 100; 1_000 ]) ()));
-
-  if enabled "a3" then
-    section "A3 — ablation: crypto-erasure cost vs authority key size (wall clock)"
-      (run_keysize_ablation ());
-
-  if enabled "micro" then begin
-    let rows = run_micro () in
-    micro_rows := rows;
-    section "MICRO — bechamel micro-benchmarks (host wall clock)"
-      (render_micro rows)
-  end;
-
-  if enabled "vecio" then begin
-    let module BR = Rgpdos_workload.Bench_report in
-    let subjects = d 2_000 200 in
-    let scalar, scalar_wall_ms =
-      timed (fun () -> E.e1_ded_stages ~subjects ~vectored:false ())
-    in
-    let vectored, vectored_wall_ms =
-      timed (fun () -> E.e1_ded_stages ~subjects ~vectored:true ())
-    in
-    let baseline =
-      (* committed hotpath artifact, when running from the project root *)
-      Option.bind
-        (List.find_opt Sys.file_exists
-           [ "BENCH_hotpath.json"; "../BENCH_hotpath.json" ])
-        BR.read_file
-    in
-    let report =
-      BR.make_vectored ~scalar ~scalar_wall_ms ~vectored ~vectored_wall_ms
-        ?baseline ()
-    in
-    (match BR.validate_vectored report with
-    | Ok () -> ()
+  let entries = Bench.registry ~micro:run_micro in
+  let selected =
+    match Bench.parse_sections entries names with
+    | Ok s -> s
     | Error e ->
-        failwith ("vectored-io report failed self-validation: " ^ e));
-    let body =
-      Printf.sprintf
-        "scalar (one seek per block):\n%s\nvectored (one seek per merged \
-         run):\n%s\nmerge ratio: %.1f blocks per seek"
-        (E.render_e1 scalar) (E.render_e1 vectored)
-        (BR.merge_ratio vectored.E.e1_device)
-    in
-    section "VECIO — scalar vs vectored device cost model (E1)" body;
-    match vec_json_path with
-    | None -> ()
-    | Some path ->
-        BR.write_file path report;
-        Printf.printf "\nwrote %s\n" path
-  end;
-
-  if enabled "scale" then begin
-    let module SB = Rgpdos_workload.Shard_bench in
-    let module BR = Rgpdos_workload.Bench_report in
-    let module Table = Rgpdos_util.Table in
-    let subjects = d 800 240 and total_ops = d 400 120 in
-    let domain_counts = [ 1; 2; 4; 8 ] in
-    let runs =
-      Rgpdos_util.Pool.with_pool (fun pool ->
-          List.map
-            (fun shards ->
-              SB.run ~pool ~role:Rgpdos_workload.Gdprbench.Processor ~subjects
-                ~total_ops ~shards ())
-            domain_counts)
-    in
-    let baseline = List.hd runs in
-    let rows = List.map (BR.scale_row_of_report ~baseline) runs in
-    let e1_subjects = d 2_000 200 in
-    let e1_cores = Rgpdos_ded.Ded.location_cores Rgpdos_ded.Ded.Host in
-    let e1_seq = E.e1_ded_stages ~subjects:e1_subjects ~cores:1 () in
-    let e1_par = E.e1_ded_stages ~subjects:e1_subjects () in
-    let report =
-      BR.make_scale ~role:"processor" ~subjects ~total_ops ~rows ~e1_seq
-        ~e1_par ~e1_cores ()
-    in
-    (match BR.validate_scale report with
-    | Ok () -> ()
-    | Error e -> failwith ("parallel-scale report failed self-validation: " ^ e));
-    scale_speedup4 := BR.scale_speedup_at report 4;
-    let exec r = List.assoc "ded_execute" r.E.e1_stage_ns in
-    let body =
-      Table.render
-        ~align:Table.[ Right; Right; Right; Right; Right; Right ]
-        ~header:
-          [
-            "domains"; "sim critical ms"; "aggregate ms"; "kops/sim-s";
-            "speedup"; "host wall s";
-          ]
-        (List.map
-           (fun (row : BR.scale_row) ->
-             [
-               string_of_int row.BR.domains;
-               Printf.sprintf "%.2f" (float_of_int row.BR.sim_critical_ns /. 1e6);
-               Printf.sprintf "%.2f" (float_of_int row.BR.sim_total_ns /. 1e6);
-               Printf.sprintf "%.1f" row.BR.kops_per_sim_s;
-               Printf.sprintf "%.2fx" row.BR.speedup;
-               Printf.sprintf "%.3f" row.BR.wall_s;
-             ])
-           rows)
-      ^ Printf.sprintf
-          "\nE1 ded_execute (%d subjects): sequential %.2f sim-ms -> %d-core \
-           %.2f sim-ms (%.1f%% less)"
-          e1_subjects
-          (float_of_int (exec e1_seq) /. 1e6)
-          e1_cores
-          (float_of_int (exec e1_par) /. 1e6)
-          (100.0
-          *. float_of_int (exec e1_seq - exec e1_par)
-          /. float_of_int (max 1 (exec e1_seq)))
-    in
-    section
-      "SCALE — sharded GDPRBench domains sweep (processor-role mix)" body;
-    match scale_json_path with
-    | None -> ()
-    | Some path ->
-        BR.write_file path report;
-        Printf.printf "\nwrote %s\n" path
-  end;
-
-  if enabled "index" then begin
-    let module BR = Rgpdos_workload.Bench_report in
-    let result, wall_ms =
-      timed (fun () ->
-          E.e_index
-            ~sizes:(d [ 500; 2_000; 8_000 ] [ 500; 2_000 ])
-            ~ttl_sizes:(d [ 500; 2_000; 4_000 ] [ 200; 500 ])
-            ())
-    in
-    index_speedup1pct := speedup_1pct_of result.E.eidx_select;
-    let report = BR.make_index ~result ~wall_ms in
-    (match BR.validate_index report with
-    | Ok () -> ()
-    | Error e -> failwith ("index-select report failed self-validation: " ^ e));
-    section "INDEX — secondary-index pushdown vs full-type scans"
-      (E.render_e_index result);
-    match index_json_path with
-    | None -> ()
-    | Some path ->
-        BR.write_file path report;
-        Printf.printf "\nwrote %s\n" path
-  end;
-
-  if enabled "mount" then begin
-    let module MB = Rgpdos_workload.Mount_bench in
-    let module BR = Rgpdos_workload.Bench_report in
-    let result, wall_ms =
-      timed (fun () ->
-          MB.run
-            ~sizes:(d [ 1_000; 10_000; 100_000; 1_000_000 ] [ 1_000; 4_000; 10_000 ])
-            ~ops:(d 20_000 1_000) ~budget:(d 4_096 512) ())
-    in
-    mount_read_ratio := Some (MB.read_ratio result);
-    let report = BR.make_mount ~result ~wall_ms in
-    (match BR.validate_mount report with
-    | Ok () -> ()
-    | Error e -> failwith ("mount-scale report failed self-validation: " ^ e));
-    section "MOUNT — paged-index mount scaling + bounded-cache Zipf workload"
-      (MB.render result);
-    match mount_json_path with
-    | None -> ()
-    | Some path ->
-        BR.write_file path report;
-        Printf.printf "\nwrote %s\n" path
-  end;
-
-  if enabled "fault" then begin
-    let module FC = Rgpdos_workload.Fault_campaign in
-    let module BR = Rgpdos_workload.Bench_report in
-    (* the campaign is deterministic and the workload writes well under
-       the 200-point smoke cap, so quick and full runs enumerate the
-       same exhaustive crash-point space unless the workload grows *)
-    let result, wall_ms =
-      timed (fun () ->
-          if quick then FC.run ~max_points:200 () else FC.run ())
-    in
-    fault_pass_rate := Some (FC.pass_rate_pct result);
-    let report = BR.make_fault ~result ~wall_ms () in
-    (match BR.validate_fault report with
-    | Ok () -> ()
-    | Error e -> failwith ("fault-campaign report failed self-validation: " ^ e));
-    section "FAULT — deterministic crash/fault-injection campaign"
-      (FC.render result);
-    match fault_json_path with
-    | None -> ()
-    | Some path ->
-        BR.write_file path report;
-        Printf.printf "\nwrote %s\n" path
-  end;
-
-  if enabled "model" then begin
-    let module RF = Rgpdos_model.Refine in
-    let module BR = Rgpdos_workload.Bench_report in
-    (* deterministic in the seed; the QCHECK_COUNT smoke budget (when
-       set) governs the script count, otherwise --quick trims it *)
-    let scripts =
-      match Sys.getenv_opt "QCHECK_COUNT" with
-      | Some _ -> None
-      | None -> if quick then Some 2 else None
-    in
-    let result, wall_ms = timed (fun () -> RF.run ?scripts ()) in
-    model_conformance := Some (RF.conformance_pct result);
-    let report = BR.make_model ~result ~wall_ms () in
-    (match BR.validate_model report with
-    | Ok () -> ()
-    | Error e -> failwith ("model-check report failed self-validation: " ^ e));
-    section
-      "MODEL — executable GDPR model refinement (lockstep / crash / \
-       linearizability / coherence)"
-      (RF.render result);
-    match model_json_path with
-    | None -> ()
-    | Some path ->
-        BR.write_file path report;
-        Printf.printf "\nwrote %s\n" path
-  end;
-
-  if enabled "segment" then begin
-    let module SG = Rgpdos_workload.Segment_bench in
-    let module BR = Rgpdos_workload.Bench_report in
-    (* both sides run on the virtual clock, so quick and full measure the
-       same deterministic numbers; the >= 10^4-subject claim in the
-       artifact requires the default size either way *)
-    let result, wall_ms = timed (fun () -> SG.run ()) in
-    segment_ingest := Some result.SG.sr_segmented.SG.sg_ingest_mb_s;
-    let report = BR.make_segment ~result ~wall_ms in
-    (match BR.validate_segment report with
-    | Ok () -> ()
-    | Error e -> failwith ("segment-io report failed self-validation: " ^ e));
-    section "SEGMENT — update-in-place vs log-structured segments (A/B)"
-      (SG.render result);
-    match segment_json_path with
-    | None -> ()
-    | Some path ->
-        BR.write_file path report;
-        Printf.printf "\nwrote %s\n" path
-  end;
-
-  if enabled "sla" then begin
-    let module SLA = Rgpdos_workload.Sla_bench in
-    let module BR = Rgpdos_workload.Bench_report in
-    let result, wall_ms =
-      timed (fun () ->
-          SLA.run ~subjects:(d 2_000 600) ~batches:(d 30 12) ())
-    in
-    sla_improvement15 := SLA.improvement result "art15";
-    let report = BR.make_sla ~result ~wall_ms in
-    (match BR.validate_sla report with
-    | Ok () -> ()
-    | Error e -> failwith ("rights-sla report failed self-validation: " ^ e));
-    section "SLA — rights latency under saturating load (FIFO vs EDF)"
-      (SLA.render result);
-    match sla_json_path with
-    | None -> ()
-    | Some path ->
-        BR.write_file path report;
-        Printf.printf "\nwrote %s\n" path
-  end;
-
-  if enabled "async" then begin
-    let module AB = Rgpdos_workload.Async_bench in
-    let module BR = Rgpdos_workload.Bench_report in
-    (* virtual-clock A/B: quick shrinks the populations but keeps the
-       full depth sweep, so the gated depth >= 4 rows exist either way *)
-    let result, wall_ms =
-      timed (fun () ->
-          AB.run ~sizes:(d [ 2_000; 8_000 ] [ 400; 1_000 ]) ())
-    in
-    async_metrics :=
-      Some (result.AB.a_best_load_speedup, result.AB.a_best_overlap_pct);
-    let report = BR.make_async ~result ~wall_ms in
-    (match BR.validate_async report with
-    | Ok () -> ()
-    | Error e -> failwith ("async-io report failed self-validation: " ^ e));
-    section "ASYNC — submission/completion queues A/B (E1, async off vs on)"
-      (AB.render result);
-    match async_json_path with
-    | None -> ()
-    | Some path ->
-        BR.write_file path report;
-        Printf.printf "\nwrote %s\n" path
-  end;
-
-  (match compare_path with
-  | None -> ()
-  | Some path ->
-      let module BR = Rgpdos_workload.Bench_report in
-      (* every gate runs and every failure is recorded; CI gets the full
-         list of regressions from one run instead of one per rerun *)
-      let failures = ref [] in
-      let gate lines = failures := !failures @ lines in
-      (* a baseline that is missing or does not parse is itself a failing
-         gate, reported in the collected list like any regression — the
-         remaining sibling gates still run so one pass shows everything *)
-      let old_report =
-        if not (Sys.file_exists path) then begin
-          gate [ "--compare: missing committed artifact " ^ path ];
-          None
-        end
-        else
-          match BR.read_file path with
-          | Some r -> Some r
-          | None ->
-              gate [ "--compare: cannot parse " ^ path ];
-              None
-      in
-      let current =
-        match !e1_result with
-        | Some (r, _) -> r
-        | None -> E.e1_ded_stages ~subjects:(d 2_000 200) ()
-      in
-      (match old_report with
-      | None -> ()
-      | Some old_report -> (
-          match BR.compare_e1 ~old_report current with
-          | Ok n ->
-              Printf.printf
-                "\ncompare: %d E1 stages checked against %s — no regression > \
-                 %.0f%%\n"
-                n path BR.regression_threshold_pct
-          | Error lines -> gate (List.map (fun l -> "E1: " ^ l) lines)));
-      (* the artifacts committed next to OLD.json gate their own
-         headline numbers the same way.  An absent sibling is simply not
-         gated; one that exists but does not parse is a failing gate. *)
-      let sibling name = Filename.concat (Filename.dirname path) name in
-      let with_sibling name f =
-        let p = sibling name in
-        if Sys.file_exists p then
-          match BR.read_file p with
-          | Some old -> f old
-          | None -> gate [ "--compare: cannot parse " ^ p ]
-      in
-      with_sibling "BENCH_vectored_io.json" (fun old_vec ->
-          let ratio = BR.merge_ratio current.E.e1_device in
-          match
-            BR.compare_vectored ~old_report:old_vec
-              ~subjects:current.E.e1_subjects ~merge_ratio:ratio
-          with
-          | Ok committed ->
-              Printf.printf
-                "compare: E1 merge ratio %.2f vs committed %.2f — ok\n" ratio
-                committed
-          | Error line -> gate [ line ]);
-      with_sibling "BENCH_parallel_scale.json" (fun old_scale ->
-          let speedup4 =
-            match !scale_speedup4 with
-            | Some s -> s
-            | None ->
-                (* scale section did not run: measure a small sweep *)
-                let module SB = Rgpdos_workload.Shard_bench in
-                let subjects = d 400 160 and total_ops = d 200 80 in
-                let one =
-                  SB.run ~role:Rgpdos_workload.Gdprbench.Processor ~subjects
-                    ~total_ops ~shards:1 ()
-                in
-                let four =
-                  SB.run ~role:Rgpdos_workload.Gdprbench.Processor ~subjects
-                    ~total_ops ~shards:4 ()
-                in
-                SB.speedup ~baseline:one four
+        prerr_endline e;
+        exit 2
+  in
+  List.iter
+    (fun (name, run) -> if List.mem name selected then run ~quick)
+    Bench.printed;
+  Option.iter
+    (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
+    out;
+  let failures =
+    List.concat_map
+      (fun (e : Bench.entry) ->
+        if not (List.mem e.section selected) then []
+        else begin
+          let report = e.run ~quick in
+          Option.iter
+            (fun dir ->
+              let path = Filename.concat dir e.file in
+              Bench.write_file path report;
+              Printf.printf "\nwrote %s\n" path)
+            out;
+          let verdict =
+            match compare_dir with
+            | None -> Bench.validate e report
+            | Some dir -> (
+                match Bench.read_file (Filename.concat dir e.file) with
+                | Ok committed -> Bench.compare e ~committed report
+                | Error msg ->
+                    Error [ Printf.sprintf "%s (regenerate: %s)" msg e.regen ])
           in
-          match BR.compare_scale ~old_report:old_scale ~speedup4 with
-          | Ok committed ->
-              Printf.printf
-                "compare: 4-domain speedup %.2fx vs committed %.2fx — ok\n"
-                speedup4 committed
-          | Error line -> gate [ line ]);
-      with_sibling "BENCH_index_select.json" (fun old_index ->
-          let speedup1pct =
-            match !index_speedup1pct with
-            | Some s -> s
-            | None -> (
-                (* index section did not run: measure the gated
-                   configuration alone *)
-                match speedup_1pct_of (E.e_index_select ~sizes:[ 2_000 ] ()) with
-                | Some s -> s
-                | None -> failwith "--compare: e_index_select has no 1% row")
-          in
-          match BR.compare_index ~old_report:old_index ~speedup1pct with
-          | Ok committed ->
-              Printf.printf
-                "compare: 1%%-selectivity pushdown %.1fx vs committed %.1fx \
-                 — ok\n"
-                speedup1pct committed
-          | Error line -> gate [ line ]);
-      with_sibling "BENCH_mount_scale.json" (fun old_mount ->
-          let module MB = Rgpdos_workload.Mount_bench in
-          let read_ratio_max =
-            match !mount_read_ratio with
-            | Some r -> r
-            | None ->
-                (* mount section did not run: measure a small sweep *)
-                MB.read_ratio
-                  (MB.run ~sizes:[ 1_000; 4_000 ] ~ops:200 ~budget:256 ())
-          in
-          match BR.compare_mount ~old_report:old_mount ~read_ratio_max with
-          | Ok committed ->
-              Printf.printf
-                "compare: clean-mount read ratio %.2fx vs committed %.2fx — \
-                 ok\n"
-                read_ratio_max committed
-          | Error line -> gate [ line ]);
-      with_sibling "BENCH_fault_campaign.json" (fun old_fault ->
-          let module FC = Rgpdos_workload.Fault_campaign in
-          let pass_rate_pct =
-            match !fault_pass_rate with
-            | Some r -> r
-            | None ->
-                (* fault section did not run: rerun the campaign at the
-                   smoke cap — it is deterministic, so this is the same
-                   verdict set CI committed *)
-                FC.pass_rate_pct (FC.run ~max_points:200 ())
-          in
-          match BR.compare_fault ~old_report:old_fault ~pass_rate_pct with
-          | Ok committed ->
-              Printf.printf
-                "compare: fault-campaign invariant pass rate %.1f%% vs \
-                 committed %.1f%% — ok\n"
-                pass_rate_pct committed
-          | Error line -> gate [ line ]);
-      (* the model-refinement artifact is REQUIRED, unlike the other
-         siblings: semantics conformance must never silently drop out of
-         the gate set, so a missing BENCH_model_check.json is itself a
-         failing gate *)
-      (let p = sibling "BENCH_model_check.json" in
-       if not (Sys.file_exists p) then
-         gate [ "--compare: missing committed artifact " ^ p ]
-       else
-         with_sibling "BENCH_model_check.json" (fun old_model ->
-             let conformance =
-               match !model_conformance with
-               | Some c -> c
-               | None ->
-                   (* model section did not run: rerun a small campaign —
-                      deterministic in the seed *)
-                   let module RF = Rgpdos_model.Refine in
-                   RF.conformance_pct (RF.run ~scripts:2 ())
-             in
-             match
-               BR.compare_model ~old_report:old_model
-                 ~conformance_pct:conformance
-             with
-             | Ok committed ->
-                 Printf.printf
-                   "compare: model refinement conformance %.2f%% vs \
-                    committed %.2f%% — ok (absolute bar %.0f%%)\n"
-                   conformance committed BR.model_conformance_bar
-             | Error line -> gate [ "model: " ^ line ]));
-      with_sibling "BENCH_segment_io.json" (fun old_segment ->
-          let module SG = Rgpdos_workload.Segment_bench in
-          let ingest_mb_s =
-            match !segment_ingest with
-            | Some s -> s
-            | None ->
-                (* segment section did not run: the A/B bench is
-                   virtual-clock deterministic, so rerunning the default
-                   configuration reproduces the committed measurement *)
-                (SG.run ()).SG.sr_segmented.SG.sg_ingest_mb_s
-          in
-          match BR.compare_segment ~old_report:old_segment ~ingest_mb_s with
-          | Ok committed ->
-              Printf.printf
-                "compare: segmented sustained ingest %.2f MB/s vs committed \
-                 %.2f — ok\n"
-                ingest_mb_s committed
-          | Error line -> gate [ line ]);
-      with_sibling "BENCH_rights_sla.json" (fun old_sla ->
-          let module SLA = Rgpdos_workload.Sla_bench in
-          let improvement15 =
-            match !sla_improvement15 with
-            | Some s -> s
-            | None -> (
-                (* sla section did not run: replay a small A/B — the
-                   driver is virtual-clock deterministic, so the quick
-                   measurement is reproducible *)
-                let r = SLA.run ~subjects:600 ~batches:12 () in
-                match SLA.improvement r "art15" with
-                | Some s -> s
-                | None -> failwith "--compare: sla run has no art15 samples")
-          in
-          match BR.compare_sla ~old_report:old_sla ~improvement15 with
-          | Ok committed ->
-              Printf.printf
-                "compare: Art. 15 p99 improvement %.1fx vs committed %.1fx — \
-                 ok (absolute bar %.1fx)\n"
-                improvement15 committed BR.sla_improvement_bar
-          | Error line -> gate [ line ]);
-      with_sibling "BENCH_async_io.json" (fun old_async ->
-          let module AB = Rgpdos_workload.Async_bench in
-          let speedup, overlap =
-            match !async_metrics with
-            | Some m -> m
-            | None ->
-                (* async section did not run: replay a small A/B — the
-                   driver is virtual-clock deterministic, so the quick
-                   measurement is reproducible *)
-                let r = AB.run ~sizes:[ 400; 1_000 ] () in
-                (r.AB.a_best_load_speedup, r.AB.a_best_overlap_pct)
-          in
-          match BR.compare_async ~old_report:old_async ~speedup ~overlap with
-          | Ok committed ->
-              Printf.printf
-                "compare: async load speedup %.2fx (overlap %.1f%%) vs \
-                 committed %.2fx — ok (absolute bars %.1fx / %.0f%%)\n"
-                speedup overlap committed BR.async_speedup_bar
-                BR.async_overlap_bar
-          | Error line -> gate [ line ]);
-      match !failures with
-      | [] -> ()
-      | lines ->
-          Printf.eprintf "\ncompare: %d gate(s) failed vs %s:\n"
-            (List.length lines) path;
-          List.iter (fun l -> Printf.eprintf "  %s\n" l) lines;
-          exit 1);
-
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      let module BR = Rgpdos_workload.Bench_report in
-      let report =
-        BR.make ~quick ~micro:!micro_rows ?e1:!e1_result ?e4:!e4_result ()
-      in
-      (match BR.validate report with
-      | Ok () -> ()
-      | Error e -> failwith ("bench report failed self-validation: " ^ e));
-      BR.write_file path report;
-      Printf.printf "\nwrote %s\n" path);
-
-  print_newline ();
-  print_endline "done."
+          match verdict with
+          | Ok lines ->
+              List.iter (Printf.printf "gate %s: %s\n" e.section) lines;
+              []
+          | Error lines -> List.map (fun l -> e.section ^ ": " ^ l) lines
+        end)
+      entries
+  in
+  match failures with
+  | [] -> print_endline "\ndone."
+  | lines ->
+      Printf.eprintf "\n%d gate(s) failed:\n" (List.length lines);
+      List.iter (Printf.eprintf "  %s\n") lines;
+      exit 1

@@ -190,6 +190,10 @@ let barrier ring =
       List.iter (fun tk -> ignore (Block_device.await ring.dev tk)) (List.rev tks));
   ring.inflight <- []
 
+(* magic, seq, payload length prefix, checksum *)
+let max_payload ring =
+  capacity ring - String.length (frame_record 0 "")
+
 let append ring ~on_overflow payload =
   let framed = frame_record ring.jseq payload in
   let len = String.length framed in

@@ -33,6 +33,10 @@ val append : t -> on_overflow:(unit -> unit) -> string -> unit
     {!flush} (triggered automatically once the window fills).
     @raise Failure if a single record exceeds the ring capacity. *)
 
+val max_payload : t -> int
+(** The largest payload {!append} accepts: the capacity less the frame's
+    header and checksum. *)
+
 val set_window : t -> int -> unit
 (** Group-commit window: [1] (the default) writes every record
     immediately, exactly like the pre-group-commit ring; [n > 1] buffers

@@ -547,22 +547,33 @@ let write_to_inode fs ino data =
       log_and_apply fs (Op_write { ino; data; blocks });
       Ok ()
 
+(* Op_write carries the whole file, so a file whose op does not fit the
+   ring can never be logged: refuse it before creating or allocating
+   anything, rather than raise from the ring half-way through. *)
+let write_fits fs data =
+  let blocks = List.init (blocks_needed fs (String.length data)) Fun.id in
+  String.length (encode_op (Op_write { ino = 0; data = ""; blocks }))
+  + String.length data
+  <= Journal_ring.max_payload fs.ring
+
 let write_file fs path data =
-  match resolve fs path with
-  | Error e -> Error e
-  | Ok (parent, name, None) ->
-      if name = "" then Error (Invalid_path path)
-      else begin
-        let ino = fs.next_inode in
-        fs.next_inode <- ino + 1;
-        log_and_apply fs (Op_create { parent; name; ino });
-        write_to_inode fs ino data
-      end
-  | Ok (_, _, Some ino) -> (
-      match find_inode fs ino with
-      | Some node when node.is_dir -> Error (Is_a_directory path)
-      | Some _ -> write_to_inode fs ino data
-      | None -> Error (Not_found path))
+  if not (write_fits fs data) then Error No_space
+  else
+    match resolve fs path with
+    | Error e -> Error e
+    | Ok (parent, name, None) ->
+        if name = "" then Error (Invalid_path path)
+        else begin
+          let ino = fs.next_inode in
+          fs.next_inode <- ino + 1;
+          log_and_apply fs (Op_create { parent; name; ino });
+          write_to_inode fs ino data
+        end
+    | Ok (_, _, Some ino) -> (
+        match find_inode fs ino with
+        | Some node when node.is_dir -> Error (Is_a_directory path)
+        | Some _ -> write_to_inode fs ino data
+        | None -> Error (Not_found path))
 
 let read_file fs path =
   match resolve fs path with

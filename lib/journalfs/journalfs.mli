@@ -68,7 +68,9 @@ val create : t -> string -> (unit, error) result
 
 val write_file : t -> string -> string -> (unit, error) result
 (** Replace the file's contents (creating it if absent).  Data goes through
-    the journal first, then to in-place data blocks. *)
+    the journal first, then to in-place data blocks.  A write whose
+    journal record would not fit the ring is [Error No_space], with
+    nothing created or allocated. *)
 
 val append_file : t -> string -> string -> (unit, error) result
 val read_file : t -> string -> (string, error) result

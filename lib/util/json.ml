@@ -220,6 +220,8 @@ let of_string s =
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 
+let int i = Num (float_of_int i)
+
 let to_float = function Num f -> Some f | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None

@@ -24,6 +24,9 @@ val member : string -> t -> t option
 (** [member k (Obj ...)] looks up key [k]; [None] for missing keys or
     non-objects. *)
 
+val int : int -> t
+(** [Num] of an integer. *)
+
 val to_float : t -> float option
 val to_str : t -> string option
 val to_list : t -> t list option

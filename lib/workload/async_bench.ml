@@ -158,3 +158,43 @@ let render r =
   pf "  best load-stage speedup at depth>=4: %.2fx, best overlap: %.1f%%\n"
     r.a_best_load_speedup r.a_best_overlap_pct;
   Buffer.contents b
+
+(* ---------- artifact encoder ---------- *)
+
+module Json = Rgpdos_util.Json
+
+let schema_id = "rgpdos-bench-async-io/1"
+
+let depth_row_json (row : depth_row) =
+  Json.Obj
+    [
+      ("depth", Json.int row.ar_depth);
+      ("total_ns", Json.int row.ar_total_ns);
+      ("load_ns", Json.int row.ar_load_ns);
+      ("load_speedup", Json.Num row.ar_load_speedup);
+      ("total_speedup", Json.Num row.ar_total_speedup);
+      ("overlap_pct", Json.Num row.ar_overlap_pct);
+      ("submits", Json.int row.ar_submits);
+      ("highwater", Json.int row.ar_highwater);
+    ]
+
+let size_run_json (s : size_run) =
+  Json.Obj
+    [
+      ("subjects", Json.int s.as_subjects);
+      ("sync_total_ns", Json.int s.as_sync_total_ns);
+      ("sync_load_ns", Json.int s.as_sync_load_ns);
+      ("invariant_ok", Json.Bool s.as_invariant_ok);
+      ("rows", Json.List (List.map depth_row_json s.as_rows));
+    ]
+
+let to_json ~wall_ms (result : result) =
+  Json.Obj
+    [
+      ("schema", Json.Str schema_id);
+      ("depths", Json.List (List.map Json.int result.a_depths));
+      ("sizes", Json.List (List.map size_run_json result.a_sizes));
+      ("best_load_speedup", Json.Num result.a_best_load_speedup);
+      ("best_overlap_pct", Json.Num result.a_best_overlap_pct);
+      ("wall_ms", Json.Num wall_ms);
+    ]

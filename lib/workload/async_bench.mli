@@ -46,3 +46,11 @@ val run : ?depths:int list -> ?sizes:int list -> unit -> result
     Deterministic: simulated figures depend only on the parameters. *)
 
 val render : result -> string
+
+val schema_id : string
+(** The artifact's ["schema"] value. *)
+
+val to_json : wall_ms:float -> result -> Rgpdos_util.Json.t
+(** The committed artifact, BENCH_async_io.json: the depth sweep per population size with the
+    sync baseline, per-depth speedups, overlap and the async==sync verdict.
+    [wall_ms] is the run's host time. *)

@@ -254,20 +254,14 @@ type eidx_result = {
   eidx_ttl : eidx_ttl_row list;
 }
 
-val e_index_select : ?sizes:int list -> unit -> eidx_select_row list
-(** Selectivity sweep over a type with three indexed int fields designed
-    so an Eq probe matches exactly 0.1% / 1% / 10% of the population
-    (plus [True] at 100%).  Each probe runs {!Dbfs.select} twice on the
-    same store — full scan ([~use_indexes:false]) vs index pushdown —
-    and asserts both return identical pd_ids. *)
-
-val e_index_ttl :
-  ?sizes:int list -> ?expired:int -> unit -> eidx_ttl_row list
-(** E5's aged population, swept twice from identical boots: the legacy
-    full membrane scan vs the TTL expiry queue.  The expired cohort is a
-    fixed count across population sizes, so the incremental sweep's
-    O(expired) cost stays flat while the full scan grows
-    O(population). *)
-
 val e_index : ?sizes:int list -> ?ttl_sizes:int list -> unit -> eidx_result
+(** The selectivity sweep over [sizes]: a type with three indexed int
+    fields designed so an Eq probe matches exactly 0.1% / 1% / 10% of the
+    population (plus [True] at 100%), each probe run by {!Dbfs.select}
+    as a full scan and as index pushdown on the same store, with
+    identical pd_ids asserted.  Then the TTL sweep over [ttl_sizes]: E5's
+    aged population swept by the legacy full membrane scan and by the
+    expiry queue, with a fixed expired cohort, so the incremental sweep
+    stays O(expired) while the full scan grows O(population). *)
+
 val render_e_index : eidx_result -> string

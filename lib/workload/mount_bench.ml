@@ -269,3 +269,46 @@ let render r =
        reads %d  sim %.1f ms  ops_ok %b"
       z.zb_ops z.zb_subjects z.zb_budget z.zb_resident_max z.zb_hits
       z.zb_misses z.zb_evictions z.zb_page_reads z.zb_sim_ms z.zb_ops_ok
+
+(* ---------- artifact encoder ---------- *)
+
+module Json = Rgpdos_util.Json
+
+let schema_id = "rgpdos-bench-mount-scale/1"
+
+let to_json ~wall_ms (result : result) =
+  let z = result.mb_zipf in
+  Json.Obj
+    [
+      ("schema", Json.Str schema_id);
+      ( "mount",
+        Json.List
+          (List.map
+             (fun (row : mount_row) ->
+               Json.Obj
+                 [
+                   ("subjects", Json.int row.mb_subjects);
+                   ("build_sim_ms", Json.Num row.mb_build_sim_ms);
+                   ("mount_reads", Json.int row.mb_mount_reads);
+                   ("mount_sim_us", Json.Num row.mb_mount_sim_us);
+                   ("resident_after_mount", Json.int row.mb_resident_after_mount);
+                   ("index_pages", Json.int row.mb_index_pages);
+                 ])
+             result.mb_rows) );
+      ("read_ratio_max", Json.Num (read_ratio result));
+      ( "zipf",
+        Json.Obj
+          [
+            ("subjects", Json.int z.zb_subjects);
+            ("ops", Json.int z.zb_ops);
+            ("budget", Json.int z.zb_budget);
+            ("resident_max", Json.int z.zb_resident_max);
+            ("hits", Json.int z.zb_hits);
+            ("misses", Json.int z.zb_misses);
+            ("evictions", Json.int z.zb_evictions);
+            ("page_reads", Json.int z.zb_page_reads);
+            ("sim_ms", Json.Num z.zb_sim_ms);
+            ("ops_ok", Json.Bool z.zb_ops_ok);
+          ] );
+      ("wall_ms", Json.Num wall_ms);
+    ]

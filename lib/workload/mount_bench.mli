@@ -49,3 +49,11 @@ val read_ratio : result -> float
     mounts are exactly O(1)). *)
 
 val render : result -> string
+
+val schema_id : string
+(** The artifact's ["schema"] value. *)
+
+val to_json : wall_ms:float -> result -> Rgpdos_util.Json.t
+(** The committed artifact, BENCH_mount_scale.json: one row per population, the max/min
+    read ratio and the Zipf-budget workload counters.
+    [wall_ms] is the run's host time. *)

@@ -278,3 +278,45 @@ let render (r : result) =
       r.sr_amp_ratio 2.0 r.sr_ingest_ratio r.sr_baseline.sg_subjects
       r.sr_baseline.sg_updates r.sr_baseline.sg_erasures
       r.sr_baseline.sg_deletes
+
+(* ---------- artifact encoder ---------- *)
+
+module Json = Rgpdos_util.Json
+
+let schema_id = "rgpdos-bench-segment-io/1"
+
+let side_json (s : side) =
+  Json.Obj
+    [
+      ("label", Json.Str s.sg_label);
+      ("subjects", Json.int s.sg_subjects);
+      ("updates", Json.int s.sg_updates);
+      ("erasures", Json.int s.sg_erasures);
+      ("deletes", Json.int s.sg_deletes);
+      ("window", Json.int s.sg_window);
+      ("logical_bytes", Json.int s.sg_logical_bytes);
+      ("blocks_written", Json.int s.sg_blocks_written);
+      ("bytes_written", Json.int s.sg_bytes_written);
+      ("trims", Json.int s.sg_trims);
+      ("write_amp", Json.Num s.sg_write_amp);
+      ("ingest_mb_s", Json.Num s.sg_ingest_mb_s);
+      ("sim_ms", Json.Num s.sg_sim_ms);
+      ("batches", Json.int s.sg_batches);
+      ("batched_ops", Json.int s.sg_batched_ops);
+      ("compactions", Json.int s.sg_compactions);
+      ("relocations", Json.int s.sg_relocations);
+      ("segments_reclaimed", Json.int s.sg_segments_reclaimed);
+      ("backpressure_stalls", Json.int s.sg_backpressure_stalls);
+      ("residue_clean", Json.Bool s.sg_residue_clean);
+    ]
+
+let to_json ~wall_ms (result : result) =
+  Json.Obj
+    [
+      ("schema", Json.Str schema_id);
+      ("baseline", side_json result.sr_baseline);
+      ("segmented", side_json result.sr_segmented);
+      ("amp_ratio", Json.Num result.sr_amp_ratio);
+      ("ingest_ratio", Json.Num result.sr_ingest_ratio);
+      ("wall_ms", Json.Num wall_ms);
+    ]

@@ -52,3 +52,12 @@ val run : ?subjects:int -> ?update_rounds:int -> ?window:int -> unit -> result
 
 val render : result -> string
 (** Human-readable A/B table for the bench harness. *)
+
+val schema_id : string
+(** The artifact's ["schema"] value. *)
+
+val to_json : wall_ms:float -> result -> Rgpdos_util.Json.t
+(** The committed artifact, BENCH_segment_io.json: both sides of the A/B with write
+    amplification, sustained ingest, group-commit / compaction counters
+    and the residue verdicts.
+    [wall_ms] is the run's host time. *)

@@ -681,3 +681,68 @@ let render r =
     (msf r.r_breach.bn_deadline_ns)
     (if r.r_breach.bn_met then "met" else "MISSED");
   Buffer.contents b
+
+(* ---------- artifact encoder ---------- *)
+
+module Json = Rgpdos_util.Json
+
+let schema_id = "rgpdos-bench-rights-sla/1"
+
+let right_json (rs : right_stats) =
+  Json.Obj
+    [
+      ("label", Json.Str rs.rs_label);
+      ("count", Json.int rs.rs_count);
+      ("errors", Json.int rs.rs_errors);
+      ("p50_ns", Json.int rs.rs_p50_ns);
+      ("p99_ns", Json.int rs.rs_p99_ns);
+      ("max_ns", Json.int rs.rs_max_ns);
+      ("misses", Json.int rs.rs_misses);
+      ("deadline_ns", Json.int rs.rs_deadline_ns);
+    ]
+
+let side_json (s : side) =
+  Json.Obj
+    [
+      ("policy", Json.Str s.sd_policy);
+      ("batch_jobs", Json.int s.sd_batch_jobs);
+      ("batch_errors", Json.int s.sd_batch_errors);
+      ("sim_ns", Json.int s.sd_sim_ns);
+      ("wall_s", Json.Num s.sd_wall_s);
+      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.int v)) s.sd_counters));
+      ("rights", Json.List (List.map right_json s.sd_rights));
+    ]
+
+let to_json ~wall_ms (result : result) =
+  Json.Obj
+    [
+      ("schema", Json.Str schema_id);
+      ("subjects", Json.int result.r_subjects);
+      ("domains", Json.int result.r_domains);
+      ("seed", Json.Num (Int64.to_float result.r_seed));
+      ("batches", Json.int result.r_batches);
+      ("batch_every_ns", Json.int result.r_batch_every_ns);
+      ("fifo", side_json result.r_fifo);
+      ("edf", side_json result.r_edf);
+      ( "improvement",
+        Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) result.r_improvement) );
+      ( "storm",
+        Json.Obj
+          [
+            ("requests", Json.int result.r_storm.st_requests);
+            ("p50_ns", Json.int result.r_storm.st_p50_ns);
+            ("p99_ns", Json.int result.r_storm.st_p99_ns);
+            ("misses", Json.int result.r_storm.st_misses);
+            ("drain_ns", Json.int result.r_storm.st_drain_ns);
+          ] );
+      ( "breach",
+        Json.Obj
+          [
+            ("affected", Json.int result.r_breach.bn_affected);
+            ("entries", Json.int result.r_breach.bn_entries);
+            ("latency_ns", Json.int result.r_breach.bn_latency_ns);
+            ("deadline_ns", Json.int result.r_breach.bn_deadline_ns);
+            ("met", Json.Bool result.r_breach.bn_met);
+          ] );
+      ("wall_ms", Json.Num wall_ms);
+    ]

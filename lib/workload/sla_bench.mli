@@ -139,3 +139,12 @@ val improvement : result -> string -> float option
 (** The p99 improvement factor for a right label, e.g. ["art15"]. *)
 
 val render : result -> string
+
+val schema_id : string
+(** The artifact's ["schema"] value. *)
+
+val to_json : wall_ms:float -> result -> Rgpdos_util.Json.t
+(** The committed artifact, BENCH_rights_sla.json: both dispatcher sides with per-right
+    p50/p99/miss rows and the canonical scheduler counters, the per-right
+    p99 improvement factors, and the storm / breach verdicts.
+    [wall_ms] is the run's host time. *)

@@ -14,7 +14,7 @@ module Value = Rgpdos_dbfs.Value
 module Schema = Rgpdos_dbfs.Schema
 module Dbfs = Rgpdos_dbfs.Dbfs
 module AB = Rgpdos_workload.Async_bench
-module BR = Rgpdos_workload.Bench_report
+module Bench = Rgpdos_workload.Bench
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -398,78 +398,44 @@ let fake_result ?(invariant = true) ~speedup ~overlap () =
     a_best_overlap_pct = overlap;
   }
 
+let async = Bench.find "async"
+
+let report ?invariant ~speedup ~overlap () =
+  AB.to_json ~wall_ms:1.0 (fake_result ?invariant ~speedup ~overlap ())
+
+let valid v = Result.is_ok (Bench.validate async v)
+
 let test_make_async_validates () =
-  let report =
-    BR.make_async ~result:(fake_result ~speedup:2.5 ~overlap:70.0 ()) ~wall_ms:1.0
-  in
-  (match BR.validate_async report with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "good report rejected: %s" e);
-  (match Json.of_string (Json.to_string report) with
-  | Ok parsed -> (
-      match BR.validate_async parsed with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "parsed report invalid: %s" e)
+  let good = report ~speedup:2.5 ~overlap:70.0 () in
+  check_bool "good report valid" true (valid good);
+  (match Json.of_string (Json.to_string good) with
+  | Ok parsed -> check_bool "parsed report valid" true (valid parsed)
   | Error e -> Alcotest.failf "emitted JSON does not parse: %s" e);
-  check_bool "below-bar speedup rejected" true
-    (Result.is_error
-       (BR.validate_async
-          (BR.make_async
-             ~result:(fake_result ~speedup:1.2 ~overlap:70.0 ())
-             ~wall_ms:1.0)));
-  check_bool "below-bar overlap rejected" true
-    (Result.is_error
-       (BR.validate_async
-          (BR.make_async
-             ~result:(fake_result ~speedup:2.5 ~overlap:10.0 ())
-             ~wall_ms:1.0)));
-  check_bool "broken invariant rejected" true
-    (Result.is_error
-       (BR.validate_async
-          (BR.make_async
-             ~result:(fake_result ~invariant:false ~speedup:2.5 ~overlap:70.0 ())
-             ~wall_ms:1.0)));
-  check_bool "garbage rejected" true
-    (Result.is_error (BR.validate_async (Json.Obj [ ("schema", Json.Str "x") ])))
+  check_bool "below-bar speedup rejected" false
+    (valid (report ~speedup:1.2 ~overlap:70.0 ()));
+  check_bool "below-bar overlap rejected" false
+    (valid (report ~speedup:2.5 ~overlap:10.0 ()));
+  check_bool "broken invariant rejected" false
+    (valid (report ~invariant:false ~speedup:2.5 ~overlap:70.0 ()));
+  check_bool "garbage rejected" false
+    (valid (Json.Obj [ ("schema", Json.Str "x") ]))
 
+(* the async gates are absolute bars on both sides, not drifts *)
 let test_compare_async_gate () =
-  let old_report =
-    BR.make_async ~result:(fake_result ~speedup:2.5 ~overlap:70.0 ()) ~wall_ms:1.0
+  let committed = report ~speedup:2.5 ~overlap:70.0 () in
+  let passes ~committed fresh =
+    Result.is_ok (Bench.compare async ~committed fresh)
   in
-  (match BR.compare_async ~old_report ~speedup:2.0 ~overlap:55.0 with
-  | Ok old_speedup -> check_bool "returns committed figure" true (old_speedup = 2.5)
-  | Error e -> Alcotest.failf "passing run flagged: %s" e);
-  check_bool "fresh speedup under the absolute bar trips the gate" true
-    (Result.is_error (BR.compare_async ~old_report ~speedup:1.5 ~overlap:55.0));
-  check_bool "fresh overlap under the absolute bar trips the gate" true
-    (Result.is_error (BR.compare_async ~old_report ~speedup:2.0 ~overlap:20.0));
-  let bad_committed =
-    BR.make_async ~result:(fake_result ~speedup:1.1 ~overlap:70.0 ()) ~wall_ms:1.0
-  in
-  check_bool "under-bar committed artifact trips the gate" true
-    (Result.is_error
-       (BR.compare_async ~old_report:bad_committed ~speedup:2.0 ~overlap:55.0))
-
-let artifact =
-  List.find_opt Sys.file_exists
-    [ "../BENCH_async_io.json"; "BENCH_async_io.json" ]
-
-let test_committed_artifact () =
-  match artifact with
-  | None ->
-      Alcotest.fail
-        "BENCH_async_io.json missing (regenerate: dune exec bench/main.exe \
-         -- async --async-json BENCH_async_io.json)"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string raw with
-      | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      | Ok v -> (
-          match BR.validate_async v with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s invalid: %s" path e))
+  check_bool "passing run accepted" true
+    (passes ~committed (report ~speedup:2.0 ~overlap:55.0 ()));
+  check_bool "fresh speedup under the absolute bar trips the gate" false
+    (passes ~committed (report ~speedup:1.5 ~overlap:55.0 ()));
+  check_bool "fresh overlap under the absolute bar trips the gate" false
+    (passes ~committed (report ~speedup:2.0 ~overlap:20.0 ()));
+  check_bool "under-bar committed artifact trips the gate" false
+    (passes
+       ~committed:(report ~speedup:1.1 ~overlap:70.0 ())
+       (report ~speedup:2.0 ~overlap:55.0 ()))
 
 let () =
   Alcotest.run "async-io"
@@ -501,6 +467,5 @@ let () =
           Alcotest.test_case "make_async validates" `Quick
             test_make_async_validates;
           Alcotest.test_case "compare gate" `Quick test_compare_async_gate;
-          Alcotest.test_case "committed artifact" `Quick test_committed_artifact;
         ] );
     ]

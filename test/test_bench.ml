@@ -1,13 +1,12 @@
-(* The machine-readable benchmark artifact: the tiny JSON layer it is
-   built on, the report builder/validator, and the committed
-   BENCH_hotpath.json itself. *)
+(* The bench registry: the tiny JSON layer it is built on, the hotpath
+   report encoder, the section parser, every gate of every entry firing,
+   and every committed BENCH_*.json passing its gates. *)
 
 module Json = Rgpdos_util.Json
-module BR = Rgpdos_workload.Bench_report
+module Bench = Rgpdos_workload.Bench
 module E = Rgpdos_workload.Experiments
 
 let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
 
 (* ------------------------------------------------------------------ *)
 (* Json                                                               *)
@@ -56,13 +55,16 @@ let test_json_accessors () =
   check_bool "member of non-obj" true (Json.member "x" (Json.Num 1.0) = None)
 
 (* ------------------------------------------------------------------ *)
-(* Bench_report                                                       *)
+(* the hotpath report                                                 *)
+
+let entries = Bench.registry ~micro:(fun () -> [])
+let hotpath = Bench.find "hotpath"
 
 let hotpath_micro =
   [
-    { BR.name = "core/sha256/1KiB"; ns_per_op = 11000.0; r2 = 0.97 };
-    { BR.name = "core/chacha20/1KiB"; ns_per_op = 8300.0; r2 = 0.96 };
-    { BR.name = "core/audit/append"; ns_per_op = 2200.0; r2 = 0.93 };
+    { Bench.name = "core/sha256/1KiB"; ns_per_op = 11000.0; r2 = 0.97 };
+    { Bench.name = "core/chacha20/1KiB"; ns_per_op = 8300.0; r2 = 0.96 };
+    { Bench.name = "core/audit/append"; ns_per_op = 2200.0; r2 = 0.93 };
   ]
 
 let fake_e1 : E.e1_result =
@@ -76,75 +78,211 @@ let fake_e1 : E.e1_result =
 let fake_e4 : E.e4_row list =
   [ { e4_records_per_subject = 1; e4_sim_us = 18.2; e4_export_complete = true } ]
 
+let report micro =
+  Bench.hotpath_json ~quick:true ~micro ~e1:(fake_e1, 12.5) ~e4:(fake_e4, 3.25)
+
+let rejected v = Result.is_error (Bench.validate hotpath v)
+
 let test_report_valid_and_parses_back () =
-  let report =
-    BR.make ~quick:true ~micro:hotpath_micro ~e1:(fake_e1, 12.5)
-      ~e4:(fake_e4, 3.25) ()
-  in
-  (match BR.validate report with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "fresh report invalid: %s" e);
+  let report = report hotpath_micro in
+  (match Bench.validate hotpath report with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "fresh report invalid: %s" (String.concat "; " e));
   (* what the file holds must parse back to an equally valid report *)
   match Json.of_string (Json.to_string report) with
   | Error e -> Alcotest.failf "emitted JSON does not parse: %s" e
-  | Ok parsed -> (
+  | Ok parsed ->
       check_bool "identical after roundtrip" true (parsed = report);
-      match BR.validate parsed with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "parsed report invalid: %s" e)
+      check_bool "parsed report valid" false (rejected parsed)
 
 let test_report_rejects_bad_shapes () =
-  check_bool "empty object" true (Result.is_error (BR.validate (Json.Obj [])));
+  check_bool "empty object" true (rejected (Json.Obj []));
   check_bool "wrong schema id" true
-    (Result.is_error
-       (BR.validate
-          (Json.Obj [ ("schema", Json.Str "something-else/9") ])));
+    (rejected (Json.Obj [ ("schema", Json.Str "something-else/9") ]));
   (* dropping a required hot-path row must fail validation *)
-  let missing_chacha =
-    BR.make ~quick:false
-      ~micro:(List.filter (fun r -> r.BR.name <> "core/chacha20/1KiB") hotpath_micro)
-      ()
-  in
   check_bool "missing hot-path row" true
-    (Result.is_error (BR.validate missing_chacha));
-  let zero_ns =
-    BR.make ~quick:false
-      ~micro:({ BR.name = "core/sha256/1KiB"; ns_per_op = 0.0; r2 = 1.0 }
-              :: List.tl hotpath_micro)
-      ()
-  in
-  check_bool "non-positive ns_per_op" true (Result.is_error (BR.validate zero_ns))
+    (rejected
+       (report
+          (List.filter (fun r -> r.Bench.name <> "core/chacha20/1KiB") hotpath_micro)));
+  check_bool "non-positive ns_per_op" true
+    (rejected
+       (report
+          ({ Bench.name = "core/sha256/1KiB"; ns_per_op = 0.0; r2 = 1.0 }
+          :: List.tl hotpath_micro)))
 
 (* ------------------------------------------------------------------ *)
-(* the committed artifact                                             *)
+(* the registry                                                       *)
 
-(* `dune runtest` runs from the test dir (the dep is staged one level up);
-   `dune exec test/test_bench.exe` runs from the project root *)
-let artifact =
-  List.find_opt Sys.file_exists
-    [ "../BENCH_hotpath.json"; "BENCH_hotpath.json" ]
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
-let test_committed_artifact () =
-  match artifact with
-  | None ->
-      Alcotest.fail
-        "BENCH_hotpath.json missing (regenerate: dune exec bench/main.exe -- \
-         --quick micro e1 e4 --json BENCH_hotpath.json)"
-  | Some artifact ->
-      let ic = open_in_bin artifact in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      (match Json.of_string raw with
-      | Error e -> Alcotest.failf "%s does not parse: %s" artifact e
-      | Ok v ->
-          (match BR.validate v with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s invalid: %s" artifact e);
-          check_string "schema id" BR.schema_id
-            (Option.get (Option.bind (Json.member "schema" v) Json.to_str));
-          (* the sections named in the regeneration command are present *)
-          check_bool "has e1 section" true (Json.member "e1" v <> None);
-          check_bool "has e4 section" true (Json.member "e4" v <> None))
+let test_section_parser () =
+  let names = List.map (fun e -> e.Bench.section) entries in
+  (match Bench.parse_sections entries [] with
+  | Ok all ->
+      check_bool "no argument selects every entry" true
+        (List.for_all (fun n -> List.mem n all) names);
+      check_bool "and the print-only sections" true (List.mem "fig1" all)
+  | Error e -> Alcotest.fail e);
+  check_bool "known names pass through" true
+    (Bench.parse_sections entries [ "vecio"; "e3" ] = Ok [ "vecio"; "e3" ]);
+  match Bench.parse_sections entries [ "vecio"; "vecoi" ] with
+  | Ok _ -> Alcotest.fail "a misspelt section was accepted"
+  | Error e ->
+      check_bool "names the unknown section" true (contains e "vecoi");
+      List.iter
+        (fun n -> check_bool ("lists " ^ n) true (contains e n))
+        (names @ [ "fig1"; "a3" ])
+
+(* `dune runtest` runs from the test dir (the deps are staged one level
+   up); `dune exec test/test_bench.exe` runs from the project root *)
+let committed (e : Bench.entry) =
+  match
+    List.find_opt Sys.file_exists [ Filename.concat ".." e.file; e.file ]
+  with
+  | None -> Alcotest.failf "%s missing (regenerate: %s)" e.file e.regen
+  | Some path -> (
+      match Bench.read_file path with
+      | Ok v -> v
+      | Error msg -> Alcotest.fail msg)
+
+let test_committed_artifact (e : Bench.entry) () =
+  match Bench.validate e (committed e) with
+  | Ok _ -> ()
+  | Error lines -> Alcotest.failf "%s: %s" e.file (String.concat "; " lines)
+
+let fails_naming name = function
+  | Ok _ -> Alcotest.failf "gate %S did not fire" name
+  | Error lines ->
+      check_bool
+        (Printf.sprintf "a failure names %S: %s" name (String.concat "; " lines))
+        true
+        (List.exists
+           (fun l ->
+             String.length l >= String.length name
+             && String.sub l 0 (String.length name) = name)
+           lines)
+
+(* a value just past the bar; behind a trailing Len, the list is cut
+   below or grown past it *)
+let past_bar path cmp =
+  match (List.rev path, cmp) with
+  | Bench.Len :: _, Bench.Ge b -> (
+      function
+      | Json.List xs -> Json.List (List.filteri (fun i _ -> float_of_int (i + 1) < b) xs)
+      | v -> v)
+  | Bench.Len :: _, Bench.Eq _ -> (
+      function Json.List xs -> Json.List (Json.Null :: xs) | v -> v)
+  | Bench.Len :: _, _ -> Alcotest.fail "no length gate of this kind"
+  | _, Ge b -> fun _ -> Json.Num (b -. 0.01)
+  | _, Gt b -> fun _ -> Json.Num b
+  | _, Le b -> fun _ -> Json.Num (b +. 0.01)
+  | _, Eq b -> fun _ -> Json.Num (b +. 1.0)
+
+let test_bars_and_flags_fire () =
+  List.iter
+    (fun (e : Bench.entry) ->
+      let v = committed e in
+      List.iter
+        (function
+          | Bench.Bar { name; path; cmp } ->
+              (* moving only the largest row would leave the next one
+                 largest: move them all *)
+              let all = List.map (function Bench.Max_by _ -> Bench.Each | s -> s) path in
+              fails_naming name (Bench.validate e (Bench.update all (past_bar path cmp) v))
+          | Flag { name; path } ->
+              fails_naming name
+                (Bench.validate e (Bench.update path (fun _ -> Json.Bool false) v))
+          | Drift _ | Rule _ | Drift_rule _ -> ())
+        e.gates;
+      fails_naming "schema"
+        (Bench.validate e (Bench.update [ K "schema" ] (fun _ -> Json.Str "x/0") v)))
+    entries
+
+let test_drift_gates () =
+  let drifts =
+    List.concat_map
+      (fun (e : Bench.entry) ->
+        List.filter_map
+          (function
+            | Bench.Drift { name; path; better; _ } -> Some (e, name, path, better)
+            | _ -> None)
+          e.gates)
+      entries
+  in
+  check_bool "five drift gates" true (List.length drifts = 5);
+  List.iter
+    (fun ((e : Bench.entry), name, path, better) ->
+      let v = committed e in
+      let scaled k =
+        Bench.update path
+          (function Json.Num x -> Json.Num (x *. k) | j -> j)
+          v
+      in
+      let worse by =
+        match better with
+        | Bench.Higher -> 1.0 -. ((Bench.drift_pct +. by) /. 100.0)
+        | Lower -> 1.0 +. ((Bench.drift_pct +. by) /. 100.0)
+      in
+      (match Bench.compare e ~committed:v (scaled (worse (-0.5))) with
+      | Ok _ -> ()
+      | Error l -> Alcotest.failf "%s: just inside failed: %s" name (String.concat "; " l));
+      fails_naming name (Bench.compare e ~committed:v (scaled (worse 0.5))))
+    drifts;
+  (* the per-stage E1 drift rule: every stage 24.5% / 25.5% slower *)
+  let v = committed hotpath in
+  let slower k =
+    Bench.update [ K "e1"; K "stage_ns" ]
+      (function
+        | Json.Obj kvs ->
+            Json.Obj
+              (List.map
+                 (fun (s, x) ->
+                   (s, match x with Json.Num n -> Json.Num (n *. k) | j -> j))
+                 kvs)
+        | j -> j)
+      v
+  in
+  check_bool "E1 just inside passes" true
+    (Result.is_ok (Bench.compare hotpath ~committed:v (slower 1.245)));
+  fails_naming "E1 drift" (Bench.compare hotpath ~committed:v (slower 1.255))
+
+let rule (e : Bench.entry) name =
+  match
+    List.find_opt (fun g -> Bench.gate_name g = name) e.gates
+  with
+  | Some (Bench.Rule { check; _ }) -> check
+  | _ -> Alcotest.failf "%s has no rule %S" e.section name
+
+let test_named_predicates () =
+  let rejects section name mutate =
+    let e = Bench.find section in
+    let v = committed e in
+    check_bool (name ^ " holds on the committed artifact") true
+      (Result.is_ok (rule e name v));
+    fails_naming name (Bench.validate e (mutate v))
+  in
+  rejects "fault" "fault-point exhaustiveness"
+    (Bench.update [ K "points" ] (function
+      | Json.List (_ :: rest) -> Json.List rest
+      | j -> j));
+  rejects "model" "crash matrix"
+    (Bench.update [ K "crash_configs" ] (fun _ -> Json.Num 17.0));
+  rejects "sla" "equal Art. 15 counts"
+    (Bench.update
+       [ K "edf"; K "rights"; Where [ ("label", Json.Str "art15") ]; K "count" ]
+       (function Json.Num n -> Json.Num (n +. 1.0) | j -> j));
+  rejects "mount" "zipf within budget"
+    (Bench.update [ K "zipf"; K "resident_max" ] (function
+      | Json.Num n -> Json.Num (n *. 100.0)
+      | j -> j))
+
+let test_missing_artifact () =
+  match Bench.read_file "no-such-BENCH.json" with
+  | Ok _ -> Alcotest.fail "a missing artifact was read"
+  | Error msg -> check_bool "says missing" true (contains msg "missing")
 
 let () =
   Alcotest.run "bench-report"
@@ -161,6 +299,19 @@ let () =
             test_report_valid_and_parses_back;
           Alcotest.test_case "rejects bad shapes" `Quick
             test_report_rejects_bad_shapes;
-          Alcotest.test_case "committed artifact" `Quick test_committed_artifact;
         ] );
+      ( "registry",
+        [
+          Alcotest.test_case "section parser" `Quick test_section_parser;
+          Alcotest.test_case "bars and flags fire" `Quick test_bars_and_flags_fire;
+          Alcotest.test_case "drift gates" `Quick test_drift_gates;
+          Alcotest.test_case "named predicates" `Quick test_named_predicates;
+          Alcotest.test_case "missing artifact" `Quick test_missing_artifact;
+        ] );
+      ( "artifact",
+        List.map
+          (fun (e : Bench.entry) ->
+            Alcotest.test_case (e.file ^ " passes its gates") `Quick
+              (test_committed_artifact e))
+          entries );
     ]

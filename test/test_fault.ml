@@ -13,7 +13,7 @@ module Membrane = Rgpdos_membrane.Membrane
 module Machine = Rgpdos.Machine
 module Population = Rgpdos_workload.Population
 module FC = Rgpdos_workload.Fault_campaign
-module BR = Rgpdos_workload.Bench_report
+module Bench = Rgpdos_workload.Bench
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -374,24 +374,14 @@ let test_campaign_sampling_caps_points () =
        (fun p -> p.FC.cp_write = r.FC.fc_total_writes)
        r.FC.fc_points)
 
-let test_committed_artifact_validates () =
-  let path =
-    if Sys.file_exists "BENCH_fault_campaign.json" then
-      "BENCH_fault_campaign.json"
-    else "../BENCH_fault_campaign.json"
-  in
-  match BR.read_file path with
-  | None -> Alcotest.fail ("cannot read " ^ path)
-  | Some report -> (
-      match BR.validate_fault report with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("committed artifact invalid: " ^ e))
+let fault_entry = Bench.find "fault"
+
+let valid r =
+  Result.is_ok (Bench.validate fault_entry (FC.to_json ~wall_ms:1.0 r))
 
 let test_validate_rejects_failures () =
   let r = Lazy.force campaign in
-  let good = BR.make_fault ~result:r () in
-  check_bool "fresh report validates" true
-    (Result.is_ok (BR.validate_fault good));
+  check_bool "fresh report validates" true (valid r);
   (* flip one scenario to failing: validation must reject *)
   let broken =
     {
@@ -401,17 +391,26 @@ let test_validate_rejects_failures () =
         :: r.FC.fc_scenarios;
     }
   in
-  check_bool "failed scenario rejected" true
-    (Result.is_error (BR.validate_fault (BR.make_fault ~result:broken ())));
+  check_bool "failed scenario rejected" false (valid broken);
   (* a sampled run claiming exhaustiveness must also be rejected *)
   let holey =
     { r with FC.fc_points = List.tl r.FC.fc_points; fc_sampled = false }
   in
-  check_bool "missing crash point rejected" true
-    (Result.is_error (BR.validate_fault (BR.make_fault ~result:holey ())));
-  match BR.compare_fault ~old_report:good ~pass_rate_pct:99.0 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "compare_fault accepted a sub-100%% pass rate"
+  check_bool "missing crash point rejected" false (valid holey);
+  (* the pass-rate bar is absolute: a fresh sub-100% campaign fails the
+     compare against a clean committed one *)
+  let failing =
+    {
+      r with
+      FC.fc_points =
+        (match r.FC.fc_points with
+        | p :: rest -> { p with FC.cp_audit_ok = false } :: rest
+        | [] -> []);
+    }
+  in
+  let json r = FC.to_json ~wall_ms:1.0 r in
+  check_bool "sub-100% pass rate fails the compare" true
+    (Result.is_error (Bench.compare fault_entry ~committed:(json r) (json failing)))
 
 let () =
   Alcotest.run "fault-injection"
@@ -455,8 +454,6 @@ let () =
             test_campaign_deterministic;
           Alcotest.test_case "sampling caps points" `Quick
             test_campaign_sampling_caps_points;
-          Alcotest.test_case "committed artifact validates" `Quick
-            test_committed_artifact_validates;
           Alcotest.test_case "validation rejects failures" `Quick
             test_validate_rejects_failures;
         ] );

@@ -237,6 +237,27 @@ let test_fs_no_space () =
   | Error e -> Alcotest.failf "wrong error: %s" (Jfs.error_to_string e)
   | Ok () -> Alcotest.fail "expected No_space"
 
+(* Op_write carries the whole file, so a file larger than the ring can
+   never be logged; the refusal must leave nothing behind *)
+let test_fs_write_larger_than_ring () =
+  (* a 24-block data region behind a 16-block ring *)
+  let dev, _ =
+    make_dev ~config:{ small_config with block_count = 1 + 16 + 64 + 24 } ()
+  in
+  let fs = Jfs.format dev ~journal_blocks:16 in
+  let blocks n = String.make (n * small_config.Block_device.block_size) 'x' in
+  (match Jfs.write_file fs "/big" (blocks 20) with
+  | Error Jfs.No_space -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Jfs.error_to_string e)
+  | Ok () -> Alcotest.fail "a write larger than the ring was accepted");
+  (match Jfs.stat fs "/big" with
+  | Error (Jfs.Not_found _) -> ()
+  | _ -> Alcotest.fail "the refused write left its path behind");
+  (* no block leaked: the whole data region is still allocatable *)
+  ok_or_fail (Jfs.write_file fs "/a" (blocks 12));
+  ok_or_fail (Jfs.write_file fs "/b" (blocks 12));
+  check_bool "fsck clean" true (Jfs.fsck fs = Ok ())
+
 let test_fs_fsck_clean () =
   let fs, _, _ = make_fs () in
   ok_or_fail (Jfs.mkdir fs "/a");
@@ -420,6 +441,8 @@ let () =
             test_fs_rename_into_own_subtree_refused;
           Alcotest.test_case "stat" `Quick test_fs_stat;
           Alcotest.test_case "no space" `Quick test_fs_no_space;
+          Alcotest.test_case "write larger than the ring" `Quick
+            test_fs_write_larger_than_ring;
           Alcotest.test_case "fsck clean" `Quick test_fs_fsck_clean;
         ] );
       ( "journalfs-durability",

@@ -1,8 +1,8 @@
 (* Secondary indexes + predicate pushdown: planner equivalence (qcheck),
    plan shapes, crash consistency of the persisted indexes, fsck's
    index ↔ entry cross-checks, subject-index ordering, warm==cold probe
-   charging, Query pretty-printer pins, and the committed
-   BENCH_index_select.json artifact. *)
+   charging, Query pretty-printer pins, and the drift gate on the
+   committed BENCH_index_select.json. *)
 
 module Clock = Rgpdos_util.Clock
 module Block_device = Rgpdos_block.Block_device
@@ -14,7 +14,7 @@ module Query = Rgpdos_dbfs.Query
 module Plan = Rgpdos_dbfs.Plan
 module Dbfs = Rgpdos_dbfs.Dbfs
 module Json = Rgpdos_util.Json
-module BR = Rgpdos_workload.Bench_report
+module Bench = Rgpdos_workload.Bench
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -453,54 +453,37 @@ let test_monotone () =
     (monotone (And (True, Not (Eq ("a", Value.VInt 1)))))
 
 (* ------------------------------------------------------------------ *)
-(* committed artifact                                                 *)
+(* compare gate                                                       *)
 
-let artifact =
-  List.find_opt Sys.file_exists
-    [ "../BENCH_index_select.json"; "BENCH_index_select.json" ]
-
-let test_committed_artifact () =
-  match artifact with
-  | None ->
-      Alcotest.fail
-        "BENCH_index_select.json missing (regenerate: dune exec \
-         bench/main.exe -- index --index-json BENCH_index_select.json)"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string raw with
-      | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      | Ok v -> (
-          match BR.validate_index v with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s invalid: %s" path e))
-
+(* the drift gate on the 1% pushdown speedup, against the committed
+   artifact *)
 let test_compare_index_gate () =
-  match artifact with
-  | None -> Alcotest.fail "BENCH_index_select.json missing"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let old_report =
-        match Json.of_string raw with
-        | Ok v -> v
-        | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      in
-      (* the committed number gates itself *)
-      let committed =
-        match BR.compare_index ~old_report ~speedup1pct:1.0e9 with
-        | Ok c -> c
-        | Error e -> Alcotest.failf "self-compare failed: %s" e
-      in
-      check_bool "committed speedup clears the 10x bar" true
-        (committed >= BR.index_speedup_bar);
-      match BR.compare_index ~old_report ~speedup1pct:(committed *. 0.5) with
-      | Ok _ -> Alcotest.fail "a halved speedup must trip the gate"
-      | Error line ->
-          check_bool "gate names the regression" true
-            (contains_sub line "regressed"))
+  let e = Bench.find "index" in
+  let committed =
+    match
+      Bench.read_file
+        (if Sys.file_exists e.Bench.file then e.file else Filename.concat ".." e.file)
+    with
+    | Ok v -> v
+    | Error msg -> Alcotest.fail msg
+  in
+  check_bool "the committed number gates itself" true
+    (Result.is_ok (Bench.compare e ~committed committed));
+  let halved =
+    Bench.update
+      [
+        K "select";
+        Where [ ("selectivity_pct", Json.Num 1.0); ("population", Json.Num 2000.0) ];
+        K "speedup";
+      ]
+      (function Json.Num x -> Json.Num (x *. 0.5) | j -> j)
+      committed
+  in
+  match Bench.compare e ~committed halved with
+  | Ok _ -> Alcotest.fail "a halved speedup must trip the gate"
+  | Error lines ->
+      check_bool "gate names the regression" true
+        (List.exists (fun l -> contains_sub l "1% pushdown speedup") lines)
 
 let () =
   Alcotest.run "index"
@@ -533,8 +516,6 @@ let () =
         ] );
       ( "artifact",
         [
-          Alcotest.test_case "committed artifact validates" `Quick
-            test_committed_artifact;
           Alcotest.test_case "compare gate" `Quick test_compare_index_gate;
         ] );
     ]

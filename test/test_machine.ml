@@ -704,6 +704,23 @@ let test_audit_persistence () =
   check_bool "tampered file rejected" true
     (Result.is_error (Machine.verify_persisted_audit m))
 
+(* a chain larger than the NPD journal is refused with an Error (it used
+   to raise from the ring), and the chain persisted before survives *)
+let test_audit_persistence_too_long () =
+  let m, _, _, _ = boot_with_users () in
+  ok (Machine.persist_audit m);
+  let persisted = ok (Machine.verify_persisted_audit m) in
+  let log = Machine.audit m in
+  while Audit_log.length log < 8_000 do
+    ignore
+      (Audit_log.append log ~now:0 ~actor:"ded"
+         (Audit_log.Processed { purpose = "p"; inputs = [ "pd-1" ]; produced = [] }))
+  done;
+  check_bool "8,000-entry chain refused" true
+    (Result.is_error (Machine.persist_audit m));
+  check_int "earlier chain still verifies" persisted
+    (ok (Machine.verify_persisted_audit m))
+
 let test_machine_jobs_and_repartition () =
   let m, _, _, _ = boot_with_users () in
   for i = 0 to 9 do
@@ -976,6 +993,8 @@ let () =
             test_machine_jobs_and_repartition;
           Alcotest.test_case "audit persistence on NPD fs" `Quick
             test_audit_persistence;
+          Alcotest.test_case "audit chain larger than the journal" `Quick
+            test_audit_persistence_too_long;
         ] );
       ( "consent-receipts",
         [

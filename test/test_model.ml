@@ -16,7 +16,7 @@ module Query = Rgpdos_dbfs.Query
 module M = Rgpdos_membrane.Membrane
 module Model = Rgpdos_model.Model
 module RF = Rgpdos_model.Refine
-module BR = Rgpdos_workload.Bench_report
+module Bench = Rgpdos_workload.Bench
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -215,46 +215,21 @@ let test_injected_bug_caught_and_shrunk () =
 (* artifact machinery                                                 *)
 
 let test_report_roundtrip () =
+  let e = Bench.find "model" in
   let r = RF.run ~seed:11 ~scripts:2 () in
-  let j = BR.make_model ~result:r ~wall_ms:12.0 () in
-  (match BR.validate_model j with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "fresh report invalid: %s" e);
+  let j = RF.to_json ~wall_ms:12.0 r in
+  (match Bench.validate e j with
+  | Ok _ -> ()
+  | Error l -> Alcotest.failf "fresh report invalid: %s" (String.concat "; " l));
   (* the JSON survives a print/parse cycle *)
   (match Json.of_string (Json.to_string j) with
-  | Ok j' -> (
-      match BR.validate_model j' with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "reparsed report invalid: %s" e)
+  | Ok j' -> check_bool "reparsed report valid" true (Result.is_ok (Bench.validate e j'))
   | Error e -> Alcotest.failf "report does not reparse: %s" e);
   (* the gate is absolute on both sides *)
-  (match BR.compare_model ~old_report:j ~conformance_pct:100.0 with
-  | Ok pct -> Alcotest.(check (float 0.0)) "gate pct" 100.0 pct
-  | Error e -> Alcotest.failf "absolute gate rejected 100%%: %s" e);
-  match BR.compare_model ~old_report:j ~conformance_pct:99.9 with
-  | Ok _ -> Alcotest.fail "gate passed under 100%% conformance"
-  | Error _ -> ()
-
-let artifact =
-  List.find_opt Sys.file_exists
-    [ "../BENCH_model_check.json"; "BENCH_model_check.json" ]
-
-let test_committed_artifact () =
-  match artifact with
-  | None ->
-      Alcotest.fail
-        "BENCH_model_check.json missing (regenerate: dune exec \
-         bench/main.exe -- model --model-json BENCH_model_check.json)"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string raw with
-      | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      | Ok v -> (
-          match BR.validate_model v with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s invalid: %s" path e))
+  check_bool "100% passes" true (Result.is_ok (Bench.compare e ~committed:j j));
+  let below = Bench.update [ K "conformance_pct" ] (fun _ -> Json.Num 99.9) j in
+  check_bool "gate fails under 100% conformance" true
+    (Result.is_error (Bench.compare e ~committed:j below))
 
 let () =
   Alcotest.run "model"
@@ -283,7 +258,5 @@ let () =
         [
           Alcotest.test_case "fresh report roundtrip + gate" `Quick
             test_report_roundtrip;
-          Alcotest.test_case "committed artifact validates" `Quick
-            test_committed_artifact;
         ] );
     ]

@@ -17,7 +17,7 @@ module Record = Rgpdos_dbfs.Record
 module Query = Rgpdos_dbfs.Query
 module Dbfs = Rgpdos_dbfs.Dbfs
 module Json = Rgpdos_util.Json
-module BR = Rgpdos_workload.Bench_report
+module Bench = Rgpdos_workload.Bench
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -376,51 +376,45 @@ let test_dirty_remount_replays () =
 (* ------------------------------------------------------------------ *)
 (* committed artifact + compare gate                                  *)
 
-let read_artifact name =
-  let path =
-    List.find_opt Sys.file_exists [ name; Filename.concat ".." name ]
-  in
-  match path with
-  | None -> Alcotest.failf "committed %s not found" name
+let mount = Bench.find "mount"
+
+let committed () =
+  match
+    List.find_opt Sys.file_exists
+      [ mount.Bench.file; Filename.concat ".." mount.file ]
+  with
+  | None -> Alcotest.failf "committed %s not found" mount.file
   | Some p -> (
-      match BR.read_file p with
-      | Some v -> v
-      | None -> Alcotest.failf "cannot parse %s" p)
+      match Bench.read_file p with Ok v -> v | Error msg -> Alcotest.fail msg)
 
 let test_committed_artifact () =
-  let v = read_artifact "BENCH_mount_scale.json" in
-  (match BR.validate_mount v with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "committed artifact invalid: %s" e);
+  let v = committed () in
+  (match Bench.validate mount v with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "committed artifact invalid: %s" (String.concat "; " e));
   (* the committed evidence must span three decades of population *)
-  let rows =
-    match Option.bind (Json.member "mount" v) Json.to_list with
-    | Some rows -> rows
-    | None -> Alcotest.fail "no mount rows"
-  in
   let pops =
-    List.filter_map
-      (fun r -> Option.bind (Json.member "subjects" r) Json.to_float)
-      rows
+    match Bench.resolve [ K "mount"; Each; K "subjects" ] v with
+    | Ok l -> List.filter_map Json.to_float l
+    | Error e -> Alcotest.fail e
   in
   let mx = List.fold_left max 0.0 pops and mn = List.fold_left min infinity pops in
   check_bool "population span >= 100x" true (mx /. mn >= 100.0)
 
 let test_compare_mount_gate () =
-  let v = read_artifact "BENCH_mount_scale.json" in
-  let committed =
-    match Option.bind (Json.member "read_ratio_max" v) Json.to_float with
-    | Some r -> r
-    | None -> Alcotest.fail "no read_ratio_max"
+  let v = committed () in
+  check_bool "same ratio passes the gate" true
+    (Result.is_ok (Bench.compare mount ~committed:v v));
+  let worse =
+    Bench.update [ K "read_ratio_max" ]
+      (function Json.Num r -> Json.Num (r *. 1.5) | j -> j)
+      v
   in
-  (match BR.compare_mount ~old_report:v ~read_ratio_max:committed with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "same ratio should pass the gate: %s" e);
-  match
-    BR.compare_mount ~old_report:v ~read_ratio_max:(committed *. 1.5)
-  with
+  match Bench.compare mount ~committed:v worse with
   | Ok _ -> Alcotest.fail "a 50% worse ratio must fail the gate"
-  | Error line -> check_bool "gate names the regression" true (contains_sub line "regressed")
+  | Error lines ->
+      check_bool "gate names the regression" true
+        (List.exists (fun l -> contains_sub l "mount read ratio") lines)
 
 let () =
   Alcotest.run "mount"

@@ -24,7 +24,6 @@ module Schema = Rgpdos_dbfs.Schema
 module Value = Rgpdos_dbfs.Value
 module Record = Rgpdos_dbfs.Record
 module Membrane = Rgpdos_membrane.Membrane
-module BR = Rgpdos_workload.Bench_report
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -366,25 +365,6 @@ let test_backpressure_deterministic () =
   check_int "simulated clock deterministic" clock_a clock_b;
   check_bool "device image deterministic" true (img_a = img_b)
 
-(* ------------------------------------------------------------------ *)
-(* the committed benchmark artifact                                    *)
-
-let test_committed_artifact_validates () =
-  let path =
-    if Sys.file_exists "BENCH_segment_io.json" then "BENCH_segment_io.json"
-    else "../BENCH_segment_io.json"
-  in
-  match BR.read_file path with
-  | None -> Alcotest.fail "read BENCH_segment_io.json failed"
-  | Some report -> (
-      (match BR.validate_segment report with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("committed artifact invalid: " ^ e));
-      match BR.segment_ingest_of report with
-      | None -> Alcotest.fail "no segmented ingest figure in artifact"
-      | Some mb_s ->
-          check_bool "positive sustained ingest" true (mb_s > 0.0))
-
 let () =
   Alcotest.run "segments"
     [
@@ -405,10 +385,5 @@ let () =
         [
           Alcotest.test_case "stalls are deterministic" `Quick
             test_backpressure_deterministic;
-        ] );
-      ( "artifact",
-        [
-          Alcotest.test_case "committed BENCH_segment_io.json validates"
-            `Quick test_committed_artifact_validates;
         ] );
     ]

@@ -2,7 +2,7 @@
    submission-order pin, EDF overtaking, preemption / deadline-miss
    counters, the policy-invariance qcheck property), the DED's
    shard-wave cooperative yield, Sla_bench determinism across domain
-   counts, and the committed BENCH_rights_sla.json artifact. *)
+   counts, and the absolute gate on the committed BENCH_rights_sla.json. *)
 
 module Clock = Rgpdos_util.Clock
 module Pool = Rgpdos_util.Pool
@@ -17,7 +17,7 @@ module Ded = Rgpdos_ded.Ded
 module Processing = Rgpdos_ded.Processing
 module Machine = Rgpdos.Machine
 module SLA = Rgpdos_workload.Sla_bench
-module BR = Rgpdos_workload.Bench_report
+module Bench = Rgpdos_workload.Bench
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -332,49 +332,36 @@ let test_sla_bench_domains_deterministic () =
     (Option.is_some (SLA.improvement r1 "art15"))
 
 (* ------------------------------------------------------------------ *)
-(* the committed artifact                                             *)
+(* the compare gate                                                   *)
+
+let sla = Bench.find "sla"
 
 (* `dune runtest` runs from the test dir (the dep is staged one level
    up); `dune exec test/test_sla.exe` runs from the project root *)
-let artifact =
-  List.find_opt Sys.file_exists
-    [ "../BENCH_rights_sla.json"; "BENCH_rights_sla.json" ]
-
 let read_artifact () =
-  match artifact with
-  | None ->
-      Alcotest.fail
-        "BENCH_rights_sla.json missing (regenerate: dune exec bench/main.exe \
-         -- sla --sla-json BENCH_rights_sla.json)"
+  match
+    List.find_opt Sys.file_exists [ Filename.concat ".." sla.Bench.file; sla.file ]
+  with
+  | None -> Alcotest.failf "%s missing (regenerate: %s)" sla.file sla.regen
   | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string raw with
-      | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      | Ok v -> v)
+      match Bench.read_file path with Ok v -> v | Error msg -> Alcotest.fail msg)
 
-let test_committed_sla_artifact_validates () =
-  let v = read_artifact () in
-  (match BR.validate_sla v with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "BENCH_rights_sla.json invalid: %s" e);
-  match BR.sla_improvement_of v with
-  | None -> Alcotest.fail "no art15 improvement in the artifact"
-  | Some f ->
-      check_bool "committed improvement clears the absolute bar" true
-        (f >= BR.sla_improvement_bar)
-
+(* the improvement factor deepens with schedule length, so both sides of
+   the compare are held to the absolute bar instead of a drift *)
 let test_compare_sla_gate () =
   let v = read_artifact () in
-  (* both sides of the gate are held to the absolute bar *)
+  let fresh x =
+    Bench.update [ K "improvement"; K "art15" ] (fun _ -> Json.Num x) v
+  in
   check_bool "fresh at the bar passes" true
-    (Result.is_ok (BR.compare_sla ~old_report:v ~improvement15:BR.sla_improvement_bar));
+    (Result.is_ok (Bench.compare sla ~committed:v (fresh 5.0)));
   check_bool "fresh under the bar fails" true
-    (Result.is_error (BR.compare_sla ~old_report:v ~improvement15:4.2))
+    (Result.is_error (Bench.compare sla ~committed:v (fresh 4.2)));
+  check_bool "committed under the bar fails" true
+    (Result.is_error (Bench.compare sla ~committed:(fresh 4.2) v))
 
 let test_validate_sla_rejects_garbage () =
-  check_bool "empty object" true (Result.is_error (BR.validate_sla (Json.Obj [])))
+  check_bool "empty object" true (Result.is_error (Bench.validate sla (Json.Obj [])))
 
 let () =
   Alcotest.run "rights-sla"
@@ -409,8 +396,6 @@ let () =
         ] );
       ( "artifact",
         [
-          Alcotest.test_case "BENCH_rights_sla.json validates" `Quick
-            test_committed_sla_artifact_validates;
           Alcotest.test_case "compare gate is absolute" `Quick
             test_compare_sla_gate;
           Alcotest.test_case "garbage rejected" `Quick

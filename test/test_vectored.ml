@@ -12,7 +12,7 @@ module Schema = Rgpdos_dbfs.Schema
 module Record = Rgpdos_dbfs.Record
 module Dbfs = Rgpdos_dbfs.Dbfs
 module E = Rgpdos_workload.Experiments
-module BR = Rgpdos_workload.Bench_report
+module Bench = Rgpdos_workload.Bench
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -364,54 +364,55 @@ let fake_result ~subjects ~load_ns : E.e1_result =
     e1_device = [ ("merged_runs", 2); ("reads", 200); ("vec_reads", 2) ];
   }
 
+let vecio = Bench.find "vecio"
+
 let test_make_vectored_validates () =
   let scalar = fake_result ~subjects:100 ~load_ns:1_000_000 in
   let vectored = fake_result ~subjects:100 ~load_ns:400_000 in
-  let report =
-    BR.make_vectored ~scalar ~scalar_wall_ms:1.0 ~vectored ~vectored_wall_ms:1.0 ()
-  in
-  (match BR.validate_vectored report with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "60%%-reduction report invalid: %s" e);
+  let report = Bench.vectored_json ~scalar:(scalar, 1.0) ~vectored:(vectored, 1.0) in
+  let valid v = Result.is_ok (Bench.validate vecio v) in
+  check_bool "60%-reduction report valid" true (valid report);
   (match Json.of_string (Json.to_string report) with
-  | Ok parsed -> (
-      (* float rendering may round, so compare by re-validating *)
-      match BR.validate_vectored parsed with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "parsed report invalid: %s" e)
+  (* float rendering may round, so compare by re-validating *)
+  | Ok parsed -> check_bool "parsed report valid" true (valid parsed)
   | Error e -> Alcotest.failf "emitted JSON does not parse: %s" e);
   (* a 20% reduction is below the 30% acceptance bar *)
   let shallow = fake_result ~subjects:100 ~load_ns:800_000 in
-  check_bool "below-bar reduction rejected" true
-    (Result.is_error
-       (BR.validate_vectored
-          (BR.make_vectored ~scalar ~scalar_wall_ms:1.0 ~vectored:shallow
-             ~vectored_wall_ms:1.0 ())))
+  check_bool "below-bar reduction rejected" false
+    (valid (Bench.vectored_json ~scalar:(scalar, 1.0) ~vectored:(shallow, 1.0)))
 
+(* the hotpath entry's per-stage E1 drift rule *)
 let test_compare_gate () =
+  let drift =
+    match
+      List.find_opt
+        (fun g -> Bench.gate_name g = "E1 drift")
+        (Bench.find "hotpath").Bench.gates
+    with
+    | Some (Bench.Drift_rule { check; _ }) -> check
+    | _ -> Alcotest.fail "hotpath has no E1 drift rule"
+  in
+  let report e1 =
+    Bench.hotpath_json ~quick:true ~micro:[] ~e1:(e1, 1.0) ~e4:([], 1.0)
+  in
   let old = fake_result ~subjects:100 ~load_ns:1_000_000 in
-  let old_report = BR.make ~quick:true ~micro:[] ~e1:(old, 1.0) () in
+  let committed = report old in
   (* unchanged / improved: passes *)
-  (match BR.compare_e1 ~old_report old with
-  | Ok n -> check_bool "all stages checked" true (n >= 4)
-  | Error ls -> Alcotest.failf "clean run flagged: %s" (String.concat "; " ls));
+  (match drift ~committed (report old) with
+  | Ok _ -> ()
+  | Error l -> Alcotest.failf "clean run flagged: %s" l);
   (* a big load-stage regression trips the gate *)
-  (match BR.compare_e1 ~old_report (fake_result ~subjects:100 ~load_ns:2_000_000) with
+  (match drift ~committed (report (fake_result ~subjects:100 ~load_ns:2_000_000)) with
   | Ok _ -> Alcotest.fail "2x load-stage regression not caught"
-  | Error lines ->
-      check_bool "names the stage" true
-        (List.exists
-           (fun l ->
-             let has s sub =
-               let sl = String.length sub in
-               let rec go i =
-                 i + sl <= String.length s
-                 && (String.sub s i sl = sub || go (i + 1))
-               in
-               go 0
-             in
-             has l "ded_load_membrane")
-           lines));
+  | Error line ->
+      let has s sub =
+        let sl = String.length sub in
+        let rec go i =
+          i + sl <= String.length s && (String.sub s i sl = sub || go (i + 1))
+        in
+        go 0
+      in
+      check_bool "names the stage" true (has line "ded_load_membrane"));
   (* growth on a sub-epsilon fixed-cost stage does not trip it *)
   let tiny_growth =
     {
@@ -422,32 +423,10 @@ let test_compare_gate () =
           old.E.e1_stage_ns;
     }
   in
-  match BR.compare_e1 ~old_report tiny_growth with
+  match drift ~committed (report tiny_growth) with
   | Ok _ -> ()
-  | Error ls ->
-      Alcotest.failf "epsilon should absorb +20 ns/subject on a 10 ns stage: %s"
-        (String.concat "; " ls)
-
-let artifact =
-  List.find_opt Sys.file_exists
-    [ "../BENCH_vectored_io.json"; "BENCH_vectored_io.json" ]
-
-let test_committed_artifact () =
-  match artifact with
-  | None ->
-      Alcotest.fail
-        "BENCH_vectored_io.json missing (regenerate: dune exec bench/main.exe \
-         -- vecio --vec-json BENCH_vectored_io.json)"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string raw with
-      | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      | Ok v -> (
-          match BR.validate_vectored v with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s invalid: %s" path e))
+  | Error l ->
+      Alcotest.failf "epsilon should absorb +20 ns/subject on a 10 ns stage: %s" l
 
 let () =
   Alcotest.run "vectored-io"
@@ -489,6 +468,5 @@ let () =
           Alcotest.test_case "make_vectored validates" `Quick
             test_make_vectored_validates;
           Alcotest.test_case "compare gate" `Quick test_compare_gate;
-          Alcotest.test_case "committed artifact" `Quick test_committed_artifact;
         ] );
     ]
