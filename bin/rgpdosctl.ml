@@ -677,9 +677,9 @@ let model_check_cmd =
     (Cmd.info "model-check"
        ~doc:"Run the executable-GDPR-model refinement campaign (lockstep \
              observational equivalence, crash refinement across the \
-             allocator/group-commit/async config matrix, linearizability \
-             at 1/2/4 domains, index/cache coherence); exits non-zero on \
-             any counterexample")
+             allocator/group-commit/queue-depth config matrix, \
+             linearizability at 1/2/4 domains, index/cache coherence); \
+             exits non-zero on any counterexample")
     Term.(const model_check_run $ seed $ scripts)
 
 let articles_cmd =

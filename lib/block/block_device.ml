@@ -9,7 +9,6 @@ type config = {
   write_latency : Clock.ns;
   byte_latency : Clock.ns;
   vectored : bool;
-  async : bool;
   queue_depth : int;
 }
 
@@ -21,8 +20,7 @@ let default_config =
     write_latency = 20_000 (* 20us *);
     byte_latency = 2 (* ~0.5 GB/s *);
     vectored = true;
-    async = false;
-    queue_depth = 8;
+    queue_depth = 1;
   }
 
 (* ---------- fault plan ----------
@@ -127,16 +125,18 @@ module Fault_plan = struct
 end
 
 (* An in-flight async request: the bytes (for reads) were captured at
-   submission, only the clock settlement is outstanding.  [tk_completion]
+   submission, only the clock settlement is outstanding.  [rq_completion]
    is the absolute simulated time the channel finishes servicing the
-   request; [tk_service] is the request's own service time, used to
-   account how much of it the caller's compute hid. *)
-type ticket = {
-  tk_service : Clock.ns;
-  tk_completion : Clock.ns;
-  tk_payload : (int * string) list;
-  mutable tk_settled : bool;
+   request; [rq_service] is the request's own service time, used to
+   account how much of it the caller's compute hid.  The device's
+   pending list holds the request alone, so it never pins a payload. *)
+type request = {
+  rq_service : Clock.ns;
+  rq_completion : Clock.ns;
+  mutable rq_settled : bool;
 }
+
+type ticket = { tk_req : request; tk_payload : (int * string) list }
 
 type t = {
   cfg : config;
@@ -151,8 +151,11 @@ type t = {
   channels : (int, Clock.ns array) Hashtbl.t;
       (* per-channel service slots: absolute time each of the
          [queue_depth] in-flight positions frees up *)
-  mutable pending_tk : ticket list;
-  mutable outstanding : int;
+  mutable pending : request list;
+      (* newest first: every unsettled request, plus settled ones not yet
+         dropped *)
+  mutable pending_len : int;
+  mutable outstanding : int; (* unsettled requests *)
 }
 
 exception Out_of_range of int
@@ -172,7 +175,8 @@ let create ?(config = default_config) ~clock () =
     plan = None;
     crash_image = None;
     channels = Hashtbl.create 4;
-    pending_tk = [];
+    pending = [];
+    pending_len = 0;
     outstanding = 0;
   }
 
@@ -242,8 +246,8 @@ let runs sorted =
 
 (* Cost of a vectored access of [sorted] blocks: [(service_ns, nruns)].
    One [base] seek per contiguous run (per block when not vectored) plus
-   the per-byte transfer.  Shared by the synchronous charge path and the
-   async submission path so both bill the identical service time. *)
+   the per-byte transfer.  Shared by the blocking calls and the queued
+   submissions so both bill the identical service time. *)
 let vec_cost dev base sorted =
   match sorted with
   | [] -> (0, 0)
@@ -256,47 +260,42 @@ let vec_cost dev base sorted =
       ( (base * nruns) + (dev.cfg.byte_latency * dev.cfg.block_size * nblocks),
         nruns )
 
-(* Charge seeks + transfer for a vectored access of [sorted] blocks and
-   bump the shared counters.  [base] is the fixed per-seek latency. *)
-let charge_vec dev base sorted =
-  let service, nruns = vec_cost dev base sorted in
-  if nruns > 0 then begin
-    Clock.advance dev.clock service;
-    Stats.Counter.incr dev.counters ~by:nruns "merged_runs"
-  end
-
 let block_contents dev i =
   let b = dev.blocks.(i) in
   if b = "" then String.make dev.cfg.block_size '\000' else b
 
-(* [read_vec dev indices] reads all the named blocks in one request and
-   returns an association list [(index, contents)] covering every
-   requested index (duplicates collapsed).  Cost: one [read_latency] seek
-   per contiguous run plus the usual per-byte charge. *)
-let read_vec dev indices =
-  let sorted = sorted_unique indices in
-  List.iter (check dev) sorted;
-  charge_vec dev dev.cfg.read_latency sorted;
-  Stats.Counter.incr dev.counters "vec_reads";
-  Stats.Counter.incr dev.counters ~by:(List.length sorted) "reads";
-  Stats.Counter.incr dev.counters
-    ~by:(dev.cfg.block_size * List.length sorted)
-    "bytes_read";
-  List.map (fun i -> (i, block_contents dev i)) sorted
-
-(* Cost-and-accounting-only variant of [read_vec], for callers that hold
-   decoded copies (read caches): identical clock charge and counters, no
-   byte movement.  This keeps cache hits cost-transparent under the
-   vectored model, exactly as [charge_read] does for scalar reads. *)
-let charge_read_vec dev indices =
-  let sorted = sorted_unique indices in
-  List.iter (check dev) sorted;
-  charge_vec dev dev.cfg.read_latency sorted;
+let account_read dev sorted nruns =
+  Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
   Stats.Counter.incr dev.counters "vec_reads";
   Stats.Counter.incr dev.counters ~by:(List.length sorted) "reads";
   Stats.Counter.incr dev.counters
     ~by:(dev.cfg.block_size * List.length sorted)
     "bytes_read"
+
+let account_write dev sorted nruns =
+  Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
+  Stats.Counter.incr dev.counters "vec_writes";
+  Stats.Counter.incr dev.counters ~by:(List.length sorted) "writes";
+  Stats.Counter.incr dev.counters
+    ~by:(dev.cfg.block_size * List.length sorted)
+    "bytes_written"
+
+(* The blocking vectored read: one [read_latency] seek per contiguous run
+   plus the usual per-byte charge, settled before returning.  [move]
+   controls whether the bytes are returned, nothing else: [charge_read_vec]
+   is the cost-and-accounting-only variant read caches use, so a cache
+   hit costs exactly the vectored miss it replaces. *)
+let read_vec_common dev ~move indices =
+  let sorted = sorted_unique indices in
+  List.iter (check dev) sorted;
+  let service, nruns = vec_cost dev dev.cfg.read_latency sorted in
+  if nruns > 0 then Clock.advance dev.clock service;
+  account_read dev sorted nruns;
+  if move then List.map (fun i -> (i, block_contents dev i)) sorted else []
+
+let read_vec dev indices = read_vec_common dev ~move:true indices
+
+let charge_read_vec dev indices = ignore (read_vec_common dev ~move:false indices)
 
 let store dev i data =
   let len = String.length data in
@@ -401,12 +400,9 @@ let write_vec dev writes =
   | writes ->
       let sorted = List.map fst writes in
       List.iter (check dev) sorted;
-      charge_vec dev dev.cfg.write_latency sorted;
-      Stats.Counter.incr dev.counters "vec_writes";
-      Stats.Counter.incr dev.counters ~by:(List.length sorted) "writes";
-      Stats.Counter.incr dev.counters
-        ~by:(dev.cfg.block_size * List.length sorted)
-        "bytes_written";
+      let service, nruns = vec_cost dev dev.cfg.write_latency sorted in
+      Clock.advance dev.clock service;
+      account_write dev sorted nruns;
       persist_vec dev sorted writes
 
 let write dev i data =
@@ -448,15 +444,15 @@ let write dev i data =
    compute the caller performed between submit and await therefore hides
    an equal amount of device time, tallied in [overlap_ns_hidden].
 
-   With [cfg.async = false] a submission degrades to the synchronous
-   vectored call (identical clock charge, identical counters) and [await]
-   is a no-op, so the same consumer code A/Bs the two models on one
-   build. *)
-
-let async_enabled dev = dev.cfg.async
+   The blocking model is queue depth 1: a submission awaited before
+   anything else is submitted on its channel costs exactly its blocking
+   [read_vec] / [write_vec]. *)
 
 let settled_ticket payload =
-  { tk_service = 0; tk_completion = 0; tk_payload = payload; tk_settled = true }
+  {
+    tk_req = { rq_service = 0; rq_completion = 0; rq_settled = true };
+    tk_payload = payload;
+  }
 
 let note_highwater dev =
   let cur = Stats.Counter.get dev.counters "queue_depth_highwater" in
@@ -473,8 +469,8 @@ let channel_slots dev ch =
       s
 
 (* Reserve the earliest-free slot of [channel] for a request of [service]
-   ns and return its absolute completion time. *)
-let enqueue dev ~channel service =
+   ns, count the submission, and return its in-flight ticket. *)
+let enqueue dev ~channel service payload =
   let slots = channel_slots dev channel in
   let best = ref 0 in
   for i = 1 to Array.length slots - 1 do
@@ -483,26 +479,28 @@ let enqueue dev ~channel service =
   let start = max (Clock.now dev.clock) slots.(!best) in
   let completion = start + service in
   slots.(!best) <- completion;
-  completion
-
-let track dev tk =
-  dev.pending_tk <- tk :: dev.pending_tk;
+  Stats.Counter.incr dev.counters "async_submits";
+  Stats.Counter.incr dev.counters ~by:service "async_service_ns";
+  let rq =
+    { rq_service = service; rq_completion = completion; rq_settled = false }
+  in
+  dev.pending <- rq :: dev.pending;
+  dev.pending_len <- dev.pending_len + 1;
   dev.outstanding <- dev.outstanding + 1;
+  (* drop settled requests once they outnumber the unsettled ones: the
+     list stays O(outstanding) at amortised O(1) per submission *)
+  if dev.pending_len > (2 * dev.outstanding) + 16 then begin
+    dev.pending <- List.filter (fun r -> not r.rq_settled) dev.pending;
+    dev.pending_len <- dev.outstanding
+  end;
   note_highwater dev;
-  tk
-
-let account_read dev sorted nruns =
-  Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
-  Stats.Counter.incr dev.counters "vec_reads";
-  Stats.Counter.incr dev.counters ~by:(List.length sorted) "reads";
-  Stats.Counter.incr dev.counters
-    ~by:(dev.cfg.block_size * List.length sorted)
-    "bytes_read"
+  { tk_req = rq; tk_payload = payload }
 
 (* Shared by the real and charge-only read submissions: [move] controls
    whether payload bytes are captured, nothing else.  Cache hits submitted
    through the charge-only variant therefore queue, cost and settle
-   exactly like cold reads — the warm==cold rule under the async model. *)
+   exactly like cold reads — the warm==cold rule under the queued
+   model. *)
 let submit_read_common dev ~channel ~move indices =
   let sorted = sorted_unique indices in
   match sorted with
@@ -514,31 +512,8 @@ let submit_read_common dev ~channel ~move indices =
         if move then List.map (fun i -> (i, block_contents dev i)) sorted
         else []
       in
-      Stats.Counter.incr dev.counters "async_submits";
-      Stats.Counter.incr dev.counters ~by:service "async_service_ns";
-      if not dev.cfg.async then begin
-        (* synchronous degradation: exactly [read_vec]/[charge_read_vec] *)
-        Clock.advance dev.clock service;
-        Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
-        Stats.Counter.incr dev.counters "vec_reads";
-        Stats.Counter.incr dev.counters ~by:(List.length sorted) "reads";
-        Stats.Counter.incr dev.counters
-          ~by:(dev.cfg.block_size * List.length sorted)
-          "bytes_read";
-        Stats.Counter.incr dev.counters "async_completions";
-        settled_ticket payload
-      end
-      else begin
-        account_read dev sorted nruns;
-        let completion = enqueue dev ~channel service in
-        track dev
-          {
-            tk_service = service;
-            tk_completion = completion;
-            tk_payload = payload;
-            tk_settled = false;
-          }
-      end
+      account_read dev sorted nruns;
+      enqueue dev ~channel service payload
 
 let submit_read_vec dev ?(channel = 0) indices =
   submit_read_common dev ~channel ~move:true indices
@@ -550,9 +525,8 @@ let submit_charge_read_vec dev ?(channel = 0) indices =
    fault plan and crash capture) all happen here at submission, in the
    same order as [write_vec]; only the clock settlement is deferred.  The
    channel slot is reserved BEFORE the fault dispatch so a faulted op
-   still consumes its service time (as the synchronous path charges
-   before raising) — the un-returned ticket settles at the next
-   [drain]. *)
+   still consumes its service time (as the blocking path charges before
+   raising) — the un-returned ticket settles at the next [drain]. *)
 let submit_write_vec dev ?(channel = 0) writes =
   match dedup_writes writes with
   | [] -> settled_ticket []
@@ -560,58 +534,30 @@ let submit_write_vec dev ?(channel = 0) writes =
       let sorted = List.map fst writes in
       List.iter (check dev) sorted;
       let service, nruns = vec_cost dev dev.cfg.write_latency sorted in
-      Stats.Counter.incr dev.counters "async_submits";
-      Stats.Counter.incr dev.counters ~by:service "async_service_ns";
-      if not dev.cfg.async then begin
-        Clock.advance dev.clock service;
-        Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
-        Stats.Counter.incr dev.counters "vec_writes";
-        Stats.Counter.incr dev.counters ~by:(List.length sorted) "writes";
-        Stats.Counter.incr dev.counters
-          ~by:(dev.cfg.block_size * List.length sorted)
-          "bytes_written";
-        Stats.Counter.incr dev.counters "async_completions";
-        persist_vec dev sorted writes;
-        settled_ticket []
-      end
-      else begin
-        Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
-        Stats.Counter.incr dev.counters "vec_writes";
-        Stats.Counter.incr dev.counters ~by:(List.length sorted) "writes";
-        Stats.Counter.incr dev.counters
-          ~by:(dev.cfg.block_size * List.length sorted)
-          "bytes_written";
-        let completion = enqueue dev ~channel service in
-        let tk =
-          track dev
-            {
-              tk_service = service;
-              tk_completion = completion;
-              tk_payload = [];
-              tk_settled = false;
-            }
-        in
-        persist_vec dev sorted writes;
-        tk
-      end
+      account_write dev sorted nruns;
+      let tk = enqueue dev ~channel service [] in
+      persist_vec dev sorted writes;
+      tk
 
 (* Settle a completion: advance the clock to the request's completion
    instant (zero if the caller's compute already passed it) and account
    the hidden service time.  Idempotent — a settled ticket just returns
    its payload again. *)
-let await dev tk =
-  if not tk.tk_settled then begin
-    tk.tk_settled <- true;
+let settle dev rq =
+  if not rq.rq_settled then begin
+    rq.rq_settled <- true;
     dev.outstanding <- dev.outstanding - 1;
-    dev.pending_tk <- List.filter (fun t -> not t.tk_settled) dev.pending_tk;
     let now = Clock.now dev.clock in
-    let adv = if tk.tk_completion > now then tk.tk_completion - now else 0 in
+    let adv = if rq.rq_completion > now then rq.rq_completion - now else 0 in
     if adv > 0 then Clock.advance dev.clock adv;
     Stats.Counter.incr dev.counters "async_completions";
-    let hidden = tk.tk_service - adv in
+    let hidden = rq.rq_service - adv in
     if hidden > 0 then
       Stats.Counter.incr dev.counters ~by:hidden "overlap_ns_hidden"
-  end;
+  end
+
+let await dev tk =
+  settle dev tk.tk_req;
   tk.tk_payload
 
 let outstanding dev = dev.outstanding
@@ -619,8 +565,9 @@ let outstanding dev = dev.outstanding
 (* The durability barrier: settle every in-flight submission.  After
    [drain] the clock covers all device time ever submitted. *)
 let drain dev =
-  let tks = dev.pending_tk in
-  List.iter (fun tk -> ignore (await dev tk)) tks
+  List.iter (settle dev) dev.pending;
+  dev.pending <- [];
+  dev.pending_len <- 0
 
 let trim dev i =
   check dev i;

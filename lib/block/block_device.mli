@@ -22,21 +22,17 @@ type config = {
       merged contiguous run; when false they degrade to one seek per block
       (the scalar cost model), letting before/after comparisons run on the
       same build. *)
-  async : bool;
-  (** when true, {!submit_read_vec}/{!submit_write_vec} defer their clock
-      charge to {!await} through per-channel service slots, so compute
-      performed between submit and await hides device time; when false
-      (the default) a submission charges synchronously — byte- and
-      clock-identical to {!read_vec}/{!write_vec} — letting before/after
-      comparisons run on the same build. *)
   queue_depth : int;
-  (** service slots per channel under [async]: how many submissions one
+  (** service slots per channel (default 1): how many submissions one
       channel services concurrently before further requests queue behind
-      the earliest free slot. *)
+      the earliest free slot.  Depth 1 is the blocking model — a
+      submission awaited at once costs exactly its {!read_vec} /
+      {!write_vec}. *)
 }
 
 val default_config : config
-(** 4 KiB blocks, 16 Ki blocks (64 MiB), NVMe-flash-like latencies. *)
+(** 4 KiB blocks, 16 Ki blocks (64 MiB), NVMe-flash-like latencies,
+    vectored, queue depth 1. *)
 
 val create : ?config:config -> clock:Rgpdos_util.Clock.t -> unit -> t
 
@@ -88,13 +84,13 @@ val write : t -> int -> string -> unit
 (** [write dev i data] stores [data] as block [i].  [data] shorter than
     [block_size] is zero-padded; longer raises [Invalid_argument]. *)
 
-(** {1 Asynchronous submission / completion}
+(** {1 Submission / completion queues}
 
     io_uring-style queue pairs on the simulated clock.  A submission
     moves bytes immediately — writes persist (and run the whole
     fault-plan dispatch, write-op ordinals and crash capture) at submit
     time, reads capture their payload at submit time — so on-device
-    state, outcomes and IO counters are identical to the synchronous
+    state, outcomes and IO counters are identical to the blocking
     calls regardless of when completions settle.  Only TIME is deferred:
     each request occupies one of its channel's [queue_depth] service
     slots and {!await} advances the clock to the request's completion
@@ -102,26 +98,27 @@ val write : t -> int -> string -> unit
     await already covered it (the hidden time is tallied in the
     ["overlap_ns_hidden"] counter).
 
-    With [config.async = false] submissions charge synchronously and
-    {!await} never advances the clock, making the async API byte- and
-    clock-identical to the scalar model for same-build A/B runs. *)
+    This is the device's only queued model; the blocking calls above are
+    its depth-1 special case.  At [queue_depth = 1] a submission awaited
+    before anything else is submitted on its channel costs exactly the
+    blocking call.  Independent channels still overlap one another at
+    depth 1, so DBFS's index prefetch, group-commit flushes and
+    compactor writes (each on a channel of its own) can hide service
+    behind the caller's compute. *)
 
 type ticket
 (** An in-flight submission.  Settle it with {!await} (idempotent). *)
 
-val async_enabled : t -> bool
-(** [config.async] — consumers branch on this to keep their synchronous
-    batch shape (and therefore its exact charging) when async is off. *)
-
 val submit_read_vec : t -> ?channel:int -> int list -> ticket
 (** Enqueue the vectored read of {!read_vec} on [channel] (default 0).
     Payload bytes are captured and faults raised at submission; the
-    clock charge settles at {!await}.  Same counters as {!read_vec}. *)
+    clock charge settles at {!await}.  Same IO counters as {!read_vec},
+    plus the queue counters (see {!stats}). *)
 
 val submit_charge_read_vec : t -> ?channel:int -> int list -> ticket
-(** Cost-and-accounting-only {!submit_read_vec} (the async analogue of
+(** Cost-and-accounting-only {!submit_read_vec} (the queued analogue of
     {!charge_read_vec}): cache hits queue, cost and settle exactly like
-    the cold read they replace, so warm==cold holds under async too.
+    the cold read they replace, so warm==cold holds at every depth.
     The ticket's payload is empty. *)
 
 val submit_write_vec : t -> ?channel:int -> (int * string) list -> ticket
@@ -265,9 +262,9 @@ val stats : t -> Rgpdos_util.Stats.Counter.t
     requests (scalar or vectored) — the ordinal space fault plans schedule
     against.
 
-    Async observability (all 0 until the async API is used):
-    "async_submits" / "async_completions" (submissions issued / settled,
-    counted in both async and sync-degraded mode), "async_service_ns"
+    Queue observability (all 0 until the submission API is used):
+    "async_submits" / "async_completions" (submissions issued / settled),
+    "async_service_ns"
     (total service time submitted), "overlap_ns_hidden" (service time
     hidden behind caller compute — the overlap ratio is
     [overlap_ns_hidden / async_service_ns]) and "queue_depth_highwater"

@@ -19,12 +19,12 @@ type t = {
   mutable batches : int; (* vectored flushes issued *)
   mutable batched_ops : int; (* records that went through a vectored flush *)
   mutable inflight : Block_device.ticket list;
-      (* async flush submissions not yet settled.  The bytes are durable
+      (* flush submissions not yet settled.  The bytes are durable
          at submission; only their clock charge is outstanding, settled
          by [barrier] at the caller's durability points. *)
 }
 
-(* Channel the ring's async flushes queue on: negative so it can never
+(* Channel the ring's flushes queue on: negative so it can never
    collide with the consumer-facing channels (DED shards use 0..n). *)
 let flush_channel = -1
 
@@ -166,14 +166,12 @@ let flush ring =
       let writes =
         List.rev_map (fun blk -> (blk, Bytes.to_string (Hashtbl.find tbl blk))) !order
       in
-      (* Async devices take the flush as a submission: the framed bytes
-         are on the medium when submit returns (replay/crash semantics
-         unchanged), only the clock settlement waits for [barrier]. *)
-      if Block_device.async_enabled ring.dev then
-        ring.inflight <-
-          Block_device.submit_write_vec ring.dev ~channel:flush_channel writes
-          :: ring.inflight
-      else Block_device.write_vec ring.dev writes;
+      (* The flush is a submission: the framed bytes are on the medium
+         when submit returns (replay/crash semantics unchanged), only the
+         clock settlement waits for [barrier]. *)
+      ring.inflight <-
+        Block_device.submit_write_vec ring.dev ~channel:flush_channel writes
+        :: ring.inflight;
       ring.jhead <- ring.jhead + len;
       ring.live_records <- ring.live_records + nrec;
       ring.batches <- ring.batches + 1;
@@ -181,8 +179,8 @@ let flush ring =
       ring.pending <- [];
       ring.pending_bytes <- 0
 
-(* Settle every async flush submission: the ring's durability barrier.
-   A no-op on synchronous devices and when nothing is in flight. *)
+(* Settle every flush submission: the ring's durability barrier.  A
+   no-op when nothing is in flight. *)
 let barrier ring =
   (match ring.inflight with
   | [] -> ()

@@ -47,16 +47,17 @@ val set_window : t -> int -> unit
 val window : t -> int
 
 val flush : t -> unit
-(** Write all buffered records at the head in one vectored device op.
-    No-op when nothing is pending. *)
+(** Write all buffered records at the head in one vectored device
+    submission, whose clock charge {!barrier} settles.  No-op when
+    nothing is pending. *)
 
 val barrier : t -> unit
-(** Settle the clock charge of every asynchronously submitted flush (the
-    ring's durability barrier).  Flushed bytes are always on the medium
-    when {!flush} returns — on an async {!Block_device} only their
-    simulated time is deferred, and callers settle it here at their
-    durability points (checkpoint, purge, compaction).  No-op on a
-    synchronous device. *)
+(** Settle the clock charge of every submitted flush (the ring's
+    durability barrier).  Flushed bytes are always on the medium when
+    {!flush} returns — only their simulated time is deferred, on the
+    ring's own device channel, and callers settle it here at their
+    durability points (checkpoint, purge, compaction).  No-op when
+    nothing is in flight. *)
 
 val pending_ops : t -> int
 (** Buffered records not yet durable. *)

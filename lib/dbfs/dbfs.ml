@@ -119,10 +119,10 @@ type t = {
   counters : Stats.Counter.t;
   cache : cached Cache.t;
   page_prefetch : (int, Block_device.ticket) Hashtbl.t;
-      (* speculative index-page reads submitted ahead of the descent
-         (async devices only), keyed by first block.  [read_page] consumes
-         a pending ticket instead of re-reading; checkpoint settles and
-         drops leftovers alongside the page-cache invalidation. *)
+      (* speculative index-page reads submitted ahead of the descent,
+         keyed by first block.  [read_page] consumes a pending ticket
+         instead of re-reading; checkpoint settles and drops leftovers
+         alongside the page-cache invalidation. *)
   (* log-structured mode: payload extents bump-allocate inside per-zone
      segments; superseded blocks stay dirty until a purge or compaction
      destroys them (see segstore.ml).  [None] = classic update-in-place
@@ -442,15 +442,36 @@ let alloc_record_blocks t ~high n = alloc_zone t (Z_record high) n
 
 let alloc_membrane_blocks t n = alloc_zone t Z_membrane n
 
+(* Forensic zeroing: one vectored write of zero blocks over [blocks]
+   (none for an empty list). *)
+let zero_blocks t blocks =
+  let zeros = String.make (block_size t) '\000' in
+  retrying t (fun () ->
+      Block_device.write_vec t.dev (List.map (fun b -> (b, zeros)) blocks))
+
 let zero_and_free t blocks =
-  let bs = block_size t in
-  (match blocks with
-  | [] -> ()
-  | _ ->
-      retrying t (fun () ->
-          Block_device.write_vec t.dev
-            (List.map (fun b -> (b, String.make bs '\000')) blocks)));
+  zero_blocks t blocks;
   mark_free t blocks
+
+(* Reclaim a sealed segment with no live block left: trim whatever is
+   still written — one discard command per segment, zero bytes moved —
+   forget its dirty blocks and hand it back to the allocator. *)
+let reclaim_dead_segment t ss g =
+  let n = ref 0 in
+  for b = g.Segstore.g_first to g.Segstore.g_first + g.Segstore.g_nblocks - 1 do
+    if Block_device.is_written t.dev b then begin
+      incr n;
+      Block_device.trim t.dev b
+    end
+  done;
+  if !n > 0 then begin
+    Clock.advance (Block_device.clock t.dev)
+      (Block_device.config t.dev).Block_device.write_latency;
+    Stats.Counter.incr t.counters "segment_trims"
+  end;
+  Segstore.clear_dirty ss (Segstore.dirty_in ss g);
+  Segstore.reclaim ss g;
+  Stats.Counter.incr t.counters "segments_reclaimed"
 
 (* Destroy every dirty (freed-but-unpurged) block on the store.  A fully
    dead sealed segment is reclaimed with per-block trims — the simulated
@@ -473,52 +494,32 @@ let purge_dirty t =
         (* flush-before-destroy is a durability point: settle the flush
            before any referenced block is trimmed or zeroed *)
         Journal_ring.barrier t.ring;
-        let bs = block_size t in
-        let cfg = Block_device.config t.dev in
         Segstore.iter_segs ss (fun g ->
             match g.Segstore.g_state with
             | Segstore.S_sealed when g.Segstore.g_live = 0 ->
-                let n = ref 0 in
-                for b = g.Segstore.g_first to g.Segstore.g_first + g.Segstore.g_nblocks - 1 do
-                  if Block_device.is_written t.dev b then begin
-                    incr n;
-                    Block_device.trim t.dev b
-                  end
-                done;
-                if !n > 0 then begin
-                  (* one discard command per segment *)
-                  Clock.advance (Block_device.clock t.dev) cfg.Block_device.write_latency;
-                  Stats.Counter.incr t.counters "segment_trims"
-                end;
-                Segstore.clear_dirty ss (Segstore.dirty_in ss g);
-                Segstore.reclaim ss g;
-                Stats.Counter.incr t.counters "segments_reclaimed"
+                reclaim_dead_segment t ss g
             | _ -> ());
         (* whatever is still pending lives in segments that keep live
            data: forensically zero exactly those blocks, once each *)
-        (match Segstore.take_dirty ss with
+        match Segstore.take_dirty ss with
         | [] -> ()
         | dl ->
-            retrying t (fun () ->
-                Block_device.write_vec t.dev
-                  (List.map (fun b -> (b, String.make bs '\000')) dl));
+            zero_blocks t dl;
             Stats.Counter.incr t.counters ~by:(List.length dl)
-              "purge_zeroed_blocks")
+              "purge_zeroed_blocks"
       end
 
-let write_payload t payload blocks =
+(* [payload] cut into one block-sized slice per block of its extent *)
+let payload_blocks t payload blocks =
   let bs = block_size t in
-  match blocks with
-  | [] -> ()
-  | _ ->
-      retrying t (fun () ->
-          Block_device.write_vec t.dev
-            (List.mapi
-               (fun i b ->
-                 ( b,
-                   String.sub payload (i * bs)
-                     (min bs (String.length payload - (i * bs))) ))
-               blocks))
+  List.mapi
+    (fun i b ->
+      (b, String.sub payload (i * bs) (min bs (String.length payload - (i * bs)))))
+    blocks
+
+let write_payload t payload blocks =
+  retrying t (fun () ->
+      Block_device.write_vec t.dev (payload_blocks t payload blocks))
 
 let read_payload t blocks size =
   let got = retrying t (fun () -> Block_device.read_vec t.dev blocks) in
@@ -526,33 +527,19 @@ let read_payload t blocks size =
   List.iter (fun b -> Buffer.add_string buf (List.assoc b got)) blocks;
   Buffer.sub buf 0 size
 
-(* cache hit: simulated cost of the vectored read we did not perform *)
-let charge_payload_read t blocks =
-  retrying t (fun () -> Block_device.charge_read_vec t.dev blocks)
-
-(* Channels the store's own async traffic queues on: negative so they can
-   never collide with consumer-facing channels (DED shards use 0..n).
-   [-1] is the journal ring's flush channel. *)
+(* Channels the store's own background traffic queues on: negative so
+   they can never collide with consumer-facing channels (DED shards use
+   0..n).  [-1] is the journal ring's flush channel. *)
 let compact_channel = -2
 let prefetch_channel = -3
 
-(* Async submission of [write_payload]'s vectored op: the bytes persist
+(* Queued submission of [write_payload]'s vectored op: the bytes persist
    (and any write fault fires) at submit, the clock charge settles when
    the caller awaits the ticket at its durability barrier. *)
 let submit_payload_write t payload blocks ~channel =
-  let bs = block_size t in
-  match blocks with
-  | [] -> None
-  | _ ->
-      Some
-        (retrying t (fun () ->
-             Block_device.submit_write_vec t.dev ~channel
-               (List.mapi
-                  (fun i b ->
-                    ( b,
-                      String.sub payload (i * bs)
-                        (min bs (String.length payload - (i * bs))) ))
-                  blocks)))
+  retrying t (fun () ->
+      Block_device.submit_write_vec t.dev ~channel
+        (payload_blocks t payload blocks))
 
 (* ------------------------------------------------------------------ *)
 (* shared LRU cache plumbing                                          *)
@@ -630,18 +617,18 @@ let page_io t =
                   (retrying t (fun () -> Block_device.read_vec t.dev blocks))));
     prefetch_page =
       (fun first n ->
-        if
-          Block_device.async_enabled t.dev
-          && (not (Cache.mem t.cache ("p:" ^ string_of_int first)))
-          && not (Hashtbl.mem t.page_prefetch first)
-        then
-          let blocks = List.init n (fun i -> first + i) in
-          let tk =
-            retrying t (fun () ->
-                Block_device.submit_read_vec t.dev ~channel:prefetch_channel
-                  blocks)
-          in
-          Hashtbl.replace t.page_prefetch first tk);
+        (* cached or not, so a warm descent overlaps the sibling's service
+           exactly as a cold one does; the bytes move because the page may
+           be evicted before [read_page] consumes the ticket.  Speculative,
+           so a fault is neither retried nor raised: only a [read_page]
+           that really needs the page meets it *)
+        if not (Hashtbl.mem t.page_prefetch first) then
+          match
+            Block_device.submit_read_vec t.dev ~channel:prefetch_channel
+              (List.init n (fun i -> first + i))
+          with
+          | tk -> Hashtbl.replace t.page_prefetch first tk
+          | exception Block_device.Faulted _ -> ());
     write_blocks =
       (fun ws -> retrying t (fun () -> Block_device.write_vec t.dev ws));
     alloc = (fun _ -> failwith "Dbfs: metadata page allocation outside checkpoint");
@@ -1280,23 +1267,15 @@ let checkpoint t =
   t.active_half <- target;
   t.heap_used <- !used;
   commit_root t;
-  (* durability barrier: settle async flush submissions (their bytes are
+  (* durability barrier: settle flush submissions (their bytes are
      already on the medium) before retiring the journal prefix *)
   Journal_ring.barrier t.ring;
   Journal_ring.mark_checkpointed t.ring;
   (* deallocation hygiene: the retired half held index facts (subjects,
      field values) — zero whatever was actually written there *)
-  let bs = block_size t in
-  let stale =
-    List.init old_used (fun i -> heap_start t old_half + i)
-    |> List.filter (Block_device.is_written t.dev)
-  in
-  (match stale with
-  | [] -> ()
-  | _ ->
-      retrying t (fun () ->
-          Block_device.write_vec t.dev
-            (List.map (fun b -> (b, String.make bs '\000')) stale)));
+  zero_blocks t
+    (List.init old_used (fun i -> heap_start t old_half + i)
+    |> List.filter (Block_device.is_written t.dev));
   (* eviction-coherence: cached node pages name heap blocks the next
      checkpoint will reuse — drop them at the generation boundary.  Any
      speculative prefetch still in flight targets the dying generation
@@ -1533,11 +1512,7 @@ let mount dev =
                   Stats.Counter.incr t.counters
                     ~by:(List.length leftover)
                     "replay_zeroed_blocks";
-                  retrying t (fun () ->
-                      Block_device.write_vec t.dev
-                        (List.map
-                           (fun b -> (b, String.make bs '\000'))
-                           leftover)));
+                  zero_blocks t leftover);
           Ok t)
 
 let device t = t.dev
@@ -1660,66 +1635,14 @@ let verify_sum ~what ~pd_id ~stored raw =
     Error (Corrupt (what ^ " of " ^ pd_id ^ ": extent checksum mismatch"))
   else Ok raw
 
-let get_membrane t ~actor pd_id =
-  let** () = guard t ~actor ~op:"read" in
-  let** e = find_entry t pd_id in
-  Stats.Counter.incr t.counters "membrane_reads";
-  match cache_find_membrane t pd_id with
-  | Some m ->
-      Stats.Counter.incr t.counters "cache_hits";
-      protect_read (fun () ->
-          charge_payload_read t e.membrane_blocks;
-          charge_checksum t e.membrane_size;
-          Ok m)
-  | None ->
-      Stats.Counter.incr t.counters "cache_misses";
-      protect_read (fun () ->
-          let raw = read_payload t e.membrane_blocks e.membrane_size in
-          charge_checksum t e.membrane_size;
-          let** raw =
-            verify_sum ~what:"membrane" ~pd_id ~stored:e.membrane_sum raw
-          in
-          match Membrane.decode raw with
-          | Ok m ->
-              cache_put_membrane t pd_id m;
-              Ok m
-          | Error msg -> Error (Corrupt ("membrane of " ^ pd_id ^ ": " ^ msg)))
+(* ---------- extent loads (one path for batches and point reads) ----------
 
-let get_record t ~actor pd_id =
-  let** () = guard t ~actor ~op:"read" in
-  let** e = find_entry t pd_id in
-  if e.erased then Error (Erased pd_id)
-  else begin
-    Stats.Counter.incr t.counters "record_reads";
-    match cache_find_record t pd_id with
-    | Some r ->
-        Stats.Counter.incr t.counters "cache_hits";
-        protect_read (fun () ->
-            charge_payload_read t e.record_blocks;
-            charge_checksum t e.record_size;
-            Ok r)
-    | None ->
-        Stats.Counter.incr t.counters "cache_misses";
-        protect_read (fun () ->
-            let raw = read_payload t e.record_blocks e.record_size in
-            charge_checksum t e.record_size;
-            let** raw =
-              verify_sum ~what:"record" ~pd_id ~stored:e.record_sum raw
-            in
-            match Record.decode raw with
-            | Ok r ->
-                cache_put_record t pd_id r;
-                Ok r
-            | Error msg -> Error (Corrupt ("record of " ^ pd_id ^ ": " ^ msg)))
-  end
-
-(* ---------- batched reads (the DED's vectored load path) ----------
-
-   One vectored device request covers every pd in the selection, so the
-   fixed seek latency is paid once per contiguous run of the union rather
-   than once per pd.  Cost transparency is preserved: cached entries'
-   blocks stay in the request (only the host-side decode is skipped), so
-   a warm cache changes no stage_ns figure. *)
+   A batch of [queue_depth] vectored device requests covers every pd in
+   the selection, so the fixed seek latency is paid once per contiguous
+   run of each request rather than once per pd; a point read is a batch
+   of one.  Cost transparency is preserved: cached entries' blocks stay
+   in the request (only the host-side decode is skipped), so a warm cache
+   changes no stage_ns figure. *)
 
 let resolve_entries t pd_ids =
   let rec go acc = function
@@ -1730,21 +1653,6 @@ let resolve_entries t pd_ids =
         | Error e -> Error e)
   in
   go [] pd_ids
-
-(* Issue the batch request for [blocks]: a full [read_vec] when at least
-   one entry needs bytes, a cost-only [charge_read_vec] when every entry
-   is cached.  Returns an index->contents lookup. *)
-let batch_read t ~any_miss blocks =
-  if any_miss then begin
-    let got = retrying t (fun () -> Block_device.read_vec t.dev blocks) in
-    let h = Hashtbl.create (max 16 (2 * List.length got)) in
-    List.iter (fun (i, s) -> Hashtbl.replace h i s) got;
-    h
-  end
-  else begin
-    retrying t (fun () -> Block_device.charge_read_vec t.dev blocks);
-    Hashtbl.create 1
-  end
 
 let assemble h blocks size =
   let buf = Buffer.create size in
@@ -1767,14 +1675,15 @@ let chunk_entries entries n =
     go [] [] 0 entries
   end
 
-(* Pipelined batch load (async devices): split the entry batch into
-   [queue_depth] chunks, submit every chunk's vectored read up-front on
-   [channel], then settle chunk k only when its entries decode — the
-   checksum/decode compute of chunk k overlaps the in-flight service of
-   chunks k+1..  Chunking depends only on the entry list, and cache-hit
-   batches submit through the charge-only variant with the identical
-   chunk shape, so warm==cold holds under async exactly as it does for
-   the one-request synchronous batch.  [blocks_of] names each entry's
+(* Pipelined batch load: split the entry batch into [queue_depth]
+   chunks, submit every chunk's vectored read up-front on [channel], then
+   settle chunk k only when its entries decode — the checksum/decode
+   compute of chunk k overlaps the in-flight service of chunks k+1..  At
+   depth 1 this is one request settled before any decode: exactly a
+   blocking [read_vec] (or [charge_read_vec] when every entry is cached).
+   Chunking depends only on the entry list, and cache-hit batches submit
+   through the charge-only variant with the identical chunk shape, so
+   warm==cold holds at every depth.  [blocks_of] names each entry's
    extent; [decode] folds one chunk's entries against its block table. *)
 let pipelined_read t ~channel ~any_miss ~blocks_of ~decode entries =
   let depth = (Block_device.config t.dev).Block_device.queue_depth in
@@ -1834,16 +1743,9 @@ let get_membranes t ~actor ?(channel = 0) pd_ids =
     go acc entries
   in
   protect_read (fun () ->
-      if Block_device.async_enabled t.dev then
-        pipelined_read t ~channel ~any_miss
-          ~blocks_of:(fun e -> e.membrane_blocks)
-          ~decode entries
-      else begin
-        let blocks = List.concat_map (fun e -> e.membrane_blocks) entries in
-        let h = batch_read t ~any_miss blocks in
-        let** acc = decode h [] entries in
-        Ok (List.rev acc)
-      end)
+      pipelined_read t ~channel ~any_miss
+        ~blocks_of:(fun e -> e.membrane_blocks)
+        ~decode entries)
 
 (* Erased pds yield [None] (their sealed payload is not PD and is not
    read), matching the DED's skip-erased semantics without forcing every
@@ -1886,15 +1788,18 @@ let get_records t ~actor ?(channel = 0) pd_ids =
     go acc entries
   in
   protect_read (fun () ->
-      if Block_device.async_enabled t.dev then
-        pipelined_read t ~channel ~any_miss ~blocks_of:live_blocks ~decode
-          entries
-      else begin
-        let blocks = List.concat_map live_blocks entries in
-        let h = batch_read t ~any_miss blocks in
-        let** acc = decode h [] entries in
-        Ok (List.rev acc)
-      end)
+      pipelined_read t ~channel ~any_miss ~blocks_of:live_blocks ~decode
+        entries)
+
+let get_membrane t ~actor pd_id =
+  let** got = get_membranes t ~actor [ pd_id ] in
+  Ok (snd (List.hd got))
+
+let get_record t ~actor pd_id =
+  let** got = get_records t ~actor [ pd_id ] in
+  match got with
+  | [ (_, Some r) ] -> Ok r
+  | _ -> Error (Erased pd_id)
 
 let update_record t ~actor pd_id record =
   let** () = guard t ~actor ~op:"write" in
@@ -2012,14 +1917,7 @@ let delete t ~actor pd_id =
          included), trimming fully dead segments; update-in-place zeroes
          exactly this pd's extents in one vectored write. *)
       if t.segmented then purge_dirty t
-      else begin
-        let bs = block_size t in
-        retrying t (fun () ->
-            Block_device.write_vec t.dev
-              (List.map
-                 (fun b -> (b, String.make bs '\000'))
-                 (record_blocks @ membrane_blocks)))
-      end;
+      else zero_blocks t (record_blocks @ membrane_blocks);
       Stats.Counter.incr t.counters "deletes";
       !maintain t;
       Ok ())
@@ -2154,9 +2052,9 @@ let compact ?(max_victims = compact_batch) ?(liveness_pct = compact_liveness_pct
                   | None -> List.map verify items
                 in
                 let relocated = ref 0 in
-                (* async devices: relocation payload writes are submitted
-                   and settled in one batch at the durability barrier
-                   below, overlapping their service with the decode and
+                (* relocation payload writes are submitted and settled
+                   in one batch at the durability barrier below,
+                   overlapping their service with the decode and
                    journaling compute of later survivors *)
                 let wtickets = ref [] in
                 List.iter2
@@ -2177,14 +2075,10 @@ let compact ?(max_victims = compact_batch) ?(liveness_pct = compact_liveness_pct
                       match dest with
                       | None -> () (* no room: survivor stays put *)
                       | Some blocks ->
-                          (if Block_device.async_enabled t.dev then
-                             match
-                               submit_payload_write t raw blocks
-                                 ~channel:compact_channel
-                             with
-                             | Some tk -> wtickets := tk :: !wtickets
-                             | None -> ()
-                           else write_payload t raw blocks);
+                          wtickets :=
+                            submit_payload_write t raw blocks
+                              ~channel:compact_channel
+                            :: !wtickets;
                           let hint, op =
                             match kind with
                             | `Membrane ->
@@ -2208,46 +2102,24 @@ let compact ?(max_victims = compact_batch) ?(liveness_pct = compact_liveness_pct
                 Stats.Counter.incr t.counters ~by:!relocated
                   "compact_relocations";
                 (* make the relocations durable, then destroy the victims:
-                   settle the submitted payload writes and every async
-                   flush before any victim block is trimmed or zeroed *)
+                   settle the submitted payload writes and every
+                   submitted flush before any victim block is trimmed or
+                   zeroed *)
                 List.iter
                   (fun tk -> ignore (Block_device.await t.dev tk))
                   (List.rev !wtickets);
                 retrying t (fun () -> Journal_ring.flush t.ring);
                 Journal_ring.barrier t.ring;
-                let bs = block_size t in
-                let cfg = Block_device.config t.dev in
                 List.iter
                   (fun g ->
-                    if g.Segstore.g_live = 0 then begin
-                      let n = ref 0 in
-                      for b = g.Segstore.g_first
-                          to g.Segstore.g_first + g.Segstore.g_nblocks - 1 do
-                        if Block_device.is_written t.dev b then begin
-                          incr n;
-                          Block_device.trim t.dev b
-                        end
-                      done;
-                      if !n > 0 then begin
-                        Clock.advance (Block_device.clock t.dev)
-                          cfg.Block_device.write_latency;
-                        Stats.Counter.incr t.counters "segment_trims"
-                      end;
-                      Segstore.clear_dirty ss (Segstore.dirty_in ss g);
-                      Segstore.reclaim ss g;
-                      Stats.Counter.incr t.counters "segments_reclaimed"
-                    end
+                    if g.Segstore.g_live = 0 then reclaim_dead_segment t ss g
                     else begin
                       (* survivors could not move: zero the pending dead
                          blocks (once — the dirty set forgets them) *)
                       match Segstore.dirty_in ss g with
                       | [] -> ()
                       | dl ->
-                          retrying t (fun () ->
-                              Block_device.write_vec t.dev
-                                (List.map
-                                   (fun b -> (b, String.make bs '\000'))
-                                   dl));
+                          zero_blocks t dl;
                           Segstore.clear_dirty ss dl;
                           Stats.Counter.incr t.counters ~by:(List.length dl)
                             "purge_zeroed_blocks"
@@ -2374,11 +2246,10 @@ let select t ~actor ?(use_indexes = true) ?(channel = 0) type_name pred =
             | Error _ -> false
           in
           let residual pd_ids =
-            (* one batched vectored load, then the full predicate.  On an
-               async device the probe's posting list is submitted as
-               pipelined reads ahead of residual evaluation: chunk k's
-               decode and predicate work overlaps the in-flight service
-               of chunks k+1.. *)
+            (* one batched load, then the full predicate: the probe's
+               posting list is submitted as pipelined reads ahead of
+               residual evaluation, so chunk k's decode and predicate work
+               overlaps the in-flight service of chunks k+1.. *)
             let** records = get_records t ~actor ~channel pd_ids in
             Ok
               (List.filter_map
@@ -2786,11 +2657,9 @@ let fsck_repair t =
   let actions = ref [] in
   let act fmt = Format.kasprintf (fun s -> actions := s :: !actions) fmt in
   let device_faults = ref false in
-  let bs = block_size t in
   let zero_block b =
     try
-      retrying t (fun () ->
-          Block_device.write_vec t.dev [ (b, String.make bs '\000') ]);
+      zero_blocks t [ b ];
       true
     with Block_device.Faulted _ ->
       device_faults := true;
@@ -2955,6 +2824,8 @@ let cache_resident t = Cache.resident t.cache
 let cache_budget t = Cache.budget t.cache
 
 let index_page_blocks t = Index.node_pages t.index
+
+let entry_page_blocks t = Pagestore.node_blocks (page_io t) t.entries_base
 
 let index_dump t = Index.dump t.index
 

@@ -129,11 +129,11 @@ val insert :
 val get_membrane :
   t -> actor:string -> string -> (Rgpdos_membrane.Membrane.t, error) result
 (** Fetch only the membrane — the DED's first request (ded_load_membrane)
-    never touches the data blocks. *)
+    never touches the data blocks.  A {!get_membranes} batch of one. *)
 
 val get_record : t -> actor:string -> string -> (Record.t, error) result
 (** Fetch the record data (ded_load_data).  Fails with [Erased] after
-    crypto-erasure. *)
+    crypto-erasure.  A {!get_records} batch of one. *)
 
 val get_membranes :
   t ->
@@ -141,19 +141,21 @@ val get_membranes :
   ?channel:int ->
   string list ->
   ((string * Rgpdos_membrane.Membrane.t) list, error) result
-(** Batched membrane load: one elevator-ordered vectored device request
-    covers every pd in the selection, so the fixed seek cost is paid per
+(** Batched membrane load: elevator-ordered vectored device requests
+    cover every pd in the selection, so the fixed seek cost is paid per
     contiguous run rather than per pd.  Results are in input order.  Any
     unknown pd fails the whole batch.  Cache hits skip only the host-side
     decode — their blocks stay in the request, so the simulated cost (and
     every stage_ns figure) is identical whether the cache is cold or
     warm.
 
-    On an async device the batch is split into [queue_depth] contiguous
-    chunks submitted up-front on [?channel] (default 0): chunk [k]'s
-    decode overlaps the device service of chunks [k+1..], so the batch
-    charges its critical path instead of the serial sum.  Bytes, results
-    and all non-latency counters are identical to the synchronous path. *)
+    The batch is split into the device's [queue_depth] contiguous chunks
+    submitted up-front on [?channel] (default 0): chunk [k]'s decode
+    overlaps the device service of chunks [k+1..], so the batch charges
+    its critical path instead of the serial sum.  At depth 1 it is one
+    request settled before any decode — exactly one blocking
+    [Block_device.read_vec] plus the checksum charges.  Bytes, results
+    and all non-latency counters are the same at every depth. *)
 
 val get_records :
   t ->
@@ -161,11 +163,11 @@ val get_records :
   ?channel:int ->
   string list ->
   ((string * Record.t option) list, error) result
-(** Batched record load, one vectored request for the selection (input
-    order preserved).  Erased pds yield [None] — their sealed payload is
-    neither read nor charged — matching the DED's skip-erased semantics.
-    Any unknown pd fails the whole batch.  Pipelined on async devices
-    exactly like {!get_membranes}. *)
+(** Batched record load for the selection (input order preserved).
+    Erased pds yield [None] — their sealed payload is neither read nor
+    charged — matching the DED's skip-erased semantics.  Any unknown pd
+    fails the whole batch.  Pipelined by queue depth exactly like
+    {!get_membranes}. *)
 
 val update_record :
   t -> actor:string -> string -> Record.t -> (unit, error) result
@@ -251,10 +253,12 @@ val select :
     DBFS read path.  [?use_indexes:false] forces the full-scan path (for
     measurement; results are identical).
 
-    On an async device the residual record fetch rides [?channel]
-    (default 0): index probes submit the candidate loads so their device
-    service overlaps residual evaluation, and interior B+-tree descents
-    prefetch the next sibling page ahead of the current decode. *)
+    The residual record fetch rides [?channel] (default 0) through
+    {!get_records}: the candidate loads are submitted so their device
+    service overlaps residual evaluation (from queue depth 2 up), and
+    interior B+-tree descents prefetch the next sibling page ahead of
+    the current decode on a channel of their own, so the prefetch
+    overlaps even at depth 1. *)
 
 val plan_for :
   t -> actor:string -> string -> Query.t -> (Plan.t, error) result
@@ -354,6 +358,10 @@ val index_page_blocks : t -> (int * int) list
 (** Every on-device node page [(first_block, nblocks)] of the checkpointed
     index trees — fault-injection targets for [fsck --damage index-page].
     Empty before the first checkpoint. *)
+
+val entry_page_blocks : t -> (int * int) list
+(** The same for the checkpointed entries tree, root first and in key
+    order (so the last page is the rightmost leaf). *)
 
 val index_dump : t -> string
 (** Canonical rendering of the secondary indexes (sorted, iteration-order

@@ -25,9 +25,9 @@ type io = {
           page (cached + charged by DBFS) *)
   prefetch_page : int -> int -> unit;
       (** [prefetch_page first nblocks] hints that the page will be read
-          shortly: an async DBFS submits its device read so the service
-          overlaps the decode of the page being scanned now; a no-op on
-          synchronous devices *)
+          shortly: DBFS submits its device read so the service overlaps
+          the decode of the page being scanned now; best-effort, never
+          raises *)
   write_blocks : (int * string) list -> unit;
   alloc : int -> int;
       (** [alloc nblocks] reserves a contiguous run in the metadata heap and

@@ -13,10 +13,11 @@ type io = {
       (** [read_page first nblocks]: concatenated raw page bytes, cached and
           cost-charged by the provider *)
   prefetch_page : int -> int -> unit;
-      (** hint that the page will be read shortly: an async provider
-          submits the device read so its service overlaps the current
-          page's decode ({!iter_from} issues it for the next sibling
-          before descending); a no-op on synchronous devices *)
+      (** hint that the page will be read shortly: the provider submits
+          the device read so its service overlaps the current page's
+          decode ({!iter_from} issues it for the next sibling before
+          descending).  Best-effort: it must not raise, since the scan
+          may stop before it needs the page *)
   write_blocks : (int * string) list -> unit;
   alloc : int -> int;
       (** [alloc nblocks] reserves a contiguous metadata-heap run and

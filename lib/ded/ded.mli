@@ -154,12 +154,11 @@ val execute :
     observationally equivalent for an honestly-declared decomposable
     reduce.
 
-    [?channel] (default 0) names the async submission channel the load
-    stages use on an async {!Block_device}: stage 2/4 batch fetches are
-    pipelined so decode of one chunk overlaps the device service of the
+    [?channel] (default 0) names the {!Block_device} submission channel
+    the load stages use: stage 2/4 batch fetches are pipelined by queue
+    depth so decode of one chunk overlaps the device service of the
     next, and concurrent [execute] calls on distinct channels queue
-    independently (each DED shard gets its own).  On a synchronous
-    device the parameter is inert. *)
+    independently (each DED shard gets its own). *)
 
 (** {1 Built-in functions} ([F_pd^w], provided by rgpdOS itself) *)
 

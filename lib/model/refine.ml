@@ -27,9 +27,9 @@ type op =
 
 type script = op list
 
-type cfg = { segmented : bool; gc_window : int; async_depth : int }
+type cfg = { segmented : bool; gc_window : int; queue_depth : int }
 
-let base_cfg = { segmented = false; gc_window = 1; async_depth = 0 }
+let base_cfg = { segmented = false; gc_window = 1; queue_depth = 1 }
 
 let all_cfgs =
   List.concat_map
@@ -37,17 +37,17 @@ let all_cfgs =
       List.concat_map
         (fun gc_window ->
           List.map
-            (fun async_depth -> { segmented; gc_window; async_depth })
-            [ 0; 4; 64 ])
+            (fun queue_depth -> { segmented; gc_window; queue_depth })
+            [ 1; 4; 64 ])
         [ 1; 4; 64 ])
     [ false; true ]
 
 let budgets = [ 1; 7; 65_536 ]
 
 let cfg_to_string c =
-  Printf.sprintf "%s/gc=%d/async=%d"
+  Printf.sprintf "%s/gc=%d/depth=%d"
     (if c.segmented then "seg" else "heap")
-    c.gc_window c.async_depth
+    c.gc_window c.queue_depth
 
 (* ------------------------------------------------------------------ *)
 (* pools and fixed vocabulary                                         *)
@@ -178,8 +178,7 @@ let dev_config cfg =
     write_latency = 20;
     byte_latency = 0;
     vectored = true;
-    async = cfg.async_depth > 0;
-    queue_depth = max 1 cfg.async_depth;
+    queue_depth = cfg.queue_depth;
   }
 
 let make_st cfg =

@@ -51,15 +51,15 @@ type op =
 
 type script = op list
 
-type cfg = { segmented : bool; gc_window : int; async_depth : int }
+type cfg = { segmented : bool; gc_window : int; queue_depth : int }
 (** One point of the crash-refinement config matrix. *)
 
 val base_cfg : cfg
-(** Heap allocator, group-commit window 1, synchronous device. *)
+(** Heap allocator, group-commit window 1, queue depth 1. *)
 
 val all_cfgs : cfg list
-(** Both allocators x group-commit windows {1,4,64} x async depths
-    {0,4,64} — 18 configs. *)
+(** Both allocators x group-commit windows {1,4,64} x queue depths
+    {1,4,64} — 18 configs. *)
 
 val budgets : int list
 (** Cache budgets the coherence audit runs at: [1; 7; 65536]. *)

@@ -308,38 +308,42 @@ let right_to_rectification t ~pd_id record =
   | Ok () -> Ok ()
   | Error e -> Error (Ded.error_to_string e)
 
-let set_consent t ~subject ~purpose scope =
+(* Rewrite with [f] every membrane in the lineage of each of the
+   subject's PDs — whole lineages, so copies stay consistent — once per
+   lineage, then call [on_lineage pd_id] with the subject's PD that led
+   to it.  Returns how many membranes were rewritten. *)
+let update_subject_lineages t ~subject f ~on_lineage =
   match Dbfs.pds_of_subject t.dbfs ~actor:Ded.actor subject with
   | Error e -> Error (Dbfs.error_to_string e)
   | Ok pd_ids ->
-      (* update each PD's whole lineage so copies stay consistent *)
       let rec go updated seen = function
         | [] -> Ok updated
         | pd_id :: rest -> (
             match Dbfs.get_membrane t.dbfs ~actor:Ded.actor pd_id with
             | Error e -> Error (Dbfs.error_to_string e)
-            | Ok m ->
+            | Ok m -> (
                 let lineage = Membrane.lineage_root m in
                 if List.mem lineage seen then go updated seen rest
                 else
-                  (match
-                     Dbfs.update_membranes_by_lineage t.dbfs ~actor:Ded.actor
-                       ~lineage (fun m -> Membrane.set_consent m ~purpose scope)
-                   with
+                  match
+                    Dbfs.update_membranes_by_lineage t.dbfs ~actor:Ded.actor
+                      ~lineage f
+                  with
                   | Error e -> Error (Dbfs.error_to_string e)
                   | Ok n ->
-                      ignore
-                        (Audit_log.append t.audit ~now:(Clock.now t.clock)
-                           ~actor:Ded.actor
-                           (Audit_log.Consent_changed
-                              {
-                                pd_id;
-                                purpose;
-                                granted = scope <> Membrane.Denied;
-                              }));
+                      on_lineage pd_id;
                       go (updated + n) (lineage :: seen) rest))
       in
       go 0 [] pd_ids
+
+let set_consent t ~subject ~purpose scope =
+  update_subject_lineages t ~subject
+    (fun m -> Membrane.set_consent m ~purpose scope)
+    ~on_lineage:(fun pd_id ->
+      ignore
+        (Audit_log.append t.audit ~now:(Clock.now t.clock) ~actor:Ded.actor
+           (Audit_log.Consent_changed
+              { pd_id; purpose; granted = scope <> Membrane.Denied })))
 
 type consent_receipt = {
   receipt_subject : string;
@@ -403,26 +407,9 @@ let withdraw_consent t ~subject ~purpose =
   set_consent t ~subject ~purpose Membrane.Denied
 
 let set_restriction t ~subject restricted =
-  match Dbfs.pds_of_subject t.dbfs ~actor:Ded.actor subject with
-  | Error e -> Error (Dbfs.error_to_string e)
-  | Ok pd_ids ->
-      let rec go updated seen = function
-        | [] -> Ok updated
-        | pd_id :: rest -> (
-            match Dbfs.get_membrane t.dbfs ~actor:Ded.actor pd_id with
-            | Error e -> Error (Dbfs.error_to_string e)
-            | Ok m ->
-                let lineage = Membrane.lineage_root m in
-                if List.mem lineage seen then go updated seen rest
-                else
-                  (match
-                     Dbfs.update_membranes_by_lineage t.dbfs ~actor:Ded.actor
-                       ~lineage (fun m -> Membrane.set_restricted m restricted)
-                   with
-                  | Error e -> Error (Dbfs.error_to_string e)
-                  | Ok n -> go (updated + n) (lineage :: seen) rest))
-      in
-      go 0 [] pd_ids
+  update_subject_lineages t ~subject
+    (fun m -> Membrane.set_restricted m restricted)
+    ~on_lineage:ignore
 
 let restrict_processing t ~subject = set_restriction t ~subject true
 

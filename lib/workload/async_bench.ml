@@ -1,16 +1,16 @@
-(* Same-build A/B for the asynchronous block-I/O path: one binary, one
-   workload (the E1 DED pipeline), the device booted with [async = false]
-   (the scalar charging model every committed baseline was measured
-   under) against [async = true] at a sweep of queue depths.
+(* Queue-depth sweep for the block-I/O submission queues: one binary, one
+   workload (the E1 DED pipeline), the device booted at each swept queue
+   depth.  Depth 1 — the blocking model every other committed baseline
+   runs on — is the baseline the speedups are measured against.
 
    The probe is [Experiments.e1_ded_stages]: its load stages
    (ded_load_membrane + ded_load_data) are where the pipelined fetches
    overlap decode with in-flight device service, so the headline figure
-   is the load-stage speedup.  The run also cross-checks the async==sync
+   is the load-stage speedup.  The run also cross-checks the depth
    invariant at bench scale: every byte-movement device counter (reads,
    writes, bytes_read, bytes_written, write_ops, trims) must be
-   identical between the sides, and the per-stage breakdown must list
-   the same stages — async moves simulated time, never bytes or
+   identical at every depth, and the per-stage breakdown must list the
+   same stages — queue depth moves simulated time, never bytes or
    outcomes. *)
 
 module Stats = Rgpdos_util.Stats
@@ -28,10 +28,10 @@ let counter r name =
   | Some v -> v
   | None -> 0
 
-(* The A/B carve-out: pipelining splits one big batch read into
+(* The carve-out: pipelining splits one big batch read into
    [queue_depth] in-flight vectored ops, so the {i submission-shape}
-   counters (how many vec ops, how many merged runs, the async queue
-   telemetry) legitimately differ between the sides.  What must be
+   counters (how many vec ops, how many merged runs, the queue
+   telemetry) legitimately differ between depths.  What must be
    identical is byte movement — every per-block and per-byte total —
    plus outcomes and stages.  (The qcheck law in test_async is stricter:
    at the device level, where the op script itself is fixed, only
@@ -61,12 +61,10 @@ type depth_row = {
 
 type size_run = {
   as_subjects : int;
-  as_sync_total_ns : int;
-  as_sync_load_ns : int;
   as_rows : depth_row list;
   as_invariant_ok : bool;
-      (* stages + all byte-movement device counters identical across
-         every async depth and the sync side *)
+      (* stages + all byte-movement device counters identical at every
+         depth *)
 }
 
 type result = {
@@ -79,18 +77,21 @@ type result = {
 let ratio num den = float_of_int num /. float_of_int (max 1 den)
 
 let run_size ~depths ~subjects =
-  let sync = Experiments.e1_ded_stages ~subjects ~async:false () in
-  let sync_load = load_stage_ns sync in
+  let runs =
+    List.map
+      (fun depth ->
+        (depth, Experiments.e1_ded_stages ~subjects ~queue_depth:depth ()))
+      depths
+  in
+  let base = List.assoc 1 runs in
+  let base_load = load_stage_ns base in
   let invariant = ref true in
   let rows =
     List.map
-      (fun depth ->
-        let r =
-          Experiments.e1_ded_stages ~subjects ~async:true ~queue_depth:depth ()
-        in
+      (fun (depth, r) ->
         if
-          (not (counters_equal_modulo_latency sync r))
-          || List.map fst sync.Experiments.e1_stage_ns
+          (not (counters_equal_modulo_latency base r))
+          || List.map fst base.Experiments.e1_stage_ns
              <> List.map fst r.Experiments.e1_stage_ns
         then invariant := false;
         let load = load_stage_ns r in
@@ -98,26 +99,25 @@ let run_size ~depths ~subjects =
           ar_depth = depth;
           ar_total_ns = r.Experiments.e1_total_ns;
           ar_load_ns = load;
-          ar_load_speedup = ratio sync_load load;
+          ar_load_speedup = ratio base_load load;
           ar_total_speedup =
-            ratio sync.Experiments.e1_total_ns r.Experiments.e1_total_ns;
+            ratio base.Experiments.e1_total_ns r.Experiments.e1_total_ns;
           ar_overlap_pct =
             100.0 *. ratio (counter r "overlap_ns_hidden") (counter r "async_service_ns");
           ar_submits = counter r "async_submits";
           ar_highwater = counter r "queue_depth_highwater";
         })
-      depths
+      runs
   in
   {
     as_subjects = subjects;
-    as_sync_total_ns = sync.Experiments.e1_total_ns;
-    as_sync_load_ns = sync_load;
     as_rows = rows;
     as_invariant_ok = !invariant;
   }
 
 let run ?(depths = [ 1; 4; 16; 64 ]) ?(sizes = [ 2_000; 8_000 ]) () =
-  if depths = [] then invalid_arg "Async_bench.run: empty depth sweep";
+  if not (List.mem 1 depths) then
+    invalid_arg "Async_bench.run: the sweep must include depth 1, the baseline";
   if sizes = [] then invalid_arg "Async_bench.run: empty size sweep";
   let sizes_r = List.map (fun n -> run_size ~depths ~subjects:n) sizes in
   let best f =
@@ -139,11 +139,10 @@ let render r =
   let b = Buffer.create 1024 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let msf ns = float_of_int ns /. 1e6 in
-  pf "async block I/O A/B: same build, E1 DED pipeline, async off vs on\n";
+  pf "block I/O queue-depth sweep: same build, E1 DED pipeline, vs depth 1\n";
   List.iter
     (fun s ->
-      pf "  %d subjects: sync total %.3f ms (load stages %.3f ms)%s\n"
-        s.as_subjects (msf s.as_sync_total_ns) (msf s.as_sync_load_ns)
+      pf "  %d subjects%s\n" s.as_subjects
         (if s.as_invariant_ok then "" else "  [INVARIANT VIOLATED]");
       List.iter
         (fun row ->
@@ -163,7 +162,7 @@ let render r =
 
 module Json = Rgpdos_util.Json
 
-let schema_id = "rgpdos-bench-async-io/1"
+let schema_id = "rgpdos-bench-async-io/2"
 
 let depth_row_json (row : depth_row) =
   Json.Obj
@@ -182,8 +181,6 @@ let size_run_json (s : size_run) =
   Json.Obj
     [
       ("subjects", Json.int s.as_subjects);
-      ("sync_total_ns", Json.int s.as_sync_total_ns);
-      ("sync_load_ns", Json.int s.as_sync_load_ns);
       ("invariant_ok", Json.Bool s.as_invariant_ok);
       ("rows", Json.List (List.map depth_row_json s.as_rows));
     ]

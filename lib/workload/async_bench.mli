@@ -1,21 +1,20 @@
-(** Same-build A/B driver for the asynchronous block-I/O path.
+(** Queue-depth sweep for the block-I/O submission queues.
 
-    Runs the E1 DED pipeline on one binary with the device's async
-    submission queues off (the scalar charging model of every committed
-    baseline) and on, sweeping queue depth, and reports the load-stage
-    and total speedups plus the overlap ratio
+    Runs the E1 DED pipeline on one binary at each swept queue depth and
+    reports the load-stage and total speedups over depth 1 (the blocking
+    model every other committed baseline runs on) plus the overlap ratio
     ([overlap_ns_hidden / async_service_ns]).  Each run also
-    cross-checks the async==sync
-    invariant at bench scale: identical stages and identical
-    byte-movement device counters (reads, writes, bytes_read,
-    bytes_written, write_ops, trims) — submission-shape counters may
-    differ, since pipelining splits one batch op into several. *)
+    cross-checks the depth invariant at bench scale: identical stages
+    and identical byte-movement device counters (reads, writes,
+    bytes_read, bytes_written, write_ops, trims) at every depth —
+    submission-shape counters may differ, since pipelining splits one
+    batch op into several. *)
 
 type depth_row = {
-  ar_depth : int;  (** queue depth of this async run *)
+  ar_depth : int;  (** queue depth of this run *)
   ar_total_ns : int;
   ar_load_ns : int;  (** ded_load_membrane + ded_load_data simulated ns *)
-  ar_load_speedup : float;  (** sync load stages / async load stages *)
+  ar_load_speedup : float;  (** depth-1 load stages / this depth's *)
   ar_total_speedup : float;
   ar_overlap_pct : float;
       (** device service hidden behind compute, percent of total service *)
@@ -25,9 +24,9 @@ type depth_row = {
 
 type size_run = {
   as_subjects : int;
-  as_sync_total_ns : int;
-  as_sync_load_ns : int;
-  as_rows : depth_row list;  (** one per swept depth, input order *)
+  as_rows : depth_row list;
+      (** one per swept depth, input order; the depth-1 row is the
+          baseline *)
   as_invariant_ok : bool;
       (** same stages and same byte-movement device counters on every side *)
 }
@@ -43,6 +42,7 @@ type result = {
 
 val run : ?depths:int list -> ?sizes:int list -> unit -> result
 (** Defaults: depths [1; 4; 16; 64], sizes [2_000; 8_000] subjects.
+    [depths] must include 1, the baseline.
     Deterministic: simulated figures depend only on the parameters. *)
 
 val render : result -> string
@@ -51,6 +51,7 @@ val schema_id : string
 (** The artifact's ["schema"] value. *)
 
 val to_json : wall_ms:float -> result -> Rgpdos_util.Json.t
-(** The committed artifact, BENCH_async_io.json: the depth sweep per population size with the
-    sync baseline, per-depth speedups, overlap and the async==sync verdict.
+(** The committed artifact, BENCH_async_io.json: the depth sweep per
+    population size (the depth-1 row is the baseline), per-depth
+    speedups, overlap and the depth-invariant verdict.
     [wall_ms] is the run's host time. *)

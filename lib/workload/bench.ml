@@ -907,7 +907,7 @@ let async =
     regen = regen "async";
     gates =
       [
-        flag "async == sync" [ K "sizes"; Each; K "invariant_ok" ];
+        flag "same bytes at every depth" [ K "sizes"; Each; K "invariant_ok" ];
         bar "depth >= 4 swept"
           [ K "sizes"; Each; K "rows"; Max_by "depth"; K "depth" ]
           (Ge 4.0);
@@ -922,7 +922,7 @@ let async =
           timed (fun () ->
               AB.run ~sizes:(d ~quick [ 2_000; 8_000 ] [ 400; 1_000 ]) ())
         in
-        section "ASYNC — submission/completion queues A/B (E1, async off vs on)"
+        section "ASYNC — submission/completion queue depth sweep (E1, vs depth 1)"
           (AB.render r);
         AB.to_json ~wall_ms r);
   }

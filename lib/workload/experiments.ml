@@ -27,13 +27,12 @@ let fmt_f = Table.fmt_float
 
 (* Boot a machine sized for [n] PD entries and loaded with the workload
    declarations. *)
-let boot_sized ?(vectored = true) ?(async = false) ?queue_depth ~seed ~n () =
+let boot_sized ?(vectored = true) ?queue_depth ~seed ~n () =
   let config =
     {
       Block_device.default_config with
       Block_device.block_count = max 16_384 ((n * 8) + 4_096);
       Block_device.vectored;
-      Block_device.async;
       Block_device.queue_depth =
         (match queue_depth with
         | Some d -> max 1 d
@@ -87,9 +86,9 @@ type e1_result = {
   e1_device : (string * int) list;
 }
 
-let e1_ded_stages ?(subjects = 2_000) ?(vectored = true) ?(async = false)
-    ?queue_depth ?cores () =
-  let m = boot_sized ~vectored ~async ?queue_depth ~seed:101L ~n:subjects () in
+let e1_ded_stages ?(subjects = 2_000) ?(vectored = true) ?queue_depth ?cores ()
+    =
+  let m = boot_sized ~vectored ?queue_depth ~seed:101L ~n:subjects () in
   let prng = Prng.create ~seed:102L () in
   collect_population m (Population.generate prng ~n:subjects);
   register_reader m ~name:"e1_reader" ~purpose:"service"
@@ -103,8 +102,8 @@ let e1_ded_stages ?(subjects = 2_000) ?(vectored = true) ?(async = false)
   with
   | Error e -> failwith ("e1: " ^ e)
   | Ok outcome ->
-      (* settle any in-flight async charge so the A/B totals compare the
-         same completed work (no-op on a synchronous device) *)
+      (* settle any in-flight charge so runs at different queue depths
+         compare the same completed work *)
       Block_device.drain (Machine.pd_device m);
       {
         e1_subjects = subjects;

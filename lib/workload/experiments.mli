@@ -21,7 +21,6 @@ type e1_result = {
 val e1_ded_stages :
   ?subjects:int ->
   ?vectored:bool ->
-  ?async:bool ->
   ?queue_depth:int ->
   ?cores:int ->
   unit ->
@@ -31,10 +30,10 @@ val e1_ded_stages :
     [BENCH_vectored_io.json].  [?cores] bounds the parallel [ded_execute]
     fan-out ([~cores:1] is the sequential before-run of the
     [BENCH_parallel_scale.json] pair; the default is the Host core
-    count).  [?async] boots the device with submission/completion queues
-    of [?queue_depth] slots — the same-build A/B pair behind
+    count).  [?queue_depth] (default 1, the blocking model) sizes the
+    device's submission/completion queues — the depth sweep behind
     [BENCH_async_io.json]; all in-flight charge is drained before the
-    totals are read, so async-vs-sync compares completed work. *)
+    totals are read, so every depth compares completed work. *)
 
 val render_e1 : e1_result -> string
 

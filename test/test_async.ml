@@ -1,8 +1,9 @@
-(* The asynchronous submission/completion queues: engine arithmetic,
-   the qcheck async==sync law (an op script produces identical images,
-   payloads and counters at every queue depth — only the latency
-   telemetry may differ), the DBFS warm==cold pin under async, and the
-   BENCH_async_io.json artifact machinery (regression gate included). *)
+(* The submission/completion queues: engine arithmetic, depth 1 as the
+   blocking model (the device's and DBFS's), the qcheck law (an op script
+   produces identical images, payloads and counters at depths 1, 4 and 64
+   — only the latency telemetry may differ), the DBFS warm==cold pin at
+   depth 4, and the BENCH_async_io.json artifact machinery (regression
+   gate included). *)
 
 module Clock = Rgpdos_util.Clock
 module Stats = Rgpdos_util.Stats
@@ -13,6 +14,8 @@ module M = Rgpdos_membrane.Membrane
 module Value = Rgpdos_dbfs.Value
 module Schema = Rgpdos_dbfs.Schema
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Record = Rgpdos_dbfs.Record
+module Query = Rgpdos_dbfs.Query
 module AB = Rgpdos_workload.Async_bench
 module Bench = Rgpdos_workload.Bench
 
@@ -30,7 +33,7 @@ let counter dev name = Stats.Counter.get (Block_device.stats dev) name
 (* 16-byte blocks, seek 10, 1 ns/byte: a single-block vectored read
    costs exactly 26 ns — small enough to do the queue arithmetic by
    hand. *)
-let async_config ~async ~queue_depth =
+let async_config ~queue_depth =
   {
     Block_device.block_size = 16;
     block_count = 64;
@@ -38,69 +41,82 @@ let async_config ~async ~queue_depth =
     write_latency = 20;
     byte_latency = 1;
     vectored = true;
-    async;
     queue_depth;
   }
 
-let make_dev ~async ~queue_depth =
+let make_dev ~queue_depth =
   let clock = Clock.create () in
-  let dev =
-    Block_device.create ~config:(async_config ~async ~queue_depth) ~clock ()
-  in
+  let dev = Block_device.create ~config:(async_config ~queue_depth) ~clock () in
   (dev, clock)
 
 let read_1 = 10 + 16 (* one single-block read: seek + 16 bytes *)
 
 (* ------------------------------------------------------------------ *)
-(* engine: sync degradation                                           *)
+(* engine: depth 1 is the blocking model                               *)
 
-let test_sync_mode_identity () =
-  let dev, clock = make_dev ~async:false ~queue_depth:8 in
-  List.iter (fun i -> Block_device.write dev i (Printf.sprintf "b%d" i))
-    [ 3; 4; 5 ];
-  Block_device.reset_stats dev;
-  let t0 = Clock.now clock in
-  let tk = Block_device.submit_read_vec dev [ 3; 4; 5 ] in
-  (* async=false: the submission charges synchronously, like read_vec *)
-  check_int "submit charged the read_vec cost" (10 + 48) (Clock.now clock - t0);
-  let t1 = Clock.now clock in
-  let payload = Block_device.await dev tk in
-  check_int "await is free" 0 (Clock.now clock - t1);
-  Alcotest.(check (list int)) "payload indices" [ 3; 4; 5 ]
-    (List.map fst payload);
+(* At depth 1 a submission awaited at once costs exactly the blocking
+   call and moves the same bytes and IO counters; only the queue
+   counters tell them apart. *)
+let test_depth1_is_blocking () =
+  let blocking, bclock = make_dev ~queue_depth:1 in
+  let queued, qclock = make_dev ~queue_depth:1 in
   List.iter
-    (fun (i, data) ->
-      check_bool "payload bytes" true
-        (String.sub data 0 2 = Printf.sprintf "b%d" i))
-    payload;
-  check_int "reads" 3 (counter dev "reads");
-  check_int "bytes_read" 48 (counter dev "bytes_read");
-  check_int "vec_reads" 1 (counter dev "vec_reads");
-  check_int "merged_runs" 1 (counter dev "merged_runs");
-  (* the submit API is accounted in both modes ... *)
-  check_int "async_submits" 1 (counter dev "async_submits");
-  check_int "async_completions" 1 (counter dev "async_completions");
-  check_int "async_service_ns" 58 (counter dev "async_service_ns");
-  (* ... but the queue telemetry stays zero when nothing queues *)
-  check_int "no overlap in sync mode" 0 (counter dev "overlap_ns_hidden");
-  check_int "no highwater in sync mode" 0 (counter dev "queue_depth_highwater");
-  (* charge-only and write submissions degrade the same way *)
-  let t2 = Clock.now clock in
-  let tkc = Block_device.submit_charge_read_vec dev [ 3; 4; 5 ] in
-  check_int "charge-only submit costs the same" 58 (Clock.now clock - t2);
-  check_bool "charge-only payload empty" true (Block_device.await dev tkc = []);
-  let t3 = Clock.now clock in
-  ignore (Block_device.submit_write_vec dev [ (7, "x"); (8, "y") ]);
-  check_int "write submit charged like write_vec" (20 + 32)
-    (Clock.now clock - t3);
-  check_bool "write visible" true (String.sub (Block_device.read dev 7) 0 1 = "x");
-  check_int "nothing outstanding" 0 (Block_device.outstanding dev)
+    (fun dev ->
+      List.iter
+        (fun i -> Block_device.write dev i (Printf.sprintf "b%d" i))
+        [ 3; 4; 5 ];
+      Block_device.reset_stats dev)
+    [ blocking; queued ];
+  let cost clock f =
+    let t0 = Clock.now clock in
+    let v = f () in
+    (v, Clock.now clock - t0)
+  in
+  let await = Block_device.await queued in
+  let got_b, cb =
+    cost bclock (fun () -> Block_device.read_vec blocking [ 3; 4; 5 ])
+  in
+  let got_q, cq =
+    cost qclock (fun () -> await (Block_device.submit_read_vec queued [ 5; 3; 4 ]))
+  in
+  check_int "read_vec: one seek + 48 bytes" (10 + 48) cb;
+  check_int "read: queued == blocking" cb cq;
+  check_bool "read: same payload" true (got_b = got_q);
+  let _, cb =
+    cost bclock (fun () -> Block_device.charge_read_vec blocking [ 3; 4; 5 ])
+  in
+  let got_q, cq =
+    cost qclock (fun () ->
+        await (Block_device.submit_charge_read_vec queued [ 3; 4; 5 ]))
+  in
+  check_int "charge-only: queued == blocking" cb cq;
+  check_bool "charge-only payload empty" true (got_q = []);
+  let ws = [ (7, "x"); (8, "y") ] in
+  let _, cb = cost bclock (fun () -> Block_device.write_vec blocking ws) in
+  let _, cq =
+    cost qclock (fun () -> await (Block_device.submit_write_vec queued ws))
+  in
+  check_int "write_vec: one seek + 32 bytes" (20 + 32) cb;
+  check_int "write: queued == blocking" cb cq;
+  check_bool "same image" true
+    (Block_device.snapshot blocking = Block_device.snapshot queued);
+  List.iter
+    (fun k -> check_int k (counter blocking k) (counter queued k))
+    [
+      "reads"; "bytes_read"; "vec_reads"; "writes"; "bytes_written";
+      "vec_writes"; "write_ops"; "merged_runs";
+    ];
+  check_int "submits" 3 (counter queued "async_submits");
+  check_int "completions" 3 (counter queued "async_completions");
+  check_int "nothing hidden" 0 (counter queued "overlap_ns_hidden");
+  check_int "highwater" 1 (counter queued "queue_depth_highwater");
+  check_int "nothing outstanding" 0 (Block_device.outstanding queued)
 
 (* ------------------------------------------------------------------ *)
 (* engine: queue arithmetic                                           *)
 
 let test_depth1_is_serial () =
-  let dev, clock = make_dev ~async:true ~queue_depth:1 in
+  let dev, clock = make_dev ~queue_depth:1 in
   let t0 = Clock.now clock in
   let tk1 = Block_device.submit_read_vec dev [ 3 ] in
   let tk2 = Block_device.submit_read_vec dev [ 9 ] in
@@ -115,7 +131,7 @@ let test_depth1_is_serial () =
   check_int "highwater" 2 (counter dev "queue_depth_highwater")
 
 let test_overlap_at_depth4 () =
-  let dev, clock = make_dev ~async:true ~queue_depth:4 in
+  let dev, clock = make_dev ~queue_depth:4 in
   let t0 = Clock.now clock in
   let tks =
     List.map (fun i -> Block_device.submit_read_vec dev [ i ]) [ 1; 2; 3; 4 ]
@@ -133,7 +149,7 @@ let test_overlap_at_depth4 () =
   check_int "completions" 4 (counter dev "async_completions")
 
 let test_queueing_beyond_depth () =
-  let dev, clock = make_dev ~async:true ~queue_depth:2 in
+  let dev, clock = make_dev ~queue_depth:2 in
   let t0 = Clock.now clock in
   let tks =
     List.map (fun i -> Block_device.submit_read_vec dev [ i ]) [ 1; 2; 3; 4 ]
@@ -145,7 +161,7 @@ let test_queueing_beyond_depth () =
     (counter dev "queue_depth_highwater")
 
 let test_channels_are_independent () =
-  let dev, clock = make_dev ~async:true ~queue_depth:1 in
+  let dev, clock = make_dev ~queue_depth:1 in
   let t0 = Clock.now clock in
   let a = Block_device.submit_read_vec dev ~channel:0 [ 3 ] in
   let b = Block_device.submit_read_vec dev ~channel:1 [ 9 ] in
@@ -155,7 +171,7 @@ let test_channels_are_independent () =
   check_int "channels overlap each other" read_1 (Clock.now clock - t0)
 
 let test_await_idempotent_and_drain () =
-  let dev, clock = make_dev ~async:true ~queue_depth:4 in
+  let dev, clock = make_dev ~queue_depth:4 in
   Block_device.write dev 5 "payload-five";
   Block_device.reset_stats dev;
   let tk = Block_device.submit_read_vec dev [ 5 ] in
@@ -175,7 +191,7 @@ let test_await_idempotent_and_drain () =
     | _ -> false)
 
 let test_write_bytes_persist_at_submit () =
-  let dev, clock = make_dev ~async:true ~queue_depth:4 in
+  let dev, clock = make_dev ~queue_depth:4 in
   let t0 = Clock.now clock in
   let tk = Block_device.submit_write_vec dev [ (5, "hello-async") ] in
   check_int "submission is free" 0 (Clock.now clock - t0);
@@ -188,14 +204,14 @@ let test_write_bytes_persist_at_submit () =
   check_int "write counters" 1 (counter dev "writes")
 
 (* ------------------------------------------------------------------ *)
-(* the qcheck law: async == sync modulo latency telemetry             *)
+(* the qcheck law: depth 1 == depths 4/64 modulo latency telemetry    *)
 
 (* A deterministic op script drawn from a seed: submissions on a few
    channels, interleaved compute, early awaits of the oldest ticket.
-   The law: running one script on a synchronous device and on async
-   devices at depths 1 / 4 / 64 yields identical payloads, identical
-   final images and identical counters — except queue_depth_highwater
-   and overlap_ns_hidden, which describe the queue itself. *)
+   The law: running one script at depth 1 (the blocking model) and at
+   depths 4 / 64 yields identical payloads, identical final images and
+   identical counters — except queue_depth_highwater and
+   overlap_ns_hidden, which describe the queue itself. *)
 
 type op =
   | Read of int * int list          (* channel, indices *)
@@ -225,8 +241,8 @@ let gen_script seed =
       | 7 | 8 -> Compute (Prng.int prng 40)
       | _ -> AwaitOldest)
 
-let run_script ~async ~queue_depth script =
-  let dev, clock = make_dev ~async ~queue_depth in
+let run_script ~queue_depth script =
+  let dev, clock = make_dev ~queue_depth in
   (* a deterministic pre-image so reads have bytes to capture *)
   for i = 0 to 63 do
     Block_device.write dev i (Printf.sprintf "init-%02d" i)
@@ -268,15 +284,15 @@ let prop_async_eq_sync =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let script = gen_script seed in
-      let reference = run_script ~async:false ~queue_depth:8 script in
+      let reference = run_script ~queue_depth:1 script in
       List.for_all
-        (fun depth -> run_script ~async:true ~queue_depth:depth script = reference)
-        [ 1; 4; 64 ])
+        (fun depth -> run_script ~queue_depth:depth script = reference)
+        [ 4; 64 ])
 
 (* ------------------------------------------------------------------ *)
-(* DBFS under async: warm == cold, outcomes unchanged                 *)
+(* DBFS: depth 1 is blocking, warm == cold, outcomes unchanged         *)
 
-let dbfs_config ~async =
+let dbfs_config ~queue_depth =
   {
     Block_device.block_size = 512;
     block_count = 512;
@@ -284,8 +300,7 @@ let dbfs_config ~async =
     write_latency = 20;
     byte_latency = 0;
     vectored = true;
-    async;
-    queue_depth = 4;
+    queue_depth;
   }
 
 let user_schema () =
@@ -302,9 +317,9 @@ let user_schema () =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
-let setup_dbfs ~async =
+let setup_dbfs ~queue_depth =
   let clock = Clock.create () in
-  let dev = Block_device.create ~config:(dbfs_config ~async) ~clock () in
+  let dev = Block_device.create ~config:(dbfs_config ~queue_depth) ~clock () in
   let t = Dbfs.format dev ~journal_blocks:16 in
   ok (Dbfs.create_type t ~actor:ded (user_schema ()));
   (t, dev, clock)
@@ -322,8 +337,70 @@ let insert_user t ~subject ~pwd =
            ~sensitivity:schema.Schema.default_sensitivity
            ~collection:schema.Schema.collection ()))
 
+(* At depth 1 a batch load is one request settled before any decode:
+   [get_membranes], [get_records] and a residual [select] each cost
+   exactly one blocking [read_vec] of the batch's blocks (the
+   [charge_read_vec] it equals once every entry is cached) plus the
+   per-entry checksum charges, cold and warm alike. *)
+let test_dbfs_depth1_is_blocking () =
+  let t, dev, clock = setup_dbfs ~queue_depth:1 in
+  let pds =
+    List.init 6 (fun i -> insert_user t ~subject:(Printf.sprintf "b%d" i) ~pwd:"pw")
+  in
+  let blocks pick =
+    List.concat_map (fun pd -> pick (ok (Dbfs.entry_blocks t ~actor:ded pd))) pds
+  in
+  let membrane_sizes =
+    List.map
+      (fun (_, m) -> String.length (M.encode m))
+      (ok (Dbfs.get_membranes t ~actor:ded pds))
+  in
+  let record_sizes =
+    List.map
+      (fun (_, r) -> String.length (Record.encode (Option.get r)))
+      (ok (Dbfs.get_records t ~actor:ded pds))
+  in
+  (* one blocking read of [bs], on a twin device *)
+  let blocking bs =
+    let twin_clock = Clock.create () in
+    let twin =
+      Block_device.create ~config:(dbfs_config ~queue_depth:1) ~clock:twin_clock ()
+    in
+    Block_device.charge_read_vec twin bs;
+    Clock.now twin_clock
+  in
+  let checksums sizes = List.fold_left (fun acc n -> acc + max 1 (n / 64)) 0 sizes in
+  let check_batch what ~blocks ~sizes f =
+    (* a remount empties every cache: the first pass is cold *)
+    let cold =
+      match Dbfs.crash_and_remount t with Ok c -> c | Error e -> Alcotest.fail e
+    in
+    List.iter
+      (fun pass ->
+        let reads = counter dev "vec_reads" in
+        let t0 = Clock.now clock in
+        ignore (ok (f cold));
+        check_int
+          (Printf.sprintf "%s (%s): one blocking read + checksums" what pass)
+          (blocking blocks + checksums sizes)
+          (Clock.now clock - t0);
+        check_int
+          (Printf.sprintf "%s (%s): one request" what pass)
+          1
+          (counter dev "vec_reads" - reads))
+      [ "cold"; "warm" ]
+  in
+  check_batch "get_membranes" ~blocks:(blocks snd) ~sizes:membrane_sizes
+    (fun t -> Dbfs.get_membranes t ~actor:ded pds);
+  check_batch "get_records" ~blocks:(blocks fst) ~sizes:record_sizes (fun t ->
+      Dbfs.get_records t ~actor:ded pds);
+  check_batch "residual select" ~blocks:(blocks fst) ~sizes:record_sizes
+    (fun t ->
+      Dbfs.select t ~actor:ded ~use_indexes:false "user"
+        (Query.Eq ("pwd", Value.VString "pw")))
+
 let test_dbfs_warm_eq_cold_under_async () =
-  let t, _, clock = setup_dbfs ~async:true in
+  let t, _, clock = setup_dbfs ~queue_depth:4 in
   let pds =
     List.init 8 (fun i -> insert_user t ~subject:(Printf.sprintf "w%d" i) ~pwd:"pw")
   in
@@ -334,7 +411,7 @@ let test_dbfs_warm_eq_cold_under_async () =
   in
   let cold = cost (fun () -> Dbfs.get_membranes t ~actor:ded pds) in
   let warm = cost (fun () -> Dbfs.get_membranes t ~actor:ded pds) in
-  check_bool "async batch charges device time" true (cold > 0);
+  check_bool "queued batch charges device time" true (cold > 0);
   (* cache hits ride the charge-only submission path with the same
      chunk shape as the cold fetch, so the pipeline hides the same
      amount of service both times *)
@@ -343,9 +420,10 @@ let test_dbfs_warm_eq_cold_under_async () =
   let warm_r = cost (fun () -> Dbfs.get_records t ~actor:ded pds) in
   check_int "records: warm = cold" cold_r warm_r
 
+(* depth 4 against the depth-1 (blocking) reference *)
 let test_dbfs_outcomes_match_sync () =
-  let build ~async =
-    let t, dev, _ = setup_dbfs ~async in
+  let build ~queue_depth =
+    let t, dev, _ = setup_dbfs ~queue_depth in
     let pds =
       List.init 10 (fun i ->
           insert_user t ~subject:(Printf.sprintf "s%d" i) ~pwd:"secret")
@@ -356,8 +434,8 @@ let test_dbfs_outcomes_match_sync () =
     Block_device.drain dev;
     (ms, rs, Block_device.snapshot dev)
   in
-  let sm, sr, simg = build ~async:false in
-  let am, ar, aimg = build ~async:true in
+  let sm, sr, simg = build ~queue_depth:1 in
+  let am, ar, aimg = build ~queue_depth:4 in
   check_bool "membranes identical" true (sm = am);
   check_bool "records identical" true (sr = ar);
   check_bool "on-device image identical" true (simg = aimg)
@@ -384,8 +462,6 @@ let fake_result ?(invariant = true) ~speedup ~overlap () =
       [
         {
           AB.as_subjects = 100;
-          as_sync_total_ns = 2_000_000;
-          as_sync_load_ns = 800_000;
           as_rows =
             [
               fake_row ~depth:1 ~speedup:1.0 ~overlap:0.0;
@@ -442,7 +518,8 @@ let () =
     [
       ( "engine",
         [
-          Alcotest.test_case "sync-mode identity" `Quick test_sync_mode_identity;
+          Alcotest.test_case "depth 1 is the blocking model" `Quick
+            test_depth1_is_blocking;
           Alcotest.test_case "depth 1 is serial" `Quick test_depth1_is_serial;
           Alcotest.test_case "overlap at depth 4" `Quick test_overlap_at_depth4;
           Alcotest.test_case "queueing beyond depth" `Quick
@@ -457,6 +534,8 @@ let () =
       ("law", [ QCheck_alcotest.to_alcotest prop_async_eq_sync ]);
       ( "dbfs",
         [
+          Alcotest.test_case "depth 1 is the blocking model" `Quick
+            test_dbfs_depth1_is_blocking;
           Alcotest.test_case "warm == cold under async" `Quick
             test_dbfs_warm_eq_cold_under_async;
           Alcotest.test_case "outcomes match sync" `Quick

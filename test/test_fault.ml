@@ -30,8 +30,7 @@ let small_config =
     write_latency = 20;
     byte_latency = 0;
     vectored = true;
-    async = false;
-    queue_depth = 8;
+    queue_depth = 1;
   }
 
 let make_dev () =
@@ -271,6 +270,57 @@ let test_transient_fault_ridden_out () =
   check_bool "bounded retries recorded" true
     (Stats.Counter.get (Dbfs.stats store) "fault_retries" > 0)
 
+(* The next-sibling prefetch of a tree scan is speculative: a page the
+   scan never reads must not fail it, whether the scan stops early or
+   fsck collects the whole entries tree. *)
+let test_faulted_prefetch_sibling_skipped () =
+  let m, people = boot_machine ~subjects:40 () in
+  Dbfs.checkpoint (Machine.dbfs m);
+  let store = cold_remount (Machine.dbfs m) in
+  let dev = Dbfs.device store in
+  let pds_of s =
+    match Dbfs.pds_of_subject store ~actor s with
+    | Ok pds -> pds
+    | Error e -> Alcotest.fail (s ^ ": " ^ Dbfs.error_to_string e)
+  in
+  let ids =
+    List.map (fun (p : Population.person) -> p.Population.subject_id) people
+  in
+  let all = List.concat_map pds_of ids in
+  (* early stop: fault every index page but the subject tree's left spine,
+     whose pages all hold the first subject's keys; its scan ends inside
+     the leftmost leaf after prefetching that leaf's faulted sibling *)
+  let first = List.fold_left min (List.hd ids) ids in
+  let expected = pds_of first in
+  let spine = List.map fst (Block_device.scan dev (first ^ "\x00")) in
+  let off_spine =
+    List.filter
+      (fun (b, n) -> not (List.exists (fun x -> x >= b && x < b + n) spine))
+      (Dbfs.index_page_blocks store)
+  in
+  check_bool "some index pages faulted" true (off_spine <> []);
+  List.iter (fun (b, _) -> Block_device.inject_fault dev b) off_spine;
+  check_bool "early-stopping scan still answers" true (pds_of first = expected);
+  List.iter (fun (b, _) -> Block_device.clear_fault dev b) off_spine;
+  (* full scan: a fault on the entries tree's rightmost leaf loses that
+     leaf's entries, and only those, to fsck_repair *)
+  let pages = Dbfs.entry_page_blocks store in
+  check_bool "entries tree has several leaves" true (List.length pages >= 3);
+  let leaf, _ = List.nth pages (List.length pages - 1) in
+  Block_device.inject_fault dev leaf;
+  let kept =
+    List.filter (fun pd -> Result.is_ok (Dbfs.entry_blocks store ~actor pd)) all
+  in
+  check_bool "the leaf holds some entries, not all" true
+    (kept <> [] && List.length kept < List.length all);
+  ignore (Dbfs.fsck_repair store);
+  Block_device.clear_fault dev leaf;
+  List.iter
+    (fun pd ->
+      check_bool ("entry before the faulted leaf kept: " ^ pd) true
+        (Result.is_ok (Dbfs.get_record store ~actor pd)))
+    kept
+
 let test_degraded_mode_read_only () =
   let m, people = boot_machine () in
   let store = Machine.dbfs m in
@@ -441,6 +491,8 @@ let () =
             test_index_damage_detected_and_rebuilt;
           Alcotest.test_case "transient fault ridden out" `Quick
             test_transient_fault_ridden_out;
+          Alcotest.test_case "faulted prefetch sibling skipped" `Quick
+            test_faulted_prefetch_sibling_skipped;
           Alcotest.test_case "degraded mode is read-only" `Quick
             test_degraded_mode_read_only;
           Alcotest.test_case "remount fails on dead superblock" `Quick

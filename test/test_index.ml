@@ -40,8 +40,7 @@ let small_config =
     write_latency = 20;
     byte_latency = 0;
     vectored = true;
-    async = false;
-    queue_depth = 8;
+    queue_depth = 1;
   }
 
 (* two indexed fields (one int — exercising the ordered index — and one

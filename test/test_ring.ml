@@ -22,8 +22,7 @@ let make_ring ?(num_blocks = 8) () =
           write_latency = 1;
           byte_latency = 0;
           vectored = true;
-          async = false;
-          queue_depth = 8;
+          queue_depth = 1;
         }
       ~clock ()
   in

@@ -36,8 +36,7 @@ let vec_config vectored =
     write_latency = 20;
     byte_latency = 1;
     vectored;
-    async = false;
-    queue_depth = 8;
+    queue_depth = 1;
   }
 
 let make_dev vectored =
@@ -121,8 +120,7 @@ let small_config =
     write_latency = 20;
     byte_latency = 0;
     vectored = true;
-    async = false;
-    queue_depth = 8;
+    queue_depth = 1;
   }
 
 let high_schema () =
