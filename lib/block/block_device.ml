@@ -205,15 +205,6 @@ let read dev i =
   let b = dev.blocks.(i) in
   if b = "" then String.make dev.cfg.block_size '\000' else b
 
-(* Same simulated cost and accounting as [read], without moving the bytes:
-   callers holding a decoded in-memory copy (the DBFS membrane cache) use
-   this so the device-level cost model stays byte-identical. *)
-let charge_read dev i =
-  check dev i;
-  charge dev dev.cfg.read_latency dev.cfg.block_size;
-  Stats.Counter.incr dev.counters "reads";
-  Stats.Counter.incr dev.counters ~by:dev.cfg.block_size "bytes_read"
-
 (* ---------- vectored IO ----------
 
    A vectored request names a set of blocks.  We sort the set (elevator

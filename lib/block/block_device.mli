@@ -51,13 +51,6 @@ val read : t -> int -> string
 (** [read dev i] returns the contents of block [i] (always [block_size]
     bytes; unwritten blocks read as zeros). *)
 
-val charge_read : t -> int -> unit
-(** Charge exactly the simulated cost (and IO statistics) of [read dev i]
-    without transferring the block's bytes.  Used by read caches that hold
-    a decoded copy in host memory: the host-side work disappears but the
-    simulated device cost model — and therefore every experiment's
-    [stage_ns] accounting — is unchanged. *)
-
 val read_vec : t -> int list -> (int * string) list
 (** [read_vec dev indices] reads all the named blocks in one vectored
     request.  The indices are sorted (elevator order), duplicates are
@@ -68,9 +61,9 @@ val read_vec : t -> int list -> (int * string) list
 
 val charge_read_vec : t -> int list -> unit
 (** Charge exactly the simulated cost (and IO statistics) of
-    [read_vec dev indices] without transferring any bytes.  The vectored
-    analogue of {!charge_read}: read caches use it so a cache hit costs
-    the same simulated device time as the vectored miss it replaces. *)
+    [read_vec dev indices] without transferring any bytes.  Read caches
+    use it so a cache hit costs the same simulated device time as the
+    vectored miss it replaces. *)
 
 val write_vec : t -> (int * string) list -> unit
 (** [write_vec dev writes] stores every [(index, data)] pair in one

@@ -3,7 +3,6 @@ module Journal_ring = Rgpdos_block.Journal_ring
 module Clock = Rgpdos_util.Clock
 module Codec = Rgpdos_util.Codec
 module Fnv = Rgpdos_util.Fnv
-module Pool = Rgpdos_util.Pool
 module Stats = Rgpdos_util.Stats
 module Membrane = Rgpdos_membrane.Membrane
 
@@ -69,14 +68,6 @@ type cached =
   | C_membrane of Membrane.t
   | C_record of Record.t
 
-(* The data-region allocation bitmap is hydrated on demand: a clean mount
-   does not read it (keeping mount O(1)); the first allocation, free or
-   fsck pulls it off the device.  [bm_present = false] means the store
-   has never checkpointed a bitmap — every data block is free. *)
-type free_state =
-  | F_unloaded
-  | F_loaded of bool array
-
 type t = {
   dev : Block_device.t;
   ring : Journal_ring.t;
@@ -85,8 +76,7 @@ type t = {
   meta_blocks : int;
   bitmap_blocks : int; (* capacity of the bitmap region *)
   heap_cap : int; (* blocks per metadata heap half *)
-  data_start : int;
-  high_start : int; (* first block of the sensitive region *)
+  space : Space.t; (* the data region: zones, free map, placement *)
   tables : (string, table) Hashtbl.t;
   entries : (string, entry) Hashtbl.t;
       (* dirty overlay over the checkpointed entries tree: every entry
@@ -100,14 +90,6 @@ type t = {
          expiry queue; paged on the device since PR 6, with an in-memory
          overlay.  Mutable so [fsck ~repair] can swap in a rebuild. *)
   mutable index_roots : Index.roots;
-  mutable free_state : free_state;
-  mutable bm_present : bool;
-  mutable bm_bytes : int;
-  hints : int array;
-      (* per-zone allocation cursors, in free-array coordinates: every
-         slot below [hints.(z)] inside zone [z] is allocated.  Keeps
-         first-fit amortized O(1) over append-heavy workloads while
-         returning bit-identical placements (frees move the hint back). *)
   mutable active_half : int; (* heap half holding the live trees *)
   mutable heap_used : int; (* blocks consumed in the active half *)
   mutable root_seq : int;
@@ -123,15 +105,6 @@ type t = {
          keyed by first block.  [read_page] consumes a pending ticket
          instead of re-reading; checkpoint settles and drops leftovers
          alongside the page-cache invalidation. *)
-  (* log-structured mode: payload extents bump-allocate inside per-zone
-     segments; superseded blocks stay dirty until a purge or compaction
-     destroys them (see segstore.ml).  [None] = classic update-in-place
-     first-fit, kept on the same build for A/B comparison. *)
-  segmented : bool;
-  seg_blocks : int;
-  segstore : Segstore.t option;
-  mutable compacting : bool; (* reentrancy guard for the compactor *)
-  mutable pool : Pool.t option; (* optional checksum-verify fan-out *)
 }
 
 let superblock_magic = "RGPDBFS1"
@@ -139,23 +112,6 @@ let root_magic = "RGPDROOT"
 let meta_blocks_default = 128
 let root_slot_blocks = 8
 let default_cache_budget = 65536
-let default_seg_blocks = 64
-
-(* Compaction / backpressure policy (segmented mode only).  All figures
-   are deterministic: the stall is simulated-clock time charged to the op
-   that rode over the threshold, not host sleep. *)
-let compact_liveness_pct = 35.0
-let compact_batch = 8
-let dirty_trigger_pct = 10 (* dirty blocks as % of data region: compact *)
-let backpressure_pct = 25 (* dirty still above this after compacting: stall *)
-let backpressure_stall_ns = 200_000
-
-(* Forward references, wired once the compactor is defined below:
-   [maintain] runs at the end of every mutator (space-driven compaction +
-   backpressure); [space_reclaim] is the allocator's compact-and-retry
-   hook.  Both are no-ops until wired and in update-in-place mode. *)
-let maintain : (t -> unit) ref = ref (fun _ -> ())
-let space_reclaim : (t -> unit) ref = ref (fun _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* guard                                                              *)
@@ -177,19 +133,7 @@ let ( let** ) r f = match r with Error e -> Error e | Ok v -> f v
 (* ------------------------------------------------------------------ *)
 (* fault handling                                                     *)
 
-let retry_limit = 3
-
-let retry_backoff_ns = 50_000 (* 50us, doubling per attempt *)
-
-let retrying t f =
-  let rec go attempt =
-    try f ()
-    with Block_device.Faulted _ when attempt < retry_limit ->
-      Stats.Counter.incr t.counters "fault_retries";
-      Clock.advance (Block_device.clock t.dev) (retry_backoff_ns lsl attempt);
-      go (attempt + 1)
-  in
-  go 0
+let retrying t f = Space.retrying t.space f
 
 let check_degraded t =
   match t.degraded with Some reason -> Error (Degraded reason) | None -> Ok ()
@@ -229,24 +173,7 @@ let charge_checksum t size =
 
 let block_size t = (Block_device.config t.dev).Block_device.block_size
 
-let total_blocks t = (Block_device.config t.dev).Block_device.block_count
-
 let blocks_needed t len = if len = 0 then 0 else ((len - 1) / block_size t) + 1
-
-(* Data-region layout (unchanged since the zoned-allocation PR):
-
-   [data_start, rec_start)   membrane zone (one per entry, any sensitivity)
-   [rec_start,  high_start)  ordinary records
-   [high_start, block_count) High-sensitivity records (stored apart, §3(1)) *)
-let compute_rec_start ~data_start ~block_count =
-  data_start + ((block_count - data_start) / 4)
-
-let compute_high_start ~data_start ~block_count =
-  let rec_start = compute_rec_start ~data_start ~block_count in
-  rec_start + ((block_count - rec_start) * 3 / 4)
-
-let rec_start t =
-  compute_rec_start ~data_start:t.data_start ~block_count:(total_blocks t)
 
 (* Metadata region layout.  The region holds, in order: two root slots
    (A/B, written alternately so a torn root write can never lose both),
@@ -261,253 +188,10 @@ let heap_cap_for ~meta_blocks ~bitmap_blocks =
   (meta_blocks - (2 * root_slot_blocks) - bitmap_blocks) / 2
 
 let root_slot_start t slot = t.meta_start + (slot * root_slot_blocks)
-let bitmap_start t = t.meta_start + (2 * root_slot_blocks)
+let bitmap_start ~meta_start = meta_start + (2 * root_slot_blocks)
 
 let heap_start t half =
   t.meta_start + (2 * root_slot_blocks) + t.bitmap_blocks + (half * t.heap_cap)
-
-(* ------------------------------------------------------------------ *)
-(* free map (lazy-hydrated allocation bitmap)                         *)
-
-let free_map t =
-  match t.free_state with
-  | F_loaded a -> a
-  | F_unloaded ->
-      let n = total_blocks t - t.data_start in
-      let a =
-        if not t.bm_present then Array.make n true
-        else begin
-          let bs = block_size t in
-          let nblocks = ((t.bm_bytes - 1) / bs) + 1 in
-          let blocks = List.init nblocks (fun i -> bitmap_start t + i) in
-          let got = retrying t (fun () -> Block_device.read_vec t.dev blocks) in
-          let buf = Buffer.create (nblocks * bs) in
-          List.iter (fun b -> Buffer.add_string buf (List.assoc b got)) blocks;
-          let raw = Buffer.contents buf in
-          Array.init n (fun i ->
-              Char.code raw.[i lsr 3] land (1 lsl (i land 7)) <> 0)
-        end
-      in
-      t.free_state <- F_loaded a;
-      a
-
-type zone = Z_membrane | Z_record of bool (* high? *)
-
-let zone_idx = function
-  | Z_membrane -> 0
-  | Z_record false -> 1
-  | Z_record true -> 2
-
-(* Zone bounds in free-array coordinates (offset by data_start). *)
-let zone_bounds t = function
-  | Z_membrane -> (0, rec_start t - t.data_start)
-  | Z_record false -> (rec_start t - t.data_start, t.high_start - t.data_start)
-  | Z_record true -> (t.high_start - t.data_start, total_blocks t - t.data_start)
-
-let zone_of_slot t i =
-  if i < rec_start t - t.data_start then 0
-  else if i < t.high_start - t.data_start then 1
-  else 2
-
-(* Rebuild the segment live table from the bitmap on first use after a
-   mount (or an [Segstore.invalidate]).  Forcing [free_map] here is fine:
-   callers only reach this once they are about to allocate or free. *)
-let ensure_seg_hydrated t =
-  match t.segstore with
-  | Some ss when not (Segstore.hydrated ss) ->
-      let free = free_map t in
-      Segstore.hydrate ss
-        ~is_free:(fun b -> free.(b - t.data_start))
-        ~is_written:(fun b -> Block_device.is_written t.dev b)
-  | _ -> ()
-
-(* Bitmap transitions are idempotent (a no-op when the bit already holds
-   the target value) so the segment live table can hang off them as pure
-   write-through: replayed journal ops and live ops drive it through the
-   exact same two functions.  [bytes], when known, is the payload size of
-   the whole extent, attributed per block in extent order. *)
-let extent_byte_at t ~bytes ~idx =
-  match bytes with
-  | None -> block_size t
-  | Some total -> max 0 (min (block_size t) (total - (idx * block_size t)))
-
-let mark_used ?bytes t blocks =
-  let free = free_map t in
-  ensure_seg_hydrated t;
-  List.iteri
-    (fun idx b ->
-      let i = b - t.data_start in
-      if free.(i) then begin
-        free.(i) <- false;
-        match t.segstore with
-        | Some ss ->
-            Segstore.note_alloc ss b ~bytes:(extent_byte_at t ~bytes ~idx)
-        | None -> ()
-      end)
-    blocks
-
-let mark_free ?bytes t blocks =
-  let free = free_map t in
-  ensure_seg_hydrated t;
-  List.iteri
-    (fun idx b ->
-      let i = b - t.data_start in
-      if not free.(i) then begin
-        free.(i) <- true;
-        let z = zone_of_slot t i in
-        if i < t.hints.(z) then t.hints.(z) <- i;
-        match t.segstore with
-        | Some ss ->
-            Segstore.note_free ss b
-              ~bytes:(extent_byte_at t ~bytes ~idx)
-              ~written:(Block_device.is_written t.dev b)
-        | None -> ()
-      end)
-    blocks
-
-(* Extent allocation: contiguous first-fit, falling back to scattered
-   per-block first-fit when the zone is too fragmented to hold a single
-   run.  Either way, failure rolls back every block taken.  The per-zone
-   hint (every slot below it is allocated) lets the scan skip the densely
-   packed prefix without changing which blocks first-fit would pick. *)
-(* Segmented placement: bump-allocate at the zone's open segment.  The
-   bitmap bits are NOT set here — they are set by [apply_op]'s
-   [mark_used] once the op is journaled, so replay accounts identically.
-   The bump pointer alone prevents double placement in the window
-   between.  On exhaustion, compact once (wired below) and retry. *)
-let alloc_seg t zone n =
-  let ss = Option.get t.segstore in
-  ensure_seg_hydrated t;
-  let cls = zone_idx zone in
-  match Segstore.alloc ss ~cls n with
-  | Some blocks -> Some blocks
-  | None ->
-      !space_reclaim t;
-      Segstore.alloc ss ~cls n
-
-let alloc_zone t zone n =
-  if n = 0 then Some []
-  else if t.segmented then alloc_seg t zone n
-  else begin
-    let free = free_map t in
-    let lo, hi = zone_bounds t zone in
-    let z = zone_idx zone in
-    let start_at = max lo t.hints.(z) in
-    let result = ref None in
-    let start = ref (-1) in
-    let first_free = ref (-1) in
-    let i = ref start_at in
-    while !result = None && !i < hi do
-      if free.(!i) then begin
-        if !first_free < 0 then first_free := !i;
-        if !start < 0 then start := !i;
-        if !i - !start + 1 >= n then result := Some !start
-      end
-      else start := -1;
-      incr i
-    done;
-    match !result with
-    | Some s ->
-        for j = s to s + n - 1 do
-          free.(j) <- false
-        done;
-        (* the scan proved [start_at, first_free) is full; if the run began
-           there too, everything below s + n is now allocated *)
-        t.hints.(z) <- (if !first_free = s then s + n else !first_free);
-        Some (List.init n (fun j -> t.data_start + s + j))
-    | None ->
-        let out = ref [] in
-        let found = ref 0 in
-        let j = ref start_at in
-        while !found < n && !j < hi do
-          if free.(!j) then begin
-            free.(!j) <- false;
-            out := (t.data_start + !j) :: !out;
-            incr found
-          end;
-          incr j
-        done;
-        if !found < n then begin
-          List.iter (fun b -> free.(b - t.data_start) <- true) !out;
-          None
-        end
-        else begin
-          (* every free slot below !j was just consumed *)
-          t.hints.(z) <- !j;
-          Some (List.rev !out)
-        end
-  end
-
-let alloc_record_blocks t ~high n = alloc_zone t (Z_record high) n
-
-let alloc_membrane_blocks t n = alloc_zone t Z_membrane n
-
-(* Forensic zeroing: one vectored write of zero blocks over [blocks]
-   (none for an empty list). *)
-let zero_blocks t blocks =
-  let zeros = String.make (block_size t) '\000' in
-  retrying t (fun () ->
-      Block_device.write_vec t.dev (List.map (fun b -> (b, zeros)) blocks))
-
-let zero_and_free t blocks =
-  zero_blocks t blocks;
-  mark_free t blocks
-
-(* Reclaim a sealed segment with no live block left: trim whatever is
-   still written — one discard command per segment, zero bytes moved —
-   forget its dirty blocks and hand it back to the allocator. *)
-let reclaim_dead_segment t ss g =
-  let n = ref 0 in
-  for b = g.Segstore.g_first to g.Segstore.g_first + g.Segstore.g_nblocks - 1 do
-    if Block_device.is_written t.dev b then begin
-      incr n;
-      Block_device.trim t.dev b
-    end
-  done;
-  if !n > 0 then begin
-    Clock.advance (Block_device.clock t.dev)
-      (Block_device.config t.dev).Block_device.write_latency;
-    Stats.Counter.incr t.counters "segment_trims"
-  end;
-  Segstore.clear_dirty ss (Segstore.dirty_in ss g);
-  Segstore.reclaim ss g;
-  Stats.Counter.incr t.counters "segments_reclaimed"
-
-(* Destroy every dirty (freed-but-unpurged) block on the store.  A fully
-   dead sealed segment is reclaimed with per-block trims — the simulated
-   erase-block discard: one command latency, zero bytes written, which is
-   exactly the write-amplification win update-in-place cannot have (its
-   scattered extents always share erase blocks with live neighbours).
-   Segments still holding live data get their dead blocks forensically
-   zeroed in one vectored write.
-
-   Ordering rule (flush-before-destroy): the ring is flushed first so no
-   buffered journal record can be rolled back by a crash while the blocks
-   it references are already destroyed. *)
-let purge_dirty t =
-  match t.segstore with
-  | None -> ()
-  | Some ss ->
-      ensure_seg_hydrated t;
-      if Segstore.dirty_blocks ss > 0 then begin
-        retrying t (fun () -> Journal_ring.flush t.ring);
-        (* flush-before-destroy is a durability point: settle the flush
-           before any referenced block is trimmed or zeroed *)
-        Journal_ring.barrier t.ring;
-        Segstore.iter_segs ss (fun g ->
-            match g.Segstore.g_state with
-            | Segstore.S_sealed when g.Segstore.g_live = 0 ->
-                reclaim_dead_segment t ss g
-            | _ -> ());
-        (* whatever is still pending lives in segments that keep live
-           data: forensically zero exactly those blocks, once each *)
-        match Segstore.take_dirty ss with
-        | [] -> ()
-        | dl ->
-            zero_blocks t dl;
-            Stats.Counter.incr t.counters ~by:(List.length dl)
-              "purge_zeroed_blocks"
-      end
 
 (* [payload] cut into one block-sized slice per block of its extent *)
 let payload_blocks t payload blocks =
@@ -548,18 +232,6 @@ let cache_put t key v =
   let evicted = Cache.put t.cache key v in
   if evicted > 0 then Stats.Counter.incr t.counters ~by:evicted "cache_evictions"
 
-let cache_find_membrane t pd_id =
-  match Cache.find t.cache ("m:" ^ pd_id) with
-  | Some (C_membrane m) -> Some m
-  | _ -> None
-
-let cache_find_record t pd_id =
-  match Cache.find t.cache ("r:" ^ pd_id) with
-  | Some (C_record r) -> Some r
-  | _ -> None
-
-let cache_mem_membrane t pd_id = Cache.mem t.cache ("m:" ^ pd_id)
-let cache_mem_record t pd_id = Cache.mem t.cache ("r:" ^ pd_id)
 let cache_put_membrane t pd_id m = cache_put t ("m:" ^ pd_id) (C_membrane m)
 let cache_put_record t pd_id r = cache_put t ("r:" ^ pd_id) (C_record r)
 
@@ -822,48 +494,40 @@ let decode_entry r =
 let decode_entry_raw raw = decode_entry (Codec.Reader.create raw)
 
 (* Entry lookup: overlay first, then tombstones, then the checkpointed
-   entries tree (O(height) cached page reads).  The returned entry is NOT
-   installed in the overlay — reads never dirty it. *)
-let find_entry t pd_id =
+   entries tree (O(height) cached page reads).  [None] for an unknown pd,
+   [Some (Error _)] for an undecodable one; tree page faults raise. *)
+let lookup_entry t pd_id =
   match Hashtbl.find_opt t.entries pd_id with
-  | Some e -> Ok e
-  | None -> (
+  | Some e -> Some (Ok e)
+  | None ->
       if Hashtbl.mem t.deleted pd_id || Pagestore.is_empty t.entries_base then
-        Error (Unknown_pd pd_id)
+        None
       else
-        match Pagestore.lookup (page_io t) t.entries_base pd_id with
-        | None -> Error (Unknown_pd pd_id)
-        | Some raw -> (
-            match decode_entry_raw raw with
-            | Ok e -> Ok e
-            | Error m -> Error (Corrupt ("entry " ^ pd_id ^ ": " ^ m)))
-        | exception Block_device.Faulted b ->
-            Error
-              (Device_fault (Printf.sprintf "block %d failed after retries" b))
-        | exception Pagestore.Corrupt_page b ->
-            Error
-              (Corrupt
-                 (Printf.sprintf "entries tree page %d fails its checksum" b)))
+        Option.map decode_entry_raw
+          (Pagestore.lookup (page_io t) t.entries_base pd_id)
+
+(* Read-side lookup: the returned entry is NOT installed in the overlay —
+   reads never dirty it. *)
+let find_entry t pd_id =
+  match lookup_entry t pd_id with
+  | None -> Error (Unknown_pd pd_id)
+  | Some (Ok e) -> Ok e
+  | Some (Error m) -> Error (Corrupt ("entry " ^ pd_id ^ ": " ^ m))
+  | exception Block_device.Faulted b ->
+      Error (Device_fault (Printf.sprintf "block %d failed after retries" b))
+  | exception Pagestore.Corrupt_page b ->
+      Error (Corrupt (Printf.sprintf "entries tree page %d fails its checksum" b))
 
 (* Mutation-side lookup: pull the entry into the overlay so in-place field
    updates are remembered until the next checkpoint.  Raises [Not_found]
    for an unknown pd — journal replay turns that into a replay warning,
    exactly as the pre-paging code did. *)
 let touch_entry t pd_id =
-  match Hashtbl.find_opt t.entries pd_id with
-  | Some e -> e
-  | None -> (
-      if Hashtbl.mem t.deleted pd_id || Pagestore.is_empty t.entries_base then
-        raise Not_found
-      else
-        match Pagestore.lookup (page_io t) t.entries_base pd_id with
-        | None -> raise Not_found
-        | Some raw -> (
-            match decode_entry_raw raw with
-            | Ok e ->
-                Hashtbl.replace t.entries pd_id e;
-                e
-            | Error _ -> raise Not_found))
+  match lookup_entry t pd_id with
+  | Some (Ok e) ->
+      Hashtbl.replace t.entries pd_id e;
+      e
+  | None | Some (Error _) -> raise Not_found
 
 (* Merged iteration in pd order (pd ids are zero-padded and monotone, so
    pd order IS insertion order): streams the base tree, shadowing by the
@@ -925,24 +589,57 @@ let indexed_fields_of t type_name =
   | Some tbl -> tbl.schema.Schema.indexed_fields
   | None -> []
 
-(* Best-effort decode helpers (index maintenance, fsck): an extent that
-   cannot be read even after retries yields [None] rather than raising —
-   the callers treat it the same as an undecodable payload. *)
-let decode_record_at t blocks size =
-  match
-    try Record.decode (read_payload t blocks size)
-    with Block_device.Faulted b -> Error (Printf.sprintf "block %d faulted" b)
-  with
-  | Ok r -> Some r
-  | Error _ -> None
+(* One extent of an entry, its membrane or its record, as the load and
+   integrity paths see it.  An extent that is not [x_live] (an erased
+   record's sealed payload) is not PD and is never decoded. *)
+type 'a extent = {
+  x_name : string;
+  x_reads : string; (* read counter *)
+  x_key : string; (* cache key prefix *)
+  x_live : entry -> bool;
+  x_blocks : entry -> int list;
+  x_size : entry -> int;
+  x_sum : entry -> string;
+  x_decode : string -> ('a, string) result;
+  x_cached : cached -> 'a option;
+  x_cache : 'a -> cached;
+}
 
-let decode_membrane_at t blocks size =
-  match
-    try Membrane.decode (read_payload t blocks size)
-    with Block_device.Faulted b -> Error (Printf.sprintf "block %d faulted" b)
-  with
-  | Ok m -> Some m
-  | Error _ -> None
+let membrane_x =
+  {
+    x_name = "membrane";
+    x_reads = "membrane_reads";
+    x_key = "m:";
+    x_live = (fun _ -> true);
+    x_blocks = (fun e -> e.membrane_blocks);
+    x_size = (fun e -> e.membrane_size);
+    x_sum = (fun e -> e.membrane_sum);
+    x_decode = Membrane.decode;
+    x_cached = (function C_membrane m -> Some m | _ -> None);
+    x_cache = (fun m -> C_membrane m);
+  }
+
+let record_x =
+  {
+    x_name = "record";
+    x_reads = "record_reads";
+    x_key = "r:";
+    x_live = (fun e -> not e.erased);
+    x_blocks = (fun e -> e.record_blocks);
+    x_size = (fun e -> e.record_size);
+    x_sum = (fun e -> e.record_sum);
+    x_decode = Record.decode;
+    x_cached = (function C_record r -> Some r | _ -> None);
+    x_cache = (fun r -> C_record r);
+  }
+
+(* Best-effort decode (index maintenance, fsck): an extent that cannot be
+   read even after retries yields [None] rather than raising — the
+   callers treat it the same as an undecodable payload. *)
+let decode_at t x blocks size =
+  match read_payload t blocks size with
+  | exception Block_device.Faulted _ -> None
+  | raw -> Result.to_option (x.x_decode raw)
 
 let expiry_instant m =
   match m.Membrane.ttl with
@@ -955,7 +652,7 @@ let index_put_record t ~pd_id ~type_name ~hint ~blocks ~size =
     let record =
       match hint.h_record with
       | Some r -> Some r
-      | None -> decode_record_at t blocks size
+      | None -> decode_at t record_x blocks size
     in
     match record with
     | Some record -> Index.add_entry t.index ~pd_id ~type_name ~indexed record
@@ -965,7 +662,7 @@ let index_put_membrane t ~pd_id ~hint ~blocks ~size =
   let membrane =
     match hint.h_membrane with
     | Some m -> Some m
-    | None -> decode_membrane_at t blocks size
+    | None -> decode_at t membrane_x blocks size
   in
   match membrane with
   | Some m -> Index.set_expiry t.index ~pd_id (expiry_instant m)
@@ -1016,8 +713,8 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
       Hashtbl.replace t.entries e.pd_id entry;
       Hashtbl.remove t.deleted e.pd_id;
       t.entry_count <- t.entry_count + 1;
-      mark_used t ~bytes:e.record_size e.record_blocks;
-      mark_used t ~bytes:e.membrane_size e.membrane_blocks;
+      Space.mark_used t.space ~bytes:e.record_size e.record_blocks;
+      Space.mark_used t.space ~bytes:e.membrane_size e.membrane_blocks;
       Index.add_subject t.index ~subject:e.subject ~pd_id:e.pd_id;
       index_put_record t ~pd_id:e.pd_id ~type_name:e.type_name ~hint
         ~blocks:e.record_blocks ~size:e.record_size;
@@ -1032,8 +729,8 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
   | J_update_record { pd_id; blocks; size; sum } ->
       let entry = touch_entry t pd_id in
       note_freed entry.record_blocks;
-      mark_free t ~bytes:entry.record_size entry.record_blocks;
-      mark_used t ~bytes:size blocks;
+      Space.mark_free t.space ~bytes:entry.record_size entry.record_blocks;
+      Space.mark_used t.space ~bytes:size blocks;
       entry.record_blocks <- blocks;
       entry.record_size <- size;
       entry.record_sum <- sum;
@@ -1041,8 +738,8 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
   | J_update_membrane { pd_id; blocks; size; sum } ->
       let entry = touch_entry t pd_id in
       note_freed entry.membrane_blocks;
-      mark_free t ~bytes:entry.membrane_size entry.membrane_blocks;
-      mark_used t ~bytes:size blocks;
+      Space.mark_free t.space ~bytes:entry.membrane_size entry.membrane_blocks;
+      Space.mark_used t.space ~bytes:size blocks;
       entry.membrane_blocks <- blocks;
       entry.membrane_size <- size;
       entry.membrane_sum <- sum;
@@ -1055,8 +752,8 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
       let entry = touch_entry t pd_id in
       note_freed entry.record_blocks;
       note_freed entry.membrane_blocks;
-      mark_free t ~bytes:entry.record_size entry.record_blocks;
-      mark_free t ~bytes:entry.membrane_size entry.membrane_blocks;
+      Space.mark_free t.space ~bytes:entry.record_size entry.record_blocks;
+      Space.mark_free t.space ~bytes:entry.membrane_size entry.membrane_blocks;
       Hashtbl.remove t.entries pd_id;
       Hashtbl.replace t.deleted pd_id ();
       t.entry_count <- t.entry_count - 1;
@@ -1066,8 +763,8 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
   | J_erase { pd_id; blocks; size; sum } ->
       let entry = touch_entry t pd_id in
       note_freed entry.record_blocks;
-      mark_free t ~bytes:entry.record_size entry.record_blocks;
-      mark_used t ~bytes:size blocks;
+      Space.mark_free t.space ~bytes:entry.record_size entry.record_blocks;
+      Space.mark_used t.space ~bytes:size blocks;
       entry.record_blocks <- blocks;
       entry.record_size <- size;
       entry.record_sum <- sum;
@@ -1103,8 +800,7 @@ let encode_root_payload t ~seq =
   Codec.Writer.int w t.entry_count;
   Pagestore.encode_root w t.entries_base;
   Index.encode_roots w t.index_roots;
-  Codec.Writer.bool w t.bm_present;
-  Codec.Writer.int w t.bm_bytes;
+  Space.encode_root w t.space;
   Codec.Writer.contents w
 
 type root_state = {
@@ -1118,8 +814,7 @@ type root_state = {
   rs_entry_count : int;
   rs_entries_base : Pagestore.root;
   rs_index_roots : Index.roots;
-  rs_bm_present : bool;
-  rs_bm_bytes : int;
+  rs_bitmap : Space.root;
 }
 
 let decode_root_payload payload =
@@ -1141,8 +836,7 @@ let decode_root_payload payload =
     let* rs_entry_count = Codec.Reader.int r in
     let* rs_entries_base = Pagestore.decode_root r in
     let* rs_index_roots = Index.decode_roots r in
-    let* rs_bm_present = Codec.Reader.bool r in
-    let* rs_bm_bytes = Codec.Reader.int r in
+    let* rs_bitmap = Space.decode_root r in
     Ok
       {
         rs_seq;
@@ -1155,8 +849,7 @@ let decode_root_payload payload =
         rs_entry_count;
         rs_entries_base;
         rs_index_roots;
-        rs_bm_present;
-        rs_bm_bytes;
+        rs_bitmap;
       }
 
 (* A torn or unwritten slot reads as garbage/zeros and simply fails to
@@ -1237,29 +930,7 @@ let checkpoint t =
       items := (e.pd_id, Codec.Writer.contents w) :: !items);
   let entries_root = Pagestore.write_tree io (List.rev !items) in
   let iroots = Index.checkpoint t.index ~io in
-  (match t.free_state with
-  | F_unloaded -> () (* no allocation since mount: device bitmap is current *)
-  | F_loaded free ->
-      let n = Array.length free in
-      let bytes = Bytes.make ((n + 7) / 8) '\000' in
-      Array.iteri
-        (fun i is_free ->
-          if is_free then
-            Bytes.set bytes (i lsr 3)
-              (Char.chr
-                 (Char.code (Bytes.get bytes (i lsr 3)) lor (1 lsl (i land 7)))))
-        free;
-      let raw = Bytes.unsafe_to_string bytes in
-      let bs = block_size t in
-      let nblocks = ((String.length raw - 1) / bs) + 1 in
-      retrying t (fun () ->
-          Block_device.write_vec t.dev
-            (List.init nblocks (fun i ->
-                 ( bitmap_start t + i,
-                   String.sub raw (i * bs)
-                     (min bs (String.length raw - (i * bs))) ))));
-      t.bm_present <- true;
-      t.bm_bytes <- String.length raw);
+  Space.checkpoint t.space;
   let old_half = t.active_half in
   let old_used = t.heap_used in
   t.entries_base <- entries_root;
@@ -1273,7 +944,7 @@ let checkpoint t =
   Journal_ring.mark_checkpointed t.ring;
   (* deallocation hygiene: the retired half held index facts (subjects,
      field values) — zero whatever was actually written there *)
-  zero_blocks t
+  Space.zero t.space
     (List.init old_used (fun i -> heap_start t old_half + i)
     |> List.filter (Block_device.is_written t.dev));
   (* eviction-coherence: cached node pages name heap blocks the next
@@ -1296,21 +967,143 @@ let log_and_apply ?hint t op =
   apply_op ?hint t op
 
 (* ------------------------------------------------------------------ *)
+(* space: compaction survivors, placement, retirement                 *)
+
+(* Compaction's survivor move (victim choice and destruction are
+   [Space.compact]'s): relocate every surviving extent through the
+   ordinary journaled write path (J_update_record / J_update_membrane /
+   J_erase with identical size and checksum — so replay, secondary
+   indexes, caches and the bitmap stay coherent with no
+   compaction-specific recovery code).  An extent failing its checksum
+   is left in place for fsck rather than propagated. *)
+let rec relocate t ~in_victim =
+  (* one merged entry pass discovers every surviving extent *)
+  let moves = ref [] in
+  iter_entries t (fun e ->
+      (match e.record_blocks with
+      | b :: _ when in_victim b -> moves := (e.pd_id, `Record) :: !moves
+      | _ -> ());
+      match e.membrane_blocks with
+      | b :: _ when in_victim b -> moves := (e.pd_id, `Membrane) :: !moves
+      | _ -> ());
+  let items =
+    List.rev !moves
+    |> List.filter_map (fun (pd_id, kind) ->
+           match find_entry t pd_id with
+           | Error _ -> None
+           | Ok e ->
+               let blocks, size, sum =
+                 match kind with
+                 | `Record -> (e.record_blocks, e.record_size, e.record_sum)
+                 | `Membrane -> (e.membrane_blocks, e.membrane_size, e.membrane_sum)
+               in
+               let raw = read_payload t blocks size in
+               charge_checksum t size;
+               Some (pd_id, kind, e, raw, sum))
+  in
+  let relocated = ref 0 in
+  (* relocation payload writes are submitted and settled in one batch at
+     the end, overlapping their service with the decode and journaling
+     compute of later survivors *)
+  let wtickets = ref [] in
+  List.iter
+    (fun (pd_id, kind, e, raw, sum) ->
+      if not (sum = "" || Fnv.hash64_hex raw = sum) then
+        Stats.Counter.incr t.counters "compact_verify_failures"
+      else begin
+        let size = String.length raw in
+        let sum = if sum = "" then Fnv.hash64_hex raw else sum in
+        let zone =
+          match kind with
+          | `Record -> Space.Z_record e.high
+          | `Membrane -> Space.Z_membrane
+        in
+        match
+          Space.alloc t.space zone (blocks_needed t size) ~relocate:(relocate t)
+        with
+        | None -> () (* no room: survivor stays put *)
+        | Some blocks ->
+            wtickets :=
+              submit_payload_write t raw blocks ~channel:compact_channel
+              :: !wtickets;
+            let hint, op =
+              match kind with
+              | `Membrane ->
+                  ( (match Membrane.decode raw with
+                    | Ok m -> { no_hint with h_membrane = Some m }
+                    | Error _ -> no_hint),
+                    J_update_membrane { pd_id; blocks; size; sum } )
+              | `Record when e.erased ->
+                  (no_hint, J_erase { pd_id; blocks; size; sum })
+              | `Record ->
+                  ( (match Record.decode raw with
+                    | Ok r -> { no_hint with h_record = Some r }
+                    | Error _ -> no_hint),
+                    J_update_record { pd_id; blocks; size; sum } )
+            in
+            log_and_apply t ~hint op;
+            incr relocated
+      end)
+    items;
+  Stats.Counter.incr t.counters ~by:!relocated "compact_relocations";
+  List.iter (fun tk -> ignore (Block_device.await t.dev tk)) (List.rev !wtickets)
+
+let alloc t zone n = Space.alloc t.space zone n ~relocate:(relocate t)
+
+(* Every mutator's last step, once its journal record has committed:
+   destroy or defer the blocks it superseded, as the allocator decides. *)
+let retire ?destroy t blocks =
+  Space.retire ?destroy t.space blocks ~relocate:(relocate t)
+
+(* ------------------------------------------------------------------ *)
 (* construction                                                       *)
 
-(* Segment store covering the three data zones, one class per zone. *)
-let make_segstore ~segmented ~seg_blocks ~data_start ~block_count =
-  if not segmented then None
-  else begin
-    let rs = compute_rec_start ~data_start ~block_count in
-    let hs = compute_high_start ~data_start ~block_count in
-    Some
-      (Segstore.create ~seg_blocks
-         ~zones:[ (data_start, rs); (rs, hs); (hs, block_count) ])
-  end
+(* The in-memory store over a device whose superblock says
+   [journal_blocks], [meta_blocks] and [allocator]; [root] is the root
+   slot a mount read, [None] on format. *)
+let assemble dev ~ring ~journal_blocks ~meta_blocks ~allocator root =
+  let cfg = Block_device.config dev in
+  let bitmap_blocks =
+    bitmap_blocks_for ~block_count:cfg.Block_device.block_count
+      ~block_size:cfg.Block_device.block_size
+  in
+  let meta_start = 1 + journal_blocks in
+  let counters = Stats.Counter.create () in
+  let field f default = match root with Some rs -> f rs | None -> default in
+  {
+    dev;
+    ring;
+    journal_blocks;
+    meta_start;
+    meta_blocks;
+    bitmap_blocks;
+    heap_cap = heap_cap_for ~meta_blocks ~bitmap_blocks;
+    space =
+      Space.create allocator dev ~ring ~counters
+        ~data_start:(meta_start + meta_blocks)
+        ~bitmap_start:(bitmap_start ~meta_start)
+        (Option.map (fun rs -> rs.rs_bitmap) root);
+    tables = Hashtbl.create 8;
+    entries = Hashtbl.create 256;
+    deleted = Hashtbl.create 64;
+    entries_base = field (fun rs -> rs.rs_entries_base) Pagestore.empty_root;
+    entry_count = field (fun rs -> rs.rs_entry_count) 0;
+    index = Index.create ();
+    index_roots = field (fun rs -> rs.rs_index_roots) Index.empty_roots;
+    active_half = field (fun rs -> rs.rs_active_half) 0;
+    heap_used = field (fun rs -> rs.rs_heap_used) 0;
+    root_seq = field (fun rs -> rs.rs_seq) 0;
+    next_pd = field (fun rs -> rs.rs_next_pd) 0;
+    hook = None;
+    degraded = None;
+    replay = None;
+    replay_warning = None;
+    counters;
+    cache = Cache.create ~budget:default_cache_budget;
+    page_prefetch = Hashtbl.create 16;
+  }
 
-let format ?(segmented = false) ?(seg_blocks = default_seg_blocks) dev
-    ~journal_blocks =
+let format ?(allocator = Space.Heap) dev ~journal_blocks =
   let cfg = Block_device.config dev in
   let block_count = cfg.Block_device.block_count in
   let bs = cfg.Block_device.block_size in
@@ -1329,49 +1122,10 @@ let format ?(segmented = false) ?(seg_blocks = default_seg_blocks) dev
   Codec.Writer.string w superblock_magic;
   Codec.Writer.int w journal_blocks;
   Codec.Writer.int w meta_blocks;
-  Codec.Writer.bool w segmented;
-  Codec.Writer.int w seg_blocks;
+  Space.encode_allocator w allocator;
   Block_device.write dev 0 (Codec.Writer.contents w);
-  let t =
-    {
-      dev;
-      ring = Journal_ring.create dev ~start_block:1 ~num_blocks:journal_blocks;
-      journal_blocks;
-      meta_start = 1 + journal_blocks;
-      meta_blocks;
-      bitmap_blocks;
-      heap_cap;
-      data_start;
-      high_start = compute_high_start ~data_start ~block_count;
-      tables = Hashtbl.create 8;
-      entries = Hashtbl.create 256;
-      deleted = Hashtbl.create 64;
-      entries_base = Pagestore.empty_root;
-      entry_count = 0;
-      index = Index.create ();
-      index_roots = Index.empty_roots;
-      free_state = F_loaded (Array.make (block_count - data_start) true);
-      bm_present = false;
-      bm_bytes = 0;
-      hints = [| 0; 0; 0 |];
-      active_half = 0;
-      heap_used = 0;
-      root_seq = 0;
-      next_pd = 0;
-      hook = None;
-      degraded = None;
-      replay = None;
-      replay_warning = None;
-      counters = Stats.Counter.create ();
-      cache = Cache.create ~budget:default_cache_budget;
-      page_prefetch = Hashtbl.create 16;
-      segmented;
-      seg_blocks;
-      segstore = make_segstore ~segmented ~seg_blocks ~data_start ~block_count;
-      compacting = false;
-      pool = None;
-    }
-  in
+  let ring = Journal_ring.create dev ~start_block:1 ~num_blocks:journal_blocks in
+  let t = assemble dev ~ring ~journal_blocks ~meta_blocks ~allocator None in
   commit_root t;
   t
 
@@ -1384,23 +1138,13 @@ let mount dev =
     else
       let* journal_blocks = Codec.Reader.int r in
       let* meta_blocks = Codec.Reader.int r in
-      (* segmented-mode fields; absent on stores formatted before them *)
-      let segmented, seg_blocks =
-        match Codec.Reader.bool r with
-        | Ok s -> (
-            match Codec.Reader.int r with
-            | Ok n when n > 0 -> (s, n)
-            | _ -> (false, default_seg_blocks))
-        | Error _ -> (false, default_seg_blocks)
-      in
-      Ok (journal_blocks, meta_blocks, segmented, seg_blocks)
+      let* allocator = Space.decode_allocator r in
+      Ok (journal_blocks, meta_blocks, allocator)
   in
   match parse_super with
   | Error e -> Error e
-  | Ok (journal_blocks, meta_blocks, segmented, seg_blocks) -> (
-      let cfg = Block_device.config dev in
-      let block_count = cfg.Block_device.block_count in
-      let bs = cfg.Block_device.block_size in
+  | Ok (journal_blocks, meta_blocks, allocator) -> (
+      let bs = (Block_device.config dev).Block_device.block_size in
       let meta_start = 1 + journal_blocks in
       let slot_a = read_root_slot dev ~start:meta_start ~block_size:bs in
       let slot_b =
@@ -1416,51 +1160,12 @@ let mount dev =
       match best with
       | None -> Error "no valid DBFS root"
       | Some rs ->
-          let data_start = 1 + journal_blocks + meta_blocks in
+          let ring =
+            Journal_ring.attach dev ~start_block:1 ~num_blocks:journal_blocks
+              ~head:rs.rs_jhead ~seq:rs.rs_jseq
+          in
           let t =
-            {
-              dev;
-              ring =
-                Journal_ring.attach dev ~start_block:1
-                  ~num_blocks:journal_blocks ~head:rs.rs_jhead ~seq:rs.rs_jseq;
-              journal_blocks;
-              meta_start;
-              meta_blocks;
-              bitmap_blocks = bitmap_blocks_for ~block_count ~block_size:bs;
-              heap_cap =
-                heap_cap_for ~meta_blocks
-                  ~bitmap_blocks:(bitmap_blocks_for ~block_count ~block_size:bs);
-              data_start;
-              high_start = compute_high_start ~data_start ~block_count;
-              tables = Hashtbl.create 8;
-              entries = Hashtbl.create 256;
-              deleted = Hashtbl.create 64;
-              entries_base = rs.rs_entries_base;
-              entry_count = rs.rs_entry_count;
-              index = Index.create ();
-              index_roots = rs.rs_index_roots;
-              free_state = F_unloaded;
-              bm_present = rs.rs_bm_present;
-              bm_bytes = rs.rs_bm_bytes;
-              hints = [| 0; 0; 0 |];
-              active_half = rs.rs_active_half;
-              heap_used = rs.rs_heap_used;
-              root_seq = rs.rs_seq;
-              next_pd = rs.rs_next_pd;
-              hook = None;
-              degraded = None;
-              replay = None;
-              replay_warning = None;
-              counters = Stats.Counter.create ();
-              cache = Cache.create ~budget:default_cache_budget;
-              page_prefetch = Hashtbl.create 16;
-              segmented;
-              seg_blocks;
-              segstore =
-                make_segstore ~segmented ~seg_blocks ~data_start ~block_count;
-              compacting = false;
-              pool = None;
-            }
+            assemble dev ~ring ~journal_blocks ~meta_blocks ~allocator (Some rs)
           in
           (* attaching reads no pages — a clean mount touches only the
              superblock, the two root slots and the journal probe *)
@@ -1496,41 +1201,12 @@ let mount dev =
              freed and nothing later reused must not keep its old
              plaintext.  A clean mount has no replayed ops and skips this
              (and the bitmap hydration it would force) entirely. *)
-          (match !freed with
-          | [] -> ()
-          | freed_blocks ->
-              let free = free_map t in
-              let leftover =
-                List.sort_uniq compare freed_blocks
-                |> List.filter (fun b ->
-                       free.(b - t.data_start)
-                       && Block_device.is_written t.dev b)
-              in
-              match leftover with
-              | [] -> ()
-              | _ ->
-                  Stats.Counter.incr t.counters
-                    ~by:(List.length leftover)
-                    "replay_zeroed_blocks";
-                  zero_blocks t leftover);
+          Space.scrub_freed t.space !freed;
           Ok t)
 
 let device t = t.dev
 
-type layout = {
-  l_data_start : int;
-  l_rec_start : int;
-  l_high_start : int;
-  l_block_count : int;
-}
-
-let layout t =
-  {
-    l_data_start = t.data_start;
-    l_rec_start = rec_start t;
-    l_high_start = t.high_start;
-    l_block_count = total_blocks t;
-  }
+let layout t = Space.layout t.space
 
 let set_access_hook t hook = t.hook <- Some hook
 
@@ -1590,12 +1266,12 @@ let insert t ~actor ~subject ~type_name ~record ~membrane_of =
             let membrane_bytes = Membrane.encode membrane in
             let rn = blocks_needed t (String.length record_bytes) in
             let mn = blocks_needed t (String.length membrane_bytes) in
-            match alloc_record_blocks t ~high rn with
+            match alloc t (Space.Z_record high) rn with
             | None -> Error No_space
             | Some record_blocks -> (
-                match alloc_membrane_blocks t mn with
+                match alloc t Space.Z_membrane mn with
                 | None ->
-                    mark_free t record_blocks;
+                    Space.mark_free t.space record_blocks;
                     Error No_space
                 | Some membrane_blocks ->
                     protect_write t (fun () ->
@@ -1624,7 +1300,7 @@ let insert t ~actor ~subject ~type_name ~record ~membrane_of =
                            encoded are exactly what a read would decode *)
                         cache_put_membrane t pd_id membrane;
                         cache_put_record t pd_id record;
-                        !maintain t;
+                        retire t [];
                         Ok pd_id))))
 
 (* Verify an extent's checksum against the raw bytes just read.  An empty
@@ -1710,42 +1386,51 @@ let pipelined_read t ~channel ~any_miss ~blocks_of ~decode entries =
   in
   settle [] submitted
 
-let get_membranes t ~actor ?(channel = 0) pd_ids =
-  let** () = guard t ~actor ~op:"read" in
-  let** entries = resolve_entries t pd_ids in
+(* The shared load of one extent kind: counter, checksum charge, cache
+   probe, then on a miss assemble, verify and decode, and cache the
+   result.  Entries whose extent is not live yield [None] and are
+   neither read nor charged. *)
+let load_extents t x ~channel entries =
+  let live = List.filter x.x_live entries in
   let any_miss =
-    List.exists (fun e -> not (cache_mem_membrane t e.pd_id)) entries
+    List.exists (fun e -> not (Cache.mem t.cache (x.x_key ^ e.pd_id))) live
   in
   let decode h acc entries =
     let rec go acc = function
       | [] -> Ok acc
+      | e :: rest when not (x.x_live e) -> go ((e.pd_id, None) :: acc) rest
       | e :: rest -> (
-          Stats.Counter.incr t.counters "membrane_reads";
-          charge_checksum t e.membrane_size;
-          match cache_find_membrane t e.pd_id with
-          | Some m ->
+          Stats.Counter.incr t.counters x.x_reads;
+          charge_checksum t (x.x_size e);
+          match Option.bind (Cache.find t.cache (x.x_key ^ e.pd_id)) x.x_cached with
+          | Some v ->
               Stats.Counter.incr t.counters "cache_hits";
-              go ((e.pd_id, m) :: acc) rest
+              go ((e.pd_id, Some v) :: acc) rest
           | None -> (
               Stats.Counter.incr t.counters "cache_misses";
-              let raw = assemble h e.membrane_blocks e.membrane_size in
+              let raw = assemble h (x.x_blocks e) (x.x_size e) in
               let** raw =
-                verify_sum ~what:"membrane" ~pd_id:e.pd_id
-                  ~stored:e.membrane_sum raw
+                verify_sum ~what:x.x_name ~pd_id:e.pd_id ~stored:(x.x_sum e) raw
               in
-              match Membrane.decode raw with
-              | Ok m ->
-                  cache_put_membrane t e.pd_id m;
-                  go ((e.pd_id, m) :: acc) rest
+              match x.x_decode raw with
+              | Ok v ->
+                  cache_put t (x.x_key ^ e.pd_id) (x.x_cache v);
+                  go ((e.pd_id, Some v) :: acc) rest
               | Error msg ->
-                  Error (Corrupt ("membrane of " ^ e.pd_id ^ ": " ^ msg))))
+                  Error (Corrupt (x.x_name ^ " of " ^ e.pd_id ^ ": " ^ msg))))
     in
     go acc entries
   in
   protect_read (fun () ->
       pipelined_read t ~channel ~any_miss
-        ~blocks_of:(fun e -> e.membrane_blocks)
+        ~blocks_of:(fun e -> if x.x_live e then x.x_blocks e else [])
         ~decode entries)
+
+let get_membranes t ~actor ?(channel = 0) pd_ids =
+  let** () = guard t ~actor ~op:"read" in
+  let** entries = resolve_entries t pd_ids in
+  let** got = load_extents t membrane_x ~channel entries in
+  Ok (List.map (fun (pd_id, m) -> (pd_id, Option.get m)) got)
 
 (* Erased pds yield [None] (their sealed payload is not PD and is not
    read), matching the DED's skip-erased semantics without forcing every
@@ -1753,43 +1438,7 @@ let get_membranes t ~actor ?(channel = 0) pd_ids =
 let get_records t ~actor ?(channel = 0) pd_ids =
   let** () = guard t ~actor ~op:"read" in
   let** entries = resolve_entries t pd_ids in
-  let live = List.filter (fun e -> not e.erased) entries in
-  let any_miss =
-    List.exists (fun e -> not (cache_mem_record t e.pd_id)) live
-  in
-  let live_blocks e = if e.erased then [] else e.record_blocks in
-  let decode h acc entries =
-    let rec go acc = function
-      | [] -> Ok acc
-      | e :: rest ->
-          if e.erased then go ((e.pd_id, None) :: acc) rest
-          else begin
-            Stats.Counter.incr t.counters "record_reads";
-            charge_checksum t e.record_size;
-            match cache_find_record t e.pd_id with
-            | Some r ->
-                Stats.Counter.incr t.counters "cache_hits";
-                go ((e.pd_id, Some r) :: acc) rest
-            | None -> (
-                Stats.Counter.incr t.counters "cache_misses";
-                let raw = assemble h e.record_blocks e.record_size in
-                let** raw =
-                  verify_sum ~what:"record" ~pd_id:e.pd_id
-                    ~stored:e.record_sum raw
-                in
-                match Record.decode raw with
-                | Ok r ->
-                    cache_put_record t e.pd_id r;
-                    go ((e.pd_id, Some r) :: acc) rest
-                | Error msg ->
-                    Error (Corrupt ("record of " ^ e.pd_id ^ ": " ^ msg)))
-          end
-    in
-    go acc entries
-  in
-  protect_read (fun () ->
-      pipelined_read t ~channel ~any_miss ~blocks_of:live_blocks ~decode
-        entries)
+  load_extents t record_x ~channel entries
 
 let get_membrane t ~actor pd_id =
   let** got = get_membranes t ~actor [ pd_id ] in
@@ -1816,8 +1465,7 @@ let update_record t ~actor pd_id record =
             let bytes = Record.encode record in
             let old_blocks = e.record_blocks in
             match
-              alloc_record_blocks t ~high:e.high
-                (blocks_needed t (String.length bytes))
+              alloc t (Space.Z_record e.high) (blocks_needed t (String.length bytes))
             with
             | None -> Error No_space
             | Some blocks ->
@@ -1832,13 +1480,8 @@ let update_record t ~actor pd_id record =
                            size = String.length bytes;
                            sum = Fnv.hash64_hex bytes;
                          });
-                    (* zeroing deallocation: no stale PD on the medium.
-                       Segmented mode defers the zeroing — the old blocks
-                       sit dirty in their sealed segment until a purge or
-                       the compactor destroys them wholesale. *)
-                    if not t.segmented then zero_and_free t old_blocks;
+                    retire t old_blocks;
                     Stats.Counter.incr t.counters "record_updates";
-                    !maintain t;
                     Ok ())))
 
 let update_membrane t ~actor pd_id membrane =
@@ -1854,7 +1497,7 @@ let update_membrane t ~actor pd_id membrane =
   else
     let bytes = Membrane.encode membrane in
     let old_blocks = e.membrane_blocks in
-    match alloc_membrane_blocks t (blocks_needed t (String.length bytes)) with
+    match alloc t Space.Z_membrane (blocks_needed t (String.length bytes)) with
     | None -> Error No_space
     | Some blocks ->
         protect_write t (fun () ->
@@ -1868,9 +1511,8 @@ let update_membrane t ~actor pd_id membrane =
                    size = String.length bytes;
                    sum = Fnv.hash64_hex bytes;
                  });
-            if not t.segmented then zero_and_free t old_blocks;
+            retire t old_blocks;
             Stats.Counter.incr t.counters "membrane_updates";
-            !maintain t;
             Ok ())
 
 let update_membranes_by_lineage t ~actor ~lineage f =
@@ -1908,18 +1550,12 @@ let delete t ~actor pd_id =
   let** () = guard t ~actor ~op:"delete" in
   let** () = check_degraded t in
   let** e = find_entry t pd_id in
-  let record_blocks = e.record_blocks in
-  let membrane_blocks = e.membrane_blocks in
+  let blocks = e.record_blocks @ e.membrane_blocks in
   protect_write t (fun () ->
       log_and_apply t (J_delete pd_id);
-      (* physical destruction after the metadata commit.  Segmented mode
-         purges every dirty block on the store (this pd's extents
-         included), trimming fully dead segments; update-in-place zeroes
-         exactly this pd's extents in one vectored write. *)
-      if t.segmented then purge_dirty t
-      else zero_blocks t (record_blocks @ membrane_blocks);
+      (* physical destruction after the metadata commit *)
+      retire ~destroy:true t blocks;
       Stats.Counter.incr t.counters "deletes";
-      !maintain t;
       Ok ())
 
 let erase_with t ~actor pd_id ~seal =
@@ -1932,8 +1568,7 @@ let erase_with t ~actor pd_id ~seal =
     let sealed = seal record in
     let old_blocks = e.record_blocks in
     match
-      alloc_record_blocks t ~high:e.high
-        (blocks_needed t (String.length sealed))
+      alloc t (Space.Z_record e.high) (blocks_needed t (String.length sealed))
     with
     | None -> Error No_space
     | Some blocks ->
@@ -1948,11 +1583,9 @@ let erase_with t ~actor pd_id ~seal =
                    sum = Fnv.hash64_hex sealed;
                  });
             (* destruction obligation: erasure must leave no plaintext of
-               the old record anywhere — segmented mode purges the whole
-               dirty set (old extent included) synchronously *)
-            if t.segmented then purge_dirty t else zero_and_free t old_blocks;
+               the old record anywhere *)
+            retire ~destroy:true t old_blocks;
             Stats.Counter.incr t.counters "erasures";
-            !maintain t;
             Ok ())
 
 let erased_payload t ~actor pd_id =
@@ -1965,199 +1598,8 @@ let erased_payload t ~actor pd_id =
         charge_checksum t e.record_size;
         verify_sum ~what:"sealed payload" ~pd_id ~stored:e.record_sum raw)
 
-(* ------------------------------------------------------------------ *)
-(* compaction (segmented mode)                                        *)
-
-(* Merge low-liveness sealed segments: relocate every surviving extent
-   through the ordinary journaled write path (J_update_record /
-   J_update_membrane / J_erase with identical size and checksum — so
-   replay, secondary indexes, caches and the bitmap stay coherent with no
-   compaction-specific recovery code), then destroy the victims: a trim
-   per fully dead segment, a vectored zero over dead blocks of any
-   segment whose survivors could not move.  Survivor checksums are
-   verified before relocation (fanned out over [t.pool] when one is
-   attached); an extent failing its checksum is left in place for fsck
-   rather than propagated.
-
-   Crash windows (both exercised by the fault campaign):
-   - after a relocation is journaled, before the victim is destroyed:
-     mount-time replay zeroes the superseded copy ([freed_acc]);
-   - after a relocated payload is written, before its journal record is
-     durable: the new blocks are free+written, which [fsck_repair]'s
-     free-space scrub destroys; the old copy is still live. *)
-let compact ?(max_victims = compact_batch) ?(liveness_pct = compact_liveness_pct)
-    t =
-  match t.segstore with
-  | None -> 0
-  | Some ss ->
-      if t.compacting then 0
-      else begin
-        t.compacting <- true;
-        Fun.protect
-          ~finally:(fun () -> t.compacting <- false)
-          (fun () ->
-            ensure_seg_hydrated t;
-            match Segstore.victims ss ~max_victims ~liveness_pct with
-            | [] -> 0
-            | victims ->
-                (* flush-before-destroy: buffered records may reference
-                   blocks this pass is about to destroy.  Only flushed on
-                   actual work, so an idle tick cannot defeat group
-                   commit. *)
-                retrying t (fun () -> Journal_ring.flush t.ring);
-                Stats.Counter.incr t.counters "compactions";
-                let in_victim b =
-                  List.exists
-                    (fun g ->
-                      b >= g.Segstore.g_first
-                      && b < g.Segstore.g_first + g.Segstore.g_nblocks)
-                    victims
-                in
-                (* one merged entry pass discovers every surviving extent *)
-                let moves = ref [] in
-                iter_entries t (fun e ->
-                    (match e.record_blocks with
-                    | b :: _ when in_victim b ->
-                        moves := (e.pd_id, `Record) :: !moves
-                    | _ -> ());
-                    match e.membrane_blocks with
-                    | b :: _ when in_victim b ->
-                        moves := (e.pd_id, `Membrane) :: !moves
-                    | _ -> ());
-                let items =
-                  List.rev !moves
-                  |> List.filter_map (fun (pd_id, kind) ->
-                         match find_entry t pd_id with
-                         | Error _ -> None
-                         | Ok e ->
-                             let blocks, size, sum =
-                               match kind with
-                               | `Record ->
-                                   (e.record_blocks, e.record_size, e.record_sum)
-                               | `Membrane ->
-                                   ( e.membrane_blocks,
-                                     e.membrane_size,
-                                     e.membrane_sum )
-                             in
-                             let raw = read_payload t blocks size in
-                             charge_checksum t size;
-                             Some (pd_id, kind, e, raw, sum))
-                in
-                let verify (_, _, _, raw, sum) =
-                  sum = "" || Fnv.hash64_hex raw = sum
-                in
-                let checks =
-                  match t.pool with
-                  | Some pool -> Pool.map_list pool verify items
-                  | None -> List.map verify items
-                in
-                let relocated = ref 0 in
-                (* relocation payload writes are submitted and settled
-                   in one batch at the durability barrier below,
-                   overlapping their service with the decode and
-                   journaling compute of later survivors *)
-                let wtickets = ref [] in
-                List.iter2
-                  (fun (pd_id, kind, e, raw, sum) ok ->
-                    if not ok then
-                      Stats.Counter.incr t.counters "compact_verify_failures"
-                    else begin
-                      let size = String.length raw in
-                      let sum = if sum = "" then Fnv.hash64_hex raw else sum in
-                      let dest =
-                        match kind with
-                        | `Record ->
-                            alloc_record_blocks t ~high:e.high
-                              (blocks_needed t size)
-                        | `Membrane ->
-                            alloc_membrane_blocks t (blocks_needed t size)
-                      in
-                      match dest with
-                      | None -> () (* no room: survivor stays put *)
-                      | Some blocks ->
-                          wtickets :=
-                            submit_payload_write t raw blocks
-                              ~channel:compact_channel
-                            :: !wtickets;
-                          let hint, op =
-                            match kind with
-                            | `Membrane ->
-                                ( (match Membrane.decode raw with
-                                  | Ok m -> { no_hint with h_membrane = Some m }
-                                  | Error _ -> no_hint),
-                                  J_update_membrane { pd_id; blocks; size; sum }
-                                )
-                            | `Record when e.erased ->
-                                (no_hint, J_erase { pd_id; blocks; size; sum })
-                            | `Record ->
-                                ( (match Record.decode raw with
-                                  | Ok r -> { no_hint with h_record = Some r }
-                                  | Error _ -> no_hint),
-                                  J_update_record { pd_id; blocks; size; sum } )
-                          in
-                          log_and_apply t ~hint op;
-                          incr relocated
-                    end)
-                  items checks;
-                Stats.Counter.incr t.counters ~by:!relocated
-                  "compact_relocations";
-                (* make the relocations durable, then destroy the victims:
-                   settle the submitted payload writes and every
-                   submitted flush before any victim block is trimmed or
-                   zeroed *)
-                List.iter
-                  (fun tk -> ignore (Block_device.await t.dev tk))
-                  (List.rev !wtickets);
-                retrying t (fun () -> Journal_ring.flush t.ring);
-                Journal_ring.barrier t.ring;
-                List.iter
-                  (fun g ->
-                    if g.Segstore.g_live = 0 then reclaim_dead_segment t ss g
-                    else begin
-                      (* survivors could not move: zero the pending dead
-                         blocks (once — the dirty set forgets them) *)
-                      match Segstore.dirty_in ss g with
-                      | [] -> ()
-                      | dl ->
-                          zero_blocks t dl;
-                          Segstore.clear_dirty ss dl;
-                          Stats.Counter.incr t.counters ~by:(List.length dl)
-                            "purge_zeroed_blocks"
-                    end)
-                  victims;
-                List.length victims)
-      end
-
-(* Space-driven compaction (the allocator's retry hook) is more
-   aggressive than the dirty-driven pass: relocating up to 75%-live
-   segments frees whole segments for reuse. *)
-let () =
-  space_reclaim :=
-    fun t -> ignore (compact t ~max_victims:(2 * compact_batch) ~liveness_pct:75.0)
-
-(* Per-mutator maintenance: compact when the dirty backlog crosses the
-   trigger; if it is STILL above the backpressure threshold afterwards
-   (the compactor cannot keep up — the survivors are too live to evict),
-   charge a deterministic stall to the op that rode over the limit. *)
-let tick t =
-  match t.segstore with
-  | None -> ()
-  | Some ss ->
-      if not t.compacting then begin
-        ensure_seg_hydrated t;
-        let data_blocks = total_blocks t - t.data_start in
-        if Segstore.dirty_blocks ss * 100 >= data_blocks * dirty_trigger_pct
-        then ignore (compact t);
-        if Segstore.dirty_blocks ss * 100 >= data_blocks * backpressure_pct
-        then begin
-          Stats.Counter.incr t.counters "backpressure_stalls";
-          Stats.Counter.incr t.counters ~by:backpressure_stall_ns
-            "backpressure_stall_ns";
-          Clock.advance (Block_device.clock t.dev) backpressure_stall_ns
-        end
-      end
-
-let () = maintain := tick
+let compact ?max_victims ?liveness_pct t =
+  Space.compact ?max_victims ?liveness_pct t.space ~relocate:(relocate t)
 
 (* ------------------------------------------------------------------ *)
 (* queries                                                            *)
@@ -2397,12 +1839,20 @@ let describe_trees t ~actor =
 
 let crash_and_remount t = mount t.dev
 
-(* Extent read that reports an exhausted-retries device fault as [None]
-   instead of raising — fsck must keep scanning past a dead block. *)
-let try_read_extent t blocks size =
-  try Some (read_payload t blocks size) with Block_device.Faulted _ -> None
-
-let sum_matches stored raw = stored = "" || Fnv.hash64_hex raw = stored
+(* fsck's integrity verdict on one extent of [e]: readable (an
+   exhausted-retries device fault must not stop the scan), checksum
+   clean and, when live, decodable — [Ok (Some v)] with the decoded
+   value, [Ok None] for a sound extent that is not live. *)
+let check_extent t x e =
+  match read_payload t (x.x_blocks e) (x.x_size e) with
+  | exception Block_device.Faulted _ -> Error `Unreadable
+  | raw when not (x.x_sum e = "" || Fnv.hash64_hex raw = x.x_sum e) ->
+      Error `Mismatch
+  | _ when not (x.x_live e) -> Ok None
+  | raw -> (
+      match x.x_decode raw with
+      | Ok v -> Ok (Some v)
+      | Error msg -> Error (`Undecodable msg))
 
 (* Merged entry collection that survives damaged metadata: unreadable tree
    pages and device faults become notes instead of exceptions, and the
@@ -2430,72 +1880,43 @@ let fsck_check t =
   List.iter (fun e -> Hashtbl.replace entries_h e.pd_id e) all;
   (* extent integrity + membrane invariant: every entry's extents are
      readable, their checksums match, and the membrane wraps this pd *)
-  List.iter
-    (fun e ->
-      let pd_id = e.pd_id in
-      (match try_read_extent t e.membrane_blocks e.membrane_size with
-      | None -> note "entry %s: membrane extent unreadable (device fault)" pd_id
-      | Some raw when not (sum_matches e.membrane_sum raw) ->
-          note "entry %s: membrane extent checksum mismatch" pd_id
-      | Some raw -> (
-          match Membrane.decode raw with
-          | Error msg -> note "entry %s: undecodable membrane (%s)" pd_id msg
-          | Ok m ->
-              if m.Membrane.pd_id <> pd_id then
-                note "entry %s: membrane wraps %s" pd_id m.Membrane.pd_id;
-              if m.Membrane.type_name <> e.type_name then
-                note "entry %s: membrane type %s <> %s" pd_id
-                  m.Membrane.type_name e.type_name;
-              if m.Membrane.subject_id <> e.subject then
-                note "entry %s: membrane subject %s <> %s" pd_id
-                  m.Membrane.subject_id e.subject));
-      match try_read_extent t e.record_blocks e.record_size with
-      | None -> note "entry %s: record extent unreadable (device fault)" pd_id
-      | Some raw when not (sum_matches e.record_sum raw) ->
-          note "entry %s: record extent checksum mismatch" pd_id
-      | Some raw ->
-          if not e.erased then (
-            match Record.decode raw with
-            | Error msg -> note "entry %s: undecodable record (%s)" pd_id msg
-            | Ok _ -> ()))
-    all;
-  (* block ownership: unique, allocated, correct zone *)
-  let free = free_map t in
-  let owners = Hashtbl.create 64 in
-  let rs = rec_start t in
-  let check_block pd_id b =
-    if free.(b - t.data_start) then note "entry %s owns free block %d" pd_id b;
-    match Hashtbl.find_opt owners b with
-    | Some other -> note "block %d owned by %s and %s" b other pd_id
-    | None -> Hashtbl.replace owners b pd_id
+  let damage pd_id what = function
+    | `Unreadable -> note "entry %s: %s extent unreadable (device fault)" pd_id what
+    | `Mismatch -> note "entry %s: %s extent checksum mismatch" pd_id what
+    | `Undecodable msg -> note "entry %s: undecodable %s (%s)" pd_id what msg
   in
   List.iter
     (fun e ->
       let pd_id = e.pd_id in
-      List.iter
-        (fun b ->
-          if b < t.data_start then note "entry %s owns non-data block %d" pd_id b
-          else begin
-            if b < rs then
-              note "entry %s stores record in membrane zone (block %d)" pd_id b;
-            if e.high && b < t.high_start then
-              note "sensitive entry %s stored in ordinary region (block %d)" pd_id b;
-            if (not e.high) && b >= t.high_start then
-              note "ordinary entry %s stored in sensitive region (block %d)" pd_id b;
-            check_block pd_id b
-          end)
-        e.record_blocks;
-      List.iter
-        (fun b ->
-          if b < t.data_start then note "entry %s owns non-data block %d" pd_id b
-          else begin
-            if b >= rs then
-              note "entry %s stores membrane outside membrane zone (block %d)"
-                pd_id b;
-            check_block pd_id b
-          end)
-        e.membrane_blocks)
+      (match check_extent t membrane_x e with
+      | Error d -> damage pd_id "membrane" d
+      | Ok None -> ()
+      | Ok (Some m) ->
+          if m.Membrane.pd_id <> pd_id then
+            note "entry %s: membrane wraps %s" pd_id m.Membrane.pd_id;
+          if m.Membrane.type_name <> e.type_name then
+            note "entry %s: membrane type %s <> %s" pd_id m.Membrane.type_name
+              e.type_name;
+          if m.Membrane.subject_id <> e.subject then
+            note "entry %s: membrane subject %s <> %s" pd_id
+              m.Membrane.subject_id e.subject);
+      match check_extent t record_x e with
+      | Error d -> damage pd_id "record" d
+      | Ok _ -> ())
     all;
+  (* block ownership, zones, leaks and the segment table *)
+  List.iter
+    (fun p -> problems := p :: !problems)
+    (Space.check t.space
+       (List.map
+          (fun e ->
+            {
+              Space.o_pd = e.pd_id;
+              o_high = e.high;
+              o_record = e.record_blocks;
+              o_membrane = e.membrane_blocks;
+            })
+          all));
   (* schema membership + recorded entry count *)
   List.iter
     (fun e ->
@@ -2539,7 +1960,7 @@ let fsck_check t =
                note "index keys pd %s under type %s (entry says %s)" pd_id
                  type_name e.type_name;
              (* every claimed key must be posted, and must match the record *)
-             let record = decode_record_at t e.record_blocks e.record_size in
+             let record = decode_at t record_x e.record_blocks e.record_size in
              List.iter
                (fun (field, v) ->
                  if
@@ -2575,7 +1996,7 @@ let fsck_check t =
          let expected =
            if e.erased then None
            else
-             match decode_membrane_at t e.membrane_blocks e.membrane_size with
+             match decode_at t membrane_x e.membrane_blocks e.membrane_size with
              | None -> None
              | Some m -> expiry_instant m
          in
@@ -2591,12 +2012,6 @@ let fsck_check t =
    with
   | Pagestore.Corrupt_page b -> note "index page %d fails its checksum" b
   | Block_device.Faulted b -> note "device fault on index block %d" b);
-  (* allocation leaks: a data block marked in-use must have an owner *)
-  Array.iteri
-    (fun i is_free ->
-      if (not is_free) && not (Hashtbl.mem owners (t.data_start + i)) then
-        note "allocated block %d owned by no entry" (t.data_start + i))
-    free;
   List.rev !problems
 
 (* From-scratch index rebuild over the (surviving) entries — the repair
@@ -2610,11 +2025,11 @@ let rebuild_index t =
       if not e.erased then begin
         let indexed = indexed_fields_of t e.type_name in
         (if indexed <> [] then
-           match decode_record_at t e.record_blocks e.record_size with
+           match decode_at t record_x e.record_blocks e.record_size with
            | Some record ->
                Index.add_entry idx ~pd_id ~type_name:e.type_name ~indexed record
            | None -> ());
-        match decode_membrane_at t e.membrane_blocks e.membrane_size with
+        match decode_at t membrane_x e.membrane_blocks e.membrane_size with
         | Some m -> Index.set_expiry idx ~pd_id (expiry_instant m)
         | None -> ()
       end)
@@ -2633,24 +2048,17 @@ type repair_report = {
 (* An entry is unrecoverable when either extent is unreadable, fails its
    checksum, or no longer decodes.  [None] means the entry is healthy. *)
 let entry_damage t e =
-  match try_read_extent t e.membrane_blocks e.membrane_size with
-  | None -> Some "membrane extent unreadable"
-  | Some raw when not (sum_matches e.membrane_sum raw) ->
-      Some "membrane extent checksum mismatch"
-  | Some raw -> (
-      match Membrane.decode raw with
-      | Error _ -> Some "membrane undecodable"
-      | Ok _ -> (
-          match try_read_extent t e.record_blocks e.record_size with
-          | None -> Some "record extent unreadable"
-          | Some raw when not (sum_matches e.record_sum raw) ->
-              Some "record extent checksum mismatch"
-          | Some raw ->
-              if not e.erased then (
-                match Record.decode raw with
-                | Error _ -> Some "record undecodable"
-                | Ok _ -> None)
-              else None))
+  let reason what = function
+    | `Unreadable -> Some (what ^ " extent unreadable")
+    | `Mismatch -> Some (what ^ " extent checksum mismatch")
+    | `Undecodable _ -> Some (what ^ " undecodable")
+  in
+  match check_extent t membrane_x e with
+  | Error d -> reason "membrane" d
+  | Ok _ -> (
+      match check_extent t record_x e with
+      | Error d -> reason "record" d
+      | Ok _ -> None)
 
 let fsck_repair t =
   let problems = fsck_check t in
@@ -2659,7 +2067,7 @@ let fsck_repair t =
   let device_faults = ref false in
   let zero_block b =
     try
-      zero_blocks t [ b ];
+      Space.zero t.space [ b ];
       true
     with Block_device.Faulted _ ->
       device_faults := true;
@@ -2691,8 +2099,8 @@ let fsck_repair t =
         List.iter
           (fun b -> ignore (zero_block b))
           (e.record_blocks @ e.membrane_blocks);
-        mark_free t e.record_blocks;
-        mark_free t e.membrane_blocks;
+        Space.mark_free t.space e.record_blocks;
+        Space.mark_free t.space e.membrane_blocks;
         act "quarantined %s (%s)" e.pd_id reason;
         (e.pd_id, reason))
       damaged
@@ -2709,34 +2117,13 @@ let fsck_repair t =
   t.index_roots <- Index.empty_roots;
   act "rebuilt secondary indexes from %d surviving entries"
     (List.length healthy);
-  (* 3. release allocated blocks no surviving entry owns *)
-  let owned = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun _ e ->
-      List.iter
-        (fun b -> Hashtbl.replace owned b ())
-        (e.record_blocks @ e.membrane_blocks))
-    t.entries;
-  let free = free_map t in
-  let leaked = ref [] in
-  Array.iteri
-    (fun i is_free ->
-      let b = t.data_start + i in
-      if (not is_free) && not (Hashtbl.mem owned b) then leaked := b :: !leaked)
-    free;
-  if !leaked <> [] then begin
-    mark_free t !leaked;
-    act "released %d leaked block(s)" (List.length !leaked)
-  end;
-  (* 4. scrub free space: a free block must hold no bytes at all *)
-  let scrubbed = ref 0 in
-  Array.iteri
-    (fun i is_free ->
-      let b = t.data_start + i in
-      if is_free && Block_device.is_written t.dev b then
-        if zero_block b then incr scrubbed)
-    free;
-  if !scrubbed > 0 then act "scrubbed %d free block(s)" !scrubbed;
+  (* 3-4. release allocated blocks no surviving entry owns; scrub free
+     space *)
+  let scrubbed =
+    Space.repair t.space
+      ~owned:(List.concat_map (fun e -> e.record_blocks @ e.membrane_blocks) healthy)
+      ~zero_block ~act:(act "%s")
+  in
   (* 5. truncate the journal at the damage point: checkpoint the repaired
      metadata (making every journal record dead) and scrub the ring *)
   let journal_truncated =
@@ -2773,10 +2160,6 @@ let fsck_repair t =
     act "scrubbed %d stale metadata heap block(s)" !stale_meta;
   t.replay_warning <- None;
   Cache.clear t.cache;
-  (* the repair rewrote the bitmap and scrubbed free space wholesale: the
-     derived segment table is stale — rebuild it from the bitmap on next
-     use *)
-  (match t.segstore with Some ss -> Segstore.invalidate ss | None -> ());
   (* 7. verify; leave degraded mode only on a clean bill of health *)
   let recheck = fsck_check t in
   let clean = recheck = [] && not !device_faults in
@@ -2793,7 +2176,7 @@ let fsck_repair t =
     rr_problems = problems;
     rr_actions = List.rev !actions;
     rr_quarantined = quarantined;
-    rr_scrubbed_blocks = !scrubbed;
+    rr_scrubbed_blocks = scrubbed;
     rr_journal_truncated = journal_truncated;
     rr_clean = clean;
   }
@@ -2840,8 +2223,6 @@ let unsafe_tamper_index t pd_id = Index.unsafe_drop_posting t.index ~pd_id
 (* ------------------------------------------------------------------ *)
 (* group commit & segment controls                                    *)
 
-let segmented t = t.segmented
-
 let set_group_commit t n =
   (* never reorder across a window change: drain the buffer first *)
   retrying t (fun () -> Journal_ring.flush t.ring);
@@ -2855,30 +2236,7 @@ let flush_journal t =
   retrying t (fun () -> Journal_ring.flush t.ring);
   Journal_ring.barrier t.ring
 
-let pending_journal_ops t = Journal_ring.pending_ops t.ring
-
-let set_compaction_pool t pool = t.pool <- Some pool
-
-let segment_table t =
-  match t.segstore with
-  | None -> []
-  | Some ss ->
-      ensure_seg_hydrated t;
-      Segstore.live_table ss
-
-let segment_dirty_blocks t =
-  match t.segstore with
-  | None -> 0
-  | Some ss ->
-      ensure_seg_hydrated t;
-      Segstore.dirty_blocks ss
-
-let free_segments t =
-  match t.segstore with
-  | None -> 0
-  | Some ss ->
-      ensure_seg_hydrated t;
-      Segstore.free_segs ss 0 + Segstore.free_segs ss 1 + Segstore.free_segs ss 2
+let segment_table t = Space.segment_table t.space
 
 let stats t =
   (* mirror the ring's group-commit tallies into the counter set so one

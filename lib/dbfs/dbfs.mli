@@ -55,18 +55,17 @@ val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val format :
-  ?segmented:bool ->
-  ?seg_blocks:int ->
+  ?allocator:Space.allocator ->
   Rgpdos_block.Block_device.t ->
   journal_blocks:int ->
   t
-(** Write a fresh DBFS on the device.  [?segmented] (default [false])
-    selects the log-structured allocator: payload extents bump-allocate
-    into per-zone append-only segments of [?seg_blocks] (default 64)
-    blocks, superseded extents stay in place until a purge or the
-    compactor destroys them, and fully dead segments are reclaimed with
-    segment-granular trims.  The flag persists in the superblock, so
-    both allocators coexist on one build for A/B comparison. *)
+(** Write a fresh DBFS on the device.  [?allocator] (default
+    [Space.Heap]) picks the data-region allocator;
+    [Space.Segments n] is the log-structured one: payload extents
+    bump-allocate into per-zone append-only segments of [n] blocks,
+    superseded extents stay in place until a purge or the compactor
+    destroys them, and fully dead segments are reclaimed with
+    segment-granular trims.  The choice persists in the superblock. *)
 
 val mount : Rgpdos_block.Block_device.t -> (t, string) result
 (** Load the last checkpoint and replay the metadata journal.  Replay is
@@ -80,14 +79,7 @@ val mount : Rgpdos_block.Block_device.t -> (t, string) result
 
 val device : t -> Rgpdos_block.Block_device.t
 
-type layout = {
-  l_data_start : int;   (** first data block *)
-  l_rec_start : int;    (** first record block; membranes live below *)
-  l_high_start : int;   (** first High-sensitivity record block *)
-  l_block_count : int;
-}
-
-val layout : t -> layout
+val layout : t -> Space.layout
 (** Data-region zone boundaries.  Membranes are allocated in
     [l_data_start, l_rec_start); ordinary records in
     [l_rec_start, l_high_start); High-sensitivity records in
@@ -299,7 +291,9 @@ val fsck : ?repair:bool -> t -> (unit, string list) result
 (** Invariant check, including the membrane invariant (every stored
     entry's membrane must decode and match the entry identity), per-extent
     checksums (every record and membrane extent must read back with its
-    stored FNV-64 sum), and index ↔ entry agreement in both directions:
+    stored FNV-64 sum), the space invariant ({!Space.check}: block
+    ownership, zones, leaks and the segment table), and index ↔ entry
+    agreement in both directions:
     every index key names a live pd and matches its on-device record,
     every posting list contains its keyed pds, every live pd of an
     indexed type is keyed, the subject index links every entry, and the
@@ -380,9 +374,6 @@ val unsafe_tamper_index : t -> string -> bool
 
 (** {1 Group commit & log-structured segments} *)
 
-val segmented : t -> bool
-(** Whether the store was formatted with the log-structured allocator. *)
-
 val set_group_commit : t -> int -> unit
 (** Group-commit window for the metadata journal: [1] (the default)
     writes each record immediately — byte- and counter-identical to the
@@ -395,9 +386,6 @@ val group_commit_window : t -> int
 val flush_journal : t -> unit
 (** Commit any buffered journal records now (no-op when none). *)
 
-val pending_journal_ops : t -> int
-(** Journal records buffered but not yet durable. *)
-
 val compact : ?max_victims:int -> ?liveness_pct:float -> t -> int
 (** Run one compaction pass: pick up to [max_victims] sealed segments at
     or below [liveness_pct] live, relocate their surviving extents
@@ -406,23 +394,9 @@ val compact : ?max_victims:int -> ?liveness_pct:float -> t -> int
     of victim segments processed; [0] on an update-in-place store or
     when nothing qualifies. *)
 
-val purge_dirty : t -> unit
-(** Destroy every freed-but-unpurged block now (segmented mode; no-op
-    otherwise).  Runs implicitly on every [delete] and [erase]. *)
-
-val set_compaction_pool : t -> Rgpdos_util.Pool.t -> unit
-(** Fan survivor checksum verification out over a domain pool during
-    compaction.  Results are deterministic with or without a pool. *)
-
 val segment_table : t -> (int * string * int * int * int) list
 (** Per-segment live table [(id, state, used, live_blocks, live_bytes)]
     for every non-free segment; [[]] on an update-in-place store. *)
-
-val segment_dirty_blocks : t -> int
-(** Freed-but-unpurged blocks still holding superseded plaintext. *)
-
-val free_segments : t -> int
-(** Free segments remaining across all three zones. *)
 
 val stats : t -> Rgpdos_util.Stats.Counter.t
 (** Operation counters ("inserts", "membrane_reads", "record_reads",

@@ -32,8 +32,9 @@ open Rgpdos_util.Codec
    numeric fragment: whenever [numeric_cmp a b = Some c] with [c <> 0],
    [VKey.compare a b] has the same sign.  Cross-type numeric ties
    (VInt 5 vs VFloat 5.0) break by constructor so the map keeps them as
-   distinct keys — range probes re-filter with [numeric_cmp], equality
-   probes use the hash postings, so the tie-break is never observable. *)
+   distinct keys: range probes re-filter with [numeric_cmp], and equality
+   probes get exactly the type-strict [Value.equal] classes, which
+   [canonical] below also identifies. *)
 module VKey = struct
   type t = Value.t
 
@@ -83,10 +84,11 @@ let empty_roots =
 type base = { io : Pagestore.io; roots : roots }
 
 type t = {
-  eq : (string, string list ref) Hashtbl.t;
-      (* "<ty>\x00<field>\x00<canonical value>" -> pd_ids, newest first *)
   ord : (string, string list ref VMap.t ref) Hashtbl.t;
-      (* "<ty>\x00<field>" -> value -> pd_ids, newest first *)
+      (* "<ty>\x00<field>" -> value -> pd_ids, newest first.  Serves
+         equality probes too: [VKey.compare] groups values exactly as
+         [Value.equal] does (floats by [Float.equal], ints and floats
+         kept apart). *)
   pd_keys : (string, string * (string * Value.t) list) Hashtbl.t;
       (* pd_id -> (type, indexed field values) — removal source of truth *)
   subjects : (string, string list ref) Hashtbl.t;
@@ -102,7 +104,6 @@ type t = {
 
 let create () =
   {
-    eq = Hashtbl.create 64;
     ord = Hashtbl.create 16;
     pd_keys = Hashtbl.create 64;
     subjects = Hashtbl.create 64;
@@ -120,7 +121,7 @@ let attach ~io roots =
   t
 
 (* ------------------------------------------------------------------ *)
-(* canonical hash keys                                                *)
+(* canonical value keys                                               *)
 
 (* Must identify exactly the [Value.equal] equivalence classes: floats
    compare with [Float.equal] (nan = nan, -0. = 0.), everything else is
@@ -148,9 +149,6 @@ let of_canonical s =
         else if body = "0" then Some (Value.VFloat 0.0)
         else Option.map (fun f -> Value.VFloat f) (float_of_string_opt body)
     | _ -> None
-
-let eq_key ~type_name ~field v =
-  String.concat "\x00" [ type_name; field; canonical v ]
 
 let ord_key ~type_name ~field = type_name ^ "\x00" ^ field
 
@@ -317,9 +315,7 @@ let materialize t pd_id =
                   | Some (type_name, kvs) ->
                       Hashtbl.replace t.pd_keys pd_id (type_name, kvs);
                       List.iter
-                        (fun (field, v) ->
-                          table_add t.eq (eq_key ~type_name ~field v) pd_id;
-                          ord_add t ~type_name ~field v pd_id)
+                        (fun (field, v) -> ord_add t ~type_name ~field v pd_id)
                         kvs);
                   (match exp with
                   | None -> ()
@@ -338,22 +334,14 @@ let remove_entry t ~pd_id =
   match Hashtbl.find_opt t.pd_keys pd_id with
   | None -> ()
   | Some (type_name, kvs) ->
-      List.iter
-        (fun (field, v) ->
-          table_remove t.eq (eq_key ~type_name ~field v) pd_id;
-          ord_remove t ~type_name ~field v pd_id)
-        kvs;
+      List.iter (fun (field, v) -> ord_remove t ~type_name ~field v pd_id) kvs;
       Hashtbl.remove t.pd_keys pd_id
 
 let add_entry t ~pd_id ~type_name ~indexed record =
   remove_entry t ~pd_id;
   let kvs = List.filter (fun (f, _) -> List.mem f indexed) record in
   Hashtbl.replace t.pd_keys pd_id (type_name, kvs);
-  List.iter
-    (fun (field, v) ->
-      table_add t.eq (eq_key ~type_name ~field v) pd_id;
-      ord_add t ~type_name ~field v pd_id)
-    kvs
+  List.iter (fun (field, v) -> ord_add t ~type_name ~field v pd_id) kvs
 
 (* ------------------------------------------------------------------ *)
 (* subject index                                                      *)
@@ -491,12 +479,14 @@ let base_eq_postings t ~type_name ~field v =
           if not (is_touched t pd) then acc := pd :: !acc);
       List.rev !acc
 
+(* Overlay postings of one value, newest first. *)
+let mem_eq_postings t ~type_name ~field v =
+  match Hashtbl.find_opt t.ord (ord_key ~type_name ~field) with
+  | None -> []
+  | Some m -> ( match VMap.find_opt v !m with None -> [] | Some ids -> !ids)
+
 let probe_eq t ~type_name ~field v =
-  let ids =
-    match Hashtbl.find_opt t.eq (eq_key ~type_name ~field v) with
-    | None -> []
-    | Some ids -> !ids
-  in
+  let ids = mem_eq_postings t ~type_name ~field v in
   let bytes = header_bytes + (slot_bytes * List.length ids) in
   (base_eq_postings t ~type_name ~field v @ ids, bytes)
 
@@ -717,20 +707,21 @@ let expiry_of t pd_id =
   | _ -> Hashtbl.find_opt t.expiry_of pd_id
 
 let eq_postings t ~type_name ~field v =
-  let mem =
-    match Hashtbl.find_opt t.eq (eq_key ~type_name ~field v) with
-    | None -> []
-    | Some ids -> !ids
-  in
-  base_eq_postings t ~type_name ~field v @ mem
+  base_eq_postings t ~type_name ~field v @ mem_eq_postings t ~type_name ~field v
 
 (* Canonical rendering, independent of hashtable iteration order and of
    posting-list internal order — two indexes holding the same facts dump
    to the same string. *)
 let dump_mem t =
   let b = Buffer.create 256 in
-  let sorted_tbl tbl =
-    Hashtbl.fold (fun k ids acc -> (k, List.sort String.compare !ids) :: acc) tbl []
+  let eq =
+    Hashtbl.fold
+      (fun okey m acc ->
+        VMap.fold
+          (fun v ids acc ->
+            (okey ^ "\x00" ^ canonical v, List.sort String.compare !ids) :: acc)
+          !m acc)
+      t.ord []
     |> List.sort compare
   in
   Buffer.add_string b "eq:\n";
@@ -740,7 +731,7 @@ let dump_mem t =
         (Printf.sprintf "  %s -> %s\n"
            (String.concat "/" (String.split_on_char '\x00' k))
            (String.concat "," ids)))
-    (sorted_tbl t.eq);
+    eq;
   Buffer.add_string b "subjects:\n";
   List.iter
     (fun s ->
@@ -773,9 +764,7 @@ let dump t =
       fold_pd_keys t
         (fun pd (type_name, kvs) () ->
           Hashtbl.replace s.pd_keys pd (type_name, kvs);
-          List.iter
-            (fun (field, v) -> table_add s.eq (eq_key ~type_name ~field v) pd)
-            kvs)
+          List.iter (fun (field, v) -> ord_add s ~type_name ~field v pd) kvs)
         ();
       List.iter
         (fun subj ->
@@ -809,5 +798,5 @@ let unsafe_drop_posting t ~pd_id =
       match kvs with
       | [] -> false
       | (field, v) :: _ ->
-          table_remove t.eq (eq_key ~type_name ~field v) pd_id;
+          ord_remove t ~type_name ~field v pd_id;
           true)

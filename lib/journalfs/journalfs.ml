@@ -3,6 +3,7 @@ module Journal_ring = Rgpdos_block.Journal_ring
 module Codec = Rgpdos_util.Codec
 module Clock = Rgpdos_util.Clock
 module Fnv = Rgpdos_util.Fnv
+module Space = Rgpdos_dbfs.Space
 
 open Rgpdos_util.Codec
 
@@ -129,49 +130,13 @@ let block_size fs = (Block_device.config fs.dev).Block_device.block_size
 let data_block_count fs =
   (Block_device.config fs.dev).Block_device.block_count - fs.data_start
 
-(* Extent allocation, same policy as DBFS's data zones: contiguous
-   first-fit so vectored reads of a file merge into one run, scattered
-   per-block fallback when fragmented, rollback on shortfall. *)
+(* Extent allocation through DBFS's first-fit over the whole data region:
+   contiguous so vectored reads of a file merge into one run, scattered
+   per-block fallback when fragmented, rollback on shortfall.  A fresh
+   cursor each call keeps the placements of a scan from the start. *)
 let alloc_blocks fs n =
-  let total = data_block_count fs in
-  let extent =
-    let result = ref None in
-    let start = ref (-1) in
-    let i = ref 0 in
-    while !result = None && !i < total do
-      if fs.free.(!i) then begin
-        if !start < 0 then start := !i;
-        if !i - !start + 1 >= n then result := Some !start
-      end
-      else start := -1;
-      incr i
-    done;
-    !result
-  in
-  match extent with
-  | Some s when n > 0 ->
-      for j = s to s + n - 1 do
-        fs.free.(j) <- false
-      done;
-      Some (List.init n (fun j -> fs.data_start + s + j))
-  | _ ->
-      let out = ref [] in
-      let found = ref 0 in
-      let i = ref 0 in
-      while !found < n && !i < total do
-        if fs.free.(!i) then begin
-          fs.free.(!i) <- false;
-          out := (fs.data_start + !i) :: !out;
-          incr found
-        end;
-        incr i
-      done;
-      if !found < n then begin
-        (* roll back *)
-        List.iter (fun b -> fs.free.(b - fs.data_start) <- true) !out;
-        None
-      end
-      else Some (List.rev !out)
+  Space.first_fit fs.free ~hint:(ref 0) ~lo:0 ~hi:(data_block_count fs) n
+  |> Option.map (List.map (fun i -> fs.data_start + i))
 
 let free_block fs b = fs.free.(b - fs.data_start) <- true
 

@@ -4,6 +4,7 @@
 
 module BD = Rgpdos_block.Block_device
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Space = Rgpdos_dbfs.Space
 module Record = Rgpdos_dbfs.Record
 module Query = Rgpdos_dbfs.Query
 module Schema = Rgpdos_dbfs.Schema
@@ -184,7 +185,8 @@ let dev_config cfg =
 let make_st cfg =
   let clock = Clock.create () in
   let dev = BD.create ~config:(dev_config cfg) ~clock () in
-  let store = Dbfs.format ~segmented:cfg.segmented dev ~journal_blocks:256 in
+  let allocator = if cfg.segmented then Space.segments else Space.Heap in
+  let store = Dbfs.format ~allocator dev ~journal_blocks:256 in
   (match Dbfs.create_type store ~actor item_schema with
   | Ok () -> ()
   | Error e -> failwith ("refine: create_type: " ^ Dbfs.error_to_string e));
@@ -538,8 +540,8 @@ let derive_spec ~spec_seed cfg script =
               BD.Fault_plan.Bit_flip
                 {
                   block =
-                    lay.Dbfs.l_data_start
-                    + Prng.int prng (lay.Dbfs.l_block_count - lay.Dbfs.l_data_start);
+                    lay.l_data_start
+                    + Prng.int prng (lay.l_block_count - lay.l_data_start);
                   byte = Prng.int prng 512;
                   bit = Prng.int prng 8;
                 }
@@ -701,7 +703,7 @@ let check_degraded script =
     List.iter
       (fun (b, _) -> Hashtbl.replace owned b ())
       (Dbfs.index_page_blocks st.store);
-    for b = lay.Dbfs.l_data_start to lay.Dbfs.l_block_count - 1 do
+    for b = lay.l_data_start to lay.l_block_count - 1 do
       if not (Hashtbl.mem owned b) then BD.inject_fault st.dev b
     done;
     (* Trigger: the next mutation that allocates must fail... *)

@@ -4,6 +4,7 @@ module Block_device = Rgpdos_block.Block_device
 module Journalfs = Rgpdos_journalfs.Journalfs
 module Membrane = Rgpdos_membrane.Membrane
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Space = Rgpdos_dbfs.Space
 module Schema = Rgpdos_dbfs.Schema
 module Record = Rgpdos_dbfs.Record
 module Ast = Rgpdos_lang.Ast
@@ -116,7 +117,8 @@ let boot ?(seed = 42L) ?pd_device ?npd_device ?authority ?(segmented = false)
   in
   let pd_dev = mk_dev pd_device in
   let npd_dev = mk_dev npd_device in
-  let dbfs = Dbfs.format ~segmented pd_dev ~journal_blocks:default_journal_blocks in
+  let allocator = if segmented then Space.segments else Space.Heap in
+  let dbfs = Dbfs.format ~allocator pd_dev ~journal_blocks:default_journal_blocks in
   if group_commit_window > 1 then Dbfs.set_group_commit dbfs group_commit_window;
   let npd_fs = Journalfs.format npd_dev ~journal_blocks:default_journal_blocks in
   let audit = Audit_log.create () in

@@ -405,7 +405,7 @@ let scenario_degraded_mode ~seed people =
   let lay = Dbfs.layout store in
   (* fault every free record-zone block so the next insert must hit one *)
   let faulted = ref [] in
-  for b = lay.Dbfs.l_rec_start to lay.Dbfs.l_high_start - 1 do
+  for b = lay.l_rec_start to lay.l_high_start - 1 do
     if not (Block_device.is_written dev b) then begin
       Block_device.inject_fault dev b;
       faulted := b :: !faulted

@@ -24,6 +24,7 @@ module Stats = Rgpdos_util.Stats
 module Fnv = Rgpdos_util.Fnv
 module Block_device = Rgpdos_block.Block_device
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Space = Rgpdos_dbfs.Space
 module Schema = Rgpdos_dbfs.Schema
 module Value = Rgpdos_dbfs.Value
 module Record = Rgpdos_dbfs.Record
@@ -126,12 +127,12 @@ let journal_blocks_for n = max 256 (n / 8)
 let counter c name = Stats.Counter.get c name
 
 (* One full workload on one store configuration. *)
-let run_side ~label ~segmented ~window ~subjects ~update_rounds =
+let run_side ~label ~allocator ~window ~subjects ~update_rounds =
   let clock = Clock.create () in
   let config = config_for subjects in
   let dev = Block_device.create ~config ~clock () in
   let t =
-    Dbfs.format ~segmented dev ~journal_blocks:(journal_blocks_for subjects)
+    Dbfs.format ~allocator dev ~journal_blocks:(journal_blocks_for subjects)
   in
   if window > 1 then Dbfs.set_group_commit t window;
   let schema = schema () in
@@ -231,11 +232,12 @@ let run_side ~label ~segmented ~window ~subjects ~update_rounds =
 
 let run ?(subjects = 10_000) ?(update_rounds = 3) ?(window = 16) () =
   let baseline =
-    run_side ~label:"update_in_place" ~segmented:false ~window:1 ~subjects
+    run_side ~label:"update_in_place" ~allocator:Space.Heap ~window:1 ~subjects
       ~update_rounds
   in
   let segmented =
-    run_side ~label:"segmented" ~segmented:true ~window ~subjects ~update_rounds
+    run_side ~label:"segmented" ~allocator:Space.segments ~window ~subjects
+      ~update_rounds
   in
   {
     sr_baseline = baseline;

@@ -327,7 +327,7 @@ let test_degraded_mode_read_only () =
   let dev = Machine.pd_device m in
   let lay = Dbfs.layout store in
   let faulted = ref [] in
-  for b = lay.Dbfs.l_rec_start to lay.Dbfs.l_high_start - 1 do
+  for b = lay.l_rec_start to lay.l_high_start - 1 do
     if not (Block_device.is_written dev b) then begin
       Block_device.inject_fault dev b;
       faulted := b :: !faulted

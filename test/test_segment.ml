@@ -13,13 +13,17 @@
      erased records anywhere on the raw image, even though compaction
      relocates their (live) neighbours;
    - backpressure stalls are deterministic simulated-clock charges:
-     identical runs agree on the stall count and the final clock. *)
+     identical runs agree on the stall count and the final clock;
+   - the space invariant ([Space.check], run by [Dbfs.fsck]) holds after
+     every op on both allocators, and the hinted first-fit places
+     exactly where a scan from the zone start would. *)
 
 module Clock = Rgpdos_util.Clock
 module Stats = Rgpdos_util.Stats
 module Fnv = Rgpdos_util.Fnv
 module Block_device = Rgpdos_block.Block_device
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Space = Rgpdos_dbfs.Space
 module Schema = Rgpdos_dbfs.Schema
 module Value = Rgpdos_dbfs.Value
 module Record = Rgpdos_dbfs.Record
@@ -45,14 +49,14 @@ let schema () =
   | Ok s -> s
   | Error e -> failwith e
 
-let make_store ?(block_size = 512) ?(block_count = 4_096) ?seg_blocks
-    ?(window = 1) () =
+let make_store ?(block_size = 512) ?(block_count = 4_096)
+    ?(allocator = Space.segments) ?(window = 1) () =
   let clock = Clock.create () in
   let config =
     { Block_device.default_config with block_size; block_count }
   in
   let dev = Block_device.create ~config ~clock () in
-  let t = Dbfs.format ~segmented:true ?seg_blocks dev ~journal_blocks:256 in
+  let t = Dbfs.format ~allocator dev ~journal_blocks:256 in
   if window > 1 then Dbfs.set_group_commit t window;
   let s = schema () in
   (match Dbfs.create_type t ~actor s with
@@ -85,19 +89,20 @@ let insert_subject ?sensitivity t (s : Schema.t) i =
 
 type op = Insert of int | Update of int | Erase of int | Delete of int
 
-(* Apply a script on a fresh segmented store with the given group-commit
-   window; invalid ops (update of a never-inserted subject, ...) are
-   skipped by the same deterministic rule on every side.  Returns the
+(* Apply a script on a fresh store (segmented unless [allocator] says
+   otherwise) with the given group-commit window, calling [after_op]
+   after each op; invalid ops (update of a never-inserted subject, ...)
+   are skipped by the same deterministic rule on every side.  Returns the
    raw device image after an explicit final flush + checkpoint. *)
-let run_script ~window ops =
+let run_script ?allocator ?(after_op = ignore) ~window ops =
   let pool = 8 in
-  let dev, _clock, t, s = make_store ~window () in
+  let dev, _clock, t, s = make_store ?allocator ~window () in
   let pds = Array.make pool None in
   let erased = Array.make pool false in
   let version = Array.make pool 0 in
   List.iter
     (fun op ->
-      match op with
+      (match op with
       | Insert i when pds.(i) = None -> (
           match insert_subject t s i with
           | Ok pd -> pds.(i) <- Some pd
@@ -138,7 +143,8 @@ let run_script ~window ops =
               | Ok () -> ()
               | Error e -> failwith (Dbfs.error_to_string e))
           | _ -> ())
-      | Insert _ -> ())
+      | Insert _ -> ());
+      after_op t)
     ops;
   Dbfs.flush_journal t;
   Dbfs.checkpoint t;
@@ -159,13 +165,15 @@ let op_print = function
   | Erase i -> Printf.sprintf "Erase %d" i
   | Delete i -> Printf.sprintf "Delete %d" i
 
+let script_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map op_print ops))
+    QCheck.Gen.(list_size (5 -- 40) op_gen)
+
 let prop_group_commit_byte_identical =
   QCheck.Test.make
     ~name:"windows 1/4/64 leave byte-identical images for any script"
-    ~count:25
-    (QCheck.make
-       ~print:(fun ops -> String.concat "; " (List.map op_print ops))
-       QCheck.Gen.(list_size (5 -- 40) op_gen))
+    ~count:25 script_arb
     (fun ops ->
       let base, _ = run_script ~window:1 ops in
       List.for_all
@@ -183,6 +191,68 @@ let test_window_one_no_batches () =
   check_int "no committed_batches at window 1" 0
     (Stats.Counter.get st "committed_batches");
   check_int "no batched_ops at window 1" 0 (Stats.Counter.get st "batched_ops")
+
+(* ------------------------------------------------------------------ *)
+(* the space invariant                                                 *)
+
+let prop_fsck_clean_after_every_op =
+  QCheck.Test.make
+    ~name:"fsck clean after every op: segments at 1/4/64, heap at 1"
+    ~count:25 script_arb
+    (fun ops ->
+      let after_op t =
+        match Dbfs.fsck t with
+        | Ok () -> ()
+        | Error ps -> QCheck.Test.fail_reportf "%s" (String.concat "; " ps)
+      in
+      List.iter
+        (fun (allocator, window) ->
+          ignore (run_script ~allocator ~after_op ~window ops))
+        [ (Space.segments, 1); (Space.segments, 4); (Space.segments, 64);
+          (Space.Heap, 1) ];
+      true)
+
+(* Hint-less reference: the first run of [n] free slots in [lo, hi),
+   else the first [n] free slots, else nothing. *)
+let reference_fit free ~lo ~hi n =
+  let span = List.init (hi - lo) (fun k -> lo + k) in
+  let run s = s + n <= hi && List.for_all (fun k -> free.(s + k)) (List.init n Fun.id) in
+  let free_slots = List.filter (fun i -> free.(i)) span in
+  let pick =
+    match List.find_opt run span with
+    | Some s -> Some (List.init n (fun k -> s + k))
+    | None when List.length free_slots >= n ->
+        Some (List.filteri (fun k _ -> k < n) free_slots)
+    | None -> None
+  in
+  Option.iter (List.iter (fun i -> free.(i) <- false)) pick;
+  pick
+
+(* Random allocs of [k mod 13] blocks, and frees of one slot picked by
+   [k], in one of three zones; a free lowers its zone's hint, as
+   [Space.mark_free] does. *)
+let prop_first_fit_matches_reference =
+  let zones = [| (0, 24); (24, 72); (72, 96) |] in
+  QCheck.Test.make ~name:"hinted first-fit == hint-less reference scan"
+    ~count:200
+    QCheck.(list_of_size Gen.(5 -- 80) (triple bool (int_bound 2) (int_bound 95)))
+    (fun ops ->
+      let hinted = Array.make 96 true and plain = Array.make 96 true in
+      let hints = Array.init 3 (fun _ -> ref 0) in
+      List.for_all
+        (fun (alloc, z, k) ->
+          let lo, hi = zones.(z) in
+          if alloc then
+            Space.first_fit hinted ~hint:hints.(z) ~lo ~hi (k mod 13)
+            = reference_fit plain ~lo ~hi (k mod 13)
+          else begin
+            let i = lo + (k mod (hi - lo)) in
+            hinted.(i) <- true;
+            plain.(i) <- true;
+            if i < !(hints.(z)) then hints.(z) := i;
+            true
+          end)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* crash with records still buffered in the window                     *)
@@ -221,6 +291,13 @@ let test_crash_between_batches_replays_cleanly () =
   match Dbfs.mount dev' with
   | Error e -> Alcotest.fail ("mount after crash failed: " ^ e)
   | Ok t' ->
+      (* hydration queued the replayed inserts' blocks as dirty (free and
+         written in the format-time bitmap) before replay marked them
+         used: a purge — any delete — must not zero them *)
+      check_bool "fsck clean before repair" true (Dbfs.fsck t' = Ok ());
+      (match Dbfs.delete t' ~actor (List.hd durable) with
+      | Ok () -> ()
+      | Error e -> failwith (Dbfs.error_to_string e));
       let rep = Dbfs.fsck_repair t' in
       check_bool "fsck clean after crash mid-window" true rep.Dbfs.rr_clean;
       check_int "no quarantine" 0 (List.length rep.Dbfs.rr_quarantined);
@@ -228,7 +305,7 @@ let test_crash_between_batches_replays_cleanly () =
         (fun pd ->
           check_bool "durable record survives" true
             (Result.is_ok (Dbfs.get_record t' ~actor pd)))
-        durable
+        (List.tl durable)
 
 (* ------------------------------------------------------------------ *)
 (* erase -> compact -> remount -> zero residue                         *)
@@ -325,7 +402,7 @@ let test_erase_compact_remount_no_residue () =
    crosses the backpressure threshold and the stall path runs. *)
 let backpressure_run () =
   let dev, clock, t, s =
-    make_store ~block_count:2_048 ~seg_blocks:240 ()
+    make_store ~block_count:2_048 ~allocator:(Space.Segments 240) ()
   in
   let insert sens i =
     match insert_subject ~sensitivity:sens t s i with
@@ -385,5 +462,10 @@ let () =
         [
           Alcotest.test_case "stalls are deterministic" `Quick
             test_backpressure_deterministic;
+        ] );
+      ( "space",
+        [
+          QCheck_alcotest.to_alcotest prop_fsck_clean_after_every_op;
+          QCheck_alcotest.to_alcotest prop_first_fit_matches_reference;
         ] );
     ]

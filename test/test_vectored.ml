@@ -176,9 +176,9 @@ let test_zone_placement () =
   let t, _, _ = setup () in
   let l = Dbfs.layout t in
   check_bool "zones ordered" true
-    (l.Dbfs.l_data_start < l.Dbfs.l_rec_start
-    && l.Dbfs.l_rec_start < l.Dbfs.l_high_start
-    && l.Dbfs.l_high_start < l.Dbfs.l_block_count);
+    (l.l_data_start < l.l_rec_start
+    && l.l_rec_start < l.l_high_start
+    && l.l_high_start < l.l_block_count);
   let high_pd = insert_user t ~subject:"alice" ~pwd:"pw" in
   let low_pd =
     insert t ~type_name:"note" ~subject:"alice"
@@ -187,18 +187,18 @@ let test_zone_placement () =
   let hrec, hmem = ok (Dbfs.entry_blocks t ~actor:ded high_pd) in
   let lrec, lmem = ok (Dbfs.entry_blocks t ~actor:ded low_pd) in
   check_bool "High record blocks in the High zone" true
-    (hrec <> [] && List.for_all (fun b -> b >= l.Dbfs.l_high_start) hrec);
+    (hrec <> [] && List.for_all (fun b -> b >= l.l_high_start) hrec);
   check_bool "ordinary record blocks below the High zone" true
     (lrec <> []
     && List.for_all
-         (fun b -> b >= l.Dbfs.l_rec_start && b < l.Dbfs.l_high_start)
+         (fun b -> b >= l.l_rec_start && b < l.l_high_start)
          lrec);
   List.iter
     (fun mem ->
       check_bool "membrane blocks in the membrane zone" true
         (mem <> []
         && List.for_all
-             (fun b -> b >= l.Dbfs.l_data_start && b < l.Dbfs.l_rec_start)
+             (fun b -> b >= l.l_data_start && b < l.l_rec_start)
              mem))
     [ hmem; lmem ]
 
