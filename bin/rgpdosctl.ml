@@ -7,7 +7,7 @@
                        check/repair (both print the journal replay summary)
      stats             run a scripted workload, print cache/index/device counters
      fig1              print the paper's Figure 1 statistics
-     experiment ID     run one experiment (e1..e10) at bench scale
+     experiment ID     run one experiment (e1..e11, a1..a3) at bench scale
      model-check       run the executable-GDPR-model refinement campaign
      articles          print the GDPR article -> rgpdOS mechanism table *)
 
@@ -22,6 +22,7 @@ module Ded = Rgpdos_ded.Ded
 module Processing = Rgpdos_ded.Processing
 module Articles = Rgpdos_gdpr.Articles
 module E = Rgpdos_workload.Experiments
+module Bench = Rgpdos_workload.Bench
 module Table = Rgpdos_util.Table
 
 (* ------------------------------------------------------------------ *)
@@ -607,49 +608,31 @@ let fig1_cmd =
           0)
       $ const ())
 
+(* E1 and E4 print here directly; every other id runs through the bench
+   harness's own table, at the sizes bench/main.exe uses. *)
 let experiment_run id quick =
-  let d full small = if quick then small else full in
-  let out =
-    match String.lowercase_ascii id with
-    | "e1" -> Some (E.render_e1 (E.e1_ded_stages ~subjects:(d 2_000 200) ()))
-    | "e2" ->
-        Some
-          (E.render_e2
-             (E.e2_gdprbench ~subjects:(d 400 80) ~ops_per_role:(d 200 50) ()))
-    | "e2b" ->
-        Some
-          (E.render_e2b
-             (E.e2b_scaling ~sizes:(d [ 100; 200; 400 ] [ 50; 100 ]) ()))
-    | "e3" ->
-        Some (E.render_e3 (E.e3_erasure ~subjects:(d 300 60) ()))
-    | "e4" -> Some (E.render_e4 (E.e4_access ()))
-    | "e5" -> Some (E.render_e5 (E.e5_ttl ~sizes:(d [ 500; 1_000; 2_000 ] [ 100 ]) ()))
-    | "e6" -> Some (E.render_e6 (E.e6_filter ~subjects:(d 1_000 150) ()))
-    | "e7" -> Some (E.render_e7 (E.e7_leak ~attacks:(d 200 40) ()))
-    | "e8" -> Some (E.render_e8 (E.e8_register ()))
-    | "e9" -> Some (E.render_e9 (E.e9_kernels ~jobs:(d 100 24) ()))
-    | "e11" ->
-        Some (E.render_e11 (E.e11_consent_churn ~subjects:(d 300 60) ()))
-    | "a1" -> Some (E.render_a1 (E.a1_fetch_mode ~subjects:(d 500 80) ()))
-    | "a2" -> Some (E.render_a2 (E.a2_placement ~subjects:(d 1_000 150) ()))
-    | "e10" ->
-        Some
-          (E.render_e10
-             (E.e10_audit ~sizes:(d [ 100; 1_000; 10_000 ] [ 100; 1_000 ]) ()))
-    | _ -> None
+  let id = String.lowercase_ascii id in
+  let print s =
+    print_endline s;
+    0
   in
-  match out with
-  | Some s ->
-      print_endline s;
+  match (id, List.assoc_opt id Bench.printed) with
+  | "e1", _ ->
+      print (E.render_e1 (E.e1_ded_stages ~subjects:(if quick then 200 else 2_000) ()))
+  | "e4", _ -> print (E.render_e4 (E.e4_access ()))
+  | _, Some run ->
+      run ~quick;
       0
-  | None ->
-      Printf.eprintf "unknown experiment %s (expected e1..e11, e2b, a1, a2)\n" id;
+  | _, None ->
+      Printf.eprintf "unknown experiment %s (expected one of: %s)\n" id
+        (String.concat " " ("e1" :: "e4" :: List.map fst Bench.printed));
       1
 
 let experiment_cmd =
   let id =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID"
-           ~doc:"Experiment id, e1 through e10.")
+           ~doc:"Experiment id: e1, e4, or a print-only bench section \
+                 (fig1, e2, e2b, e3, e5-e11, a1-a3).")
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Smaller sizes.") in
   Cmd.v

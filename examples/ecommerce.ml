@@ -149,4 +149,5 @@ let () =
   (* the audit trail survives all of it *)
   Printf.printf "audit chain: %d entries, verifies: %b\n"
     (Rgpdos_audit.Audit_log.length (Machine.audit m))
-    (Rgpdos_audit.Audit_log.verify (Machine.audit m) = Ok ())
+    (Rgpdos_audit.Audit_log.verify (Machine.audit m) = Ok ());
+  if not (Rgpdos_gdpr.Compliance.all_ok verdicts) then exit 1

@@ -173,7 +173,9 @@ let () =
   (match Dbfs.list_pds (Machine.dbfs m) ~actor:"reporting_script" "patient" with
   | Error (Dbfs.Access_denied msg) -> Printf.printf "LSM: %s\n" msg
   | Error e -> Printf.printf "unexpected error: %s\n" (Dbfs.error_to_string e)
-  | Ok _ -> print_endline "BUG: the rogue script read the patient store!");
+  | Ok _ ->
+      print_endline "BUG: the rogue script read the patient store!";
+      exit 1);
   Printf.printf "LSM denial log has %d entries\n" (Lsm.denial_count (Machine.lsm m));
 
   (* a patient leaves and invokes the right to be forgotten; the clinic
@@ -188,4 +190,5 @@ let () =
       (Machine.compliance_evidence m
          ~forensic_probes:[ "Leina"; "2 01 02 13 005 003" ] ())
   in
-  Printf.printf "compliance: %s\n" (Rgpdos_gdpr.Compliance.summary verdicts)
+  Printf.printf "compliance: %s\n" (Rgpdos_gdpr.Compliance.summary verdicts);
+  if not (Rgpdos_gdpr.Compliance.all_ok verdicts) then exit 1

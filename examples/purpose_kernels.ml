@@ -87,7 +87,9 @@ let () =
        { Scheduler.job_id = "pd-job"; data_class = Scheduler.Pd; work = 1 }
    with
   | Error msg -> Printf.printf "\nPD job on a PD-less machine: refused (%s)\n" msg
-  | Ok () -> print_endline "\nBUG: PD job accepted on the general kernel");
+  | Ok () ->
+      print_endline "\nBUG: PD job accepted on the general kernel";
+      exit 1);
 
   (* kernels cooperate over IPC channels *)
   let clock = Clock.create () in

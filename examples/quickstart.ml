@@ -132,11 +132,14 @@ let () =
      Rgpdos_block.Block_device.scan (Machine.pd_device m) "Benoit"
    with
   | [] -> print_endline "forensic scan of the PD device: no trace of the name"
-  | hits -> Printf.printf "forensic scan found %d remnants (BUG)\n" (List.length hits));
+  | hits ->
+      Printf.printf "forensic scan found %d remnants (BUG)\n" (List.length hits);
+      exit 1);
 
   (* the compliance checker agrees *)
   let verdicts =
     Rgpdos_gdpr.Compliance.evaluate
       (Machine.compliance_evidence m ~forensic_probes:[ "Benoit" ] ())
   in
-  Printf.printf "\ncompliance: %s\n" (Rgpdos_gdpr.Compliance.summary verdicts)
+  Printf.printf "\ncompliance: %s\n" (Rgpdos_gdpr.Compliance.summary verdicts);
+  if not (Rgpdos_gdpr.Compliance.all_ok verdicts) then exit 1

@@ -288,10 +288,19 @@ let read_vec dev indices = read_vec_common dev ~move:true indices
 
 let charge_read_vec dev indices = ignore (read_vec_common dev ~move:false indices)
 
+let check_payload dev data =
+  if String.length data > dev.cfg.block_size then
+    invalid_arg "Block_device.write: data larger than block"
+
+(* Validate a canonical vectored write before it charges, counts or
+   persists anything: every index is in range and unfaulted, every
+   payload fits its block. *)
+let check_writes dev writes =
+  List.iter (fun (i, _) -> check dev i) writes;
+  List.iter (fun (_, data) -> check_payload dev data) writes
+
 let store dev i data =
   let len = String.length data in
-  if len > dev.cfg.block_size then
-    invalid_arg "Block_device.write: data larger than block";
   if dev.blocks.(i) = "" then dev.used <- dev.used + 1;
   dev.blocks.(i) <-
     (if len = dev.cfg.block_size then data
@@ -389,8 +398,8 @@ let write_vec dev writes =
   match dedup_writes writes with
   | [] -> ()
   | writes ->
+      check_writes dev writes;
       let sorted = List.map fst writes in
-      List.iter (check dev) sorted;
       let service, nruns = vec_cost dev dev.cfg.write_latency sorted in
       Clock.advance dev.clock service;
       account_write dev sorted nruns;
@@ -398,9 +407,7 @@ let write_vec dev writes =
 
 let write dev i data =
   check dev i;
-  let len = String.length data in
-  if len > dev.cfg.block_size then
-    invalid_arg "Block_device.write: data larger than block";
+  check_payload dev data;
   charge dev dev.cfg.write_latency dev.cfg.block_size;
   Stats.Counter.incr dev.counters "writes";
   Stats.Counter.incr dev.counters ~by:dev.cfg.block_size "bytes_written";
@@ -522,8 +529,8 @@ let submit_write_vec dev ?(channel = 0) writes =
   match dedup_writes writes with
   | [] -> settled_ticket []
   | writes ->
+      check_writes dev writes;
       let sorted = List.map fst writes in
-      List.iter (check dev) sorted;
       let service, nruns = vec_cost dev dev.cfg.write_latency sorted in
       account_write dev sorted nruns;
       let tk = enqueue dev ~channel service [] in

@@ -71,7 +71,10 @@ val write_vec : t -> (int * string) list -> unit
     run of distinct indices plus the per-byte cost.  Later pairs win on
     duplicate indices, and duplicates are resolved {i before} cost
     accounting: a request naming the same block twice seeks and transfers
-    it once.  Data constraints are as for {!write}. *)
+    it once.  Data constraints are as for {!write}.  The request is
+    checked whole before it has any effect: an out-of-range index,
+    a faulted block or an oversize payload raises with nothing persisted,
+    charged or counted, and no fault-plan write ordinal consumed. *)
 
 val write : t -> int -> string -> unit
 (** [write dev i data] stores [data] as block [i].  [data] shorter than

@@ -70,7 +70,6 @@ let attach dev ~start_block ~num_blocks ~head ~seq =
   }
 
 let set_window ring w = ring.window <- max 1 w
-let window ring = ring.window
 let batches ring = ring.batches
 let batched_ops ring = ring.batched_ops
 let pending_ops ring = List.length ring.pending

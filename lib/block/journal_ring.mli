@@ -44,8 +44,6 @@ val set_window : t -> int -> unit
     write.  A crash before the flush loses the buffered tail — replay
     rolls back to the durable prefix. *)
 
-val window : t -> int
-
 val flush : t -> unit
 (** Write all buffered records at the head in one vectored device
     submission, whose clock charge {!barrier} settles.  No-op when

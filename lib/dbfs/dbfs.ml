@@ -1515,26 +1515,6 @@ let update_membrane t ~actor pd_id membrane =
             Stats.Counter.incr t.counters "membrane_updates";
             Ok ())
 
-let update_membranes_by_lineage t ~actor ~lineage f =
-  let** () = guard t ~actor ~op:"write" in
-  let** () = check_degraded t in
-  let** ids =
-    protect_pages (fun () ->
-        Ok (List.map (fun e -> e.pd_id) (collect_entries t)))
-  in
-  (* one batched membrane load to find the lineage, then point updates *)
-  let** membranes = get_membranes t ~actor ids in
-  let rec go updated = function
-    | [] -> Ok updated
-    | (pd_id, m) :: rest ->
-        if Membrane.lineage_root m = lineage then
-          match update_membrane t ~actor pd_id (f m) with
-          | Error e -> Error e
-          | Ok () -> go (updated + 1) rest
-        else go updated rest
-  in
-  go 0 membranes
-
 let copy_pd t ~actor pd_id =
   let** () = guard t ~actor ~op:"write" in
   let** () = check_degraded t in
@@ -2228,8 +2208,6 @@ let set_group_commit t n =
   retrying t (fun () -> Journal_ring.flush t.ring);
   Journal_ring.barrier t.ring;
   Journal_ring.set_window t.ring n
-
-let group_commit_window t = Journal_ring.window t.ring
 
 (* The explicit durability call: flush AND settle. *)
 let flush_journal t =

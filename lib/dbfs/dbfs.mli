@@ -174,19 +174,13 @@ val update_membrane :
 (** Replace the membrane (consent changes).  The new membrane must keep the
     entry's pd_id, type and subject. *)
 
-val update_membranes_by_lineage :
-  t ->
-  actor:string ->
-  lineage:string ->
-  (Rgpdos_membrane.Membrane.t -> Rgpdos_membrane.Membrane.t) ->
-  (int, error) result
-(** Apply a membrane transformation to every copy sharing a lineage root —
-    how the machine keeps membranes consistent across copies of the same
-    PD.  Returns how many entries were updated. *)
-
 val copy_pd : t -> actor:string -> string -> (string, error) result
 (** Built-in [copy]: duplicate record and membrane under a fresh pd_id;
-    the copy's membrane inherits every restriction and the lineage root. *)
+    the copy's membrane inherits every restriction and the lineage root.
+    The copy is filed under its source's subject, and {!insert} and
+    {!update_membrane} refuse a membrane naming another subject, so a
+    lineage never leaves its subject: {!pds_of_subject} lists every copy
+    of the subject's PD. *)
 
 val delete : t -> actor:string -> string -> (unit, error) result
 (** Physical removal: record and membrane blocks are zeroed on the device
@@ -380,8 +374,6 @@ val set_group_commit : t -> int -> unit
     pre-group-commit path; [n > 1] buffers up to [n] journal records and
     commits them in one vectored device write.  Any buffered records are
     flushed before the window changes. *)
-
-val group_commit_window : t -> int
 
 val flush_journal : t -> unit
 (** Commit any buffered journal records now (no-op when none). *)

@@ -105,7 +105,9 @@ val copy_for : t -> new_pd_id:string -> t
 (** Membrane for a copy of the PD (built-in [copy]): all restrictions are
     inherited, only the wrapped PD's identity changes.  The paper requires
     membrane consistency across all copies of the same PD: the [lineage]
-    of the copy lets the machine find and update them together. *)
+    of the copy lets the machine find and update them together.  The
+    subject is inherited too, so a lineage never leaves its subject and
+    the subject's PDs are every member of the lineages it owns. *)
 
 val lineage_root : t -> string
 (** The pd_id of the original ancestor (for copies, the id this membrane

@@ -101,8 +101,7 @@ let assemble ~clock ~prng ~authority ~pd_dev ~npd_dev ~dbfs ~npd_fs ~audit =
     collectors = Hashtbl.create 8;
   }
 
-let boot ?(seed = 42L) ?pd_device ?npd_device ?authority ?(segmented = false)
-    ?(group_commit_window = 1) () =
+let boot ?(seed = 42L) ?pd_device ?npd_device ?authority ?(segmented = false) () =
   let clock = Clock.create () in
   let prng = Prng.create ~seed () in
   let authority =
@@ -119,7 +118,6 @@ let boot ?(seed = 42L) ?pd_device ?npd_device ?authority ?(segmented = false)
   let npd_dev = mk_dev npd_device in
   let allocator = if segmented then Space.segments else Space.Heap in
   let dbfs = Dbfs.format ~allocator pd_dev ~journal_blocks:default_journal_blocks in
-  if group_commit_window > 1 then Dbfs.set_group_commit dbfs group_commit_window;
   let npd_fs = Journalfs.format npd_dev ~journal_blocks:default_journal_blocks in
   let audit = Audit_log.create () in
   assemble ~clock ~prng ~authority ~pd_dev ~npd_dev ~dbfs ~npd_fs ~audit
@@ -310,33 +308,40 @@ let right_to_rectification t ~pd_id record =
   | Ok () -> Ok ()
   | Error e -> Error (Ded.error_to_string e)
 
-(* Rewrite with [f] every membrane in the lineage of each of the
-   subject's PDs — whole lineages, so copies stay consistent — once per
-   lineage, then call [on_lineage pd_id] with the subject's PD that led
-   to it.  Returns how many membranes were rewritten. *)
+(* Rewrite with [f] every membrane of each lineage the subject owns —
+   whole lineages, so copies stay consistent — lineage by lineage, then
+   call [on_lineage pd_id] with the lineage's first PD.  A lineage never
+   leaves its subject ([Dbfs.copy_pd] files a copy under its source's
+   subject, and DBFS refuses a membrane naming another subject), so the
+   subject's PDs, in pd order, are every member of those lineages and
+   one batched load of their membranes finds them all.  Returns how many
+   membranes were rewritten. *)
 let update_subject_lineages t ~subject f ~on_lineage =
-  match Dbfs.pds_of_subject t.dbfs ~actor:Ded.actor subject with
-  | Error e -> Error (Dbfs.error_to_string e)
-  | Ok pd_ids ->
-      let rec go updated seen = function
-        | [] -> Ok updated
-        | pd_id :: rest -> (
-            match Dbfs.get_membrane t.dbfs ~actor:Ded.actor pd_id with
-            | Error e -> Error (Dbfs.error_to_string e)
-            | Ok m -> (
-                let lineage = Membrane.lineage_root m in
-                if List.mem lineage seen then go updated seen rest
-                else
-                  match
-                    Dbfs.update_membranes_by_lineage t.dbfs ~actor:Ded.actor
-                      ~lineage f
-                  with
-                  | Error e -> Error (Dbfs.error_to_string e)
-                  | Ok n ->
-                      on_lineage pd_id;
-                      go (updated + n) (lineage :: seen) rest))
-      in
-      go 0 [] pd_ids
+  let actor = Ded.actor in
+  let rec rewrite = function
+    | [] -> Ok ()
+    | (pd_id, m) :: rest ->
+        Result.bind (Dbfs.update_membrane t.dbfs ~actor pd_id (f m)) (fun () ->
+            rewrite rest)
+  in
+  let rec go updated = function
+    | [] -> Ok updated
+    | (pd_id, m) :: _ as pending -> (
+        let lineage = Membrane.lineage_root m in
+        let members, rest =
+          List.partition (fun (_, m) -> Membrane.lineage_root m = lineage) pending
+        in
+        match rewrite members with
+        | Error e -> Error e
+        | Ok () ->
+            on_lineage pd_id;
+            go (updated + List.length members) rest)
+  in
+  Result.map_error Dbfs.error_to_string
+    (Result.bind
+       (Result.bind (Dbfs.pds_of_subject t.dbfs ~actor subject)
+          (Dbfs.get_membranes t.dbfs ~actor))
+       (go 0))
 
 let set_consent t ~subject ~purpose scope =
   update_subject_lineages t ~subject

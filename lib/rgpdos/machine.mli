@@ -21,17 +21,15 @@ val boot :
   ?npd_device:Rgpdos_block.Block_device.config ->
   ?authority:Rgpdos_gdpr.Authority.t ->
   ?segmented:bool ->
-  ?group_commit_window:int ->
   unit ->
   t
 (** Create and wire a fresh machine.  Defaults: 64 MiB devices, a
     dedicated authority derived from [seed].  The LSM policy installed at
     boot denies every DBFS access except the DED's (full) and the PS's
     (schema reads) — enforcement rules 1-4 of §2.  [?segmented] formats
-    the PD store with the log-structured segment allocator;
-    [?group_commit_window] batches journal appends (see
-    {!Rgpdos_dbfs.Dbfs.set_group_commit}).  The window is a runtime knob:
-    a {!reboot} resets it to 1. *)
+    the PD store with the log-structured segment allocator.  Journal
+    group commit is a runtime knob on the store
+    ({!Rgpdos_dbfs.Dbfs.set_group_commit}), which a {!reboot} resets to 1. *)
 
 val reboot : t -> (t, string) result
 (** Power-cycle the machine: checkpoint and remount both filesystems from
@@ -149,7 +147,11 @@ val set_consent :
   Rgpdos_membrane.Membrane.consent_scope ->
   (int, string) result
 (** Record a subject's consent decision on all their PD (and every copy,
-    via lineage propagation).  Returns the number of membranes updated. *)
+    via lineage propagation).  A lineage never leaves its subject (a copy
+    is filed under its source's subject), so the decision reads and
+    rewrites only the subject's own membranes, lineage by lineage in pd
+    order, and appends one [Consent_changed] entry per lineage naming the
+    subject's first PD in it.  Returns the number of membranes updated. *)
 
 (** A consent receipt: the demonstrable record of a consent decision that
     art. 7(1) requires the operator to keep ("the controller shall be able

@@ -456,8 +456,9 @@ let scenario_degraded_mode ~seed people =
 let boot_seg ~seed ~window =
   let m =
     Machine.boot ~seed:(Int64.of_int seed) ~pd_device:pd_config
-      ~npd_device:npd_config ~segmented:true ~group_commit_window:window ()
+      ~npd_device:npd_config ~segmented:true ()
   in
+  Dbfs.set_group_commit (Machine.dbfs m) window;
   match Machine.load_declarations m Population.type_declaration with
   | Ok _ -> m
   | Error e -> fail_step "load_declarations" e

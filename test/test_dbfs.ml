@@ -308,8 +308,12 @@ let test_dbfs_update_membrane_and_mismatch () =
     (Result.is_error
        (Dbfs.update_membrane t ~actor:ded pd { m with M.pd_id = "pd-0other" }))
 
+(* Lineage propagation is the machine's: a consent change rewrites the
+   subject's own membranes, which include every copy of their PD. *)
 let test_dbfs_copy_consistency () =
-  let t, _, _ = setup () in
+  let machine = Rgpdos.Machine.boot () in
+  let t = Rgpdos.Machine.dbfs machine in
+  ok (Dbfs.create_type t ~actor:"sysadmin" (user_schema ()));
   let pd = insert_user t ~subject:"sub-1" "Orig" 1990 in
   let copy = ok (Dbfs.copy_pd t ~actor:ded pd) in
   check_bool "distinct ids" true (pd <> copy);
@@ -317,15 +321,34 @@ let test_dbfs_copy_consistency () =
   check_string "lineage" pd (M.lineage_root mc);
   (* consent change propagated to all copies via lineage *)
   let n =
-    ok
-      (Dbfs.update_membranes_by_lineage t ~actor:ded ~lineage:pd (fun m ->
-           M.withdraw m ~purpose:"purpose1"))
+    match
+      Rgpdos.Machine.withdraw_consent machine ~subject:"sub-1"
+        ~purpose:"purpose1"
+    with
+    | Ok n -> n
+    | Error e -> Alcotest.fail e
   in
   check_int "both updated" 2 n;
   let m1 = ok (Dbfs.get_membrane t ~actor:ded pd) in
   let m2 = ok (Dbfs.get_membrane t ~actor:ded copy) in
   check_bool "original updated" false (M.allows m1 ~purpose:"purpose1" ~now:0);
   check_bool "copy updated" false (M.allows m2 ~purpose:"purpose1" ~now:0)
+
+(* The invariant consent propagation rests on: a lineage never leaves
+   its subject. *)
+let test_dbfs_copy_keeps_subject () =
+  let t, _, _ = setup () in
+  let pd = insert_user t ~subject:"sub-1" "Orig" 1990 in
+  let copy = ok (Dbfs.copy_pd t ~actor:ded pd) in
+  let _, subject, _ = ok (Dbfs.entry_info t ~actor:ded copy) in
+  check_string "copy filed under the source's subject" "sub-1" subject;
+  let m = ok (Dbfs.get_membrane t ~actor:ded copy) in
+  check_bool "membrane naming another subject refused" true
+    (match
+       Dbfs.update_membrane t ~actor:ded copy { m with M.subject_id = "sub-2" }
+     with
+    | Error (Dbfs.Membrane_mismatch _) -> true
+    | _ -> false)
 
 let test_dbfs_delete_leaves_no_trace () =
   let t, dev, _ = setup () in
@@ -741,6 +764,7 @@ let () =
           Alcotest.test_case "update zeroes old blocks" `Quick test_dbfs_update_zeroes_old_blocks;
           Alcotest.test_case "update membrane + mismatch" `Quick test_dbfs_update_membrane_and_mismatch;
           Alcotest.test_case "copy consistency via lineage" `Quick test_dbfs_copy_consistency;
+          Alcotest.test_case "copy keeps its subject" `Quick test_dbfs_copy_keeps_subject;
           Alcotest.test_case "delete leaves no trace" `Quick test_dbfs_delete_leaves_no_trace;
           Alcotest.test_case "crypto-erase workflow" `Quick test_dbfs_erase_with;
           Alcotest.test_case "queries" `Quick test_dbfs_queries;

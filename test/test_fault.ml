@@ -75,6 +75,34 @@ let test_write_vec_out_of_range_atomic () =
     (small_config.Block_device.read_latency)
     (Clock.now clock - t0)
 
+(* An oversize payload is refused before the request has any effect, on
+   the blocking and the queued path alike: nothing persisted, no time, no
+   counters, no fault-plan write ordinal. *)
+let test_write_vec_oversize_atomic () =
+  let oversize = String.make (small_config.Block_device.block_size + 4) 'x' in
+  List.iter
+    (fun (path, submit) ->
+      let dev, clock = make_dev () in
+      let plan = Fault_plan.create () in
+      Block_device.set_fault_plan dev (Some plan);
+      let counters0 = Stats.Counter.to_list (Block_device.stats dev) in
+      (try
+         submit dev [ (1, "ok"); (2, oversize) ];
+         Alcotest.failf "%s: expected Invalid_argument" path
+       with Invalid_argument _ -> ());
+      check_bool (path ^ ": block 1 not persisted") false
+        (Block_device.is_written dev 1);
+      check_int (path ^ ": no time charged") 0 (Clock.now clock);
+      check_bool (path ^ ": no counters") true
+        (Stats.Counter.to_list (Block_device.stats dev) = counters0);
+      check_int (path ^ ": no write ordinal") 0 (Fault_plan.writes_seen plan);
+      check_int (path ^ ": nothing outstanding") 0 (Block_device.outstanding dev))
+    [
+      ("write_vec", Block_device.write_vec);
+      ( "submit_write_vec",
+        fun dev writes -> ignore (Block_device.submit_write_vec dev writes) );
+    ]
+
 let test_read_vec_faulted_atomic () =
   let dev, clock = make_dev () in
   Block_device.write dev 1 "a";
@@ -471,6 +499,8 @@ let () =
             test_write_vec_dedup;
           Alcotest.test_case "write_vec atomic on Out_of_range" `Quick
             test_write_vec_out_of_range_atomic;
+          Alcotest.test_case "write_vec atomic on oversize payload" `Quick
+            test_write_vec_oversize_atomic;
           Alcotest.test_case "read_vec atomic on Faulted" `Quick
             test_read_vec_faulted_atomic;
           Alcotest.test_case "write_vec atomic on Faulted" `Quick

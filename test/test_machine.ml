@@ -681,6 +681,97 @@ let test_restriction_of_processing () =
   in
   check_int "alice back after lifting" 3 outcome2.Ded.consumed
 
+(* ------------------------------------------------------------------ *)
+(* consent and restriction touch only the subject's own membranes      *)
+
+let membrane_reads m =
+  Rgpdos_util.Stats.Counter.get (Dbfs.stats (Machine.dbfs m)) "membrane_reads"
+
+let dbfs_ok r = ok (Result.map_error Dbfs.error_to_string r)
+
+let membrane_of m pd =
+  dbfs_ok (Dbfs.get_membrane (Machine.dbfs m) ~actor:Ded.actor pd)
+
+let copy_of m pd = dbfs_ok (Dbfs.copy_pd (Machine.dbfs m) ~actor:Ded.actor pd)
+
+(* Alice's PD interleaved with Bob's: a second record of hers, and copies
+   of both subjects' PD made in between. *)
+let boot_with_copies () =
+  let m, pd_alice, pd_bob, _ = boot_with_users () in
+  let alice_copy = copy_of m pd_alice in
+  let bob_copy = copy_of m pd_bob in
+  let alice2 =
+    ok
+      (Machine.collect m ~type_name:"user" ~subject:"sub-alice"
+         ~interface:"web_form:user_form.html"
+         ~record:(user_record "Alice" 1990) ())
+  in
+  let alice2_copy = copy_of m alice2 in
+  (m, [ pd_alice; alice_copy; alice2; alice2_copy ], [ pd_bob; bob_copy ])
+
+let test_consent_reads_only_subject () =
+  let m, alice, _ = boot_with_copies () in
+  Alcotest.(check (list string)) "subject index lists the copies" alice
+    (dbfs_ok (Dbfs.pds_of_subject (Machine.dbfs m) ~actor:Ded.actor "sub-alice"));
+  let r0 = membrane_reads m in
+  ignore
+    (ok (Machine.set_consent m ~subject:"sub-alice" ~purpose:"purpose1"
+           Membrane.Denied));
+  check_int "consent reads the subject's membranes once" (List.length alice)
+    (membrane_reads m - r0);
+  let r1 = membrane_reads m in
+  ignore (ok (Machine.restrict_processing m ~subject:"sub-alice"));
+  check_int "restriction reads the subject's membranes once"
+    (List.length alice) (membrane_reads m - r1)
+
+let test_consent_rewrites_subject_copies () =
+  let m, alice, bob = boot_with_copies () in
+  let bob_before = List.map (membrane_of m) bob in
+  let audit0 = Audit_log.length (Machine.audit m) in
+  let n =
+    ok (Machine.set_consent m ~subject:"sub-alice" ~purpose:"purpose1"
+          Membrane.Denied)
+  in
+  check_int "originals and copies rewritten" (List.length alice) n;
+  List.iter
+    (fun pd ->
+      check_bool ("denied on " ^ pd) false
+        (Membrane.allows (membrane_of m pd) ~purpose:"purpose1" ~now:0))
+    alice;
+  check_bool "bob's membranes unchanged" true
+    (List.map (membrane_of m) bob = bob_before);
+  let changed =
+    List.filter_map
+      (fun e ->
+        match e.Audit_log.event with
+        | Audit_log.Consent_changed { pd_id; purpose; granted }
+          when e.Audit_log.seq >= audit0 ->
+            check_string "purpose" "purpose1" purpose;
+            check_bool "withdrawn" false granted;
+            Some pd_id
+        | _ -> None)
+      (Audit_log.entries (Machine.audit m))
+  in
+  (* one entry per lineage, naming the subject's first PD in it *)
+  Alcotest.(check (list string)) "one entry per lineage"
+    [ List.nth alice 0; List.nth alice 2 ] changed
+
+let test_consent_ignores_other_subjects_damage () =
+  let m, _, pd_bob, _ = boot_with_users () in
+  let m = ok (Machine.reboot m) in
+  let _, membrane_blocks =
+    dbfs_ok (Dbfs.entry_blocks (Machine.dbfs m) ~actor:Ded.actor pd_bob)
+  in
+  Block_device.unsafe_flip (Machine.pd_device m)
+    ~block:(List.hd membrane_blocks) ~byte:4 ~bit:0;
+  check_int "alice's consent change still succeeds" 1
+    (ok (Machine.set_consent m ~subject:"sub-alice" ~purpose:"purpose1"
+           Membrane.Denied));
+  check_bool "bob's own consent change meets the damage" true
+    (Result.is_error
+       (Machine.set_consent m ~subject:"sub-bob" ~purpose:"purpose1"
+          Membrane.Denied))
+
 let test_audit_persistence () =
   let m, _, _, _ = boot_with_users () in
   register_compute_age m;
@@ -974,6 +1065,12 @@ let () =
             test_collect_with_explicit_consents;
           Alcotest.test_case "art. 18 restriction of processing" `Quick
             test_restriction_of_processing;
+          Alcotest.test_case "consent reads only the subject's membranes"
+            `Quick test_consent_reads_only_subject;
+          Alcotest.test_case "consent rewrites the subject's copies" `Quick
+            test_consent_rewrites_subject_copies;
+          Alcotest.test_case "consent ignores another subject's damage" `Quick
+            test_consent_ignores_other_subjects_damage;
         ] );
       ( "collection",
         [
