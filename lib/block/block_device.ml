@@ -588,11 +588,7 @@ let inject_transient_fault dev i ~count =
 
 let set_fault_plan dev plan = dev.plan <- plan
 
-let fault_plan dev = dev.plan
-
 let crash_image dev = dev.crash_image
-
-let clear_crash_image dev = dev.crash_image <- None
 
 let unsafe_flip dev ~block ~byte ~bit =
   if block < 0 || block >= dev.cfg.block_count then raise (Out_of_range block);

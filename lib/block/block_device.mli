@@ -224,14 +224,10 @@ end
 val set_fault_plan : t -> Fault_plan.t option -> unit
 (** Install (or with [None] remove) the device's fault plan. *)
 
-val fault_plan : t -> Fault_plan.t option
-
 val crash_image : t -> string array option
 (** The snapshot captured by the plan's [crash_after_writes] trigger, once
     the trigger has fired; [restore] it into a fresh device to model
     remounting after the crash. *)
-
-val clear_crash_image : t -> unit
 
 val unsafe_flip : t -> block:int -> byte:int -> bit:int -> unit
 (** Flip one bit of a block in place without charging the clock or touching

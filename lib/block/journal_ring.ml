@@ -1,4 +1,5 @@
 module Codec = Rgpdos_util.Codec
+module Stats = Rgpdos_util.Stats
 
 type t = {
   dev : Block_device.t;
@@ -16,8 +17,9 @@ type t = {
   mutable window : int;
   mutable pending : string list;
   mutable pending_bytes : int;
-  mutable batches : int; (* vectored flushes issued *)
-  mutable batched_ops : int; (* records that went through a vectored flush *)
+  counters : Stats.Counter.t;
+      (* "committed_batches" (vectored flushes issued) and "batched_ops"
+         (records that went through them), in the owner's counter set *)
   mutable inflight : Block_device.ticket list;
       (* flush submissions not yet settled.  The bytes are durable
          at submission; only their clock charge is outstanding, settled
@@ -34,7 +36,7 @@ let block_size ring = (Block_device.config ring.dev).Block_device.block_size
 
 let capacity ring = ring.num_blocks * block_size ring
 
-let create dev ~start_block ~num_blocks =
+let create dev ~counters ~start_block ~num_blocks =
   if num_blocks <= 0 then invalid_arg "Journal_ring.create: empty ring";
   {
     dev;
@@ -47,12 +49,11 @@ let create dev ~start_block ~num_blocks =
     window = 1;
     pending = [];
     pending_bytes = 0;
-    batches = 0;
-    batched_ops = 0;
+    counters;
     inflight = [];
   }
 
-let attach dev ~start_block ~num_blocks ~head ~seq =
+let attach dev ~counters ~start_block ~num_blocks ~head ~seq =
   {
     dev;
     start_block;
@@ -64,15 +65,11 @@ let attach dev ~start_block ~num_blocks ~head ~seq =
     window = 1;
     pending = [];
     pending_bytes = 0;
-    batches = 0;
-    batched_ops = 0;
+    counters;
     inflight = [];
   }
 
 let set_window ring w = ring.window <- max 1 w
-let batches ring = ring.batches
-let batched_ops ring = ring.batched_ops
-let pending_ops ring = List.length ring.pending
 
 let checksum = Rgpdos_util.Fnv.hash64_hex
 
@@ -173,8 +170,8 @@ let flush ring =
         :: ring.inflight;
       ring.jhead <- ring.jhead + len;
       ring.live_records <- ring.live_records + nrec;
-      ring.batches <- ring.batches + 1;
-      ring.batched_ops <- ring.batched_ops + nrec;
+      Stats.Counter.incr ring.counters "committed_batches";
+      Stats.Counter.incr ring.counters ~by:nrec "batched_ops";
       ring.pending <- [];
       ring.pending_bytes <- 0
 

@@ -11,11 +11,19 @@
 type t
 
 val create :
-  Block_device.t -> start_block:int -> num_blocks:int -> t
-(** Fresh ring: head, tail and sequence start at zero.  No device IO. *)
+  Block_device.t ->
+  counters:Rgpdos_util.Stats.Counter.t ->
+  start_block:int ->
+  num_blocks:int ->
+  t
+(** Fresh ring: head, tail and sequence start at zero.  No device IO.
+    Group-commit flushes count into [counters]: "committed_batches"
+    (vectored flushes issued) and "batched_ops" (records committed
+    through them). *)
 
 val attach :
   Block_device.t ->
+  counters:Rgpdos_util.Stats.Counter.t ->
   start_block:int ->
   num_blocks:int ->
   head:int ->
@@ -56,15 +64,6 @@ val barrier : t -> unit
     ring's own device channel, and callers settle it here at their
     durability points (checkpoint, purge, compaction).  No-op when
     nothing is in flight. *)
-
-val pending_ops : t -> int
-(** Buffered records not yet durable. *)
-
-val batches : t -> int
-(** Vectored group-commit flushes issued so far. *)
-
-val batched_ops : t -> int
-(** Records committed through those flushes. *)
 
 type stop_reason =
   | Clean  (** zeroed or stale (previous-lap) bytes: the journal's end *)

@@ -36,21 +36,19 @@ let pp_error fmt = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
+(* One extent: its blocks, its payload size and the FNV-64 checksum of the
+   payload bytes, verified whenever the extent is read off the device. *)
+type loc = { blocks : int list; size : int; sum : string }
+
 (* A PD entry: the pair of inodes (record + membrane) in the subject tree.
-   [record_sum]/[membrane_sum] are FNV-64 checksums of the extent payload
-   bytes (for an erased entry, of the sealed envelope), verified whenever
-   the extent is read off the device. *)
+   An erased entry's [record] holds the sealed envelope. *)
 type entry = {
   pd_id : string;
   type_name : string;
   subject : string;
   high : bool; (* allocated in the sensitive region *)
-  mutable record_blocks : int list;
-  mutable record_size : int;
-  mutable record_sum : string;
-  mutable membrane_blocks : int list;
-  mutable membrane_size : int;
-  mutable membrane_sum : string;
+  mutable record : loc;
+  mutable membrane : loc;
   mutable erased : bool;
 }
 
@@ -205,11 +203,14 @@ let write_payload t payload blocks =
   retrying t (fun () ->
       Block_device.write_vec t.dev (payload_blocks t payload blocks))
 
-let read_payload t blocks size =
-  let got = retrying t (fun () -> Block_device.read_vec t.dev blocks) in
-  let buf = Buffer.create size in
-  List.iter (fun b -> Buffer.add_string buf (List.assoc b got)) blocks;
-  Buffer.sub buf 0 size
+let read_payload t l =
+  let got = retrying t (fun () -> Block_device.read_vec t.dev l.blocks) in
+  let buf = Buffer.create l.size in
+  List.iter (fun b -> Buffer.add_string buf (List.assoc b got)) l.blocks;
+  Buffer.sub buf 0 l.size
+
+let loc_of payload blocks =
+  { blocks; size = String.length payload; sum = Fnv.hash64_hex payload }
 
 (* Channels the store's own background traffic queues on: negative so
    they can never collide with consumer-facing channels (DED shards use
@@ -321,36 +322,62 @@ let ckpt_io t ~half used =
   }
 
 (* ------------------------------------------------------------------ *)
+(* entry codec (the entries tree's, and a journaled insert's)         *)
+
+let encode_loc w l =
+  Codec.Writer.list w (Codec.Writer.int w) l.blocks;
+  Codec.Writer.int w l.size;
+  Codec.Writer.string w l.sum
+
+let decode_loc r =
+  let* blocks = Codec.Reader.list r Codec.Reader.int in
+  let* size = Codec.Reader.int r in
+  let* sum = Codec.Reader.string r in
+  Ok { blocks; size; sum }
+
+(* Every field but [erased]: a journaled insert carries these, since a new
+   entry is never erased. *)
+let encode_fields w e =
+  Codec.Writer.string w e.pd_id;
+  Codec.Writer.string w e.type_name;
+  Codec.Writer.string w e.subject;
+  Codec.Writer.bool w e.high;
+  encode_loc w e.record;
+  encode_loc w e.membrane
+
+let decode_fields r =
+  let* pd_id = Codec.Reader.string r in
+  let* type_name = Codec.Reader.string r in
+  let* subject = Codec.Reader.string r in
+  let* high = Codec.Reader.bool r in
+  let* record = decode_loc r in
+  let* membrane = decode_loc r in
+  Ok { pd_id; type_name; subject; high; record; membrane; erased = false }
+
+let encode_entry w e =
+  encode_fields w e;
+  Codec.Writer.bool w e.erased
+
+let decode_entry_raw raw =
+  let r = Codec.Reader.create raw in
+  let* e = decode_fields r in
+  let* erased = Codec.Reader.bool r in
+  Ok { e with erased }
+
+(* ------------------------------------------------------------------ *)
 (* journal ops (metadata only: no PD bytes ever enter the ring)       *)
+
+(* Which extent of an entry a [J_replace] swaps: the record, the membrane,
+   or the record for its sealed envelope (erasure). *)
+type kind = Record | Membrane | Sealed
 
 type op =
   | J_create_type of string (* encoded schema: structure, not PD *)
-  | J_insert of {
-      pd_id : string;
-      type_name : string;
-      subject : string;
-      high : bool;
-      record_blocks : int list;
-      record_size : int;
-      record_sum : string;
-      membrane_blocks : int list;
-      membrane_size : int;
-      membrane_sum : string;
-    }
-  | J_update_record of {
-      pd_id : string;
-      blocks : int list;
-      size : int;
-      sum : string;
-    }
-  | J_update_membrane of {
-      pd_id : string;
-      blocks : int list;
-      size : int;
-      sum : string;
-    }
+  | J_insert of entry
+  | J_replace of { kind : kind; pd_id : string; loc : loc }
   | J_delete of string
-  | J_erase of { pd_id : string; blocks : int list; size : int; sum : string }
+
+let kind_tags = [ (Record, "urec"); (Membrane, "umbr"); (Sealed, "ers") ]
 
 let encode_op op =
   let w = Codec.Writer.create () in
@@ -360,37 +387,14 @@ let encode_op op =
       Codec.Writer.string w schema_bytes
   | J_insert e ->
       Codec.Writer.string w "ins";
-      Codec.Writer.string w e.pd_id;
-      Codec.Writer.string w e.type_name;
-      Codec.Writer.string w e.subject;
-      Codec.Writer.bool w e.high;
-      Codec.Writer.list w (Codec.Writer.int w) e.record_blocks;
-      Codec.Writer.int w e.record_size;
-      Codec.Writer.string w e.record_sum;
-      Codec.Writer.list w (Codec.Writer.int w) e.membrane_blocks;
-      Codec.Writer.int w e.membrane_size;
-      Codec.Writer.string w e.membrane_sum
-  | J_update_record { pd_id; blocks; size; sum } ->
-      Codec.Writer.string w "urec";
+      encode_fields w e
+  | J_replace { kind; pd_id; loc } ->
+      Codec.Writer.string w (List.assoc kind kind_tags);
       Codec.Writer.string w pd_id;
-      Codec.Writer.list w (Codec.Writer.int w) blocks;
-      Codec.Writer.int w size;
-      Codec.Writer.string w sum
-  | J_update_membrane { pd_id; blocks; size; sum } ->
-      Codec.Writer.string w "umbr";
-      Codec.Writer.string w pd_id;
-      Codec.Writer.list w (Codec.Writer.int w) blocks;
-      Codec.Writer.int w size;
-      Codec.Writer.string w sum
+      encode_loc w loc
   | J_delete pd_id ->
       Codec.Writer.string w "del";
-      Codec.Writer.string w pd_id
-  | J_erase { pd_id; blocks; size; sum } ->
-      Codec.Writer.string w "ers";
-      Codec.Writer.string w pd_id;
-      Codec.Writer.list w (Codec.Writer.int w) blocks;
-      Codec.Writer.int w size;
-      Codec.Writer.string w sum);
+      Codec.Writer.string w pd_id);
   Codec.Writer.contents w
 
 let decode_op s =
@@ -401,97 +405,27 @@ let decode_op s =
       let* schema_bytes = Codec.Reader.string r in
       Ok (J_create_type schema_bytes)
   | "ins" ->
-      let* pd_id = Codec.Reader.string r in
-      let* type_name = Codec.Reader.string r in
-      let* subject = Codec.Reader.string r in
-      let* high = Codec.Reader.bool r in
-      let* record_blocks = Codec.Reader.list r Codec.Reader.int in
-      let* record_size = Codec.Reader.int r in
-      let* record_sum = Codec.Reader.string r in
-      let* membrane_blocks = Codec.Reader.list r Codec.Reader.int in
-      let* membrane_size = Codec.Reader.int r in
-      let* membrane_sum = Codec.Reader.string r in
-      Ok
-        (J_insert
-           {
-             pd_id;
-             type_name;
-             subject;
-             high;
-             record_blocks;
-             record_size;
-             record_sum;
-             membrane_blocks;
-             membrane_size;
-             membrane_sum;
-           })
-  | "urec" ->
-      let* pd_id = Codec.Reader.string r in
-      let* blocks = Codec.Reader.list r Codec.Reader.int in
-      let* size = Codec.Reader.int r in
-      let* sum = Codec.Reader.string r in
-      Ok (J_update_record { pd_id; blocks; size; sum })
-  | "umbr" ->
-      let* pd_id = Codec.Reader.string r in
-      let* blocks = Codec.Reader.list r Codec.Reader.int in
-      let* size = Codec.Reader.int r in
-      let* sum = Codec.Reader.string r in
-      Ok (J_update_membrane { pd_id; blocks; size; sum })
+      let* e = decode_fields r in
+      Ok (J_insert e)
   | "del" ->
       let* pd_id = Codec.Reader.string r in
       Ok (J_delete pd_id)
-  | "ers" ->
-      let* pd_id = Codec.Reader.string r in
-      let* blocks = Codec.Reader.list r Codec.Reader.int in
-      let* size = Codec.Reader.int r in
-      let* sum = Codec.Reader.string r in
-      Ok (J_erase { pd_id; blocks; size; sum })
-  | other -> Error ("unknown DBFS journal op " ^ other)
+  | other -> (
+      match List.find_opt (fun (_, tag) -> tag = other) kind_tags with
+      | None -> Error ("unknown DBFS journal op " ^ other)
+      | Some (kind, _) ->
+          let* pd_id = Codec.Reader.string r in
+          let* loc = decode_loc r in
+          Ok (J_replace { kind; pd_id; loc }))
+
+let extent e = function Membrane -> e.membrane | Record | Sealed -> e.record
+
+let zone e = function
+  | Membrane -> Space.Z_membrane
+  | Record | Sealed -> Space.Z_record e.high
 
 (* ------------------------------------------------------------------ *)
-(* entry codec + paged entry access                                   *)
-
-let encode_entry w e =
-  Codec.Writer.string w e.pd_id;
-  Codec.Writer.string w e.type_name;
-  Codec.Writer.string w e.subject;
-  Codec.Writer.bool w e.high;
-  Codec.Writer.list w (Codec.Writer.int w) e.record_blocks;
-  Codec.Writer.int w e.record_size;
-  Codec.Writer.string w e.record_sum;
-  Codec.Writer.list w (Codec.Writer.int w) e.membrane_blocks;
-  Codec.Writer.int w e.membrane_size;
-  Codec.Writer.string w e.membrane_sum;
-  Codec.Writer.bool w e.erased
-
-let decode_entry r =
-  let* pd_id = Codec.Reader.string r in
-  let* type_name = Codec.Reader.string r in
-  let* subject = Codec.Reader.string r in
-  let* high = Codec.Reader.bool r in
-  let* record_blocks = Codec.Reader.list r Codec.Reader.int in
-  let* record_size = Codec.Reader.int r in
-  let* record_sum = Codec.Reader.string r in
-  let* membrane_blocks = Codec.Reader.list r Codec.Reader.int in
-  let* membrane_size = Codec.Reader.int r in
-  let* membrane_sum = Codec.Reader.string r in
-  let* erased = Codec.Reader.bool r in
-  Ok
-    {
-      pd_id;
-      type_name;
-      subject;
-      high;
-      record_blocks;
-      record_size;
-      record_sum;
-      membrane_blocks;
-      membrane_size;
-      membrane_sum;
-      erased;
-    }
-
-let decode_entry_raw raw = decode_entry (Codec.Reader.create raw)
+(* paged entry access                                                 *)
 
 (* Entry lookup: overlay first, then tombstones, then the checkpointed
    entries tree (O(height) cached page reads).  [None] for an unknown pd,
@@ -597,9 +531,7 @@ type 'a extent = {
   x_reads : string; (* read counter *)
   x_key : string; (* cache key prefix *)
   x_live : entry -> bool;
-  x_blocks : entry -> int list;
-  x_size : entry -> int;
-  x_sum : entry -> string;
+  x_loc : entry -> loc;
   x_decode : string -> ('a, string) result;
   x_cached : cached -> 'a option;
   x_cache : 'a -> cached;
@@ -611,9 +543,7 @@ let membrane_x =
     x_reads = "membrane_reads";
     x_key = "m:";
     x_live = (fun _ -> true);
-    x_blocks = (fun e -> e.membrane_blocks);
-    x_size = (fun e -> e.membrane_size);
-    x_sum = (fun e -> e.membrane_sum);
+    x_loc = (fun e -> e.membrane);
     x_decode = Membrane.decode;
     x_cached = (function C_membrane m -> Some m | _ -> None);
     x_cache = (fun m -> C_membrane m);
@@ -625,9 +555,7 @@ let record_x =
     x_reads = "record_reads";
     x_key = "r:";
     x_live = (fun e -> not e.erased);
-    x_blocks = (fun e -> e.record_blocks);
-    x_size = (fun e -> e.record_size);
-    x_sum = (fun e -> e.record_sum);
+    x_loc = (fun e -> e.record);
     x_decode = Record.decode;
     x_cached = (function C_record r -> Some r | _ -> None);
     x_cache = (fun r -> C_record r);
@@ -636,8 +564,8 @@ let record_x =
 (* Best-effort decode (index maintenance, fsck): an extent that cannot be
    read even after retries yields [None] rather than raising — the
    callers treat it the same as an undecodable payload. *)
-let decode_at t x blocks size =
-  match read_payload t blocks size with
+let decode_at t x e =
+  match read_payload t (x.x_loc e) with
   | exception Block_device.Faulted _ -> None
   | raw -> Result.to_option (x.x_decode raw)
 
@@ -646,27 +574,39 @@ let expiry_instant m =
   | None -> None
   | Some ttl -> Some (m.Membrane.created_at + ttl)
 
-let index_put_record t ~pd_id ~type_name ~hint ~blocks ~size =
-  let indexed = indexed_fields_of t type_name in
+(* The index facts of [e]'s record and membrane, from the hint when the
+   caller has the decoded value, else off the device. *)
+let index_record t idx ~hint e =
+  let indexed = indexed_fields_of t e.type_name in
   if indexed <> [] then
     let record =
       match hint.h_record with
       | Some r -> Some r
-      | None -> decode_at t record_x blocks size
+      | None -> decode_at t record_x e
     in
     match record with
-    | Some record -> Index.add_entry t.index ~pd_id ~type_name ~indexed record
+    | Some record ->
+        Index.add_entry idx ~pd_id:e.pd_id ~type_name:e.type_name ~indexed record
     | None -> ()
 
-let index_put_membrane t ~pd_id ~hint ~blocks ~size =
+let index_membrane t idx ~hint e =
   let membrane =
     match hint.h_membrane with
     | Some m -> Some m
-    | None -> decode_at t membrane_x blocks size
+    | None -> decode_at t membrane_x e
   in
   match membrane with
-  | Some m -> Index.set_expiry t.index ~pd_id (expiry_instant m)
+  | Some m -> Index.set_expiry idx ~pd_id:e.pd_id (expiry_instant m)
   | None -> ()
+
+(* Every index fact of one entry: what an insert adds, and what a rebuild
+   re-derives.  An erased entry keeps only its subject link. *)
+let index_entry t idx ~hint e =
+  Index.add_subject idx ~subject:e.subject ~pd_id:e.pd_id;
+  if not e.erased then begin
+    index_record t idx ~hint e;
+    index_membrane t idx ~hint e
+  end
 
 (* [freed_acc], passed by mount-time replay, collects every block an op
    frees.  Live mutators zero old blocks AFTER the journal record commits,
@@ -674,18 +614,14 @@ let index_put_membrane t ~pd_id ~hint ~blocks ~size =
    metadata considers free; replay zeroes whichever of them are still free
    once the whole journal is applied. *)
 let apply_op ?(hint = no_hint) ?freed_acc t op =
-  let note_freed blocks =
-    match freed_acc with
-    | Some acc -> acc := List.rev_append blocks !acc
-    | None -> ()
+  let free l =
+    Option.iter (fun acc -> acc := List.rev_append l.blocks !acc) freed_acc;
+    Space.mark_free t.space ~bytes:l.size l.blocks
   in
+  let use l = Space.mark_used t.space ~bytes:l.size l.blocks in
   (match op with
   | J_create_type _ -> ()
-  | J_insert { pd_id; _ }
-  | J_update_record { pd_id; _ }
-  | J_update_membrane { pd_id; _ }
-  | J_delete pd_id
-  | J_erase { pd_id; _ } ->
+  | J_insert { pd_id; _ } | J_replace { pd_id; _ } | J_delete pd_id ->
       invalidate_caches t pd_id);
   match op with
   | J_create_type schema_bytes -> (
@@ -693,85 +629,53 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
       | Error e -> failwith ("DBFS: corrupt schema in journal: " ^ e)
       | Ok schema -> Hashtbl.replace t.tables schema.Schema.name { schema })
   | J_insert e ->
-      let entry =
-        {
-          pd_id = e.pd_id;
-          type_name = e.type_name;
-          subject = e.subject;
-          high = e.high;
-          record_blocks = e.record_blocks;
-          record_size = e.record_size;
-          record_sum = e.record_sum;
-          membrane_blocks = e.membrane_blocks;
-          membrane_size = e.membrane_size;
-          membrane_sum = e.membrane_sum;
-          erased = false;
-        }
-      in
       if not (Hashtbl.mem t.tables e.type_name) then
         failwith "DBFS: insert into unknown table during apply";
-      Hashtbl.replace t.entries e.pd_id entry;
+      Hashtbl.replace t.entries e.pd_id e;
       Hashtbl.remove t.deleted e.pd_id;
       t.entry_count <- t.entry_count + 1;
-      Space.mark_used t.space ~bytes:e.record_size e.record_blocks;
-      Space.mark_used t.space ~bytes:e.membrane_size e.membrane_blocks;
-      Index.add_subject t.index ~subject:e.subject ~pd_id:e.pd_id;
-      index_put_record t ~pd_id:e.pd_id ~type_name:e.type_name ~hint
-        ~blocks:e.record_blocks ~size:e.record_size;
-      index_put_membrane t ~pd_id:e.pd_id ~hint ~blocks:e.membrane_blocks
-        ~size:e.membrane_size;
+      use e.record;
+      use e.membrane;
+      index_entry t t.index ~hint e;
       (* keep pd counter ahead of any replayed id *)
       (match
          int_of_string_opt (String.sub e.pd_id 3 (String.length e.pd_id - 3))
        with
       | Some n when n >= t.next_pd -> t.next_pd <- n + 1
       | _ -> ())
-  | J_update_record { pd_id; blocks; size; sum } ->
+  | J_replace { kind; pd_id; loc } -> (
       let entry = touch_entry t pd_id in
-      note_freed entry.record_blocks;
-      Space.mark_free t.space ~bytes:entry.record_size entry.record_blocks;
-      Space.mark_used t.space ~bytes:size blocks;
-      entry.record_blocks <- blocks;
-      entry.record_size <- size;
-      entry.record_sum <- sum;
-      index_put_record t ~pd_id ~type_name:entry.type_name ~hint ~blocks ~size
-  | J_update_membrane { pd_id; blocks; size; sum } ->
-      let entry = touch_entry t pd_id in
-      note_freed entry.membrane_blocks;
-      Space.mark_free t.space ~bytes:entry.membrane_size entry.membrane_blocks;
-      Space.mark_used t.space ~bytes:size blocks;
-      entry.membrane_blocks <- blocks;
-      entry.membrane_size <- size;
-      entry.membrane_sum <- sum;
-      (* consent flips and TTL changes land here: re-key the expiry queue.
-         An erased pd keeps its membrane (the subject link) but must never
-         re-enter the expiry queue — its record is already gone. *)
-      if entry.erased then Index.clear_expiry t.index ~pd_id
-      else index_put_membrane t ~pd_id ~hint ~blocks ~size
+      free (extent entry kind);
+      use loc;
+      match kind with
+      | Record ->
+          entry.record <- loc;
+          index_record t t.index ~hint entry
+      | Membrane ->
+          entry.membrane <- loc;
+          (* consent flips and TTL changes land here: re-key the expiry
+             queue.  An erased pd keeps its membrane (the subject link) but
+             must never re-enter the expiry queue — its record is already
+             gone. *)
+          if entry.erased then Index.clear_expiry t.index ~pd_id
+          else index_membrane t t.index ~hint entry
+      | Sealed ->
+          entry.record <- loc;
+          entry.erased <- true;
+          (* sealed payload is not PD: no field keys, no expiry; the
+             subject link stays (erasure seals the pd, it does not unlink
+             it) *)
+          Index.remove_entry t.index ~pd_id;
+          Index.clear_expiry t.index ~pd_id)
   | J_delete pd_id ->
       let entry = touch_entry t pd_id in
-      note_freed entry.record_blocks;
-      note_freed entry.membrane_blocks;
-      Space.mark_free t.space ~bytes:entry.record_size entry.record_blocks;
-      Space.mark_free t.space ~bytes:entry.membrane_size entry.membrane_blocks;
+      free entry.record;
+      free entry.membrane;
       Hashtbl.remove t.entries pd_id;
       Hashtbl.replace t.deleted pd_id ();
       t.entry_count <- t.entry_count - 1;
       Index.remove_entry t.index ~pd_id;
       Index.remove_subject t.index ~subject:entry.subject ~pd_id;
-      Index.clear_expiry t.index ~pd_id
-  | J_erase { pd_id; blocks; size; sum } ->
-      let entry = touch_entry t pd_id in
-      note_freed entry.record_blocks;
-      Space.mark_free t.space ~bytes:entry.record_size entry.record_blocks;
-      Space.mark_used t.space ~bytes:size blocks;
-      entry.record_blocks <- blocks;
-      entry.record_size <- size;
-      entry.record_sum <- sum;
-      entry.erased <- true;
-      (* sealed payload is not PD: no field keys, no expiry; the subject
-         link stays (erasure seals the pd, it does not unlink it) *)
-      Index.remove_entry t.index ~pd_id;
       Index.clear_expiry t.index ~pd_id
 
 (* ------------------------------------------------------------------ *)
@@ -971,35 +875,31 @@ let log_and_apply ?hint t op =
 
 (* Compaction's survivor move (victim choice and destruction are
    [Space.compact]'s): relocate every surviving extent through the
-   ordinary journaled write path (J_update_record / J_update_membrane /
-   J_erase with identical size and checksum — so replay, secondary
-   indexes, caches and the bitmap stay coherent with no
-   compaction-specific recovery code).  An extent failing its checksum
-   is left in place for fsck rather than propagated. *)
+   ordinary journaled write path, a [J_replace] with identical size and
+   checksum — so replay, secondary indexes, caches and the bitmap stay
+   coherent with no compaction-specific recovery code.  An extent failing
+   its checksum is left in place for fsck rather than propagated. *)
 let rec relocate t ~in_victim =
   (* one merged entry pass discovers every surviving extent *)
   let moves = ref [] in
   iter_entries t (fun e ->
-      (match e.record_blocks with
-      | b :: _ when in_victim b -> moves := (e.pd_id, `Record) :: !moves
-      | _ -> ());
-      match e.membrane_blocks with
-      | b :: _ when in_victim b -> moves := (e.pd_id, `Membrane) :: !moves
-      | _ -> ());
+      List.iter
+        (fun kind ->
+          match (extent e kind).blocks with
+          | b :: _ when in_victim b -> moves := (e.pd_id, kind) :: !moves
+          | _ -> ())
+        [ Record; Membrane ]);
   let items =
     List.rev !moves
     |> List.filter_map (fun (pd_id, kind) ->
            match find_entry t pd_id with
            | Error _ -> None
            | Ok e ->
-               let blocks, size, sum =
-                 match kind with
-                 | `Record -> (e.record_blocks, e.record_size, e.record_sum)
-                 | `Membrane -> (e.membrane_blocks, e.membrane_size, e.membrane_sum)
-               in
-               let raw = read_payload t blocks size in
-               charge_checksum t size;
-               Some (pd_id, kind, e, raw, sum))
+               let kind = if kind = Record && e.erased then Sealed else kind in
+               let l = extent e kind in
+               let raw = read_payload t l in
+               charge_checksum t l.size;
+               Some (e, kind, raw, l.sum))
   in
   let relocated = ref 0 in
   (* relocation payload writes are submitted and settled in one batch at
@@ -1007,43 +907,40 @@ let rec relocate t ~in_victim =
      compute of later survivors *)
   let wtickets = ref [] in
   List.iter
-    (fun (pd_id, kind, e, raw, sum) ->
-      if not (sum = "" || Fnv.hash64_hex raw = sum) then
+    (fun (e, kind, raw, sum) ->
+      if Fnv.hash64_hex raw <> sum then
         Stats.Counter.incr t.counters "compact_verify_failures"
-      else begin
-        let size = String.length raw in
-        let sum = if sum = "" then Fnv.hash64_hex raw else sum in
-        let zone =
-          match kind with
-          | `Record -> Space.Z_record e.high
-          | `Membrane -> Space.Z_membrane
-        in
+      else
         match
-          Space.alloc t.space zone (blocks_needed t size) ~relocate:(relocate t)
+          Space.alloc t.space (zone e kind)
+            (blocks_needed t (String.length raw))
+            ~relocate:(relocate t)
         with
         | None -> () (* no room: survivor stays put *)
         | Some blocks ->
             wtickets :=
               submit_payload_write t raw blocks ~channel:compact_channel
               :: !wtickets;
-            let hint, op =
+            let hint =
               match kind with
-              | `Membrane ->
-                  ( (match Membrane.decode raw with
-                    | Ok m -> { no_hint with h_membrane = Some m }
-                    | Error _ -> no_hint),
-                    J_update_membrane { pd_id; blocks; size; sum } )
-              | `Record when e.erased ->
-                  (no_hint, J_erase { pd_id; blocks; size; sum })
-              | `Record ->
-                  ( (match Record.decode raw with
-                    | Ok r -> { no_hint with h_record = Some r }
-                    | Error _ -> no_hint),
-                    J_update_record { pd_id; blocks; size; sum } )
+              | Membrane -> (
+                  match Membrane.decode raw with
+                  | Ok m -> { no_hint with h_membrane = Some m }
+                  | Error _ -> no_hint)
+              | Record -> (
+                  match Record.decode raw with
+                  | Ok r -> { no_hint with h_record = Some r }
+                  | Error _ -> no_hint)
+              | Sealed -> no_hint
             in
-            log_and_apply t ~hint op;
-            incr relocated
-      end)
+            log_and_apply t ~hint
+              (J_replace
+                 {
+                   kind;
+                   pd_id = e.pd_id;
+                   loc = { blocks; size = String.length raw; sum };
+                 });
+            incr relocated)
     items;
   Stats.Counter.incr t.counters ~by:!relocated "compact_relocations";
   List.iter (fun tk -> ignore (Block_device.await t.dev tk)) (List.rev !wtickets)
@@ -1060,15 +957,15 @@ let retire ?destroy t blocks =
 
 (* The in-memory store over a device whose superblock says
    [journal_blocks], [meta_blocks] and [allocator]; [root] is the root
-   slot a mount read, [None] on format. *)
-let assemble dev ~ring ~journal_blocks ~meta_blocks ~allocator root =
+   slot a mount read, [None] on format.  [counters] is the set its
+   journal [ring] already counts into. *)
+let assemble dev ~ring ~counters ~journal_blocks ~meta_blocks ~allocator root =
   let cfg = Block_device.config dev in
   let bitmap_blocks =
     bitmap_blocks_for ~block_count:cfg.Block_device.block_count
       ~block_size:cfg.Block_device.block_size
   in
   let meta_start = 1 + journal_blocks in
-  let counters = Stats.Counter.create () in
   let field f default = match root with Some rs -> f rs | None -> default in
   {
     dev;
@@ -1124,8 +1021,13 @@ let format ?(allocator = Space.Heap) dev ~journal_blocks =
   Codec.Writer.int w meta_blocks;
   Space.encode_allocator w allocator;
   Block_device.write dev 0 (Codec.Writer.contents w);
-  let ring = Journal_ring.create dev ~start_block:1 ~num_blocks:journal_blocks in
-  let t = assemble dev ~ring ~journal_blocks ~meta_blocks ~allocator None in
+  let counters = Stats.Counter.create () in
+  let ring =
+    Journal_ring.create dev ~counters ~start_block:1 ~num_blocks:journal_blocks
+  in
+  let t =
+    assemble dev ~ring ~counters ~journal_blocks ~meta_blocks ~allocator None
+  in
   commit_root t;
   t
 
@@ -1160,12 +1062,14 @@ let mount dev =
       match best with
       | None -> Error "no valid DBFS root"
       | Some rs ->
+          let counters = Stats.Counter.create () in
           let ring =
-            Journal_ring.attach dev ~start_block:1 ~num_blocks:journal_blocks
-              ~head:rs.rs_jhead ~seq:rs.rs_jseq
+            Journal_ring.attach dev ~counters ~start_block:1
+              ~num_blocks:journal_blocks ~head:rs.rs_jhead ~seq:rs.rs_jseq
           in
           let t =
-            assemble dev ~ring ~journal_blocks ~meta_blocks ~allocator (Some rs)
+            assemble dev ~ring ~counters ~journal_blocks ~meta_blocks
+              ~allocator (Some rs)
           in
           (* attaching reads no pages — a clean mount touches only the
              superblock, the two root slots and the journal probe *)
@@ -1240,7 +1144,7 @@ let list_types t ~actor =
 let entry_blocks t ~actor pd_id =
   let** () = guard t ~actor ~op:"read" in
   let** e = find_entry t pd_id in
-  Ok (e.record_blocks, e.membrane_blocks)
+  Ok (e.record.blocks, e.membrane.blocks)
 
 let insert t ~actor ~subject ~type_name ~record ~membrane_of =
   let** () = guard t ~actor ~op:"write" in
@@ -1288,12 +1192,9 @@ let insert t ~actor ~subject ~type_name ~record ~membrane_of =
                                type_name;
                                subject;
                                high;
-                               record_blocks;
-                               record_size = String.length record_bytes;
-                               record_sum = Fnv.hash64_hex record_bytes;
-                               membrane_blocks;
-                               membrane_size = String.length membrane_bytes;
-                               membrane_sum = Fnv.hash64_hex membrane_bytes;
+                               record = loc_of record_bytes record_blocks;
+                               membrane = loc_of membrane_bytes membrane_blocks;
+                               erased = false;
                              });
                         Stats.Counter.incr t.counters "inserts";
                         (* write-through: the values just validated and
@@ -1303,11 +1204,9 @@ let insert t ~actor ~subject ~type_name ~record ~membrane_of =
                         retire t [];
                         Ok pd_id))))
 
-(* Verify an extent's checksum against the raw bytes just read.  An empty
-   stored sum means "no checksum recorded" (never the case for entries
-   written by this code, but kept permissive). *)
+(* Verify an extent's checksum against the raw bytes just read. *)
 let verify_sum ~what ~pd_id ~stored raw =
-  if stored <> "" && Fnv.hash64_hex raw <> stored then
+  if Fnv.hash64_hex raw <> stored then
     Error (Corrupt (what ^ " of " ^ pd_id ^ ": extent checksum mismatch"))
   else Ok raw
 
@@ -1401,16 +1300,17 @@ let load_extents t x ~channel entries =
       | e :: rest when not (x.x_live e) -> go ((e.pd_id, None) :: acc) rest
       | e :: rest -> (
           Stats.Counter.incr t.counters x.x_reads;
-          charge_checksum t (x.x_size e);
+          charge_checksum t (x.x_loc e).size;
           match Option.bind (Cache.find t.cache (x.x_key ^ e.pd_id)) x.x_cached with
           | Some v ->
               Stats.Counter.incr t.counters "cache_hits";
               go ((e.pd_id, Some v) :: acc) rest
           | None -> (
               Stats.Counter.incr t.counters "cache_misses";
-              let raw = assemble h (x.x_blocks e) (x.x_size e) in
+              let l = x.x_loc e in
               let** raw =
-                verify_sum ~what:x.x_name ~pd_id:e.pd_id ~stored:(x.x_sum e) raw
+                verify_sum ~what:x.x_name ~pd_id:e.pd_id ~stored:l.sum
+                  (assemble h l.blocks l.size)
               in
               match x.x_decode raw with
               | Ok v ->
@@ -1423,7 +1323,7 @@ let load_extents t x ~channel entries =
   in
   protect_read (fun () ->
       pipelined_read t ~channel ~any_miss
-        ~blocks_of:(fun e -> if x.x_live e then x.x_blocks e else [])
+        ~blocks_of:(fun e -> if x.x_live e then (x.x_loc e).blocks else [])
         ~decode entries)
 
 let get_membranes t ~actor ?(channel = 0) pd_ids =
@@ -1450,6 +1350,23 @@ let get_record t ~actor pd_id =
   | [ (_, Some r) ] -> Ok r
   | _ -> Error (Erased pd_id)
 
+(* The one extent write behind record updates, membrane updates and
+   erasure: place [payload] in [kind]'s zone, write it, log [J_replace],
+   then retire the superseded blocks.  For [Sealed] the retirement is
+   erasure's destruction duty: no plaintext of the old record may remain
+   anywhere. *)
+let replace_extent t e kind ~hint payload =
+  let old = extent e kind in
+  match alloc t (zone e kind) (blocks_needed t (String.length payload)) with
+  | None -> Error No_space
+  | Some blocks ->
+      protect_write t (fun () ->
+          write_payload t payload blocks;
+          log_and_apply ~hint t
+            (J_replace { kind; pd_id = e.pd_id; loc = loc_of payload blocks });
+          retire ~destroy:(kind = Sealed) t old.blocks;
+          Ok ())
+
 let update_record t ~actor pd_id record =
   let** () = guard t ~actor ~op:"write" in
   let** () = check_degraded t in
@@ -1461,28 +1378,14 @@ let update_record t ~actor pd_id record =
     | Some tbl -> (
         match Schema.validate_record tbl.schema record with
         | Error msg -> Error (Invalid_record msg)
-        | Ok () -> (
-            let bytes = Record.encode record in
-            let old_blocks = e.record_blocks in
-            match
-              alloc t (Space.Z_record e.high) (blocks_needed t (String.length bytes))
-            with
-            | None -> Error No_space
-            | Some blocks ->
-                protect_write t (fun () ->
-                    write_payload t bytes blocks;
-                    log_and_apply t
-                      ~hint:{ no_hint with h_record = Some record }
-                      (J_update_record
-                         {
-                           pd_id;
-                           blocks;
-                           size = String.length bytes;
-                           sum = Fnv.hash64_hex bytes;
-                         });
-                    retire t old_blocks;
-                    Stats.Counter.incr t.counters "record_updates";
-                    Ok ())))
+        | Ok () ->
+            let** () =
+              replace_extent t e Record
+                ~hint:{ no_hint with h_record = Some record }
+                (Record.encode record)
+            in
+            Stats.Counter.incr t.counters "record_updates";
+            Ok ())
 
 let update_membrane t ~actor pd_id membrane =
   let** () = guard t ~actor ~op:"write" in
@@ -1495,25 +1398,13 @@ let update_membrane t ~actor pd_id membrane =
   else if membrane.Membrane.subject_id <> e.subject then
     Error (Membrane_mismatch "membrane names a different subject")
   else
-    let bytes = Membrane.encode membrane in
-    let old_blocks = e.membrane_blocks in
-    match alloc t Space.Z_membrane (blocks_needed t (String.length bytes)) with
-    | None -> Error No_space
-    | Some blocks ->
-        protect_write t (fun () ->
-            write_payload t bytes blocks;
-            log_and_apply t
-              ~hint:{ no_hint with h_membrane = Some membrane }
-              (J_update_membrane
-                 {
-                   pd_id;
-                   blocks;
-                   size = String.length bytes;
-                   sum = Fnv.hash64_hex bytes;
-                 });
-            retire t old_blocks;
-            Stats.Counter.incr t.counters "membrane_updates";
-            Ok ())
+    let** () =
+      replace_extent t e Membrane
+        ~hint:{ no_hint with h_membrane = Some membrane }
+        (Membrane.encode membrane)
+    in
+    Stats.Counter.incr t.counters "membrane_updates";
+    Ok ()
 
 let copy_pd t ~actor pd_id =
   let** () = guard t ~actor ~op:"write" in
@@ -1530,7 +1421,7 @@ let delete t ~actor pd_id =
   let** () = guard t ~actor ~op:"delete" in
   let** () = check_degraded t in
   let** e = find_entry t pd_id in
-  let blocks = e.record_blocks @ e.membrane_blocks in
+  let blocks = e.record.blocks @ e.membrane.blocks in
   protect_write t (fun () ->
       log_and_apply t (J_delete pd_id);
       (* physical destruction after the metadata commit *)
@@ -1545,28 +1436,9 @@ let erase_with t ~actor pd_id ~seal =
   if e.erased then Error (Erased pd_id)
   else
     let** record = get_record t ~actor pd_id in
-    let sealed = seal record in
-    let old_blocks = e.record_blocks in
-    match
-      alloc t (Space.Z_record e.high) (blocks_needed t (String.length sealed))
-    with
-    | None -> Error No_space
-    | Some blocks ->
-        protect_write t (fun () ->
-            write_payload t sealed blocks;
-            log_and_apply t
-              (J_erase
-                 {
-                   pd_id;
-                   blocks;
-                   size = String.length sealed;
-                   sum = Fnv.hash64_hex sealed;
-                 });
-            (* destruction obligation: erasure must leave no plaintext of
-               the old record anywhere *)
-            retire ~destroy:true t old_blocks;
-            Stats.Counter.incr t.counters "erasures";
-            Ok ())
+    let** () = replace_extent t e Sealed ~hint:no_hint (seal record) in
+    Stats.Counter.incr t.counters "erasures";
+    Ok ()
 
 let erased_payload t ~actor pd_id =
   let** () = guard t ~actor ~op:"read" in
@@ -1574,9 +1446,9 @@ let erased_payload t ~actor pd_id =
   if not e.erased then Error (Invalid_record (pd_id ^ " is not erased"))
   else
     protect_read (fun () ->
-        let raw = read_payload t e.record_blocks e.record_size in
-        charge_checksum t e.record_size;
-        verify_sum ~what:"sealed payload" ~pd_id ~stored:e.record_sum raw)
+        let raw = read_payload t e.record in
+        charge_checksum t e.record.size;
+        verify_sum ~what:"sealed payload" ~pd_id ~stored:e.record.sum raw)
 
 let compact ?max_victims ?liveness_pct t =
   Space.compact ?max_victims ?liveness_pct t.space ~relocate:(relocate t)
@@ -1774,8 +1646,8 @@ let describe_trees t ~actor =
                          "    %s [%s]%s  record@{%s}  membrane@{%s}\n" pd_id
                          e.type_name
                          (if e.erased then " (erased)" else "")
-                         (blocks_str e.record_blocks)
-                         (blocks_str e.membrane_blocks)))
+                         (blocks_str e.record.blocks)
+                         (blocks_str e.membrane.blocks)))
               ids
           end)
         subjects;
@@ -1824,10 +1696,9 @@ let crash_and_remount t = mount t.dev
    clean and, when live, decodable — [Ok (Some v)] with the decoded
    value, [Ok None] for a sound extent that is not live. *)
 let check_extent t x e =
-  match read_payload t (x.x_blocks e) (x.x_size e) with
+  match read_payload t (x.x_loc e) with
   | exception Block_device.Faulted _ -> Error `Unreadable
-  | raw when not (x.x_sum e = "" || Fnv.hash64_hex raw = x.x_sum e) ->
-      Error `Mismatch
+  | raw when Fnv.hash64_hex raw <> (x.x_loc e).sum -> Error `Mismatch
   | _ when not (x.x_live e) -> Ok None
   | raw -> (
       match x.x_decode raw with
@@ -1893,8 +1764,8 @@ let fsck_check t =
             {
               Space.o_pd = e.pd_id;
               o_high = e.high;
-              o_record = e.record_blocks;
-              o_membrane = e.membrane_blocks;
+              o_record = e.record.blocks;
+              o_membrane = e.membrane.blocks;
             })
           all));
   (* schema membership + recorded entry count *)
@@ -1940,7 +1811,7 @@ let fsck_check t =
                note "index keys pd %s under type %s (entry says %s)" pd_id
                  type_name e.type_name;
              (* every claimed key must be posted, and must match the record *)
-             let record = decode_at t record_x e.record_blocks e.record_size in
+             let record = decode_at t record_x e in
              List.iter
                (fun (field, v) ->
                  if
@@ -1976,7 +1847,7 @@ let fsck_check t =
          let expected =
            if e.erased then None
            else
-             match decode_at t membrane_x e.membrane_blocks e.membrane_size with
+             match decode_at t membrane_x e with
              | None -> None
              | Some m -> expiry_instant m
          in
@@ -1999,21 +1870,7 @@ let fsck_check t =
    index damage in one move. *)
 let rebuild_index t =
   let idx = Index.create () in
-  iter_entries t (fun e ->
-      let pd_id = e.pd_id in
-      Index.add_subject idx ~subject:e.subject ~pd_id;
-      if not e.erased then begin
-        let indexed = indexed_fields_of t e.type_name in
-        (if indexed <> [] then
-           match decode_at t record_x e.record_blocks e.record_size with
-           | Some record ->
-               Index.add_entry idx ~pd_id ~type_name:e.type_name ~indexed record
-           | None -> ());
-        match decode_at t membrane_x e.membrane_blocks e.membrane_size with
-        | Some m -> Index.set_expiry idx ~pd_id (expiry_instant m)
-        | None -> ()
-      end)
-    ;
+  iter_entries t (index_entry t idx ~hint:no_hint);
   idx
 
 type repair_report = {
@@ -2078,9 +1935,9 @@ let fsck_repair t =
            then release the blocks *)
         List.iter
           (fun b -> ignore (zero_block b))
-          (e.record_blocks @ e.membrane_blocks);
-        Space.mark_free t.space e.record_blocks;
-        Space.mark_free t.space e.membrane_blocks;
+          (e.record.blocks @ e.membrane.blocks);
+        Space.mark_free t.space e.record.blocks;
+        Space.mark_free t.space e.membrane.blocks;
         act "quarantined %s (%s)" e.pd_id reason;
         (e.pd_id, reason))
       damaged
@@ -2101,7 +1958,7 @@ let fsck_repair t =
      space *)
   let scrubbed =
     Space.repair t.space
-      ~owned:(List.concat_map (fun e -> e.record_blocks @ e.membrane_blocks) healthy)
+      ~owned:(List.concat_map (fun e -> e.record.blocks @ e.membrane.blocks) healthy)
       ~zero_block ~act:(act "%s")
   in
   (* 5. truncate the journal at the damage point: checkpoint the repaired
@@ -2170,8 +2027,6 @@ let fsck ?(repair = false) t =
 
 let replay_report t = t.replay
 
-let replay_warning t = t.replay_warning
-
 let degraded t = t.degraded
 
 (* ------------------------------------------------------------------ *)
@@ -2216,13 +2071,4 @@ let flush_journal t =
 
 let segment_table t = Space.segment_table t.space
 
-let stats t =
-  (* mirror the ring's group-commit tallies into the counter set so one
-     [Stats.Counter.to_list] shows the whole store *)
-  let sync name v =
-    let cur = Stats.Counter.get t.counters name in
-    if v > cur then Stats.Counter.incr t.counters ~by:(v - cur) name
-  in
-  sync "committed_batches" (Journal_ring.batches t.ring);
-  sync "batched_ops" (Journal_ring.batched_ops t.ring);
-  t.counters
+let stats t = t.counters

@@ -320,10 +320,6 @@ val fsck_repair : t -> repair_report
 val replay_report : t -> Rgpdos_block.Journal_ring.replay_summary option
 (** The mount-time journal replay summary ([None] on a fresh format). *)
 
-val replay_warning : t -> string option
-(** Set when a well-framed journal record failed to decode or apply
-    during mount; the store is then degraded. *)
-
 val degraded : t -> string option
 (** [Some reason] when the store is in degraded read-only mode: every
     mutation returns [Error (Degraded _)] while reads (including
@@ -402,6 +398,6 @@ val stats : t -> Rgpdos_util.Stats.Counter.t
     reassembly and decode but is charged the identical simulated device
     cost, so experiment [stage_ns] figures are unaffected.  Coherence
     rule: every journalled operation that touches a pd ([J_insert],
-    [J_update_record], [J_update_membrane], [J_delete], [J_erase]) —
+    [J_replace] of its record, membrane or sealed envelope, [J_delete]) —
     whether live or replayed at mount — invalidates that pd's cached
     entries before it applies. *)

@@ -3,6 +3,7 @@ module Journal_ring = Rgpdos_block.Journal_ring
 module Codec = Rgpdos_util.Codec
 module Clock = Rgpdos_util.Clock
 module Fnv = Rgpdos_util.Fnv
+module Stats = Rgpdos_util.Stats
 module Space = Rgpdos_dbfs.Space
 
 open Rgpdos_util.Codec
@@ -393,7 +394,9 @@ let format dev ~journal_blocks =
   let fs =
     {
       dev;
-      ring = Journal_ring.create dev ~start_block:1 ~num_blocks:journal_blocks;
+      ring =
+        Journal_ring.create dev ~counters:(Stats.Counter.create ())
+          ~start_block:1 ~num_blocks:journal_blocks;
       journal_blocks;
       meta_start = 1 + journal_blocks;
       meta_blocks;
@@ -437,8 +440,9 @@ let mount dev =
                 {
                   dev;
                   ring =
-                    Journal_ring.attach dev ~start_block:1
-                      ~num_blocks:journal_blocks ~head:jhead ~seq:jseq;
+                    Journal_ring.attach dev ~counters:(Stats.Counter.create ())
+                      ~start_block:1 ~num_blocks:journal_blocks ~head:jhead
+                      ~seq:jseq;
                   journal_blocks;
                   meta_start;
                   meta_blocks;

@@ -45,6 +45,8 @@ let sysadmin = "sysadmin"
 
 let default_journal_blocks = 256
 
+let audit_path = "/var/audit.chain"
+
 (* Wire a machine around already-constructed storage: shared by [boot]
    (fresh format) and [reboot] (remount of existing devices). *)
 let assemble ~clock ~prng ~authority ~pd_dev ~npd_dev ~dbfs ~npd_fs ~audit =
@@ -136,18 +138,18 @@ let reboot t =
       match Journalfs.mount t.npd_dev with
       | Error e -> Error ("NPD FS remount: " ^ e)
       | Ok npd_fs ->
-          (* reload the audit chain if it was persisted; else start fresh *)
           let audit =
-            match Journalfs.read_file npd_fs "/var/audit.chain" with
-            | Ok raw -> (
-                match Audit_log.of_bytes raw with
-                | Ok chain when Audit_log.verify chain = Ok () -> chain
-                | Ok _ | Error _ -> Audit_log.create ())
-            | Error _ -> Audit_log.create ()
+            match Journalfs.read_file npd_fs audit_path with
+            | Error (Journalfs.Not_found _) -> Ok (Audit_log.create ())
+            | Error e -> Error (Journalfs.error_to_string e)
+            | Ok raw -> Audit_log.of_bytes raw
           in
-          Ok
-            (assemble ~clock:t.clock ~prng:t.prng ~authority:t.authority
-               ~pd_dev:t.pd_dev ~npd_dev:t.npd_dev ~dbfs ~npd_fs ~audit))
+          match audit with
+          | Error e -> Error ("audit chain reload: " ^ e)
+          | Ok audit ->
+              Ok
+                (assemble ~clock:t.clock ~prng:t.prng ~authority:t.authority
+                   ~pd_dev:t.pd_dev ~npd_dev:t.npd_dev ~dbfs ~npd_fs ~audit))
 
 let clock t = t.clock
 let prng t = t.prng
@@ -373,6 +375,7 @@ let receipt_material r =
 let set_consent_with_receipt t ~subject ~purpose scope =
   match set_consent t ~subject ~purpose scope with
   | Error e -> Error e
+  | Ok 0 -> Error ("no PD of subject " ^ subject ^ ": no consent to record")
   | Ok n ->
       (* the Consent_changed entry appended by set_consent is the latest *)
       let audit_seq = Audit_log.length t.audit - 1 in
@@ -480,8 +483,6 @@ let compliance_evidence t ?(forensic_probes = []) () =
 let submit_job t job = Scheduler.submit t.scheduler job
 
 let run_jobs t = Scheduler.run_until_idle t.scheduler ()
-
-let audit_path = "/var/audit.chain"
 
 let persist_audit t =
   let bytes = Audit_log.to_bytes t.audit in

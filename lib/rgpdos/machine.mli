@@ -37,7 +37,12 @@ val reboot : t -> (t, string) result
     survive; in-memory state (declared purposes, registered processings,
     collectors) is gone and must be redeployed — call
     [load_declarations] and [register_processing] again, as on a real
-    restart.  The virtual clock keeps its value (TTLs keep running). *)
+    restart.  The virtual clock keeps its value (TTLs keep running).
+
+    The audit chain starts fresh only when none was ever persisted.  A
+    persisted chain is reloaded as stored, verified or not, so
+    [Audit_log.verify] on the rebooted machine still reports a tampered
+    entry; a persisted chain that no longer decodes is an [Error]. *)
 
 (** {1 Component access} *)
 
@@ -175,7 +180,8 @@ val set_consent_with_receipt :
   purpose:string ->
   Rgpdos_membrane.Membrane.consent_scope ->
   (int * consent_receipt, string) result
-(** Like [set_consent], also issuing the receipt for the decision. *)
+(** Like [set_consent], also issuing the receipt for the decision.  A
+    subject with no PD has no decision to record: [Error]. *)
 
 val verify_receipt : t -> consent_receipt -> bool
 (** MAC check plus agreement with the audit chain entry it references. *)

@@ -866,6 +866,16 @@ let test_consent_receipts () =
   let other = Machine.boot ~seed:999L () in
   check_bool "other machine rejects" false (Machine.verify_receipt other receipt)
 
+(* a subject with no PD has no decision to record, so no receipt may cite
+   the latest audit entry, which is another subject's *)
+let test_receipt_without_pd_refused () =
+  let m, _, _, _ = boot_with_users () in
+  ignore (ok (Machine.withdraw_consent m ~subject:"sub-alice" ~purpose:"purpose1"));
+  check_bool "no receipt for a subject without PD" true
+    (Result.is_error
+       (Machine.set_consent_with_receipt m ~subject:"nobody" ~purpose:"purpose1"
+          Membrane.All))
+
 let test_float_bool_fields_end_to_end () =
   let m = Machine.boot ~seed:31L () in
   ignore
@@ -950,6 +960,38 @@ let test_machine_reboot () =
     ok (Machine.invoke m2 ~name:"compute_age" ~target:(Ded.All_of_type "user") ())
   in
   check_int "processing runs on surviving PD" 3 outcome.Ded.consumed
+
+(* a persisted chain is reloaded as stored: a tampered entry survives the
+   power cycle and still fails verification *)
+let test_reboot_keeps_tampered_chain () =
+  let m, _, _, _ = boot_with_users () in
+  let log = Machine.audit m in
+  while Audit_log.length log < 5 do
+    ignore
+      (Audit_log.append log ~now:0 ~actor:"ded"
+         (Audit_log.Processed { purpose = "p"; inputs = [ "pd-1" ]; produced = [] }))
+  done;
+  ok (Machine.persist_audit m);
+  Audit_log.unsafe_tamper log ~seq:2 ~actor:"mallory";
+  ok (Machine.persist_audit m);
+  check_bool "persisted chain reported corrupt" true
+    (Result.is_error (Machine.verify_persisted_audit m));
+  let m2 = ok (Machine.reboot m) in
+  check_int "tampered chain reloaded" 5 (Audit_log.length (Machine.audit m2));
+  check_bool "tampered entry still caught" true
+    (Audit_log.verify (Machine.audit m2) = Error 2)
+
+let test_reboot_refuses_garbage_chain () =
+  let m, _, _, _ = boot_with_users () in
+  ok (Machine.persist_audit m);
+  (match
+     Rgpdos_journalfs.Journalfs.write_file (Machine.npd_fs m) "/var/audit.chain"
+       "not an audit chain"
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Rgpdos_journalfs.Journalfs.error_to_string e));
+  check_bool "undecodable chain fails the reboot" true
+    (Result.is_error (Machine.reboot m))
 
 (* ------------------------------------------------------------------ *)
 (* subject request desk (art. 12(3))                                  *)
@@ -1096,11 +1138,19 @@ let () =
       ( "consent-receipts",
         [
           Alcotest.test_case "issue + verify + forgeries" `Quick test_consent_receipts;
+          Alcotest.test_case "no receipt without PD" `Quick
+            test_receipt_without_pd_refused;
           Alcotest.test_case "float/bool fields e2e" `Quick
             test_float_bool_fields_end_to_end;
         ] );
       ( "reboot",
-        [ Alcotest.test_case "power cycle" `Quick test_machine_reboot ] );
+        [
+          Alcotest.test_case "power cycle" `Quick test_machine_reboot;
+          Alcotest.test_case "tampered chain survives the power cycle" `Quick
+            test_reboot_keeps_tampered_chain;
+          Alcotest.test_case "undecodable chain fails the reboot" `Quick
+            test_reboot_refuses_garbage_chain;
+        ] );
       ( "request-desk",
         [
           Alcotest.test_case "lifecycle" `Quick test_request_desk_lifecycle;

@@ -6,6 +6,7 @@ module Clock = Rgpdos_util.Clock
 module Block_device = Rgpdos_block.Block_device
 module Ring = Rgpdos_block.Journal_ring
 module Prng = Rgpdos_util.Prng
+module Stats = Rgpdos_util.Stats
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -26,7 +27,11 @@ let make_ring ?(num_blocks = 8) () =
         }
       ~clock ()
   in
-  (Ring.create dev ~start_block:2 ~num_blocks, dev)
+  (Ring.create dev ~counters:(Stats.Counter.create ()) ~start_block:2
+     ~num_blocks,
+   dev)
+
+let attach dev = Ring.attach dev ~counters:(Stats.Counter.create ())
 
 let no_overflow () = Alcotest.fail "unexpected ring overflow"
 
@@ -36,7 +41,7 @@ let test_append_replay_roundtrip () =
   List.iter (Ring.append ring ~on_overflow:no_overflow) payloads;
   check_int "live records" 4 (fst (Ring.live ring));
   (* replay from a fresh attach at position 0 *)
-  let reader = Ring.attach dev ~start_block:2 ~num_blocks:8 ~head:0 ~seq:0 in
+  let reader = attach dev ~start_block:2 ~num_blocks:8 ~head:0 ~seq:0 in
   let seen = ref [] in
   let summary = Ring.replay reader (fun p -> seen := p :: !seen) in
   Alcotest.(check (list string)) "replayed in order" payloads (List.rev !seen);
@@ -49,7 +54,7 @@ let test_replay_from_checkpoint_position () =
   let head = Ring.head ring and seq = Ring.seq ring in
   Ring.append ring ~on_overflow:no_overflow "after-1";
   Ring.append ring ~on_overflow:no_overflow "after-2";
-  let reader = Ring.attach dev ~start_block:2 ~num_blocks:8 ~head ~seq in
+  let reader = attach dev ~start_block:2 ~num_blocks:8 ~head ~seq in
   let seen = ref [] in
   let summary = Ring.replay reader (fun p -> seen := p :: !seen) in
   Alcotest.(check (list string)) "only post-checkpoint records"
@@ -91,7 +96,7 @@ let test_replay_stops_at_garbage () =
   done;
   (* clobber a block in the middle of the appended records *)
   Block_device.write dev 4 (String.make 128 'Z');
-  let reader = Ring.attach dev ~start_block:2 ~num_blocks:8 ~head:0 ~seq:0 in
+  let reader = attach dev ~start_block:2 ~num_blocks:8 ~head:0 ~seq:0 in
   let seen = ref 0 in
   let summary = Ring.replay reader (fun _ -> incr seen) in
   check_bool "stops without crashing" true (!seen < 10);
@@ -118,7 +123,7 @@ let test_scrub_preserves_live_records () =
   Ring.scrub ring;
   check_bool "live survives" true (Block_device.scan dev "LIVE-RECORD" <> []);
   (* and it still replays from the checkpoint position *)
-  let reader = Ring.attach dev ~start_block:2 ~num_blocks:8 ~head ~seq in
+  let reader = attach dev ~start_block:2 ~num_blocks:8 ~head ~seq in
   let seen = ref [] in
   let summary = Ring.replay reader (fun p -> seen := p :: !seen) in
   Alcotest.(check (list string)) "live replays" [ "LIVE-RECORD" ] !seen;
@@ -131,7 +136,7 @@ let prop_roundtrip_arbitrary_payloads =
     (fun payloads ->
       let ring, dev = make_ring ~num_blocks:32 () in
       List.iter (Ring.append ring ~on_overflow:(fun () -> assert false)) payloads;
-      let reader = Ring.attach dev ~start_block:2 ~num_blocks:32 ~head:0 ~seq:0 in
+      let reader = attach dev ~start_block:2 ~num_blocks:32 ~head:0 ~seq:0 in
       let seen = ref [] in
       let summary = Ring.replay reader (fun p -> seen := p :: !seen) in
       List.rev !seen = payloads
@@ -154,7 +159,7 @@ let prop_wraparound_preserves_tail =
           (Printf.sprintf "record-%04d" i)
       done;
       let head, seq = !last_ckpt in
-      let reader = Ring.attach dev ~start_block:2 ~num_blocks:3 ~head ~seq in
+      let reader = attach dev ~start_block:2 ~num_blocks:3 ~head ~seq in
       let seen = ref [] in
       let (_ : Ring.replay_summary) =
         Ring.replay reader (fun p -> seen := p :: !seen)

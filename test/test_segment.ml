@@ -11,7 +11,8 @@
      repairs clean;
    - erase → compact → remount leaves no plaintext residue of the
      erased records anywhere on the raw image, even though compaction
-     relocates their (live) neighbours;
+     relocates their (live) neighbours, and every sealed envelope,
+     relocated or not, reads back exactly;
    - backpressure stalls are deterministic simulated-clock charges:
      identical runs agree on the stall count and the final clock;
    - the space invariant ([Space.check], run by [Dbfs.fsck]) holds after
@@ -192,6 +193,30 @@ let test_window_one_no_batches () =
     (Stats.Counter.get st "committed_batches");
   check_int "no batched_ops at window 1" 0 (Stats.Counter.get st "batched_ops")
 
+(* the ring counts into the store's own counter set, so a reset zeroes
+   the group-commit tallies with every other counter *)
+let test_reset_clears_batch_counters () =
+  let _dev, _clock, t, s = make_store ~window:4 () in
+  let insert i =
+    match insert_subject t s i with
+    | Ok _ -> ()
+    | Error e -> failwith (Dbfs.error_to_string e)
+  in
+  List.iter insert (List.init 8 Fun.id);
+  check_int "batches before the reset" 2
+    (Stats.Counter.get (Dbfs.stats t) "committed_batches");
+  Stats.Counter.reset (Dbfs.stats t);
+  let st = Dbfs.stats t in
+  check_int "inserts after the reset" 0 (Stats.Counter.get st "inserts");
+  check_int "committed_batches after the reset" 0
+    (Stats.Counter.get st "committed_batches");
+  check_int "batched_ops after the reset" 0 (Stats.Counter.get st "batched_ops");
+  List.iter insert (List.init 4 (fun i -> 8 + i));
+  let st = Dbfs.stats t in
+  check_int "counting resumes from the reset" 1
+    (Stats.Counter.get st "committed_batches");
+  check_int "batched ops since the reset" 4 (Stats.Counter.get st "batched_ops")
+
 (* ------------------------------------------------------------------ *)
 (* the space invariant                                                 *)
 
@@ -310,7 +335,11 @@ let test_crash_between_batches_replays_cleanly () =
 (* ------------------------------------------------------------------ *)
 (* erase -> compact -> remount -> zero residue                         *)
 
-let test_erase_compact_remount_no_residue () =
+(* [erase_first] erases before the churn instead of after it: the sealed
+   envelopes then share segments with records the churn kills, so
+   compaction relocates some of them, and each must still read back as
+   its exact envelope after the remount. *)
+let test_erase_compact_remount_no_residue ~erase_first () =
   let dev, _clock, t, s = make_store () in
   let pds =
     List.map
@@ -340,30 +369,48 @@ let test_erase_compact_remount_no_residue () =
   in
   (* churn the keepers so compaction has relocation work around the
      erased extents *)
-  List.iter
-    (fun (i, pd, doomed) ->
-      if not doomed then
-        match
-          Dbfs.update_record t ~actor pd
-            [
-              ("payload", Value.VString (Printf.sprintf "KEEP-%03d-v001" i));
-              ("bucket", Value.VInt (i mod 7));
-            ]
-        with
-        | Ok () -> ()
-        | Error e -> failwith (Dbfs.error_to_string e))
-    pds;
-  List.iter
-    (fun (_, pd, doomed) ->
-      if doomed then
-        match
-          Dbfs.erase_with t ~actor pd ~seal:(fun r ->
-              "SEALED:" ^ Fnv.hash64_hex (Record.encode r))
-        with
-        | Ok () -> ()
-        | Error e -> failwith (Dbfs.error_to_string e))
-    pds;
+  let churn () =
+    List.iter
+      (fun (i, pd, doomed) ->
+        if not doomed then
+          match
+            Dbfs.update_record t ~actor pd
+              [
+                ("payload", Value.VString (Printf.sprintf "KEEP-%03d-v001" i));
+                ("bucket", Value.VInt (i mod 7));
+              ]
+          with
+          | Ok () -> ()
+          | Error e -> failwith (Dbfs.error_to_string e))
+      pds
+  in
+  let sealed = Hashtbl.create 64 in
+  let erase () =
+    List.iter
+      (fun (_, pd, doomed) ->
+        if doomed then
+          match
+            Dbfs.erase_with t ~actor pd ~seal:(fun r ->
+                let envelope = "SEALED:" ^ Fnv.hash64_hex (Record.encode r) in
+                Hashtbl.replace sealed pd envelope;
+                envelope)
+          with
+          | Ok () -> ()
+          | Error e -> failwith (Dbfs.error_to_string e))
+      pds
+  in
+  if erase_first then (erase (); churn ()) else (churn (); erase ());
+  let erased = List.filter (fun (_, _, doomed) -> doomed) pds in
+  let blocks_of pd =
+    match Dbfs.entry_blocks t ~actor pd with
+    | Ok (record, _) -> record
+    | Error e -> failwith (Dbfs.error_to_string e)
+  in
+  let before = List.map (fun (_, pd, _) -> blocks_of pd) erased in
   ignore (Dbfs.compact t ~max_victims:64 ~liveness_pct:75.0);
+  if erase_first then
+    check_bool "compaction relocated a sealed envelope" true
+      (List.exists2 (fun (_, pd, _) b -> blocks_of pd <> b) erased before);
   Dbfs.flush_journal t;
   Dbfs.checkpoint t;
   check_int "no GONE residue on the live image" 0
@@ -382,7 +429,20 @@ let test_erase_compact_remount_no_residue () =
   | Error e -> Alcotest.fail ("remount failed: " ^ e)
   | Ok t' ->
       let rep = Dbfs.fsck_repair t' in
-      check_bool "fsck clean after compaction" true rep.Dbfs.rr_clean);
+      check_bool "fsck clean after compaction" true rep.Dbfs.rr_clean;
+      (* every envelope, moved or not, reads back exactly *)
+      List.iter
+        (fun (_, pd, _) ->
+          check_bool "still erased after the remount" true
+            (match Dbfs.entry_info t' ~actor pd with
+            | Ok (_, _, erased) -> erased
+            | Error _ -> false);
+          Alcotest.(check (result string string))
+            "sealed envelope after the remount"
+            (Ok (Hashtbl.find sealed pd))
+            (Result.map_error Dbfs.error_to_string
+               (Dbfs.erased_payload t' ~actor pd)))
+        erased);
   check_int "no GONE residue after remount" 0
     (List.length (Block_device.scan dev' "GONE-"));
   (* keepers were relocated, not lost *)
@@ -452,11 +512,15 @@ let () =
             test_window_one_no_batches;
           Alcotest.test_case "crash mid-window replays clean" `Quick
             test_crash_between_batches_replays_cleanly;
+          Alcotest.test_case "a counter reset clears the batch tallies" `Quick
+            test_reset_clears_batch_counters;
         ] );
       ( "compaction",
         [
           Alcotest.test_case "erase+compact+remount: zero residue" `Quick
-            test_erase_compact_remount_no_residue;
+            (test_erase_compact_remount_no_residue ~erase_first:false);
+          Alcotest.test_case "erase first: sealed envelopes relocated" `Quick
+            (test_erase_compact_remount_no_residue ~erase_first:true);
         ] );
       ( "backpressure",
         [
