@@ -26,7 +26,7 @@ let default_config =
 (* ---------- fault plan ----------
 
    A fault plan is a deterministic schedule keyed on the device's write-op
-   ordinal (scalar [write] and vectored [write_vec] each count as one op,
+   ordinal (each write request, blocking or queued, counts as one op,
    numbered from 1 as of plan installation).  Campaign harnesses install a
    plan, run a scripted workload, and every write becomes an enumerable
    fault/crash point; the same seed and workload replay the exact same
@@ -39,8 +39,8 @@ module Fault_plan = struct
             [Faulted]; [transient = false] additionally marks the first
             target block permanently bad *)
     | Torn_write of { keep_runs : int }
-        (** a vectored write persists only its first [keep_runs] contiguous
-            runs before raising [Faulted] (a scalar write is one run) *)
+        (** a write persists only its first [keep_runs] contiguous runs
+            before raising [Faulted] *)
     | Bit_flip of { block : int; byte : int; bit : int }
         (** the op succeeds normally, then one bit of the named block is
             silently flipped (medium bit rot) *)
@@ -194,17 +194,6 @@ let check dev i =
   | None -> ());
   if Hashtbl.mem dev.faults i then raise (Faulted i)
 
-let charge dev base nbytes =
-  Clock.advance dev.clock (base + (dev.cfg.byte_latency * nbytes))
-
-let read dev i =
-  check dev i;
-  charge dev dev.cfg.read_latency dev.cfg.block_size;
-  Stats.Counter.incr dev.counters "reads";
-  Stats.Counter.incr dev.counters ~by:dev.cfg.block_size "bytes_read";
-  let b = dev.blocks.(i) in
-  if b = "" then String.make dev.cfg.block_size '\000' else b
-
 (* ---------- vectored IO ----------
 
    A vectored request names a set of blocks.  We sort the set (elevator
@@ -288,16 +277,16 @@ let read_vec dev indices = read_vec_common dev ~move:true indices
 
 let charge_read_vec dev indices = ignore (read_vec_common dev ~move:false indices)
 
-let check_payload dev data =
-  if String.length data > dev.cfg.block_size then
-    invalid_arg "Block_device.write: data larger than block"
-
 (* Validate a canonical vectored write before it charges, counts or
    persists anything: every index is in range and unfaulted, every
    payload fits its block. *)
 let check_writes dev writes =
   List.iter (fun (i, _) -> check dev i) writes;
-  List.iter (fun (_, data) -> check_payload dev data) writes
+  List.iter
+    (fun (_, data) ->
+      if String.length data > dev.cfg.block_size then
+        invalid_arg "Block_device.write_vec: data larger than block")
+    writes
 
 let store dev i data =
   let len = String.length data in
@@ -355,9 +344,10 @@ let dedup_writes writes =
   List.map (fun i -> (i, Hashtbl.find last i)) sorted
 
 (* Persist a deduplicated, checked vectored write and run its fault-plan
-   dispatch.  This is the byte-and-fault half of [write_vec]; the async
-   submission path calls it at submit time so on-device state, write-op
-   ordinals and crash images never depend on when completions settle. *)
+   dispatch: the one place a write op meets the plan.  This is the
+   byte-and-fault half of [write_vec]; the async submission path calls it
+   at submit time so on-device state, write-op ordinals and crash images
+   never depend on when completions settle. *)
 let persist_vec dev sorted writes =
   let first = List.hd sorted in
   match note_write_op dev with
@@ -404,31 +394,6 @@ let write_vec dev writes =
       Clock.advance dev.clock service;
       account_write dev sorted nruns;
       persist_vec dev sorted writes
-
-let write dev i data =
-  check dev i;
-  check_payload dev data;
-  charge dev dev.cfg.write_latency dev.cfg.block_size;
-  Stats.Counter.incr dev.counters "writes";
-  Stats.Counter.incr dev.counters ~by:dev.cfg.block_size "bytes_written";
-  match note_write_op dev with
-  | None ->
-      store dev i data;
-      maybe_capture_crash dev
-  | Some (Fault_plan.Fail_write { transient }) ->
-      if not transient then Hashtbl.replace dev.faults i ();
-      maybe_capture_crash dev;
-      raise (Faulted i)
-  | Some (Fault_plan.Torn_write { keep_runs }) ->
-      (* a scalar write is one run: keep_runs >= 1 persists it but the
-         acknowledgement is lost; keep_runs = 0 persists nothing *)
-      if keep_runs >= 1 then store dev i data;
-      maybe_capture_crash dev;
-      raise (Faulted i)
-  | Some (Fault_plan.Bit_flip { block; byte; bit }) ->
-      store dev i data;
-      flip_bit_raw dev ~block ~byte ~bit;
-      maybe_capture_crash dev
 
 (* ---------- asynchronous submission / completion ----------
 

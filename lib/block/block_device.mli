@@ -47,17 +47,14 @@ exception Out_of_range of int
 exception Faulted of int
 (** Raised when fault injection has marked a block bad. *)
 
-val read : t -> int -> string
-(** [read dev i] returns the contents of block [i] (always [block_size]
-    bytes; unwritten blocks read as zeros). *)
-
 val read_vec : t -> int list -> (int * string) list
 (** [read_vec dev indices] reads all the named blocks in one vectored
     request.  The indices are sorted (elevator order), duplicates are
     collapsed, and contiguous indices are merged into runs: the request
     charges one [read_latency] seek per run plus the usual per-byte cost.
     Returns [(index, contents)] in ascending index order, one entry per
-    distinct requested index. *)
+    distinct requested index; each content is [block_size] bytes, and an
+    unwritten block reads as zeros.  A single block is [read_vec dev [i]]. *)
 
 val charge_read_vec : t -> int list -> unit
 (** Charge exactly the simulated cost (and IO statistics) of
@@ -71,14 +68,12 @@ val write_vec : t -> (int * string) list -> unit
     run of distinct indices plus the per-byte cost.  Later pairs win on
     duplicate indices, and duplicates are resolved {i before} cost
     accounting: a request naming the same block twice seeks and transfers
-    it once.  Data constraints are as for {!write}.  The request is
-    checked whole before it has any effect: an out-of-range index,
-    a faulted block or an oversize payload raises with nothing persisted,
-    charged or counted, and no fault-plan write ordinal consumed. *)
-
-val write : t -> int -> string -> unit
-(** [write dev i data] stores [data] as block [i].  [data] shorter than
-    [block_size] is zero-padded; longer raises [Invalid_argument]. *)
+    it once.  [data] shorter than [block_size] is zero-padded; longer
+    raises [Invalid_argument].  The request is checked whole before it
+    has any effect: an out-of-range index, a faulted block or an oversize
+    payload raises with nothing persisted, charged or counted, and no
+    fault-plan write ordinal consumed.  Every write request, blocking or
+    queued, meets the fault plan in this one dispatch. *)
 
 (** {1 Submission / completion queues}
 
@@ -158,7 +153,7 @@ val inject_transient_fault : t -> int -> count:int -> unit
 (** {1 Programmable fault plans}
 
     A fault plan is a deterministic schedule keyed on the device's write-op
-    ordinal: scalar {!write} and vectored {!write_vec} each count as one
+    ordinal: each {!write_vec} or {!submit_write_vec} request counts as one
     write op, numbered from 1 as of plan installation.  A campaign harness
     installs a plan, runs a scripted workload, and every write op becomes an
     enumerable fault or crash point.  Determinism rule: the same seed and
@@ -172,10 +167,10 @@ module Fault_plan : sig
             {!Faulted}; with [transient = false] the first target block is
             additionally marked permanently bad *)
     | Torn_write of { keep_runs : int }
-        (** a vectored write persists only its first [keep_runs] contiguous
-            runs, then raises {!Faulted}; a scalar write counts as one run
-            (so [keep_runs = 0] persists nothing and [>= 1] persists the
-            block but loses the acknowledgement) *)
+        (** a write persists only its first [keep_runs] contiguous runs
+            in ascending block order, then raises {!Faulted}: a one-run
+            write persists nothing with [keep_runs = 0], and with [>= 1]
+            persists everything but loses the acknowledgement *)
     | Bit_flip of { block : int; byte : int; bit : int }
         (** the op succeeds normally, then one bit of the named block is
             silently flipped — medium bit rot, visible only to checksums *)
@@ -251,8 +246,7 @@ val stats : t -> Rgpdos_util.Stats.Counter.t
     requests issued) and "merged_runs" (contiguous runs charged across
     all vectored requests).  "reads"/"writes"/bytes stay per-block, so
     the merge ratio is [reads / merged_runs].  "write_ops" counts write
-    requests (scalar or vectored) — the ordinal space fault plans schedule
-    against.
+    requests — the ordinal space fault plans schedule against.
 
     Queue observability (all 0 until the submission API is used):
     "async_submits" / "async_completions" (submissions issued / settled),

@@ -9,11 +9,10 @@ type t = {
   mutable jtail : int; (* absolute offset of oldest un-checkpointed record *)
   mutable jseq : int; (* next sequence number to assign (includes pending) *)
   mutable live_records : int;
-  (* Group commit: with [window > 1], framed records are buffered in
-     [pending] (newest first) and written in one vectored flush once the
-     window fills.  [jhead] only ever points at durable bytes; a crash
-     loses the pending tail, which replay rolls back to the durable
-     prefix. *)
+  (* Group commit: framed records are buffered in [pending] (newest
+     first) and written in one vectored flush once [window] of them are
+     pending.  [jhead] only ever points at durable bytes; a crash loses
+     the pending tail, which replay rolls back to the durable prefix. *)
   mutable window : int;
   mutable pending : string list;
   mutable pending_bytes : int;
@@ -80,36 +79,28 @@ let frame_record seq payload =
   let body = Codec.Writer.contents w in
   record_magic ^ body ^ checksum body
 
-let ring_write ring abs bytes =
+(* One block through the vectored path: one seek, as every ring read
+   is charged. *)
+let read_block ring blk = snd (List.hd (Block_device.read_vec ring.dev [ blk ]))
+
+(* Walk [len] ring bytes from absolute offset [abs] one block piece at a
+   time: [f blk off_in_blk pos chunk]. *)
+let iter_chunks ring abs len f =
   let bs = block_size ring in
   let cap = capacity ring in
-  let len = String.length bytes in
   let pos = ref 0 in
   while !pos < len do
     let ring_off = (abs + !pos) mod cap in
-    let blk = ring.start_block + (ring_off / bs) in
     let off_in_blk = ring_off mod bs in
     let chunk = min (bs - off_in_blk) (len - !pos) in
-    let current = Bytes.of_string (Block_device.read ring.dev blk) in
-    Bytes.blit_string bytes !pos current off_in_blk chunk;
-    Block_device.write ring.dev blk (Bytes.to_string current);
+    f (ring.start_block + (ring_off / bs)) off_in_blk !pos chunk;
     pos := !pos + chunk
   done
 
 let ring_read ring abs len =
-  let bs = block_size ring in
-  let cap = capacity ring in
   let buf = Buffer.create len in
-  let pos = ref 0 in
-  while !pos < len do
-    let ring_off = (abs + !pos) mod cap in
-    let blk = ring.start_block + (ring_off / bs) in
-    let off_in_blk = ring_off mod bs in
-    let chunk = min (bs - off_in_blk) (len - !pos) in
-    Buffer.add_string buf
-      (String.sub (Block_device.read ring.dev blk) off_in_blk chunk);
-    pos := !pos + chunk
-  done;
+  iter_chunks ring abs len (fun blk off _ chunk ->
+      Buffer.add_string buf (String.sub (read_block ring blk) off chunk));
   Buffer.contents buf
 
 (* A checkpoint makes every logged op durable through the trees, so any
@@ -124,50 +115,41 @@ let mark_checkpointed ring =
   ring.pending_bytes <- 0
 
 (* Write all pending frames at [jhead] in one vectored device op.  Blocks
-   only partially covered by the new bytes (the head block, the tail
-   block, and wrap boundaries) are read-modify-written; fully covered
-   blocks are built in place. *)
+   only partly covered by the new bytes (the head and tail blocks) are
+   read-modify-written; fully covered blocks are built in place.  A flush
+   that raises changes nothing: the frames stay pending at the same
+   head. *)
 let flush ring =
   match ring.pending with
   | [] -> ()
   | frames_rev ->
-      let nrec = List.length frames_rev in
       let data = String.concat "" (List.rev frames_rev) in
-      let bs = block_size ring in
-      let cap = capacity ring in
       let len = String.length data in
-      let tbl = Hashtbl.create 16 in
-      let order = ref [] in
-      let pos = ref 0 in
-      while !pos < len do
-        let ring_off = (ring.jhead + !pos) mod cap in
-        let blk = ring.start_block + (ring_off / bs) in
-        let off_in_blk = ring_off mod bs in
-        let chunk = min (bs - off_in_blk) (len - !pos) in
-        let buf =
-          match Hashtbl.find_opt tbl blk with
-          | Some b -> b
-          | None ->
-              let b =
-                if off_in_blk = 0 && chunk = bs then Bytes.create bs
-                else Bytes.of_string (Block_device.read ring.dev blk)
-              in
-              Hashtbl.add tbl blk b;
-              order := blk :: !order;
-              b
-        in
-        Bytes.blit_string data !pos buf off_in_blk chunk;
-        pos := !pos + chunk
-      done;
-      let writes =
-        List.rev_map (fun blk -> (blk, Bytes.to_string (Hashtbl.find tbl blk))) !order
-      in
+      let bs = block_size ring in
+      (* newest first; a block recurs only when the batch laps the ring
+         back into its own head block *)
+      let images = ref [] in
+      iter_chunks ring ring.jhead len (fun blk off pos chunk ->
+          let img =
+            match List.assoc_opt blk !images with
+            | Some b -> b
+            | None ->
+                let b =
+                  if chunk = bs then Bytes.create bs
+                  else Bytes.of_string (read_block ring blk)
+                in
+                images := (blk, b) :: !images;
+                b
+          in
+          Bytes.blit_string data pos img off chunk);
       (* The flush is a submission: the framed bytes are on the medium
          when submit returns (replay/crash semantics unchanged), only the
          clock settlement waits for [barrier]. *)
       ring.inflight <-
-        Block_device.submit_write_vec ring.dev ~channel:flush_channel writes
+        Block_device.submit_write_vec ring.dev ~channel:flush_channel
+          (List.rev_map (fun (blk, b) -> (blk, Bytes.unsafe_to_string b)) !images)
         :: ring.inflight;
+      let nrec = List.length frames_rev in
       ring.jhead <- ring.jhead + len;
       ring.live_records <- ring.live_records + nrec;
       Stats.Counter.incr ring.counters "committed_batches";
@@ -188,6 +170,10 @@ let barrier ring =
 let max_payload ring =
   capacity ring - String.length (frame_record 0 "")
 
+(* Frame the record into the pending batch; a full batch commits through
+   [flush], and at window 1 (a batch of one) is settled before returning.
+   A flush that raises takes the record back out, so the caller's retry
+   frames it once, under the same sequence number. *)
 let append ring ~on_overflow payload =
   let framed = frame_record ring.jseq payload in
   let len = String.length framed in
@@ -197,18 +183,18 @@ let append ring ~on_overflow payload =
     if ring.jhead + ring.pending_bytes + len - ring.jtail > capacity ring then
       failwith "Journal_ring: overflow handler did not checkpoint"
   end;
-  if ring.window <= 1 then begin
-    ring_write ring ring.jhead framed;
-    ring.jhead <- ring.jhead + len;
-    ring.jseq <- ring.jseq + 1;
-    ring.live_records <- ring.live_records + 1
-  end
-  else begin
-    ring.pending <- framed :: ring.pending;
-    ring.pending_bytes <- ring.pending_bytes + len;
-    ring.jseq <- ring.jseq + 1;
-    if List.length ring.pending >= ring.window then flush ring
-  end
+  let pending = ring.pending and pending_bytes = ring.pending_bytes in
+  ring.pending <- framed :: pending;
+  ring.pending_bytes <- pending_bytes + len;
+  ring.jseq <- ring.jseq + 1;
+  if List.length ring.pending >= ring.window then
+    match flush ring with
+    | () -> if ring.window = 1 then barrier ring
+    | exception e ->
+        ring.pending <- pending;
+        ring.pending_bytes <- pending_bytes;
+        ring.jseq <- ring.jseq - 1;
+        raise e
 
 type stop_reason = Clean | Torn_frame | Seq_gap | Bad_checksum
 
@@ -292,7 +278,9 @@ let scrub ring =
         not (blk_hi < live_start || blk_lo > live_end)
       else blk_hi >= live_start || blk_lo <= live_end
   in
-  for i = 0 to ring.num_blocks - 1 do
-    if not (is_live_block i) then
-      Block_device.write ring.dev (ring.start_block + i) (String.make bs '\000')
-  done
+  let zeros = String.make bs '\000' in
+  Block_device.write_vec ring.dev
+    (List.filter_map
+       (fun i ->
+         if is_live_block i then None else Some (ring.start_block + i, zeros))
+       (List.init ring.num_blocks Fun.id))

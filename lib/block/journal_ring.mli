@@ -33,12 +33,15 @@ val attach :
     whatever was appended after the checkpoint. *)
 
 val append : t -> on_overflow:(unit -> unit) -> string -> unit
-(** Frame and write a payload at the head.  If the ring would lap
-    un-checkpointed records, [on_overflow] is called first; it must
-    persist a checkpoint and call {!mark_checkpointed}, otherwise the
-    append raises [Failure].  With a group-commit {!set_window} above 1
-    the framed record is buffered instead and written by the next
-    {!flush} (triggered automatically once the window fills).
+(** Frame a payload into the pending batch; once the batch holds
+    {!set_window} records it is written by {!flush}.  At window 1 that is
+    every append, and the batch of one is settled ({!barrier}) before
+    [append] returns, so the record is durable on return.  A flush that
+    raises leaves the ring as it was before the append (the record is not
+    pending, the sequence number not consumed), so a retried append frames
+    its record once.  If the ring would lap un-checkpointed records,
+    [on_overflow] is called first; it must persist a checkpoint and call
+    {!mark_checkpointed}, otherwise the append raises [Failure].
     @raise Failure if a single record exceeds the ring capacity. *)
 
 val max_payload : t -> int
@@ -46,16 +49,19 @@ val max_payload : t -> int
     header and checksum. *)
 
 val set_window : t -> int -> unit
-(** Group-commit window: [1] (the default) writes every record
-    immediately, exactly like the pre-group-commit ring; [n > 1] buffers
-    up to [n] framed records and commits them in one vectored device
-    write.  A crash before the flush loses the buffered tail — replay
-    rolls back to the durable prefix. *)
+(** Group-commit window: how many framed records {!append} batches before
+    it commits them in one vectored device write.  [1] (the default) is a
+    batch of one per record; [n > 1] buffers up to [n].  A crash before
+    the flush loses the buffered tail — replay rolls back to the durable
+    prefix. *)
 
 val flush : t -> unit
 (** Write all buffered records at the head in one vectored device
-    submission, whose clock charge {!barrier} settles.  No-op when
-    nothing is pending. *)
+    submission, whose clock charge {!barrier} settles; blocks the new
+    bytes cover only in part are read first.  No-op when nothing is
+    pending.  On an exception the ring is unchanged: the records stay
+    pending at the same head (a torn write may have left bytes past it on
+    the medium, which the next flush overwrites). *)
 
 val barrier : t -> unit
 (** Settle the clock charge of every submitted flush (the ring's
@@ -98,4 +104,5 @@ val capacity : t -> int
 (** Ring capacity in bytes. *)
 
 val scrub : t -> unit
-(** Zero every ring block holding no live bytes. *)
+(** Zero every ring block holding no live bytes, in one vectored
+    write. *)

@@ -880,26 +880,26 @@ let log_and_apply ?hint t op =
    coherent with no compaction-specific recovery code.  An extent failing
    its checksum is left in place for fsck rather than propagated. *)
 let rec relocate t ~in_victim =
-  (* one merged entry pass discovers every surviving extent *)
+  (* one merged entry pass discovers every surviving extent; the moves
+     below change no other entry, and moving one extent leaves its
+     entry's other extent and erased flag as iterated *)
   let moves = ref [] in
   iter_entries t (fun e ->
       List.iter
         (fun kind ->
           match (extent e kind).blocks with
-          | b :: _ when in_victim b -> moves := (e.pd_id, kind) :: !moves
+          | b :: _ when in_victim b ->
+              let kind = if kind = Record && e.erased then Sealed else kind in
+              moves := (e, kind) :: !moves
           | _ -> ())
         [ Record; Membrane ]);
   let items =
     List.rev !moves
-    |> List.filter_map (fun (pd_id, kind) ->
-           match find_entry t pd_id with
-           | Error _ -> None
-           | Ok e ->
-               let kind = if kind = Record && e.erased then Sealed else kind in
-               let l = extent e kind in
-               let raw = read_payload t l in
-               charge_checksum t l.size;
-               Some (e, kind, raw, l.sum))
+    |> List.map (fun (e, kind) ->
+           let l = extent e kind in
+           let raw = read_payload t l in
+           charge_checksum t l.size;
+           (e, kind, raw, l.sum))
   in
   let relocated = ref 0 in
   (* relocation payload writes are submitted and settled in one batch at
@@ -1020,7 +1020,7 @@ let format ?(allocator = Space.Heap) dev ~journal_blocks =
   Codec.Writer.int w journal_blocks;
   Codec.Writer.int w meta_blocks;
   Space.encode_allocator w allocator;
-  Block_device.write dev 0 (Codec.Writer.contents w);
+  Block_device.write_vec dev [ (0, Codec.Writer.contents w) ];
   let counters = Stats.Counter.create () in
   let ring =
     Journal_ring.create dev ~counters ~start_block:1 ~num_blocks:journal_blocks
@@ -1032,8 +1032,7 @@ let format ?(allocator = Space.Heap) dev ~journal_blocks =
   t
 
 let mount dev =
-  let raw = Block_device.read dev 0 in
-  let r = Codec.Reader.create raw in
+  let r = Codec.Reader.create (snd (List.hd (Block_device.read_vec dev [ 0 ]))) in
   let parse_super =
     let* magic = Codec.Reader.string r in
     if magic <> superblock_magic then Error "bad DBFS superblock magic"
@@ -2058,16 +2057,13 @@ let unsafe_tamper_index t pd_id = Index.unsafe_drop_posting t.index ~pd_id
 (* ------------------------------------------------------------------ *)
 (* group commit & segment controls                                    *)
 
+(* The explicit durability call: flush AND settle. *)
+let flush_journal t = Space.flush_journal t.space
+
 let set_group_commit t n =
   (* never reorder across a window change: drain the buffer first *)
-  retrying t (fun () -> Journal_ring.flush t.ring);
-  Journal_ring.barrier t.ring;
+  flush_journal t;
   Journal_ring.set_window t.ring n
-
-(* The explicit durability call: flush AND settle. *)
-let flush_journal t =
-  retrying t (fun () -> Journal_ring.flush t.ring);
-  Journal_ring.barrier t.ring
 
 let segment_table t = Space.segment_table t.space
 

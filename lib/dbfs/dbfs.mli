@@ -365,14 +365,18 @@ val unsafe_tamper_index : t -> string -> bool
 (** {1 Group commit & log-structured segments} *)
 
 val set_group_commit : t -> int -> unit
-(** Group-commit window for the metadata journal: [1] (the default)
-    writes each record immediately — byte- and counter-identical to the
-    pre-group-commit path; [n > 1] buffers up to [n] journal records and
-    commits them in one vectored device write.  Any buffered records are
-    flushed before the window changes. *)
+(** Group-commit window for the metadata journal: every record commits
+    in a batch through one vectored device write.  [1] (the default) is a
+    batch of one, settled before the mutation returns; [n > 1] buffers up
+    to [n] journal records per batch.  Either way every buffered record
+    commits before a block is destroyed (an update's superseded extent on
+    the heap allocator, a delete, an erasure, a compaction victim), so a
+    crash loses only records whose blocks are still intact.  Any buffered
+    records are flushed before the window changes. *)
 
 val flush_journal : t -> unit
-(** Commit any buffered journal records now (no-op when none). *)
+(** Commit any buffered journal records now and settle their device time
+    (no-op when none). *)
 
 val compact : ?max_victims:int -> ?liveness_pct:float -> t -> int
 (** Run one compaction pass: pick up to [max_victims] sealed segments at

@@ -415,6 +415,13 @@ let retrying t f =
   in
   go 0
 
+(* Flush-before-destroy: commit every buffered journal record and settle
+   it, so no record whose blocks are about to be destroyed can be rolled
+   back by a crash.  Free at window 1, where [append] already settled. *)
+let flush_journal t =
+  retrying t (fun () -> Journal_ring.flush t.ring);
+  Journal_ring.barrier t.ring
+
 let zero t = function
   | [] -> () (* every insert retires nothing: skip the empty request *)
   | blocks ->
@@ -546,14 +553,11 @@ let reclaim_dead_segment t s g =
 
 (* Destroy every dirty block: trim fully dead sealed segments, zero the
    dead blocks of segments that still hold live data in one vectored
-   write.  Flush-before-destroy: the ring is flushed and settled first,
-   so no buffered journal record can be rolled back by a crash while the
-   blocks it references are already destroyed. *)
+   write, after [flush_journal]. *)
 let purge t s =
   hydrate t s;
   if Hashtbl.length s.dirty > 0 then begin
-    retrying t (fun () -> Journal_ring.flush t.ring);
-    Journal_ring.barrier t.ring;
+    flush_journal t;
     Array.iter
       (fun g ->
         if g.g_state = S_sealed && g.g_live = 0 then reclaim_dead_segment t s g)
@@ -598,8 +602,7 @@ let compact ?(max_victims = compact_batch) ?(liveness_pct = compact_liveness_pct
                       victims);
                 (* make the relocations durable before any victim block is
                    trimmed or zeroed *)
-                retrying t (fun () -> Journal_ring.flush t.ring);
-                Journal_ring.barrier t.ring;
+                flush_journal t;
                 List.iter
                   (fun g ->
                     if g.g_live = 0 then reclaim_dead_segment t s g
@@ -637,7 +640,11 @@ let maintain t s ~relocate =
 
 let retire ?(destroy = false) t blocks ~relocate =
   match t.placement with
-  | First_fit _ -> zero t blocks
+  | First_fit _ ->
+      if blocks <> [] then begin
+        flush_journal t;
+        zero t blocks
+      end
   | Bump s ->
       if destroy then purge t s;
       maintain t s ~relocate

@@ -14,7 +14,9 @@
     - {b destruction}: [Heap] zeroes a superseded extent as soon as the
       journal record that freed it commits.  [Segments] leaves it dirty
       in its sealed segment until a purge (every delete and erasure) or
-      the compactor destroys it, trimming fully dead segments;
+      the compactor destroys it, trimming fully dead segments.  Either
+      way the journal is flushed and settled first
+      ({!flush_journal});
     - the invariant {!check} and its {!repair}.
 
     DBFS keeps what needs the journal and the entries tree: it applies
@@ -78,6 +80,12 @@ val retrying : t -> (unit -> 'a) -> 'a
 (** Run a device operation, retrying a [Block_device.Faulted] up to three
     times with doubling simulated backoff ("fault_retries"). *)
 
+val flush_journal : t -> unit
+(** Flush-before-destroy: commit every buffered journal record (retrying
+    faults) and settle its device time, so a crash cannot roll back a
+    record whose freed blocks are already destroyed.  Free when nothing
+    is buffered or in flight, as at group-commit window 1. *)
+
 val zero : t -> int list -> unit
 (** Forensic zeroing: one vectored write of zero blocks (none for [[]]). *)
 
@@ -100,7 +108,8 @@ val alloc : t -> zone -> int -> relocate:relocate -> int list option
 
 val retire : ?destroy:bool -> t -> int list -> relocate:relocate -> unit
 (** Call after the journal record that freed [blocks] commits.  [Heap]
-    zeroes [blocks] now.  [Segments] leaves them dirty, or with
+    flushes the journal and zeroes [blocks] now (nothing for [[]], so
+    inserts keep batching).  [Segments] leaves them dirty, or with
     [~destroy:true] (delete, erasure) purges every dirty block, then
     compacts past the dirty trigger and stalls past the backpressure
     threshold. *)

@@ -390,7 +390,8 @@ let format dev ~journal_blocks =
   let data_start = 1 + journal_blocks + meta_blocks in
   if data_start >= cfg.Block_device.block_count then
     invalid_arg "Journalfs.format: device too small";
-  Block_device.write dev 0 (encode_superblock ~journal_blocks ~meta_blocks);
+  Block_device.write_vec dev
+    [ (0, encode_superblock ~journal_blocks ~meta_blocks) ];
   let fs =
     {
       dev;
@@ -413,7 +414,7 @@ let format dev ~journal_blocks =
   fs
 
 let mount dev =
-  match decode_superblock (Block_device.read dev 0) with
+  match decode_superblock (snd (List.hd (Block_device.read_vec dev [ 0 ]))) with
   | Error e -> Error e
   | Ok (journal_blocks, meta_blocks) -> (
       let meta_start = 1 + journal_blocks in

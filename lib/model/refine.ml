@@ -626,9 +626,19 @@ let run_crash ~spec_seed cfg script =
       | Ok store2 -> (
           let rep = Dbfs.fsck_repair store2 in
           let quarantined = List.map fst rep.Dbfs.rr_quarantined in
+          let bit_flip = function
+            | _, BD.Fault_plan.Bit_flip _ -> true
+            | _ -> false
+          in
           if not rep.Dbfs.rr_clean then
             fail "fsck_repair not clean: %s"
               (String.concat "; " rep.Dbfs.rr_problems)
+          else if quarantined <> [] && not (List.exists bit_flip spec.fs_acts)
+          then
+            (* quarantine is for medium corruption: anything else lost a
+               pd that the model would otherwise excuse *)
+            fail "quarantined [%s] with no bit flip"
+              (String.concat "," quarantined)
           else
             match Dbfs.degraded store2 with
             | Some why -> fail "degraded after repair: %s" why

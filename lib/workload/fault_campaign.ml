@@ -340,7 +340,9 @@ let scenario_index_page_rot ~seed people =
       (* no residue: the damaged page's block was returned to the zeroed
          stale half by the repair checkpoint *)
       let bs = (Block_device.config dev).Block_device.block_size in
-      let residue_free = Block_device.read dev block = String.make bs '\000' in
+      let residue_free =
+        Block_device.read_vec dev [ block ] = [ (block, String.make bs '\000') ]
+      in
       scenario "index-page-rot"
         (fsck_detects && rep.Dbfs.rr_clean && rebuilt && residue_free)
         (Printf.sprintf "fsck_detects=%b clean=%b rebuilt=%b residue_free=%b"

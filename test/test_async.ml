@@ -62,9 +62,8 @@ let test_depth1_is_blocking () =
   let queued, qclock = make_dev ~queue_depth:1 in
   List.iter
     (fun dev ->
-      List.iter
-        (fun i -> Block_device.write dev i (Printf.sprintf "b%d" i))
-        [ 3; 4; 5 ];
+      Block_device.write_vec dev
+        (List.map (fun i -> (i, Printf.sprintf "b%d" i)) [ 3; 4; 5 ]);
       Block_device.reset_stats dev)
     [ blocking; queued ];
   let cost clock f =
@@ -172,7 +171,7 @@ let test_channels_are_independent () =
 
 let test_await_idempotent_and_drain () =
   let dev, clock = make_dev ~queue_depth:4 in
-  Block_device.write dev 5 "payload-five";
+  Block_device.write_vec dev [ (5, "payload-five") ];
   Block_device.reset_stats dev;
   let tk = Block_device.submit_read_vec dev [ 5 ] in
   ignore (Block_device.submit_read_vec dev [ 6 ]);
@@ -197,7 +196,9 @@ let test_write_bytes_persist_at_submit () =
   check_int "submission is free" 0 (Clock.now clock - t0);
   (* bytes are on the medium before the completion settles *)
   check_bool "bytes visible before await" true
-    (String.sub (Block_device.read dev 5) 0 11 = "hello-async");
+    (match Block_device.read_vec dev [ 5 ] with
+    | [ (_, data) ] -> String.sub data 0 11 = "hello-async"
+    | _ -> false);
   check_bool "scan sees them too" true
     (Block_device.scan dev "hello-async" <> []);
   ignore (Block_device.await dev tk);
@@ -244,9 +245,8 @@ let gen_script seed =
 let run_script ~queue_depth script =
   let dev, clock = make_dev ~queue_depth in
   (* a deterministic pre-image so reads have bytes to capture *)
-  for i = 0 to 63 do
-    Block_device.write dev i (Printf.sprintf "init-%02d" i)
-  done;
+  Block_device.write_vec dev
+    (List.init 64 (fun i -> (i, Printf.sprintf "init-%02d" i)));
   Block_device.reset_stats dev;
   let payloads = ref [] in
   let pending = ref [] in

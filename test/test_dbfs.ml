@@ -475,7 +475,7 @@ let test_dbfs_fsck_detects_corruption () =
   (* find membrane bytes by scanning for the membrane magic *)
   let hits = Block_device.scan dev "MBR1" in
   check_bool "found membrane block" true (hits <> []);
-  List.iter (fun (b, _) -> Block_device.write dev b "garbage") hits;
+  Block_device.write_vec dev (List.map (fun (b, _) -> (b, "garbage")) hits);
   match Dbfs.fsck t with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "fsck should detect clobbered membrane"

@@ -18,6 +18,10 @@ let small_config =
     queue_depth = 1;
   }
 
+(* single-block access through the vectored calls *)
+let read_block dev i = snd (List.hd (Block_device.read_vec dev [ i ]))
+let write_block dev i data = Block_device.write_vec dev [ (i, data) ]
+
 let make_dev ?(config = small_config) () =
   let clock = Clock.create () in
   (Block_device.create ~config ~clock (), clock)
@@ -34,41 +38,41 @@ let mount_or_fail dev =
 
 let test_dev_read_unwritten_zeros () =
   let dev, _ = make_dev () in
-  check_string "zeros" (String.make 512 '\000') (Block_device.read dev 5)
+  check_string "zeros" (String.make 512 '\000') (read_block dev 5)
 
 let test_dev_write_read_roundtrip () =
   let dev, _ = make_dev () in
-  Block_device.write dev 3 "hello";
-  let b = Block_device.read dev 3 in
+  write_block dev 3 "hello";
+  let b = read_block dev 3 in
   check_string "padded roundtrip" ("hello" ^ String.make 507 '\000') b
 
 let test_dev_out_of_range () =
   let dev, _ = make_dev () in
   Alcotest.check_raises "read oob" (Block_device.Out_of_range 5000) (fun () ->
-      ignore (Block_device.read dev 5000));
+      ignore (read_block dev 5000));
   Alcotest.check_raises "negative" (Block_device.Out_of_range (-1)) (fun () ->
-      Block_device.write dev (-1) "x")
+      write_block dev (-1) "x")
 
 let test_dev_oversized_write () =
   let dev, _ = make_dev () in
   Alcotest.check_raises "too big"
-    (Invalid_argument "Block_device.write: data larger than block") (fun () ->
-      Block_device.write dev 0 (String.make 513 'x'))
+    (Invalid_argument "Block_device.write_vec: data larger than block") (fun () ->
+      write_block dev 0 (String.make 513 'x'))
 
 let test_dev_charges_time () =
   let dev, clock = make_dev () in
   let t0 = Clock.now clock in
-  Block_device.write dev 0 "data";
+  write_block dev 0 "data";
   check_bool "time advanced" true (Clock.now clock > t0);
   let t1 = Clock.now clock in
-  ignore (Block_device.read dev 0);
+  ignore (read_block dev 0);
   check_bool "read cheaper than write" true (Clock.now clock - t1 < t1 - t0)
 
 let test_dev_stats () =
   let dev, _ = make_dev () in
-  Block_device.write dev 0 "a";
-  Block_device.write dev 1 "b";
-  ignore (Block_device.read dev 0);
+  write_block dev 0 "a";
+  write_block dev 1 "b";
+  ignore (read_block dev 0);
   let s = Block_device.stats dev in
   check_int "writes" 2 (Rgpdos_util.Stats.Counter.get s "writes");
   check_int "reads" 1 (Rgpdos_util.Stats.Counter.get s "reads");
@@ -78,33 +82,33 @@ let test_dev_stats () =
 let test_dev_trim_and_used () =
   let dev, _ = make_dev () in
   check_int "initially empty" 0 (Block_device.used_blocks dev);
-  Block_device.write dev 0 "a";
-  Block_device.write dev 1 "b";
+  write_block dev 0 "a";
+  write_block dev 1 "b";
   check_int "two used" 2 (Block_device.used_blocks dev);
   Block_device.trim dev 0;
   check_int "one after trim" 1 (Block_device.used_blocks dev);
-  check_string "trimmed reads zero" (String.make 512 '\000') (Block_device.read dev 0)
+  check_string "trimmed reads zero" (String.make 512 '\000') (read_block dev 0)
 
 let test_dev_fault_injection () =
   let dev, _ = make_dev () in
-  Block_device.write dev 7 "x";
+  write_block dev 7 "x";
   Block_device.inject_fault dev 7;
   Alcotest.check_raises "faulted" (Block_device.Faulted 7) (fun () ->
-      ignore (Block_device.read dev 7));
+      ignore (read_block dev 7));
   Block_device.clear_fault dev 7;
-  check_bool "readable again" true (String.length (Block_device.read dev 7) = 512)
+  check_bool "readable again" true (String.length (read_block dev 7) = 512)
 
 let test_dev_snapshot_restore () =
   let dev, _ = make_dev () in
-  Block_device.write dev 2 "before";
+  write_block dev 2 "before";
   let snap = Block_device.snapshot dev in
-  Block_device.write dev 2 "after!";
+  write_block dev 2 "after!";
   Block_device.restore dev snap;
-  check_string "restored" ("before" ^ String.make 506 '\000') (Block_device.read dev 2)
+  check_string "restored" ("before" ^ String.make 506 '\000') (read_block dev 2)
 
 let test_dev_scan_within_block () =
   let dev, _ = make_dev () in
-  Block_device.write dev 4 "xxNEEDLExx";
+  write_block dev 4 "xxNEEDLExx";
   (match Block_device.scan dev "NEEDLE" with
   | [ (4, 2) ] -> ()
   | hits -> Alcotest.failf "unexpected hits: %d" (List.length hits));
@@ -113,8 +117,8 @@ let test_dev_scan_within_block () =
 let test_dev_scan_across_boundary () =
   let dev, _ = make_dev () in
   (* place "SPLIT" straddling blocks 0 and 1 *)
-  Block_device.write dev 0 (String.make 509 'a' ^ "SPL");
-  Block_device.write dev 1 ("IT" ^ String.make 100 'b');
+  write_block dev 0 (String.make 509 'a' ^ "SPL");
+  write_block dev 1 ("IT" ^ String.make 100 'b');
   match Block_device.scan dev "SPLIT" with
   | [ (0, 509) ] -> ()
   | hits ->

@@ -95,7 +95,7 @@ let test_replay_stops_at_garbage () =
     Ring.append ring ~on_overflow:no_overflow (Printf.sprintf "good-%02d" i)
   done;
   (* clobber a block in the middle of the appended records *)
-  Block_device.write dev 4 (String.make 128 'Z');
+  Block_device.write_vec dev [ (4, String.make 128 'Z') ];
   let reader = attach dev ~start_block:2 ~num_blocks:8 ~head:0 ~seq:0 in
   let seen = ref 0 in
   let summary = Ring.replay reader (fun _ -> incr seen) in
@@ -129,6 +129,67 @@ let test_scrub_preserves_live_records () =
   Alcotest.(check (list string)) "live replays" [ "LIVE-RECORD" ] !seen;
   check_bool "clean stop after scrub" true
     (summary.Ring.stop_reason = Ring.Clean)
+
+(* A flush that wraps the ring is two runs: the ring's first block (the
+   frame's tail) and its last (the frame's head).  Torn after the first
+   run, with the power cut on that op, the frame reaches the medium
+   without its head, over the previous lap's bytes: replay must return
+   every earlier record and stop at the damage. *)
+let test_torn_wrapping_flush () =
+  let ring, dev = make_ring ~num_blocks:4 () in
+  let cap = Ring.capacity ring in
+  let overhead = cap - Ring.max_payload ring in
+  (* lap 1: one frame filling the ring, so lap 2 runs over stale bytes *)
+  Ring.append ring ~on_overflow:no_overflow
+    (String.make (Ring.max_payload ring) 'x');
+  let ckpt = ref (0, 0) in
+  let checkpoint () =
+    ckpt := (Ring.head ring, Ring.seq ring);
+    Ring.mark_checkpointed ring
+  in
+  let payload i = Printf.sprintf "lap-2-%02d" i in
+  let fits i = (Ring.head ring mod cap) + String.length (payload i) + overhead <= cap in
+  let i = ref 0 in
+  let durable = ref [] in
+  while fits !i do
+    Ring.append ring ~on_overflow:checkpoint (payload !i);
+    durable := payload !i :: !durable;
+    if !i = 1 then (checkpoint (); durable := []);
+    incr i
+  done;
+  check_bool "records after the checkpoint" true (!durable <> []);
+  let plan = Block_device.Fault_plan.create () in
+  Block_device.Fault_plan.on_write plan ~nth:1
+    (Block_device.Fault_plan.Torn_write { keep_runs = 1 });
+  Block_device.Fault_plan.crash_after_writes plan 1;
+  Block_device.set_fault_plan dev (Some plan);
+  let seq = Ring.seq ring in
+  (try
+     Ring.append ring ~on_overflow:no_overflow
+       (String.make 40 '.' ^ "WRAPPED-TAIL");
+     Alcotest.fail "expected the torn flush to raise"
+   with Block_device.Faulted _ -> ());
+  check_int "the failed append is rolled back" seq (Ring.seq ring);
+  let image =
+    match Block_device.crash_image dev with
+    | Some image -> image
+    | None -> Alcotest.fail "crash image not captured"
+  in
+  let dev' =
+    Block_device.create ~config:(Block_device.config dev)
+      ~clock:(Clock.create ()) ()
+  in
+  Block_device.restore dev' image;
+  check_bool "the frame's tail reached the medium" true
+    (Block_device.scan dev' "WRAPPED-TAIL" <> []);
+  let head, seq = !ckpt in
+  let reader = attach dev' ~start_block:2 ~num_blocks:4 ~head ~seq in
+  let seen = ref [] in
+  let summary = Ring.replay reader (fun p -> seen := p :: !seen) in
+  Alcotest.(check (list string)) "every earlier record" (List.rev !durable)
+    (List.rev !seen);
+  check_bool "stops at the torn frame" true
+    (List.mem summary.Ring.stop_reason [ Ring.Torn_frame; Ring.Bad_checksum ])
 
 let prop_roundtrip_arbitrary_payloads =
   QCheck.Test.make ~name:"ring roundtrips arbitrary payload lists" ~count:100
@@ -185,6 +246,8 @@ let () =
           Alcotest.test_case "replay stops at garbage" `Quick test_replay_stops_at_garbage;
           Alcotest.test_case "scrub zeroes dead blocks" `Quick test_scrub_zeroes_dead_blocks;
           Alcotest.test_case "scrub preserves live" `Quick test_scrub_preserves_live_records;
+          Alcotest.test_case "torn wrapping flush stops replay" `Quick
+            test_torn_wrapping_flush;
           QCheck_alcotest.to_alcotest prop_roundtrip_arbitrary_payloads;
           QCheck_alcotest.to_alcotest prop_wraparound_preserves_tail;
         ] );

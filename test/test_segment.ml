@@ -8,7 +8,10 @@
      chain replay reads), same payload extents, same index pages;
    - a crash with records still buffered in the group-commit window
      loses only those records: the restored image mounts, replays and
-     repairs clean;
+     repairs clean, on either allocator, because a mutation that
+     destroys blocks commits the window first;
+   - a write fault ridden out by the retry loop frames its journal
+     record once, and a torn journal tail repairs clean;
    - erase → compact → remount leaves no plaintext residue of the
      erased records anywhere on the raw image, even though compaction
      relocates their (live) neighbours, and every sealed envelope,
@@ -23,6 +26,7 @@ module Clock = Rgpdos_util.Clock
 module Stats = Rgpdos_util.Stats
 module Fnv = Rgpdos_util.Fnv
 module Block_device = Rgpdos_block.Block_device
+module Fault_plan = Block_device.Fault_plan
 module Dbfs = Rgpdos_dbfs.Dbfs
 module Space = Rgpdos_dbfs.Space
 module Schema = Rgpdos_dbfs.Schema
@@ -51,19 +55,31 @@ let schema () =
   | Error e -> failwith e
 
 let make_store ?(block_size = 512) ?(block_count = 4_096)
-    ?(allocator = Space.segments) ?(window = 1) () =
+    ?(allocator = Space.segments) ?(window = 1) ?(journal_blocks = 256) () =
   let clock = Clock.create () in
   let config =
     { Block_device.default_config with block_size; block_count }
   in
   let dev = Block_device.create ~config ~clock () in
-  let t = Dbfs.format ~allocator dev ~journal_blocks:256 in
+  let t = Dbfs.format ~allocator dev ~journal_blocks in
   if window > 1 then Dbfs.set_group_commit t window;
   let s = schema () in
   (match Dbfs.create_type t ~actor s with
   | Ok () -> ()
   | Error e -> failwith (Dbfs.error_to_string e));
   (dev, clock, t, s)
+
+(* A raw image of a [make_store] device, mounted on a fresh one: the
+   power cycle every crash test ends with. *)
+let mount_image image =
+  let config =
+    { Block_device.default_config with block_size = 512; block_count = 4_096 }
+  in
+  let dev = Block_device.create ~config ~clock:(Clock.create ()) () in
+  Block_device.restore dev image;
+  match Dbfs.mount dev with
+  | Ok t -> (dev, t)
+  | Error e -> Alcotest.fail ("mount failed: " ^ e)
 
 (* Membranes are stamped with a FIXED created_at: the windows advance the
    simulated clock differently (that is the point of batching), and the
@@ -186,12 +202,14 @@ let prop_group_commit_byte_identical =
           img = base && batched >= batches)
         [ 4; 64 ])
 
-(* window 1 is the exact old path: no batch accounting at all *)
-let test_window_one_no_batches () =
+(* window 1 is a batch of one: every record commits through the one
+   flush path, in a batch of its own *)
+let test_window_one_batch_of_one () =
+  (* create_type, insert, update, erase: four records (Update 1 names a
+     subject never inserted and is skipped) *)
   let _, st = run_script ~window:1 [ Insert 0; Update 0; Update 1; Erase 0 ] in
-  check_int "no committed_batches at window 1" 0
-    (Stats.Counter.get st "committed_batches");
-  check_int "no batched_ops at window 1" 0 (Stats.Counter.get st "batched_ops")
+  check_int "one batch per record" 4 (Stats.Counter.get st "committed_batches");
+  check_int "one record per batch" 4 (Stats.Counter.get st "batched_ops")
 
 (* the ring counts into the store's own counter set, so a reset zeroes
    the group-commit tallies with every other counter *)
@@ -282,8 +300,8 @@ let prop_first_fit_matches_reference =
 (* ------------------------------------------------------------------ *)
 (* crash with records still buffered in the window                     *)
 
-let test_crash_between_batches_replays_cleanly () =
-  let dev, _clock, t, s = make_store ~window:8 () in
+let test_crash_between_batches_replays_cleanly ~allocator () =
+  let dev, _clock, t, s = make_store ~allocator ~window:8 () in
   (* three full subjects reach the device in committed batches *)
   let durable =
     List.map
@@ -296,41 +314,124 @@ let test_crash_between_batches_replays_cleanly () =
   Dbfs.flush_journal t;
   let batches = Stats.Counter.get (Dbfs.stats t) "committed_batches" in
   check_bool "flush committed at least one batch" true (batches > 0);
+  (* a rectification and a delete destroy blocks the durable records
+     name: their own records must be durable before the blocks go *)
+  (match
+     Dbfs.update_record t ~actor (List.nth durable 1)
+       [ ("payload", Value.VString "KEEP-001-v001"); ("bucket", Value.VInt 1) ]
+   with
+  | Ok () -> ()
+  | Error e -> failwith (Dbfs.error_to_string e));
+  (match Dbfs.delete t ~actor (List.nth durable 2) with
+  | Ok () -> ()
+  | Error e -> failwith (Dbfs.error_to_string e));
   (* more records enter the window but never flush: the crash image is
      taken with them buffered *)
   (match insert_subject t s 3 with Ok _ -> () | Error e -> failwith
     (Dbfs.error_to_string e));
   (match insert_subject t s 4 with Ok _ -> () | Error e -> failwith
     (Dbfs.error_to_string e));
-  let image = Block_device.snapshot dev in
-  (* restore into a fresh device: the unflushed tail is simply absent *)
-  let clock' = Clock.create () in
-  let dev' =
-    Block_device.create
-      ~config:
-        { Block_device.default_config with block_size = 512;
-          block_count = 4_096 }
-      ~clock:clock' ()
+  (* the unflushed tail is simply absent from the image *)
+  let _, t' = mount_image (Block_device.snapshot dev) in
+  (* hydration queued the replayed inserts' blocks as dirty (free and
+     written in the format-time bitmap) before replay marked them used:
+     a purge — any delete — must not zero them *)
+  check_bool "fsck clean before repair" true (Dbfs.fsck t' = Ok ());
+  (match Dbfs.delete t' ~actor (List.hd durable) with
+  | Ok () -> ()
+  | Error e -> failwith (Dbfs.error_to_string e));
+  let rep = Dbfs.fsck_repair t' in
+  check_bool "fsck clean after crash mid-window" true rep.Dbfs.rr_clean;
+  check_int "no quarantine" 0 (List.length rep.Dbfs.rr_quarantined);
+  check_bool "durable record survives" true
+    (Result.is_ok (Dbfs.get_record t' ~actor (List.nth durable 1)));
+  check_bool "the delete survives" true
+    (Result.is_error (Dbfs.get_record t' ~actor (List.nth durable 2)))
+
+(* A transient write fault at any op of a run is ridden out by the retry
+   loop, and must leave exactly the run's records on the device: a
+   retried append frames its record once, even when the fault hits the
+   flush that commits it. *)
+let test_retried_flush_frames_once ~window () =
+  let run plan =
+    let dev, _clock, t, s = make_store ~allocator:Space.Heap ~window () in
+    Block_device.set_fault_plan dev (Some plan);
+    for i = 0 to 7 do
+      match insert_subject t s i with
+      | Ok _ -> ()
+      | Error e -> failwith (Dbfs.error_to_string e)
+    done;
+    Dbfs.flush_journal t;
+    Block_device.snapshot dev
   in
-  Block_device.restore dev' image;
-  match Dbfs.mount dev' with
-  | Error e -> Alcotest.fail ("mount after crash failed: " ^ e)
-  | Ok t' ->
-      (* hydration queued the replayed inserts' blocks as dirty (free and
-         written in the format-time bitmap) before replay marked them
-         used: a purge — any delete — must not zero them *)
-      check_bool "fsck clean before repair" true (Dbfs.fsck t' = Ok ());
-      (match Dbfs.delete t' ~actor (List.hd durable) with
-      | Ok () -> ()
-      | Error e -> failwith (Dbfs.error_to_string e));
-      let rep = Dbfs.fsck_repair t' in
-      check_bool "fsck clean after crash mid-window" true rep.Dbfs.rr_clean;
-      check_int "no quarantine" 0 (List.length rep.Dbfs.rr_quarantined);
-      List.iter
-        (fun pd ->
-          check_bool "durable record survives" true
+  let reference = Fault_plan.create () in
+  ignore (run reference);
+  for nth = 1 to Fault_plan.writes_seen reference do
+    let plan = Fault_plan.create () in
+    Fault_plan.on_write plan ~nth (Fault_plan.Fail_write { transient = true });
+    let _, t' = mount_image (run plan) in
+    let at what = Printf.sprintf "fault at write %d: %s" nth what in
+    check_int (at "pds after the remount") 8
+      (match Dbfs.list_pds t' ~actor "reading" with
+      | Ok pds -> List.length pds
+      | Error e -> Alcotest.fail (Dbfs.error_to_string e));
+    check_bool (at "fsck clean") true (Dbfs.fsck t' = Ok ())
+  done
+
+(* The torn journal tail: every write op of a run that laps a four-block
+   ring, torn to its first run with the power cut right there.  A flush
+   that wraps the ring is two runs, the ring's first block and its last,
+   so a cut there leaves the new frame's tail on the medium without its
+   head.  Every cut must repair clean, quarantine nothing and keep every
+   record durable before it. *)
+let test_torn_journal_tail () =
+  let run plan =
+    let dev, _clock, t, s = make_store ~journal_blocks:4 () in
+    Block_device.set_fault_plan dev (Some plan);
+    let done_at =
+      List.map
+        (fun i ->
+          match insert_subject t s i with
+          | Ok pd -> (pd, Fault_plan.writes_seen plan)
+          | Error e -> failwith (Dbfs.error_to_string e))
+        (List.init 48 Fun.id)
+    in
+    (dev, done_at)
+  in
+  let reference = Fault_plan.create () in
+  (* an insert's last write op is the flush of its journal record *)
+  let _, flushes = run reference in
+  let torn = ref 0 in
+  for k = 1 to Fault_plan.writes_seen reference do
+    let plan = Fault_plan.create () in
+    Fault_plan.on_write plan ~nth:k (Fault_plan.Torn_write { keep_runs = 1 });
+    Fault_plan.crash_after_writes plan k;
+    let dev, done_at = run plan in
+    let image =
+      match Block_device.crash_image dev with
+      | Some image -> image
+      | None -> Alcotest.failf "cut at write %d never fired" k
+    in
+    let _, t' = mount_image image in
+    let at what = Printf.sprintf "cut at write %d: %s" k what in
+    let rep = Dbfs.fsck_repair t' in
+    check_bool (at "repair clean") true rep.Dbfs.rr_clean;
+    check_int (at "nothing quarantined") 0 (List.length rep.Dbfs.rr_quarantined);
+    List.iter
+      (fun (pd, w) ->
+        if w < k then
+          check_bool (at ("durable " ^ pd ^ " survives")) true
             (Result.is_ok (Dbfs.get_record t' ~actor pd)))
-        (List.tl durable)
+      done_at;
+    (* a cut on a record's own flush loses that record only when the
+       flush wrapped *)
+    List.iter
+      (fun (pd, w) ->
+        if w = k && Result.is_error (Dbfs.get_record t' ~actor pd) then
+          incr torn)
+      flushes
+  done;
+  check_bool "some cut tore a frame across the wrap" true (!torn > 0)
 
 (* ------------------------------------------------------------------ *)
 (* erase -> compact -> remount -> zero residue                         *)
@@ -416,33 +517,22 @@ let test_erase_compact_remount_no_residue ~erase_first () =
   check_int "no GONE residue on the live image" 0
     (List.length (Block_device.scan dev "GONE-"));
   (* remount the raw image and look again with fresh eyes *)
-  let clock' = Clock.create () in
-  let dev' =
-    Block_device.create
-      ~config:
-        { Block_device.default_config with block_size = 512;
-          block_count = 4_096 }
-      ~clock:clock' ()
-  in
-  Block_device.restore dev' (Block_device.snapshot dev);
-  (match Dbfs.mount dev' with
-  | Error e -> Alcotest.fail ("remount failed: " ^ e)
-  | Ok t' ->
-      let rep = Dbfs.fsck_repair t' in
-      check_bool "fsck clean after compaction" true rep.Dbfs.rr_clean;
-      (* every envelope, moved or not, reads back exactly *)
-      List.iter
-        (fun (_, pd, _) ->
-          check_bool "still erased after the remount" true
-            (match Dbfs.entry_info t' ~actor pd with
-            | Ok (_, _, erased) -> erased
-            | Error _ -> false);
-          Alcotest.(check (result string string))
-            "sealed envelope after the remount"
-            (Ok (Hashtbl.find sealed pd))
-            (Result.map_error Dbfs.error_to_string
-               (Dbfs.erased_payload t' ~actor pd)))
-        erased);
+  let dev', t' = mount_image (Block_device.snapshot dev) in
+  let rep = Dbfs.fsck_repair t' in
+  check_bool "fsck clean after compaction" true rep.Dbfs.rr_clean;
+  (* every envelope, moved or not, reads back exactly *)
+  List.iter
+    (fun (_, pd, _) ->
+      check_bool "still erased after the remount" true
+        (match Dbfs.entry_info t' ~actor pd with
+        | Ok (_, _, erased) -> erased
+        | Error _ -> false);
+      Alcotest.(check (result string string))
+        "sealed envelope after the remount"
+        (Ok (Hashtbl.find sealed pd))
+        (Result.map_error Dbfs.error_to_string
+           (Dbfs.erased_payload t' ~actor pd)))
+    erased;
   check_int "no GONE residue after remount" 0
     (List.length (Block_device.scan dev' "GONE-"));
   (* keepers were relocated, not lost *)
@@ -508,10 +598,19 @@ let () =
       ( "group-commit",
         [
           QCheck_alcotest.to_alcotest prop_group_commit_byte_identical;
-          Alcotest.test_case "window 1 is the exact old path" `Quick
-            test_window_one_no_batches;
+          Alcotest.test_case "window 1 is a batch of one" `Quick
+            test_window_one_batch_of_one;
           Alcotest.test_case "crash mid-window replays clean" `Quick
-            test_crash_between_batches_replays_cleanly;
+            (test_crash_between_batches_replays_cleanly
+               ~allocator:Space.segments);
+          Alcotest.test_case "crash mid-window replays clean (heap)" `Quick
+            (test_crash_between_batches_replays_cleanly ~allocator:Space.Heap);
+          Alcotest.test_case "retried flush frames once, window 1" `Quick
+            (test_retried_flush_frames_once ~window:1);
+          Alcotest.test_case "retried flush frames once, window 4" `Quick
+            (test_retried_flush_frames_once ~window:4);
+          Alcotest.test_case "torn journal tail repairs clean" `Quick
+            test_torn_journal_tail;
           Alcotest.test_case "a counter reset clears the batch tallies" `Quick
             test_reset_clears_batch_counters;
         ] );

@@ -46,8 +46,8 @@ let make_dev vectored =
 
 let test_read_vec_merges_runs () =
   let dev, clock = make_dev true in
-  List.iter (fun i -> Block_device.write dev i (Printf.sprintf "b%d" i))
-    [ 3; 4; 5; 9 ];
+  Block_device.write_vec dev
+    (List.map (fun i -> (i, Printf.sprintf "b%d" i)) [ 3; 4; 5; 9 ]);
   Block_device.reset_stats dev;
   let t0 = Clock.now clock in
   let got = Block_device.read_vec dev [ 5; 3; 4; 9; 3 ] in
@@ -100,7 +100,9 @@ let test_write_vec_last_wins_and_merges () =
   check_int "vec_writes" 1 (counter dev "vec_writes");
   check_int "writes stay per-block" 2 (counter dev "writes");
   check_bool "later duplicate wins" true
-    (String.sub (Block_device.read dev 7) 0 6 = "second");
+    (match Block_device.read_vec dev [ 7 ] with
+    | [ (_, data) ] -> String.sub data 0 6 = "second"
+    | _ -> false);
   let t1 = Clock.now clock in
   Block_device.write_vec dev [];
   ignore (Block_device.read_vec dev []);
