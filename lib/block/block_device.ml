@@ -459,6 +459,23 @@ let enqueue dev ~channel service payload =
   note_highwater dev;
   { tk_req = rq; tk_payload = payload }
 
+(* Settle a completion: advance the clock to the request's completion
+   instant (zero if the caller's compute already passed it) and account
+   the hidden service time.  Idempotent — a settled ticket just returns
+   its payload again. *)
+let settle dev rq =
+  if not rq.rq_settled then begin
+    rq.rq_settled <- true;
+    dev.outstanding <- dev.outstanding - 1;
+    let now = Clock.now dev.clock in
+    let adv = if rq.rq_completion > now then rq.rq_completion - now else 0 in
+    if adv > 0 then Clock.advance dev.clock adv;
+    Stats.Counter.incr dev.counters "async_completions";
+    let hidden = rq.rq_service - adv in
+    if hidden > 0 then
+      Stats.Counter.incr dev.counters ~by:hidden "overlap_ns_hidden"
+  end
+
 (* Shared by the real and charge-only read submissions: [move] controls
    whether payload bytes are captured, nothing else.  Cache hits submitted
    through the charge-only variant therefore queue, cost and settle
@@ -488,8 +505,10 @@ let submit_charge_read_vec dev ?(channel = 0) indices =
    fault plan and crash capture) all happen here at submission, in the
    same order as [write_vec]; only the clock settlement is deferred.  The
    channel slot is reserved BEFORE the fault dispatch so a faulted op
-   still consumes its service time (as the blocking path charges before
-   raising) — the un-returned ticket settles at the next [drain]. *)
+   still consumes its service time, and a faulted op's ticket is never
+   returned, so it settles before the fault propagates: the raise charges
+   its service, as the blocking path charges before raising, and leaves
+   nothing outstanding. *)
 let submit_write_vec dev ?(channel = 0) writes =
   match dedup_writes writes with
   | [] -> settled_ticket []
@@ -499,25 +518,11 @@ let submit_write_vec dev ?(channel = 0) writes =
       let service, nruns = vec_cost dev dev.cfg.write_latency sorted in
       account_write dev sorted nruns;
       let tk = enqueue dev ~channel service [] in
-      persist_vec dev sorted writes;
+      (try persist_vec dev sorted writes
+       with Faulted _ as fault ->
+         settle dev tk.tk_req;
+         raise fault);
       tk
-
-(* Settle a completion: advance the clock to the request's completion
-   instant (zero if the caller's compute already passed it) and account
-   the hidden service time.  Idempotent — a settled ticket just returns
-   its payload again. *)
-let settle dev rq =
-  if not rq.rq_settled then begin
-    rq.rq_settled <- true;
-    dev.outstanding <- dev.outstanding - 1;
-    let now = Clock.now dev.clock in
-    let adv = if rq.rq_completion > now then rq.rq_completion - now else 0 in
-    if adv > 0 then Clock.advance dev.clock adv;
-    Stats.Counter.incr dev.counters "async_completions";
-    let hidden = rq.rq_service - adv in
-    if hidden > 0 then
-      Stats.Counter.incr dev.counters ~by:hidden "overlap_ns_hidden"
-  end
 
 let await dev tk =
   settle dev tk.tk_req;

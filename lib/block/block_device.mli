@@ -117,7 +117,9 @@ val submit_write_vec : t -> ?channel:int -> (int * string) list -> ticket
     persist and the fault plan dispatches at submission (raising
     {!Faulted} exactly as {!write_vec} would); the clock charge settles
     at {!await} — callers needing a durability barrier await the ticket
-    (or {!drain}) before depending on the op's time being charged. *)
+    (or {!drain}) before depending on the op's time being charged.  A
+    faulted submission settles before it raises: its service is charged
+    and it does not stay {!outstanding}. *)
 
 val await : t -> ticket -> (int * string) list
 (** Settle a completion: advance the clock to the request's completion

@@ -100,7 +100,7 @@ type t = {
   cache : cached Cache.t;
   page_prefetch : (int, Block_device.ticket) Hashtbl.t;
       (* speculative index-page reads submitted ahead of the descent,
-         keyed by first block.  [read_page] consumes a pending ticket
+         keyed by first block.  [read_pages] consumes a pending ticket
          instead of re-reading; checkpoint settles and drops leftovers
          alongside the page-cache invalidation. *)
 }
@@ -246,54 +246,70 @@ let invalidate_caches t pd_id =
 (* paged metadata I/O                                                 *)
 
 (* The [Pagestore.io] DBFS hands to its trees.  Node pages are cached in
-   the shared LRU under "p:<first block>"; a hit skips the host-side
-   device read but charges the identical vectored-read cost, so warm and
-   cold probes cost the same simulated time. *)
+   the shared LRU under "p:<first block>".  [read_pages] serves one tree
+   level of a descent as one request: every page is counted once, a page
+   with a still-pending prefetch settles that ticket (its service is
+   already charged), and the rest go in one vectored read.  Cache hits
+   stay in that request — it moves bytes only when some page misses, and
+   charges the identical cost either way — so warm and cold probes cost
+   the same simulated time. *)
+let read_pages t pages =
+  Stats.Counter.incr t.counters ~by:(List.length pages) "index_page_reads";
+  let key first = "p:" ^ string_of_int first in
+  let got = Hashtbl.create 16 in
+  let keep = List.iter (fun (b, data) -> Hashtbl.replace got b data) in
+  (* per page: its cached bytes, if any, and the blocks it still needs
+     read — none when a pending prefetch carries them *)
+  let served =
+    List.map
+      (fun (first, n) ->
+        let hit =
+          match Cache.find t.cache (key first) with
+          | Some (C_page raw) ->
+              Stats.Counter.incr t.counters "page_hits";
+              Some raw
+          | _ ->
+              Stats.Counter.incr t.counters "page_misses";
+              None
+        in
+        match Hashtbl.find_opt t.page_prefetch first with
+        | Some tk ->
+            (* the device service has been running since submission, so
+               awaiting here only charges what the descent and decode did
+               not already hide *)
+            Hashtbl.remove t.page_prefetch first;
+            keep (Block_device.await t.dev tk);
+            (hit, [])
+        | None -> (hit, List.init n (fun i -> first + i)))
+      pages
+  in
+  let blocks = List.concat_map snd served in
+  if List.exists (fun (hit, bs) -> hit = None && bs <> []) served then
+    keep (retrying t (fun () -> Block_device.read_vec t.dev blocks))
+  else if blocks <> [] then
+    retrying t (fun () -> Block_device.charge_read_vec t.dev blocks);
+  List.map2
+    (fun (first, n) (hit, _) ->
+      match hit with
+      | Some raw -> raw
+      | None ->
+          let raw =
+            String.concat "" (List.init n (fun i -> Hashtbl.find got (first + i)))
+          in
+          cache_put t (key first) (C_page raw);
+          raw)
+    pages served
+
 let page_io t =
   {
     Pagestore.page_size = block_size t;
-    read_page =
-      (fun first n ->
-        Stats.Counter.incr t.counters "index_page_reads";
-        let blocks = List.init n (fun i -> first + i) in
-        let key = "p:" ^ string_of_int first in
-        let assemble got =
-          let buf = Buffer.create (n * block_size t) in
-          List.iter (fun b -> Buffer.add_string buf (List.assoc b got)) blocks;
-          let raw = Buffer.contents buf in
-          cache_put t key (C_page raw);
-          raw
-        in
-        match Cache.find t.cache key with
-        | Some (C_page raw) ->
-            Stats.Counter.incr t.counters "page_hits";
-            (* a still-pending prefetch of this page has already charged
-               its service; settle it rather than double-charging *)
-            (match Hashtbl.find_opt t.page_prefetch first with
-            | Some tk ->
-                Hashtbl.remove t.page_prefetch first;
-                ignore (Block_device.await t.dev tk)
-            | None ->
-                retrying t (fun () -> Block_device.charge_read_vec t.dev blocks));
-            raw
-        | _ -> (
-            Stats.Counter.incr t.counters "page_misses";
-            match Hashtbl.find_opt t.page_prefetch first with
-            | Some tk ->
-                (* prefetched earlier: the device service has been running
-                   since submission, so awaiting here only charges what the
-                   descent and decode did not already hide *)
-                Hashtbl.remove t.page_prefetch first;
-                assemble (Block_device.await t.dev tk)
-            | None ->
-                assemble
-                  (retrying t (fun () -> Block_device.read_vec t.dev blocks))));
+    read_pages = read_pages t;
     prefetch_page =
       (fun first n ->
         (* cached or not, so a warm descent overlaps the sibling's service
            exactly as a cold one does; the bytes move because the page may
-           be evicted before [read_page] consumes the ticket.  Speculative,
-           so a fault is neither retried nor raised: only a [read_page]
+           be evicted before [read_pages] consumes the ticket.  Speculative,
+           so a fault is neither retried nor raised: only a [read_pages]
            that really needs the page meets it *)
         if not (Hashtbl.mem t.page_prefetch first) then
           match
@@ -427,41 +443,61 @@ let zone e = function
 (* ------------------------------------------------------------------ *)
 (* paged entry access                                                 *)
 
-(* Entry lookup: overlay first, then tombstones, then the checkpointed
-   entries tree (O(height) cached page reads).  [None] for an unknown pd,
-   [Some (Error _)] for an undecodable one; tree page faults raise. *)
-let lookup_entry t pd_id =
-  match Hashtbl.find_opt t.entries pd_id with
-  | Some e -> Some (Ok e)
-  | None ->
-      if Hashtbl.mem t.deleted pd_id || Pagestore.is_empty t.entries_base then
-        None
-      else
-        Option.map decode_entry_raw
-          (Pagestore.lookup (page_io t) t.entries_base pd_id)
+(* Entry lookup for a batch of pds: overlay first, then tombstones, then
+   ONE batched descent of the checkpointed entries tree for every pd
+   left, so each distinct node page is read and charged once per batch.
+   Per pd, in input order: its entry, [Unknown_pd], or [Corrupt] for an
+   undecodable one; tree page faults raise. *)
+let lookup_entries t pd_ids =
+  let base = Hashtbl.create 16 in
+  (match
+     List.filter
+       (fun pd -> not (Hashtbl.mem t.entries pd || Hashtbl.mem t.deleted pd))
+       pd_ids
+   with
+  | [] -> ()
+  | _ when Pagestore.is_empty t.entries_base -> ()
+  | paged ->
+      List.iter2
+        (fun pd raw -> Option.iter (Hashtbl.replace base pd) raw)
+        paged
+        (Pagestore.lookup (page_io t) t.entries_base paged));
+  List.map
+    (fun pd ->
+      match Hashtbl.find_opt t.entries pd with
+      | Some e -> Ok e
+      | None -> (
+          match Option.map decode_entry_raw (Hashtbl.find_opt base pd) with
+          | None -> Error (Unknown_pd pd)
+          | Some (Ok e) -> Ok e
+          | Some (Error m) -> Error (Corrupt ("entry " ^ pd ^ ": " ^ m))))
+    pd_ids
 
-(* Read-side lookup: the returned entry is NOT installed in the overlay —
-   reads never dirty it. *)
-let find_entry t pd_id =
-  match lookup_entry t pd_id with
-  | None -> Error (Unknown_pd pd_id)
-  | Some (Ok e) -> Ok e
-  | Some (Error m) -> Error (Corrupt ("entry " ^ pd_id ^ ": " ^ m))
+(* Read-side resolution: the returned entries are NOT installed in the
+   overlay — reads never dirty it.  A descent that faults fails every pd
+   of the batch. *)
+let resolve t pd_ids =
+  let fail e = List.map (fun _ -> Error e) pd_ids in
+  match lookup_entries t pd_ids with
+  | found -> found
   | exception Block_device.Faulted b ->
-      Error (Device_fault (Printf.sprintf "block %d failed after retries" b))
+      fail (Device_fault (Printf.sprintf "block %d failed after retries" b))
   | exception Pagestore.Corrupt_page b ->
-      Error (Corrupt (Printf.sprintf "entries tree page %d fails its checksum" b))
+      fail (Corrupt (Printf.sprintf "entries tree page %d fails its checksum" b))
 
-(* Mutation-side lookup: pull the entry into the overlay so in-place field
-   updates are remembered until the next checkpoint.  Raises [Not_found]
-   for an unknown pd — journal replay turns that into a replay warning,
-   exactly as the pre-paging code did. *)
+let find_entry t pd_id = List.hd (resolve t [ pd_id ])
+
+(* Replay's lookup: a journal op names its pd by id, so replay resolves it
+   and pulls it into the overlay, where the op's in-place field updates
+   are remembered until the next checkpoint.  Raises [Not_found] for an
+   unknown pd — replay turns that into a replay warning.  Live mutators
+   never come here: they hand [apply_op] the entry they resolved. *)
 let touch_entry t pd_id =
-  match lookup_entry t pd_id with
-  | Some (Ok e) ->
+  match lookup_entries t [ pd_id ] with
+  | [ Ok e ] ->
       Hashtbl.replace t.entries pd_id e;
       e
-  | None | Some (Error _) -> raise Not_found
+  | _ -> raise Not_found
 
 (* Merged iteration in pd order (pd ids are zero-padded and monotone, so
    pd order IS insertion order): streams the base tree, shadowing by the
@@ -612,8 +648,19 @@ let index_entry t idx ~hint e =
    frees.  Live mutators zero old blocks AFTER the journal record commits,
    so a crash in that window leaves plaintext on blocks the replayed
    metadata considers free; replay zeroes whichever of them are still free
-   once the whole journal is applied. *)
-let apply_op ?(hint = no_hint) ?freed_acc t op =
+   once the whole journal is applied.
+
+   [entry] is the entry a live mutator resolved for the op's pd: it goes
+   into the overlay as is, with no second lookup.  Replay has none and
+   resolves the pd with [touch_entry]. *)
+let apply_op ?(hint = no_hint) ?freed_acc ?entry t op =
+  let target pd_id =
+    match entry with
+    | Some e ->
+        Hashtbl.replace t.entries pd_id e;
+        e
+    | None -> touch_entry t pd_id
+  in
   let free l =
     Option.iter (fun acc -> acc := List.rev_append l.blocks !acc) freed_acc;
     Space.mark_free t.space ~bytes:l.size l.blocks
@@ -644,7 +691,7 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
       | Some n when n >= t.next_pd -> t.next_pd <- n + 1
       | _ -> ())
   | J_replace { kind; pd_id; loc } -> (
-      let entry = touch_entry t pd_id in
+      let entry = target pd_id in
       free (extent entry kind);
       use loc;
       match kind with
@@ -668,7 +715,7 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
           Index.remove_entry t.index ~pd_id;
           Index.clear_expiry t.index ~pd_id)
   | J_delete pd_id ->
-      let entry = touch_entry t pd_id in
+      let entry = target pd_id in
       free entry.record;
       free entry.membrane;
       Hashtbl.remove t.entries pd_id;
@@ -863,12 +910,12 @@ let checkpoint t =
   Hashtbl.reset t.entries;
   Hashtbl.reset t.deleted
 
-let log_and_apply ?hint t op =
+let log_and_apply ?hint ?entry t op =
   retrying t (fun () ->
       Journal_ring.append t.ring
         ~on_overflow:(fun () -> checkpoint t)
         (encode_op op));
-  apply_op ?hint t op
+  apply_op ?hint ?entry t op
 
 (* ------------------------------------------------------------------ *)
 (* space: compaction survivors, placement, retirement                 *)
@@ -933,7 +980,7 @@ let rec relocate t ~in_victim =
                   | Error _ -> no_hint)
               | Sealed -> no_hint
             in
-            log_and_apply t ~hint
+            log_and_apply t ~hint ~entry:e
               (J_replace
                  {
                    kind;
@@ -1218,15 +1265,15 @@ let verify_sum ~what ~pd_id ~stored raw =
    in the request (only the host-side decode is skipped), so a warm cache
    changes no stage_ns figure. *)
 
+(* A whole batch resolved in one descent; any failing pd (the first, in
+   input order) fails the batch. *)
 let resolve_entries t pd_ids =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | pd_id :: rest -> (
-        match find_entry t pd_id with
-        | Ok e -> go (e :: acc) rest
-        | Error e -> Error e)
+    | Ok e :: rest -> go (e :: acc) rest
+    | Error e :: _ -> Error e
   in
-  go [] pd_ids
+  go [] (resolve t pd_ids)
 
 let assemble h blocks size =
   let buf = Buffer.create size in
@@ -1339,6 +1386,11 @@ let get_records t ~actor ?(channel = 0) pd_ids =
   let** entries = resolve_entries t pd_ids in
   load_extents t record_x ~channel entries
 
+(* One extent of an entry already resolved: a load batch of one. *)
+let load_one t x e =
+  let** got = load_extents t x ~channel:0 [ e ] in
+  match got with [ (_, Some v) ] -> Ok v | _ -> Error (Erased e.pd_id)
+
 let get_membrane t ~actor pd_id =
   let** got = get_membranes t ~actor [ pd_id ] in
   Ok (snd (List.hd got))
@@ -1356,12 +1408,16 @@ let get_record t ~actor pd_id =
    anywhere. *)
 let replace_extent t e kind ~hint payload =
   let old = extent e kind in
+  (* [e] enters the overlay before [alloc]: a compaction that allocation
+     triggers then relocates this very entry object, so [e] is current
+     when its own op applies *)
+  Hashtbl.replace t.entries e.pd_id e;
   match alloc t (zone e kind) (blocks_needed t (String.length payload)) with
   | None -> Error No_space
   | Some blocks ->
       protect_write t (fun () ->
           write_payload t payload blocks;
-          log_and_apply ~hint t
+          log_and_apply ~hint ~entry:e t
             (J_replace { kind; pd_id = e.pd_id; loc = loc_of payload blocks });
           retire ~destroy:(kind = Sealed) t old.blocks;
           Ok ())
@@ -1386,11 +1442,10 @@ let update_record t ~actor pd_id record =
             Stats.Counter.incr t.counters "record_updates";
             Ok ())
 
-let update_membrane t ~actor pd_id membrane =
-  let** () = guard t ~actor ~op:"write" in
-  let** () = check_degraded t in
-  let** e = find_entry t pd_id in
-  if membrane.Membrane.pd_id <> pd_id then
+(* The membrane invariant on a replacement: it must keep the entry's
+   identity. *)
+let rewrite_membrane t e membrane =
+  if membrane.Membrane.pd_id <> e.pd_id then
     Error (Membrane_mismatch "membrane wraps a different pd_id")
   else if membrane.Membrane.type_name <> e.type_name then
     Error (Membrane_mismatch "membrane declares a different type")
@@ -1405,14 +1460,20 @@ let update_membrane t ~actor pd_id membrane =
     Stats.Counter.incr t.counters "membrane_updates";
     Ok ()
 
+let update_membrane t ~actor pd_id membrane =
+  let** () = guard t ~actor ~op:"write" in
+  let** () = check_degraded t in
+  let** e = find_entry t pd_id in
+  rewrite_membrane t e membrane
+
 let copy_pd t ~actor pd_id =
   let** () = guard t ~actor ~op:"write" in
   let** () = check_degraded t in
   let** e = find_entry t pd_id in
   if e.erased then Error (Erased pd_id)
   else
-    let** record = get_record t ~actor pd_id in
-    let** membrane = get_membrane t ~actor pd_id in
+    let** record = load_one t record_x e in
+    let** membrane = load_one t membrane_x e in
     insert t ~actor ~subject:e.subject ~type_name:e.type_name ~record
       ~membrane_of:(fun ~pd_id -> Membrane.copy_for membrane ~new_pd_id:pd_id)
 
@@ -1422,19 +1483,29 @@ let delete t ~actor pd_id =
   let** e = find_entry t pd_id in
   let blocks = e.record.blocks @ e.membrane.blocks in
   protect_write t (fun () ->
-      log_and_apply t (J_delete pd_id);
+      log_and_apply ~entry:e t (J_delete pd_id);
       (* physical destruction after the metadata commit *)
       retire ~destroy:true t blocks;
       Stats.Counter.incr t.counters "deletes";
       Ok ())
 
-let erase_with t ~actor pd_id ~seal =
+(* With [withdraw], erasure first rewrites the membrane (the DED's
+   crypto-erase withdraws every consent) — on the same resolved entry, so
+   the whole erasure descends the entries tree once. *)
+let erase_with t ~actor ?withdraw pd_id ~seal =
   let** () = guard t ~actor ~op:"erase" in
   let** () = check_degraded t in
   let** e = find_entry t pd_id in
   if e.erased then Error (Erased pd_id)
   else
-    let** record = get_record t ~actor pd_id in
+    let** () =
+      match withdraw with
+      | None -> Ok ()
+      | Some f ->
+          let** m = load_one t membrane_x e in
+          rewrite_membrane t e (f m)
+    in
+    let** record = load_one t record_x e in
     let** () = replace_extent t e Sealed ~hint:no_hint (seal record) in
     Stats.Counter.incr t.counters "erasures";
     Ok ()
@@ -1523,27 +1594,23 @@ let select t ~actor ?(use_indexes = true) ?(channel = 0) type_name pred =
       Stats.Counter.incr t.counters "selects";
       protect_pages (fun () ->
           (* full scans stream the merged entry sequence; indexed probes
-             never touch it — candidate sets are filtered with point
-             entry lookups, keeping an indexed select sublinear in the
-             population *)
+             never touch it — candidate sets are filtered with one batched
+             entry lookup, keeping an indexed select sublinear in the
+             population.  A candidate whose lookup fails is not live. *)
+          let live e = e.type_name = type_name && not e.erased in
           let all_live () =
             let acc = ref [] in
-            iter_entries t (fun e ->
-                if e.type_name = type_name && not e.erased then
-                  acc := e.pd_id :: !acc);
+            iter_entries t (fun e -> if live e then acc := e :: !acc);
             List.rev !acc
           in
-          let live_typed pd =
-            match find_entry t pd with
-            | Ok e -> e.type_name = type_name && not e.erased
-            | Error _ -> false
-          in
-          let residual pd_ids =
-            (* one batched load, then the full predicate: the probe's
-               posting list is submitted as pipelined reads ahead of
-               residual evaluation, so chunk k's decode and predicate work
-               overlaps the in-flight service of chunks k+1.. *)
-            let** records = get_records t ~actor ~channel pd_ids in
+          let ids = List.map (fun e -> e.pd_id) in
+          let residual entries =
+            (* one batched load from the entries already resolved, then
+               the full predicate: the records are submitted as pipelined
+               reads ahead of residual evaluation, so chunk k's decode and
+               predicate work overlaps the in-flight service of chunks
+               k+1.. *)
+            let** records = load_extents t record_x ~channel entries in
             Ok
               (List.filter_map
                  (fun (pd, r) ->
@@ -1561,7 +1628,7 @@ let select t ~actor ?(use_indexes = true) ?(channel = 0) type_name pred =
                 { trivial = (match pred with Query.True -> true | _ -> false) }
           in
           match plan with
-          | Plan.Full_scan { trivial = true } -> Ok (all_live ())
+          | Plan.Full_scan { trivial = true } -> Ok (ids (all_live ()))
           | Plan.Full_scan { trivial = false } -> residual (all_live ())
           | Plan.Indexed { probe; exact } ->
               Stats.Counter.incr t.counters "index_probes";
@@ -1569,8 +1636,12 @@ let select t ~actor ?(use_indexes = true) ?(channel = 0) type_name pred =
               charge_index_read t bytes;
               (* probe sets are unordered; sorted pd ids ARE insertion
                  order (ids are zero-padded and monotone) *)
-              let cand_list = List.filter live_typed (SS.elements cand) in
-              if exact then Ok cand_list else residual cand_list)
+              let cand =
+                List.filter_map
+                  (function Ok e when live e -> Some e | _ -> None)
+                  (resolve t (SS.elements cand))
+              in
+              if exact then Ok (ids cand) else residual cand)
 
 let plan_for t ~actor type_name pred =
   let** () = guard t ~actor ~op:"read" in
@@ -1601,18 +1672,18 @@ let entry_info t ~actor pd_id =
 let export_subject t ~actor subject =
   let** () = guard t ~actor ~op:"export" in
   let** ids = pds_of_subject t ~actor subject in
-  (* one vectored request for the whole subject subtree *)
-  let** records = get_records t ~actor ids in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | (_, None) :: rest -> go acc rest (* erased *)
-    | (pd_id, Some record) :: rest ->
-        let** e = find_entry t pd_id in
-        go (Record.to_export ~type_name:e.type_name ~pd_id record :: acc) rest
+  (* one descent and one vectored request for the whole subject subtree *)
+  let** entries = resolve_entries t ids in
+  let** records = load_extents t record_x ~channel:0 entries in
+  let items =
+    List.filter_map
+      (fun (e, (_, r)) ->
+        (* an erased pd has no record *)
+        Option.map (Record.to_export ~type_name:e.type_name ~pd_id:e.pd_id) r)
+      (List.combine entries records)
   in
-  let** items = go [] records in
   Stats.Counter.incr t.counters "exports";
-  Ok ("[" ^ String.concat ", " items ^ "]")
+  Ok (ids, "[" ^ String.concat ", " items ^ "]")
 
 let describe_trees t ~actor =
   let** () = guard t ~actor ~op:"read" in

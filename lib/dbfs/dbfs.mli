@@ -121,7 +121,8 @@ val insert :
 val get_membrane :
   t -> actor:string -> string -> (Rgpdos_membrane.Membrane.t, error) result
 (** Fetch only the membrane — the DED's first request (ded_load_membrane)
-    never touches the data blocks.  A {!get_membranes} batch of one. *)
+    never touches the data blocks.  A {!get_membranes} batch of one: one
+    entries-tree descent (O(height) page reads on a checkpointed store). *)
 
 val get_record : t -> actor:string -> string -> (Record.t, error) result
 (** Fetch the record data (ded_load_data).  Fails with [Erased] after
@@ -141,6 +142,13 @@ val get_membranes :
     every stage_ns figure) is identical whether the cache is cold or
     warm.
 
+    The pds are resolved first, in one batched descent of the
+    checkpointed entries tree: one vectored page request per tree level,
+    each distinct node on the pds' root-to-leaf paths read and charged
+    once (pds in the in-memory overlay need no page).  A batch of [k]
+    pds therefore costs at most O(height) page requests, not [k]
+    descents.
+
     The batch is split into the device's [queue_depth] contiguous chunks
     submitted up-front on [?channel] (default 0): chunk [k]'s decode
     overlaps the device service of chunks [k+1..], so the batch charges
@@ -158,12 +166,14 @@ val get_records :
 (** Batched record load for the selection (input order preserved).
     Erased pds yield [None] — their sealed payload is neither read nor
     charged — matching the DED's skip-erased semantics.  Any unknown pd
-    fails the whole batch.  Pipelined by queue depth exactly like
-    {!get_membranes}. *)
+    fails the whole batch.  Resolved in one batched descent and
+    pipelined by queue depth exactly like {!get_membranes}. *)
 
 val update_record :
   t -> actor:string -> string -> Record.t -> (unit, error) result
-(** Replace the record (built-in [update]).  Old blocks are zeroed. *)
+(** Replace the record (built-in [update]).  Old blocks are zeroed.  One
+    entries-tree descent: the journaled op applies to the entry resolved
+    for the checks, with no second lookup. *)
 
 val update_membrane :
   t ->
@@ -172,7 +182,8 @@ val update_membrane :
   Rgpdos_membrane.Membrane.t ->
   (unit, error) result
 (** Replace the membrane (consent changes).  The new membrane must keep the
-    entry's pd_id, type and subject. *)
+    entry's pd_id, type and subject.  One entries-tree descent, as for
+    {!update_record}. *)
 
 val copy_pd : t -> actor:string -> string -> (string, error) result
 (** Built-in [copy]: duplicate record and membrane under a fresh pd_id;
@@ -180,22 +191,33 @@ val copy_pd : t -> actor:string -> string -> (string, error) result
     The copy is filed under its source's subject, and {!insert} and
     {!update_membrane} refuse a membrane naming another subject, so a
     lineage never leaves its subject: {!pds_of_subject} lists every copy
-    of the subject's PD. *)
+    of the subject's PD.  The source is resolved once: its record and
+    membrane load from that entry. *)
 
 val delete : t -> actor:string -> string -> (unit, error) result
 (** Physical removal: record and membrane blocks are zeroed on the device
-    before being freed. *)
+    before being freed.  One entries-tree descent, as for
+    {!update_record}. *)
 
 val erase_with :
   t ->
   actor:string ->
+  ?withdraw:(Rgpdos_membrane.Membrane.t -> Rgpdos_membrane.Membrane.t) ->
   string ->
   seal:(Record.t -> string) ->
   (unit, error) result
 (** Crypto-erasure (right to be forgotten, §4): the record is replaced by
     [seal record] — an authority-sealed envelope — and the plaintext blocks
-    are zeroed.  The membrane remains (with its consents withdrawn by the
-    caller) so the entry's existence stays accountable. *)
+    are zeroed.  The membrane remains so the entry's existence stays
+    accountable.  With [?withdraw] the membrane is first rewritten to
+    [withdraw membrane] (the DED's crypto-erase withdraws every consent),
+    exactly as {!update_membrane} would: same checks, journal record and
+    block writes, in the same order.
+
+    The pd is resolved once for the whole erasure: one entries-tree
+    descent, and no further lookup by the membrane rewrite, the record
+    load or either journaled op.  Fails with [Erased], writing nothing,
+    when the pd is already erased. *)
 
 val erased_payload : t -> actor:string -> string -> (string, error) result
 (** The sealed envelope bytes of an erased entry (what a supervisory
@@ -239,12 +261,16 @@ val select :
     DBFS read path.  [?use_indexes:false] forces the full-scan path (for
     measurement; results are identical).
 
-    The residual record fetch rides [?channel] (default 0) through
+    An indexed probe's candidates are resolved in one batched
+    entries-tree descent (a candidate whose lookup fails is not live);
+    a full scan takes its entries from the merged entry stream.  Either
+    way the residual record fetch loads from those resolved entries —
+    no pd is looked up twice — and rides [?channel] (default 0) like
     {!get_records}: the candidate loads are submitted so their device
     service overlaps residual evaluation (from queue depth 2 up), and
-    interior B+-tree descents prefetch the next sibling page ahead of
-    the current decode on a channel of their own, so the prefetch
-    overlaps even at depth 1. *)
+    interior B+-tree scans prefetch the next sibling page ahead of the
+    current decode on a channel of their own, so the prefetch overlaps
+    even at depth 1. *)
 
 val plan_for :
   t -> actor:string -> string -> Query.t -> (Plan.t, error) result
@@ -264,10 +290,16 @@ val entry_info :
   t -> actor:string -> string -> (string * string * bool, error) result
 (** [(type_name, subject, erased)] for a pd_id. *)
 
-val export_subject : t -> actor:string -> string -> (string, error) result
-(** Right-of-access export: every non-erased record of the subject, as it
-    is stored in DBFS — structured, machine-readable, with meaningful
-    keys (§4).  JSON array of record objects. *)
+val export_subject :
+  t -> actor:string -> string -> (string list * string, error) result
+(** Right-of-access export: [(pd_ids, json)], the subject's pds as
+    {!pds_of_subject} lists them (erased included) and every non-erased
+    record of the subject as it is stored in DBFS — structured,
+    machine-readable, with meaningful keys (§4) — as a JSON array of
+    record objects.  One walk of the subject index, one batched
+    entries-tree descent and one vectored record request; a caller that
+    also needs the pd list takes it from here rather than walking the
+    subject index again. *)
 
 val describe_trees : t -> actor:string -> (string, error) result
 (** Render the two major inode trees of §3(1): the subject tree (each

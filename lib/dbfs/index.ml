@@ -303,9 +303,8 @@ let materialize t pd_id =
       if not (Hashtbl.mem t.touched pd_id) then begin
         Hashtbl.replace t.touched pd_id ();
         if String.compare pd_id b.roots.rt_max_pd <= 0 then
-          match Pagestore.lookup b.io b.roots.rt_pdinfo pd_id with
-          | None -> ()
-          | Some raw -> (
+          match Pagestore.lookup b.io b.roots.rt_pdinfo [ pd_id ] with
+          | [ Some raw ] -> (
               match decode_pdinfo raw with
               | Error e -> failwith ("Index: bad pdinfo for " ^ pd_id ^ ": " ^ e)
               | Ok (subject, keyed, exp) ->
@@ -324,6 +323,7 @@ let materialize t pd_id =
                       match IMap.find_opt ns t.expiry with
                       | Some ids -> ids := pd_id :: !ids
                       | None -> t.expiry <- IMap.add ns (ref [ pd_id ]) t.expiry)))
+          | _ -> ()
       end
 
 (* ------------------------------------------------------------------ *)
@@ -688,10 +688,10 @@ let fold_pd_keys t f acc =
 let base_pdinfo t pd_id =
   match t.base with
   | Some b when not (is_touched t pd_id) -> (
-      match Pagestore.lookup b.io b.roots.rt_pdinfo pd_id with
-      | None -> None
-      | Some raw -> (
-          match decode_pdinfo raw with Ok info -> Some info | Error _ -> None))
+      match Pagestore.lookup b.io b.roots.rt_pdinfo [ pd_id ] with
+      | [ Some raw ] -> (
+          match decode_pdinfo raw with Ok info -> Some info | Error _ -> None)
+      | _ -> None)
   | _ -> None
 
 let pd_key t pd_id =

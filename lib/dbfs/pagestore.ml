@@ -13,16 +13,18 @@
    occupies one device block; a single oversized entry gets a multi-block
    ("fat") page.  All device access goes through an [io] record provided
    by DBFS, which layers the shared LRU page cache and warm==cold read
-   charging underneath. *)
+   charging underneath.  Point lookups descend in batches: one
+   [read_pages] request per tree level, whatever the number of keys. *)
 
 module Codec = Rgpdos_util.Codec
 module Fnv = Rgpdos_util.Fnv
 
 type io = {
   page_size : int;  (** device block size *)
-  read_page : int -> int -> string;
-      (** [read_page first nblocks] returns the concatenated raw bytes of a
-          page (cached + charged by DBFS) *)
+  read_pages : (int * int) list -> string list;
+      (** [read_pages [(first, nblocks); ...]] returns each page's
+          concatenated raw bytes, in order, fetched in one vectored
+          request (cached + charged by DBFS) *)
   prefetch_page : int -> int -> unit;
       (** [prefetch_page first nblocks] hints that the page will be read
           shortly: DBFS submits its device read so the service overlaps
@@ -169,22 +171,63 @@ let write_tree io items =
 (* ------------------------------------------------------------------ *)
 (* reads                                                              *)
 
-let load io r = decode_node ~block:r.r_block (io.read_page r.r_block r.r_nblocks)
+(* Distinct pages, one request. *)
+let load_all io rs =
+  List.map2
+    (fun r raw -> decode_node ~block:r.r_block raw)
+    rs
+    (io.read_pages (List.map (fun r -> (r.r_block, r.r_nblocks)) rs))
 
-let lookup io root key =
-  if is_empty root then None
-  else
-    let rec go r =
-      match load io r with
-      | Leaf kvs -> List.assoc_opt key kvs
-      | Interior children ->
-          let rec pick best = function
-            | [] -> best
-            | (k, c) :: rest -> if k <= key then pick (Some c) rest else best
-          in
-          (match pick None children with None -> None | Some c -> go c)
-    in
-    go root
+let load io r = List.hd (load_all io [ r ])
+
+(* Route sorted, distinct [keys] to the children of an interior node:
+   child i covers [key_i, key_{i+1}), and a key below the first separator
+   is in no child.  One merge pass over keys and separators. *)
+let route children keys =
+  let rec below k2 acc = function
+    | k :: rest when k < k2 -> below k2 (k :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  let rec go acc keys = function
+    | [] -> List.rev acc
+    | (_, c) :: rest ->
+        let mine, keys =
+          match rest with [] -> (keys, []) | (k2, _) :: _ -> below k2 [] keys
+        in
+        go (if mine = [] then acc else (c, mine) :: acc) keys rest
+  in
+  match children with
+  | [] -> []
+  | (k0, _) :: _ -> go [] (List.filter (fun k -> k >= k0) keys) children
+
+(* The keys descend together, level by level: each level's frontier is
+   the distinct nodes some key routes through, in key order (a node has
+   one parent, so no two keys' paths name it twice), read in one
+   [load_all].  A single key is a batch of one: O(height) page reads. *)
+let lookup io root keys =
+  let found = Hashtbl.create 16 in
+  let rec descend = function
+    | [] -> ()
+    | frontier ->
+        let nodes = load_all io (List.map fst frontier) in
+        descend
+          (List.concat
+             (List.map2
+                (fun (_, ks) node ->
+                  match node with
+                  | Leaf kvs ->
+                      List.iter
+                        (fun k ->
+                          Option.iter (Hashtbl.replace found k)
+                            (List.assoc_opt k kvs))
+                        ks;
+                      []
+                  | Interior children -> route children ks)
+                frontier nodes))
+  in
+  if keys <> [] && not (is_empty root) then
+    descend [ (root, List.sort_uniq String.compare keys) ];
+  List.map (Hashtbl.find_opt found) keys
 
 exception Stopped
 

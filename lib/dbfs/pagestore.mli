@@ -9,9 +9,10 @@
 
 type io = {
   page_size : int;  (** device block size *)
-  read_page : int -> int -> string;
-      (** [read_page first nblocks]: concatenated raw page bytes, cached and
-          cost-charged by the provider *)
+  read_pages : (int * int) list -> string list;
+      (** [read_pages [(first, nblocks); ...]]: each page's concatenated
+          raw bytes, in order, as one vectored request — cached and
+          cost-charged by the provider, each page once *)
   prefetch_page : int -> int -> unit;
       (** hint that the page will be read shortly: the provider submits
           the device read so its service overlaps the current page's
@@ -39,8 +40,13 @@ val write_tree : io -> (string * string) list -> root
     Packs leaves greedily into single blocks (an oversized entry gets a
     multi-block page), then builds interior levels bottom-up. *)
 
-val lookup : io -> root -> string -> string option
-(** Point lookup; O(height) page reads.  @raise Corrupt_page *)
+val lookup : io -> root -> string list -> string option list
+(** Batched point lookup, results in input order.  The keys are sorted
+    and descend together: one {!io.read_pages} request per tree level
+    reads every distinct node on their root-to-leaf paths once, so a
+    batch costs at most O(height) requests and each node is read once
+    however many keys pass through it.  A single key is a batch of one
+    (O(height) page reads).  @raise Corrupt_page *)
 
 val iter_from :
   ?on_corrupt:(int -> unit) -> io -> root -> lo:string -> (string -> string -> bool) -> unit

@@ -496,12 +496,16 @@ let builtin_delete t ~pd_id =
        (Audit_log.Erased { pd_id; mode = "physical" }));
   Ok ()
 
+(* One DBFS call withdraws the consents and seals the record, so the pd
+   is resolved once. *)
 let builtin_crypto_erase t ~pd_id ~seal =
-  let** membrane = lift (Dbfs.get_membrane t.dbfs ~actor pd_id) in
-  let withdrawn = Membrane.withdraw_all membrane in
-  let** () = lift (Dbfs.update_membrane t.dbfs ~actor pd_id withdrawn) in
-  let** () = lift (Dbfs.erase_with t.dbfs ~actor pd_id ~seal) in
-  ignore
-    (Audit_log.append t.audit ~now:(Clock.now t.clock) ~actor
-       (Audit_log.Erased { pd_id; mode = "crypto" }));
-  Ok ()
+  match
+    Dbfs.erase_with t.dbfs ~actor ~withdraw:Membrane.withdraw_all pd_id ~seal
+  with
+  | Error (Dbfs.Erased _) -> Ok false
+  | Error e -> storage e
+  | Ok () ->
+      ignore
+        (Audit_log.append t.audit ~now:(Clock.now t.clock) ~actor
+           (Audit_log.Erased { pd_id; mode = "crypto" }));
+      Ok true

@@ -185,6 +185,9 @@ val builtin_delete : t -> pd_id:string -> (unit, error) result
 
 val builtin_crypto_erase :
   t -> pd_id:string -> seal:(Rgpdos_dbfs.Record.t -> string) ->
-  (unit, error) result
-(** Right-to-be-forgotten erasure: replace the record with an
-    authority-sealed envelope and withdraw every consent on the membrane. *)
+  (bool, error) result
+(** Right-to-be-forgotten erasure: withdraw every consent on the membrane
+    and replace the record with an authority-sealed envelope — one
+    {!Rgpdos_dbfs.Dbfs.erase_with} call, so the pd is resolved once.
+    [Ok true] once erased (and audited); [Ok false], writing nothing, when
+    the pd was already erased. *)

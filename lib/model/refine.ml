@@ -346,7 +346,7 @@ let step ~compare ?bug st op =
       if compare then (
         let subject = subjects_pool.(subj mod Array.length subjects_pool) in
         match Dbfs.export_subject st.store ~actor subject with
-        | Ok out ->
+        | Ok (_, out) ->
             expect st
               (Printf.sprintf "export(%s)" subject)
               ~model:(Model.export st.model subject) ~dbfs:out
@@ -388,7 +388,7 @@ let check_state st =
             ~dbfs:(ids_str ids)
       | Error e -> diverge "pds_of_subject(%s) failed: %s" subject (err_str e));
       match Dbfs.export_subject st.store ~actor subject with
-      | Ok out ->
+      | Ok (_, out) ->
           expect st
             (Printf.sprintf "export(%s)" subject)
             ~model:(Model.export st.model subject) ~dbfs:out
@@ -766,7 +766,7 @@ let check_degraded script =
     Array.iter
       (fun subject ->
         match Dbfs.export_subject st.store ~actor subject with
-        | Ok out ->
+        | Ok (_, out) ->
             expect st
               (Printf.sprintf "degraded-export(%s)" subject)
               ~model:(Model.export st.model subject) ~dbfs:out

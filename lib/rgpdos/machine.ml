@@ -269,23 +269,21 @@ let collect_via t ~type_name ~interface =
 let lift_dbfs r = Result.map_error Dbfs.error_to_string r
 
 let right_to_portability t ~subject =
-  lift_dbfs (Dbfs.export_subject t.dbfs ~actor:Ded.actor subject)
+  lift_dbfs (Result.map snd (Dbfs.export_subject t.dbfs ~actor:Ded.actor subject))
 
+(* One walk of the subject index: the export names the pds it covered. *)
 let right_of_access t ~subject =
   match Dbfs.export_subject t.dbfs ~actor:Ded.actor subject with
   | Error e -> Error (Dbfs.error_to_string e)
-  | Ok records -> (
-      match Dbfs.pds_of_subject t.dbfs ~actor:Ded.actor subject with
-      | Error e -> Error (Dbfs.error_to_string e)
-      | Ok pd_ids ->
-          let history = Audit_log.export_for_subject t.audit ~pd_ids in
-          ignore
-            (Audit_log.append t.audit ~now:(Clock.now t.clock) ~actor:Ded.actor
-               (Audit_log.Exported { subject; pd_ids }));
-          Ok
-            (Printf.sprintf
-               "{\"subject\": \"%s\", \"records\": %s, \"processings\": %s}"
-               subject records history))
+  | Ok (pd_ids, records) ->
+      let history = Audit_log.export_for_subject t.audit ~pd_ids in
+      ignore
+        (Audit_log.append t.audit ~now:(Clock.now t.clock) ~actor:Ded.actor
+           (Audit_log.Exported { subject; pd_ids }));
+      Ok
+        (Printf.sprintf
+           "{\"subject\": \"%s\", \"records\": %s, \"processings\": %s}"
+           subject records history)
 
 let right_to_erasure t ~subject =
   match Dbfs.pds_of_subject t.dbfs ~actor:Ded.actor subject with
@@ -295,13 +293,10 @@ let right_to_erasure t ~subject =
       let rec go erased = function
         | [] -> Ok erased
         | pd_id :: rest -> (
-            match Dbfs.entry_info t.dbfs ~actor:Ded.actor pd_id with
-            | Error e -> Error (Dbfs.error_to_string e)
-            | Ok (_, _, true) -> go erased rest (* already erased *)
-            | Ok (_, _, false) -> (
-                match Ded.builtin_crypto_erase t.ded ~pd_id ~seal with
-                | Ok () -> go (erased + 1) rest
-                | Error e -> Error (Ded.error_to_string e)))
+            match Ded.builtin_crypto_erase t.ded ~pd_id ~seal with
+            | Ok true -> go (erased + 1) rest
+            | Ok false -> go erased rest (* already erased *)
+            | Error e -> Error (Ded.error_to_string e))
       in
       go 0 pd_ids
 

@@ -914,6 +914,39 @@ let async =
         (* overlap deepens with batch size: absolute bars, no drift *)
         bar "load-stage speedup" [ K "best_load_speedup" ] (Ge 1.8);
         bar "overlap" [ K "best_overlap_pct" ] (Ge 40.0);
+        (* a batch resolves its pds in one entries-tree descent, so E1's
+           blocking cost per subject stays flat once the tree is paged *)
+        Rule
+          {
+            name = "no per-subject cliff";
+            check =
+              (fun v ->
+                let* sizes = resolve [ K "sizes"; Each ] v in
+                let* per =
+                  List.fold_left
+                    (fun acc s ->
+                      let* acc = acc in
+                      let* n = number [ K "subjects" ] s in
+                      let* ns =
+                        number
+                          [ K "rows"; Where [ ("depth", Json.Num 1.0) ]; K "total_ns" ]
+                          s
+                      in
+                      Ok ((n, ns /. n) :: acc))
+                    (Ok []) sizes
+                in
+                match List.sort Stdlib.compare per with
+                | [] | [ _ ] -> Ok "one size: no sweep to compare"
+                | (n0, lo) :: rest ->
+                    let n1, hi = List.nth rest (List.length rest - 1) in
+                    let line =
+                      Printf.sprintf
+                        "depth-1 E1 %.0f ns/subject at %.0f subjects vs %.0f at \
+                         %.0f (%.2fx, max 1.5x)"
+                        hi n1 lo n0 (hi /. lo)
+                    in
+                    if hi <= 1.5 *. lo then Ok line else Error line);
+          };
       ];
     run =
       (fun ~quick ->

@@ -277,7 +277,17 @@ let test_named_predicates () =
   rejects "mount" "zipf within budget"
     (Bench.update [ K "zipf"; K "resident_max" ] (function
       | Json.Num n -> Json.Num (n *. 100.0)
-      | j -> j))
+      | j -> j));
+  rejects "async" "no per-subject cliff"
+    (Bench.update
+       [
+         K "sizes";
+         Max_by "subjects";
+         K "rows";
+         Where [ ("depth", Json.Num 1.0) ];
+         K "total_ns";
+       ]
+       (function Json.Num n -> Json.Num (n *. 6.0) | j -> j))
 
 let test_missing_artifact () =
   match Bench.read_file "no-such-BENCH.json" with

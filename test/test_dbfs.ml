@@ -396,7 +396,7 @@ let test_dbfs_export_subject () =
   let t, _, _ = setup () in
   let _ = insert_user t ~subject:"alice" "Alice" 1980 in
   let _ = insert_user t ~subject:"alice" "Alice2" 1981 in
-  let json = ok (Dbfs.export_subject t ~actor:ded "alice") in
+  let _, json = ok (Dbfs.export_subject t ~actor:ded "alice") in
   check_bool "array" true (json.[0] = '[');
   check_bool "contains name key" true (contains_sub json "\"name\": \"Alice\"");
   check_bool "contains second record" true (contains_sub json "Alice2")

@@ -724,6 +724,57 @@ let test_consent_reads_only_subject () =
   check_int "restriction reads the subject's membranes once"
     (List.length alice) (membrane_reads m - r1)
 
+let index_page_reads m =
+  Rgpdos_util.Stats.Counter.get (Dbfs.stats (Machine.dbfs m)) "index_page_reads"
+
+let pages_read m f =
+  let r0 = index_page_reads m in
+  ignore (f ());
+  index_page_reads m - r0
+
+(* On a checkpointed store whose subjects hold one PD each, a rights
+   request walks the subject index once and descends the entries tree
+   once: it reads at most the pages of one [pds_of_subject] plus one
+   [entry_info] for the subject's PD. *)
+let test_rights_read_each_page_once () =
+  let m = Machine.boot ~seed:7L () in
+  ignore (ok (Machine.load_declarations m declarations));
+  let subject i = Printf.sprintf "sub-%03d" i in
+  let pds =
+    Array.init 300 (fun i ->
+        ok
+          (Machine.collect m ~type_name:"user" ~subject:(subject i)
+             ~interface:"web_form:user_form.html"
+             ~record:(user_record (Printf.sprintf "User%03d" i) 1990)
+             ()))
+  in
+  let store = Machine.dbfs m in
+  Dbfs.checkpoint store;
+  let bound i =
+    let p =
+      pages_read m (fun () -> Dbfs.pds_of_subject store ~actor:Ded.actor (subject i))
+    in
+    let e =
+      pages_read m (fun () -> Dbfs.entry_info store ~actor:Ded.actor pds.(i))
+    in
+    check_bool "the entries tree has interior levels" true (e >= 2);
+    p + e
+  in
+  let check name i f =
+    let b = bound i in
+    let got = pages_read m f in
+    check_bool
+      (Printf.sprintf "%s reads %d pages, at most %d" name got b)
+      true (got <= b)
+  in
+  check "right of access" 100 (fun () ->
+      ok (Machine.right_of_access m ~subject:(subject 100)));
+  check "right to portability" 150 (fun () ->
+      ok (Machine.right_to_portability m ~subject:(subject 150)));
+  check "right to erasure" 200 (fun () ->
+      check_int "one PD erased" 1
+        (ok (Machine.right_to_erasure m ~subject:(subject 200))))
+
 let test_consent_rewrites_subject_copies () =
   let m, alice, bob = boot_with_copies () in
   let bob_before = List.map (membrane_of m) bob in
@@ -1111,6 +1162,8 @@ let () =
             `Quick test_consent_reads_only_subject;
           Alcotest.test_case "consent rewrites the subject's copies" `Quick
             test_consent_rewrites_subject_copies;
+          Alcotest.test_case "rights read each index page once" `Quick
+            test_rights_read_each_page_once;
           Alcotest.test_case "consent ignores another subject's damage" `Quick
             test_consent_ignores_other_subjects_damage;
         ] );

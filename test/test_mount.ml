@@ -270,7 +270,10 @@ let prop_paged_equals_reference =
    same sim time at budget 1 (everything evicted, all misses) as at a
    huge budget (everything resident, all hits).  At queue depth 4 the
    sibling prefetch overlaps page service with the descent, and a warm
-   descent must overlap exactly as much as a cold one. *)
+   descent must overlap exactly as much as a cold one.  Two inputs: an
+   indexed select, and a record batch over every pd — one batched
+   entries-tree descent, whose cached pages ride in the same per-level
+   request as the missing ones. *)
 let warm_equals_cold_at queue_depth =
   let t = make_dbfs ~config:{ small_config with queue_depth } () in
   for i = 0 to 29 do
@@ -285,25 +288,43 @@ let warm_equals_cold_at queue_depth =
   let cold = ok (Result.map_error (fun e -> Dbfs.Corrupt e) (Dbfs.crash_and_remount t)) in
   let clock = store_clock cold in
   let pred = Query.Eq ("k_int", Value.VInt 2) in
-  let timed_select () =
+  let pds = ok (Dbfs.list_pds cold ~actor:ded "item") in
+  let timed f () =
     let t0 = Clock.now clock in
-    let ids = ok (Dbfs.select cold ~actor:ded "item" pred) in
+    let ids = f () in
     (ids, Clock.now clock - t0)
   in
+  let inputs =
+    [
+      ("select", timed (fun () -> ok (Dbfs.select cold ~actor:ded "item" pred)));
+      ( "batched descent",
+        timed (fun () -> List.map fst (ok (Dbfs.get_records cold ~actor:ded pds)))
+      );
+    ]
+  in
+  let run () = List.map (fun (_, f) -> f ()) inputs in
   Dbfs.set_cache_budget cold 1;
-  let ids_cold, d_cold = timed_select () in
-  let ids_cold2, d_cold2 = timed_select () in
+  let cold1 = run () in
+  let cold2 = run () in
   Dbfs.set_cache_budget cold 65_536;
-  let ids_fill, d_fill = timed_select () in
-  let ids_warm, d_warm = timed_select () in
+  let fill = run () in
+  let warm = run () in
+  List.iteri
+    (fun i (name, _) ->
+      let ids_cold, d_cold = List.nth cold1 i in
+      let ids_cold2, d_cold2 = List.nth cold2 i in
+      let ids_fill, d_fill = List.nth fill i in
+      let ids_warm, d_warm = List.nth warm i in
+      let at what = Printf.sprintf "depth %d, %s: %s" queue_depth name what in
+      check_ids (at "same results") ids_cold ids_cold2;
+      check_ids (at "same results warm") ids_cold ids_warm;
+      check_ids (at "same results fill") ids_cold ids_fill;
+      check_bool (at "cold run costs something") true (d_cold > 0);
+      check_int (at "budget-1 repeat == first") d_cold d_cold2;
+      check_int (at "fill (misses) == cold") d_cold d_fill;
+      check_int (at "warm (hits) == cold") d_cold d_warm)
+    inputs;
   let at what = Printf.sprintf "depth %d: %s" queue_depth what in
-  check_ids (at "same results") ids_cold ids_cold2;
-  check_ids (at "same results warm") ids_cold ids_warm;
-  check_ids (at "same results fill") ids_cold ids_fill;
-  check_bool (at "cold select costs something") true (d_cold > 0);
-  check_int (at "budget-1 repeat == first") d_cold d_cold2;
-  check_int (at "fill (misses) == cold") d_cold d_fill;
-  check_int (at "warm (hits) == cold") d_cold d_warm;
   (* the hits really were hits *)
   check_bool (at "page hits recorded") true
     (Stats.Counter.get (Dbfs.stats cold) "page_hits" > 0);
@@ -311,6 +332,38 @@ let warm_equals_cold_at queue_depth =
     (Stats.Counter.get (Dbfs.stats cold) "cache_evictions" > 0)
 
 let test_warm_equals_cold () = List.iter warm_equals_cold_at [ 1; 4 ]
+
+(* A record batch resolves its pds in one descent of the checkpointed
+   entries tree, reading each distinct node on their root-to-leaf paths
+   once: one pd reads its path, a repeated pd reads it once, the first
+   and last pd share only the root, and the whole population reads every
+   node of the tree exactly once. *)
+let test_batched_descent_reads_each_node_once () =
+  let t = make_dbfs () in
+  for i = 0 to 199 do
+    ignore
+      (insert_item t
+         ~subject:(List.nth subjects_pool (i mod 4))
+         ~k_int:i ~k_str:"a" ~ttl:None)
+  done;
+  Dbfs.checkpoint t;
+  let pds = ok (Dbfs.list_pds t ~actor:ded "item") in
+  let nodes = List.length (Dbfs.entry_page_blocks t) in
+  let reads ids =
+    let get () = Stats.Counter.get (Dbfs.stats t) "index_page_reads" in
+    let r0 = get () in
+    ignore (ok (Dbfs.get_records t ~actor:ded ids));
+    get () - r0
+  in
+  let first = List.hd pds and last = List.nth pds (List.length pds - 1) in
+  let height = reads [ first ] in
+  check_bool "the tree has interior levels" true (height >= 2);
+  check_int "one pd reads its path" height (reads [ List.nth pds 100 ]);
+  check_int "a repeated pd reads its path once" height
+    (reads [ last; last; last ]);
+  check_int "first and last share only the root" ((2 * height) - 1)
+    (reads [ last; first ]);
+  check_int "every pd reads every node once" nodes (reads pds)
 
 (* ------------------------------------------------------------------ *)
 (* O(1) clean mount                                                   *)
@@ -428,6 +481,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_paged_equals_reference;
           Alcotest.test_case "warm == cold charging" `Quick
             test_warm_equals_cold;
+          Alcotest.test_case "batched descent reads each node once" `Quick
+            test_batched_descent_reads_each_node_once;
         ] );
       ( "recovery",
         [

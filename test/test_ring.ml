@@ -191,6 +191,38 @@ let test_torn_wrapping_flush () =
   check_bool "stops at the torn frame" true
     (List.mem summary.Ring.stop_reason [ Ring.Torn_frame; Ring.Bad_checksum ])
 
+(* A flush whose write faults never returns its ticket, so the device
+   settles it before the fault propagates: the failed flush is charged
+   and not left outstanding, and once the retried append commits every
+   submission has completed. *)
+let test_faulted_flush_settles () =
+  let ring, dev = make_ring () in
+  let plan = Block_device.Fault_plan.create () in
+  Block_device.Fault_plan.on_write plan ~nth:1
+    (Block_device.Fault_plan.Fail_write { transient = true });
+  Block_device.set_fault_plan dev (Some plan);
+  let clock = Block_device.clock dev in
+  let t0 = Clock.now clock in
+  (try
+     Ring.append ring ~on_overflow:no_overflow "retried";
+     Alcotest.fail "expected the first flush to fault"
+   with Block_device.Faulted _ -> ());
+  check_int "the faulted flush is not outstanding" 0
+    (Block_device.outstanding dev);
+  check_bool "the faulted flush is charged" true (Clock.now clock > t0);
+  Ring.append ring ~on_overflow:no_overflow "retried";
+  let stat = Stats.Counter.get (Block_device.stats dev) in
+  check_int "nothing outstanding after the retry" 0
+    (Block_device.outstanding dev);
+  check_int "two submissions" 2 (stat "async_submits");
+  check_int "every submission completed" (stat "async_submits")
+    (stat "async_completions");
+  let reader = attach dev ~start_block:2 ~num_blocks:8 ~head:0 ~seq:0 in
+  let seen = ref [] in
+  ignore (Ring.replay reader (fun p -> seen := p :: !seen));
+  Alcotest.(check (list string)) "the retried record replays" [ "retried" ]
+    !seen
+
 let prop_roundtrip_arbitrary_payloads =
   QCheck.Test.make ~name:"ring roundtrips arbitrary payload lists" ~count:100
     QCheck.(list_of_size Gen.(0 -- 12) (string_of_size Gen.(0 -- 100)))
@@ -246,6 +278,8 @@ let () =
           Alcotest.test_case "replay stops at garbage" `Quick test_replay_stops_at_garbage;
           Alcotest.test_case "scrub zeroes dead blocks" `Quick test_scrub_zeroes_dead_blocks;
           Alcotest.test_case "scrub preserves live" `Quick test_scrub_preserves_live_records;
+          Alcotest.test_case "faulted flush settles" `Quick
+            test_faulted_flush_settles;
           Alcotest.test_case "torn wrapping flush stops replay" `Quick
             test_torn_wrapping_flush;
           QCheck_alcotest.to_alcotest prop_roundtrip_arbitrary_payloads;
