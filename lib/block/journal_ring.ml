@@ -23,6 +23,12 @@ type t = {
       (* flush submissions not yet settled.  The bytes are durable
          at submission; only their clock charge is outstanding, settled
          by [barrier] at the caller's durability points. *)
+  mutable image : (int * string) option;
+      (* the block the last successful flush ended in, with the very
+         string that flush handed to the device: the next flush starts
+         from it instead of reading the block back.  Set only once a
+         submission returns; a flush that raises, [scrub], [create] and
+         [attach] leave none. *)
 }
 
 (* Channel the ring's flushes queue on: negative so it can never
@@ -50,6 +56,7 @@ let create dev ~counters ~start_block ~num_blocks =
     pending_bytes = 0;
     counters;
     inflight = [];
+    image = None;
   }
 
 let attach dev ~counters ~start_block ~num_blocks ~head ~seq =
@@ -66,6 +73,7 @@ let attach dev ~counters ~start_block ~num_blocks ~head ~seq =
     pending_bytes = 0;
     counters;
     inflight = [];
+    image = None;
   }
 
 let set_window ring w = ring.window <- max 1 w
@@ -97,12 +105,6 @@ let iter_chunks ring abs len f =
     pos := !pos + chunk
   done
 
-let ring_read ring abs len =
-  let buf = Buffer.create len in
-  iter_chunks ring abs len (fun blk off _ chunk ->
-      Buffer.add_string buf (String.sub (read_block ring blk) off chunk));
-  Buffer.contents buf
-
 (* A checkpoint makes every logged op durable through the trees, so any
    still-pending (buffered, unwritten) records are simply dropped: the
    root slot records the durable [jhead] and the post-pending [jseq], and
@@ -116,9 +118,12 @@ let mark_checkpointed ring =
 
 (* Write all pending frames at [jhead] in one vectored device op.  Blocks
    only partly covered by the new bytes (the head and tail blocks) are
-   read-modify-written; fully covered blocks are built in place.  A flush
-   that raises changes nothing: the frames stay pending at the same
-   head. *)
+   read-modify-written; fully covered blocks are built in place.  The head
+   block starts from the ring's [image] when the previous flush ended in
+   it, and is read only when the head has moved into a block of its own
+   (or the image was dropped), so a run of small flushes reads each ring
+   block once.  A flush that raises changes nothing but the image: the
+   frames stay pending at the same head. *)
 let flush ring =
   match ring.pending with
   | [] -> ()
@@ -136,19 +141,30 @@ let flush ring =
             | None ->
                 let b =
                   if chunk = bs then Bytes.create bs
-                  else Bytes.of_string (read_block ring blk)
+                  else
+                    match ring.image with
+                    | Some (i, s) when i = blk -> Bytes.of_string s
+                    | _ -> Bytes.of_string (read_block ring blk)
                 in
                 images := (blk, b) :: !images;
                 b
           in
           Bytes.blit_string data pos img off chunk);
+      let writes =
+        List.rev_map (fun (blk, b) -> (blk, Bytes.unsafe_to_string b)) !images
+      in
       (* The flush is a submission: the framed bytes are on the medium
          when submit returns (replay/crash semantics unchanged), only the
-         clock settlement waits for [barrier]. *)
+         clock settlement waits for [barrier].  A submission that raises
+         (a failed or torn write) leaves the medium unknown: no image. *)
+      ring.image <- None;
       ring.inflight <-
-        Block_device.submit_write_vec ring.dev ~channel:flush_channel
-          (List.rev_map (fun (blk, b) -> (blk, Bytes.unsafe_to_string b)) !images)
+        Block_device.submit_write_vec ring.dev ~channel:flush_channel writes
         :: ring.inflight;
+      let last =
+        ring.start_block + ((ring.jhead + len - 1) mod capacity ring / bs)
+      in
+      ring.image <- Some (last, List.assoc last writes);
       let nrec = List.length frames_rev in
       ring.jhead <- ring.jhead + len;
       ring.live_records <- ring.live_records + nrec;
@@ -170,30 +186,35 @@ let barrier ring =
 let max_payload ring =
   capacity ring - String.length (frame_record 0 "")
 
-(* Frame the record into the pending batch; a full batch commits through
-   [flush], and at window 1 (a batch of one) is settled before returning.
-   A flush that raises takes the record back out, so the caller's retry
-   frames it once, under the same sequence number. *)
-let append ring ~on_overflow payload =
-  let framed = frame_record ring.jseq payload in
-  let len = String.length framed in
+(* Frame a batch of records, under consecutive sequence numbers, into
+   the pending batch; once that holds the window it commits through one
+   [flush], and at window 1 is settled before returning.  A flush that
+   raises takes the whole batch back out, so the caller's retry frames
+   each record once, under the same sequence numbers. *)
+let append ring ~on_overflow payloads =
+  let seq = ring.jseq in
+  let framed = List.mapi (fun i p -> frame_record (seq + i) p) payloads in
+  let len = List.fold_left (fun n f -> n + String.length f) 0 framed in
   if len > capacity ring then failwith "Journal_ring: record larger than ring";
-  if ring.jhead + ring.pending_bytes + len - ring.jtail > capacity ring then begin
+  let overflows () =
+    ring.jhead + ring.pending_bytes + len - ring.jtail > capacity ring
+  in
+  if overflows () then begin
     on_overflow ();
-    if ring.jhead + ring.pending_bytes + len - ring.jtail > capacity ring then
+    if overflows () then
       failwith "Journal_ring: overflow handler did not checkpoint"
   end;
   let pending = ring.pending and pending_bytes = ring.pending_bytes in
-  ring.pending <- framed :: pending;
+  ring.pending <- List.rev_append framed pending;
   ring.pending_bytes <- pending_bytes + len;
-  ring.jseq <- ring.jseq + 1;
+  ring.jseq <- seq + List.length framed;
   if List.length ring.pending >= ring.window then
     match flush ring with
     | () -> if ring.window = 1 then barrier ring
     | exception e ->
         ring.pending <- pending;
         ring.pending_bytes <- pending_bytes;
-        ring.jseq <- ring.jseq - 1;
+        ring.jseq <- seq;
         raise e
 
 type stop_reason = Clean | Torn_frame | Seq_gap | Bad_checksum
@@ -206,13 +227,28 @@ let stop_reason_to_string = function
 
 type replay_summary = { records_replayed : int; stop_reason : stop_reason }
 
+(* Replay reads the ring forward only — each header, then the rest of its
+   frame — and keeps the last block read: a read that stays inside it
+   costs no device request, so each ring block is read once. *)
 let replay ring f =
   let mlen = String.length record_magic in
+  let last = ref (-1, "") in
+  let block blk =
+    if fst !last <> blk then last := (blk, read_block ring blk);
+    snd !last
+  in
+  let ring_read abs len =
+    let buf = Buffer.create len in
+    iter_chunks ring abs len (fun blk off _ chunk ->
+        Buffer.add_string buf (String.sub (block blk) off chunk));
+    Buffer.contents buf
+  in
   let replayed = ref 0 in
   let stop = ref None in
   let finish reason = stop := Some reason in
+  let hlen = mlen + 8 + 4 in
   while !stop = None do
-    let header = ring_read ring ring.jhead (mlen + 8 + 4) in
+    let header = ring_read ring.jhead hlen in
     if String.sub header 0 mlen <> record_magic then
       (* never-written tail reads as zeros: that is the clean end of the
          journal; any other garbage under the magic is a torn frame *)
@@ -234,8 +270,8 @@ let replay ring f =
           String.iter (fun c -> plen := (!plen lsl 8) lor Char.code c) lenfield;
           if !plen < 0 || !plen > capacity ring then finish Torn_frame
           else begin
-            let total = mlen + 8 + 4 + !plen + 16 in
-            let frame = ring_read ring ring.jhead total in
+            let total = hlen + !plen + 16 in
+            let frame = header ^ ring_read (ring.jhead + hlen) (total - hlen) in
             let body = String.sub frame mlen (8 + 4 + !plen) in
             let sum = String.sub frame (mlen + 8 + 4 + !plen) 16 in
             if sum <> checksum body then finish Bad_checksum
@@ -264,6 +300,7 @@ let live ring =
   (ring.live_records, bytes)
 
 let scrub ring =
+  ring.image <- None;
   let bs = block_size ring in
   let cap = capacity ring in
   let live_start = ring.jtail mod cap in

@@ -32,17 +32,20 @@ val attach :
 (** Ring view positioned at a checkpointed (head, seq), ready to {!replay}
     whatever was appended after the checkpoint. *)
 
-val append : t -> on_overflow:(unit -> unit) -> string -> unit
-(** Frame a payload into the pending batch; once the batch holds
-    {!set_window} records it is written by {!flush}.  At window 1 that is
-    every append, and the batch of one is settled ({!barrier}) before
-    [append] returns, so the record is durable on return.  A flush that
-    raises leaves the ring as it was before the append (the record is not
-    pending, the sequence number not consumed), so a retried append frames
-    its record once.  If the ring would lap un-checkpointed records,
-    [on_overflow] is called first; it must persist a checkpoint and call
-    {!mark_checkpointed}, otherwise the append raises [Failure].
-    @raise Failure if a single record exceeds the ring capacity. *)
+val append : t -> on_overflow:(unit -> unit) -> string list -> unit
+(** Frame a batch of payloads, under consecutive sequence numbers, into
+    the pending batch; a single record is a batch of one.  Once the
+    pending batch holds {!set_window} records it is written by one
+    {!flush}.  At window 1 that is every append, and the flush is settled
+    ({!barrier}) before [append] returns, so every record of the batch is
+    durable on return, all in one device write.  A flush that raises
+    leaves the ring as it was before the append (no record of the batch is
+    pending, no sequence number consumed), so a retried append frames each
+    record once.  If the ring would lap un-checkpointed records with the
+    whole batch, [on_overflow] is called first; it must persist a
+    checkpoint and call {!mark_checkpointed}, otherwise the append raises
+    [Failure].
+    @raise Failure if the batch exceeds the ring capacity. *)
 
 val max_payload : t -> int
 (** The largest payload {!append} accepts: the capacity less the frame's
@@ -57,11 +60,24 @@ val set_window : t -> int -> unit
 
 val flush : t -> unit
 (** Write all buffered records at the head in one vectored device
-    submission, whose clock charge {!barrier} settles; blocks the new
-    bytes cover only in part are read first.  No-op when nothing is
-    pending.  On an exception the ring is unchanged: the records stay
+    submission, whose clock charge {!barrier} settles.  No-op when nothing
+    is pending.
+
+    The ring keeps the image of the block its last successful flush ended
+    in: the very string that flush handed to the device.  A flush that
+    starts writing in that block starts from the image; one that starts in
+    any other block reads that block first, so the medium's bytes past the
+    batch are kept and each ring block is read at most once while the head
+    moves through it.  The image is set only once the submission returns;
+    a flush that raises, {!scrub}, {!create} and {!attach} leave none, so
+    the next flush reads its head block back.  A bit flipped in the head
+    block between two flushes is therefore overwritten with the ring's own
+    bytes rather than carried forward (replay would have stopped at it
+    anyway).
+
+    On an exception the ring is otherwise unchanged: the records stay
     pending at the same head (a torn write may have left bytes past it on
-    the medium, which the next flush overwrites). *)
+    the medium, which the next flush reads back and overwrites). *)
 
 val barrier : t -> unit
 (** Settle the clock charge of every submitted flush (the ring's
@@ -86,7 +102,10 @@ val replay : t -> (string -> unit) -> replay_summary
     payload and advancing head/seq.  Stops at the first invalid frame and
     reports how many records were applied and why parsing ended — [Clean]
     is the ordinary end of the journal, the other reasons say what kind of
-    damage cut replay short.  Never raises on frame damage. *)
+    damage cut replay short.  Never raises on frame damage.  Each ring
+    block is read once: a header or frame that stays inside the block just
+    read reuses it, so N records over B blocks cost at most B + 1 one-block
+    reads. *)
 
 val mark_checkpointed : t -> unit
 (** Move the tail to the head: all current records become dead. *)
@@ -104,5 +123,5 @@ val capacity : t -> int
 (** Ring capacity in bytes. *)
 
 val scrub : t -> unit
-(** Zero every ring block holding no live bytes, in one vectored
-    write. *)
+(** Zero every ring block holding no live bytes, in one vectored write,
+    and drop the head-block image ({!flush}). *)

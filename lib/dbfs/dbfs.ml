@@ -199,9 +199,12 @@ let payload_blocks t payload blocks =
       (b, String.sub payload (i * bs) (min bs (String.length payload - (i * bs)))))
     blocks
 
-let write_payload t payload blocks =
+(* Every [(payload, blocks)] extent in one vectored request. *)
+let write_payload t extents =
   retrying t (fun () ->
-      Block_device.write_vec t.dev (payload_blocks t payload blocks))
+      Block_device.write_vec t.dev
+        (List.concat_map (fun (payload, blocks) -> payload_blocks t payload blocks)
+           extents))
 
 let read_payload t l =
   let got = retrying t (fun () -> Block_device.read_vec t.dev l.blocks) in
@@ -910,12 +913,13 @@ let checkpoint t =
   Hashtbl.reset t.entries;
   Hashtbl.reset t.deleted
 
-let log_and_apply ?hint ?entry t op =
+(* Journal [ops] as one batch (one flush at window 1), then apply them
+   in order, each with its hint. *)
+let log_and_apply ?entry t ops =
+  let payloads = List.map (fun (_, op) -> encode_op op) ops in
   retrying t (fun () ->
-      Journal_ring.append t.ring
-        ~on_overflow:(fun () -> checkpoint t)
-        (encode_op op));
-  apply_op ?hint ?entry t op
+      Journal_ring.append t.ring ~on_overflow:(fun () -> checkpoint t) payloads);
+  List.iter (fun (hint, op) -> apply_op ~hint ?entry t op) ops
 
 (* ------------------------------------------------------------------ *)
 (* space: compaction survivors, placement, retirement                 *)
@@ -980,13 +984,9 @@ let rec relocate t ~in_victim =
                   | Error _ -> no_hint)
               | Sealed -> no_hint
             in
-            log_and_apply t ~hint ~entry:e
-              (J_replace
-                 {
-                   kind;
-                   pd_id = e.pd_id;
-                   loc = { blocks; size = String.length raw; sum };
-                 });
+            let loc = { blocks; size = String.length raw; sum } in
+            log_and_apply t ~entry:e
+              [ (hint, J_replace { kind; pd_id = e.pd_id; loc }) ];
             incr relocated)
     items;
   Stats.Counter.incr t.counters ~by:!relocated "compact_relocations";
@@ -1171,7 +1171,7 @@ let create_type t ~actor schema =
   else
     protect_write t (fun () ->
         Stats.Counter.incr t.counters "create_type";
-        log_and_apply t (J_create_type (Schema.encode schema));
+        log_and_apply t [ (no_hint, J_create_type (Schema.encode schema)) ];
         Ok ())
 
 let schema t ~actor name =
@@ -1192,6 +1192,17 @@ let entry_blocks t ~actor pd_id =
   let** e = find_entry t pd_id in
   Ok (e.record.blocks, e.membrane.blocks)
 
+(* Enforcement rule 3: a membrane must wrap its own pd, declare its type
+   and name its subject — on insert and on every replacement. *)
+let check_membrane ~pd_id ~type_name ~subject m =
+  if m.Membrane.pd_id <> pd_id then
+    Error (Membrane_mismatch "membrane wraps a different pd_id")
+  else if m.Membrane.type_name <> type_name then
+    Error (Membrane_mismatch "membrane declares a different type")
+  else if m.Membrane.subject_id <> subject then
+    Error (Membrane_mismatch "membrane names a different subject")
+  else Ok ()
+
 let insert t ~actor ~subject ~type_name ~record ~membrane_of =
   let** () = guard t ~actor ~op:"write" in
   let** () = check_degraded t in
@@ -1203,52 +1214,46 @@ let insert t ~actor ~subject ~type_name ~record ~membrane_of =
       | Ok () -> (
           let pd_id = Printf.sprintf "pd-%08d" t.next_pd in
           let membrane = membrane_of ~pd_id in
-          (* enforcement rule 3: the membrane must wrap THIS pd *)
-          if membrane.Membrane.pd_id <> pd_id then
-            Error (Membrane_mismatch "membrane wraps a different pd_id")
-          else if membrane.Membrane.type_name <> type_name then
-            Error (Membrane_mismatch "membrane declares a different type")
-          else if membrane.Membrane.subject_id <> subject then
-            Error (Membrane_mismatch "membrane names a different subject")
-          else
-            let high = membrane.Membrane.sensitivity = Membrane.High in
-            let record_bytes = Record.encode record in
-            let membrane_bytes = Membrane.encode membrane in
-            let rn = blocks_needed t (String.length record_bytes) in
-            let mn = blocks_needed t (String.length membrane_bytes) in
-            match alloc t (Space.Z_record high) rn with
-            | None -> Error No_space
-            | Some record_blocks -> (
-                match alloc t Space.Z_membrane mn with
-                | None ->
-                    Space.mark_free t.space record_blocks;
-                    Error No_space
-                | Some membrane_blocks ->
-                    protect_write t (fun () ->
-                        (* ordered mode: data in place first, then journal *)
-                        write_payload t record_bytes record_blocks;
-                        write_payload t membrane_bytes membrane_blocks;
-                        t.next_pd <- t.next_pd + 1;
-                        log_and_apply t
-                          ~hint:
-                            { h_record = Some record; h_membrane = Some membrane }
-                          (J_insert
-                             {
-                               pd_id;
-                               type_name;
-                               subject;
-                               high;
-                               record = loc_of record_bytes record_blocks;
-                               membrane = loc_of membrane_bytes membrane_blocks;
-                               erased = false;
-                             });
-                        Stats.Counter.incr t.counters "inserts";
-                        (* write-through: the values just validated and
-                           encoded are exactly what a read would decode *)
-                        cache_put_membrane t pd_id membrane;
-                        cache_put_record t pd_id record;
-                        retire t [];
-                        Ok pd_id))))
+          let** () = check_membrane ~pd_id ~type_name ~subject membrane in
+          let high = membrane.Membrane.sensitivity = Membrane.High in
+          let record_bytes = Record.encode record in
+          let membrane_bytes = Membrane.encode membrane in
+          let rn = blocks_needed t (String.length record_bytes) in
+          let mn = blocks_needed t (String.length membrane_bytes) in
+          match alloc t (Space.Z_record high) rn with
+          | None -> Error No_space
+          | Some record_blocks -> (
+              match alloc t Space.Z_membrane mn with
+              | None ->
+                  Space.mark_free t.space record_blocks;
+                  Error No_space
+              | Some membrane_blocks ->
+                  protect_write t (fun () ->
+                      (* ordered mode: data in place first, then journal *)
+                      write_payload t [ (record_bytes, record_blocks) ];
+                      write_payload t [ (membrane_bytes, membrane_blocks) ];
+                      t.next_pd <- t.next_pd + 1;
+                      log_and_apply t
+                        [
+                          ( { h_record = Some record; h_membrane = Some membrane },
+                            J_insert
+                              {
+                                pd_id;
+                                type_name;
+                                subject;
+                                high;
+                                record = loc_of record_bytes record_blocks;
+                                membrane = loc_of membrane_bytes membrane_blocks;
+                                erased = false;
+                              } );
+                        ];
+                      Stats.Counter.incr t.counters "inserts";
+                      (* write-through: the values just validated and
+                         encoded are exactly what a read would decode *)
+                      cache_put_membrane t pd_id membrane;
+                      cache_put_record t pd_id record;
+                      retire t [];
+                      Ok pd_id))))
 
 (* Verify an extent's checksum against the raw bytes just read. *)
 let verify_sum ~what ~pd_id ~stored raw =
@@ -1402,25 +1407,43 @@ let get_record t ~actor pd_id =
   | _ -> Error (Erased pd_id)
 
 (* The one extent write behind record updates, membrane updates and
-   erasure: place [payload] in [kind]'s zone, write it, log [J_replace],
-   then retire the superseded blocks.  For [Sealed] the retirement is
-   erasure's destruction duty: no plaintext of the old record may remain
-   anywhere. *)
-let replace_extent t e kind ~hint payload =
-  let old = extent e kind in
+   erasure: place each of [items] (a [(kind, hint, payload)] of entry [e])
+   in its zone, write every payload in one vectored request, log their
+   [J_replace]s as one journal batch — one flush — and retire the
+   superseded blocks once.  So a crash leaves all of the items applied or
+   none.  With a [Sealed] item the retirement is erasure's destruction
+   duty: no plaintext of the old record may remain anywhere. *)
+let replace_extent t e items =
   (* [e] enters the overlay before [alloc]: a compaction that allocation
      triggers then relocates this very entry object, so [e] is current
-     when its own op applies *)
+     when its own ops apply *)
   Hashtbl.replace t.entries e.pd_id e;
-  match alloc t (zone e kind) (blocks_needed t (String.length payload)) with
-  | None -> Error No_space
-  | Some blocks ->
-      protect_write t (fun () ->
-          write_payload t payload blocks;
-          log_and_apply ~hint ~entry:e t
-            (J_replace { kind; pd_id = e.pd_id; loc = loc_of payload blocks });
-          retire ~destroy:(kind = Sealed) t old.blocks;
-          Ok ())
+  let rec place acc = function
+    | [] -> Ok (List.rev acc)
+    | (kind, hint, payload) :: rest -> (
+        match alloc t (zone e kind) (blocks_needed t (String.length payload)) with
+        | None ->
+            List.iter (fun (_, _, _, blocks) -> Space.mark_free t.space blocks) acc;
+            Error No_space
+        | Some blocks -> place ((kind, hint, payload, blocks) :: acc) rest)
+  in
+  let** placed = place [] items in
+  (* the superseded extents, read only now: a compaction the second
+     allocation triggered may have relocated the first one's old copy *)
+  let old = List.concat_map (fun (kind, _, _, _) -> (extent e kind).blocks) placed in
+  protect_write t (fun () ->
+      write_payload t
+        (List.map (fun (_, _, payload, blocks) -> (payload, blocks)) placed);
+      log_and_apply ~entry:e t
+        (List.map
+           (fun (kind, hint, payload, blocks) ->
+             let loc = loc_of payload blocks in
+             (hint, J_replace { kind; pd_id = e.pd_id; loc }))
+           placed);
+      retire
+        ~destroy:(List.exists (fun (kind, _, _, _) -> kind = Sealed) placed)
+        t old;
+      Ok ())
 
 let update_record t ~actor pd_id record =
   let** () = guard t ~actor ~op:"write" in
@@ -1435,36 +1458,32 @@ let update_record t ~actor pd_id record =
         | Error msg -> Error (Invalid_record msg)
         | Ok () ->
             let** () =
-              replace_extent t e Record
-                ~hint:{ no_hint with h_record = Some record }
-                (Record.encode record)
+              replace_extent t e
+                [
+                  ( Record,
+                    { no_hint with h_record = Some record },
+                    Record.encode record );
+                ]
             in
             Stats.Counter.incr t.counters "record_updates";
             Ok ())
 
-(* The membrane invariant on a replacement: it must keep the entry's
-   identity. *)
-let rewrite_membrane t e membrane =
-  if membrane.Membrane.pd_id <> e.pd_id then
-    Error (Membrane_mismatch "membrane wraps a different pd_id")
-  else if membrane.Membrane.type_name <> e.type_name then
-    Error (Membrane_mismatch "membrane declares a different type")
-  else if membrane.Membrane.subject_id <> e.subject then
-    Error (Membrane_mismatch "membrane names a different subject")
-  else
-    let** () =
-      replace_extent t e Membrane
-        ~hint:{ no_hint with h_membrane = Some membrane }
-        (Membrane.encode membrane)
-    in
-    Stats.Counter.incr t.counters "membrane_updates";
-    Ok ()
+(* A membrane replacement for [e], checked before anything is written:
+   it must keep the entry's identity. *)
+let membrane_item e m =
+  let** () =
+    check_membrane ~pd_id:e.pd_id ~type_name:e.type_name ~subject:e.subject m
+  in
+  Ok (Membrane, { no_hint with h_membrane = Some m }, Membrane.encode m)
 
 let update_membrane t ~actor pd_id membrane =
   let** () = guard t ~actor ~op:"write" in
   let** () = check_degraded t in
   let** e = find_entry t pd_id in
-  rewrite_membrane t e membrane
+  let** item = membrane_item e membrane in
+  let** () = replace_extent t e [ item ] in
+  Stats.Counter.incr t.counters "membrane_updates";
+  Ok ()
 
 let copy_pd t ~actor pd_id =
   let** () = guard t ~actor ~op:"write" in
@@ -1483,30 +1502,32 @@ let delete t ~actor pd_id =
   let** e = find_entry t pd_id in
   let blocks = e.record.blocks @ e.membrane.blocks in
   protect_write t (fun () ->
-      log_and_apply ~entry:e t (J_delete pd_id);
+      log_and_apply ~entry:e t [ (no_hint, J_delete pd_id) ];
       (* physical destruction after the metadata commit *)
       retire ~destroy:true t blocks;
       Stats.Counter.incr t.counters "deletes";
       Ok ())
 
-(* With [withdraw], erasure first rewrites the membrane (the DED's
-   crypto-erase withdraws every consent) — on the same resolved entry, so
-   the whole erasure descends the entries tree once. *)
+(* One resolved entry, one [replace_extent]: with [withdraw] the
+   rewritten membrane and the sealed record commit together (membrane op
+   first), so a crash never leaves the pd withdrawn but live. *)
 let erase_with t ~actor ?withdraw pd_id ~seal =
   let** () = guard t ~actor ~op:"erase" in
   let** () = check_degraded t in
   let** e = find_entry t pd_id in
   if e.erased then Error (Erased pd_id)
   else
-    let** () =
+    let** membrane =
       match withdraw with
-      | None -> Ok ()
+      | None -> Ok []
       | Some f ->
           let** m = load_one t membrane_x e in
-          rewrite_membrane t e (f m)
+          let** item = membrane_item e (f m) in
+          Ok [ item ]
     in
     let** record = load_one t record_x e in
-    let** () = replace_extent t e Sealed ~hint:no_hint (seal record) in
+    let** () = replace_extent t e (membrane @ [ (Sealed, no_hint, seal record) ]) in
+    if Option.is_some withdraw then Stats.Counter.incr t.counters "membrane_updates";
     Stats.Counter.incr t.counters "erasures";
     Ok ()
 

@@ -209,15 +209,20 @@ val erase_with :
 (** Crypto-erasure (right to be forgotten, §4): the record is replaced by
     [seal record] — an authority-sealed envelope — and the plaintext blocks
     are zeroed.  The membrane remains so the entry's existence stays
-    accountable.  With [?withdraw] the membrane is first rewritten to
+    accountable.  With [?withdraw] the membrane is also rewritten, to
     [withdraw membrane] (the DED's crypto-erase withdraws every consent),
-    exactly as {!update_membrane} would: same checks, journal record and
-    block writes, in the same order.
+    under {!update_membrane}'s identity checks, which run before anything
+    is written.
 
-    The pd is resolved once for the whole erasure: one entries-tree
-    descent, and no further lookup by the membrane rewrite, the record
-    load or either journaled op.  Fails with [Erased], writing nothing,
-    when the pd is already erased. *)
+    The erasure commits as one unit: one vectored write of the new
+    payloads (the withdrawn membrane and the sealed record), one journal
+    flush holding both [J_replace] records (membrane first), then one
+    destruction of both superseded extents.  A crash therefore leaves the
+    pd either untouched or withdrawn and sealed, never withdrawn but live.
+    The pd is resolved once: one entries-tree descent, and no further
+    lookup by the membrane rewrite, the record load or the journaled ops.
+    Fails with [Erased], writing nothing, when the pd is already
+    erased. *)
 
 val erased_payload : t -> actor:string -> string -> (string, error) result
 (** The sealed envelope bytes of an erased entry (what a supervisory

@@ -188,6 +188,8 @@ val builtin_crypto_erase :
   (bool, error) result
 (** Right-to-be-forgotten erasure: withdraw every consent on the membrane
     and replace the record with an authority-sealed envelope — one
-    {!Rgpdos_dbfs.Dbfs.erase_with} call, so the pd is resolved once.
-    [Ok true] once erased (and audited); [Ok false], writing nothing, when
-    the pd was already erased. *)
+    {!Rgpdos_dbfs.Dbfs.erase_with} call, so the pd is resolved once and
+    the withdrawal and the seal commit in one journal flush (a crash
+    never leaves the pd withdrawn but live).  [Ok true] once erased (and
+    audited); [Ok false], writing nothing, when the pd was already
+    erased. *)

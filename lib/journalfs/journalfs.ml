@@ -378,7 +378,9 @@ let checkpoint fs =
   Journal_ring.mark_checkpointed fs.ring
 
 let log_and_apply fs op =
-  Journal_ring.append fs.ring ~on_overflow:(fun () -> checkpoint fs) (encode_op op);
+  Journal_ring.append fs.ring
+    ~on_overflow:(fun () -> checkpoint fs)
+    [ encode_op op ];
   apply_op fs op
 
 (* ------------------------------------------------------------------ *)

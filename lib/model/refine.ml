@@ -231,16 +231,24 @@ let model_pd st id =
   | None -> diverge "internal: model lost pd %s" id
 
 (* Erase one pd on both sides (used by Erase_subject and Ttl_sweep).
-   Outside compare mode a real-side failure (e.g. a bit-flipped record
-   that no longer reads back) skips the model micro-op too, keeping the
-   two sides in lockstep by construction. *)
-let erase_one ~compare st pd =
+   With [withdraw] (the DED's erasure) the model rewrites the membrane
+   and seals the record as ONE commit: the store must never be found
+   withdrawn but live, a state no model prefix holds.  Outside compare
+   mode a real-side failure (e.g. a bit-flipped record that no longer
+   reads back) skips the model micro-op too, keeping the two sides in
+   lockstep by construction. *)
+let erase_one ~compare ?withdraw st pd =
   match Model.find st.model pd with
   | Some p when p.Model.p_state = Model.Live -> (
       let sealed = seal_fn p.Model.p_record in
-      match Dbfs.erase_with st.store ~actor pd ~seal:seal_fn with
+      match Dbfs.erase_with st.store ~actor ?withdraw pd ~seal:seal_fn with
       | Ok () -> (
-          match Model.erase st.model pd ~sealed with
+          let withdrawn =
+            match withdraw with
+            | None -> Ok st.model
+            | Some f -> Model.update_membrane st.model pd (f p.Model.p_membrane)
+          in
+          match Result.bind withdrawn (fun m -> Model.erase m pd ~sealed) with
           | Ok m -> commit st m
           | Error _ -> diverge "model rejected erase(%s) the store accepted" pd)
       | Error e ->
@@ -318,7 +326,9 @@ let step ~compare ?bug st op =
               if compare then diverge "flip(%s) failed: %s" pd (err_str e)))
   | Erase_subject { subj } ->
       let subject = subjects_pool.(subj mod Array.length subjects_pool) in
-      List.iter (erase_one ~compare st) (Model.pds_of_subject st.model subject)
+      List.iter
+        (erase_one ~compare ~withdraw:M.withdraw_all st)
+        (Model.pds_of_subject st.model subject)
   | Delete_pd { pick } -> (
       match all_pds st with
       | [] -> ()

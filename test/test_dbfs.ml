@@ -5,6 +5,8 @@ module Value = Rgpdos_dbfs.Value
 module Schema = Rgpdos_dbfs.Schema
 module Record = Rgpdos_dbfs.Record
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Space = Rgpdos_dbfs.Space
+module Fault_plan = Block_device.Fault_plan
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -374,6 +376,62 @@ let test_dbfs_erase_with () =
   check_int "plaintext gone from device" 0 (List.length (Block_device.scan dev unique));
   check_bool "double erase fails" true
     (Result.is_error (Dbfs.erase_with t ~actor:ded pd ~seal:(fun _ -> "x")))
+
+(* The DED's erasure (withdraw every consent, then seal) crashed after
+   each of its write ops, at window 1: after remount and repair the pd is
+   untouched or erased with every consent withdrawn — never withdrawn but
+   live — fsck is clean, and once the erasure survived its plaintext is
+   nowhere on the raw image.  On the heap an erasure is three write
+   requests: both payloads, one journal flush, one destruction. *)
+let test_erasure_crash_atomic ~allocator () =
+  let secret = "ERASE-ME-ATOMICALLY-77" in
+  let config = { small_config with block_count = 4096 } in
+  let run plan =
+    let dev = Block_device.create ~config ~clock:(Clock.create ()) () in
+    let t = Dbfs.format ~allocator dev ~journal_blocks:64 in
+    ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+    ignore (insert_user t ~subject:"sub-0" "KEEP" 1980);
+    let pd = insert_user t ~subject:"sub-1" secret 1990 in
+    let before = ok (Dbfs.get_membrane t ~actor:ded pd) in
+    Block_device.set_fault_plan dev (Some plan);
+    ok
+      (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pd
+         ~seal:(fun _ -> "SEALED-ENVELOPE"));
+    (dev, pd, before)
+  in
+  let reference = Fault_plan.create () in
+  ignore (run reference);
+  let writes = Fault_plan.writes_seen reference in
+  if allocator = Space.Heap then check_int "write requests per erasure" 3 writes;
+  for k = 1 to writes do
+    let at what = Printf.sprintf "crash after write %d: %s" k what in
+    let plan = Fault_plan.create () in
+    Fault_plan.crash_after_writes plan k;
+    let dev, pd, before = run plan in
+    let dev' = Block_device.create ~config ~clock:(Clock.create ()) () in
+    (match Block_device.crash_image dev with
+    | Some image -> Block_device.restore dev' image
+    | None -> Alcotest.fail (at "no crash image"));
+    let t' =
+      match Dbfs.mount dev' with Ok t -> t | Error e -> Alcotest.fail (at e)
+    in
+    check_bool (at "repair clean") true (Dbfs.fsck_repair t').Dbfs.rr_clean;
+    check_bool (at "fsck clean") true (Dbfs.fsck t' = Ok ());
+    let _, _, erased = ok (Dbfs.entry_info t' ~actor:ded pd) in
+    let membrane = M.encode (ok (Dbfs.get_membrane t' ~actor:ded pd)) in
+    if erased then begin
+      check_string (at "erased with every consent withdrawn")
+        (M.encode (M.withdraw_all before)) membrane;
+      check_int (at "no plaintext on the image") 0
+        (List.length (Block_device.scan dev' secret))
+    end
+    else begin
+      check_string (at "untouched membrane") (M.encode before) membrane;
+      check_bool (at "untouched record") true
+        (Record.get (ok (Dbfs.get_record t' ~actor:ded pd)) "name"
+        = Some (Value.VString secret))
+    end
+  done
 
 let test_dbfs_queries () =
   let t, _, _ = setup () in
@@ -767,6 +825,10 @@ let () =
           Alcotest.test_case "copy keeps its subject" `Quick test_dbfs_copy_keeps_subject;
           Alcotest.test_case "delete leaves no trace" `Quick test_dbfs_delete_leaves_no_trace;
           Alcotest.test_case "crypto-erase workflow" `Quick test_dbfs_erase_with;
+          Alcotest.test_case "erasure is crash-atomic (heap)" `Quick
+            (test_erasure_crash_atomic ~allocator:Space.Heap);
+          Alcotest.test_case "erasure is crash-atomic (segments)" `Quick
+            (test_erasure_crash_atomic ~allocator:Space.segments);
           Alcotest.test_case "queries" `Quick test_dbfs_queries;
           Alcotest.test_case "export subject" `Quick test_dbfs_export_subject;
           Alcotest.test_case "sensitive region separation" `Quick test_dbfs_sensitive_region_separation;

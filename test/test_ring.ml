@@ -38,7 +38,7 @@ let no_overflow () = Alcotest.fail "unexpected ring overflow"
 let test_append_replay_roundtrip () =
   let ring, dev = make_ring () in
   let payloads = [ "alpha"; "beta"; "gamma with spaces"; "" ] in
-  List.iter (Ring.append ring ~on_overflow:no_overflow) payloads;
+  List.iter (fun p -> Ring.append ring ~on_overflow:no_overflow [ p ]) payloads;
   check_int "live records" 4 (fst (Ring.live ring));
   (* replay from a fresh attach at position 0 *)
   let reader = attach dev ~start_block:2 ~num_blocks:8 ~head:0 ~seq:0 in
@@ -50,10 +50,10 @@ let test_append_replay_roundtrip () =
 
 let test_replay_from_checkpoint_position () =
   let ring, dev = make_ring () in
-  Ring.append ring ~on_overflow:no_overflow "before";
+  Ring.append ring ~on_overflow:no_overflow [ "before" ];
   let head = Ring.head ring and seq = Ring.seq ring in
-  Ring.append ring ~on_overflow:no_overflow "after-1";
-  Ring.append ring ~on_overflow:no_overflow "after-2";
+  Ring.append ring ~on_overflow:no_overflow [ "after-1" ];
+  Ring.append ring ~on_overflow:no_overflow [ "after-2" ];
   let reader = attach dev ~start_block:2 ~num_blocks:8 ~head ~seq in
   let seen = ref [] in
   let summary = Ring.replay reader (fun p -> seen := p :: !seen) in
@@ -70,7 +70,7 @@ let test_overflow_triggers_checkpoint_callback () =
     Ring.mark_checkpointed ring
   in
   for _ = 1 to 10 do
-    Ring.append ring ~on_overflow (String.make 64 'x')
+    Ring.append ring ~on_overflow [ String.make 64 'x' ]
   done;
   check_bool "overflow fired" true (!checkpoints > 0)
 
@@ -78,21 +78,21 @@ let test_record_too_large () =
   let ring, _ = make_ring ~num_blocks:1 () in
   Alcotest.check_raises "oversized record"
     (Failure "Journal_ring: record larger than ring") (fun () ->
-      Ring.append ring ~on_overflow:no_overflow (String.make 1000 'x'))
+      Ring.append ring ~on_overflow:no_overflow [ String.make 1000 'x' ])
 
 let test_overflow_handler_must_checkpoint () =
   let ring, _ = make_ring ~num_blocks:1 () in
   Alcotest.check_raises "bad handler"
     (Failure "Journal_ring: overflow handler did not checkpoint") (fun () ->
       for _ = 1 to 10 do
-        Ring.append ring ~on_overflow:(fun () -> ()) (String.make 64 'x')
+        Ring.append ring ~on_overflow:(fun () -> ()) [ String.make 64 'x' ]
       done)
 
 let test_replay_stops_at_garbage () =
   let ring, dev = make_ring () in
   (* enough records that some land in device block 4 (ring bytes 256+) *)
   for i = 1 to 10 do
-    Ring.append ring ~on_overflow:no_overflow (Printf.sprintf "good-%02d" i)
+    Ring.append ring ~on_overflow:no_overflow [ Printf.sprintf "good-%02d" i ]
   done;
   (* clobber a block in the middle of the appended records *)
   Block_device.write_vec dev [ (4, String.make 128 'Z') ];
@@ -107,7 +107,7 @@ let test_replay_stops_at_garbage () =
 
 let test_scrub_zeroes_dead_blocks () =
   let ring, dev = make_ring () in
-  Ring.append ring ~on_overflow:no_overflow "SECRET-IN-RING";
+  Ring.append ring ~on_overflow:no_overflow [ "SECRET-IN-RING" ];
   check_bool "present before scrub" true
     (Block_device.scan dev "SECRET-IN-RING" <> []);
   Ring.mark_checkpointed ring;
@@ -116,10 +116,10 @@ let test_scrub_zeroes_dead_blocks () =
 
 let test_scrub_preserves_live_records () =
   let ring, dev = make_ring () in
-  Ring.append ring ~on_overflow:no_overflow "dead-record";
+  Ring.append ring ~on_overflow:no_overflow [ "dead-record" ];
   Ring.mark_checkpointed ring;
   let head = Ring.head ring and seq = Ring.seq ring in
-  Ring.append ring ~on_overflow:no_overflow "LIVE-RECORD";
+  Ring.append ring ~on_overflow:no_overflow [ "LIVE-RECORD" ];
   Ring.scrub ring;
   check_bool "live survives" true (Block_device.scan dev "LIVE-RECORD" <> []);
   (* and it still replays from the checkpoint position *)
@@ -141,7 +141,7 @@ let test_torn_wrapping_flush () =
   let overhead = cap - Ring.max_payload ring in
   (* lap 1: one frame filling the ring, so lap 2 runs over stale bytes *)
   Ring.append ring ~on_overflow:no_overflow
-    (String.make (Ring.max_payload ring) 'x');
+    [ String.make (Ring.max_payload ring) 'x' ];
   let ckpt = ref (0, 0) in
   let checkpoint () =
     ckpt := (Ring.head ring, Ring.seq ring);
@@ -152,7 +152,7 @@ let test_torn_wrapping_flush () =
   let i = ref 0 in
   let durable = ref [] in
   while fits !i do
-    Ring.append ring ~on_overflow:checkpoint (payload !i);
+    Ring.append ring ~on_overflow:checkpoint [ payload !i ];
     durable := payload !i :: !durable;
     if !i = 1 then (checkpoint (); durable := []);
     incr i
@@ -166,7 +166,7 @@ let test_torn_wrapping_flush () =
   let seq = Ring.seq ring in
   (try
      Ring.append ring ~on_overflow:no_overflow
-       (String.make 40 '.' ^ "WRAPPED-TAIL");
+       [ String.make 40 '.' ^ "WRAPPED-TAIL" ];
      Alcotest.fail "expected the torn flush to raise"
    with Block_device.Faulted _ -> ());
   check_int "the failed append is rolled back" seq (Ring.seq ring);
@@ -204,13 +204,13 @@ let test_faulted_flush_settles () =
   let clock = Block_device.clock dev in
   let t0 = Clock.now clock in
   (try
-     Ring.append ring ~on_overflow:no_overflow "retried";
+     Ring.append ring ~on_overflow:no_overflow [ "retried" ];
      Alcotest.fail "expected the first flush to fault"
    with Block_device.Faulted _ -> ());
   check_int "the faulted flush is not outstanding" 0
     (Block_device.outstanding dev);
   check_bool "the faulted flush is charged" true (Clock.now clock > t0);
-  Ring.append ring ~on_overflow:no_overflow "retried";
+  Ring.append ring ~on_overflow:no_overflow [ "retried" ];
   let stat = Stats.Counter.get (Block_device.stats dev) in
   check_int "nothing outstanding after the retry" 0
     (Block_device.outstanding dev);
@@ -223,12 +223,163 @@ let test_faulted_flush_settles () =
   Alcotest.(check (list string)) "the retried record replays" [ "retried" ]
     !seen
 
+(* Replay keeps the block it read last: a header or frame inside it
+   costs no request, so N records over B ring blocks replay in at most
+   B + 1 one-block reads (not one or two per record). *)
+let test_replay_reads_each_block_once () =
+  let ring, dev = make_ring ~num_blocks:16 () in
+  let payloads = List.init 40 (Printf.sprintf "record-%02d") in
+  List.iter (fun p -> Ring.append ring ~on_overflow:no_overflow [ p ]) payloads;
+  let bs = (Block_device.config dev).Block_device.block_size in
+  let spanned = ((Ring.head ring - 1) / bs) + 1 in
+  let reads () = Stats.Counter.get (Block_device.stats dev) "reads" in
+  let before = reads () in
+  let reader = attach dev ~start_block:2 ~num_blocks:16 ~head:0 ~seq:0 in
+  let seen = ref [] in
+  let summary = Ring.replay reader (fun p -> seen := p :: !seen) in
+  Alcotest.(check (list string)) "every record" payloads (List.rev !seen);
+  check_bool "clean stop" true (summary.Ring.stop_reason = Ring.Clean);
+  check_bool
+    (Printf.sprintf "%d reads for %d records over %d blocks" (reads () - before)
+       (List.length payloads) spanned)
+    true
+    (reads () - before <= spanned + 1)
+
+(* Differential check of the head-block image.  Ring A keeps its image
+   across appends; ring B, on a second device, is attached afresh at A's
+   head and sequence number before every append, so it has no image and
+   reads its head block back.  Window 1, batches of one to three records
+   whose frames straddle blocks and wrap the ring, checkpoints and scrubs
+   in between: after every append both rings hold the same bytes, and
+   between two image drops A reads at most one block per block its
+   flushes started writing into, plus one.  A failed write and a torn
+   wrapping flush drop the image: the retried flush reads back exactly
+   what B's does, and replay returns every record appended since the
+   last checkpoint. *)
+let test_image_matches_read_back () =
+  let num_blocks = 6 in
+  let ring_a, dev_a = make_ring ~num_blocks () in
+  let _, dev_b = make_ring ~num_blocks () in
+  let bs = (Block_device.config dev_a).Block_device.block_size in
+  let blocks dev = Array.sub (Block_device.snapshot dev) 2 num_blocks in
+  let reads dev = Stats.Counter.get (Block_device.stats dev) "reads" in
+  let ckpt = ref (0, 0) and appended = ref [] in
+  let on_overflow () =
+    ckpt := (Ring.head ring_a, Ring.seq ring_a);
+    appended := [];
+    Ring.mark_checkpointed ring_a
+  in
+  (* the read bound holds between image drops *)
+  let started = Hashtbl.create 16 and epoch_reads = ref 0 in
+  let new_epoch () =
+    Hashtbl.reset started;
+    epoch_reads := reads dev_a
+  in
+  let ring_b () =
+    attach dev_b ~start_block:2 ~num_blocks ~head:(Ring.head ring_a)
+      ~seq:(Ring.seq ring_a)
+  in
+  let n = ref 0 in
+  let batch prng =
+    List.init (1 + Prng.int prng 3) (fun _ ->
+        incr n;
+        Printf.sprintf "r%04d-%s" !n (String.make (Prng.int prng 200) 'x'))
+  in
+  let append_both step b =
+    Hashtbl.replace started (Ring.head ring_a / bs) ();
+    let rb = ring_b () in
+    Ring.append ring_a ~on_overflow b;
+    Ring.append rb ~on_overflow:no_overflow b;
+    appended := List.rev_append b !appended;
+    check_bool (Printf.sprintf "append %d: same ring bytes" step) true
+      (blocks dev_a = blocks dev_b);
+    check_bool
+      (Printf.sprintf "append %d: %d reads over %d started blocks" step
+         (reads dev_a - !epoch_reads) (Hashtbl.length started))
+      true
+      (reads dev_a - !epoch_reads <= Hashtbl.length started + 1)
+  in
+  let scrub_both () =
+    (* B learns A's live region by replaying it from A's tail *)
+    let recs, bytes = Ring.live ring_a in
+    let rb =
+      attach dev_b ~start_block:2 ~num_blocks ~head:(Ring.head ring_a - bytes)
+        ~seq:(Ring.seq ring_a - recs)
+    in
+    check_int "B replays A's live records" recs
+      (Ring.replay rb ignore).Ring.records_replayed;
+    Ring.scrub ring_a;
+    Ring.scrub rb;
+    check_bool "same bytes after scrub" true (blocks dev_a = blocks dev_b);
+    new_epoch ()
+  in
+  let prng = Prng.create ~seed:23L () in
+  for step = 1 to 300 do
+    append_both step (batch prng);
+    if Prng.int prng 8 = 0 then on_overflow ();
+    if Prng.int prng 10 = 0 then scrub_both ()
+  done;
+  (* a failed flush, then its retry: A must read back what B reads *)
+  let faulted_then_retried action b =
+    List.iter
+      (fun dev ->
+        let plan = Block_device.Fault_plan.create () in
+        Block_device.Fault_plan.on_write plan ~nth:1 action;
+        Block_device.set_fault_plan dev (Some plan))
+      [ dev_a; dev_b ];
+    let faults append =
+      match append () with
+      | () -> Alcotest.fail "expected the flush to fault"
+      | exception Block_device.Faulted _ -> ()
+    in
+    let rb = ring_b () in
+    faults (fun () -> Ring.append ring_a ~on_overflow b);
+    faults (fun () -> Ring.append rb ~on_overflow:no_overflow b);
+    check_bool "same bytes after the fault" true (blocks dev_a = blocks dev_b);
+    let ra = reads dev_a and rb_reads = reads dev_b in
+    let rb = ring_b () in
+    Ring.append ring_a ~on_overflow b;
+    Ring.append rb ~on_overflow:no_overflow b;
+    appended := List.rev_append b !appended;
+    check_int "the retry reads back what a ring without image reads"
+      (reads dev_b - rb_reads) (reads dev_a - ra);
+    check_bool "same bytes after the retry" true (blocks dev_a = blocks dev_b);
+    new_epoch ()
+  in
+  let cap = Ring.capacity ring_a in
+  (* a transient failure mid-block, where A holds the image of its head
+     block: its last flush ended there *)
+  append_both 0 [ "hold" ];
+  if Ring.head ring_a mod bs = 0 then append_both 0 [ "align" ];
+  faulted_then_retried
+    (Block_device.Fault_plan.Fail_write { transient = true })
+    [ "failed-once-a"; "failed-once-b" ];
+  (* a torn flush that wraps the ring: its first run (the ring's first
+     block, the batch's tail) reaches the medium, its head does not *)
+  while (Ring.head ring_a mod cap) + 150 < cap - bs do
+    append_both 0 [ String.make 40 'f' ]
+  done;
+  let wrapping = [ String.make 100 'w'; String.make 120 'v' ] in
+  check_bool "the batch wraps" true ((Ring.head ring_a mod cap) + 280 > cap);
+  faulted_then_retried (Block_device.Fault_plan.Torn_write { keep_runs = 1 })
+    wrapping;
+  let head, seq = !ckpt in
+  let seen = ref [] in
+  let (_ : Ring.replay_summary) =
+    Ring.replay (attach dev_a ~start_block:2 ~num_blocks ~head ~seq) (fun p ->
+        seen := p :: !seen)
+  in
+  Alcotest.(check (list string)) "replay returns every appended record"
+    (List.rev !appended) (List.rev !seen)
+
 let prop_roundtrip_arbitrary_payloads =
   QCheck.Test.make ~name:"ring roundtrips arbitrary payload lists" ~count:100
     QCheck.(list_of_size Gen.(0 -- 12) (string_of_size Gen.(0 -- 100)))
     (fun payloads ->
       let ring, dev = make_ring ~num_blocks:32 () in
-      List.iter (Ring.append ring ~on_overflow:(fun () -> assert false)) payloads;
+      List.iter
+        (fun p -> Ring.append ring ~on_overflow:(fun () -> assert false) [ p ])
+        payloads;
       let reader = attach dev ~start_block:2 ~num_blocks:32 ~head:0 ~seq:0 in
       let seen = ref [] in
       let summary = Ring.replay reader (fun p -> seen := p :: !seen) in
@@ -249,7 +400,7 @@ let prop_wraparound_preserves_tail =
           ~on_overflow:(fun () ->
             last_ckpt := (Ring.head ring, Ring.seq ring);
             Ring.mark_checkpointed ring)
-          (Printf.sprintf "record-%04d" i)
+          [ Printf.sprintf "record-%04d" i ]
       done;
       let head, seq = !last_ckpt in
       let reader = attach dev ~start_block:2 ~num_blocks:3 ~head ~seq in
@@ -282,6 +433,10 @@ let () =
             test_faulted_flush_settles;
           Alcotest.test_case "torn wrapping flush stops replay" `Quick
             test_torn_wrapping_flush;
+          Alcotest.test_case "replay reads each block once" `Quick
+            test_replay_reads_each_block_once;
+          Alcotest.test_case "head-block image matches read-back" `Quick
+            test_image_matches_read_back;
           QCheck_alcotest.to_alcotest prop_roundtrip_arbitrary_payloads;
           QCheck_alcotest.to_alcotest prop_wraparound_preserves_tail;
         ] );
