@@ -186,15 +186,14 @@ let barrier ring =
 let max_payload ring =
   capacity ring - String.length (frame_record 0 "")
 
-(* Frame a batch of records, under consecutive sequence numbers, into
-   the pending batch; once that holds the window it commits through one
-   [flush], and at window 1 is settled before returning.  A flush that
-   raises takes the whole batch back out, so the caller's retry frames
-   each record once, under the same sequence numbers. *)
-let append ring ~on_overflow payloads =
+(* Frame one record into the pending batch; once that holds the window
+   it commits through one [flush], and at window 1 is settled before
+   returning.  A flush that raises takes the record back out, so the
+   caller's retry frames it once, under the same sequence number. *)
+let append ring ~on_overflow payload =
   let seq = ring.jseq in
-  let framed = List.mapi (fun i p -> frame_record (seq + i) p) payloads in
-  let len = List.fold_left (fun n f -> n + String.length f) 0 framed in
+  let framed = frame_record seq payload in
+  let len = String.length framed in
   if len > capacity ring then failwith "Journal_ring: record larger than ring";
   let overflows () =
     ring.jhead + ring.pending_bytes + len - ring.jtail > capacity ring
@@ -205,9 +204,9 @@ let append ring ~on_overflow payloads =
       failwith "Journal_ring: overflow handler did not checkpoint"
   end;
   let pending = ring.pending and pending_bytes = ring.pending_bytes in
-  ring.pending <- List.rev_append framed pending;
+  ring.pending <- framed :: pending;
   ring.pending_bytes <- pending_bytes + len;
-  ring.jseq <- seq + List.length framed;
+  ring.jseq <- seq + 1;
   if List.length ring.pending >= ring.window then
     match flush ring with
     | () -> if ring.window = 1 then barrier ring
@@ -217,20 +216,24 @@ let append ring ~on_overflow payloads =
         ring.jseq <- seq;
         raise e
 
-type stop_reason = Clean | Torn_frame | Seq_gap | Bad_checksum
+type stop_reason = Clean | Torn_frame | Seq_gap | Bad_checksum | Unwritten_data
 
 let stop_reason_to_string = function
   | Clean -> "clean"
   | Torn_frame -> "torn_frame"
   | Seq_gap -> "seq_gap"
   | Bad_checksum -> "bad_checksum"
+  | Unwritten_data -> "unwritten_data"
 
 type replay_summary = { records_replayed : int; stop_reason : stop_reason }
 
 (* Replay reads the ring forward only — each header, then the rest of its
    frame — and keeps the last block read: a read that stays inside it
-   costs no device request, so each ring block is read once. *)
-let replay ring f =
+   costs no device request, so each ring block is read once.  A record is
+   applied only once the next frame has been read, so the last one is
+   known as such and goes to [tail_ok] first; the head and sequence
+   number advance over applied records only. *)
+let replay ?(tail_ok = fun _ -> true) ring f =
   let mlen = String.length record_magic in
   let last = ref (-1, "") in
   let block blk =
@@ -244,11 +247,24 @@ let replay ring f =
     Buffer.contents buf
   in
   let replayed = ref 0 in
+  let apply (payload, total) =
+    f payload;
+    ring.jhead <- ring.jhead + total;
+    ring.jseq <- ring.jseq + 1;
+    ring.live_records <- ring.live_records + 1;
+    incr replayed
+  in
+  (* the record read last, not yet applied, and where the next begins *)
+  let held = ref None in
+  let pos () =
+    match !held with Some (_, total) -> ring.jhead + total | None -> ring.jhead
+  in
+  let next_seq () = if !held = None then ring.jseq else ring.jseq + 1 in
   let stop = ref None in
   let finish reason = stop := Some reason in
   let hlen = mlen + 8 + 4 in
   while !stop = None do
-    let header = ring_read ring.jhead hlen in
+    let header = ring_read (pos ()) hlen in
     if String.sub header 0 mlen <> record_magic then
       (* never-written tail reads as zeros: that is the clean end of the
          journal; any other garbage under the magic is a torn frame *)
@@ -260,32 +276,32 @@ let replay ring f =
       let r = Codec.Reader.create (String.sub header mlen (8 + 4)) in
       match Codec.Reader.int r with
       | Error _ -> finish Torn_frame
-      | Ok seq when seq < ring.jseq ->
+      | Ok seq when seq < next_seq () ->
           (* well-formed record from a previous lap: stale, clean end *)
           finish Clean
-      | Ok seq when seq > ring.jseq -> finish Seq_gap
-      | Ok seq ->
+      | Ok seq when seq > next_seq () -> finish Seq_gap
+      | Ok _ ->
           let lenfield = String.sub header (mlen + 8) 4 in
           let plen = ref 0 in
           String.iter (fun c -> plen := (!plen lsl 8) lor Char.code c) lenfield;
           if !plen < 0 || !plen > capacity ring then finish Torn_frame
           else begin
             let total = hlen + !plen + 16 in
-            let frame = header ^ ring_read (ring.jhead + hlen) (total - hlen) in
+            let frame = header ^ ring_read (pos () + hlen) (total - hlen) in
             let body = String.sub frame mlen (8 + 4 + !plen) in
             let sum = String.sub frame (mlen + 8 + 4 + !plen) 16 in
             if sum <> checksum body then finish Bad_checksum
             else begin
-              let payload = String.sub frame (mlen + 8 + 4) !plen in
-              f payload;
-              ring.jhead <- ring.jhead + total;
-              ring.jseq <- seq + 1;
-              ring.live_records <- ring.live_records + 1;
-              incr replayed
+              Option.iter apply !held;
+              held := Some (String.sub frame (mlen + 8 + 4) !plen, total)
             end
           end
     end
   done;
+  (match !held with
+  | Some ((payload, _) as record) ->
+      if tail_ok payload then apply record else finish Unwritten_data
+  | None -> ());
   {
     records_replayed = !replayed;
     stop_reason = (match !stop with Some r -> r | None -> Clean);

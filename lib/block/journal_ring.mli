@@ -32,20 +32,20 @@ val attach :
 (** Ring view positioned at a checkpointed (head, seq), ready to {!replay}
     whatever was appended after the checkpoint. *)
 
-val append : t -> on_overflow:(unit -> unit) -> string list -> unit
-(** Frame a batch of payloads, under consecutive sequence numbers, into
-    the pending batch; a single record is a batch of one.  Once the
-    pending batch holds {!set_window} records it is written by one
-    {!flush}.  At window 1 that is every append, and the flush is settled
-    ({!barrier}) before [append] returns, so every record of the batch is
-    durable on return, all in one device write.  A flush that raises
-    leaves the ring as it was before the append (no record of the batch is
-    pending, no sequence number consumed), so a retried append frames each
-    record once.  If the ring would lap un-checkpointed records with the
-    whole batch, [on_overflow] is called first; it must persist a
+val append : t -> on_overflow:(unit -> unit) -> string -> unit
+(** Frame one payload, under the next sequence number, into the pending
+    batch.  Once the pending batch holds {!set_window} records it is
+    written by one {!flush}.  At window 1 that is every append, and the
+    flush is settled ({!barrier}) before [append] returns, so the record
+    is durable on return.  Several ops that must commit together go in
+    one payload: its frame checksum makes them all or nothing.  A flush
+    that raises leaves the ring as it was before the append (the record
+    is not pending, its sequence number not consumed), so a retried append
+    frames it once.  If the ring would lap un-checkpointed records with
+    the new frame, [on_overflow] is called first; it must persist a
     checkpoint and call {!mark_checkpointed}, otherwise the append raises
     [Failure].
-    @raise Failure if the batch exceeds the ring capacity. *)
+    @raise Failure if the frame exceeds the ring capacity. *)
 
 val max_payload : t -> int
 (** The largest payload {!append} accepts: the capacity less the frame's
@@ -92,12 +92,16 @@ type stop_reason =
   | Torn_frame  (** partial header/garbage magic or an impossible length *)
   | Seq_gap  (** well-formed record whose sequence skips ahead *)
   | Bad_checksum  (** framed record whose FNV checksum does not match *)
+  | Unwritten_data
+      (** the last record framed correctly, but [tail_ok] found that the
+          data it names outside the ring never reached the medium *)
 
 val stop_reason_to_string : stop_reason -> string
 
 type replay_summary = { records_replayed : int; stop_reason : stop_reason }
 
-val replay : t -> (string -> unit) -> replay_summary
+val replay :
+  ?tail_ok:(string -> bool) -> t -> (string -> unit) -> replay_summary
 (** Parse records from the current head, calling the function on each
     payload and advancing head/seq.  Stops at the first invalid frame and
     reports how many records were applied and why parsing ended — [Clean]
@@ -105,7 +109,15 @@ val replay : t -> (string -> unit) -> replay_summary
     damage cut replay short.  Never raises on frame damage.  Each ring
     block is read once: a header or frame that stays inside the block just
     read reuses it, so N records over B blocks cost at most B + 1 one-block
-    reads. *)
+    reads.
+
+    The last well-framed record is applied only if [tail_ok] accepts its
+    payload (the default accepts every record).  An owner whose records
+    name data written outside the ring, and lets a record go out while
+    that data is still in flight, checks the data here: a rejected record
+    is not applied, the head and sequence number end before it (so the
+    next append overwrites it) and the stop reason is [Unwritten_data].
+    Records before the last are never passed to [tail_ok]. *)
 
 val mark_checkpointed : t -> unit
 (** Move the tail to the head: all current records become dead. *)

@@ -199,35 +199,27 @@ let payload_blocks t payload blocks =
       (b, String.sub payload (i * bs) (min bs (String.length payload - (i * bs)))))
     blocks
 
-(* Every [(payload, blocks)] extent in one vectored request. *)
-let write_payload t extents =
-  retrying t (fun () ->
-      Block_device.write_vec t.dev
-        (List.concat_map (fun (payload, blocks) -> payload_blocks t payload blocks)
-           extents))
-
 let read_payload t l =
   let got = retrying t (fun () -> Block_device.read_vec t.dev l.blocks) in
   let buf = Buffer.create l.size in
   List.iter (fun b -> Buffer.add_string buf (List.assoc b got)) l.blocks;
   Buffer.sub buf 0 l.size
 
+(* An extent's payload out of the [block -> bytes] table of one read. *)
+let extent_bytes h l =
+  let buf = Buffer.create l.size in
+  List.iter (fun b -> Buffer.add_string buf (Hashtbl.find h b)) l.blocks;
+  Buffer.sub buf 0 l.size
+
 let loc_of payload blocks =
   { blocks; size = String.length payload; sum = Fnv.hash64_hex payload }
 
-(* Channels the store's own background traffic queues on: negative so
-   they can never collide with consumer-facing channels (DED shards use
-   0..n).  [-1] is the journal ring's flush channel. *)
-let compact_channel = -2
+(* Channels the store's own traffic queues on: negative so they can never
+   collide with consumer-facing channels (DED shards use 0..n).  [-1] is
+   the journal ring's flush channel; a commit's payload write goes on
+   [data_channel], so it is in flight while the ring flushes. *)
+let data_channel = -2
 let prefetch_channel = -3
-
-(* Queued submission of [write_payload]'s vectored op: the bytes persist
-   (and any write fault fires) at submit, the clock charge settles when
-   the caller awaits the ticket at its durability barrier. *)
-let submit_payload_write t payload blocks ~channel =
-  retrying t (fun () ->
-      Block_device.submit_write_vec t.dev ~channel
-        (payload_blocks t payload blocks))
 
 (* ------------------------------------------------------------------ *)
 (* shared LRU cache plumbing                                          *)
@@ -398,9 +390,7 @@ type op =
 
 let kind_tags = [ (Record, "urec"); (Membrane, "umbr"); (Sealed, "ers") ]
 
-let encode_op op =
-  let w = Codec.Writer.create () in
-  (match op with
+let encode_op w = function
   | J_create_type schema_bytes ->
       Codec.Writer.string w "ctype";
       Codec.Writer.string w schema_bytes
@@ -413,11 +403,9 @@ let encode_op op =
       encode_loc w loc
   | J_delete pd_id ->
       Codec.Writer.string w "del";
-      Codec.Writer.string w pd_id);
-  Codec.Writer.contents w
+      Codec.Writer.string w pd_id
 
-let decode_op s =
-  let r = Codec.Reader.create s in
+let decode_op r =
   let* tag = Codec.Reader.string r in
   match tag with
   | "ctype" ->
@@ -436,6 +424,34 @@ let decode_op s =
           let* pd_id = Codec.Reader.string r in
           let* loc = decode_loc r in
           Ok (J_replace { kind; pd_id; loc }))
+
+(* A mutation's journal record: its ops' encodings back to back, so a
+   one-op record is the bytes of that op, and the frame checksum commits
+   the ops all or nothing. *)
+let encode_record ops =
+  let w = Codec.Writer.create () in
+  List.iter (encode_op w) ops;
+  Codec.Writer.contents w
+
+let decode_record payload =
+  let r = Codec.Reader.create payload in
+  let rec go acc =
+    if Codec.Reader.at_end r then Ok (List.rev acc)
+    else
+      let* op = decode_op r in
+      go (op :: acc)
+  in
+  go []
+
+(* The extents a record's ops point the store at: the data its mutation
+   wrote outside the ring. *)
+let written_extents ops =
+  List.concat_map
+    (function
+      | J_insert e -> [ e.record; e.membrane ]
+      | J_replace { loc; _ } -> [ loc ]
+      | J_create_type _ | J_delete _ -> [])
+    ops
 
 let extent e = function Membrane -> e.membrane | Record | Sealed -> e.record
 
@@ -494,7 +510,7 @@ let find_entry t pd_id = List.hd (resolve t [ pd_id ])
    and pulls it into the overlay, where the op's in-place field updates
    are remembered until the next checkpoint.  Raises [Not_found] for an
    unknown pd — replay turns that into a replay warning.  Live mutators
-   never come here: they hand [apply_op] the entry they resolved. *)
+   never come here: their hint hands [apply_op] the entry they resolved. *)
 let touch_entry t pd_id =
   match lookup_entries t [ pd_id ] with
   | [ Ok e ] ->
@@ -553,9 +569,17 @@ let collect_entries ?on_corrupt t =
 (* ------------------------------------------------------------------ *)
 (* index write-through                                                *)
 
-type hint = { h_record : Record.t option; h_membrane : Membrane.t option }
+(* What a live mutator already holds for an op: the record and membrane
+   it just encoded, and the entry it resolved for the op's pd, so applying
+   the op neither reads them back nor looks the entry up again.  Replay
+   holds none of them. *)
+type hint = {
+  h_record : Record.t option;
+  h_membrane : Membrane.t option;
+  h_entry : entry option;
+}
 
-let no_hint = { h_record = None; h_membrane = None }
+let no_hint = { h_record = None; h_membrane = None; h_entry = None }
 
 let indexed_fields_of t type_name =
   match Hashtbl.find_opt t.tables type_name with
@@ -653,12 +677,11 @@ let index_entry t idx ~hint e =
    metadata considers free; replay zeroes whichever of them are still free
    once the whole journal is applied.
 
-   [entry] is the entry a live mutator resolved for the op's pd: it goes
-   into the overlay as is, with no second lookup.  Replay has none and
-   resolves the pd with [touch_entry]. *)
-let apply_op ?(hint = no_hint) ?freed_acc ?entry t op =
+   The hint's entry goes into the overlay as is, with no second lookup.
+   Replay has none and resolves the pd with [touch_entry]. *)
+let apply_op ?(hint = no_hint) ?freed_acc t op =
   let target pd_id =
-    match entry with
+    match hint.h_entry with
     | Some e ->
         Hashtbl.replace t.entries pd_id e;
         e
@@ -913,23 +936,45 @@ let checkpoint t =
   Hashtbl.reset t.entries;
   Hashtbl.reset t.deleted
 
-(* Journal [ops] as one batch (one flush at window 1), then apply them
-   in order, each with its hint. *)
-let log_and_apply ?entry t ops =
-  let payloads = List.map (fun (_, op) -> encode_op op) ops in
-  retrying t (fun () ->
-      Journal_ring.append t.ring ~on_overflow:(fun () -> checkpoint t) payloads);
-  List.iter (fun (hint, op) -> apply_op ~hint ?entry t op) ops
+(* The commit of every mutation.  The payload write of [extents] (one
+   vectored request) is submitted, [ops] are journaled as ONE record, and
+   the payload write is awaited (the flush, at window 1, inside [append])
+   before the ops apply in order, each with its hint.  The record's flush
+   runs on the ring's channel while the payload write is in flight, so at
+   window 1 a commit costs max(payload write, flush) rather than their
+   sum.  Only the journal's last record can therefore
+   be durable without its data; mount checks that record against its
+   data before applying it ([tail_written]).  The payload ticket is
+   settled on every path, an append that raises included. *)
+let commit t extents ops =
+  let tk =
+    retrying t (fun () ->
+        Block_device.submit_write_vec t.dev ~channel:data_channel
+          (List.concat_map
+             (fun (payload, blocks) -> payload_blocks t payload blocks)
+             extents))
+  in
+  Fun.protect
+    ~finally:(fun () -> ignore (Block_device.await t.dev tk))
+    (fun () ->
+      retrying t (fun () ->
+          Journal_ring.append t.ring
+            ~on_overflow:(fun () -> checkpoint t)
+            (encode_record (List.map snd ops))));
+  List.iter (fun (hint, op) -> apply_op ~hint t op) ops
 
 (* ------------------------------------------------------------------ *)
 (* space: compaction survivors, placement, retirement                 *)
 
 (* Compaction's survivor move (victim choice and destruction are
    [Space.compact]'s): relocate every surviving extent through the
-   ordinary journaled write path, a [J_replace] with identical size and
-   checksum — so replay, secondary indexes, caches and the bitmap stay
-   coherent with no compaction-specific recovery code.  An extent failing
-   its checksum is left in place for fsck rather than propagated. *)
+   ordinary commit, a [J_replace] with identical size and checksum — so
+   replay, secondary indexes, caches and the bitmap stay coherent with no
+   compaction-specific recovery code.  Survivors commit in chunks: one
+   payload write and one record of at most [Journal_ring.max_payload]
+   bytes each, settled before the next chunk commits, so only the last
+   record can have its data in flight.  An extent failing its checksum is
+   left in place for fsck rather than propagated. *)
 let rec relocate t ~in_victim =
   (* one merged entry pass discovers every surviving extent; the moves
      below change no other entry, and moving one extent leaves its
@@ -952,11 +997,17 @@ let rec relocate t ~in_victim =
            charge_checksum t l.size;
            (e, kind, raw, l.sum))
   in
-  let relocated = ref 0 in
-  (* relocation payload writes are submitted and settled in one batch at
-     the end, overlapping their service with the decode and journaling
-     compute of later survivors *)
-  let wtickets = ref [] in
+  let limit = Journal_ring.max_payload t.ring in
+  let chunk = ref [] and chunk_bytes = ref 0 and relocated = ref 0 in
+  let commit_chunk () =
+    if !chunk <> [] then begin
+      let moved = List.rev !chunk in
+      commit t (List.map fst moved) (List.map snd moved);
+      relocated := !relocated + List.length moved;
+      chunk := [];
+      chunk_bytes := 0
+    end
+  in
   List.iter
     (fun (e, kind, raw, sum) ->
       if Fnv.hash64_hex raw <> sum then
@@ -969,9 +1020,6 @@ let rec relocate t ~in_victim =
         with
         | None -> () (* no room: survivor stays put *)
         | Some blocks ->
-            wtickets :=
-              submit_payload_write t raw blocks ~channel:compact_channel
-              :: !wtickets;
             let hint =
               match kind with
               | Membrane -> (
@@ -985,12 +1033,15 @@ let rec relocate t ~in_victim =
               | Sealed -> no_hint
             in
             let loc = { blocks; size = String.length raw; sum } in
-            log_and_apply t ~entry:e
-              [ (hint, J_replace { kind; pd_id = e.pd_id; loc }) ];
-            incr relocated)
+            let op = J_replace { kind; pd_id = e.pd_id; loc } in
+            let n = String.length (encode_record [ op ]) in
+            if !chunk_bytes + n > limit then commit_chunk ();
+            chunk :=
+              ((raw, blocks), ({ hint with h_entry = Some e }, op)) :: !chunk;
+            chunk_bytes := !chunk_bytes + n)
     items;
-  Stats.Counter.incr t.counters ~by:!relocated "compact_relocations";
-  List.iter (fun tk -> ignore (Block_device.await t.dev tk)) (List.rev !wtickets)
+  commit_chunk ();
+  Stats.Counter.incr t.counters ~by:!relocated "compact_relocations"
 
 let alloc t zone n = Space.alloc t.space zone n ~relocate:(relocate t)
 
@@ -1078,6 +1129,33 @@ let format ?(allocator = Space.Heap) dev ~journal_blocks =
   commit_root t;
   t
 
+(* Replay's tail check.  A commit's record goes out while its payload
+   write is in flight, so the journal's last record may be durable
+   without its data.  It applies only if every extent it names matches
+   its stored checksum, read in one vectored request; otherwise the
+   mutation never completed and the record is dropped like a torn final
+   frame.  A record that does not decode passes (applying it reports
+   that), and so does one whose extents cannot be read: that is medium
+   damage, which fsck reports and repair quarantines. *)
+let tail_written t payload =
+  match decode_record payload with
+  | Error _ -> true
+  | Ok ops -> (
+      let locs = written_extents ops in
+      match List.concat_map (fun l -> l.blocks) locs with
+      | [] -> true
+      | blocks -> (
+          match retrying t (fun () -> Block_device.read_vec t.dev blocks) with
+          | exception Block_device.Faulted _ -> true
+          | got ->
+              let h = Hashtbl.create (2 * List.length got) in
+              List.iter (fun (b, data) -> Hashtbl.replace h b data) got;
+              List.for_all
+                (fun l ->
+                  charge_checksum t l.size;
+                  Fnv.hash64_hex (extent_bytes h l) = l.sum)
+                locs))
+
 let mount dev =
   let r = Codec.Reader.create (snd (List.hd (Block_device.read_vec dev [ 0 ]))) in
   let parse_super =
@@ -1129,11 +1207,14 @@ let mount dev =
              into degraded read-only mode instead of failing the mount *)
           let freed = ref [] in
           let summary =
-            Journal_ring.replay t.ring (fun payload ->
+            Journal_ring.replay t.ring
+              ~tail_ok:(fun payload ->
+                t.replay_warning <> None || tail_written t payload)
+              (fun payload ->
                 if t.replay_warning = None then
-                  match decode_op payload with
-                  | Ok op -> (
-                      try apply_op t ~freed_acc:freed op with
+                  match decode_record payload with
+                  | Ok ops -> (
+                      try List.iter (apply_op t ~freed_acc:freed) ops with
                       | Failure m -> t.replay_warning <- Some m
                       | Not_found ->
                           t.replay_warning <-
@@ -1171,7 +1252,7 @@ let create_type t ~actor schema =
   else
     protect_write t (fun () ->
         Stats.Counter.incr t.counters "create_type";
-        log_and_apply t [ (no_hint, J_create_type (Schema.encode schema)) ];
+        commit t [] [ (no_hint, J_create_type (Schema.encode schema)) ];
         Ok ())
 
 let schema t ~actor name =
@@ -1229,13 +1310,19 @@ let insert t ~actor ~subject ~type_name ~record ~membrane_of =
                   Error No_space
               | Some membrane_blocks ->
                   protect_write t (fun () ->
-                      (* ordered mode: data in place first, then journal *)
-                      write_payload t [ (record_bytes, record_blocks) ];
-                      write_payload t [ (membrane_bytes, membrane_blocks) ];
+                      (* the record and the membrane in one payload write *)
                       t.next_pd <- t.next_pd + 1;
-                      log_and_apply t
+                      commit t
                         [
-                          ( { h_record = Some record; h_membrane = Some membrane },
+                          (record_bytes, record_blocks);
+                          (membrane_bytes, membrane_blocks);
+                        ]
+                        [
+                          ( {
+                              no_hint with
+                              h_record = Some record;
+                              h_membrane = Some membrane;
+                            },
                             J_insert
                               {
                                 pd_id;
@@ -1279,11 +1366,6 @@ let resolve_entries t pd_ids =
     | Error e :: _ -> Error e
   in
   go [] (resolve t pd_ids)
-
-let assemble h blocks size =
-  let buf = Buffer.create size in
-  List.iter (fun b -> Buffer.add_string buf (Hashtbl.find h b)) blocks;
-  Buffer.sub buf 0 size
 
 (* Split [entries] into at most [n] contiguous chunks, preserving order. *)
 let chunk_entries entries n =
@@ -1361,7 +1443,7 @@ let load_extents t x ~channel entries =
               let l = x.x_loc e in
               let** raw =
                 verify_sum ~what:x.x_name ~pd_id:e.pd_id ~stored:l.sum
-                  (assemble h l.blocks l.size)
+                  (extent_bytes h l)
               in
               match x.x_decode raw with
               | Ok v ->
@@ -1408,11 +1490,11 @@ let get_record t ~actor pd_id =
 
 (* The one extent write behind record updates, membrane updates and
    erasure: place each of [items] (a [(kind, hint, payload)] of entry [e])
-   in its zone, write every payload in one vectored request, log their
-   [J_replace]s as one journal batch — one flush — and retire the
-   superseded blocks once.  So a crash leaves all of the items applied or
-   none.  With a [Sealed] item the retirement is erasure's destruction
-   duty: no plaintext of the old record may remain anywhere. *)
+   in its zone and commit them — every payload in one write, their
+   [J_replace]s in one record — then retire the superseded blocks once.
+   So a crash leaves all of the items applied or none.  With a [Sealed]
+   item the retirement is erasure's destruction duty: no plaintext of the
+   old record may remain anywhere. *)
 let replace_extent t e items =
   (* [e] enters the overlay before [alloc]: a compaction that allocation
      triggers then relocates this very entry object, so [e] is current
@@ -1432,13 +1514,13 @@ let replace_extent t e items =
      allocation triggered may have relocated the first one's old copy *)
   let old = List.concat_map (fun (kind, _, _, _) -> (extent e kind).blocks) placed in
   protect_write t (fun () ->
-      write_payload t
-        (List.map (fun (_, _, payload, blocks) -> (payload, blocks)) placed);
-      log_and_apply ~entry:e t
+      commit t
+        (List.map (fun (_, _, payload, blocks) -> (payload, blocks)) placed)
         (List.map
            (fun (kind, hint, payload, blocks) ->
              let loc = loc_of payload blocks in
-             (hint, J_replace { kind; pd_id = e.pd_id; loc }))
+             ( { hint with h_entry = Some e },
+               J_replace { kind; pd_id = e.pd_id; loc } ))
            placed);
       retire
         ~destroy:(List.exists (fun (kind, _, _, _) -> kind = Sealed) placed)
@@ -1502,7 +1584,7 @@ let delete t ~actor pd_id =
   let** e = find_entry t pd_id in
   let blocks = e.record.blocks @ e.membrane.blocks in
   protect_write t (fun () ->
-      log_and_apply ~entry:e t [ (no_hint, J_delete pd_id) ];
+      commit t [] [ ({ no_hint with h_entry = Some e }, J_delete pd_id) ];
       (* physical destruction after the metadata commit *)
       retire ~destroy:true t blocks;
       Stats.Counter.incr t.counters "deletes";
@@ -2068,7 +2150,7 @@ let fsck_repair t =
      with Block_device.Faulted _ -> device_faults := true);
     match damage with
     | Some reason ->
-        act "journal truncated at first bad frame (%s)" reason;
+        act "journal truncated at its first unusable record (%s)" reason;
         Some reason
     | None -> None
   in

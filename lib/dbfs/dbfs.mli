@@ -14,9 +14,13 @@
     Rgpdos_journalfs.Journalfs} and carry the paper's compliance argument:
 
     - {b metadata-only journaling}: the write-ahead journal records block
-      numbers and identifiers, never PD bytes (data blocks are written in
-      place before the journal record commits, ext3 [data=ordered] style),
-      so the journal cannot retain deleted PD;
+      numbers, checksums and identifiers, never PD bytes, so the journal
+      cannot retain deleted PD.  Each mutation submits its data write,
+      journals its ops as one record while that write is in flight, and
+      awaits both before it returns (a transactional-checksum commit, as
+      in IRON file systems and ext4's [journal_async_commit]): only the
+      journal's last record can be durable without its data, and replay
+      checks that record against the data's checksums (see {!mount});
     - {b zeroing deallocation}: deleting or rewriting a PD entry zeroes
       its old blocks on the device;
     - {b membrane invariant}: the API makes it impossible to store a
@@ -75,7 +79,17 @@ val mount : Rgpdos_block.Block_device.t -> (t, string) result
     Blocks freed by replayed operations that are still free once the
     whole journal is applied are re-zeroed, closing the
     commit-then-crash window in which stale PD plaintext could survive
-    on the medium. *)
+    on the medium.
+
+    The journal's last record is applied only if every extent it names
+    (a [J_insert]'s record and membrane, a [J_replace]'s new extent)
+    reads back with its stored checksum, in one vectored read.  A record
+    whose data never reached the medium is not applied: the journal ends
+    before it (the next append overwrites it), {!replay_report} gives the
+    stop reason [Unwritten_data], and {!fsck_repair}'s free-space scrub
+    destroys whatever of its data did land.  Records before the last are
+    not re-read: each mutation awaits its data before the next one
+    starts. *)
 
 val device : t -> Rgpdos_block.Block_device.t
 
@@ -116,7 +130,14 @@ val insert :
 (** Store a new PD entry.  DBFS assigns the pd_id, asks the caller to
     produce the membrane for it (the acquisition built-in does this from
     schema defaults + subject choices), validates both, and stores record
-    and membrane in the subject's inode subtree.  Returns the pd_id. *)
+    and membrane in the subject's inode subtree.  Returns the pd_id.
+
+    Commit: record and membrane go out in one vectored write, the
+    [J_insert] record is journaled while it is in flight, and both are
+    awaited before [insert] returns.  A crash before the record is
+    durable, or with the record durable but the data not (see {!mount}),
+    leaves no entry; its blocks are free, and {!fsck_repair} scrubs
+    whatever of them was written. *)
 
 val get_membrane :
   t -> actor:string -> string -> (Rgpdos_membrane.Membrane.t, error) result
@@ -171,9 +192,16 @@ val get_records :
 
 val update_record :
   t -> actor:string -> string -> Record.t -> (unit, error) result
-(** Replace the record (built-in [update]).  Old blocks are zeroed.  One
-    entries-tree descent: the journaled op applies to the entry resolved
-    for the checks, with no second lookup. *)
+(** Replace the record (built-in [update]).  One entries-tree descent:
+    the journaled op applies to the entry resolved for the checks, with
+    no second lookup.
+
+    Commit: the new record is written and its [J_replace] journaled as
+    one record while the write is in flight; both are awaited, and only
+    then are the old blocks retired (zeroed at once on the heap
+    allocator).  A crash leaves the old record or the new one, never a
+    record pointing at unwritten blocks: replay drops a last record whose
+    data is missing (see {!mount}). *)
 
 val update_membrane :
   t ->
@@ -182,8 +210,8 @@ val update_membrane :
   Rgpdos_membrane.Membrane.t ->
   (unit, error) result
 (** Replace the membrane (consent changes).  The new membrane must keep the
-    entry's pd_id, type and subject.  One entries-tree descent, as for
-    {!update_record}. *)
+    entry's pd_id, type and subject.  One entries-tree descent, and the
+    same commit and crash contract, as {!update_record}. *)
 
 val copy_pd : t -> actor:string -> string -> (string, error) result
 (** Built-in [copy]: duplicate record and membrane under a fresh pd_id;
@@ -216,9 +244,13 @@ val erase_with :
 
     The erasure commits as one unit: one vectored write of the new
     payloads (the withdrawn membrane and the sealed record), one journal
-    flush holding both [J_replace] records (membrane first), then one
-    destruction of both superseded extents.  A crash therefore leaves the
-    pd either untouched or withdrawn and sealed, never withdrawn but live.
+    record holding both [J_replace] ops (membrane first), flushed while
+    that write is in flight, and, once both are awaited, one destruction
+    of both superseded extents.  A crash therefore leaves the pd either
+    untouched or withdrawn and sealed, never withdrawn but live; if the
+    record is durable but the new payloads are not, replay drops the
+    record (see {!mount}) and the pd is untouched, since nothing was
+    destroyed yet.
     The pd is resolved once: one entries-tree descent, and no further
     lookup by the membrane rewrite, the record load or the journaled ops.
     Fails with [Erased], writing nothing, when the pd is already
@@ -348,8 +380,9 @@ val fsck_repair : t -> repair_report
 (** Self-healing pass: quarantine entries whose extents are unreadable,
     fail their checksum, or no longer decode (reported, never silently
     dropped); rebuild every secondary index from the surviving records;
-    release leaked blocks; zero any free block still holding bytes;
-    truncate the journal at the first bad frame (checkpoint + scrub);
+    release leaked blocks; zero any free block still holding bytes
+    (including what landed of a dropped last record's data); truncate
+    the journal where replay stopped (checkpoint + scrub);
     and leave degraded read-only mode iff the re-check comes back clean.
     Repair never invents data — a quarantined pd is data loss and is
     reported as such. *)
@@ -402,9 +435,9 @@ val unsafe_tamper_index : t -> string -> bool
 (** {1 Group commit & log-structured segments} *)
 
 val set_group_commit : t -> int -> unit
-(** Group-commit window for the metadata journal: every record commits
-    in a batch through one vectored device write.  [1] (the default) is a
-    batch of one, settled before the mutation returns; [n > 1] buffers up
+(** Group-commit window for the metadata journal: every record (one per
+    mutation) commits in a batch through one vectored device write.  [1]
+    (the default) is a batch of one, settled before the mutation returns; [n > 1] buffers up
     to [n] journal records per batch.  Either way every buffered record
     commits before a block is destroyed (an update's superseded extent on
     the heap allocator, a delete, an erasure, a compaction victim), so a
@@ -418,8 +451,11 @@ val flush_journal : t -> unit
 val compact : ?max_victims:int -> ?liveness_pct:float -> t -> int
 (** Run one compaction pass: pick up to [max_victims] sealed segments at
     or below [liveness_pct] live, relocate their surviving extents
-    through the ordinary journaled write path, then destroy the victims
-    (trim when fully dead, vectored zero otherwise).  Returns the number
+    through the ordinary commit, then destroy the victims (trim when
+    fully dead, vectored zero otherwise).  Survivors commit in chunks:
+    one payload write and one journal record of at most
+    [Journal_ring.max_payload] bytes each, the chunk's data awaited
+    before the next chunk commits.  Returns the number
     of victim segments processed; [0] on an update-in-place store or
     when nothing qualifies. *)
 

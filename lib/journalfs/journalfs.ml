@@ -380,7 +380,7 @@ let checkpoint fs =
 let log_and_apply fs op =
   Journal_ring.append fs.ring
     ~on_overflow:(fun () -> checkpoint fs)
-    [ encode_op op ];
+    (encode_op op);
   apply_op fs op
 
 (* ------------------------------------------------------------------ *)

@@ -14,6 +14,8 @@ module M = Rgpdos_membrane.Membrane
 module Value = Rgpdos_dbfs.Value
 module Schema = Rgpdos_dbfs.Schema
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Space = Rgpdos_dbfs.Space
+module Fault_plan = Block_device.Fault_plan
 module Record = Rgpdos_dbfs.Record
 module Query = Rgpdos_dbfs.Query
 module AB = Rgpdos_workload.Async_bench
@@ -440,6 +442,140 @@ let test_dbfs_outcomes_match_sync () =
   check_bool "records identical" true (sr = ar);
   check_bool "on-device image identical" true (simg = aimg)
 
+(* A commit's payload write is in flight while its journal record
+   flushes.  At depth 1 and window 1 a heap rectification costs
+   max(payload write, head-block read + flush) + destruction: exactly
+   one write service below the serial sum of its device requests, and
+   that service is what the device counts as hidden. *)
+let test_dbfs_commit_overlaps_payload () =
+  let clock = Clock.create () in
+  let dev = Block_device.create ~clock () in
+  let t = Dbfs.format dev ~journal_blocks:64 in
+  ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+  let pds =
+    List.init 6 (fun i ->
+        insert_user t ~subject:(Printf.sprintf "c%d" i) ~pwd:"pw")
+  in
+  let cfg = Block_device.config dev in
+  let block_ns base = base + (cfg.Block_device.block_size * cfg.byte_latency) in
+  let write_1 = block_ns cfg.write_latency in
+  let read_1 = block_ns cfg.read_latency in
+  let names = [ "write_ops"; "bytes_written"; "reads"; "overlap_ns_hidden" ] in
+  List.iter
+    (fun pd ->
+      let before = List.map (counter dev) names in
+      let t0 = Clock.now clock in
+      ok
+        (Dbfs.update_record t ~actor:ded pd
+           [ ("name", Value.VString pd); ("pwd", Value.VString "rectified") ]);
+      let delta = Clock.now clock - t0 in
+      let writes, bytes, reads, hidden =
+        match
+          List.map2 (fun name n -> counter dev name - n) names before
+        with
+        | [ w; b; r; h ] -> (w, b, r, h)
+        | _ -> assert false
+      in
+      check_int "payload write, flush, destruction" 3 writes;
+      check_int "one block each" (3 * cfg.block_size) bytes;
+      check_bool "at most the flush's head-block read" true (reads <= 1);
+      check_int "one write service below the serial sum"
+        ((writes * write_1) + (reads * read_1) - write_1)
+        delta;
+      check_int "the payload write is hidden" write_1 hidden;
+      check_int "nothing outstanding" 0 (Block_device.outstanding dev))
+    pds
+
+(* Every commit settles its payload ticket: at window 1 nothing is
+   outstanding after any mutation of a mixed script, on the heap and on
+   segments — through appends that overflow the small ring into a
+   checkpoint, a compaction, a rectification whose flush fails once and
+   is retried, and a last one whose flush fails every retry, so its
+   append raises and the store turns read-only. *)
+let test_dbfs_commits_settle ~allocator () =
+  let clock = Clock.create () in
+  let dev =
+    Block_device.create
+      ~config:{ (dbfs_config ~queue_depth:1) with block_count = 2048 }
+      ~clock ()
+  in
+  let t = Dbfs.format ~allocator dev ~journal_blocks:16 in
+  let settled what =
+    check_int (what ^ ": nothing outstanding") 0 (Block_device.outstanding dev)
+  in
+  ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+  settled "create_type";
+  let pds =
+    List.init 40 (fun i ->
+        let pd = insert_user t ~subject:(Printf.sprintf "m%d" i) ~pwd:"pw" in
+        settled "insert";
+        pd)
+  in
+  let rectify pd v =
+    ok
+      (Dbfs.update_record t ~actor:ded pd
+         [ ("name", Value.VString pd); ("pwd", Value.VString v) ])
+  in
+  List.iter
+    (fun pd ->
+      rectify pd "v1";
+      settled "update_record";
+      let m = ok (Dbfs.get_membrane t ~actor:ded pd) in
+      ok (Dbfs.update_membrane t ~actor:ded pd (M.withdraw_all m));
+      settled "update_membrane")
+    pds;
+  (* the rectification's second write op is its journal flush *)
+  let retries () = Stats.Counter.get (Dbfs.stats t) "fault_retries" in
+  let r0 = retries () in
+  let plan = Fault_plan.create () in
+  Fault_plan.on_write plan ~nth:2 (Fault_plan.Fail_write { transient = true });
+  Block_device.set_fault_plan dev (Some plan);
+  rectify (List.hd pds) "after-a-failed-flush";
+  Block_device.set_fault_plan dev None;
+  check_int "the flush was retried" 1 (retries () - r0);
+  settled "a rectification whose flush is retried";
+  check_bool "the retried rectification applied" true
+    (ok (Dbfs.get_record t ~actor:ded (List.hd pds))
+    = [
+        ("name", Value.VString (List.hd pds));
+        ("pwd", Value.VString "after-a-failed-flush");
+      ]);
+  List.iteri
+    (fun i pd ->
+      if i mod 3 = 0 then begin
+        ok
+          (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pd
+             ~seal:(fun _ -> "sealed"));
+        settled "erase_with"
+      end
+      else if i mod 3 = 1 then begin
+        ok (Dbfs.delete t ~actor:ded pd);
+        settled "delete"
+      end)
+    pds;
+  let moved () = Stats.Counter.get (Dbfs.stats t) "compact_relocations" in
+  let m0 = moved () in
+  ignore (Dbfs.compact t ~max_victims:64 ~liveness_pct:100.0);
+  settled "compact";
+  if allocator <> Space.Heap then
+    check_bool "the compaction relocated survivors" true (moved () > m0);
+  check_bool "fsck clean" true (Dbfs.fsck t = Ok ());
+  check_bool "an append overflowed into a checkpoint" true
+    (Dbfs.entry_page_blocks t <> []);
+  let plan = Fault_plan.create () in
+  List.iter
+    (fun nth ->
+      Fault_plan.on_write plan ~nth (Fault_plan.Fail_write { transient = true }))
+    [ 2; 3; 4; 5 ];
+  Block_device.set_fault_plan dev (Some plan);
+  (match
+     Dbfs.update_record t ~actor:ded (List.nth pds 2)
+       [ ("name", Value.VString "x"); ("pwd", Value.VString "never") ]
+   with
+  | Error (Dbfs.Degraded _) -> ()
+  | _ -> Alcotest.fail "expected the failed flush to degrade the store");
+  settled "a rectification whose flush fails every retry"
+
 (* ------------------------------------------------------------------ *)
 (* artifact + regression gate                                         *)
 
@@ -540,6 +676,12 @@ let () =
             test_dbfs_warm_eq_cold_under_async;
           Alcotest.test_case "outcomes match sync" `Quick
             test_dbfs_outcomes_match_sync;
+          Alcotest.test_case "a commit overlaps its payload write" `Quick
+            test_dbfs_commit_overlaps_payload;
+          Alcotest.test_case "every commit settles (heap)" `Quick
+            (test_dbfs_commits_settle ~allocator:Space.Heap);
+          Alcotest.test_case "every commit settles (segments)" `Quick
+            (test_dbfs_commits_settle ~allocator:Space.segments);
         ] );
       ( "report",
         [

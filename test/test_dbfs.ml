@@ -433,6 +433,117 @@ let test_erasure_crash_atomic ~allocator () =
     end
   done
 
+(* The image a device that reorders writes could leave: a mutation's
+   journal record is durable, its payload is not.  Each mutation runs once
+   per crash point until the crash image's journal region first differs
+   from the snapshot taken before it (its flush); in that image every
+   data block the mutation wrote is put back as the snapshot held it.
+   Replay must drop the record, not apply it over missing data: after
+   remount and repair the pd reads its previous version (absent, for an
+   insert), fsck is clean, nothing is quarantined and the replay report
+   names the dropped tail.  Mounted without repair, one more append takes
+   the dropped record's place, and it never replays. *)
+let test_unwritten_tail_dropped ~allocator () =
+  let config = { small_config with block_count = 4096 } in
+  let secret = "TAIL-NEVER-WRITTEN-93" in
+  let mutations =
+    [
+      ( "insert",
+        fun t _ -> ignore (insert_user t ~subject:"sub-2" secret 2001) );
+      ( "update_record",
+        fun t pd ->
+          ok (Dbfs.update_record t ~actor:ded pd (user_record secret 1991)) );
+      ( "update_membrane",
+        fun t pd ->
+          let m = ok (Dbfs.get_membrane t ~actor:ded pd) in
+          ok (Dbfs.update_membrane t ~actor:ded pd (M.withdraw_all m)) );
+      ( "erase_with ~withdraw",
+        fun t pd ->
+          ok
+            (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pd
+               ~seal:(fun _ -> secret)) );
+    ]
+  in
+  List.iter
+    (fun (name, mutate) ->
+      let at what = Printf.sprintf "%s: %s" name what in
+      let run k =
+        let dev = Block_device.create ~config ~clock:(Clock.create ()) () in
+        let t = Dbfs.format ~allocator dev ~journal_blocks:64 in
+        ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+        ignore (insert_user t ~subject:"sub-0" "KEEP" 1980);
+        let pd = insert_user t ~subject:"sub-1" "BEFORE" 1990 in
+        let membrane = M.encode (ok (Dbfs.get_membrane t ~actor:ded pd)) in
+        let before = Block_device.snapshot dev in
+        let plan = Fault_plan.create () in
+        Fault_plan.crash_after_writes plan k;
+        Block_device.set_fault_plan dev (Some plan);
+        mutate t pd;
+        (t, (pd, membrane), before, Block_device.crash_image dev)
+      in
+      let journal = (1, 1 + 64) in
+      let differs a b (lo, hi) =
+        List.exists (fun i -> a.(i) <> b.(i)) (List.init (hi - lo) (( + ) lo))
+      in
+      let rec flush_point k =
+        if k > 8 then Alcotest.fail (at "no journal write");
+        match run k with
+        | t, pd, before, Some image when differs before image journal ->
+            (t, pd, before, image)
+        | _ -> flush_point (k + 1)
+      in
+      let t, (pd, membrane), before, image = flush_point 1 in
+      let data = (Dbfs.layout t).Space.l_data_start in
+      for i = data to config.Block_device.block_count - 1 do
+        if image.(i) <> before.(i) then image.(i) <- before.(i)
+      done;
+      let mount () =
+        let dev = Block_device.create ~config ~clock:(Clock.create ()) () in
+        Block_device.restore dev image;
+        match Dbfs.mount dev with Ok t -> t | Error e -> Alcotest.fail (at e)
+      in
+      let repaired when_ t' =
+        let rep = Dbfs.fsck_repair t' in
+        Alcotest.(check (list string)) (at (when_ ^ ": nothing quarantined")) []
+          (List.map fst rep.Dbfs.rr_quarantined);
+        check_bool (at (when_ ^ ": repair clean")) true rep.Dbfs.rr_clean;
+        check_bool (at (when_ ^ ": fsck clean")) true (Dbfs.fsck t' = Ok ())
+      in
+      (* the pd as it was, and no pd from the dropped record *)
+      let previous when_ t' ~pds =
+        let at what = at (when_ ^ ": " ^ what) in
+        let _, _, erased = ok (Dbfs.entry_info t' ~actor:ded pd) in
+        check_bool (at "not erased") false erased;
+        check_string (at "previous membrane") membrane
+          (M.encode (ok (Dbfs.get_membrane t' ~actor:ded pd)));
+        check_bool (at "previous record") true
+          (Record.get (ok (Dbfs.get_record t' ~actor:ded pd)) "name"
+          = Some (Value.VString "BEFORE"));
+        check_int (at "pd count") pds (Dbfs.pd_count t')
+      in
+      let t' = mount () in
+      repaired "remounted" t';
+      (match Dbfs.replay_report t' with
+      | Some r ->
+          check_string (at "replay names the dropped tail") "unwritten_data"
+            (Rgpdos_block.Journal_ring.stop_reason_to_string r.stop_reason)
+      | None -> Alcotest.fail (at "no replay report"));
+      previous "remounted" t' ~pds:2;
+      (* no repair: the next append overwrites the dropped record *)
+      let t' = mount () in
+      let pd3 = insert_user t' ~subject:"sub-3" "AFTER" 2002 in
+      let t'' =
+        match Dbfs.crash_and_remount t' with
+        | Ok t -> t
+        | Error e -> Alcotest.fail (at e)
+      in
+      check_bool (at "the next append replays") true
+        (Record.get (ok (Dbfs.get_record t'' ~actor:ded pd3)) "name"
+        = Some (Value.VString "AFTER"));
+      previous "after the next append" t'' ~pds:3;
+      repaired "after the next append" t'')
+    mutations
+
 let test_dbfs_queries () =
   let t, _, _ = setup () in
   let p1 = insert_user t ~subject:"alice" "Alice" 1980 in
@@ -829,6 +940,10 @@ let () =
             (test_erasure_crash_atomic ~allocator:Space.Heap);
           Alcotest.test_case "erasure is crash-atomic (segments)" `Quick
             (test_erasure_crash_atomic ~allocator:Space.segments);
+          Alcotest.test_case "unwritten tail is dropped (heap)" `Quick
+            (test_unwritten_tail_dropped ~allocator:Space.Heap);
+          Alcotest.test_case "unwritten tail is dropped (segments)" `Quick
+            (test_unwritten_tail_dropped ~allocator:Space.segments);
           Alcotest.test_case "queries" `Quick test_dbfs_queries;
           Alcotest.test_case "export subject" `Quick test_dbfs_export_subject;
           Alcotest.test_case "sensitive region separation" `Quick test_dbfs_sensitive_region_separation;

@@ -38,7 +38,7 @@ let no_overflow () = Alcotest.fail "unexpected ring overflow"
 let test_append_replay_roundtrip () =
   let ring, dev = make_ring () in
   let payloads = [ "alpha"; "beta"; "gamma with spaces"; "" ] in
-  List.iter (fun p -> Ring.append ring ~on_overflow:no_overflow [ p ]) payloads;
+  List.iter (fun p -> Ring.append ring ~on_overflow:no_overflow p) payloads;
   check_int "live records" 4 (fst (Ring.live ring));
   (* replay from a fresh attach at position 0 *)
   let reader = attach dev ~start_block:2 ~num_blocks:8 ~head:0 ~seq:0 in
@@ -50,10 +50,10 @@ let test_append_replay_roundtrip () =
 
 let test_replay_from_checkpoint_position () =
   let ring, dev = make_ring () in
-  Ring.append ring ~on_overflow:no_overflow [ "before" ];
+  Ring.append ring ~on_overflow:no_overflow "before";
   let head = Ring.head ring and seq = Ring.seq ring in
-  Ring.append ring ~on_overflow:no_overflow [ "after-1" ];
-  Ring.append ring ~on_overflow:no_overflow [ "after-2" ];
+  Ring.append ring ~on_overflow:no_overflow "after-1";
+  Ring.append ring ~on_overflow:no_overflow "after-2";
   let reader = attach dev ~start_block:2 ~num_blocks:8 ~head ~seq in
   let seen = ref [] in
   let summary = Ring.replay reader (fun p -> seen := p :: !seen) in
@@ -70,7 +70,7 @@ let test_overflow_triggers_checkpoint_callback () =
     Ring.mark_checkpointed ring
   in
   for _ = 1 to 10 do
-    Ring.append ring ~on_overflow [ String.make 64 'x' ]
+    Ring.append ring ~on_overflow (String.make 64 'x')
   done;
   check_bool "overflow fired" true (!checkpoints > 0)
 
@@ -78,21 +78,21 @@ let test_record_too_large () =
   let ring, _ = make_ring ~num_blocks:1 () in
   Alcotest.check_raises "oversized record"
     (Failure "Journal_ring: record larger than ring") (fun () ->
-      Ring.append ring ~on_overflow:no_overflow [ String.make 1000 'x' ])
+      Ring.append ring ~on_overflow:no_overflow (String.make 1000 'x'))
 
 let test_overflow_handler_must_checkpoint () =
   let ring, _ = make_ring ~num_blocks:1 () in
   Alcotest.check_raises "bad handler"
     (Failure "Journal_ring: overflow handler did not checkpoint") (fun () ->
       for _ = 1 to 10 do
-        Ring.append ring ~on_overflow:(fun () -> ()) [ String.make 64 'x' ]
+        Ring.append ring ~on_overflow:(fun () -> ()) (String.make 64 'x')
       done)
 
 let test_replay_stops_at_garbage () =
   let ring, dev = make_ring () in
   (* enough records that some land in device block 4 (ring bytes 256+) *)
   for i = 1 to 10 do
-    Ring.append ring ~on_overflow:no_overflow [ Printf.sprintf "good-%02d" i ]
+    Ring.append ring ~on_overflow:no_overflow (Printf.sprintf "good-%02d" i)
   done;
   (* clobber a block in the middle of the appended records *)
   Block_device.write_vec dev [ (4, String.make 128 'Z') ];
@@ -107,7 +107,7 @@ let test_replay_stops_at_garbage () =
 
 let test_scrub_zeroes_dead_blocks () =
   let ring, dev = make_ring () in
-  Ring.append ring ~on_overflow:no_overflow [ "SECRET-IN-RING" ];
+  Ring.append ring ~on_overflow:no_overflow "SECRET-IN-RING";
   check_bool "present before scrub" true
     (Block_device.scan dev "SECRET-IN-RING" <> []);
   Ring.mark_checkpointed ring;
@@ -116,10 +116,10 @@ let test_scrub_zeroes_dead_blocks () =
 
 let test_scrub_preserves_live_records () =
   let ring, dev = make_ring () in
-  Ring.append ring ~on_overflow:no_overflow [ "dead-record" ];
+  Ring.append ring ~on_overflow:no_overflow "dead-record";
   Ring.mark_checkpointed ring;
   let head = Ring.head ring and seq = Ring.seq ring in
-  Ring.append ring ~on_overflow:no_overflow [ "LIVE-RECORD" ];
+  Ring.append ring ~on_overflow:no_overflow "LIVE-RECORD";
   Ring.scrub ring;
   check_bool "live survives" true (Block_device.scan dev "LIVE-RECORD" <> []);
   (* and it still replays from the checkpoint position *)
@@ -141,7 +141,7 @@ let test_torn_wrapping_flush () =
   let overhead = cap - Ring.max_payload ring in
   (* lap 1: one frame filling the ring, so lap 2 runs over stale bytes *)
   Ring.append ring ~on_overflow:no_overflow
-    [ String.make (Ring.max_payload ring) 'x' ];
+    (String.make (Ring.max_payload ring) 'x');
   let ckpt = ref (0, 0) in
   let checkpoint () =
     ckpt := (Ring.head ring, Ring.seq ring);
@@ -152,7 +152,7 @@ let test_torn_wrapping_flush () =
   let i = ref 0 in
   let durable = ref [] in
   while fits !i do
-    Ring.append ring ~on_overflow:checkpoint [ payload !i ];
+    Ring.append ring ~on_overflow:checkpoint (payload !i);
     durable := payload !i :: !durable;
     if !i = 1 then (checkpoint (); durable := []);
     incr i
@@ -166,7 +166,7 @@ let test_torn_wrapping_flush () =
   let seq = Ring.seq ring in
   (try
      Ring.append ring ~on_overflow:no_overflow
-       [ String.make 40 '.' ^ "WRAPPED-TAIL" ];
+       (String.make 40 '.' ^ "WRAPPED-TAIL");
      Alcotest.fail "expected the torn flush to raise"
    with Block_device.Faulted _ -> ());
   check_int "the failed append is rolled back" seq (Ring.seq ring);
@@ -204,13 +204,13 @@ let test_faulted_flush_settles () =
   let clock = Block_device.clock dev in
   let t0 = Clock.now clock in
   (try
-     Ring.append ring ~on_overflow:no_overflow [ "retried" ];
+     Ring.append ring ~on_overflow:no_overflow "retried";
      Alcotest.fail "expected the first flush to fault"
    with Block_device.Faulted _ -> ());
   check_int "the faulted flush is not outstanding" 0
     (Block_device.outstanding dev);
   check_bool "the faulted flush is charged" true (Clock.now clock > t0);
-  Ring.append ring ~on_overflow:no_overflow [ "retried" ];
+  Ring.append ring ~on_overflow:no_overflow "retried";
   let stat = Stats.Counter.get (Block_device.stats dev) in
   check_int "nothing outstanding after the retry" 0
     (Block_device.outstanding dev);
@@ -223,13 +223,53 @@ let test_faulted_flush_settles () =
   Alcotest.(check (list string)) "the retried record replays" [ "retried" ]
     !seen
 
+(* [tail_ok] is asked about the last record only.  Rejected, that record
+   is not applied, the head and sequence number end before it, the stop
+   reason says why, and the next append takes its place: it never
+   replays again. *)
+let test_replay_tail_check () =
+  let ring, dev = make_ring () in
+  List.iter
+    (Ring.append ring ~on_overflow:no_overflow)
+    [ "one"; "two"; "three" ];
+  let replay ~tail_ok =
+    let reader = attach dev ~start_block:2 ~num_blocks:8 ~head:0 ~seq:0 in
+    let seen = ref [] and asked = ref [] in
+    let summary =
+      Ring.replay reader
+        ~tail_ok:(fun p ->
+          asked := p :: !asked;
+          tail_ok p)
+        (fun p -> seen := p :: !seen)
+    in
+    (reader, summary, List.rev !seen, !asked)
+  in
+  let _, summary, seen, asked = replay ~tail_ok:(fun _ -> true) in
+  Alcotest.(check (list string))
+    "accepted tail applies" [ "one"; "two"; "three" ] seen;
+  Alcotest.(check (list string))
+    "only the last record is asked" [ "three" ] asked;
+  check_bool "clean stop" true (summary.Ring.stop_reason = Ring.Clean);
+  let reader, summary, seen, _ = replay ~tail_ok:(fun _ -> false) in
+  Alcotest.(check (list string))
+    "rejected tail is not applied" [ "one"; "two" ] seen;
+  check_int "records replayed" 2 summary.Ring.records_replayed;
+  check_bool "stop reason names the unwritten data" true
+    (summary.Ring.stop_reason = Ring.Unwritten_data);
+  check_int "sequence ends before the tail" 2 (Ring.seq reader);
+  Ring.append reader ~on_overflow:no_overflow "four";
+  let _, summary, seen, _ = replay ~tail_ok:(fun _ -> true) in
+  Alcotest.(check (list string)) "the next append replaces the tail"
+    [ "one"; "two"; "four" ] seen;
+  check_int "and the tail never replays" 3 summary.Ring.records_replayed
+
 (* Replay keeps the block it read last: a header or frame inside it
    costs no request, so N records over B ring blocks replay in at most
    B + 1 one-block reads (not one or two per record). *)
 let test_replay_reads_each_block_once () =
   let ring, dev = make_ring ~num_blocks:16 () in
   let payloads = List.init 40 (Printf.sprintf "record-%02d") in
-  List.iter (fun p -> Ring.append ring ~on_overflow:no_overflow [ p ]) payloads;
+  List.iter (fun p -> Ring.append ring ~on_overflow:no_overflow p) payloads;
   let bs = (Block_device.config dev).Block_device.block_size in
   let spanned = ((Ring.head ring - 1) / bs) + 1 in
   let reads () = Stats.Counter.get (Block_device.stats dev) "reads" in
@@ -246,16 +286,16 @@ let test_replay_reads_each_block_once () =
     (reads () - before <= spanned + 1)
 
 (* Differential check of the head-block image.  Ring A keeps its image
-   across appends; ring B, on a second device, is attached afresh at A's
-   head and sequence number before every append, so it has no image and
-   reads its head block back.  Window 1, batches of one to three records
-   whose frames straddle blocks and wrap the ring, checkpoints and scrubs
-   in between: after every append both rings hold the same bytes, and
-   between two image drops A reads at most one block per block its
-   flushes started writing into, plus one.  A failed write and a torn
-   wrapping flush drop the image: the retried flush reads back exactly
-   what B's does, and replay returns every record appended since the
-   last checkpoint. *)
+   across flushes; ring B, on a second device, is attached afresh at A's
+   head and sequence number before every flush, so it has no image and
+   reads its head block back.  Groups of one to three records, each
+   committed by one flush through the group-commit window, whose frames
+   straddle blocks and wrap the ring, checkpoints and scrubs in between:
+   after every flush both rings hold the same bytes, and between two
+   image drops A reads at most one block per block its flushes started
+   writing into, plus one.  A failed write and a torn wrapping flush drop
+   the image: the retried flush reads back exactly what B's does, and
+   replay returns every record appended since the last checkpoint. *)
 let test_image_matches_read_back () =
   let num_blocks = 6 in
   let ring_a, dev_a = make_ring ~num_blocks () in
@@ -285,11 +325,30 @@ let test_image_matches_read_back () =
         incr n;
         Printf.sprintf "r%04d-%s" !n (String.make (Prng.int prng 200) 'x'))
   in
+  (* a group of records committed by one flush: the window holds every
+     record until the last one's append; A checkpoints up front if the
+     whole group would lap its live records, so no record of the group is
+     dropped as pending by a checkpoint halfway through *)
+  let cap = Ring.capacity ring_a in
+  let overhead = cap - Ring.max_payload ring_a in
+  let group ring ~on_overflow b =
+    Ring.set_window ring (List.length b);
+    Fun.protect
+      ~finally:(fun () -> Ring.set_window ring 1)
+      (fun () -> List.iter (Ring.append ring ~on_overflow) b)
+  in
+  let fit b =
+    let bytes =
+      List.fold_left (fun n p -> n + String.length p + overhead) 0 b
+    in
+    if snd (Ring.live ring_a) + bytes > cap then on_overflow ()
+  in
   let append_both step b =
+    fit b;
     Hashtbl.replace started (Ring.head ring_a / bs) ();
     let rb = ring_b () in
-    Ring.append ring_a ~on_overflow b;
-    Ring.append rb ~on_overflow:no_overflow b;
+    group ring_a ~on_overflow b;
+    group rb ~on_overflow:no_overflow b;
     appended := List.rev_append b !appended;
     check_bool (Printf.sprintf "append %d: same ring bytes" step) true
       (blocks dev_a = blocks dev_b);
@@ -319,8 +378,11 @@ let test_image_matches_read_back () =
     if Prng.int prng 8 = 0 then on_overflow ();
     if Prng.int prng 10 = 0 then scrub_both ()
   done;
-  (* a failed flush, then its retry: A must read back what B reads *)
+  (* a failed flush, then its retry: A must read back what B reads.  The
+     records before the group's last stay pending through the fault, so
+     the retry appends the last one again, at window 1 *)
   let faulted_then_retried action b =
+    fit b;
     List.iter
       (fun dev ->
         let plan = Block_device.Fault_plan.create () in
@@ -333,20 +395,19 @@ let test_image_matches_read_back () =
       | exception Block_device.Faulted _ -> ()
     in
     let rb = ring_b () in
-    faults (fun () -> Ring.append ring_a ~on_overflow b);
-    faults (fun () -> Ring.append rb ~on_overflow:no_overflow b);
+    faults (fun () -> group ring_a ~on_overflow b);
+    faults (fun () -> group rb ~on_overflow:no_overflow b);
     check_bool "same bytes after the fault" true (blocks dev_a = blocks dev_b);
     let ra = reads dev_a and rb_reads = reads dev_b in
-    let rb = ring_b () in
-    Ring.append ring_a ~on_overflow b;
-    Ring.append rb ~on_overflow:no_overflow b;
+    let last = List.nth b (List.length b - 1) in
+    Ring.append ring_a ~on_overflow last;
+    Ring.append rb ~on_overflow:no_overflow last;
     appended := List.rev_append b !appended;
     check_int "the retry reads back what a ring without image reads"
       (reads dev_b - rb_reads) (reads dev_a - ra);
     check_bool "same bytes after the retry" true (blocks dev_a = blocks dev_b);
     new_epoch ()
   in
-  let cap = Ring.capacity ring_a in
   (* a transient failure mid-block, where A holds the image of its head
      block: its last flush ended there *)
   append_both 0 [ "hold" ];
@@ -378,7 +439,7 @@ let prop_roundtrip_arbitrary_payloads =
     (fun payloads ->
       let ring, dev = make_ring ~num_blocks:32 () in
       List.iter
-        (fun p -> Ring.append ring ~on_overflow:(fun () -> assert false) [ p ])
+        (fun p -> Ring.append ring ~on_overflow:(fun () -> assert false) p)
         payloads;
       let reader = attach dev ~start_block:2 ~num_blocks:32 ~head:0 ~seq:0 in
       let seen = ref [] in
@@ -400,7 +461,7 @@ let prop_wraparound_preserves_tail =
           ~on_overflow:(fun () ->
             last_ckpt := (Ring.head ring, Ring.seq ring);
             Ring.mark_checkpointed ring)
-          [ Printf.sprintf "record-%04d" i ]
+          (Printf.sprintf "record-%04d" i)
       done;
       let head, seq = !last_ckpt in
       let reader = attach dev ~start_block:2 ~num_blocks:3 ~head ~seq in
@@ -433,6 +494,8 @@ let () =
             test_faulted_flush_settles;
           Alcotest.test_case "torn wrapping flush stops replay" `Quick
             test_torn_wrapping_flush;
+          Alcotest.test_case "replay checks its last record" `Quick
+            test_replay_tail_check;
           Alcotest.test_case "replay reads each block once" `Quick
             test_replay_reads_each_block_once;
           Alcotest.test_case "head-block image matches read-back" `Quick

@@ -542,6 +542,73 @@ let test_erase_compact_remount_no_residue ~erase_first () =
          doomed || Result.is_ok (Dbfs.get_record t ~actor pd))
        pds)
 
+(* Compaction commits its survivors in chunks: one payload write and one
+   journal record each, no larger than the ring takes, so at window 1 a
+   pass raises committed_batches by its number of chunks, not its number
+   of survivors.  A ring too small for one record of every move takes
+   several.  After a remount and repair the image is clean, every record
+   reads back, and no relocated extent's plaintext is left in a victim:
+   each record's payload is found only in its own current blocks. *)
+let test_compaction_commits_chunks ~journal_blocks () =
+  let _, _, t, s = make_store ~journal_blocks () in
+  let payload i v = Printf.sprintf "KEEP-%03d-v%03d" i v in
+  let pds =
+    List.init 120 (fun i ->
+        match insert_subject t s i with
+        | Ok pd -> (i, pd)
+        | Error e -> failwith (Dbfs.error_to_string e))
+  in
+  let version i = if i mod 3 = 0 then 0 else 1 in
+  List.iter
+    (fun (i, pd) ->
+      if version i = 1 then
+        match
+          Dbfs.update_record t ~actor pd
+            [
+              ("payload", Value.VString (payload i 1));
+              ("bucket", Value.VInt (i mod 7));
+            ]
+        with
+        | Ok () -> ()
+        | Error e -> failwith (Dbfs.error_to_string e))
+    pds;
+  let st = Dbfs.stats t in
+  let count name = Stats.Counter.get st name in
+  let batches = count "committed_batches" in
+  let moved = count "compact_relocations" in
+  ignore (Dbfs.compact t ~max_victims:64 ~liveness_pct:75.0);
+  let batches = count "committed_batches" - batches in
+  let moved = count "compact_relocations" - moved in
+  check_bool "the pass relocated several survivors" true (moved > 1);
+  if journal_blocks >= 64 then
+    check_int "one chunk: one record for every survivor" 1 batches
+  else
+    check_bool
+      (Printf.sprintf "%d chunks for %d survivors" batches moved)
+      true
+      (batches > 1 && batches < moved);
+  let dev', t' = mount_image (Block_device.snapshot (Dbfs.device t)) in
+  let rep = Dbfs.fsck_repair t' in
+  check_bool "repair clean" true rep.Dbfs.rr_clean;
+  check_int "nothing quarantined" 0 (List.length rep.Dbfs.rr_quarantined);
+  List.iter
+    (fun (i, pd) ->
+      let current = payload i (version i) in
+      check_bool (current ^ " reads back") true
+        (match Dbfs.get_record t' ~actor pd with
+        | Ok r -> List.assoc_opt "payload" r = Some (Value.VString current)
+        | Error _ -> false);
+      let blocks =
+        match Dbfs.entry_blocks t' ~actor pd with
+        | Ok (record, _) -> record
+        | Error e -> failwith (Dbfs.error_to_string e)
+      in
+      check_bool (current ^ " only in its own blocks") true
+        (List.for_all
+           (fun (b, _) -> List.mem b blocks)
+           (Block_device.scan dev' current)))
+    pds
+
 (* ------------------------------------------------------------------ *)
 (* backpressure: deterministic stalls                                  *)
 
@@ -618,6 +685,10 @@ let () =
         [
           Alcotest.test_case "erase+compact+remount: zero residue" `Quick
             (test_erase_compact_remount_no_residue ~erase_first:false);
+          Alcotest.test_case "compaction commits in one chunk" `Quick
+            (test_compaction_commits_chunks ~journal_blocks:256);
+          Alcotest.test_case "compaction commits in ring-sized chunks" `Quick
+            (test_compaction_commits_chunks ~journal_blocks:4);
           Alcotest.test_case "erase first: sealed envelopes relocated" `Quick
             (test_erase_compact_remount_no_residue ~erase_first:true);
         ] );
