@@ -148,6 +148,7 @@ let demo_cmd =
 (* fsck                                                               *)
 
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Space = Rgpdos_dbfs.Space
 module Block_device = Rgpdos_block.Block_device
 module Journal_ring = Rgpdos_block.Journal_ring
 module Journalfs = Rgpdos_journalfs.Journalfs
@@ -213,15 +214,15 @@ let fsck_store damage subjects seed =
   | "bit-rot" ->
       let pd = first_pd () in
       let rec_blocks =
-        match Dbfs.entry_blocks store ~actor:"ded" pd with
-        | Ok (rb, _) -> rb
+        match Dbfs.entry_extents store ~actor:"ded" pd with
+        | Ok (r, _) -> r
         | Error e ->
-            Printf.eprintf "entry_blocks: %s\n" (Dbfs.error_to_string e);
+            Printf.eprintf "entry_extents: %s\n" (Dbfs.error_to_string e);
             exit 2
       in
       let cold = remount () in
       Block_device.unsafe_flip (Dbfs.device cold)
-        ~block:(List.hd rec_blocks) ~byte:10 ~bit:3;
+        ~block:(List.hd rec_blocks.Space.blocks) ~byte:(rec_blocks.Space.off + 10) ~bit:3;
       cold
   | "index" ->
       if not (Dbfs.unsafe_tamper_index store (first_pd ())) then begin

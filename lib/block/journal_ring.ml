@@ -29,6 +29,11 @@ type t = {
          from it instead of reading the block back.  Set only once a
          submission returns; a flush that raises, [scrub], [create] and
          [attach] leave none. *)
+  mutable stale : int;
+      (* absolute offset up to which the bytes past the head may still
+         hold the frame replay stopped at (0: none).  The next flush
+         zeroes them past its batch, so its last record is followed by a
+         clean end, not by the stopped frame's leftovers. *)
 }
 
 (* Channel the ring's flushes queue on: negative so it can never
@@ -57,6 +62,7 @@ let create dev ~counters ~start_block ~num_blocks =
     counters;
     inflight = [];
     image = None;
+    stale = 0;
   }
 
 let attach dev ~counters ~start_block ~num_blocks ~head ~seq =
@@ -74,6 +80,7 @@ let attach dev ~counters ~start_block ~num_blocks ~head ~seq =
     counters;
     inflight = [];
     image = None;
+    stale = 0;
   }
 
 let set_window ring w = ring.window <- max 1 w
@@ -122,8 +129,10 @@ let mark_checkpointed ring =
    block starts from the ring's [image] when the previous flush ended in
    it, and is read only when the head has moved into a block of its own
    (or the image was dropped), so a run of small flushes reads each ring
-   block once.  A flush that raises changes nothing but the image: the
-   frames stay pending at the same head. *)
+   block once.  The first flush after a replay that stopped at a frame
+   also zeroes what is left of that frame past the batch ([stale]).  A
+   flush that raises changes nothing but the image: the frames stay
+   pending at the same head. *)
 let flush ring =
   match ring.pending with
   | [] -> ()
@@ -134,22 +143,26 @@ let flush ring =
       (* newest first; a block recurs only when the batch laps the ring
          back into its own head block *)
       let images = ref [] in
+      let image_of blk chunk =
+        match List.assoc_opt blk !images with
+        | Some b -> b
+        | None ->
+            let b =
+              if chunk = bs then Bytes.create bs
+              else
+                match ring.image with
+                | Some (i, s) when i = blk -> Bytes.of_string s
+                | _ -> Bytes.of_string (read_block ring blk)
+            in
+            images := (blk, b) :: !images;
+            b
+      in
       iter_chunks ring ring.jhead len (fun blk off pos chunk ->
-          let img =
-            match List.assoc_opt blk !images with
-            | Some b -> b
-            | None ->
-                let b =
-                  if chunk = bs then Bytes.create bs
-                  else
-                    match ring.image with
-                    | Some (i, s) when i = blk -> Bytes.of_string s
-                    | _ -> Bytes.of_string (read_block ring blk)
-                in
-                images := (blk, b) :: !images;
-                b
-          in
-          Bytes.blit_string data pos img off chunk);
+          Bytes.blit_string data pos (image_of blk chunk) off chunk);
+      let stop = ring.jhead + len in
+      if ring.stale > stop then
+        iter_chunks ring stop (ring.stale - stop) (fun blk off _ chunk ->
+            Bytes.fill (image_of blk chunk) off chunk '\000');
       let writes =
         List.rev_map (fun (blk, b) -> (blk, Bytes.unsafe_to_string b)) !images
       in
@@ -165,6 +178,7 @@ let flush ring =
         ring.start_block + ((ring.jhead + len - 1) mod capacity ring / bs)
       in
       ring.image <- Some (last, List.assoc last writes);
+      ring.stale <- 0;
       let nrec = List.length frames_rev in
       ring.jhead <- ring.jhead + len;
       ring.live_records <- ring.live_records + nrec;
@@ -232,7 +246,9 @@ type replay_summary = { records_replayed : int; stop_reason : stop_reason }
    costs no device request, so each ring block is read once.  A record is
    applied only once the next frame has been read, so the last one is
    known as such and goes to [tail_ok] first; the head and sequence
-   number advance over applied records only. *)
+   number advance over applied records only.  Stopping at anything but
+   the clean end marks the frame there [stale], to its length when its
+   header gives one, else to the end of its block. *)
 let replay ?(tail_ok = fun _ -> true) ring f =
   let mlen = String.length record_magic in
   let last = ref (-1, "") in
@@ -261,7 +277,18 @@ let replay ?(tail_ok = fun _ -> true) ring f =
   in
   let next_seq () = if !held = None then ring.jseq else ring.jseq + 1 in
   let stop = ref None in
-  let finish reason = stop := Some reason in
+  let finish ?len reason =
+    stop := Some reason;
+    if reason <> Clean then begin
+      let at = pos () in
+      let bs = block_size ring in
+      ring.stale <-
+        max ring.stale
+          (match len with
+          | Some len -> at + len
+          | None -> at + bs - (at mod capacity ring mod bs))
+    end
+  in
   let hlen = mlen + 8 + 4 in
   while !stop = None do
     let header = ring_read (pos ()) hlen in
@@ -274,23 +301,25 @@ let replay ?(tail_ok = fun _ -> true) ring f =
          else Torn_frame)
     else begin
       let r = Codec.Reader.create (String.sub header mlen (8 + 4)) in
+      let lenfield = String.sub header (mlen + 8) 4 in
+      let plen = ref 0 in
+      String.iter (fun c -> plen := (!plen lsl 8) lor Char.code c) lenfield;
+      let plausible = !plen >= 0 && !plen <= capacity ring in
+      let total = hlen + !plen + 16 in
       match Codec.Reader.int r with
       | Error _ -> finish Torn_frame
       | Ok seq when seq < next_seq () ->
           (* well-formed record from a previous lap: stale, clean end *)
           finish Clean
-      | Ok seq when seq > next_seq () -> finish Seq_gap
+      | Ok seq when seq > next_seq () ->
+          if plausible then finish ~len:total Seq_gap else finish Seq_gap
       | Ok _ ->
-          let lenfield = String.sub header (mlen + 8) 4 in
-          let plen = ref 0 in
-          String.iter (fun c -> plen := (!plen lsl 8) lor Char.code c) lenfield;
-          if !plen < 0 || !plen > capacity ring then finish Torn_frame
+          if not plausible then finish Torn_frame
           else begin
-            let total = hlen + !plen + 16 in
             let frame = header ^ ring_read (pos () + hlen) (total - hlen) in
             let body = String.sub frame mlen (8 + 4 + !plen) in
             let sum = String.sub frame (mlen + 8 + 4 + !plen) 16 in
-            if sum <> checksum body then finish Bad_checksum
+            if sum <> checksum body then finish ~len:total Bad_checksum
             else begin
               Option.iter apply !held;
               held := Some (String.sub frame (mlen + 8 + 4) !plen, total)
@@ -299,8 +328,12 @@ let replay ?(tail_ok = fun _ -> true) ring f =
     end
   done;
   (match !held with
-  | Some ((payload, _) as record) ->
-      if tail_ok payload then apply record else finish Unwritten_data
+  | Some ((payload, total) as record) ->
+      if tail_ok payload then apply record
+      else begin
+        held := None;
+        finish ~len:total Unwritten_data
+      end
   | None -> ());
   {
     records_replayed = !replayed;

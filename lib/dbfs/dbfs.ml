@@ -36,9 +36,11 @@ let pp_error fmt = function
 
 let error_to_string e = Format.asprintf "%a" pp_error e
 
-(* One extent: its blocks, its payload size and the FNV-64 checksum of the
-   payload bytes, verified whenever the extent is read off the device. *)
-type loc = { blocks : int list; size : int; sum : string }
+(* One extent: where its bytes live (a slot at [off] of its one page, or
+   whole blocks from offset 0), its payload size and the FNV-64 checksum
+   of the payload bytes, verified whenever the extent is read off the
+   device. *)
+type loc = { blocks : int list; off : int; size : int; sum : string }
 
 (* A PD entry: the pair of inodes (record + membrane) in the subject tree.
    An erased entry's [record] holds the sealed envelope. *)
@@ -171,8 +173,6 @@ let charge_checksum t size =
 
 let block_size t = (Block_device.config t.dev).Block_device.block_size
 
-let blocks_needed t len = if len = 0 then 0 else ((len - 1) / block_size t) + 1
-
 (* Metadata region layout.  The region holds, in order: two root slots
    (A/B, written alternately so a torn root write can never lose both),
    the allocation bitmap, and two tree heap halves.  Each checkpoint
@@ -191,34 +191,34 @@ let bitmap_start ~meta_start = meta_start + (2 * root_slot_blocks)
 let heap_start t half =
   t.meta_start + (2 * root_slot_blocks) + t.bitmap_blocks + (half * t.heap_cap)
 
-(* [payload] cut into one block-sized slice per block of its extent *)
-let payload_blocks t payload blocks =
-  let bs = block_size t in
-  List.mapi
-    (fun i b ->
-      (b, String.sub payload (i * bs) (min bs (String.length payload - (i * bs)))))
-    blocks
+let ext l = { Space.blocks = l.blocks; off = l.off; size = l.size }
+
+let loc_of payload (x : Space.extent) =
+  { blocks = x.blocks; off = x.off; size = x.size; sum = Fnv.hash64_hex payload }
+
+(* An extent's payload cut out of the [block -> bytes] table of a read:
+   a slot's bytes of its page, neighbours' bytes left behind. *)
+let extent_bytes h l =
+  match l.blocks with
+  | [ b ] -> String.sub (Hashtbl.find h b) l.off l.size
+  | blocks ->
+      let buf = Buffer.create l.size in
+      List.iter (fun b -> Buffer.add_string buf (Hashtbl.find h b)) blocks;
+      Buffer.sub buf 0 l.size
+
+let block_table got =
+  let h = Hashtbl.create (max 16 (2 * List.length got)) in
+  List.iter (fun (b, data) -> Hashtbl.replace h b data) got;
+  h
 
 let read_payload t l =
-  let got = retrying t (fun () -> Block_device.read_vec t.dev l.blocks) in
-  let buf = Buffer.create l.size in
-  List.iter (fun b -> Buffer.add_string buf (List.assoc b got)) l.blocks;
-  Buffer.sub buf 0 l.size
+  extent_bytes
+    (block_table (retrying t (fun () -> Block_device.read_vec t.dev l.blocks)))
+    l
 
-(* An extent's payload out of the [block -> bytes] table of one read. *)
-let extent_bytes h l =
-  let buf = Buffer.create l.size in
-  List.iter (fun b -> Buffer.add_string buf (Hashtbl.find h b)) l.blocks;
-  Buffer.sub buf 0 l.size
-
-let loc_of payload blocks =
-  { blocks; size = String.length payload; sum = Fnv.hash64_hex payload }
-
-(* Channels the store's own traffic queues on: negative so they can never
-   collide with consumer-facing channels (DED shards use 0..n).  [-1] is
-   the journal ring's flush channel; a commit's payload write goes on
-   [data_channel], so it is in flight while the ring flushes. *)
-let data_channel = -2
+(* The channel DBFS's index prefetch queues on: negative so it can never
+   collide with consumer-facing channels (DED shards use 0..n); [Space]
+   owns the commit's channels. *)
 let prefetch_channel = -3
 
 (* ------------------------------------------------------------------ *)
@@ -335,16 +335,19 @@ let ckpt_io t ~half used =
 (* ------------------------------------------------------------------ *)
 (* entry codec (the entries tree's, and a journaled insert's)         *)
 
+(* The slot offset rides in the high half of the size word (a size and
+   an offset both fit in 32 bits), so a loc encodes to as many bytes as a
+   block-granular one did. *)
 let encode_loc w l =
   Codec.Writer.list w (Codec.Writer.int w) l.blocks;
-  Codec.Writer.int w l.size;
+  Codec.Writer.int w ((l.off lsl 32) lor l.size);
   Codec.Writer.string w l.sum
 
 let decode_loc r =
   let* blocks = Codec.Reader.list r Codec.Reader.int in
-  let* size = Codec.Reader.int r in
+  let* word = Codec.Reader.int r in
   let* sum = Codec.Reader.string r in
-  Ok { blocks; size; sum }
+  Ok { blocks; off = word lsr 32; size = word land 0xFFFF_FFFF; sum }
 
 (* Every field but [erased]: a journaled insert carries these, since a new
    entry is never erased. *)
@@ -688,10 +691,10 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
     | None -> touch_entry t pd_id
   in
   let free l =
-    Option.iter (fun acc -> acc := List.rev_append l.blocks !acc) freed_acc;
-    Space.mark_free t.space ~bytes:l.size l.blocks
+    Option.iter (fun acc -> acc := ext l :: !acc) freed_acc;
+    Space.mark_free t.space (ext l)
   in
-  let use l = Space.mark_used t.space ~bytes:l.size l.blocks in
+  let use l = Space.mark_used t.space (ext l) in
   (match op with
   | J_create_type _ -> ()
   | J_insert { pd_id; _ } | J_replace { pd_id; _ } | J_delete pd_id ->
@@ -936,46 +939,45 @@ let checkpoint t =
   Hashtbl.reset t.entries;
   Hashtbl.reset t.deleted
 
-(* The commit of every mutation.  The payload write of [extents] (one
-   vectored request) is submitted, [ops] are journaled as ONE record, and
-   the payload write is awaited (the flush, at window 1, inside [append])
-   before the ops apply in order, each with its hint.  The record's flush
-   runs on the ring's channel while the payload write is in flight, so at
-   window 1 a commit costs max(payload write, flush) rather than their
-   sum.  Only the journal's last record can therefore
-   be durable without its data; mount checks that record against its
-   data before applying it ([tail_written]).  The payload ticket is
-   settled on every path, an append that raises included. *)
-let commit t extents ops =
-  let tk =
-    retrying t (fun () ->
-        Block_device.submit_write_vec t.dev ~channel:data_channel
-          (List.concat_map
-             (fun (payload, blocks) -> payload_blocks t payload blocks)
-             extents))
-  in
+(* The commit of every mutation.  The payload write of [placed] (one
+   vectored request, each page rebuilt from its image with the new slots
+   laid in) is submitted, then the read of the pages destroying
+   [retiring] must rewrite, each on a channel of its own; [ops] are
+   journaled as ONE record, and both requests are awaited (the flush, at
+   window 1, inside [append]) before the ops apply in order, each with its
+   hint, and [retiring] is destroyed or deferred ([Space.finish]).  The
+   record's flush runs on the ring's channel while the payload write is
+   in flight, so at window 1 a commit costs max(payload write, flush,
+   page read) rather than their sum.  Only the journal's last record can
+   therefore be durable without its data; mount checks that record
+   against its data before applying it ([tail_written]).  Both tickets
+   are settled on every path, an append that raises included. *)
+let rec commit ?destroy ?(retiring = []) t placed ops =
+  let p = Space.submit t.space placed ~retiring:(List.map ext retiring) in
   Fun.protect
-    ~finally:(fun () -> ignore (Block_device.await t.dev tk))
+    ~finally:(fun () -> Space.settle t.space p)
     (fun () ->
       retrying t (fun () ->
           Journal_ring.append t.ring
             ~on_overflow:(fun () -> checkpoint t)
             (encode_record (List.map snd ops))));
-  List.iter (fun (hint, op) -> apply_op ~hint t op) ops
+  List.iter (fun (hint, op) -> apply_op ~hint t op) ops;
+  Space.finish ?destroy t.space p ~relocate:(relocate t)
 
 (* ------------------------------------------------------------------ *)
-(* space: compaction survivors, placement, retirement                 *)
+(* space: compaction survivors, placement                             *)
 
 (* Compaction's survivor move (victim choice and destruction are
    [Space.compact]'s): relocate every surviving extent through the
    ordinary commit, a [J_replace] with identical size and checksum — so
-   replay, secondary indexes, caches and the bitmap stay coherent with no
-   compaction-specific recovery code.  Survivors commit in chunks: one
-   payload write and one record of at most [Journal_ring.max_payload]
-   bytes each, settled before the next chunk commits, so only the last
-   record can have its data in flight.  An extent failing its checksum is
-   left in place for fsck rather than propagated. *)
-let rec relocate t ~in_victim =
+   replay, secondary indexes, caches and the slot map stay coherent with
+   no compaction-specific recovery code.  The survivors' pages are read
+   in one request.  Survivors commit in chunks: one payload write and one
+   record of at most [Journal_ring.max_payload] bytes each, settled
+   before the next chunk commits, so only the last record can have its
+   data in flight.  An extent failing its checksum is left in place for
+   fsck rather than propagated. *)
+and relocate t ~in_victim =
   (* one merged entry pass discovers every surviving extent; the moves
      below change no other entry, and moving one extent leaves its
      entry's other extent and erased flag as iterated *)
@@ -989,13 +991,23 @@ let rec relocate t ~in_victim =
               moves := (e, kind) :: !moves
           | _ -> ())
         [ Record; Membrane ]);
+  let moves = List.rev !moves in
+  let pages =
+    List.concat_map (fun (e, kind) -> (extent e kind).blocks) moves
+  in
+  let h =
+    block_table
+      (match pages with
+      | [] -> []
+      | _ -> retrying t (fun () -> Block_device.read_vec t.dev pages))
+  in
   let items =
-    List.rev !moves
-    |> List.map (fun (e, kind) ->
-           let l = extent e kind in
-           let raw = read_payload t l in
-           charge_checksum t l.size;
-           (e, kind, raw, l.sum))
+    List.map
+      (fun (e, kind) ->
+        let l = extent e kind in
+        charge_checksum t l.size;
+        (e, kind, extent_bytes h l, l.sum))
+      moves
   in
   let limit = Journal_ring.max_payload t.ring in
   let chunk = ref [] and chunk_bytes = ref 0 and relocated = ref 0 in
@@ -1014,12 +1026,10 @@ let rec relocate t ~in_victim =
         Stats.Counter.incr t.counters "compact_verify_failures"
       else
         match
-          Space.alloc t.space (zone e kind)
-            (blocks_needed t (String.length raw))
+          Space.place t.space [ (zone e kind, String.length raw) ]
             ~relocate:(relocate t)
         with
-        | None -> () (* no room: survivor stays put *)
-        | Some blocks ->
+        | Some [ x ] ->
             let hint =
               match kind with
               | Membrane -> (
@@ -1032,23 +1042,18 @@ let rec relocate t ~in_victim =
                   | Error _ -> no_hint)
               | Sealed -> no_hint
             in
-            let loc = { blocks; size = String.length raw; sum } in
+            let loc = { (loc_of raw x) with sum } in
             let op = J_replace { kind; pd_id = e.pd_id; loc } in
             let n = String.length (encode_record [ op ]) in
             if !chunk_bytes + n > limit then commit_chunk ();
-            chunk :=
-              ((raw, blocks), ({ hint with h_entry = Some e }, op)) :: !chunk;
-            chunk_bytes := !chunk_bytes + n)
+            chunk := ((raw, x), ({ hint with h_entry = Some e }, op)) :: !chunk;
+            chunk_bytes := !chunk_bytes + n
+        | _ -> () (* no room: survivor stays put *))
     items;
   commit_chunk ();
   Stats.Counter.incr t.counters ~by:!relocated "compact_relocations"
 
-let alloc t zone n = Space.alloc t.space zone n ~relocate:(relocate t)
-
-(* Every mutator's last step, once its journal record has committed:
-   destroy or defer the blocks it superseded, as the allocator decides. *)
-let retire ?destroy t blocks =
-  Space.retire ?destroy t.space blocks ~relocate:(relocate t)
+let place t items = Space.place t.space items ~relocate:(relocate t)
 
 (* ------------------------------------------------------------------ *)
 (* construction                                                       *)
@@ -1065,38 +1070,53 @@ let assemble dev ~ring ~counters ~journal_blocks ~meta_blocks ~allocator root =
   in
   let meta_start = 1 + journal_blocks in
   let field f default = match root with Some rs -> f rs | None -> default in
-  {
-    dev;
-    ring;
-    journal_blocks;
-    meta_start;
-    meta_blocks;
-    bitmap_blocks;
-    heap_cap = heap_cap_for ~meta_blocks ~bitmap_blocks;
-    space =
-      Space.create allocator dev ~ring ~counters
-        ~data_start:(meta_start + meta_blocks)
-        ~bitmap_start:(bitmap_start ~meta_start)
-        (Option.map (fun rs -> rs.rs_bitmap) root);
-    tables = Hashtbl.create 8;
-    entries = Hashtbl.create 256;
-    deleted = Hashtbl.create 64;
-    entries_base = field (fun rs -> rs.rs_entries_base) Pagestore.empty_root;
-    entry_count = field (fun rs -> rs.rs_entry_count) 0;
-    index = Index.create ();
-    index_roots = field (fun rs -> rs.rs_index_roots) Index.empty_roots;
-    active_half = field (fun rs -> rs.rs_active_half) 0;
-    heap_used = field (fun rs -> rs.rs_heap_used) 0;
-    root_seq = field (fun rs -> rs.rs_seq) 0;
-    next_pd = field (fun rs -> rs.rs_next_pd) 0;
-    hook = None;
-    degraded = None;
-    replay = None;
-    replay_warning = None;
-    counters;
-    cache = Cache.create ~budget:default_cache_budget;
-    page_prefetch = Hashtbl.create 16;
-  }
+  (* the slot map loads from the entries, which the store below holds *)
+  let store = ref None in
+  let live () =
+    match !store with
+    | None -> []
+    | Some t ->
+        List.concat_map
+          (fun e -> [ ext e.record; ext e.membrane ])
+          (collect_entries ~on_corrupt:ignore t)
+  in
+  let t =
+    {
+      dev;
+      ring;
+      journal_blocks;
+      meta_start;
+      meta_blocks;
+      bitmap_blocks;
+      heap_cap = heap_cap_for ~meta_blocks ~bitmap_blocks;
+      space =
+        Space.create allocator dev ~ring ~counters
+          ~data_start:(meta_start + meta_blocks)
+          ~bitmap_start:(bitmap_start ~meta_start)
+          ~live
+          (Option.map (fun rs -> rs.rs_bitmap) root);
+      tables = Hashtbl.create 8;
+      entries = Hashtbl.create 256;
+      deleted = Hashtbl.create 64;
+      entries_base = field (fun rs -> rs.rs_entries_base) Pagestore.empty_root;
+      entry_count = field (fun rs -> rs.rs_entry_count) 0;
+      index = Index.create ();
+      index_roots = field (fun rs -> rs.rs_index_roots) Index.empty_roots;
+      active_half = field (fun rs -> rs.rs_active_half) 0;
+      heap_used = field (fun rs -> rs.rs_heap_used) 0;
+      root_seq = field (fun rs -> rs.rs_seq) 0;
+      next_pd = field (fun rs -> rs.rs_next_pd) 0;
+      hook = None;
+      degraded = None;
+      replay = None;
+      replay_warning = None;
+      counters;
+      cache = Cache.create ~budget:default_cache_budget;
+      page_prefetch = Hashtbl.create 16;
+    }
+  in
+  store := Some t;
+  t
 
 let format ?(allocator = Space.Heap) dev ~journal_blocks =
   let cfg = Block_device.config dev in
@@ -1132,9 +1152,9 @@ let format ?(allocator = Space.Heap) dev ~journal_blocks =
 (* Replay's tail check.  A commit's record goes out while its payload
    write is in flight, so the journal's last record may be durable
    without its data.  It applies only if every extent it names matches
-   its stored checksum, read in one vectored request; otherwise the
-   mutation never completed and the record is dropped like a torn final
-   frame.  A record that does not decode passes (applying it reports
+   its stored checksum, each slot cut out of its page, the pages read in
+   one vectored request; otherwise the mutation never completed and the
+   record is dropped like a torn final frame.  A record that does not decode passes (applying it reports
    that), and so does one whose extents cannot be read: that is medium
    damage, which fsck reports and repair quarantines. *)
 let tail_written t payload =
@@ -1148,8 +1168,7 @@ let tail_written t payload =
           match retrying t (fun () -> Block_device.read_vec t.dev blocks) with
           | exception Block_device.Faulted _ -> true
           | got ->
-              let h = Hashtbl.create (2 * List.length got) in
-              List.iter (fun (b, data) -> Hashtbl.replace h b data) got;
+              let h = block_table got in
               List.for_all
                 (fun l ->
                   charge_checksum t l.size;
@@ -1268,10 +1287,10 @@ let list_types t ~actor =
 (* ------------------------------------------------------------------ *)
 (* PD entries                                                         *)
 
-let entry_blocks t ~actor pd_id =
+let entry_extents t ~actor pd_id =
   let** () = guard t ~actor ~op:"read" in
   let** e = find_entry t pd_id in
-  Ok (e.record.blocks, e.membrane.blocks)
+  Ok (ext e.record, ext e.membrane)
 
 (* Enforcement rule 3: a membrane must wrap its own pd, declare its type
    and name its subject — on insert and on every replacement. *)
@@ -1299,48 +1318,43 @@ let insert t ~actor ~subject ~type_name ~record ~membrane_of =
           let high = membrane.Membrane.sensitivity = Membrane.High in
           let record_bytes = Record.encode record in
           let membrane_bytes = Membrane.encode membrane in
-          let rn = blocks_needed t (String.length record_bytes) in
-          let mn = blocks_needed t (String.length membrane_bytes) in
-          match alloc t (Space.Z_record high) rn with
-          | None -> Error No_space
-          | Some record_blocks -> (
-              match alloc t Space.Z_membrane mn with
-              | None ->
-                  Space.mark_free t.space record_blocks;
-                  Error No_space
-              | Some membrane_blocks ->
-                  protect_write t (fun () ->
-                      (* the record and the membrane in one payload write *)
-                      t.next_pd <- t.next_pd + 1;
-                      commit t
-                        [
-                          (record_bytes, record_blocks);
-                          (membrane_bytes, membrane_blocks);
-                        ]
-                        [
-                          ( {
-                              no_hint with
-                              h_record = Some record;
-                              h_membrane = Some membrane;
-                            },
-                            J_insert
-                              {
-                                pd_id;
-                                type_name;
-                                subject;
-                                high;
-                                record = loc_of record_bytes record_blocks;
-                                membrane = loc_of membrane_bytes membrane_blocks;
-                                erased = false;
-                              } );
-                        ];
-                      Stats.Counter.incr t.counters "inserts";
-                      (* write-through: the values just validated and
-                         encoded are exactly what a read would decode *)
-                      cache_put_membrane t pd_id membrane;
-                      cache_put_record t pd_id record;
-                      retire t [];
-                      Ok pd_id))))
+          match
+            place t
+              [
+                (Space.Z_record high, String.length record_bytes);
+                (Space.Z_membrane, String.length membrane_bytes);
+              ]
+          with
+          | Some [ record_x; membrane_x ] ->
+              protect_write t (fun () ->
+                  (* the record and the membrane in one payload write *)
+                  t.next_pd <- t.next_pd + 1;
+                  commit t
+                    [ (record_bytes, record_x); (membrane_bytes, membrane_x) ]
+                    [
+                      ( {
+                          no_hint with
+                          h_record = Some record;
+                          h_membrane = Some membrane;
+                        },
+                        J_insert
+                          {
+                            pd_id;
+                            type_name;
+                            subject;
+                            high;
+                            record = loc_of record_bytes record_x;
+                            membrane = loc_of membrane_bytes membrane_x;
+                            erased = false;
+                          } );
+                    ];
+                  Stats.Counter.incr t.counters "inserts";
+                  (* write-through: the values just validated and
+                     encoded are exactly what a read would decode *)
+                  cache_put_membrane t pd_id membrane;
+                  cache_put_record t pd_id record;
+                  Ok pd_id)
+          | _ -> Error No_space))
 
 (* Verify an extent's checksum against the raw bytes just read. *)
 let verify_sum ~what ~pd_id ~stored raw =
@@ -1353,9 +1367,11 @@ let verify_sum ~what ~pd_id ~stored raw =
    A batch of [queue_depth] vectored device requests covers every pd in
    the selection, so the fixed seek latency is paid once per contiguous
    run of each request rather than once per pd; a point read is a batch
-   of one.  Cost transparency is preserved: cached entries' blocks stay
-   in the request (only the host-side decode is skipped), so a warm cache
-   changes no stage_ns figure. *)
+   of one.  Each slot is cut out of its page, so only the bytes asked
+   for are verified, decoded and returned.  Cost transparency is
+   preserved: cached entries' pages stay in the request (only the
+   host-side decode is skipped), so a warm cache changes no stage_ns
+   figure. *)
 
 (* A whole batch resolved in one descent; any failing pd (the first, in
    input order) fails the batch. *)
@@ -1391,14 +1407,22 @@ let chunk_entries entries n =
    blocking [read_vec] (or [charge_read_vec] when every entry is cached).
    Chunking depends only on the entry list, and cache-hit batches submit
    through the charge-only variant with the identical chunk shape, so
-   warm==cold holds at every depth.  [blocks_of] names each entry's
-   extent; [decode] folds one chunk's entries against its block table. *)
+   warm==cold holds at every depth.  A page shared by several entries is
+   read by the first chunk that needs it and by no later one, so each page
+   is read and charged once per batch; chunks settle in order, so a later
+   chunk finds it in the block table.  [blocks_of] names each entry's
+   extent; [decode] folds one chunk's entries against the block table. *)
 let pipelined_read t ~channel ~any_miss ~blocks_of ~decode entries =
   let depth = (Block_device.config t.dev).Block_device.queue_depth in
+  let asked = Hashtbl.create 64 in
   let submitted =
     List.map
       (fun ch ->
-        let blocks = List.concat_map blocks_of ch in
+        let blocks =
+          List.sort_uniq compare (List.concat_map blocks_of ch)
+          |> List.filter (fun b -> not (Hashtbl.mem asked b))
+        in
+        List.iter (fun b -> Hashtbl.replace asked b ()) blocks;
         let tk =
           retrying t (fun () ->
               if any_miss then Block_device.submit_read_vec t.dev ~channel blocks
@@ -1407,14 +1431,16 @@ let pipelined_read t ~channel ~any_miss ~blocks_of ~decode entries =
         (ch, tk))
       (chunk_entries entries depth)
   in
+  let h = Hashtbl.create 64 in
   let rec settle acc = function
     | [] -> Ok (List.rev acc)
-    | (ch, tk) :: rest ->
-        let got = Block_device.await t.dev tk in
-        let h = Hashtbl.create (max 16 (2 * List.length got)) in
-        List.iter (fun (i, s) -> Hashtbl.replace h i s) got;
-        let** acc = decode h acc ch in
-        settle acc rest
+    | (ch, tk) :: rest -> (
+        List.iter (fun (i, s) -> Hashtbl.replace h i s) (Block_device.await t.dev tk);
+        match decode h acc ch with
+        | Ok acc -> settle acc rest
+        | Error e ->
+            List.iter (fun (_, tk) -> ignore (Block_device.await t.dev tk)) rest;
+            Error e)
   in
   settle [] submitted
 
@@ -1491,41 +1517,37 @@ let get_record t ~actor pd_id =
 (* The one extent write behind record updates, membrane updates and
    erasure: place each of [items] (a [(kind, hint, payload)] of entry [e])
    in its zone and commit them — every payload in one write, their
-   [J_replace]s in one record — then retire the superseded blocks once.
+   [J_replace]s in one record — then destroy the superseded slots once.
    So a crash leaves all of the items applied or none.  With a [Sealed]
-   item the retirement is erasure's destruction duty: no plaintext of the
-   old record may remain anywhere. *)
+   item the destruction is erasure's duty: no plaintext of the old record
+   may remain anywhere. *)
 let replace_extent t e items =
-  (* [e] enters the overlay before [alloc]: a compaction that allocation
+  (* [e] enters the overlay before placement: a compaction that placement
      triggers then relocates this very entry object, so [e] is current
      when its own ops apply *)
   Hashtbl.replace t.entries e.pd_id e;
-  let rec place acc = function
-    | [] -> Ok (List.rev acc)
-    | (kind, hint, payload) :: rest -> (
-        match alloc t (zone e kind) (blocks_needed t (String.length payload)) with
-        | None ->
-            List.iter (fun (_, _, _, blocks) -> Space.mark_free t.space blocks) acc;
-            Error No_space
-        | Some blocks -> place ((kind, hint, payload, blocks) :: acc) rest)
-  in
-  let** placed = place [] items in
-  (* the superseded extents, read only now: a compaction the second
-     allocation triggered may have relocated the first one's old copy *)
-  let old = List.concat_map (fun (kind, _, _, _) -> (extent e kind).blocks) placed in
-  protect_write t (fun () ->
-      commit t
-        (List.map (fun (_, _, payload, blocks) -> (payload, blocks)) placed)
-        (List.map
-           (fun (kind, hint, payload, blocks) ->
-             let loc = loc_of payload blocks in
-             ( { hint with h_entry = Some e },
-               J_replace { kind; pd_id = e.pd_id; loc } ))
-           placed);
-      retire
-        ~destroy:(List.exists (fun (kind, _, _, _) -> kind = Sealed) placed)
-        t old;
-      Ok ())
+  match
+    place t
+      (List.map
+         (fun (kind, _, payload) -> (zone e kind, String.length payload))
+         items)
+  with
+  | None -> Error No_space
+  | Some xs ->
+      (* the superseded extents, read only now: a compaction placement
+         triggered may have relocated them *)
+      let old = List.map (fun (kind, _, _) -> extent e kind) items in
+      protect_write t (fun () ->
+          commit t
+            ~destroy:(List.exists (fun (kind, _, _) -> kind = Sealed) items)
+            ~retiring:old
+            (List.map2 (fun (_, _, payload) x -> (payload, x)) items xs)
+            (List.map2
+               (fun (kind, hint, payload) x ->
+                 ( { hint with h_entry = Some e },
+                   J_replace { kind; pd_id = e.pd_id; loc = loc_of payload x } ))
+               items xs);
+          Ok ())
 
 let update_record t ~actor pd_id record =
   let** () = guard t ~actor ~op:"write" in
@@ -1582,11 +1604,10 @@ let delete t ~actor pd_id =
   let** () = guard t ~actor ~op:"delete" in
   let** () = check_degraded t in
   let** e = find_entry t pd_id in
-  let blocks = e.record.blocks @ e.membrane.blocks in
   protect_write t (fun () ->
-      commit t [] [ ({ no_hint with h_entry = Some e }, J_delete pd_id) ];
       (* physical destruction after the metadata commit *)
-      retire ~destroy:true t blocks;
+      commit t ~destroy:true ~retiring:[ e.record; e.membrane ] []
+        [ ({ no_hint with h_entry = Some e }, J_delete pd_id) ];
       Stats.Counter.incr t.counters "deletes";
       Ok ())
 
@@ -1937,8 +1958,8 @@ let fsck_check t =
             {
               Space.o_pd = e.pd_id;
               o_high = e.high;
-              o_record = e.record.blocks;
-              o_membrane = e.membrane.blocks;
+              o_record = ext e.record;
+              o_membrane = ext e.membrane;
             })
           all));
   (* schema membership + recorded entry count *)
@@ -2083,6 +2104,7 @@ let fsck_repair t =
       device_faults := true;
       false
   in
+  let on_fault () = device_faults := true in
   (* 0. pull every recoverable entry out of the (possibly damaged) paged
      tree: from here on the repair works against the in-memory overlay
      and rebuilds the on-device trees wholesale at the end *)
@@ -2103,14 +2125,9 @@ let fsck_repair t =
   let quarantined =
     List.map
       (fun (e, reason) ->
+        (* the extents may hold damaged PD plaintext: they leave the slot
+           map below, and the scrub zeroes them *)
         invalidate_caches t e.pd_id;
-        (* the extents may hold damaged PD plaintext: zero best-effort,
-           then release the blocks *)
-        List.iter
-          (fun b -> ignore (zero_block b))
-          (e.record.blocks @ e.membrane.blocks);
-        Space.mark_free t.space e.record.blocks;
-        Space.mark_free t.space e.membrane.blocks;
         act "quarantined %s (%s)" e.pd_id reason;
         (e.pd_id, reason))
       damaged
@@ -2127,12 +2144,12 @@ let fsck_repair t =
   t.index_roots <- Index.empty_roots;
   act "rebuilt secondary indexes from %d surviving entries"
     (List.length healthy);
-  (* 3-4. release allocated blocks no surviving entry owns; scrub free
-     space *)
+  (* 3-4. release allocated pages no surviving entry owns; leave no
+     data-page byte outside a surviving slot *)
   let scrubbed =
     Space.repair t.space
-      ~owned:(List.concat_map (fun e -> e.record.blocks @ e.membrane.blocks) healthy)
-      ~zero_block ~act:(act "%s")
+      ~owned:(List.concat_map (fun e -> [ ext e.record; ext e.membrane ]) healthy)
+      ~on_fault ~act:(act "%s")
   in
   (* 5. truncate the journal at the damage point: checkpoint the repaired
      metadata (making every journal record dead) and scrub the ring *)

@@ -22,7 +22,11 @@
       journal's last record can be durable without its data, and replay
       checks that record against the data's checksums (see {!mount});
     - {b zeroing deallocation}: deleting or rewriting a PD entry zeroes
-      its old blocks on the device;
+      its old bytes on the device.  An extent is a {i slot}, a byte range
+      of a 4 KiB page shared with other slots of its zone (see
+      {!Space}), so destroying one rewrites its page with every byte
+      outside the page's live slots cleared, and a page left with no
+      live slot is zeroed whole;
     - {b membrane invariant}: the API makes it impossible to store a
       record without a membrane (enforcement rule 3 of §2), and the
       attached membrane must agree with the entry's identity.
@@ -76,14 +80,16 @@ val mount : Rgpdos_block.Block_device.t -> (t, string) result
     exception-free: it stops at the first damaged frame (see
     {!replay_report}); a frame that decodes but cannot be applied flips
     the store into degraded read-only mode instead of failing the mount.
-    Blocks freed by replayed operations that are still free once the
-    whole journal is applied are re-zeroed, closing the
+    The pages of slots freed by replayed operations are scrubbed once the
+    whole journal is applied (no byte outside a live slot), closing the
     commit-then-crash window in which stale PD plaintext could survive
-    on the medium.
+    on the medium.  The first mutation after a mount loads the slot map
+    from the entries (one walk of the entries tree).
 
     The journal's last record is applied only if every extent it names
     (a [J_insert]'s record and membrane, a [J_replace]'s new extent)
-    reads back with its stored checksum, in one vectored read.  A record
+    reads back with its stored checksum, each slot cut out of its page,
+    the pages in one vectored read.  A record
     whose data never reached the medium is not applied: the journal ends
     before it (the next append overwrites it), {!replay_report} gives the
     stop reason [Unwritten_data], and {!fsck_repair}'s free-space scrub
@@ -102,10 +108,11 @@ val layout : t -> Space.layout
     vectored device path); the High split implements storing sensitive
     data apart. *)
 
-val entry_blocks :
-  t -> actor:string -> string -> (int list * int list, error) result
-(** [(record_blocks, membrane_blocks)] of a pd — placement introspection
-    for allocator tests and forensic checks. *)
+val entry_extents :
+  t -> actor:string -> string -> (Space.extent * Space.extent, error) result
+(** [(record, membrane)]: where a pd's two extents live, each a slot of a
+    shared page (or whole blocks when larger than one) — placement
+    introspection for allocator tests and forensic checks. *)
 
 val set_access_hook : t -> (actor:string -> op:string -> bool) -> unit
 (** Install the LSM-style mediation hook.  Ops are ["create_type"],
@@ -158,8 +165,10 @@ val get_membranes :
 (** Batched membrane load: elevator-ordered vectored device requests
     cover every pd in the selection, so the fixed seek cost is paid per
     contiguous run rather than per pd.  Results are in input order.  Any
-    unknown pd fails the whole batch.  Cache hits skip only the host-side
-    decode — their blocks stay in the request, so the simulated cost (and
+    unknown pd fails the whole batch.  Each page is read once however
+    many of the batch's slots it holds, and only the slots asked for are
+    verified, decoded and returned.  Cache hits skip only the host-side
+    decode — their pages stay in the request, so the simulated cost (and
     every stage_ns figure) is identical whether the cache is cold or
     warm.
 
@@ -196,10 +205,12 @@ val update_record :
     the journaled op applies to the entry resolved for the checks, with
     no second lookup.
 
-    Commit: the new record is written and its [J_replace] journaled as
-    one record while the write is in flight; both are awaited, and only
-    then are the old blocks retired (zeroed at once on the heap
-    allocator).  A crash leaves the old record or the new one, never a
+    Commit: the new record is written (its page rebuilt with the new
+    slot laid in) and its [J_replace] journaled as one record while the
+    write is in flight; the page the old slot's destruction must rewrite
+    is read on a channel of its own at the same time, unless its bytes
+    are already in hand; all are awaited, and only then is the old slot
+    destroyed (at once, by rewriting its page, on the heap allocator).  A crash leaves the old record or the new one, never a
     record pointing at unwritten blocks: replay drops a last record whose
     data is missing (see {!mount}). *)
 
@@ -223,8 +234,9 @@ val copy_pd : t -> actor:string -> string -> (string, error) result
     membrane load from that entry. *)
 
 val delete : t -> actor:string -> string -> (unit, error) result
-(** Physical removal: record and membrane blocks are zeroed on the device
-    before being freed.  One entries-tree descent, as for
+(** Physical removal: the record and membrane slots are zeroed on the
+    device, their pages rewritten (or zeroed whole once no live slot is
+    left), after the [J_delete] commits.  One entries-tree descent, as for
     {!update_record}. *)
 
 val erase_with :
@@ -246,7 +258,7 @@ val erase_with :
     payloads (the withdrawn membrane and the sealed record), one journal
     record holding both [J_replace] ops (membrane first), flushed while
     that write is in flight, and, once both are awaited, one destruction
-    of both superseded extents.  A crash therefore leaves the pd either
+    of both superseded slots (one write of their two pages).  A crash therefore leaves the pd either
     untouched or withdrawn and sealed, never withdrawn but live; if the
     record is durable but the new payloads are not, replay drops the
     record (see {!mount}) and the pd is untouched, since nothing was
@@ -354,8 +366,10 @@ val fsck : ?repair:bool -> t -> (unit, string list) result
 (** Invariant check, including the membrane invariant (every stored
     entry's membrane must decode and match the entry identity), per-extent
     checksums (every record and membrane extent must read back with its
-    stored FNV-64 sum), the space invariant ({!Space.check}: block
-    ownership, zones, leaks and the segment table), and index ↔ entry
+    stored FNV-64 sum), the space invariant ({!Space.check}: slots
+    inside allocated pages of their zone and disjoint, no slotless
+    allocated page, the slot map and the segment table), and index ↔
+    entry
     agreement in both directions:
     every index key names a live pd and matches its on-device record,
     every posting list contains its keyed pds, every live pd of an
@@ -370,7 +384,8 @@ type repair_report = {
   rr_actions : string list;   (** repair actions taken, in order *)
   rr_quarantined : (string * string) list;
       (** unrecoverable pds removed from the store: [(pd_id, reason)] *)
-  rr_scrubbed_blocks : int;   (** free blocks found non-zero and zeroed *)
+  rr_scrubbed_blocks : int;
+      (** data pages rewritten so no byte outside a live slot remains *)
   rr_journal_truncated : string option;
       (** why the journal was cut short, when replay stopped on damage *)
   rr_clean : bool;            (** post-repair re-check passed *)
@@ -380,8 +395,8 @@ val fsck_repair : t -> repair_report
 (** Self-healing pass: quarantine entries whose extents are unreadable,
     fail their checksum, or no longer decode (reported, never silently
     dropped); rebuild every secondary index from the surviving records;
-    release leaked blocks; zero any free block still holding bytes
-    (including what landed of a dropped last record's data); truncate
+    release leaked pages; leave no data-page byte outside a surviving
+    slot (including what landed of a dropped last record's data); truncate
     the journal where replay stopped (checkpoint + scrub);
     and leave degraded read-only mode iff the re-check comes back clean.
     Repair never invents data — a quarantined pd is data loss and is
@@ -452,7 +467,8 @@ val compact : ?max_victims:int -> ?liveness_pct:float -> t -> int
 (** Run one compaction pass: pick up to [max_victims] sealed segments at
     or below [liveness_pct] live, relocate their surviving extents
     through the ordinary commit, then destroy the victims (trim when
-    fully dead, vectored zero otherwise).  Survivors commit in chunks:
+    fully dead, scrub their dirty pages otherwise).  Liveness counts live
+    slot bytes, so a page holding one live slot is mostly dead.  Survivors commit in chunks:
     one payload write and one journal record of at most
     [Journal_ring.max_payload] bytes each, the chunk's data awaited
     before the next chunk commits.  Returns the number
@@ -460,7 +476,7 @@ val compact : ?max_victims:int -> ?liveness_pct:float -> t -> int
     when nothing qualifies. *)
 
 val segment_table : t -> (int * string * int * int * int) list
-(** Per-segment live table [(id, state, used, live_blocks, live_bytes)]
+(** Per-segment live table [(id, state, used, live_pages, live_bytes)]
     for every non-free segment; [[]] on an update-in-place store. *)
 
 val stats : t -> Rgpdos_util.Stats.Counter.t

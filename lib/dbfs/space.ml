@@ -1,22 +1,32 @@
-(* DBFS space management: zones, the free map, both placement policies,
-   and the destruction of superseded bytes (see space.mli).
+(* DBFS space management: zones, pages and slots, the free map, both
+   placement policies, and the destruction of superseded bytes (see
+   space.mli).
 
-   Data-region layout (unchanged since the zoned-allocation PR):
+   Data-region layout:
 
    [data_start, rec_start)   membrane zone (one per entry, any sensitivity)
    [rec_start,  high_start)  ordinary records
    [high_start, block_count) High-sensitivity records (stored apart, §3(1))
 
-   Under [Segments] each zone is carved into fixed-size segments.  Every
-   extent is bump-allocated at the write pointer of its zone's single
-   open segment, so the device sees sequential appends per zone.  A full
-   segment (or one a remount abandons) is sealed: it only loses liveness
-   until the compactor relocates its survivors and hands it back free.
-   Freed blocks in a sealed segment keep their plaintext until purged —
-   synchronously on every delete and erasure, and by the compactor.  A
-   fully dead segment is reclaimed with trims, the simulated erase-block
-   discard that the scattered extents of [Heap] can never use, because
-   live neighbours share their erase block. *)
+   An extent that fits in one block is a slot: a byte range of a page (a
+   data block) shared with other slots of its zone.  Each zone appends new
+   slots to its open page, whose bytes are kept in memory; a full page
+   gives way to a fresh one from the allocator.  An extent larger than a
+   block takes whole blocks of its own, from offset 0.  A page is
+   allocated in the free map while it holds a live slot, and freed when
+   its last slot dies: dead space inside a partly live page is not reused,
+   so a page never costs more than one block per live slot.
+
+   Under [Segments] each zone is carved into fixed-size segments.  Pages
+   and large extents are bump-allocated at the write pointer of their
+   zone's single open segment, so the device sees sequential appends per
+   zone.  A full segment (or one a remount abandons) is sealed: it only
+   loses liveness until the compactor relocates its survivors and hands it
+   back free.  Dead slots in a sealed segment keep their plaintext until
+   purged — synchronously on every delete and erasure, and by the
+   compactor.  A fully dead segment is reclaimed with trims, the simulated
+   erase-block discard that the scattered pages of [Heap] can never use,
+   because live neighbours share their erase block. *)
 
 module Block_device = Rgpdos_block.Block_device
 module Journal_ring = Rgpdos_block.Journal_ring
@@ -54,9 +64,18 @@ let decode_allocator r =
    that rode over the threshold, not host sleep. *)
 let compact_liveness_pct = 35.0
 let compact_batch = 8
-let dirty_trigger_pct = 10 (* dirty blocks as % of data region: compact *)
+let dirty_trigger_pct = 10 (* dirty pages as % of data region: compact *)
 let backpressure_pct = 25 (* dirty still above this after compacting: stall *)
 let backpressure_stall_ns = 200_000
+
+(* Channels of the store's own traffic: negative, so they never collide
+   with consumer-facing channels (DED shards use 0..n).  [-1] is the
+   journal ring's flush channel and [-3] DBFS's index prefetch.  A
+   commit's payload write goes on [data_channel] and the page read its
+   destruction needs on [destroy_channel], so both are in flight while the
+   ring flushes. *)
+let data_channel = -2
+let destroy_channel = -4
 
 type zone = Z_membrane | Z_record of bool
 
@@ -64,6 +83,8 @@ let zone_idx = function
   | Z_membrane -> 0
   | Z_record false -> 1
   | Z_record true -> 2
+
+type extent = { blocks : int list; off : int; size : int }
 
 type layout = {
   l_data_start : int;
@@ -89,16 +110,14 @@ type seg = {
   g_nblocks : int;
   mutable g_state : seg_state;
   mutable g_used : int; (* bump pointer, in blocks *)
-  mutable g_live : int; (* live (allocated) blocks *)
-  mutable g_live_bytes : int; (* live payload bytes (exact for blocks
-                                 allocated this session, block-rounded
-                                 for blocks inherited from the bitmap) *)
+  mutable g_live : int; (* live (allocated) pages *)
+  mutable g_live_bytes : int; (* bytes of the live slots *)
 }
 
-(* The live table is derived state over the bitmap: maintained
-   write-through by [mark_used]/[mark_free] while mounted, rebuilt from
-   the hydrated bitmap after a remount, so it can never disagree with
-   the persisted truth and clean mounts stay O(1). *)
+(* The live table is derived state over the bitmap and the slot map:
+   maintained write-through by [mark_used]/[mark_free] while mounted,
+   rebuilt after a remount, so it can never disagree with the persisted
+   truth and clean mounts stay O(1). *)
 type segs = {
   seg_blocks : int;
   zones : (int * int) array; (* per class: [lo, hi) device blocks *)
@@ -108,10 +127,9 @@ type segs = {
   open_seg : int option array; (* per class: index into [segs] *)
   mutable hydrated : bool;
   dirty : (int, unit) Hashtbl.t;
-      (* freed-but-not-yet-purged device blocks (still holding bytes).
-         An explicit set, not a counter: the purge path zeroes exactly
-         these blocks, so a block is scrubbed once — a zeroed block stays
-         [is_written] on the device and must never re-enter the sweep. *)
+      (* pages that may hold bytes outside their live slots (dead slots,
+         or a whole freed page), awaiting a purge.  An explicit set: the
+         purge scrubs exactly these pages, once. *)
 }
 
 let make_segs ~seg_blocks zones =
@@ -184,7 +202,7 @@ let next_free_seg s cls =
   go lo
 
 (* Bump-allocate [n] contiguous blocks in class [cls].  Placement only:
-   liveness is accounted when the journaled op marks the blocks used, so
+   liveness is accounted when the journaled op marks the slots live, so
    replayed and live ops account identically.  An extent larger than one
    segment takes a run of consecutive free segments and seals them. *)
 let bump_alloc s ~cls n =
@@ -232,27 +250,34 @@ let bump_alloc s ~cls n =
         Some (List.init n (fun i -> first + i))
   end
 
-(* A block turning live leaves the dirty set: after a crash, hydration
-   queues free+written blocks, and replay then re-marks those that a
-   replayed op owns — their bytes are that op's payload, not residue. *)
-let note_alloc s b ~bytes =
-  Hashtbl.remove s.dirty b;
+(* Whether [n] more blocks of class [cls] fit without compacting. *)
+let bump_room s ~cls n =
+  let open_room =
+    match s.open_seg.(cls) with
+    | Some i when s.segs.(i).g_state = S_open ->
+        s.segs.(i).g_nblocks - s.segs.(i).g_used
+    | _ -> 0
+  in
+  n <= open_room || (n <= s.seg_blocks && next_free_seg s cls <> None)
+
+let note_alloc s b =
   match seg_of_block s b with
   | None -> ()
   | Some g ->
       g.g_live <- g.g_live + 1;
-      g.g_live_bytes <- g.g_live_bytes + bytes;
       let off = b - g.g_first + 1 in
       if off > g.g_used then g.g_used <- off;
       if g.g_state = S_free then g.g_state <- S_sealed
 
-let note_free s b ~bytes ~written =
+let note_free s b =
   match seg_of_block s b with
   | None -> ()
-  | Some g ->
-      g.g_live <- max 0 (g.g_live - 1);
-      g.g_live_bytes <- max 0 (g.g_live_bytes - bytes);
-      if written then Hashtbl.replace s.dirty b ()
+  | Some g -> g.g_live <- max 0 (g.g_live - 1)
+
+let note_bytes s b delta =
+  match seg_of_block s b with
+  | None -> ()
+  | Some g -> g.g_live_bytes <- max 0 (g.g_live_bytes + delta)
 
 let dirty_in s g =
   let hi = g.g_first + g.g_nblocks in
@@ -275,15 +300,20 @@ let reclaim_seg s g =
   g.g_live_bytes <- 0;
   if s.open_seg.(g.g_class) = Some g.g_id then s.open_seg.(g.g_class) <- None
 
-(* Sealed segments with any consumed space whose liveness (live blocks /
-   bump pointer) is at or below [liveness_pct], fully dead first (pure
-   reclaim, no copy), then lowest liveness.  Open segments never are. *)
-let victims s ~max_victims ~liveness_pct =
+(* Sealed segments with any consumed space whose liveness (live slot
+   bytes / bytes of the pages up to the bump pointer) is at or below
+   [liveness_pct], fully dead first (pure reclaim, no copy), then lowest
+   liveness: a page with one live slot left is mostly dead space.  Open
+   segments never are victims. *)
+let victims s ~block_size ~max_victims ~liveness_pct =
   let cands = ref [] in
   Array.iter
     (fun g ->
       if g.g_state = S_sealed && g.g_used > 0 then begin
-        let ratio = 100.0 *. float_of_int g.g_live /. float_of_int g.g_used in
+        let ratio =
+          100.0 *. float_of_int g.g_live_bytes
+          /. float_of_int (g.g_used * block_size)
+        in
         if ratio <= liveness_pct then cands := (ratio, g) :: !cands
       end)
     s.segs;
@@ -323,6 +353,10 @@ type free_state = F_unloaded | F_loaded of bool array
    data block is free. *)
 type root = { present : bool; bytes : int }
 
+(* A zone's open page: where its next slot goes ([fill]), and the bytes
+   the device holds for it, as of its last write that returned. *)
+type open_page = { page : int; mutable fill : int; mutable image : string }
+
 type t = {
   dev : Block_device.t;
   ring : Journal_ring.t;
@@ -335,6 +369,17 @@ type t = {
   mutable root : root;
   placement : placement;
   mutable compacting : bool; (* reentrancy guard for the compactor *)
+  live : unit -> extent list;
+  mutable slots : (int, (int * int) list) Hashtbl.t option;
+      (* the slot map: page -> its live slots [(off, len)], sorted.  Like
+         the bitmap it is loaded on first use after a mount, from the
+         entries ([live]), and then changes only through the idempotent
+         transitions of [mark_used]/[mark_free]. *)
+  opened : open_page option array; (* per zone *)
+  mutable closed : (int * string) list;
+      (* images of pages that placement closed since the last
+         [page_writes]: the commit that placed their last slots writes
+         them from here *)
 }
 
 let encode_root w t =
@@ -349,16 +394,17 @@ let decode_root r =
 let block_size t = (Block_device.config t.dev).Block_device.block_size
 let block_count t = (Block_device.config t.dev).Block_device.block_count
 
-let create allocator dev ~ring ~counters ~data_start ~bitmap_start root =
+let create allocator dev ~ring ~counters ~data_start ~bitmap_start ~live root =
   let block_count = (Block_device.config dev).Block_device.block_count in
   let rec_start = data_start + ((block_count - data_start) / 4) in
   let high_start = rec_start + ((block_count - rec_start) * 3 / 4) in
-  let free_state, root =
+  let free_state, root, slots =
     match root with
-    | Some r -> (F_unloaded, r)
+    | Some r -> (F_unloaded, r, None)
     | None ->
         ( F_loaded (Array.make (block_count - data_start) true),
-          { present = false; bytes = 0 } )
+          { present = false; bytes = 0 },
+          Some (Hashtbl.create 1024) )
   in
   let placement =
     match allocator with
@@ -381,6 +427,10 @@ let create allocator dev ~ring ~counters ~data_start ~bitmap_start root =
     root;
     placement;
     compacting = false;
+    live;
+    slots;
+    opened = Array.make 3 None;
+    closed = [];
   }
 
 let layout t =
@@ -416,14 +466,14 @@ let retrying t f =
   go 0
 
 (* Flush-before-destroy: commit every buffered journal record and settle
-   it, so no record whose blocks are about to be destroyed can be rolled
+   it, so no record whose bytes are about to be destroyed can be rolled
    back by a crash.  Free at window 1, where [append] already settled. *)
 let flush_journal t =
   retrying t (fun () -> Journal_ring.flush t.ring);
   Journal_ring.barrier t.ring
 
 let zero t = function
-  | [] -> () (* every insert retires nothing: skip the empty request *)
+  | [] -> ()
   | blocks ->
       let zeros = String.make (block_size t) '\000' in
       retrying t (fun () ->
@@ -451,25 +501,159 @@ let free_map t =
       t.free_state <- F_loaded a;
       a
 
-(* Rebuild the segment live table from the bitmap on first use after a
-   mount (or a repair).  Every segment holding any allocated or written
-   block is sealed — appends resume in fresh segments, which is what
-   makes the bump pointers trustworthy without persisting them — and
-   free+written blocks are dirty. *)
+(* ------------------------------------------------------------------ *)
+(* slots                                                              *)
+
+(* [(page, off, len)] of each block of an extent: a slot is one piece; a
+   larger extent owns whole blocks from offset 0. *)
+let extent_pieces ~block_size x =
+  match x.blocks with
+  | [ b ] -> [ (b, x.off, x.size) ]
+  | blocks ->
+      List.mapi (fun i b -> (b, 0, min block_size (x.size - (i * block_size)))) blocks
+
+let pieces t = extent_pieces ~block_size:(block_size t)
+
+let has_slot l off len = List.exists (fun (o, n) -> o = off && n = len) l
+
+let add_slot h (b, off, len) =
+  let l = Option.value ~default:[] (Hashtbl.find_opt h b) in
+  if has_slot l off len then false
+  else begin
+    Hashtbl.replace h b ((off, len) :: l);
+    true
+  end
+
+let remove_slot h (b, off, len) =
+  match Hashtbl.find_opt h b with
+  | Some l when has_slot l off len ->
+      (match List.filter (fun (o, n) -> o <> off || n <> len) l with
+      | [] -> Hashtbl.remove h b
+      | l -> Hashtbl.replace h b l);
+      true
+  | _ -> false
+
+let slot_map t =
+  match t.slots with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.create 1024 in
+      List.iter
+        (fun x -> List.iter (fun p -> ignore (add_slot h p)) (pieces t x))
+        (t.live ());
+      t.slots <- Some h;
+      h
+
+(* A page's live slots, in offset order. *)
+let live_slots t b =
+  List.sort compare (Option.value ~default:[] (Hashtbl.find_opt (slot_map t) b))
+
+let open_image t b =
+  Array.fold_left
+    (fun acc o ->
+      match o with Some o when o.page = b -> Some o.image | _ -> acc)
+    None t.opened
+
+let is_open t b = open_image t b <> None
+
+(* A page whose last slot died: nothing appends to it any more. *)
+let forget_open t b =
+  Array.iteri
+    (fun z o ->
+      match o with Some o when o.page = b -> t.opened.(z) <- None | _ -> ())
+    t.opened
+
+(* [raw] with every byte outside [live] zeroed. *)
+let clear_outside raw live =
+  let b = Bytes.of_string raw in
+  let pos =
+    List.fold_left
+      (fun pos (off, len) ->
+        if off > pos then Bytes.fill b pos (off - pos) '\000';
+        max pos (off + len))
+      0 live
+  in
+  Bytes.fill b pos (Bytes.length b - pos) '\000';
+  Bytes.unsafe_to_string b
+
+(* The writes that leave no byte of [pages] outside a live slot: a page
+   with no live slot is zeroed whole (when it holds bytes), any other is
+   rewritten from [bytes_of] with its dead bytes cleared, if it has any. *)
+let scrub_writes t ~bytes_of pages =
+  let zeros = String.make (block_size t) '\000' in
+  List.filter_map
+    (fun b ->
+      match live_slots t b with
+      | [] -> if Block_device.is_written t.dev b then Some (b, zeros) else None
+      | live ->
+          let raw = bytes_of b in
+          let clean = clear_outside raw live in
+          if clean <> raw then Some (b, clean) else None)
+    pages
+
+(* A write returned: an open page's image becomes what it wrote. *)
+let landed t writes =
+  Array.iter
+    (function
+      | Some o -> (
+          match List.assoc_opt o.page writes with
+          | Some raw -> o.image <- raw
+          | None -> ())
+      | None -> ())
+    t.opened
+
+let write t = function
+  | [] -> ()
+  | writes ->
+      retrying t (fun () -> Block_device.write_vec t.dev writes);
+      landed t writes
+
+(* Scrub [pages] now: read, in one request, those that keep live slots
+   and whose bytes are not in hand (an open page's image, or [known]),
+   and write back every page that changes.  Returns the pages written. *)
+let scrub ?(known = []) t pages =
+  let need =
+    List.filter
+      (fun b ->
+        live_slots t b <> [] && (not (is_open t b)) && not (List.mem_assoc b known))
+      pages
+  in
+  let got =
+    match need with
+    | [] -> known
+    | _ -> known @ retrying t (fun () -> Block_device.read_vec t.dev need)
+  in
+  let bytes_of b =
+    match open_image t b with Some raw -> raw | None -> List.assoc b got
+  in
+  let writes = scrub_writes t ~bytes_of pages in
+  write t writes;
+  List.length writes
+
+(* Rebuild the segment live table on first use after a mount (or a
+   repair).  Every segment holding any allocated or written page is
+   sealed — appends resume in fresh segments, which is what makes the
+   bump pointers trustworthy without persisting them.  Free+written pages
+   are dirty, and so is every live page its slots do not fill: it may
+   hold a dead slot that was not purged before the mount. *)
 let hydrate t s =
   if not s.hydrated then begin
     let free = free_map t in
+    let bs = block_size t in
     Hashtbl.reset s.dirty;
     Array.iter
       (fun g ->
-        let live = ref 0 and used = ref 0 in
+        let live = ref 0 and used = ref 0 and bytes = ref 0 in
         for b = g.g_first to g.g_first + g.g_nblocks - 1 do
           if not free.(b - t.data_start) then begin
             incr live;
-            used := b - g.g_first + 1
+            used := b - g.g_first + 1;
+            let held = List.fold_left (fun n (_, len) -> n + len) 0 (live_slots t b) in
+            bytes := !bytes + held;
+            if held < bs then Hashtbl.replace s.dirty b ()
           end
           else if Block_device.is_written t.dev b then begin
-            (* a pre-crash purge may already have zeroed this block; one
+            (* a pre-crash purge may already have zeroed this page; one
                redundant scrub per mount is the price of not persisting
                the dirty set *)
             Hashtbl.replace s.dirty b ();
@@ -477,7 +661,7 @@ let hydrate t s =
           end
         done;
         g.g_live <- !live;
-        g.g_live_bytes <- 0;
+        g.g_live_bytes <- !bytes;
         g.g_used <- (if !live > 0 then g.g_nblocks else !used);
         g.g_state <- (if !live > 0 || !used > 0 then S_sealed else S_free))
       s.segs;
@@ -485,55 +669,59 @@ let hydrate t s =
     s.hydrated <- true
   end
 
-(* [bytes], when known, is the payload size of the whole extent,
-   attributed per block in extent order. *)
-let extent_byte_at t ~bytes ~idx =
-  match bytes with
-  | None -> block_size t
-  | Some total -> max 0 (min (block_size t) (total - (idx * block_size t)))
-
-(* Bitmap transitions are idempotent (a no-op when the bit already holds
-   the target value), so the segment table hangs off them as pure
-   write-through. *)
-let mark_used ?bytes t blocks =
+(* Slot transitions are idempotent (adding a live slot or removing a dead
+   one changes nothing), and the bitmap follows them: a page is allocated
+   while it holds a live slot.  So replayed and live ops drive the slot
+   map, the bitmap and the segment table identically. *)
+let mark_used t x =
   let free = free_map t in
+  let h = slot_map t in
   (match t.placement with Bump s -> hydrate t s | First_fit _ -> ());
-  List.iteri
-    (fun idx b ->
+  List.iter
+    (fun ((b, _, len) as p) ->
+      let added = add_slot h p in
       let i = b - t.data_start in
-      if free.(i) then begin
-        free.(i) <- false;
-        match t.placement with
-        | Bump s -> note_alloc s b ~bytes:(extent_byte_at t ~bytes ~idx)
-        | First_fit _ -> ()
-      end)
-    blocks
+      match t.placement with
+      | Bump s ->
+          if added then note_bytes s b len;
+          if free.(i) then begin
+            free.(i) <- false;
+            note_alloc s b
+          end
+      | First_fit _ -> free.(i) <- false)
+    (pieces t x)
 
-let mark_free ?bytes t blocks =
+let mark_free t x =
   let free = free_map t in
+  let h = slot_map t in
   (match t.placement with Bump s -> hydrate t s | First_fit _ -> ());
-  List.iteri
-    (fun idx b ->
+  List.iter
+    (fun ((b, _, len) as p) ->
+      let removed = remove_slot h p in
       let i = b - t.data_start in
-      if not free.(i) then begin
+      (match t.placement with
+      | Bump s when removed ->
+          note_bytes s b (-len);
+          if Block_device.is_written t.dev b || is_open t b then
+            Hashtbl.replace s.dirty b ()
+      | _ -> ());
+      if (not (Hashtbl.mem h b)) && not free.(i) then begin
         free.(i) <- true;
+        forget_open t b;
         match t.placement with
         | First_fit hints ->
-            let h = hints.(zone_of_slot t i) in
-            if i < !h then h := i
-        | Bump s ->
-            note_free s b
-              ~bytes:(extent_byte_at t ~bytes ~idx)
-              ~written:(Block_device.is_written t.dev b)
+            let hint = hints.(zone_of_slot t i) in
+            if i < !hint then hint := i
+        | Bump s -> note_free s b
       end)
-    blocks
+    (pieces t x)
 
 (* ------------------------------------------------------------------ *)
 (* destruction                                                        *)
 
-(* Reclaim a sealed segment with no live block left: trim whatever is
+(* Reclaim a sealed segment with no live page left: trim whatever is
    still written — one discard command per segment, zero bytes moved —
-   forget its dirty blocks and hand it back to the allocator. *)
+   forget its dirty pages and hand it back to the allocator. *)
 let reclaim_dead_segment t s g =
   let n = ref 0 in
   for b = g.g_first to g.g_first + g.g_nblocks - 1 do
@@ -551,9 +739,9 @@ let reclaim_dead_segment t s g =
   reclaim_seg s g;
   Stats.Counter.incr t.counters "segments_reclaimed"
 
-(* Destroy every dirty block: trim fully dead sealed segments, zero the
-   dead blocks of segments that still hold live data in one vectored
-   write, after [flush_journal]. *)
+(* Destroy every dirty byte: trim fully dead sealed segments, then scrub
+   the dirty pages of the rest in one read and one write, after
+   [flush_journal]. *)
 let purge t s =
   hydrate t s;
   if Hashtbl.length s.dirty > 0 then begin
@@ -565,17 +753,16 @@ let purge t s =
     match take_dirty s with
     | [] -> ()
     | dl ->
-        zero t dl;
-        Stats.Counter.incr t.counters ~by:(List.length dl) "purge_zeroed_blocks"
+        Stats.Counter.incr t.counters ~by:(scrub t dl) "purge_zeroed_blocks"
   end
 
 type relocate = in_victim:(int -> bool) -> unit
 
 (* Crash windows (both exercised by the fault campaign): after a
    relocation is journaled but before its victim is destroyed, replay
-   zeroes the superseded copy ([scrub_freed]); after a relocated payload
-   is written but before its record is durable, the new blocks are
-   free+written, which [repair]'s free-space scrub destroys. *)
+   scrubs the superseded copy ([scrub_freed]); after a relocated payload
+   is written but before its record is durable, its bytes lie outside
+   every live slot, which [repair]'s scrub destroys. *)
 let compact ?(max_victims = compact_batch) ?(liveness_pct = compact_liveness_pct)
     t ~relocate =
   match t.placement with
@@ -588,33 +775,44 @@ let compact ?(max_victims = compact_batch) ?(liveness_pct = compact_liveness_pct
           ~finally:(fun () -> t.compacting <- false)
           (fun () ->
             hydrate t s;
-            match victims s ~max_victims ~liveness_pct with
+            match
+              victims s ~block_size:(block_size t) ~max_victims ~liveness_pct
+            with
             | [] -> 0
             | victims ->
-                (* buffered records may reference blocks this pass is
+                let in_victim b =
+                  List.exists
+                    (fun g -> b >= g.g_first && b < g.g_first + g.g_nblocks)
+                    victims
+                in
+                (* nothing appends to a victim: an open page in one closes
+                   (no placement is pending while the compactor runs) *)
+                Array.iteri
+                  (fun z o ->
+                    match o with
+                    | Some o when in_victim o.page -> t.opened.(z) <- None
+                    | _ -> ())
+                  t.opened;
+                (* buffered records may reference pages this pass is
                    about to destroy.  Only flushed on actual work, so an
                    idle tick cannot defeat group commit. *)
                 retrying t (fun () -> Journal_ring.flush t.ring);
                 Stats.Counter.incr t.counters "compactions";
-                relocate ~in_victim:(fun b ->
-                    List.exists
-                      (fun g -> b >= g.g_first && b < g.g_first + g.g_nblocks)
-                      victims);
-                (* make the relocations durable before any victim block is
-                   trimmed or zeroed *)
+                relocate ~in_victim;
+                (* make the relocations durable before any victim page is
+                   trimmed or scrubbed *)
                 flush_journal t;
                 List.iter
                   (fun g ->
                     if g.g_live = 0 then reclaim_dead_segment t s g
                     else
-                      (* survivors could not move: zero the pending dead
-                         blocks (once — the dirty set forgets them) *)
+                      (* survivors could not move: scrub the pending dead
+                         pages (once — the dirty set forgets them) *)
                       match dirty_in s g with
                       | [] -> ()
                       | dl ->
-                          zero t dl;
                           List.iter (Hashtbl.remove s.dirty) dl;
-                          Stats.Counter.incr t.counters ~by:(List.length dl)
+                          Stats.Counter.incr t.counters ~by:(scrub t dl)
                             "purge_zeroed_blocks")
                   victims;
                 List.length victims)
@@ -638,32 +836,16 @@ let maintain t s ~relocate =
     end
   end
 
-let retire ?(destroy = false) t blocks ~relocate =
-  match t.placement with
-  | First_fit _ ->
-      if blocks <> [] then begin
-        flush_journal t;
-        zero t blocks
-      end
-  | Bump s ->
-      if destroy then purge t s;
-      maintain t s ~relocate
-
 let scrub_freed t = function
   | [] -> ()
-  | blocks -> (
-      let free = free_map t in
-      let leftover =
-        List.sort_uniq compare blocks
-        |> List.filter (fun b ->
-               free.(b - t.data_start) && Block_device.is_written t.dev b)
+  | freed -> (
+      let pages =
+        List.sort_uniq compare (List.concat_map (fun x -> x.blocks) freed)
+        |> List.filter (Block_device.is_written t.dev)
       in
-      match leftover with
-      | [] -> ()
-      | _ ->
-          Stats.Counter.incr t.counters ~by:(List.length leftover)
-            "replay_zeroed_blocks";
-          zero t leftover)
+      match scrub t pages with
+      | 0 -> ()
+      | n -> Stats.Counter.incr t.counters ~by:n "replay_zeroed_blocks")
 
 (* ------------------------------------------------------------------ *)
 (* placement                                                          *)
@@ -717,30 +899,211 @@ let first_fit free ~hint ~lo ~hi n =
         end
   end
 
-(* [Segments] places without touching the bitmap: the journaled op's
-   [mark_used] sets the bits, so replay accounts identically, and the
+(* Fresh blocks for [zone]: [Heap] reserves them in the bitmap at once;
+   [Segments] only picks them — the journaled op marks them — and the
    bump pointer alone prevents double placement in between. *)
-let alloc t zone n ~relocate =
-  if n = 0 then Some []
+let alloc_blocks t zone n =
+  match t.placement with
+  | First_fit hints ->
+      let lo, hi = zone_bounds t zone in
+      first_fit (free_map t) ~hint:hints.(zone_idx zone) ~lo ~hi n
+      |> Option.map (List.map (fun i -> t.data_start + i))
+  | Bump s ->
+      hydrate t s;
+      bump_alloc s ~cls:(zone_idx zone) n
+
+let blocks_for t size = if size = 0 then 0 else ((size - 1) / block_size t) + 1
+
+(* One extent of [size] bytes in [zone] and the fresh blocks it took. *)
+let place_one t zone size =
+  let bs = block_size t in
+  let z = zone_idx zone in
+  if size = 0 then Some ({ blocks = []; off = 0; size }, [])
+  else if size > bs then
+    Option.map
+      (fun blocks -> ({ blocks; off = 0; size }, blocks))
+      (alloc_blocks t zone (blocks_for t size))
   else
-    match t.placement with
-    | First_fit hints ->
-        let lo, hi = zone_bounds t zone in
-        first_fit (free_map t) ~hint:hints.(zone_idx zone) ~lo ~hi n
-        |> Option.map (List.map (fun i -> t.data_start + i))
-    | Bump s -> (
-        hydrate t s;
-        let cls = zone_idx zone in
-        match bump_alloc s ~cls n with
-        | Some blocks -> Some blocks
+    match t.opened.(z) with
+    | Some o when o.fill + size <= bs ->
+        let off = o.fill in
+        o.fill <- off + size;
+        Some ({ blocks = [ o.page ]; off; size }, [])
+    | cur -> (
+        match alloc_blocks t zone 1 with
+        | None -> None
+        | Some blocks ->
+            let page = List.hd blocks in
+            Option.iter (fun o -> t.closed <- (o.page, o.image) :: t.closed) cur;
+            t.opened.(z) <-
+              Some { page; fill = size; image = String.make bs '\000' };
+            Some ({ blocks; off = 0; size }, blocks))
+
+(* All or nothing: a failed placement gives back the heap's reserved
+   blocks and restores the open pages.  Under [Segments] a zone short of
+   room is compacted before anything is placed, so the compactor's own
+   commits never run between two placements of one mutation. *)
+let place t items ~relocate =
+  (match t.placement with
+  | Bump s when not t.compacting ->
+      hydrate t s;
+      let short =
+        List.exists
+          (fun (zone, size) ->
+            let z = zone_idx zone in
+            let fits =
+              size > 0 && size <= block_size t
+              && match t.opened.(z) with
+                 | Some o -> o.fill + size <= block_size t
+                 | None -> false
+            in
+            (not fits) && not (bump_room s ~cls:z (blocks_for t size)))
+          items
+      in
+      (* space-driven compaction is more aggressive than the dirty-driven
+         pass: relocating up to 75%-live segments frees whole segments
+         for reuse *)
+      if short then
+        ignore
+          (compact t ~max_victims:(2 * compact_batch) ~liveness_pct:75.0
+             ~relocate)
+  | _ -> ());
+  let saved = Array.map (Option.map (fun o -> { o with fill = o.fill })) t.opened in
+  let closed = t.closed in
+  let rec go acc fresh = function
+    | [] -> Some (List.rev acc)
+    | (zone, size) :: rest -> (
+        match place_one t zone size with
+        | Some (x, taken) -> go (x :: acc) (taken @ fresh) rest
         | None ->
-            (* space-driven compaction is more aggressive than the
-               dirty-driven pass: relocating up to 75%-live segments
-               frees whole segments for reuse *)
-            ignore
-              (compact t ~max_victims:(2 * compact_batch) ~liveness_pct:75.0
-                 ~relocate);
-            bump_alloc s ~cls n)
+            (match t.placement with
+            | First_fit hints ->
+                let free = free_map t in
+                List.iter
+                  (fun b ->
+                    let i = b - t.data_start in
+                    free.(i) <- true;
+                    let hint = hints.(zone_of_slot t i) in
+                    if i < !hint then hint := i)
+                  fresh
+            | Bump _ -> ());
+            Array.blit saved 0 t.opened 0 (Array.length saved);
+            t.closed <- closed;
+            None)
+  in
+  go [] [] items
+
+(* The payload writes of [placed]: each page a slot lands in, rebuilt
+   from its image (zeros for a fresh page) with this commit's slots laid
+   in; whole blocks for a larger extent. *)
+let page_writes t placed =
+  let bs = block_size t in
+  let pages = Hashtbl.create 4 and order = ref [] and whole = ref [] in
+  List.iter
+    (fun (payload, x) ->
+      match x.blocks with
+      | [ b ] ->
+          let img =
+            match Hashtbl.find_opt pages b with
+            | Some img -> img
+            | None ->
+                let base =
+                  match open_image t b with
+                  | Some raw -> raw
+                  | None -> (
+                      match List.assoc_opt b t.closed with
+                      | Some raw -> raw
+                      | None -> String.make bs '\000')
+                in
+                let img = Bytes.of_string base in
+                Hashtbl.replace pages b img;
+                order := b :: !order;
+                img
+          in
+          Bytes.blit_string payload 0 img x.off x.size
+      | blocks ->
+          List.iteri
+            (fun i b ->
+              whole :=
+                (b, String.sub payload (i * bs) (min bs (x.size - (i * bs))))
+                :: !whole)
+            blocks)
+    placed;
+  (* a page closes when a slot does not fit in it, so every slot placed
+     in it is written by now or by this commit: no later commit needs
+     its image *)
+  t.closed <- [];
+  (* each image is a fresh copy, handed over: nothing mutates it again *)
+  List.rev_map (fun b -> (b, Bytes.unsafe_to_string (Hashtbl.find pages b))) !order
+  @ List.rev !whole
+
+type pending = {
+  p_write : Block_device.ticket;
+  p_writes : (int * string) list;
+  p_read : Block_device.ticket option;
+  p_retiring : extent list;
+}
+
+(* The pages the heap's destruction of [retiring] will rewrite around a
+   live neighbour and does not hold: not written by this commit, not
+   open. *)
+let destruction_reads t writes retiring =
+  match t.placement with
+  | Bump _ -> []
+  | First_fit _ ->
+      let going = List.concat_map (pieces t) retiring in
+      List.sort_uniq compare (List.map (fun (b, _, _) -> b) going)
+      |> List.filter (fun b ->
+             (not (List.mem_assoc b writes))
+             && (not (is_open t b))
+             && List.exists
+                  (fun (off, len) -> not (List.mem (b, off, len) going))
+                  (live_slots t b))
+
+let submit t placed ~retiring =
+  let writes = page_writes t placed in
+  let tk =
+    retrying t (fun () ->
+        Block_device.submit_write_vec t.dev ~channel:data_channel writes)
+  in
+  let read =
+    match destruction_reads t writes retiring with
+    | [] -> None
+    | pages -> (
+        match
+          retrying t (fun () ->
+              Block_device.submit_read_vec t.dev ~channel:destroy_channel pages)
+        with
+        | rd -> Some rd
+        | exception e ->
+            ignore (Block_device.await t.dev tk);
+            raise e)
+  in
+  { p_write = tk; p_writes = writes; p_read = read; p_retiring = retiring }
+
+let settle t p =
+  ignore (Block_device.await t.dev p.p_write);
+  Option.iter (fun tk -> ignore (Block_device.await t.dev tk)) p.p_read
+
+let finish ?(destroy = false) t p ~relocate =
+  landed t p.p_writes;
+  match t.placement with
+  | First_fit _ -> (
+      match p.p_retiring with
+      | [] -> () (* every insert retires nothing: skip the empty request *)
+      | retiring ->
+          flush_journal t;
+          let read =
+            match p.p_read with
+            | Some tk -> Block_device.await t.dev tk
+            | None -> []
+          in
+          ignore
+            (scrub ~known:(p.p_writes @ read) t
+               (List.sort_uniq compare (List.concat_map (fun x -> x.blocks) retiring))))
+  | Bump s ->
+      if destroy then purge t s;
+      maintain t s ~relocate
 
 (* ------------------------------------------------------------------ *)
 (* persistence, introspection, invariant                              *)
@@ -782,53 +1145,89 @@ let segment_table t =
 type owner = {
   o_pd : string;
   o_high : bool;
-  o_record : int list;
-  o_membrane : int list;
+  o_record : extent;
+  o_membrane : extent;
 }
 
 let check t owners =
   let problems = ref [] in
   let note fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
   let free = free_map t in
-  let owned = Hashtbl.create 64 in
-  let claim pd_id b =
+  let bs = block_size t in
+  let claimed = Hashtbl.create 64 in
+  let claim pd_id (b, off, len) =
     if free.(b - t.data_start) then note "entry %s owns free block %d" pd_id b;
-    match Hashtbl.find_opt owned b with
-    | Some other -> note "block %d owned by %s and %s" b other pd_id
-    | None -> Hashtbl.replace owned b pd_id
+    if off < 0 || len <= 0 || off + len > bs then
+      note "entry %s has slot %d+%d outside block %d" pd_id off len b;
+    let l = Option.value ~default:[] (Hashtbl.find_opt claimed b) in
+    Hashtbl.replace claimed b ((off, len, pd_id) :: l)
+  in
+  (* [misplaced b]: why block [b] is in the wrong zone for the extent *)
+  let owns pd_id ~misplaced x =
+    List.iter
+      (fun ((b, _, _) as p) ->
+        if b < t.data_start || b >= block_count t then
+          note "entry %s owns non-data block %d" pd_id b
+        else begin
+          Option.iter (fun why -> note "entry %s %s (block %d)" pd_id why b)
+            (misplaced b);
+          claim pd_id p
+        end)
+      (pieces t x)
   in
   List.iter
     (fun o ->
-      let pd_id = o.o_pd in
-      List.iter
-        (fun b ->
-          if b < t.data_start then note "entry %s owns non-data block %d" pd_id b
-          else begin
-            if b < t.rec_start then
-              note "entry %s stores record in membrane zone (block %d)" pd_id b;
-            if o.o_high && b < t.high_start then
-              note "sensitive entry %s stored in ordinary region (block %d)" pd_id b;
-            if (not o.o_high) && b >= t.high_start then
-              note "ordinary entry %s stored in sensitive region (block %d)" pd_id b;
-            claim pd_id b
-          end)
-        o.o_record;
-      List.iter
-        (fun b ->
-          if b < t.data_start then note "entry %s owns non-data block %d" pd_id b
-          else begin
-            if b >= t.rec_start then
-              note "entry %s stores membrane outside membrane zone (block %d)"
-                pd_id b;
-            claim pd_id b
-          end)
-        o.o_membrane)
+      owns o.o_pd o.o_record ~misplaced:(fun b ->
+          if b < t.rec_start then Some "stores record in membrane zone"
+          else if o.o_high && b < t.high_start then
+            Some "is sensitive but stored in the ordinary region"
+          else if (not o.o_high) && b >= t.high_start then
+            Some "is ordinary but stored in the sensitive region"
+          else None);
+      owns o.o_pd o.o_membrane ~misplaced:(fun b ->
+          if b >= t.rec_start then Some "stores membrane outside membrane zone"
+          else None))
     owners;
+  (* slots of one page never overlap *)
+  Hashtbl.iter
+    (fun b l ->
+      let sorted = List.sort compare l in
+      ignore
+        (List.fold_left
+           (fun prev (off, len, pd) ->
+             (match prev with
+             | Some (poff, plen, ppd) when off < poff + plen ->
+                 note "block %d: slots of %s and %s overlap" b ppd pd
+             | _ -> ());
+             Some (off, len, pd))
+           None sorted))
+    claimed;
   Array.iteri
     (fun i is_free ->
-      if (not is_free) && not (Hashtbl.mem owned (t.data_start + i)) then
+      if (not is_free) && not (Hashtbl.mem claimed (t.data_start + i)) then
         note "allocated block %d owned by no entry" (t.data_start + i))
     free;
+  (* the slot map, once loaded, lists exactly the entries' slots *)
+  (match t.slots with
+  | None -> ()
+  | Some h ->
+      let pages = Hashtbl.create 64 in
+      Hashtbl.iter (fun b _ -> Hashtbl.replace pages b ()) h;
+      Hashtbl.iter (fun b _ -> Hashtbl.replace pages b ()) claimed;
+      Hashtbl.iter
+        (fun b () ->
+          let mapped =
+            List.sort compare (Option.value ~default:[] (Hashtbl.find_opt h b))
+          in
+          let owned =
+            Option.value ~default:[] (Hashtbl.find_opt claimed b)
+            |> List.map (fun (off, len, _) -> (off, len))
+            |> List.sort_uniq compare
+          in
+          if mapped <> owned then
+            note "block %d: slot map lists %d live slot(s), the entries %d" b
+              (List.length mapped) (List.length owned))
+        pages);
   (match t.placement with
   | Bump s when s.hydrated ->
       Array.iter
@@ -838,39 +1237,39 @@ let check t owners =
             if not free.(b - t.data_start) then incr live
           done;
           if !live <> g.g_live then
-            note "segment %d counts %d live block(s), the bitmap %d" g.g_id
+            note "segment %d counts %d live page(s), the bitmap %d" g.g_id
               g.g_live !live)
-        s.segs;
-      Hashtbl.fold (fun b () acc -> b :: acc) s.dirty []
-      |> List.sort compare
-      |> List.iter (fun b ->
-             if not free.(b - t.data_start) then
-               note "live block %d is queued for destruction" b)
+        s.segs
   | _ -> ());
   List.rev !problems
 
-let repair t ~owned ~zero_block ~act =
-  let owned_h = Hashtbl.create 256 in
-  List.iter (fun b -> Hashtbl.replace owned_h b ()) owned;
+let repair t ~owned ~on_fault ~act =
+  let h = Hashtbl.create 1024 in
+  List.iter (fun x -> List.iter (fun p -> ignore (add_slot h p)) (pieces t x)) owned;
+  t.slots <- Some h;
+  Array.fill t.opened 0 (Array.length t.opened) None;
+  t.closed <- [];
   let free = free_map t in
-  let leaked = ref [] in
+  let leaked = ref 0 in
   Array.iteri
     (fun i is_free ->
-      let b = t.data_start + i in
-      if (not is_free) && not (Hashtbl.mem owned_h b) then leaked := b :: !leaked)
+      let live = Hashtbl.mem h (t.data_start + i) in
+      if (not is_free) && not live then begin
+        free.(i) <- true;
+        incr leaked
+      end
+      else if is_free && live then free.(i) <- false)
     free;
-  if !leaked <> [] then begin
-    mark_free t !leaked;
-    act (Printf.sprintf "released %d leaked block(s)" (List.length !leaked))
-  end;
-  (* a free block must hold no bytes at all *)
+  (match t.placement with
+  | First_fit hints -> Array.iter (fun hint -> hint := 0) hints
+  | Bump s -> invalidate s);
+  if !leaked > 0 then act (Printf.sprintf "released %d leaked block(s)" !leaked);
+  (* every data-page byte outside a live slot must be zero *)
   let scrubbed = ref 0 in
-  Array.iteri
-    (fun i is_free ->
-      let b = t.data_start + i in
-      if is_free && Block_device.is_written t.dev b then
-        if zero_block b then incr scrubbed)
-    free;
-  if !scrubbed > 0 then act (Printf.sprintf "scrubbed %d free block(s)" !scrubbed);
-  (match t.placement with Bump s -> invalidate s | First_fit _ -> ());
+  for b = t.data_start to block_count t - 1 do
+    if Block_device.is_written t.dev b then
+      try scrubbed := !scrubbed + scrub t [ b ]
+      with Block_device.Faulted _ -> on_fault ()
+  done;
+  if !scrubbed > 0 then act (Printf.sprintf "scrubbed %d data page(s)" !scrubbed);
   !scrubbed

@@ -1,28 +1,53 @@
 (** DBFS space management: the one owner of the data region.
 
     The paper's DBFS (§3(1)) promises that deallocation zeroes the freed
-    blocks and that sensitive data is stored apart.  Both depend on where
+    bytes and that sensitive data is stored apart.  Both depend on where
     PD bytes are placed and on when superseded bytes are destroyed, and
     this module decides both:
 
     - the {b zones}: membranes, ordinary records and High-sensitivity
       records each get their own range of the data region;
+    - {b pages and slots}: an extent that fits in one block is a {i slot},
+      a byte range of a page (a data block) shared with other slots of its
+      zone.  Each zone appends new slots to its {i open page}, whose bytes
+      are kept in memory and updated once a write of the page returns;
+      when it is full the allocator gives a fresh page, and after a mount
+      there is no open page.  A larger extent is a slot that starts at
+      offset 0 of whole blocks of its own.  A page is allocated while it
+      holds a live slot and freed when its last slot dies; dead space
+      inside a partly live page is not reused, so a page never costs more
+      than one block per live slot;
     - the {b free map}: the allocation bitmap, hydrated lazily (a clean
-      mount never reads it) and written back at each checkpoint;
+      mount never reads it) and written back at each checkpoint, and the
+      {b slot map}, each page's live slots, loaded on first use after a
+      mount from the entries.  Both change only through the idempotent
+      transitions of the journaled ops ({!mark_used}, {!mark_free});
     - the {b placement policy}: hinted first-fit ([Heap]) or bump
-      allocation in per-zone append-only segments ([Segments]);
-    - {b destruction}: [Heap] zeroes a superseded extent as soon as the
-      journal record that freed it commits.  [Segments] leaves it dirty
-      in its sealed segment until a purge (every delete and erasure) or
-      the compactor destroys it, trimming fully dead segments.  Either
-      way the journal is flushed and settled first
-      ({!flush_journal});
+      allocation in per-zone append-only segments ([Segments]) hands out
+      the fresh pages;
+    - {b destruction}, of byte ranges: [Heap] destroys a superseded slot
+      as soon as the journal record that freed it commits, by a
+      read-modify-write of its page (a page left with no live slot is
+      zeroed whole).  The page read is never serial: the bytes are the
+      open page's image, the commit's own write, or a read submitted on a
+      channel of its own when the commit starts, so it overlaps the
+      payload write and the flush.  [Segments] leaves dead slots in place
+      until a purge (every delete and erasure) or the compactor scrubs
+      their pages, trimming fully dead segments.  Either way the journal
+      is flushed and settled first ({!flush_journal});
     - the invariant {!check} and its {!repair}.
 
     DBFS keeps what needs the journal and the entries tree: it applies
-    the bitmap transitions of each journaled op through {!mark_used} /
-    {!mark_free}, and it moves compaction survivors through its ordinary
-    journaled write path (the {!relocate} callback). *)
+    the slot transitions of each journaled op through {!mark_used} /
+    {!mark_free}, commits through {!submit}, {!settle} and {!finish}, and
+    moves compaction survivors through its ordinary journaled write path
+    (the {!relocate} callback).
+
+    Crash contract: a page write is one block, so a failed or torn write
+    leaves the old page, with its neighbours, intact; the bytes of a slot
+    whose record never became durable lie outside every live slot, which
+    {!repair} zeroes; a crash between a commit and its destruction leaves
+    the freed slot's bytes, which mount's {!scrub_freed} zeroes. *)
 
 type allocator =
   | Heap  (** update-in-place hinted first-fit (the default) *)
@@ -40,6 +65,16 @@ val decode_allocator :
   Rgpdos_util.Codec.Reader.t -> (allocator, string) result
 
 type zone = Z_membrane | Z_record of bool  (** [true]: High sensitivity *)
+
+type extent = { blocks : int list; off : int; size : int }
+(** Where an extent's [size] bytes live: at byte [off] of its one page
+    (a slot), or from offset 0 of whole blocks ([off = 0]) when larger
+    than a block.  A slot never straddles two pages. *)
+
+val extent_pieces : block_size:int -> extent -> (int * int * int) list
+(** [(block, off, len)] of each block an extent covers: one piece for a
+    slot, and for a larger extent each of its whole blocks from offset
+    0. *)
 
 type layout = {
   l_data_start : int;   (** first data block *)
@@ -64,14 +99,16 @@ val create :
   counters:Rgpdos_util.Stats.Counter.t ->
   data_start:int ->
   bitmap_start:int ->
+  live:(unit -> extent list) ->
   root option ->
   t
 (** The data region [[data_start, block_count)] of a store whose bitmap
     lives at [bitmap_start].  [None] is a freshly formatted region: every
     block is free and the first {!checkpoint} writes the bitmap.  [Some]
-    is the root a mount read: the bitmap is read on first use.  [ring] is
-    the store's journal, flushed before any block it may reference is
-    destroyed; [counters] receives the space counters
+    is the root a mount read: the bitmap is read on first use, and the
+    slot map is loaded from [live] (every live extent of the store) on
+    first use.  [ring] is the store's journal, flushed before any byte it
+    may reference is destroyed; [counters] receives the space counters
     ("purge_zeroed_blocks", "segment_trims", "compactions", ...). *)
 
 val layout : t -> layout
@@ -83,76 +120,99 @@ val retrying : t -> (unit -> 'a) -> 'a
 val flush_journal : t -> unit
 (** Flush-before-destroy: commit every buffered journal record (retrying
     faults) and settle its device time, so a crash cannot roll back a
-    record whose freed blocks are already destroyed.  Free when nothing
-    is buffered or in flight, as at group-commit window 1. *)
+    record whose freed bytes are already destroyed.  Free when nothing is
+    buffered or in flight, as at group-commit window 1. *)
 
 val zero : t -> int list -> unit
-(** Forensic zeroing: one vectored write of zero blocks (none for [[]]). *)
+(** Forensic zeroing of whole blocks: one vectored write (none for
+    [[]]). *)
 
-val mark_used : ?bytes:int -> t -> int list -> unit
-val mark_free : ?bytes:int -> t -> int list -> unit
-(** Bitmap transitions of an applied journal op.  Both are idempotent, so
-    replayed and live ops drive the segment table identically.  [bytes]
-    is the payload size of the whole extent, when known. *)
+val mark_used : t -> extent -> unit
+val mark_free : t -> extent -> unit
+(** Slot transitions of an applied journal op.  Both are idempotent, and
+    a page's bit follows its slots (allocated while it holds one), so
+    replayed and live ops drive the slot map, the bitmap and the segment
+    table identically. *)
 
 type relocate = in_victim:(int -> bool) -> unit
 (** DBFS's survivor relocation: move every live extent that starts in a
     compaction victim ([in_victim] of its first block) through the
     journaled write path, and settle those writes before returning. *)
 
-val alloc : t -> zone -> int -> relocate:relocate -> int list option
-(** Place an extent of [n] blocks in [zone].  [Heap] marks the blocks used
-    at once (first-fit, rolled back on failure); [Segments] only picks
-    them — the journaled op marks them — and, when the zone is full,
-    compacts once and retries. *)
+val place : t -> (zone * int) list -> relocate:relocate -> extent list option
+(** Place one extent of each [(zone, size)], all or none: slots append to
+    their zone's open page, a full page gives way to a fresh one, and a
+    larger extent takes whole blocks.  [Heap] reserves fresh blocks in the
+    bitmap at once; [Segments] only picks them — the journaled op marks
+    them — and compacts first when a zone is short of room. *)
 
-val retire : ?destroy:bool -> t -> int list -> relocate:relocate -> unit
-(** Call after the journal record that freed [blocks] commits.  [Heap]
-    flushes the journal and zeroes [blocks] now (nothing for [[]], so
-    inserts keep batching).  [Segments] leaves them dirty, or with
-    [~destroy:true] (delete, erasure) purges every dirty block, then
+type pending
+(** A commit's device requests in flight. *)
+
+val submit : t -> (string * extent) list -> retiring:extent list -> pending
+(** Start a commit: one vectored payload write of the placed payloads
+    (each page rebuilt from its image with the new slots laid in), and,
+    on the heap, a read of the pages the destruction of [retiring] must
+    rewrite and holds no bytes of, each request on a channel of its own.
+    A read that raises settles the write first. *)
+
+val settle : t -> pending -> unit
+(** Await both requests (idempotent): call it on every path. *)
+
+val finish : ?destroy:bool -> t -> pending -> relocate:relocate -> unit
+(** Once the journal record that freed [retiring] has committed and its
+    ops applied: update the open pages' images, then destroy or defer the
+    retired slots.  [Heap] flushes the journal and rewrites each of their
+    pages with no byte outside a live slot (zeroing a page left with
+    none), in one write.  [Segments] leaves them dirty, or with
+    [~destroy:true] (delete, erasure) purges every dirty page, then
     compacts past the dirty trigger and stalls past the backpressure
     threshold. *)
 
 val compact :
   ?max_victims:int -> ?liveness_pct:float -> t -> relocate:relocate -> int
 (** One compaction pass over up to [max_victims] (default 8) sealed
-    segments at most [liveness_pct] (default 35) live: flush the journal,
-    [relocate] the survivors, flush again, then trim fully dead victims
-    and zero the dead blocks of the rest.  Returns the victims processed;
-    [0] under [Heap] or when nothing qualifies. *)
+    segments whose live slot bytes are at most [liveness_pct] (default
+    35) of their pages: close any open page among them, flush the
+    journal, [relocate] the survivors, flush again, then trim fully dead
+    victims and scrub the dirty pages of the rest.
+    Returns the victims processed; [0] under [Heap] or when nothing
+    qualifies. *)
 
-val scrub_freed : t -> int list -> unit
-(** Mount-time crash repair: zero whichever of [blocks] (freed by replayed
-    ops) are still free and hold bytes ("replay_zeroed_blocks"). *)
+val scrub_freed : t -> extent list -> unit
+(** Mount-time crash repair: leave no byte outside a live slot in the
+    written pages of [freed] (extents freed by replayed ops), reading the
+    pages that keep live slots ("replay_zeroed_blocks"). *)
 
 val checkpoint : t -> unit
 (** Write the bitmap back when it was hydrated since mount. *)
 
 val segment_table : t -> (int * string * int * int * int) list
-(** [(id, state, used, live_blocks, live_bytes)] of every non-free
+(** [(id, state, used, live_pages, live_bytes)] of every non-free
     segment; [[]] under [Heap]. *)
 
 type owner = {
   o_pd : string;
   o_high : bool;
-  o_record : int list;
-  o_membrane : int list;
+  o_record : extent;
+  o_membrane : extent;
 }
 
 val check : t -> owner list -> string list
-(** The space invariant, given every entry's extents: each block is a
-    data block, allocated, owned once and in its entry's zone; every
-    allocated block has an owner; and the segment table, once hydrated,
-    counts exactly the allocated blocks of each segment and queues no
-    allocated block for destruction. *)
+(** The space invariant, given every entry's extents: each slot lies in
+    an allocated data page of its entry's zone and inside the page; the
+    slots of a page are disjoint; every allocated page holds a slot; the
+    slot map, once loaded, lists exactly the entries' slots; and the
+    segment table, once hydrated, counts exactly the allocated pages of
+    each segment. *)
 
 val repair :
-  t -> owned:int list -> zero_block:(int -> bool) -> act:(string -> unit) -> int
-(** Release every allocated block outside [owned], zero every free block
-    that still holds bytes (best-effort [zero_block]), and drop the
-    segment table so it is rebuilt from the repaired bitmap.  Returns the
-    free blocks zeroed. *)
+  t -> owned:extent list -> on_fault:(unit -> unit) -> act:(string -> unit) -> int
+(** Rebuild the slot map and the bitmap from [owned] (releasing every
+    allocated page outside it), leave no written data-page byte outside a
+    live slot (a page that faults is skipped, and reported through
+    [on_fault]), and drop the open pages and the segment table so they
+    are rebuilt.  Returns the pages written. *)
 
 val first_fit :
   bool array -> hint:int ref -> lo:int -> hi:int -> int -> int list option

@@ -14,6 +14,7 @@ module Clock = Rgpdos_util.Clock
 module Prng = Rgpdos_util.Prng
 module Pool = Rgpdos_util.Pool
 module Fnv = Rgpdos_util.Fnv
+module Stats = Rgpdos_util.Stats
 
 type op =
   | Collect of { subj : int; ki : int; ks : int; ttl : int }
@@ -463,6 +464,56 @@ let check_state st =
         ~dbfs:(ids_str l)
   | Error e -> diverge "expired_pds failed: %s" (err_str e)
 
+(* The slot-granular residue law: every data-page byte outside a live
+   slot is zero.  [None], or the first stray byte [(block, offset)]. *)
+let stray_byte store =
+  let dev = Dbfs.device store in
+  let bs = (BD.config dev).BD.block_size in
+  let lay = Dbfs.layout store in
+  let live = Hashtbl.create 64 in
+  let claim x =
+    List.iter
+      (fun (b, off, len) ->
+        Hashtbl.replace live b
+          ((off, len) :: Option.value ~default:[] (Hashtbl.find_opt live b)))
+      (Space.extent_pieces ~block_size:bs x)
+  in
+  let types =
+    match Dbfs.list_types store ~actor with Ok l -> l | Error _ -> []
+  in
+  List.iter
+    (fun tn ->
+      match Dbfs.list_pds store ~actor tn with
+      | Error _ -> ()
+      | Ok ids ->
+          List.iter
+            (fun id ->
+              match Dbfs.entry_extents store ~actor id with
+              | Ok (r, m) ->
+                  claim r;
+                  claim m
+              | Error _ -> ())
+            ids)
+    types;
+  let image = BD.snapshot dev in
+  let found = ref None in
+  let b = ref lay.l_data_start in
+  while !found = None && !b < lay.l_block_count do
+    let raw = image.(!b) in
+    if raw <> "" then begin
+      let slots = Option.value ~default:[] (Hashtbl.find_opt live !b) in
+      let i = ref 0 in
+      while !found = None && !i < String.length raw do
+        (match List.find_opt (fun (off, len) -> !i >= off && !i < off + len) slots with
+        | Some (off, len) -> i := off + len - 1
+        | None -> if raw.[!i] <> '\000' then found := Some (!b, !i));
+        incr i
+      done
+    end;
+    incr b
+  done;
+  !found
+
 (* Clean-mode residue rule: every sentinel belonging to an erased or
    deleted pd must be gone from the raw medium (erase/delete destroy
    synchronously, including the segmented dirty set via purge).
@@ -484,10 +535,32 @@ let check_residue_clean st =
               pd b off)
     st.sentinels
 
+(* After every step on the heap, which destroys at once, and after every
+   step that purged (an erasure or a delete) on segments, no data-page
+   byte outside a live slot holds anything. *)
+let destructions st =
+  let c = Dbfs.stats st.store in
+  Stats.Counter.get c "erasures" + Stats.Counter.get c "deletes"
+
+let check_slack st cfg ~purged op =
+  if (not cfg.segmented) || purged then begin
+    st.checked <- st.checked + 1;
+    match stray_byte st.store with
+    | None -> ()
+    | Some (b, off) ->
+        diverge "slot residue after %s: block %d byte %d is outside every live slot"
+          (op_to_string op) b off
+  end
+
 let run_script ?bug cfg script =
   let st = make_st cfg in
   try
-    List.iter (step ~compare:true ?bug st) script;
+    List.iter
+      (fun op ->
+        let before = destructions st in
+        step ~compare:true ?bug st op;
+        check_slack st cfg ~purged:(destructions st > before) op)
+      script;
     BD.drain st.dev;
     check_state st;
     List.iter
@@ -695,10 +768,15 @@ let run_crash ~spec_seed cfg script =
                             && BD.scan dev2 s <> [])
                           st.sentinels
                       in
-                      (match bad with
-                      | Some (s, pd) ->
+                      (match (bad, stray_byte store2) with
+                      | Some (s, pd), _ ->
                           fail "post-repair residue: sentinel %s of pd %s" s pd
-                      | None -> Ok (1 + List.length spec.fs_acts)))))
+                      | None, Some (b, off) ->
+                          fail
+                            "post-repair residue: block %d byte %d is outside \
+                             every live slot"
+                            b off
+                      | None, None -> Ok (1 + List.length spec.fs_acts)))))
 
 (* ------------------------------------------------------------------ *)
 (* degraded-mode law                                                  *)
@@ -709,26 +787,34 @@ let check_degraded script =
   try
     List.iter (step ~compare:true st) script;
     check_state st;
+    (* after a remount no page is open, so the next insert takes fresh
+       pages *)
+    let store =
+      match Dbfs.crash_and_remount st.store with
+      | Ok store -> store
+      | Error m -> diverge "remount failed: %s" m
+    in
     (* Damage: permanently fault every data-region block not owned by a
        surviving entry or an index page — the next allocation must hit a
        bad block and flip the store into degraded read-only mode. *)
-    let lay = Dbfs.layout st.store in
+    let lay = Dbfs.layout store in
     let owned = Hashtbl.create 64 in
     List.iter
       (fun p ->
-        match Dbfs.entry_blocks st.store ~actor p.Model.p_id with
-        | Ok (rb, mb) -> List.iter (fun b -> Hashtbl.replace owned b ()) (rb @ mb)
-        | Error e -> diverge "entry_blocks(%s) failed: %s" p.Model.p_id (err_str e))
+        match Dbfs.entry_extents store ~actor p.Model.p_id with
+        | Ok (r, m) ->
+            List.iter (fun b -> Hashtbl.replace owned b ()) (r.blocks @ m.blocks)
+        | Error e -> diverge "entry_extents(%s) failed: %s" p.Model.p_id (err_str e))
       (Model.pds st.model);
     List.iter
       (fun (b, _) -> Hashtbl.replace owned b ())
-      (Dbfs.index_page_blocks st.store);
+      (Dbfs.index_page_blocks store);
     for b = lay.l_data_start to lay.l_block_count - 1 do
       if not (Hashtbl.mem owned b) then BD.inject_fault st.dev b
     done;
     (* Trigger: the next mutation that allocates must fail... *)
     let trigger =
-      Dbfs.insert st.store ~actor ~subject:"s0" ~type_name
+      Dbfs.insert store ~actor ~subject:"s0" ~type_name
         ~record:(mk_record 1 1 "trigger")
         ~membrane_of:(fun ~pd_id ->
           M.make ~pd_id ~type_name ~subject_id:"s0" ~origin:M.Subject
@@ -738,7 +824,7 @@ let check_degraded script =
     (match trigger with
     | Ok id -> diverge "insert %s succeeded on an exhausted device" id
     | Error _ -> ());
-    (match Dbfs.degraded st.store with
+    (match Dbfs.degraded store with
     | None -> diverge "store not degraded after a permanent write failure"
     | Some _ -> ());
     (* ...every further mutation must answer Degraded... *)
@@ -748,7 +834,7 @@ let check_degraded script =
       | Error e -> diverge "%s: expected Degraded, got %s" what (err_str e)
     in
     expect_degraded "insert"
-      (Dbfs.insert st.store ~actor ~subject:"s1" ~type_name
+      (Dbfs.insert store ~actor ~subject:"s1" ~type_name
          ~record:(mk_record 2 2 "trigger2")
          ~membrane_of:(fun ~pd_id ->
            M.make ~pd_id ~type_name ~subject_id:"s1" ~origin:M.Subject
@@ -759,23 +845,23 @@ let check_degraded script =
         let id = p.Model.p_id in
         expect_degraded
           (Printf.sprintf "update_record(%s)" id)
-          (Dbfs.update_record st.store ~actor id (mk_record 0 0 "trigger3"));
+          (Dbfs.update_record store ~actor id (mk_record 0 0 "trigger3"));
         expect_degraded
           (Printf.sprintf "update_membrane(%s)" id)
-          (Dbfs.update_membrane st.store ~actor id
+          (Dbfs.update_membrane store ~actor id
              (M.withdraw p.Model.p_membrane ~purpose:"service"));
         expect_degraded
           (Printf.sprintf "erase(%s)" id)
-          (Dbfs.erase_with st.store ~actor id ~seal:seal_fn);
+          (Dbfs.erase_with store ~actor id ~seal:seal_fn);
         expect_degraded
           (Printf.sprintf "delete(%s)" id)
-          (Dbfs.delete st.store ~actor id))
+          (Dbfs.delete store ~actor id))
       (Model.pds st.model);
     (* ...while Art. 15 access still answers from the surviving data,
        exactly as the model answered before the damage. *)
     Array.iter
       (fun subject ->
-        match Dbfs.export_subject st.store ~actor subject with
+        match Dbfs.export_subject store ~actor subject with
         | Ok (_, out) ->
             expect st
               (Printf.sprintf "degraded-export(%s)" subject)
@@ -786,7 +872,7 @@ let check_degraded script =
       (fun p ->
         match p.Model.p_state with
         | Model.Live -> (
-            match Dbfs.get_record st.store ~actor p.Model.p_id with
+            match Dbfs.get_record store ~actor p.Model.p_id with
             | Ok r ->
                 expect st
                   (Printf.sprintf "degraded-record(%s)" p.Model.p_id)

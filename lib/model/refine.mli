@@ -93,6 +93,12 @@ val run_crash : spec_seed:int -> cfg -> script -> (int, string) result
     [Ok n] is the number of fault points exercised; [Error] details
     include the plan. *)
 
+val stray_byte : Rgpdos_dbfs.Dbfs.t -> (int * int) option
+(** The slot-granular residue law: the first non-zero data-page byte
+    outside every live slot, as [(block, offset)], or [None].  Lockstep
+    mode checks it after every op on the heap (which destroys at once)
+    and after every purge on segments; crash mode after repair. *)
+
 val check_degraded : script -> (unit, string) result
 (** The degraded-mode law (satellite of the crash mode): run the script
     clean, damage every unowned data-region block permanently, then

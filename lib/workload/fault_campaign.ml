@@ -10,6 +10,7 @@ module Block_device = Rgpdos_block.Block_device
 module Fault_plan = Block_device.Fault_plan
 module Journal_ring = Rgpdos_block.Journal_ring
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Space = Rgpdos_dbfs.Space
 module Membrane = Rgpdos_membrane.Membrane
 module Audit_log = Rgpdos_audit.Audit_log
 module Machine = Rgpdos.Machine
@@ -258,16 +259,18 @@ let scenario_record_bit_rot ~seed people =
   List.iter (collect_person m) people;
   let p0 = List.hd people in
   let pd = first_pd (Machine.dbfs m) p0 in
-  let rec_blocks =
-    match Dbfs.entry_blocks (Machine.dbfs m) ~actor pd with
-    | Ok (rb, _) -> rb
+  let record =
+    match Dbfs.entry_extents (Machine.dbfs m) ~actor pd with
+    | Ok (r, _) -> r
     | Error e -> fail_step "scenario" (Dbfs.error_to_string e)
   in
   match Dbfs.crash_and_remount (Machine.dbfs m) with
   | Error e -> scenario "record-bit-rot" false ("remount failed: " ^ e)
   | Ok store ->
       let dev = Dbfs.device store in
-      Block_device.unsafe_flip dev ~block:(List.hd rec_blocks) ~byte:10 ~bit:3;
+      (* byte 10 of the record's slot, inside its shared page *)
+      Block_device.unsafe_flip dev ~block:(List.hd record.Space.blocks)
+        ~byte:(record.Space.off + 10) ~bit:3;
       let read_detects =
         match Dbfs.get_record store ~actor pd with
         | Error (Dbfs.Corrupt _) -> true
@@ -355,8 +358,8 @@ let scenario_transient_retry ~seed people =
   List.iter (collect_person m) people;
   let pd = first_pd (Machine.dbfs m) (List.hd people) in
   let rec_blocks =
-    match Dbfs.entry_blocks (Machine.dbfs m) ~actor pd with
-    | Ok (rb, _) -> rb
+    match Dbfs.entry_extents (Machine.dbfs m) ~actor pd with
+    | Ok (r, _) -> r.Space.blocks
     | Error e -> fail_step "scenario" (Dbfs.error_to_string e)
   in
   match Dbfs.crash_and_remount (Machine.dbfs m) with
@@ -402,6 +405,13 @@ let scenario_degraded_mode ~seed people =
     match people with p :: q :: rest -> ([ p; q ], rest) | _ -> (people, [])
   in
   List.iter (collect_person m) head;
+  (* after a reboot no page is open, so the next insert takes fresh
+     pages *)
+  let m =
+    match Machine.reboot m with
+    | Ok m -> m
+    | Error e -> fail_step "scenario" ("reboot: " ^ e)
+  in
   let store = Machine.dbfs m in
   let dev = Machine.pd_device m in
   let lay = Dbfs.layout store in
@@ -467,10 +477,11 @@ let boot_seg ~seed ~window =
 
 (* Collect everyone, erase one subject (the destruction purge runs
    here, so nothing after it scrubs for free), then churn the survivors
-   round by round until some sealed segment holds a live minority —
-   a genuine compaction victim with relocation AND destruction work to
-   crash inside of.  Adaptive because the campaign runs at several
-   population sizes and the segment boundary moves with them. *)
+   round by round until some sealed segment holds a live minority of its
+   bytes — a genuine compaction victim with relocation AND destruction
+   work to crash inside of.  Adaptive because the campaign runs at
+   several population sizes and the segment boundary moves with them;
+   packed records fill a segment only after some 250 versions. *)
 let seg_setup ~seed ~window people =
   let m = boot_seg ~seed ~window in
   List.iter (collect_person m) people;
@@ -482,14 +493,15 @@ let seg_setup ~seed ~window people =
   | Error e -> fail_step "erase" e);
   let store = Machine.dbfs m in
   let churners = List.tl people in
+  let bs = (Block_device.config (Machine.pd_device m)).Block_device.block_size in
   let victim_ready () =
     List.exists
-      (fun (_, st, used, live, _) ->
-        st = "sealed" && live > 0 && live * 100 <= used * 75)
+      (fun (_, st, used, live, live_bytes) ->
+        st = "sealed" && live > 0 && live_bytes * 100 <= used * bs * 75)
       (Dbfs.segment_table store)
   in
   let rounds = ref 0 in
-  while (not (victim_ready ())) && !rounds < 30 do
+  while (not (victim_ready ())) && !rounds < 300 do
     incr rounds;
     List.iter
       (fun (p : Population.person) ->
@@ -500,7 +512,7 @@ let seg_setup ~seed ~window people =
       churners
   done;
   if not (victim_ready ()) then
-    fail_step "churn" "no compactable segment after 30 rounds";
+    fail_step "churn" "no compactable segment after 300 rounds";
   m
 
 (* Post-crash acceptance shared by the segmented scenarios: the remounted

@@ -350,7 +350,9 @@ let test_dbfs_depth1_is_blocking () =
     List.init 6 (fun i -> insert_user t ~subject:(Printf.sprintf "b%d" i) ~pwd:"pw")
   in
   let blocks pick =
-    List.concat_map (fun pd -> pick (ok (Dbfs.entry_blocks t ~actor:ded pd))) pds
+    List.concat_map
+      (fun pd -> (pick (ok (Dbfs.entry_extents t ~actor:ded pd))).Space.blocks)
+      pds
   in
   let membrane_sizes =
     List.map
@@ -486,9 +488,71 @@ let test_dbfs_commit_overlaps_payload () =
       check_int "nothing outstanding" 0 (Block_device.outstanding dev))
     pds
 
+(* The cost law of packed pages.  On the heap at depth 1 and window 1,
+   destroying a superseded slot rewrites its page, and the page read that
+   needs is submitted on a channel of its own when the commit starts, so
+   it hides behind the payload write: a consent change (the membrane load
+   and its rewrite), a rectification and a DED erasure (withdraw + seal)
+   of a pd whose pages hold live neighbours cost no more than they did at
+   one extent per block — R + W + W, W + W and 2R + 2W(2 runs) + 2W(2
+   runs), checksum charges included — whether the pd sits in closed pages
+   (a destruction read happens) or in its zones' open pages (the images
+   serve).  Nothing is left outstanding. *)
+let test_dbfs_packed_cost_law () =
+  let clock = Clock.create () in
+  let dev = Block_device.create ~clock () in
+  let t = Dbfs.format dev ~journal_blocks:64 in
+  ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+  let pds =
+    Array.init 150 (fun i ->
+        insert_user t ~subject:(Printf.sprintf "p%03d" i) ~pwd:"pw")
+  in
+  let page pd pick = List.hd (pick (ok (Dbfs.entry_extents t ~actor:ded pd))).Space.blocks in
+  let shares pd pick =
+    Array.exists (fun o -> o <> pd && page o pick = page pd pick) pds
+  in
+  let consent pd =
+    let m = List.assoc pd (ok (Dbfs.get_membranes t ~actor:ded [ pd ])) in
+    ok (Dbfs.update_membrane t ~actor:ded pd (M.withdraw m ~purpose:"service"))
+  in
+  let rectify pd =
+    ok
+      (Dbfs.update_record t ~actor:ded pd
+         [ ("name", Value.VString pd); ("pwd", Value.VString "rectified") ])
+  in
+  let erase pd =
+    ok
+      (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pd
+         ~seal:(fun _ -> "sealed"))
+  in
+  let cases =
+    [ ("consent", consent, 74_579, 5, 147); ("rectification", rectify, 56_384, 6, 148);
+      ("DED erasure", erase, 149_156, 7, 149) ]
+  in
+  List.iter
+    (fun (name, op, bound, closed, opened) ->
+      List.iter
+        (fun (where, i) ->
+          let pd = pds.(i) in
+          let at what = Printf.sprintf "%s, %s pd: %s" name where what in
+          check_bool (at "its record page holds a neighbour") true (shares pd fst);
+          check_bool (at "its membrane page holds a neighbour") true (shares pd snd);
+          let reads = counter dev "reads" and t0 = Clock.now clock in
+          op pd;
+          let cost = Clock.now clock - t0 in
+          check_bool (Printf.sprintf "%s: %d sim-ns <= %d" (at "cost") cost bound)
+            true (cost <= bound);
+          if where = "closed-page" then
+            check_bool (at "the destruction read its page") true
+              (counter dev "reads" - reads > (if name = "rectification" then 0 else 1));
+          check_int (at "nothing outstanding") 0 (Block_device.outstanding dev))
+        [ ("closed-page", closed); ("open-page", opened) ])
+    cases
+
 (* Every commit settles its payload ticket: at window 1 nothing is
    outstanding after any mutation of a mixed script, on the heap and on
-   segments — through appends that overflow the small ring into a
+   one-block segments (so the few packed pages seal and the compactor has
+   victims) — through appends that overflow the small ring into a
    checkpoint, a compaction, a rectification whose flush fails once and
    is retried, and a last one whose flush fails every retry, so its
    append raises and the store turns read-only. *)
@@ -676,12 +740,14 @@ let () =
             test_dbfs_warm_eq_cold_under_async;
           Alcotest.test_case "outcomes match sync" `Quick
             test_dbfs_outcomes_match_sync;
+          Alcotest.test_case "packed pages keep every write path's cost" `Quick
+            test_dbfs_packed_cost_law;
           Alcotest.test_case "a commit overlaps its payload write" `Quick
             test_dbfs_commit_overlaps_payload;
           Alcotest.test_case "every commit settles (heap)" `Quick
             (test_dbfs_commits_settle ~allocator:Space.Heap);
           Alcotest.test_case "every commit settles (segments)" `Quick
-            (test_dbfs_commits_settle ~allocator:Space.segments);
+            (test_dbfs_commits_settle ~allocator:(Space.Segments 1));
         ] );
       ( "report",
         [

@@ -433,6 +433,153 @@ let test_erasure_crash_atomic ~allocator () =
     end
   done
 
+(* ------------------------------------------------------------------ *)
+(* slots: extents are byte ranges of shared pages                     *)
+
+let stray_byte = Rgpdos_model.Refine.stray_byte
+
+(* A store of [n] users whose records and membranes pack into shared
+   pages (512-byte blocks: about eight records and two membranes a
+   page).  User [i]'s record names [secret i]. *)
+let shared_secret i = Printf.sprintf "SHARED-%02d-SECRET" i
+
+let shared_store ~allocator n =
+  let config = { small_config with block_count = 4096 } in
+  let dev = Block_device.create ~config ~clock:(Clock.create ()) () in
+  let t = Dbfs.format ~allocator dev ~journal_blocks:64 in
+  ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+  let pds =
+    List.init n (fun i ->
+        insert_user t ~subject:(Printf.sprintf "sub-%d" i) (shared_secret i)
+          (1980 + i))
+  in
+  (config, dev, t, pds)
+
+let record_page t pd = List.hd (fst (ok (Dbfs.entry_extents t ~actor:ded pd))).Space.blocks
+
+let shares_page t pd others =
+  List.exists (fun o -> record_page t o = record_page t pd) others
+
+(* The users other than [skip] still read back exactly. *)
+let neighbours_intact ~at t pds ~skip =
+  List.iteri
+    (fun i pd ->
+      if not (List.mem i skip) then
+        check_bool
+          (at (Printf.sprintf "neighbour %d reads back" i))
+          true
+          (Record.get (ok (Dbfs.get_record t ~actor:ded pd)) "name"
+          = Some (Value.VString (shared_secret i))))
+    pds
+
+(* Erase a pd whose record shares a closed page with live neighbours,
+   and one whose record is still in its zone's open page, then insert
+   into that open page.  The raw image holds no byte of either erased
+   record (a slot zeroed in the open page is zeroed in its image too, so
+   the append does not write it back), no data-page byte outside a live
+   slot, and every neighbour reads back. *)
+let test_erase_shared_page ~allocator () =
+  let _, dev, t, pds = shared_store ~allocator 10 in
+  let closed = 2 and last = 9 in
+  let others i = List.filteri (fun j _ -> j <> i) pds in
+  check_bool "the record shares a closed page" true
+    (shares_page t (List.nth pds closed) (others closed)
+    && record_page t (List.nth pds closed) <> record_page t (List.nth pds last));
+  check_bool "the last record shares the open page" true
+    (shares_page t (List.nth pds last) (others last));
+  List.iter
+    (fun i ->
+      ok
+        (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all (List.nth pds i)
+           ~seal:(fun _ -> "SEALED-ENVELOPE")))
+    [ closed; last ];
+  let late = insert_user t ~subject:"sub-late" "LATE-ARRIVAL" 2000 in
+  check_bool "the late record joins the open page" true
+    (record_page t late = record_page t (List.nth pds last));
+  let at what = what in
+  List.iter
+    (fun i ->
+      check_int
+        (Printf.sprintf "no byte of erased record %d on the image" i)
+        0
+        (List.length (Block_device.scan dev (shared_secret i))))
+    [ closed; last ];
+  check_bool "nothing outside a live slot" true (stray_byte t = None);
+  neighbours_intact ~at t pds ~skip:[ closed; last ];
+  check_bool "the late record reads back" true
+    (Record.get (ok (Dbfs.get_record t ~actor:ded late)) "name"
+    = Some (Value.VString "LATE-ARRIVAL"));
+  check_bool "fsck clean" true (Dbfs.fsck t = Ok ())
+
+(* Crash after every write of an erasure and of a rectification of a pd
+   whose pages hold live neighbours.  After remount and repair: fsck
+   clean, nothing quarantined, no data-page byte outside a live slot,
+   every neighbour intact, and the pd holds its old or its new version. *)
+let test_shared_page_crash ~allocator () =
+  let victim = 2 in
+  let mutations =
+    [
+      ( "erasure",
+        fun t pd ->
+          ok
+            (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pd
+               ~seal:(fun _ -> "SEALED-ENVELOPE")) );
+      ( "rectification",
+        fun t pd ->
+          ok (Dbfs.update_record t ~actor:ded pd (user_record "NEW-VERSION" 1999))
+      );
+    ]
+  in
+  List.iter
+    (fun (name, mutate) ->
+      let run plan =
+        let config, dev, t, pds = shared_store ~allocator 6 in
+        Block_device.set_fault_plan dev (Some plan);
+        mutate t (List.nth pds victim);
+        (config, dev, pds)
+      in
+      let reference = Fault_plan.create () in
+      ignore (run reference);
+      for k = 1 to Fault_plan.writes_seen reference do
+        let at what = Printf.sprintf "%s, crash after write %d: %s" name k what in
+        let plan = Fault_plan.create () in
+        Fault_plan.crash_after_writes plan k;
+        let config, dev, pds = run plan in
+        let dev' = Block_device.create ~config ~clock:(Clock.create ()) () in
+        (match Block_device.crash_image dev with
+        | Some image -> Block_device.restore dev' image
+        | None -> Alcotest.fail (at "no crash image"));
+        let t' =
+          match Dbfs.mount dev' with Ok t -> t | Error e -> Alcotest.fail (at e)
+        in
+        let rep = Dbfs.fsck_repair t' in
+        check_bool (at "repair clean") true rep.Dbfs.rr_clean;
+        Alcotest.(check (list string)) (at "nothing quarantined") []
+          (List.map fst rep.Dbfs.rr_quarantined);
+        check_bool (at "fsck clean") true (Dbfs.fsck t' = Ok ());
+        check_bool (at "nothing outside a live slot") true (stray_byte t' = None);
+        neighbours_intact ~at t' pds ~skip:[ victim ];
+        let pd = List.nth pds victim in
+        let _, _, erased = ok (Dbfs.entry_info t' ~actor:ded pd) in
+        let version =
+          if erased then "erased"
+          else
+            match Record.get (ok (Dbfs.get_record t' ~actor:ded pd)) "name" with
+            | Some (Value.VString v) -> v
+            | _ -> "?"
+        in
+        let old = shared_secret victim in
+        let allowed =
+          if name = "erasure" then [ old; "erased" ] else [ old; "NEW-VERSION" ]
+        in
+        check_bool (at ("old or new version, got " ^ version)) true
+          (List.mem version allowed);
+        if version <> old then
+          check_int (at "no byte of the old version") 0
+            (List.length (Block_device.scan dev' old))
+      done)
+    mutations
+
 (* The image a device that reorders writes could leave: a mutation's
    journal record is durable, its payload is not.  Each mutation runs once
    per crash point until the crash image's journal region first differs
@@ -540,7 +687,15 @@ let test_unwritten_tail_dropped ~allocator () =
       check_bool (at "the next append replays") true
         (Record.get (ok (Dbfs.get_record t'' ~actor:ded pd3)) "name"
         = Some (Value.VString "AFTER"));
+      (* the append left nothing of the dropped record behind it *)
+      (match Dbfs.replay_report t'' with
+      | Some r ->
+          check_string (at "the journal ends clean") "clean"
+            (Rgpdos_block.Journal_ring.stop_reason_to_string r.stop_reason)
+      | None -> Alcotest.fail (at "no replay report"));
       previous "after the next append" t'' ~pds:3;
+      check_bool (at "repair truncates nothing") true
+        ((Dbfs.fsck_repair t'').Dbfs.rr_journal_truncated = None);
       repaired "after the next append" t'')
     mutations
 
@@ -940,6 +1095,15 @@ let () =
             (test_erasure_crash_atomic ~allocator:Space.Heap);
           Alcotest.test_case "erasure is crash-atomic (segments)" `Quick
             (test_erasure_crash_atomic ~allocator:Space.segments);
+          Alcotest.test_case "erasing a shared-page pd (heap)" `Quick
+            (test_erase_shared_page ~allocator:Space.Heap);
+          Alcotest.test_case "erasing a shared-page pd (segments)" `Quick
+            (test_erase_shared_page ~allocator:Space.segments);
+          Alcotest.test_case "a shared-page pd survives any crash (heap)" `Quick
+            (test_shared_page_crash ~allocator:Space.Heap);
+          Alcotest.test_case "a shared-page pd survives any crash (segments)"
+            `Quick
+            (test_shared_page_crash ~allocator:Space.segments);
           Alcotest.test_case "unwritten tail is dropped (heap)" `Quick
             (test_unwritten_tail_dropped ~allocator:Space.Heap);
           Alcotest.test_case "unwritten tail is dropped (segments)" `Quick

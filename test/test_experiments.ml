@@ -10,12 +10,14 @@ let test_e1_shape () =
   let r = E.e1_ded_stages ~subjects:100 () in
   check_int "7 stages" 7 (List.length r.E.e1_stage_ns);
   check_bool "total positive" true (r.E.e1_total_ns > 0);
-  (* membrane+data loads dominate: they do the device IO *)
+  (* membrane+data loads do the device IO; packed pages move little more
+     than the payload, so they no longer dominate the pipeline *)
   let load =
     List.assoc "ded_load_membrane" r.E.e1_stage_ns
     + List.assoc "ded_load_data" r.E.e1_stage_ns
   in
-  check_bool "IO stages dominate" true (load > r.E.e1_total_ns / 2);
+  check_bool "IO stages charged, below half" true
+    (load > 0 && load < r.E.e1_total_ns / 2);
   ignore (E.render_e1 r)
 
 let test_e2_shape () =

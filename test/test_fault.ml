@@ -9,6 +9,7 @@ module Stats = Rgpdos_util.Stats
 module Block_device = Rgpdos_block.Block_device
 module Fault_plan = Block_device.Fault_plan
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Space = Rgpdos_dbfs.Space
 module Membrane = Rgpdos_membrane.Membrane
 module Machine = Rgpdos.Machine
 module Population = Rgpdos_workload.Population
@@ -243,9 +244,9 @@ let first_pd store (p : Population.person) =
   | Ok (pd :: _) -> pd
   | _ -> Alcotest.fail "no pd for subject"
 
-let record_blocks store pd =
-  match Dbfs.entry_blocks store ~actor pd with
-  | Ok (rb, _) -> rb
+let record_extent store pd =
+  match Dbfs.entry_extents store ~actor pd with
+  | Ok (r, _) -> r
   | Error e -> Alcotest.fail (Dbfs.error_to_string e)
 
 let cold_remount store =
@@ -256,10 +257,10 @@ let cold_remount store =
 let test_record_bit_rot_detected_and_healed () =
   let m, people = boot_machine () in
   let pd = first_pd (Machine.dbfs m) (List.hd people) in
-  let blocks = record_blocks (Machine.dbfs m) pd in
+  let record = record_extent (Machine.dbfs m) pd in
   let store = cold_remount (Machine.dbfs m) in
-  Block_device.unsafe_flip (Dbfs.device store) ~block:(List.hd blocks)
-    ~byte:10 ~bit:3;
+  Block_device.unsafe_flip (Dbfs.device store)
+    ~block:(List.hd record.Space.blocks) ~byte:(record.Space.off + 10) ~bit:3;
   (match Dbfs.get_record store ~actor pd with
   | Error (Dbfs.Corrupt _) -> ()
   | Ok _ -> Alcotest.fail "rotten record read back as Ok"
@@ -294,7 +295,7 @@ let test_index_damage_detected_and_rebuilt () =
 let test_transient_fault_ridden_out () =
   let m, people = boot_machine () in
   let pd = first_pd (Machine.dbfs m) (List.hd people) in
-  let blocks = record_blocks (Machine.dbfs m) pd in
+  let blocks = (record_extent (Machine.dbfs m) pd).Space.blocks in
   let store = cold_remount (Machine.dbfs m) in
   Block_device.inject_transient_fault (Dbfs.device store) (List.hd blocks)
     ~count:2;
@@ -342,7 +343,7 @@ let test_faulted_prefetch_sibling_skipped () =
   let leaf, _ = List.nth pages (List.length pages - 1) in
   Block_device.inject_fault dev leaf;
   let kept =
-    List.filter (fun pd -> Result.is_ok (Dbfs.entry_blocks store ~actor pd)) all
+    List.filter (fun pd -> Result.is_ok (Dbfs.entry_extents store ~actor pd)) all
   in
   check_bool "the leaf holds some entries, not all" true
     (kept <> [] && List.length kept < List.length all);
@@ -356,6 +357,11 @@ let test_faulted_prefetch_sibling_skipped () =
 
 let test_degraded_mode_read_only () =
   let m, people = boot_machine () in
+  (* after a reboot no page is open, so the next insert takes fresh
+     pages *)
+  let m =
+    match Machine.reboot m with Ok m -> m | Error e -> Alcotest.fail e
+  in
   let store = Machine.dbfs m in
   let dev = Machine.pd_device m in
   let lay = Dbfs.layout store in

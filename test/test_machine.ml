@@ -810,11 +810,12 @@ let test_consent_rewrites_subject_copies () =
 let test_consent_ignores_other_subjects_damage () =
   let m, _, pd_bob, _ = boot_with_users () in
   let m = ok (Machine.reboot m) in
-  let _, membrane_blocks =
-    dbfs_ok (Dbfs.entry_blocks (Machine.dbfs m) ~actor:Ded.actor pd_bob)
+  let _, membrane =
+    dbfs_ok (Dbfs.entry_extents (Machine.dbfs m) ~actor:Ded.actor pd_bob)
   in
   Block_device.unsafe_flip (Machine.pd_device m)
-    ~block:(List.hd membrane_blocks) ~byte:4 ~bit:0;
+    ~block:(List.hd membrane.Rgpdos_dbfs.Space.blocks)
+    ~byte:(membrane.Rgpdos_dbfs.Space.off + 4) ~bit:0;
   check_int "alice's consent change still succeeds" 1
     (ok (Machine.set_consent m ~subject:"sub-alice" ~purpose:"purpose1"
            Membrane.Denied));

@@ -16,6 +16,7 @@ module Schema = Rgpdos_dbfs.Schema
 module Record = Rgpdos_dbfs.Record
 module Query = Rgpdos_dbfs.Query
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Space = Rgpdos_dbfs.Space
 module Json = Rgpdos_util.Json
 module Bench = Rgpdos_workload.Bench
 
@@ -325,6 +326,35 @@ let warm_equals_cold_at queue_depth =
       check_int (at "warm (hits) == cold") d_cold d_warm)
     inputs;
   let at what = Printf.sprintf "depth %d: %s" queue_depth what in
+  (* the pds share pages, and a batch reads and charges each page once,
+     cold or warm: its device reads are its distinct data pages plus the
+     entries-tree pages of its descent *)
+  let reads () = Stats.Counter.get (Block_device.stats (Dbfs.device cold)) "reads" in
+  let tree () = Stats.Counter.get (Dbfs.stats cold) "index_page_reads" in
+  List.iter
+    (fun (name, pick, load) ->
+      let pages =
+        List.sort_uniq compare
+          (List.concat_map
+             (fun pd -> (pick (ok (Dbfs.entry_extents cold ~actor:ded pd))).Space.blocks)
+             pds)
+      in
+      check_bool (at (name ^ " share pages")) true
+        (List.length pages < List.length pds);
+      List.iter
+        (fun budget ->
+          Dbfs.set_cache_budget cold budget;
+          let r0 = reads () and i0 = tree () in
+          load ();
+          check_int
+            (at (Printf.sprintf "%s, budget %d: each page read once" name budget))
+            (List.length pages)
+            (reads () - r0 - (tree () - i0)))
+        [ 1; 65_536; 65_536 ])
+    [
+      ("records", fst, fun () -> ignore (ok (Dbfs.get_records cold ~actor:ded pds)));
+      ("membranes", snd, fun () -> ignore (ok (Dbfs.get_membranes cold ~actor:ded pds)));
+    ];
   (* the hits really were hits *)
   check_bool (at "page hits recorded") true
     (Stats.Counter.get (Dbfs.stats cold) "page_hits" > 0);

@@ -263,6 +263,58 @@ let test_replay_tail_check () =
     [ "one"; "two"; "four" ] seen;
   check_int "and the tail never replays" 3 summary.Ring.records_replayed
 
+(* A replay that stops before a frame leaves that frame's bytes past the
+   head.  The next append writes a shorter frame over its start, and must
+   leave no stale byte behind it: the following replay sees every record
+   and a clean end, both when the stop was a rejected last record and
+   when it was a torn frame.  A clean mount writes nothing. *)
+let test_append_after_stop_ends_clean () =
+  let replay dev ~tail_ok =
+    let reader = attach dev ~start_block:2 ~num_blocks:8 ~head:0 ~seq:0 in
+    let seen = ref [] in
+    let summary = Ring.replay reader ~tail_ok (fun p -> seen := p :: !seen) in
+    (reader, summary, List.rev !seen)
+  in
+  let long = String.make 150 'c' in
+  (* a last record the mount rejects *)
+  let ring, dev = make_ring () in
+  List.iter (Ring.append ring ~on_overflow:no_overflow) [ "one"; "two"; long ];
+  let reader, summary, _ =
+    replay dev ~tail_ok:(fun p -> p <> long)
+  in
+  check_bool "the last record is dropped" true
+    (summary.Ring.stop_reason = Ring.Unwritten_data);
+  Ring.append reader ~on_overflow:no_overflow "four";
+  let _, summary, seen = replay dev ~tail_ok:(fun _ -> true) in
+  Alcotest.(check (list string)) "every record replays"
+    [ "one"; "two"; "four" ] seen;
+  Alcotest.(check string) "and the journal ends clean" "clean"
+    (Ring.stop_reason_to_string summary.Ring.stop_reason);
+  (* a torn frame: the tail of a long record lost *)
+  let ring, dev = make_ring () in
+  List.iter (Ring.append ring ~on_overflow:no_overflow) [ "one"; "two"; long ];
+  let tail = List.nth (Block_device.read_vec dev [ 3 ]) 0 |> snd in
+  Block_device.write_vec dev
+    [ (3, String.mapi (fun i c -> if i < 60 then c else '\255') tail) ];
+  let reader, summary, _ = replay dev ~tail_ok:(fun _ -> true) in
+  check_bool "replay stops at the damaged frame" true
+    (summary.Ring.stop_reason <> Ring.Clean);
+  Ring.append reader ~on_overflow:no_overflow "four";
+  let _, summary, seen = replay dev ~tail_ok:(fun _ -> true) in
+  Alcotest.(check (list string)) "every record replays after the damage"
+    [ "one"; "two"; "four" ] seen;
+  Alcotest.(check string) "and ends clean" "clean"
+    (Ring.stop_reason_to_string summary.Ring.stop_reason);
+  (* a clean replay marks nothing: the next flush writes its block only *)
+  let ring, dev = make_ring () in
+  Ring.append ring ~on_overflow:no_overflow "one";
+  let reader, summary, _ = replay dev ~tail_ok:(fun _ -> true) in
+  check_bool "clean" true (summary.Ring.stop_reason = Ring.Clean);
+  let before = Stats.Counter.get (Block_device.stats dev) "writes" in
+  Ring.append reader ~on_overflow:no_overflow "two";
+  check_int "one block written" 1
+    (Stats.Counter.get (Block_device.stats dev) "writes" - before)
+
 (* Replay keeps the block it read last: a header or frame inside it
    costs no request, so N records over B ring blocks replay in at most
    B + 1 one-block reads (not one or two per record). *)
@@ -494,6 +546,8 @@ let () =
             test_faulted_flush_settles;
           Alcotest.test_case "torn wrapping flush stops replay" `Quick
             test_torn_wrapping_flush;
+          Alcotest.test_case "an append after a stopped replay ends clean"
+            `Quick test_append_after_stop_ends_clean;
           Alcotest.test_case "replay checks its last record" `Quick
             test_replay_tail_check;
           Alcotest.test_case "replay reads each block once" `Quick

@@ -255,6 +255,200 @@ let prop_fsck_clean_after_every_op =
           (Space.Heap, 1) ];
       true)
 
+(* ------------------------------------------------------------------ *)
+(* the slot law                                                        *)
+
+type lop =
+  | L_insert of int * bool  (* subject; a short TTL *)
+  | L_rectify of int
+  | L_consent of int
+  | L_erase of int * bool  (* subject; withdraw every consent too *)
+  | L_delete of int
+  | L_expire
+  | L_checkpoint
+  | L_remount
+  | L_compact
+
+let lop_print = function
+  | L_insert (i, short) -> Printf.sprintf "insert %d%s" i (if short then " ttl" else "")
+  | L_rectify i -> Printf.sprintf "rectify %d" i
+  | L_consent i -> Printf.sprintf "consent %d" i
+  | L_erase (i, w) -> Printf.sprintf "erase %d%s" i (if w then " withdraw" else "")
+  | L_delete i -> Printf.sprintf "delete %d" i
+  | L_expire -> "expire"
+  | L_checkpoint -> "checkpoint"
+  | L_remount -> "remount"
+  | L_compact -> "compact"
+
+let lop_gen =
+  QCheck.Gen.(
+    pair (int_range 0 11) (pair (int_range 0 7) bool) >|= fun (k, (i, b)) ->
+    match k with
+    | 0 | 1 | 2 -> L_insert (i, b)
+    | 3 -> L_rectify i
+    | 4 -> L_consent i
+    | 5 -> L_erase (i, b)
+    | 6 -> L_delete i
+    | 7 -> L_expire
+    | 8 -> L_checkpoint
+    | 9 -> L_remount
+    | _ -> L_compact)
+
+let lops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map lop_print ops))
+    QCheck.Gen.(list_size (5 -- 40) lop_gen)
+
+let extents_of t =
+  match Dbfs.list_pds t ~actor "reading" with
+  | Error e -> failwith (Dbfs.error_to_string e)
+  | Ok ids ->
+      List.map
+        (fun pd ->
+          match Dbfs.entry_extents t ~actor pd with
+          | Ok (r, m) -> (pd, r, m)
+          | Error e -> failwith (Dbfs.error_to_string e))
+        ids
+
+(* One script on a fresh store.  After every op fsck is clean (live slots
+   disjoint, in allocated pages of their zone, listed by the slot map);
+   no data-page byte outside a live slot holds anything after every op on
+   the heap and after every op that destroyed on segments; a remount
+   rebuilds the same slots; and after [fsck_repair] nothing is left
+   outside a live slot on either allocator. *)
+let slot_law ~allocator ~block_size ops =
+  let clock = Clock.create () in
+  let config =
+    { Block_device.default_config with block_size; block_count = 262_144 / block_size * 8 }
+  in
+  let dev = Block_device.create ~config ~clock () in
+  let t = ref (Dbfs.format ~allocator dev ~journal_blocks:(16_384 / block_size)) in
+  let s = schema () in
+  (match Dbfs.create_type !t ~actor s with
+  | Ok () -> ()
+  | Error e -> failwith (Dbfs.error_to_string e));
+  let pds = Array.make 8 None and erased = Array.make 8 false in
+  let version = ref 0 in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let ok what = function
+    | Ok v -> v
+    | Error e -> fail "%s: %s" what (Dbfs.error_to_string e)
+  in
+  let no_stray what =
+    match Rgpdos_model.Refine.stray_byte !t with
+    | None -> ()
+    | Some (b, off) -> fail "%s: block %d byte %d is outside every live slot" what b off
+  in
+  let erase i ?withdraw pd =
+    ok "erase"
+      (Dbfs.erase_with !t ~actor ?withdraw pd ~seal:(fun r ->
+           "SEALED:" ^ Fnv.hash64_hex (Record.encode r)));
+    erased.(i) <- true
+  in
+  List.iter
+    (fun op ->
+      let what = lop_print op in
+      let destroyed = ref false in
+      (match op with
+      | L_insert (i, short) when pds.(i) = None ->
+          let subject = Printf.sprintf "sub-%03d" i in
+          pds.(i) <-
+            Some
+              (ok what
+                 (Dbfs.insert !t ~actor ~subject ~type_name:"reading"
+                    ~record:
+                      [
+                        ("payload", Value.VString (Printf.sprintf "SLOT-%03d-v000" i));
+                        ("bucket", Value.VInt i);
+                      ]
+                    ~membrane_of:(fun ~pd_id ->
+                      Membrane.make ~pd_id ~type_name:"reading" ~subject_id:subject
+                        ~origin:s.Schema.default_origin
+                        ~consents:s.Schema.default_consents
+                        ~created_at:(Clock.now clock)
+                        ~ttl:(if short then 1_000 else 20 * Clock.year)
+                        ~collection:s.Schema.collection ())));
+          erased.(i) <- false
+      | L_rectify i -> (
+          match pds.(i) with
+          | Some pd when not erased.(i) ->
+              incr version;
+              ok what
+                (Dbfs.update_record !t ~actor pd
+                   [
+                     ("payload", Value.VString (Printf.sprintf "SLOT-%03d-v%03d" i !version));
+                     ("bucket", Value.VInt i);
+                   ])
+          | _ -> ())
+      | L_consent i -> (
+          match pds.(i) with
+          | Some pd ->
+              let m = ok what (Dbfs.get_membrane !t ~actor pd) in
+              let flip =
+                if List.assoc_opt "service" m.Membrane.consents = Some Membrane.Denied
+                then Membrane.All
+                else Membrane.Denied
+              in
+              ok what
+                (Dbfs.update_membrane !t ~actor pd
+                   (Membrane.set_consent m ~purpose:"service" flip))
+          | None -> ())
+      | L_erase (i, withdraw) -> (
+          match pds.(i) with
+          | Some pd when not erased.(i) ->
+              if withdraw then erase i ~withdraw:Membrane.withdraw_all pd else erase i pd;
+              destroyed := true
+          | _ -> ())
+      | L_delete i -> (
+          match pds.(i) with
+          | Some pd ->
+              ok what (Dbfs.delete !t ~actor pd);
+              pds.(i) <- None;
+              destroyed := true
+          | None -> ())
+      | L_expire ->
+          Clock.advance clock 2_000;
+          List.iter
+            (fun pd ->
+              Array.iteri
+                (fun i p ->
+                  if p = Some pd && not erased.(i) then begin
+                    erase i pd;
+                    destroyed := true
+                  end)
+                pds)
+            (ok what (Dbfs.expired_pds !t ~actor ~now:(Clock.now clock)))
+      | L_checkpoint -> Dbfs.checkpoint !t
+      | L_remount ->
+          let before = extents_of !t in
+          (t :=
+             match Dbfs.crash_and_remount !t with
+             | Ok t -> t
+             | Error e -> fail "remount: %s" e);
+          if extents_of !t <> before then fail "remount rebuilt different slots"
+      | L_compact -> ignore (Dbfs.compact !t ~max_victims:64 ~liveness_pct:75.0)
+      | L_insert _ -> ());
+      (match Dbfs.fsck !t with
+      | Ok () -> ()
+      | Error ps -> fail "%s: fsck: %s" what (String.concat "; " ps));
+      if allocator = Space.Heap || !destroyed then no_stray what)
+    ops;
+  let rep = Dbfs.fsck_repair !t in
+  if not rep.Dbfs.rr_clean then
+    fail "repair not clean: %s" (String.concat "; " rep.Dbfs.rr_problems);
+  no_stray "after fsck_repair";
+  true
+
+let prop_slot_law =
+  QCheck.Test.make
+    ~name:"slot law: heap and two-block segments, 512-byte and 4 KiB pages"
+    ~count:25 lops_arb
+    (fun ops ->
+      List.for_all
+        (fun (allocator, block_size) -> slot_law ~allocator ~block_size ops)
+        [ (Space.Heap, 512); (Space.Heap, 4096); (Space.Segments 2, 512);
+          (Space.Segments 2, 4096) ])
+
 (* Hint-less reference: the first run of [n] free slots in [lo, hi),
    else the first [n] free slots, else nothing. *)
 let reference_fit free ~lo ~hi n =
@@ -440,8 +634,12 @@ let test_torn_journal_tail () =
    envelopes then share segments with records the churn kills, so
    compaction relocates some of them, and each must still read back as
    its exact envelope after the remount. *)
+(* Four-block segments: 120 packed records fill a few pages, and small
+   segments seal them so the compactor has victims. *)
+let small_segments = Space.Segments 4
+
 let test_erase_compact_remount_no_residue ~erase_first () =
-  let dev, _clock, t, s = make_store () in
+  let dev, _clock, t, s = make_store ~allocator:small_segments () in
   let pds =
     List.map
       (fun i ->
@@ -503,8 +701,8 @@ let test_erase_compact_remount_no_residue ~erase_first () =
   if erase_first then (erase (); churn ()) else (churn (); erase ());
   let erased = List.filter (fun (_, _, doomed) -> doomed) pds in
   let blocks_of pd =
-    match Dbfs.entry_blocks t ~actor pd with
-    | Ok (record, _) -> record
+    match Dbfs.entry_extents t ~actor pd with
+    | Ok (record, _) -> record.Space.blocks
     | Error e -> failwith (Dbfs.error_to_string e)
   in
   let before = List.map (fun (_, pd, _) -> blocks_of pd) erased in
@@ -550,7 +748,7 @@ let test_erase_compact_remount_no_residue ~erase_first () =
    reads back, and no relocated extent's plaintext is left in a victim:
    each record's payload is found only in its own current blocks. *)
 let test_compaction_commits_chunks ~journal_blocks () =
-  let _, _, t, s = make_store ~journal_blocks () in
+  let _, _, t, s = make_store ~allocator:small_segments ~journal_blocks () in
   let payload i v = Printf.sprintf "KEEP-%03d-v%03d" i v in
   let pds =
     List.init 120 (fun i ->
@@ -599,8 +797,8 @@ let test_compaction_commits_chunks ~journal_blocks () =
         | Ok r -> List.assoc_opt "payload" r = Some (Value.VString current)
         | Error _ -> false);
       let blocks =
-        match Dbfs.entry_blocks t' ~actor pd with
-        | Ok (record, _) -> record
+        match Dbfs.entry_extents t' ~actor pd with
+        | Ok (record, _) -> record.Space.blocks
         | Error e -> failwith (Dbfs.error_to_string e)
       in
       check_bool (current ^ " only in its own blocks") true
@@ -616,7 +814,9 @@ let test_compaction_commits_chunks ~journal_blocks () =
    and the high-sensitivity record zones: each zone's OPEN segment
    accumulates dead versions the compactor cannot touch (only sealed
    segments are victims), so the combined dirty backlog genuinely
-   crosses the backpressure threshold and the stall path runs. *)
+   crosses the backpressure threshold and the stall path runs.  Each
+   churned version is padded past half a page, so it takes a page of its
+   own and dirties it. *)
 let backpressure_run () =
   let dev, clock, t, s =
     make_store ~block_count:2_048 ~allocator:(Space.Segments 240) ()
@@ -631,7 +831,9 @@ let backpressure_run () =
       match
         Dbfs.update_record t ~actor pd
           [
-            ("payload", Value.VString (Printf.sprintf "KEEP-000-v%03d" v));
+            ( "payload",
+              Value.VString
+                (Printf.sprintf "KEEP-000-v%03d%s" v (String.make 300 '.')) );
             ("bucket", Value.VInt 0);
           ]
       with
@@ -700,6 +902,7 @@ let () =
       ( "space",
         [
           QCheck_alcotest.to_alcotest prop_fsck_clean_after_every_op;
+          QCheck_alcotest.to_alcotest prop_slot_law;
           QCheck_alcotest.to_alcotest prop_first_fit_matches_reference;
         ] );
     ]

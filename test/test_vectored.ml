@@ -11,6 +11,7 @@ module Value = Rgpdos_dbfs.Value
 module Schema = Rgpdos_dbfs.Schema
 module Record = Rgpdos_dbfs.Record
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Space = Rgpdos_dbfs.Space
 module E = Rgpdos_workload.Experiments
 module Bench = Rgpdos_workload.Bench
 
@@ -186,8 +187,9 @@ let test_zone_placement () =
     insert t ~type_name:"note" ~subject:"alice"
       [ ("text", Value.VString "memo") ]
   in
-  let hrec, hmem = ok (Dbfs.entry_blocks t ~actor:ded high_pd) in
-  let lrec, lmem = ok (Dbfs.entry_blocks t ~actor:ded low_pd) in
+  let blocks (r, m) = (r.Space.blocks, m.Space.blocks) in
+  let hrec, hmem = blocks (ok (Dbfs.entry_extents t ~actor:ded high_pd)) in
+  let lrec, lmem = blocks (ok (Dbfs.entry_extents t ~actor:ded low_pd)) in
   check_bool "High record blocks in the High zone" true
     (hrec <> [] && List.for_all (fun b -> b >= l.l_high_start) hrec);
   check_bool "ordinary record blocks below the High zone" true
@@ -215,7 +217,7 @@ let test_extent_is_contiguous () =
   let t, _, _ = setup () in
   (* ~1200-byte payload: three 512-byte blocks *)
   let pd = insert_user t ~subject:"bob" ~pwd:(String.make 1200 'x') in
-  let rec_blocks, _ = ok (Dbfs.entry_blocks t ~actor:ded pd) in
+  let rec_blocks = (fst (ok (Dbfs.entry_extents t ~actor:ded pd))).Space.blocks in
   check_bool "multi-block record" true (List.length rec_blocks >= 3);
   check_bool "extent-allocated (contiguous ascending)" true
     (contiguous (List.sort compare rec_blocks))
@@ -261,7 +263,7 @@ let test_fragmentation_fallback_roundtrips () =
      still store and round-trip it *)
   let payload = String.make 2700 'q' in
   let pd = insert_user t ~subject:"frag" ~pwd:payload in
-  let rec_blocks, _ = ok (Dbfs.entry_blocks t ~actor:ded pd) in
+  let rec_blocks = (fst (ok (Dbfs.entry_extents t ~actor:ded pd))).Space.blocks in
   check_bool "allocation fell back to scattered blocks" true
     (List.length rec_blocks >= 6
     && not (contiguous (List.sort compare rec_blocks)));
