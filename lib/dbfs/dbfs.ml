@@ -953,7 +953,9 @@ let checkpoint t =
    against its data before applying it ([tail_written]).  Both tickets
    are settled on every path, an append that raises included. *)
 let rec commit ?destroy ?(retiring = []) t placed ops =
-  let p = Space.submit t.space placed ~retiring:(List.map ext retiring) in
+  let p =
+    Space.submit ?destroy t.space placed ~retiring:(List.map ext retiring)
+  in
   Fun.protect
     ~finally:(fun () -> Space.settle t.space p)
     (fun () ->
@@ -962,7 +964,7 @@ let rec commit ?destroy ?(retiring = []) t placed ops =
             ~on_overflow:(fun () -> checkpoint t)
             (encode_record (List.map snd ops))));
   List.iter (fun (hint, op) -> apply_op ~hint t op) ops;
-  Space.finish ?destroy t.space p ~relocate:(relocate t)
+  Space.finish t.space p ~relocate:(relocate t)
 
 (* ------------------------------------------------------------------ *)
 (* space: compaction survivors, placement                             *)

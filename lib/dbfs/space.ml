@@ -740,9 +740,9 @@ let reclaim_dead_segment t s g =
   Stats.Counter.incr t.counters "segments_reclaimed"
 
 (* Destroy every dirty byte: trim fully dead sealed segments, then scrub
-   the dirty pages of the rest in one read and one write, after
-   [flush_journal]. *)
-let purge t s =
+   the dirty pages of the rest in one write, after [flush_journal];
+   pages not in hand ([known]) are read in one request first. *)
+let purge ?known t s =
   hydrate t s;
   if Hashtbl.length s.dirty > 0 then begin
     flush_journal t;
@@ -753,7 +753,8 @@ let purge t s =
     match take_dirty s with
     | [] -> ()
     | dl ->
-        Stats.Counter.incr t.counters ~by:(scrub t dl) "purge_zeroed_blocks"
+        Stats.Counter.incr t.counters ~by:(scrub ?known t dl)
+          "purge_zeroed_blocks"
   end
 
 type relocate = in_victim:(int -> bool) -> unit
@@ -1042,17 +1043,29 @@ type pending = {
   p_writes : (int * string) list;
   p_read : Block_device.ticket option;
   p_retiring : extent list;
+  p_destroy : bool;
 }
 
-(* The pages the heap's destruction of [retiring] will rewrite around a
-   live neighbour and does not hold: not written by this commit, not
-   open. *)
-let destruction_reads t writes retiring =
-  match t.placement with
-  | Bump _ -> []
-  | First_fit _ ->
-      let going = List.concat_map (pieces t) retiring in
-      List.sort_uniq compare (List.map (fun (b, _, _) -> b) going)
+(* The pages the commit's destruction will rewrite around a live
+   neighbour and does not hold (not written by this commit, not open):
+   on the heap the pages of [retiring]; on segments, when it destroys,
+   every dirty page too, which the purge scrubs. *)
+let destruction_reads t writes ~retiring ~destroy =
+  let going = List.concat_map (pieces t) retiring in
+  let pages =
+    List.map (fun (b, _, _) -> b) going
+    @
+    match t.placement with
+    | First_fit _ -> []
+    | Bump s when destroy ->
+        hydrate t s;
+        Hashtbl.fold (fun b () acc -> b :: acc) s.dirty []
+    | Bump _ -> []
+  in
+  match (t.placement, destroy) with
+  | Bump _, false -> []
+  | _ ->
+      List.sort_uniq compare pages
       |> List.filter (fun b ->
              (not (List.mem_assoc b writes))
              && (not (is_open t b))
@@ -1060,14 +1073,14 @@ let destruction_reads t writes retiring =
                   (fun (off, len) -> not (List.mem (b, off, len) going))
                   (live_slots t b))
 
-let submit t placed ~retiring =
+let submit ?(destroy = false) t placed ~retiring =
   let writes = page_writes t placed in
   let tk =
     retrying t (fun () ->
         Block_device.submit_write_vec t.dev ~channel:data_channel writes)
   in
   let read =
-    match destruction_reads t writes retiring with
+    match destruction_reads t writes ~retiring ~destroy with
     | [] -> None
     | pages -> (
         match
@@ -1079,30 +1092,35 @@ let submit t placed ~retiring =
             ignore (Block_device.await t.dev tk);
             raise e)
   in
-  { p_write = tk; p_writes = writes; p_read = read; p_retiring = retiring }
+  {
+    p_write = tk;
+    p_writes = writes;
+    p_read = read;
+    p_retiring = retiring;
+    p_destroy = destroy;
+  }
 
 let settle t p =
   ignore (Block_device.await t.dev p.p_write);
   Option.iter (fun tk -> ignore (Block_device.await t.dev tk)) p.p_read
 
-let finish ?(destroy = false) t p ~relocate =
+let finish t p ~relocate =
   landed t p.p_writes;
+  let known () =
+    p.p_writes
+    @ match p.p_read with Some tk -> Block_device.await t.dev tk | None -> []
+  in
   match t.placement with
   | First_fit _ -> (
       match p.p_retiring with
       | [] -> () (* every insert retires nothing: skip the empty request *)
       | retiring ->
           flush_journal t;
-          let read =
-            match p.p_read with
-            | Some tk -> Block_device.await t.dev tk
-            | None -> []
-          in
           ignore
-            (scrub ~known:(p.p_writes @ read) t
+            (scrub ~known:(known ()) t
                (List.sort_uniq compare (List.concat_map (fun x -> x.blocks) retiring))))
   | Bump s ->
-      if destroy then purge t s;
+      if p.p_destroy then purge ~known:(known ()) t s;
       maintain t s ~relocate
 
 (* ------------------------------------------------------------------ *)

@@ -28,13 +28,14 @@
     - {b destruction}, of byte ranges: [Heap] destroys a superseded slot
       as soon as the journal record that freed it commits, by a
       read-modify-write of its page (a page left with no live slot is
-      zeroed whole).  The page read is never serial: the bytes are the
-      open page's image, the commit's own write, or a read submitted on a
-      channel of its own when the commit starts, so it overlaps the
-      payload write and the flush.  [Segments] leaves dead slots in place
-      until a purge (every delete and erasure) or the compactor scrubs
-      their pages, trimming fully dead segments.  Either way the journal
-      is flushed and settled first ({!flush_journal});
+      zeroed whole).  [Segments] leaves dead slots in place until a
+      purge (every delete and erasure) or the compactor scrubs their
+      pages, trimming fully dead segments.  The page read a commit's
+      destruction needs is never serial: the bytes are the open page's
+      image, the commit's own write, or a read submitted on a channel of
+      its own when the commit starts, so it overlaps the payload write
+      and the flush.  Either way the journal is flushed and settled
+      first ({!flush_journal});
     - the invariant {!check} and its {!repair}.
 
     DBFS keeps what needs the journal and the entries tree: it applies
@@ -149,23 +150,26 @@ val place : t -> (zone * int) list -> relocate:relocate -> extent list option
 type pending
 (** A commit's device requests in flight. *)
 
-val submit : t -> (string * extent) list -> retiring:extent list -> pending
+val submit :
+  ?destroy:bool -> t -> (string * extent) list -> retiring:extent list -> pending
 (** Start a commit: one vectored payload write of the placed payloads
-    (each page rebuilt from its image with the new slots laid in), and,
-    on the heap, a read of the pages the destruction of [retiring] must
-    rewrite and holds no bytes of, each request on a channel of its own.
-    A read that raises settles the write first. *)
+    (each page rebuilt from its image with the new slots laid in), and a
+    read of the pages its destruction must rewrite around live slots and
+    holds no bytes of — on the heap those of [retiring]; on segments,
+    with [~destroy:true] (delete, erasure), every dirty page the purge
+    will scrub — each request on a channel of its own.  A read that
+    raises settles the write first. *)
 
 val settle : t -> pending -> unit
 (** Await both requests (idempotent): call it on every path. *)
 
-val finish : ?destroy:bool -> t -> pending -> relocate:relocate -> unit
+val finish : t -> pending -> relocate:relocate -> unit
 (** Once the journal record that freed [retiring] has committed and its
     ops applied: update the open pages' images, then destroy or defer the
     retired slots.  [Heap] flushes the journal and rewrites each of their
     pages with no byte outside a live slot (zeroing a page left with
-    none), in one write.  [Segments] leaves them dirty, or with
-    [~destroy:true] (delete, erasure) purges every dirty page, then
+    none), in one write.  [Segments] leaves them dirty, or when the
+    commit destroys purges every dirty page, then
     compacts past the dirty trigger and stalls past the backpressure
     threshold. *)
 

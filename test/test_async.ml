@@ -547,7 +547,29 @@ let test_dbfs_packed_cost_law () =
               (counter dev "reads" - reads > (if name = "rectification" then 0 else 1));
           check_int (at "nothing outstanding") 0 (Block_device.outstanding dev))
         [ ("closed-page", closed); ("open-page", opened) ])
-    cases
+    cases;
+  (* On segments an erasure purges the dirty set; here only its own two
+     superseded slots, whose pages are read with the commit too. *)
+  let clock = Clock.create () in
+  let dev = Block_device.create ~clock () in
+  let t = Dbfs.format ~allocator:Space.segments dev ~journal_blocks:64 in
+  ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+  let pds =
+    Array.init 150 (fun i ->
+        insert_user t ~subject:(Printf.sprintf "q%03d" i) ~pwd:"pw")
+  in
+  List.iter
+    (fun (where, i) ->
+      let at what = Printf.sprintf "segments, DED erasure, %s pd: %s" where what in
+      let t0 = Clock.now clock in
+      ok
+        (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pds.(i)
+           ~seal:(fun _ -> "sealed"));
+      let cost = Clock.now clock - t0 in
+      check_bool (Printf.sprintf "%s: %d sim-ns <= 149156" (at "cost") cost) true
+        (cost <= 149_156);
+      check_int (at "nothing outstanding") 0 (Block_device.outstanding dev))
+    [ ("closed-page", 7); ("open-page", 149) ]
 
 (* Every commit settles its payload ticket: at window 1 nothing is
    outstanding after any mutation of a mixed script, on the heap and on
