@@ -13,9 +13,10 @@
    slots to its open page, whose bytes are kept in memory; a full page
    gives way to a fresh one from the allocator.  An extent larger than a
    block takes whole blocks of its own, from offset 0.  A page is
-   allocated in the free map while it holds a live slot, and freed when
-   its last slot dies: dead space inside a partly live page is not reused,
-   so a page never costs more than one block per live slot.
+   allocated in the free map while it holds a live slot (the heap also
+   reserves a fresh page as soon as it opens), and freed when its last
+   slot dies: dead space inside a partly live page is not reused, so a
+   page never costs more than one block per live slot.
 
    Under [Segments] each zone is carved into fixed-size segments.  Pages
    and large extents are bump-allocated at the write pointer of their
