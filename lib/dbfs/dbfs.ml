@@ -629,9 +629,16 @@ let record_x =
 
 (* Best-effort decode (index maintenance, fsck): an extent that cannot be
    read even after retries yields [None] rather than raising — the
-   callers treat it the same as an undecodable payload. *)
-let decode_at t x e =
-  match read_payload t (x.x_loc e) with
+   callers treat it the same as an undecodable payload.  [pages], the
+   [block -> bytes] table of replay's one read, serves the bytes when it
+   holds the extent's pages. *)
+let decode_at ?pages t x e =
+  let l = x.x_loc e in
+  match
+    match pages with
+    | Some h when List.for_all (Hashtbl.mem h) l.blocks -> extent_bytes h l
+    | _ -> read_payload t l
+  with
   | exception Block_device.Faulted _ -> None
   | raw -> Result.to_option (x.x_decode raw)
 
@@ -641,25 +648,25 @@ let expiry_instant m =
   | Some ttl -> Some (m.Membrane.created_at + ttl)
 
 (* The index facts of [e]'s record and membrane, from the hint when the
-   caller has the decoded value, else off the device. *)
-let index_record t idx ~hint e =
+   caller has the decoded value, else from [pages] or off the device. *)
+let index_record ?pages t idx ~hint e =
   let indexed = indexed_fields_of t e.type_name in
   if indexed <> [] then
     let record =
       match hint.h_record with
       | Some r -> Some r
-      | None -> decode_at t record_x e
+      | None -> decode_at ?pages t record_x e
     in
     match record with
     | Some record ->
         Index.add_entry idx ~pd_id:e.pd_id ~type_name:e.type_name ~indexed record
     | None -> ()
 
-let index_membrane t idx ~hint e =
+let index_membrane ?pages t idx ~hint e =
   let membrane =
     match hint.h_membrane with
     | Some m -> Some m
-    | None -> decode_at t membrane_x e
+    | None -> decode_at ?pages t membrane_x e
   in
   match membrane with
   | Some m -> Index.set_expiry idx ~pd_id:e.pd_id (expiry_instant m)
@@ -667,11 +674,11 @@ let index_membrane t idx ~hint e =
 
 (* Every index fact of one entry: what an insert adds, and what a rebuild
    re-derives.  An erased entry keeps only its subject link. *)
-let index_entry t idx ~hint e =
+let index_entry ?pages t idx ~hint e =
   Index.add_subject idx ~subject:e.subject ~pd_id:e.pd_id;
   if not e.erased then begin
-    index_record t idx ~hint e;
-    index_membrane t idx ~hint e
+    index_record ?pages t idx ~hint e;
+    index_membrane ?pages t idx ~hint e
   end
 
 (* [freed_acc], passed by mount-time replay, collects every block an op
@@ -682,7 +689,7 @@ let index_entry t idx ~hint e =
 
    The hint's entry goes into the overlay as is, with no second lookup.
    Replay has none and resolves the pd with [touch_entry]. *)
-let apply_op ?(hint = no_hint) ?freed_acc t op =
+let apply_op ?(hint = no_hint) ?pages ?freed_acc t op =
   let target pd_id =
     match hint.h_entry with
     | Some e ->
@@ -712,7 +719,7 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
       t.entry_count <- t.entry_count + 1;
       use e.record;
       use e.membrane;
-      index_entry t t.index ~hint e;
+      index_entry ?pages t t.index ~hint e;
       (* keep pd counter ahead of any replayed id *)
       (match
          int_of_string_opt (String.sub e.pd_id 3 (String.length e.pd_id - 3))
@@ -726,7 +733,7 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
       match kind with
       | Record ->
           entry.record <- loc;
-          index_record t t.index ~hint entry
+          index_record ?pages t t.index ~hint entry
       | Membrane ->
           entry.membrane <- loc;
           (* consent flips and TTL changes land here: re-key the expiry
@@ -734,7 +741,7 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
              must never re-enter the expiry queue — its record is already
              gone. *)
           if entry.erased then Index.clear_expiry t.index ~pd_id
-          else index_membrane t t.index ~hint entry
+          else index_membrane ?pages t t.index ~hint entry
       | Sealed ->
           entry.record <- loc;
           entry.erased <- true;
@@ -753,6 +760,25 @@ let apply_op ?(hint = no_hint) ?freed_acc t op =
       Index.remove_entry t.index ~pd_id;
       Index.remove_subject t.index ~subject:entry.subject ~pd_id;
       Index.clear_expiry t.index ~pd_id
+
+(* The pd whose index facts an op changes: every op's but a schema's, and
+   a record replacement's only for a type with indexed fields. *)
+let index_pd t (hint, op) =
+  match op with
+  | J_create_type _ -> None
+  | J_replace { kind = Record; pd_id; _ } ->
+      let e =
+        match hint.h_entry with Some e -> e | None -> touch_entry t pd_id
+      in
+      if indexed_fields_of t e.type_name = [] then None else Some pd_id
+  | J_insert { pd_id; _ } | J_replace { pd_id; _ } | J_delete pd_id -> Some pd_id
+
+(* A record's ops, applied in order, each with its hint, after ONE
+   batched materialization of the index facts of every pd they change:
+   each [pdinfo] page on their paths is read once per commit. *)
+let apply_ops ?pages ?freed_acc t ops =
+  Index.materialize t.index (List.filter_map (index_pd t) ops);
+  List.iter (fun (hint, op) -> apply_op ~hint ?pages ?freed_acc t op) ops
 
 (* ------------------------------------------------------------------ *)
 (* root slots                                                         *)
@@ -963,7 +989,7 @@ let rec commit ?destroy ?(retiring = []) t placed ops =
           Journal_ring.append t.ring
             ~on_overflow:(fun () -> checkpoint t)
             (encode_record (List.map snd ops))));
-  List.iter (fun (hint, op) -> apply_op ~hint t op) ops;
+  apply_ops t ops;
   Space.finish t.space p ~relocate:(relocate t)
 
 (* ------------------------------------------------------------------ *)
@@ -1151,31 +1177,46 @@ let format ?(allocator = Space.Heap) dev ~journal_blocks =
   commit_root t;
   t
 
+(* Replay's one data read: every page the replayed records' extents name
+   (what their index facts decode from, and what the tail check sums), in
+   one vectored request.  Nothing writes a data page during replay, so
+   these bytes are what each op would read at its turn.  [None] when
+   there is nothing to read or the read faults: each op then reads its
+   own extent, and the tail check passes (medium damage is fsck's). *)
+let replay_pages t records =
+  match
+    List.sort_uniq compare
+      (List.concat_map
+         (function
+           | Ok ops -> List.concat_map (fun l -> l.blocks) (written_extents ops)
+           | Error _ -> [])
+         records)
+  with
+  | [] -> None
+  | blocks -> (
+      match retrying t (fun () -> Block_device.read_vec t.dev blocks) with
+      | exception Block_device.Faulted _ -> None
+      | got -> Some (block_table got))
+
 (* Replay's tail check.  A commit's record goes out while its payload
    write is in flight, so the journal's last record may be durable
    without its data.  It applies only if every extent it names matches
-   its stored checksum, each slot cut out of its page, the pages read in
-   one vectored request; otherwise the mutation never completed and the
-   record is dropped like a torn final frame.  A record that does not decode passes (applying it reports
-   that), and so does one whose extents cannot be read: that is medium
-   damage, which fsck reports and repair quarantines. *)
-let tail_written t payload =
-  match decode_record payload with
+   its stored checksum, each slot cut out of its page; otherwise the
+   mutation never completed and the record is dropped like a torn final
+   frame.  A record that does not decode passes (applying it reports
+   that), and so does one whose extents could not be read: that is
+   medium damage, which fsck reports and repair quarantines. *)
+let tail_written t pages = function
   | Error _ -> true
   | Ok ops -> (
-      let locs = written_extents ops in
-      match List.concat_map (fun l -> l.blocks) locs with
-      | [] -> true
-      | blocks -> (
-          match retrying t (fun () -> Block_device.read_vec t.dev blocks) with
-          | exception Block_device.Faulted _ -> true
-          | got ->
-              let h = block_table got in
-              List.for_all
-                (fun l ->
-                  charge_checksum t l.size;
-                  Fnv.hash64_hex (extent_bytes h l) = l.sum)
-                locs))
+      match pages with
+      | None -> true
+      | Some h ->
+          List.for_all
+            (fun l ->
+              charge_checksum t l.size;
+              Fnv.hash64_hex (extent_bytes h l) = l.sum)
+            (written_extents ops))
 
 let mount dev =
   let r = Codec.Reader.create (snd (List.hd (Block_device.read_vec dev [ 0 ]))) in
@@ -1225,23 +1266,40 @@ let mount dev =
             rs.rs_schemas;
           (* exn-free replay: a record that frames correctly but fails to
              decode or apply stops further application and flips the store
-             into degraded read-only mode instead of failing the mount *)
+             into degraded read-only mode instead of failing the mount.
+             Records are held until the ring reaches its last one; the
+             tail check then reads the pages of every held record and of
+             the last in one request, and the held records apply in order,
+             decoding their index facts from those bytes. *)
           let freed = ref [] in
+          let pages = ref None in
+          let apply = function
+            | _ when t.replay_warning <> None -> ()
+            | Error e -> t.replay_warning <- Some ("corrupt journal op: " ^ e)
+            | Ok ops -> (
+                try
+                  apply_ops t ?pages:!pages ~freed_acc:freed
+                    (List.map (fun op -> (no_hint, op)) ops)
+                with
+                | Failure m -> t.replay_warning <- Some m
+                | Not_found ->
+                    t.replay_warning <- Some "journal op references an unknown pd")
+          in
+          let held = ref (Some []) in
           let summary =
             Journal_ring.replay t.ring
               ~tail_ok:(fun payload ->
-                t.replay_warning <> None || tail_written t payload)
+                let tail = decode_record payload in
+                let records = List.rev (Option.value ~default:[] !held) in
+                pages := replay_pages t (tail :: records);
+                held := None;
+                List.iter apply records;
+                t.replay_warning <> None || tail_written t !pages tail)
               (fun payload ->
-                if t.replay_warning = None then
-                  match decode_record payload with
-                  | Ok ops -> (
-                      try List.iter (apply_op t ~freed_acc:freed) ops with
-                      | Failure m -> t.replay_warning <- Some m
-                      | Not_found ->
-                          t.replay_warning <-
-                            Some "journal op references an unknown pd")
-                  | Error e ->
-                      t.replay_warning <- Some ("corrupt journal op: " ^ e))
+                let record = decode_record payload in
+                match !held with
+                | Some records -> held := Some (record :: records)
+                | None -> apply record)
           in
           t.replay <- Some summary;
           (match t.replay_warning with
@@ -1375,15 +1433,28 @@ let verify_sum ~what ~pd_id ~stored raw =
    host-side decode is skipped), so a warm cache changes no stage_ns
    figure. *)
 
-(* A whole batch resolved in one descent; any failing pd (the first, in
-   input order) fails the batch. *)
-let resolve_entries t pd_ids =
+(* Every result's value, or the first error. *)
+let all_ok results =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | Ok e :: rest -> go (e :: acc) rest
+    | Ok v :: rest -> go (v :: acc) rest
     | Error e :: _ -> Error e
   in
-  go [] (resolve t pd_ids)
+  go [] results
+
+(* A whole batch resolved in one descent; any failing pd (the first, in
+   input order) fails the batch. *)
+let resolve_entries t pd_ids = all_ok (resolve t pd_ids)
+
+(* [ids] without repeats, each at its first occurrence. *)
+let distinct ids =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun id ->
+      (not (Hashtbl.mem seen id))
+      && (Hashtbl.replace seen id ();
+          true))
+    ids
 
 (* Split [entries] into at most [n] contiguous chunks, preserving order. *)
 let chunk_entries entries n =
@@ -1516,40 +1587,95 @@ let get_record t ~actor pd_id =
   | [ (_, Some r) ] -> Ok r
   | _ -> Error (Erased pd_id)
 
+(* [items] cut into runs, in order, whose journal records fit the ring:
+   [bytes item] is what an item adds to its run's record.  An item larger
+   than the ring still gets a run of its own. *)
+let chunks t bytes items =
+  let limit = Journal_ring.max_payload t.ring in
+  let close cur acc = if cur = [] then acc else List.rev cur :: acc in
+  let rec go acc cur n = function
+    | [] -> List.rev (close cur acc)
+    | x :: rest ->
+        let b = bytes x in
+        if cur <> [] && n + b > limit then go (close cur acc) [ x ] b rest
+        else go acc (x :: cur) (n + b) rest
+  in
+  go [] [] 0 items
+
+(* The journal bytes of a [J_replace] of a [size]-byte payload, known
+   before placement: a loc's fields are fixed-width. *)
+let replace_bytes t kind pd_id size =
+  let blocks = if size = 0 then 0 else ((size - 1) / block_size t) + 1 in
+  String.length
+    (encode_record
+       [
+         J_replace
+           {
+             kind;
+             pd_id;
+             loc =
+               {
+                 blocks = List.init blocks Fun.id;
+                 off = 0;
+                 size;
+                 sum = Fnv.hash64_hex "";
+               };
+           };
+       ])
+
 (* The one extent write behind record updates, membrane updates and
-   erasure: place each of [items] (a [(kind, hint, payload)] of entry [e])
-   in its zone and commit them — every payload in one write, their
-   [J_replace]s in one record — then destroy the superseded slots once.
-   So a crash leaves all of the items applied or none.  With a [Sealed]
-   item the destruction is erasure's duty: no plaintext of the old record
-   may remain anywhere. *)
-let replace_extent t e items =
-  (* [e] enters the overlay before placement: a compaction that placement
-     triggers then relocates this very entry object, so [e] is current
-     when its own ops apply *)
-  Hashtbl.replace t.entries e.pd_id e;
-  match
-    place t
-      (List.map
-         (fun (kind, _, payload) -> (zone e kind, String.length payload))
-         items)
-  with
-  | None -> Error No_space
-  | Some xs ->
-      (* the superseded extents, read only now: a compaction placement
-         triggered may have relocated them *)
-      let old = List.map (fun (kind, _, _) -> extent e kind) items in
-      protect_write t (fun () ->
-          commit t
-            ~destroy:(List.exists (fun (kind, _, _) -> kind = Sealed) items)
-            ~retiring:old
-            (List.map2 (fun (_, _, payload) x -> (payload, x)) items xs)
-            (List.map2
-               (fun (kind, hint, payload) x ->
-                 ( { hint with h_entry = Some e },
-                   J_replace { kind; pd_id = e.pd_id; loc = loc_of payload x } ))
-               items xs);
-          Ok ())
+   erasure.  Each [(e, items)] of [batch] replaces extents of entry [e]
+   ([(kind, hint, payload)] items, an entry's items kept together).  The
+   batch commits in chunks whose journal records fit the ring, as
+   [relocate]'s do, and a batch of ordinary size is one chunk: every
+   payload of a chunk is placed at once and written in one request, its
+   [J_replace]s journaled as one record, and its superseded slots
+   destroyed once.  So a crash leaves each chunk all applied or not at
+   all.  With a [Sealed] item the destruction is erasure's duty: no
+   plaintext of the old record may remain anywhere.  A chunk that cannot
+   be placed or written stops the batch, the chunks before it
+   committed. *)
+let replace_extents t batch =
+  (* the entries enter the overlay before placement: a compaction that
+     placement triggers then relocates these very entry objects, so each
+     is current when its own ops apply *)
+  List.iter (fun (e, _) -> Hashtbl.replace t.entries e.pd_id e) batch;
+  let commit_chunk chunk =
+    let items =
+      List.concat_map (fun (e, items) -> List.map (fun i -> (e, i)) items) chunk
+    in
+    match
+      place t
+        (List.map
+           (fun (e, (kind, _, payload)) -> (zone e kind, String.length payload))
+           items)
+    with
+    | None -> Error No_space
+    | Some xs ->
+        (* the superseded extents, read only now: a compaction placement
+           triggered may have relocated them *)
+        let old = List.map (fun (e, (kind, _, _)) -> extent e kind) items in
+        protect_write t (fun () ->
+            commit t
+              ~destroy:(List.exists (fun (_, (kind, _, _)) -> kind = Sealed) items)
+              ~retiring:old
+              (List.map2 (fun (_, (_, _, payload)) x -> (payload, x)) items xs)
+              (List.map2
+                 (fun (e, (kind, hint, payload)) x ->
+                   ( { hint with h_entry = Some e },
+                     J_replace { kind; pd_id = e.pd_id; loc = loc_of payload x } ))
+                 items xs);
+            Ok ())
+  in
+  let bytes (e, items) =
+    List.fold_left
+      (fun n (kind, _, payload) ->
+        n + replace_bytes t kind e.pd_id (String.length payload))
+      0 items
+  in
+  List.fold_left
+    (fun r chunk -> Result.bind r (fun () -> commit_chunk chunk))
+    (Ok ()) (chunks t bytes batch)
 
 let update_record t ~actor pd_id record =
   let** () = guard t ~actor ~op:"write" in
@@ -1564,11 +1690,14 @@ let update_record t ~actor pd_id record =
         | Error msg -> Error (Invalid_record msg)
         | Ok () ->
             let** () =
-              replace_extent t e
+              replace_extents t
                 [
-                  ( Record,
-                    { no_hint with h_record = Some record },
-                    Record.encode record );
+                  ( e,
+                    [
+                      ( Record,
+                        { no_hint with h_record = Some record },
+                        Record.encode record );
+                    ] );
                 ]
             in
             Stats.Counter.incr t.counters "record_updates";
@@ -1582,14 +1711,28 @@ let membrane_item e m =
   in
   Ok (Membrane, { no_hint with h_membrane = Some m }, Membrane.encode m)
 
-let update_membrane t ~actor pd_id membrane =
+(* One descent resolves every pd, every membrane is checked before
+   anything is written, and one [replace_extents] commits them. *)
+let update_membranes t ~actor updates =
   let** () = guard t ~actor ~op:"write" in
   let** () = check_degraded t in
-  let** e = find_entry t pd_id in
-  let** item = membrane_item e membrane in
-  let** () = replace_extent t e [ item ] in
-  Stats.Counter.incr t.counters "membrane_updates";
-  Ok ()
+  let ids = List.map fst updates in
+  if List.length (distinct ids) <> List.length ids then
+    Error (Membrane_mismatch "a pd named twice in one batch")
+  else
+    let** entries = resolve_entries t ids in
+    let** batch =
+      all_ok
+        (List.map2
+           (fun e (_, m) -> Result.map (fun item -> (e, [ item ])) (membrane_item e m))
+           entries updates)
+    in
+    let** () = replace_extents t batch in
+    Stats.Counter.incr t.counters ~by:(List.length batch) "membrane_updates";
+    Ok ()
+
+let update_membrane t ~actor pd_id membrane =
+  update_membranes t ~actor [ (pd_id, membrane) ]
 
 let copy_pd t ~actor pd_id =
   let** () = guard t ~actor ~op:"write" in
@@ -1602,39 +1745,65 @@ let copy_pd t ~actor pd_id =
     insert t ~actor ~subject:e.subject ~type_name:e.type_name ~record
       ~membrane_of:(fun ~pd_id -> Membrane.copy_for membrane ~new_pd_id:pd_id)
 
-let delete t ~actor pd_id =
+(* One descent resolves the batch; each chunk of [J_delete]s commits as
+   one record, and its pds' slots are destroyed after it commits. *)
+let delete t ~actor pd_ids =
   let** () = guard t ~actor ~op:"delete" in
   let** () = check_degraded t in
-  let** e = find_entry t pd_id in
-  protect_write t (fun () ->
-      (* physical destruction after the metadata commit *)
-      commit t ~destroy:true ~retiring:[ e.record; e.membrane ] []
-        [ ({ no_hint with h_entry = Some e }, J_delete pd_id) ];
-      Stats.Counter.incr t.counters "deletes";
-      Ok ())
+  let** entries = resolve_entries t (distinct pd_ids) in
+  List.fold_left
+    (fun r chunk ->
+      let** () = r in
+      protect_write t (fun () ->
+          (* physical destruction after the metadata commit *)
+          commit t ~destroy:true
+            ~retiring:(List.concat_map (fun e -> [ e.record; e.membrane ]) chunk)
+            []
+            (List.map
+               (fun e -> ({ no_hint with h_entry = Some e }, J_delete e.pd_id))
+               chunk);
+          Stats.Counter.incr t.counters ~by:(List.length chunk) "deletes";
+          Ok ()))
+    (Ok ())
+    (chunks t
+       (fun e -> String.length (encode_record [ J_delete e.pd_id ]))
+       entries)
 
-(* One resolved entry, one [replace_extent]: with [withdraw] the
-   rewritten membrane and the sealed record commit together (membrane op
-   first), so a crash never leaves the pd withdrawn but live. *)
-let erase_with t ~actor ?withdraw pd_id ~seal =
+(* One descent resolves the batch, one load each fetches the live pds'
+   membranes (with [withdraw]) and records, and one [replace_extents]
+   commits them: per pd the rewritten membrane, then the sealed record,
+   in one chunk, so a crash never leaves a pd withdrawn but live. *)
+let erase_with t ~actor ?withdraw pd_ids ~seal =
   let** () = guard t ~actor ~op:"erase" in
   let** () = check_degraded t in
-  let** e = find_entry t pd_id in
-  if e.erased then Error (Erased pd_id)
-  else
-    let** membrane =
-      match withdraw with
-      | None -> Ok []
-      | Some f ->
-          let** m = load_one t membrane_x e in
-          let** item = membrane_item e (f m) in
-          Ok [ item ]
-    in
-    let** record = load_one t record_x e in
-    let** () = replace_extent t e (membrane @ [ (Sealed, no_hint, seal record) ]) in
-    if Option.is_some withdraw then Stats.Counter.incr t.counters "membrane_updates";
-    Stats.Counter.incr t.counters "erasures";
-    Ok ()
+  let** entries = resolve_entries t (distinct pd_ids) in
+  let live = List.filter (fun e -> not e.erased) entries in
+  let** membranes =
+    match withdraw with
+    | None -> Ok (List.map (fun _ -> []) live)
+    | Some f ->
+        let** got = load_extents t membrane_x ~channel:0 live in
+        all_ok
+          (List.map2
+             (fun e (_, m) ->
+               Result.map (fun item -> [ item ]) (membrane_item e (f (Option.get m))))
+             live got)
+  in
+  let** records = load_extents t record_x ~channel:0 live in
+  let** () =
+    replace_extents t
+      (List.map2
+         (fun (e, (_, r)) membrane ->
+           (e, membrane @ [ (Sealed, no_hint, seal (Option.get r)) ]))
+         (List.combine live records) membranes)
+  in
+  let n = List.length live in
+  if n > 0 then begin
+    if Option.is_some withdraw then
+      Stats.Counter.incr t.counters ~by:n "membrane_updates";
+    Stats.Counter.incr t.counters ~by:n "erasures"
+  end;
+  Ok (List.map (fun e -> e.pd_id) live)
 
 let erased_payload t ~actor pd_id =
   let** () = guard t ~actor ~op:"read" in

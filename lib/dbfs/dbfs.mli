@@ -220,9 +220,22 @@ val update_membrane :
   string ->
   Rgpdos_membrane.Membrane.t ->
   (unit, error) result
-(** Replace the membrane (consent changes).  The new membrane must keep the
-    entry's pd_id, type and subject.  One entries-tree descent, and the
-    same commit and crash contract, as {!update_record}. *)
+(** Replace the membrane (consent changes): an {!update_membranes} batch
+    of one. *)
+
+val update_membranes :
+  t ->
+  actor:string ->
+  (string * Rgpdos_membrane.Membrane.t) list ->
+  (unit, error) result
+(** Replace the membranes of several distinct pds as one commit (a
+    lineage's consent change).  Each new membrane must keep its entry's
+    pd_id, type and subject; every check runs, in one entries-tree
+    descent, before anything is written.  The new membranes go out in one
+    write, their [J_replace]s in one journal record, and the superseded
+    slots are destroyed once, with {!update_record}'s crash contract: a
+    crash leaves every membrane old or every one new.  A pd named twice
+    fails with [Membrane_mismatch], writing nothing. *)
 
 val copy_pd : t -> actor:string -> string -> (string, error) result
 (** Built-in [copy]: duplicate record and membrane under a fresh pd_id;
@@ -233,40 +246,49 @@ val copy_pd : t -> actor:string -> string -> (string, error) result
     of the subject's PD.  The source is resolved once: its record and
     membrane load from that entry. *)
 
-val delete : t -> actor:string -> string -> (unit, error) result
-(** Physical removal: the record and membrane slots are zeroed on the
-    device, their pages rewritten (or zeroed whole once no live slot is
-    left), after the [J_delete] commits.  One entries-tree descent, as for
-    {!update_record}. *)
+val delete : t -> actor:string -> string list -> (unit, error) result
+(** Physical removal of a batch of pds (repeats count once): each one's
+    record and membrane slots are zeroed on the device, their pages
+    rewritten (or zeroed whole once no live slot is left), after its
+    [J_delete] commits.  One entries-tree descent resolves the batch; an
+    unknown pd fails it, writing nothing.  The [J_delete]s commit as one
+    journal record, then one destruction of every slot — in chunks
+    whose records fit the ring ([Journal_ring.max_payload]), each atomic,
+    when the batch is larger; a failing chunk stops the batch, the chunks
+    before it deleted.  A single pd is a batch of one. *)
 
 val erase_with :
   t ->
   actor:string ->
   ?withdraw:(Rgpdos_membrane.Membrane.t -> Rgpdos_membrane.Membrane.t) ->
-  string ->
+  string list ->
   seal:(Record.t -> string) ->
-  (unit, error) result
-(** Crypto-erasure (right to be forgotten, §4): the record is replaced by
-    [seal record] — an authority-sealed envelope — and the plaintext blocks
-    are zeroed.  The membrane remains so the entry's existence stays
-    accountable.  With [?withdraw] the membrane is also rewritten, to
-    [withdraw membrane] (the DED's crypto-erase withdraws every consent),
-    under {!update_membrane}'s identity checks, which run before anything
-    is written.
+  (string list, error) result
+(** Crypto-erasure of a batch of pds (right to be forgotten, §4; the TTL
+    sweep): each live pd's record is replaced by [seal record] — an
+    authority-sealed envelope — and its plaintext bytes are zeroed.  The
+    membrane remains so the entry's existence stays accountable.  With
+    [?withdraw] each membrane is also rewritten, to [withdraw membrane]
+    (the DED's crypto-erase withdraws every consent), under
+    {!update_membrane}'s identity checks, which all run before anything
+    is written.  Returns the pds it erased, in input order: a pd already
+    erased (or named twice) is skipped, writing nothing for it.  An
+    unknown pd fails the batch, writing nothing.
 
-    The erasure commits as one unit: one vectored write of the new
-    payloads (the withdrawn membrane and the sealed record), one journal
-    record holding both [J_replace] ops (membrane first), flushed while
-    that write is in flight, and, once both are awaited, one destruction
-    of both superseded slots (one write of their two pages).  A crash therefore leaves the pd either
-    untouched or withdrawn and sealed, never withdrawn but live; if the
-    record is durable but the new payloads are not, replay drops the
-    record (see {!mount}) and the pd is untouched, since nothing was
-    destroyed yet.
-    The pd is resolved once: one entries-tree descent, and no further
-    lookup by the membrane rewrite, the record load or the journaled ops.
-    Fails with [Erased], writing nothing, when the pd is already
-    erased. *)
+    One entries-tree descent resolves the batch, one batched load reads
+    the membranes (with [?withdraw]) and one the records, and the batch
+    commits as one unit: one vectored write of every new payload, one
+    journal record holding every [J_replace] (per pd, the withdrawn
+    membrane, then the sealed record), flushed while that write is in
+    flight, and, once both are awaited, one destruction of every
+    superseded slot.  A crash therefore leaves the whole batch untouched
+    or every pd withdrawn and sealed, never one withdrawn but live; if
+    the record is durable but the new payloads are not, replay drops the
+    record (see {!mount}) and the batch is untouched, since nothing was
+    destroyed yet.  A batch whose record would not fit the ring
+    ([Journal_ring.max_payload]) commits in chunks of whole pds, each
+    atomic in the same way; a failing chunk stops the batch, the chunks
+    before it erased.  A single pd is a batch of one. *)
 
 val erased_payload : t -> actor:string -> string -> (string, error) result
 (** The sealed envelope bytes of an erased entry (what a supervisory

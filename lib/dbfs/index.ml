@@ -18,11 +18,12 @@
    pd*: the first mutation touching a pd copies that pd's base facts
    into the overlay ("materialize"), marks the pd touched, and from then
    on base keys for that pd are skipped by every merged read.  A pd
-   materializes through one [pdinfo] point lookup: pd -> (subject,
-   indexed field values, expiry), the removal source of truth — never
-   re-decoded payload bytes — so index maintenance stays correct during
-   journal replay even when the device blocks behind an old operation
-   have since been zeroed or reused (the final op for a pd always wins). *)
+   materializes through a [pdinfo] point lookup, one batched lookup per
+   commit: pd -> (subject, indexed field values, expiry), the removal
+   source of truth — never re-decoded payload bytes — so index
+   maintenance stays correct during journal replay even when the device
+   blocks behind an old operation have since been zeroed or reused (the
+   final op for a pd always wins). *)
 
 module Codec = Rgpdos_util.Codec
 
@@ -293,44 +294,57 @@ let ord_remove t ~type_name ~field v pd =
 (* ------------------------------------------------------------------ *)
 (* materialization: overlay takes ownership of a pd                   *)
 
-(* Copy a pd's base facts into the overlay before its first mutation.
-   One pdinfo point lookup (O(height) cached page reads); pds beyond the
-   base's largest key (fresh inserts) skip even that. *)
-let materialize t pd_id =
+(* Copy the base facts of every pd of [pd_ids] not yet touched into the
+   overlay, before their first mutation: ONE batched [pdinfo] lookup, so
+   each node page on the pds' paths is read once however many pds a
+   commit names.  Pds beyond the base's largest key (fresh inserts) need
+   no lookup. *)
+let materialize t pd_ids =
   match t.base with
   | None -> ()
-  | Some b ->
-      if not (Hashtbl.mem t.touched pd_id) then begin
-        Hashtbl.replace t.touched pd_id ();
-        if String.compare pd_id b.roots.rt_max_pd <= 0 then
-          match Pagestore.lookup b.io b.roots.rt_pdinfo [ pd_id ] with
-          | [ Some raw ] -> (
-              match decode_pdinfo raw with
-              | Error e -> failwith ("Index: bad pdinfo for " ^ pd_id ^ ": " ^ e)
-              | Ok (subject, keyed, exp) ->
-                  table_add t.subjects subject pd_id;
-                  (match keyed with
-                  | None -> ()
-                  | Some (type_name, kvs) ->
-                      Hashtbl.replace t.pd_keys pd_id (type_name, kvs);
-                      List.iter
-                        (fun (field, v) -> ord_add t ~type_name ~field v pd_id)
-                        kvs);
-                  (match exp with
-                  | None -> ()
-                  | Some ns -> (
-                      Hashtbl.replace t.expiry_of pd_id ns;
-                      match IMap.find_opt ns t.expiry with
-                      | Some ids -> ids := pd_id :: !ids
-                      | None -> t.expiry <- IMap.add ns (ref [ pd_id ]) t.expiry)))
-          | _ -> ()
-      end
+  | Some b -> (
+      let fresh =
+        List.sort_uniq String.compare
+          (List.filter (fun pd -> not (Hashtbl.mem t.touched pd)) pd_ids)
+      in
+      List.iter (fun pd -> Hashtbl.replace t.touched pd ()) fresh;
+      let install pd_id = function
+        | None -> ()
+        | Some raw -> (
+            match decode_pdinfo raw with
+            | Error e -> failwith ("Index: bad pdinfo for " ^ pd_id ^ ": " ^ e)
+            | Ok (subject, keyed, exp) ->
+                table_add t.subjects subject pd_id;
+                (match keyed with
+                | None -> ()
+                | Some (type_name, kvs) ->
+                    Hashtbl.replace t.pd_keys pd_id (type_name, kvs);
+                    List.iter
+                      (fun (field, v) -> ord_add t ~type_name ~field v pd_id)
+                      kvs);
+                match exp with
+                | None -> ()
+                | Some ns -> (
+                    Hashtbl.replace t.expiry_of pd_id ns;
+                    match IMap.find_opt ns t.expiry with
+                    | Some ids -> ids := pd_id :: !ids
+                    | None -> t.expiry <- IMap.add ns (ref [ pd_id ]) t.expiry))
+      in
+      match
+        List.filter
+          (fun pd -> String.compare pd b.roots.rt_max_pd <= 0)
+          fresh
+      with
+      | [] -> ()
+      | paged ->
+          List.iter2 install paged
+            (Pagestore.lookup b.io b.roots.rt_pdinfo paged))
 
 (* ------------------------------------------------------------------ *)
 (* field-index maintenance                                            *)
 
 let remove_entry t ~pd_id =
-  materialize t pd_id;
+  materialize t [ pd_id ];
   match Hashtbl.find_opt t.pd_keys pd_id with
   | None -> ()
   | Some (type_name, kvs) ->
@@ -347,11 +361,11 @@ let add_entry t ~pd_id ~type_name ~indexed record =
 (* subject index                                                      *)
 
 let add_subject t ~subject ~pd_id =
-  materialize t pd_id;
+  materialize t [ pd_id ];
   table_add t.subjects subject pd_id
 
 let remove_subject t ~subject ~pd_id =
-  materialize t pd_id;
+  materialize t [ pd_id ];
   table_remove t.subjects subject pd_id
 
 let subject_pds t subject =
@@ -391,7 +405,7 @@ let subject_list t =
 (* expiry queue                                                       *)
 
 let clear_expiry t ~pd_id =
-  materialize t pd_id;
+  materialize t [ pd_id ];
   match Hashtbl.find_opt t.expiry_of pd_id with
   | None -> ()
   | Some ns ->
@@ -791,7 +805,7 @@ let dump t =
 
 (* test hook: damage one posting list in place (see Dbfs.unsafe_tamper_index) *)
 let unsafe_drop_posting t ~pd_id =
-  materialize t pd_id;
+  materialize t [ pd_id ];
   match Hashtbl.find_opt t.pd_keys pd_id with
   | None -> false
   | Some (type_name, kvs) -> (

@@ -27,6 +27,13 @@ type t
 val create : unit -> t
 (** Empty index with no on-device base (fresh format / full rebuild). *)
 
+val materialize : t -> string list -> unit
+(** Copy the base facts of the given pds into the overlay ahead of their
+    first mutation, in one batched [pdinfo] lookup: each node page on
+    their paths is read once.  The mutators below materialize their pd
+    themselves (a no-op once done), so a commit that names several pds
+    calls this once, before its ops apply. *)
+
 (** {2 Field indexes} *)
 
 val add_entry :

@@ -490,22 +490,25 @@ let builtin_update t ~pd_id record =
 let builtin_copy t ~pd_id = lift (Dbfs.copy_pd t.dbfs ~actor pd_id)
 
 let builtin_delete t ~pd_id =
-  let** () = lift (Dbfs.delete t.dbfs ~actor pd_id) in
+  let** () = lift (Dbfs.delete t.dbfs ~actor [ pd_id ]) in
   ignore
     (Audit_log.append t.audit ~now:(Clock.now t.clock) ~actor
        (Audit_log.Erased { pd_id; mode = "physical" }));
   Ok ()
 
-(* One DBFS call withdraws the consents and seals the record, so the pd
-   is resolved once. *)
-let builtin_crypto_erase t ~pd_id ~seal =
+(* One DBFS call withdraws the consents and seals the records of the
+   whole batch, so each pd is resolved once and the batch commits as one
+   unit. *)
+let builtin_crypto_erase t ~pd_ids ~seal =
   match
-    Dbfs.erase_with t.dbfs ~actor ~withdraw:Membrane.withdraw_all pd_id ~seal
+    Dbfs.erase_with t.dbfs ~actor ~withdraw:Membrane.withdraw_all pd_ids ~seal
   with
-  | Error (Dbfs.Erased _) -> Ok false
   | Error e -> storage e
-  | Ok () ->
-      ignore
-        (Audit_log.append t.audit ~now:(Clock.now t.clock) ~actor
-           (Audit_log.Erased { pd_id; mode = "crypto" }));
-      Ok true
+  | Ok erased ->
+      List.iter
+        (fun pd_id ->
+          ignore
+            (Audit_log.append t.audit ~now:(Clock.now t.clock) ~actor
+               (Audit_log.Erased { pd_id; mode = "crypto" })))
+        erased;
+      Ok erased

@@ -184,12 +184,15 @@ val builtin_delete : t -> pd_id:string -> (unit, error) result
 (** Physical deletion (zeroing). *)
 
 val builtin_crypto_erase :
-  t -> pd_id:string -> seal:(Rgpdos_dbfs.Record.t -> string) ->
-  (bool, error) result
-(** Right-to-be-forgotten erasure: withdraw every consent on the membrane
-    and replace the record with an authority-sealed envelope — one
-    {!Rgpdos_dbfs.Dbfs.erase_with} call, so the pd is resolved once and
-    the withdrawal and the seal commit in one journal flush (a crash
-    never leaves the pd withdrawn but live).  [Ok true] once erased (and
-    audited); [Ok false], writing nothing, when the pd was already
-    erased. *)
+  t -> pd_ids:string list -> seal:(Rgpdos_dbfs.Record.t -> string) ->
+  (string list, error) result
+(** Right-to-be-forgotten erasure of a batch (a subject's PDs): withdraw
+    every consent on each membrane and replace each record with an
+    authority-sealed envelope — one {!Rgpdos_dbfs.Dbfs.erase_with} call,
+    so each pd is resolved once and every withdrawal and seal commit in
+    one journal record (a crash never leaves a pd withdrawn but live, nor
+    the subject half-erased).  Returns the pds it erased, each audited,
+    in order; a pd already erased is skipped, writing nothing.  On an
+    error nothing is audited: the batch wrote nothing unless it was
+    larger than one journal chunk, when the chunks before the failing one
+    stay erased (see {!Rgpdos_dbfs.Dbfs.erase_with}). *)

@@ -13,65 +13,80 @@ type report = {
 
 let actor = "ded" (* the sweeper is an rgpdOS built-in and runs as the DED *)
 
-(* Check-and-remove one expired candidate.  The membrane read double-checks
-   [Membrane.expired] even on the incremental path: the expiry queue is an
-   index, the membrane stays the authority. *)
-let remove_one ~dbfs ~audit ~now ~mode ~expired ~removed ~errors pd_id =
-  match Dbfs.get_membrane dbfs ~actor pd_id with
-  | Error e -> errors := (pd_id, Dbfs.error_to_string e) :: !errors
-  | Ok m ->
-      if Membrane.expired m ~now then begin
-        incr expired;
-        let result =
-          match mode with
-          | Physical_delete -> Dbfs.delete dbfs ~actor pd_id
-          | Crypto_erase seal -> Dbfs.erase_with dbfs ~actor pd_id ~seal
+(* Remove the expired [pds] with one DBFS call, logging each removal in
+   the audit chain, in order.  Returns how many it removed and the error
+   of each pd it did not.  Every pd was live on entry, so after a failed
+   call, which may have removed the chunks before the failing one, a pd
+   that is gone (deleted) or erased was removed by it. *)
+let remove ~dbfs ~audit ~now ~mode pds =
+  let result, mode_str =
+    match mode with
+    | Physical_delete ->
+        (Result.map (fun () -> pds) (Dbfs.delete dbfs ~actor pds), "physical")
+    | Crypto_erase seal -> (Dbfs.erase_with dbfs ~actor pds ~seal, "crypto")
+  in
+  let removed, failed =
+    match result with
+    | Ok removed -> (removed, [])
+    | Error e ->
+        let gone pd_id =
+          match (Dbfs.entry_info dbfs ~actor pd_id, mode) with
+          | Error (Dbfs.Unknown_pd _), Physical_delete
+          | Ok (_, _, true), Crypto_erase _ ->
+              true
+          | _ -> false
         in
-        match result with
-        | Ok () ->
-            incr removed;
-            let mode_str =
-              match mode with
-              | Physical_delete -> "physical"
-              | Crypto_erase _ -> "crypto"
-            in
-            ignore
-              (Audit_log.append audit ~now ~actor
-                 (Audit_log.Erased { pd_id; mode = mode_str }))
-        | Error e -> errors := (pd_id, Dbfs.error_to_string e) :: !errors
-      end
+        let removed, kept = List.partition gone pds in
+        (removed, List.map (fun pd_id -> (pd_id, Dbfs.error_to_string e)) kept)
+  in
+  List.iter
+    (fun pd_id ->
+      ignore
+        (Audit_log.append audit ~now ~actor
+           (Audit_log.Erased { pd_id; mode = mode_str })))
+    removed;
+  (List.length removed, failed)
 
 let sweep ~dbfs ~audit ~now ~mode ?(incremental = true) () =
-  let expired = ref 0 and removed = ref 0 in
-  let errors = ref [] in
   if incremental then begin
-    (* O(expired): pop only the due entries off the TTL expiry queue.
-       Removal (delete/erase) clears each pd's queue entry as part of the
-       journalled op; a pd whose removal fails stays queued and is
-       retried on the next sweep. *)
+    (* O(expired): the due entries of the TTL expiry queue, whose
+       membranes one batched load re-checks — the queue is an index, the
+       membrane stays the authority — and one call removes.  Removal
+       clears each pd's queue entry as part of its journalled op; a pd
+       whose removal fails stays queued and is retried on the next
+       sweep. *)
     let due =
       match Dbfs.expired_pds dbfs ~actor ~now with
       | Ok ids -> ids
       | Error _ -> []
     in
-    let scanned = ref 0 in
-    List.iter
-      (fun pd_id ->
-        match Dbfs.entry_info dbfs ~actor pd_id with
-        | Error _ | Ok (_, _, true) -> ()
-        | Ok (_, _, false) ->
-            incr scanned;
-            remove_one ~dbfs ~audit ~now ~mode ~expired ~removed ~errors pd_id)
-      due;
+    let expired, errors =
+      match due with
+      | [] -> ([], [])
+      | _ -> (
+          match Dbfs.get_membranes dbfs ~actor due with
+          | Ok ms ->
+              ( List.filter_map
+                  (fun (pd_id, m) ->
+                    if Membrane.expired m ~now then Some pd_id else None)
+                  ms,
+                [] )
+          | Error e ->
+              ([], List.map (fun pd_id -> (pd_id, Dbfs.error_to_string e)) due))
+    in
+    let removed, failed =
+      if expired = [] then (0, []) else remove ~dbfs ~audit ~now ~mode expired
+    in
     {
-      scanned = !scanned;
-      expired = !expired;
-      removed = !removed;
-      errors = !errors;
+      scanned = List.length due;
+      expired = List.length expired;
+      removed;
+      errors = errors @ failed;
     }
   end
   else begin
-    (* legacy full scan: every non-erased membrane, O(population) *)
+    (* legacy full scan: every non-erased membrane, O(population), each
+       expired pd removed as a batch of one *)
     let all_pds =
       match Dbfs.list_types dbfs ~actor with
       | Error _ -> []
@@ -83,15 +98,24 @@ let sweep ~dbfs ~audit ~now ~mode ?(incremental = true) () =
               | Error _ -> [])
             types
     in
-    let scanned = ref 0 in
+    let scanned = ref 0 and expired = ref 0 and removed = ref 0 in
+    let errors = ref [] in
     List.iter
       (fun pd_id ->
         match Dbfs.entry_info dbfs ~actor pd_id with
         | Error _ -> ()
         | Ok (_, _, true) -> () (* already erased *)
-        | Ok (_, _, false) ->
+        | Ok (_, _, false) -> (
             incr scanned;
-            remove_one ~dbfs ~audit ~now ~mode ~expired ~removed ~errors pd_id)
+            match Dbfs.get_membrane dbfs ~actor pd_id with
+            | Error e -> errors := (pd_id, Dbfs.error_to_string e) :: !errors
+            | Ok m ->
+                if Membrane.expired m ~now then begin
+                  incr expired;
+                  let n, failed = remove ~dbfs ~audit ~now ~mode [ pd_id ] in
+                  removed := !removed + n;
+                  errors := List.rev_append failed !errors
+                end))
       all_pds;
     {
       scanned = !scanned;

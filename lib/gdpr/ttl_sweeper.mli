@@ -2,8 +2,8 @@
 
     The membrane's time-to-live "is directly requested by the GDPR and can
     be used to implement the right to be forgotten" (§2).  The sweeper
-    scans every membrane and removes PD whose TTL has elapsed, either
-    physically or by crypto-erasure. *)
+    removes PD whose TTL has elapsed, either physically or by
+    crypto-erasure. *)
 
 type mode =
   | Physical_delete
@@ -30,10 +30,15 @@ val sweep :
     [incremental] (the default) pops only the due entries off DBFS's TTL
     expiry min-queue ({!Rgpdos_dbfs.Dbfs.expired_pds}), so a sweep costs
     O(expired) rather than O(population); [report.scanned] counts the
-    queue candidates.  The membrane remains the authority — each
-    candidate's membrane is re-checked with [Membrane.expired] before
-    removal, and a pd whose removal fails stays queued for the next
-    sweep.
+    queue candidates.  The membrane remains the authority — one batched
+    {!Rgpdos_dbfs.Dbfs.get_membranes} re-checks every candidate with
+    [Membrane.expired] — and the expired pds are removed by ONE
+    {!Rgpdos_dbfs.Dbfs.erase_with} (or {!Rgpdos_dbfs.Dbfs.delete}) call:
+    one journal record and one destruction for the whole sweep, so a
+    crash leaves it all done or not begun.  Audit entries stay one per
+    pd, in expiry order.  A pd whose removal fails stays queued for the
+    next sweep.
 
     [~incremental:false] preserves the legacy full scan over every
-    non-erased membrane (measurement baseline; identical outcome). *)
+    non-erased membrane (measurement baseline; identical outcome), each
+    expired pd removed as a batch of one. *)

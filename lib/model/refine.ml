@@ -231,30 +231,49 @@ let model_pd st id =
   | Some p -> p
   | None -> diverge "internal: model lost pd %s" id
 
-(* Erase one pd on both sides (used by Erase_subject and Ttl_sweep).
-   With [withdraw] (the DED's erasure) the model rewrites the membrane
-   and seals the record as ONE commit: the store must never be found
-   withdrawn but live, a state no model prefix holds.  Outside compare
-   mode a real-side failure (e.g. a bit-flipped record that no longer
-   reads back) skips the model micro-op too, keeping the two sides in
-   lockstep by construction. *)
-let erase_one ~compare ?withdraw st pd =
-  match Model.find st.model pd with
-  | Some p when p.Model.p_state = Model.Live -> (
-      let sealed = seal_fn p.Model.p_record in
-      match Dbfs.erase_with st.store ~actor ?withdraw pd ~seal:seal_fn with
-      | Ok () -> (
+(* Erase a batch on both sides (Erase_subject, Ttl_sweep): the store
+   erases the live pds among [pds] in ONE commit, so the model takes the
+   whole batch as one step, and a crash image holding part of a batch
+   matches no model prefix.  With [withdraw] (the DED's erasure) each
+   membrane is rewritten and its record sealed in that step too: the
+   store must never be found withdrawn but live.  Outside compare mode a
+   real-side failure (e.g. a bit-flipped record that no longer reads
+   back) skips the model step too, keeping the two sides in lockstep by
+   construction. *)
+let erase_batch ~compare ?withdraw st pds =
+  let live =
+    List.filter
+      (fun pd ->
+        match Model.find st.model pd with
+        | Some p -> p.Model.p_state = Model.Live
+        | None -> false)
+      pds
+  in
+  if live <> [] then
+    match Dbfs.erase_with st.store ~actor ?withdraw pds ~seal:seal_fn with
+    | Ok erased -> (
+        if compare then
+          expect st "erase_with" ~model:(ids_str live) ~dbfs:(ids_str erased);
+        let erase_one m pd =
+          let p = model_pd st pd in
           let withdrawn =
             match withdraw with
-            | None -> Ok st.model
-            | Some f -> Model.update_membrane st.model pd (f p.Model.p_membrane)
+            | None -> Ok m
+            | Some f -> Model.update_membrane m pd (f p.Model.p_membrane)
           in
-          match Result.bind withdrawn (fun m -> Model.erase m pd ~sealed) with
-          | Ok m -> commit st m
-          | Error _ -> diverge "model rejected erase(%s) the store accepted" pd)
-      | Error e ->
-          if compare then diverge "erase(%s) failed: %s" pd (err_str e))
-  | _ -> ()
+          Result.bind withdrawn (fun m ->
+              Model.erase m pd ~sealed:(seal_fn p.Model.p_record))
+        in
+        match
+          List.fold_left
+            (fun m pd -> Result.bind m (fun m -> erase_one m pd))
+            (Ok st.model) live
+        with
+        | Ok m -> commit st m
+        | Error _ ->
+            diverge "model rejected erase(%s) the store accepted" (ids_str live))
+    | Error e ->
+        if compare then diverge "erase(%s) failed: %s" (ids_str live) (err_str e)
 
 let step ~compare ?bug st op =
   match op with
@@ -327,15 +346,14 @@ let step ~compare ?bug st op =
               if compare then diverge "flip(%s) failed: %s" pd (err_str e)))
   | Erase_subject { subj } ->
       let subject = subjects_pool.(subj mod Array.length subjects_pool) in
-      List.iter
-        (erase_one ~compare ~withdraw:M.withdraw_all st)
+      erase_batch ~compare ~withdraw:M.withdraw_all st
         (Model.pds_of_subject st.model subject)
   | Delete_pd { pick } -> (
       match all_pds st with
       | [] -> ()
       | all -> (
           let pd = List.nth all (pick mod List.length all) in
-          match Dbfs.delete st.store ~actor pd with
+          match Dbfs.delete st.store ~actor [ pd ] with
           | Ok () -> (
               match Model.delete st.model pd with
               | Ok m -> commit st m
@@ -351,7 +369,7 @@ let step ~compare ?bug st op =
          | Ok l ->
              expect st "expired_pds" ~model:(ids_str expired) ~dbfs:(ids_str l)
          | Error e -> diverge "expired_pds failed: %s" (err_str e));
-      List.iter (erase_one ~compare st) expired
+      erase_batch ~compare st expired
   | Advance { ns } -> Clock.advance st.clock ns
   | Access { subj } ->
       if compare then (
@@ -852,10 +870,10 @@ let check_degraded script =
              (M.withdraw p.Model.p_membrane ~purpose:"service"));
         expect_degraded
           (Printf.sprintf "erase(%s)" id)
-          (Dbfs.erase_with store ~actor id ~seal:seal_fn);
+          (Dbfs.erase_with store ~actor [ id ] ~seal:seal_fn);
         expect_degraded
           (Printf.sprintf "delete(%s)" id)
-          (Dbfs.delete store ~actor id))
+          (Dbfs.delete store ~actor [ id ]))
       (Model.pds st.model);
     (* ...while Art. 15 access still answers from the surviving data,
        exactly as the model answered before the damage. *)

@@ -41,9 +41,12 @@ type op =
       (** rewrite a live pd's record (fresh forensic sentinel) *)
   | Flip of { pick : int; grant : bool }
       (** consent flip on the "analytics" purpose of any pd *)
-  | Erase_subject of { subj : int }  (** Art. 17 over the subject *)
+  | Erase_subject of { subj : int }
+      (** Art. 17 over the subject: one batch, one model step *)
   | Delete_pd of { pick : int }      (** physical removal *)
-  | Ttl_sweep  (** erase every expired pd, in expiry-queue order *)
+  | Ttl_sweep
+      (** erase every expired pd, in expiry-queue order: one batch, one
+          model step *)
   | Advance of { ns : int }          (** advance the virtual clock *)
   | Access of { subj : int }         (** Art. 15 export comparison *)
   | Select_q of { q : int }

@@ -285,20 +285,16 @@ let right_of_access t ~subject =
            "{\"subject\": \"%s\", \"records\": %s, \"processings\": %s}"
            subject records history)
 
+(* Every PD of the subject in one batch: one commit, so a crash never
+   leaves the subject half-erased.  PDs already erased are skipped. *)
 let right_to_erasure t ~subject =
   match Dbfs.pds_of_subject t.dbfs ~actor:Ded.actor subject with
   | Error e -> Error (Dbfs.error_to_string e)
-  | Ok pd_ids ->
+  | Ok pd_ids -> (
       let seal = Authority.sealer t.authority ~prng:t.prng in
-      let rec go erased = function
-        | [] -> Ok erased
-        | pd_id :: rest -> (
-            match Ded.builtin_crypto_erase t.ded ~pd_id ~seal with
-            | Ok true -> go (erased + 1) rest
-            | Ok false -> go erased rest (* already erased *)
-            | Error e -> Error (Ded.error_to_string e))
-      in
-      go 0 pd_ids
+      match Ded.builtin_crypto_erase t.ded ~pd_ids ~seal with
+      | Ok erased -> Ok (List.length erased)
+      | Error e -> Error (Ded.error_to_string e))
 
 let right_to_rectification t ~pd_id record =
   match Ded.builtin_update t.ded ~pd_id record with
@@ -306,21 +302,16 @@ let right_to_rectification t ~pd_id record =
   | Error e -> Error (Ded.error_to_string e)
 
 (* Rewrite with [f] every membrane of each lineage the subject owns —
-   whole lineages, so copies stay consistent — lineage by lineage, then
-   call [on_lineage pd_id] with the lineage's first PD.  A lineage never
-   leaves its subject ([Dbfs.copy_pd] files a copy under its source's
-   subject, and DBFS refuses a membrane naming another subject), so the
-   subject's PDs, in pd order, are every member of those lineages and
-   one batched load of their membranes finds them all.  Returns how many
-   membranes were rewritten. *)
+   whole lineages, so copies stay consistent — lineage by lineage, each
+   lineage as ONE commit (a crash never leaves copies of one PD with
+   different consents), then call [on_lineage pd_id] with the lineage's
+   first PD.  A lineage never leaves its subject ([Dbfs.copy_pd] files a
+   copy under its source's subject, and DBFS refuses a membrane naming
+   another subject), so the subject's PDs, in pd order, are every member
+   of those lineages and one batched load of their membranes finds them
+   all.  Returns how many membranes were rewritten. *)
 let update_subject_lineages t ~subject f ~on_lineage =
   let actor = Ded.actor in
-  let rec rewrite = function
-    | [] -> Ok ()
-    | (pd_id, m) :: rest ->
-        Result.bind (Dbfs.update_membrane t.dbfs ~actor pd_id (f m)) (fun () ->
-            rewrite rest)
-  in
   let rec go updated = function
     | [] -> Ok updated
     | (pd_id, m) :: _ as pending -> (
@@ -328,7 +319,10 @@ let update_subject_lineages t ~subject f ~on_lineage =
         let members, rest =
           List.partition (fun (_, m) -> Membrane.lineage_root m = lineage) pending
         in
-        match rewrite members with
+        match
+          Dbfs.update_membranes t.dbfs ~actor
+            (List.map (fun (pd_id, m) -> (pd_id, f m)) members)
+        with
         | Error e -> Error e
         | Ok () ->
             on_lineage pd_id;

@@ -139,8 +139,10 @@ val right_to_portability : t -> subject:string -> (string, string) result
 
 val right_to_erasure : t -> subject:string -> (int, string) result
 (** Art. 17: crypto-erase every PD of the subject under the authority's
-    public key and withdraw all consents.  Returns the number of PD
-    erased. *)
+    public key and withdraw all consents, as one batch
+    ({!Rgpdos_ded.Ded.builtin_crypto_erase}): one commit, so a crash
+    leaves the subject wholly erased or untouched.  Returns the number of
+    PD erased (PD already erased are skipped). *)
 
 val right_to_rectification :
   t -> pd_id:string -> Rgpdos_dbfs.Record.t -> (unit, string) result
@@ -155,8 +157,10 @@ val set_consent :
     via lineage propagation).  A lineage never leaves its subject (a copy
     is filed under its source's subject), so the decision reads and
     rewrites only the subject's own membranes, lineage by lineage in pd
-    order, and appends one [Consent_changed] entry per lineage naming the
-    subject's first PD in it.  Returns the number of membranes updated. *)
+    order, each lineage as one commit ({!Rgpdos_dbfs.Dbfs.update_membranes}:
+    a crash leaves every copy of a PD old or every one new), and appends
+    one [Consent_changed] entry per lineage naming the subject's first PD
+    in it.  Returns the number of membranes updated. *)
 
 (** A consent receipt: the demonstrable record of a consent decision that
     art. 7(1) requires the operator to keep ("the controller shall be able
@@ -206,8 +210,9 @@ val sweep_ttl :
 (** Storage-limitation sweep; default mode crypto-erasure under the
     machine's authority.  Incremental by default: only the entries due in
     DBFS's TTL expiry queue are visited, so the sweep costs O(expired)
-    rather than O(population) ([?incremental:false] forces the legacy
-    full membrane scan). *)
+    rather than O(population), and the expired PDs are erased as one
+    batch, one commit ([?incremental:false] forces the legacy full
+    membrane scan). *)
 
 val compliance_evidence :
   t -> ?forensic_probes:string list -> unit -> Rgpdos_gdpr.Compliance.evidence

@@ -461,6 +461,62 @@ let scenario_degraded_mode ~seed people =
        insert_failed degraded_now write_refused access_served rep.Dbfs.rr_clean
        recovered writes_back)
 
+(* Crash inside a TTL sweep's batch, after its journal record and
+   before its destruction write: everyone is collected and aged past
+   the TTL, so the sweep removes every PD as one commit — one payload
+   write and one record, then ONE write destroys every member's
+   superseded record.  Replay applies the record and scrubs the slots it
+   freed, so after repair every member is erased and none of their
+   plaintext is left. *)
+let scenario_sweep_crash_before_destroy ~seed people =
+  let name = "sweep-crash-before-destroy" in
+  let aged plan =
+    let m = boot ~seed in
+    List.iter (collect_person m) people;
+    Clock.advance (Machine.clock m) ((2 * Clock.year) + Clock.day);
+    Block_device.set_fault_plan (Machine.pd_device m) (Some plan);
+    (m, Machine.sweep_ttl m ())
+  in
+  let reference = Fault_plan.create () in
+  let _, rep0 = aged reference in
+  let writes = Fault_plan.writes_seen reference in
+  let members = rep0.Rgpdos_gdpr.Ttl_sweeper.removed in
+  if members <> List.length people || writes <> 3 then
+    scenario name false
+      (Printf.sprintf "sweep removed %d of %d pds in %d writes (want all in 3)"
+         members (List.length people) writes)
+  else begin
+    (* payload write and journal record durable, destruction lost *)
+    let plan = Fault_plan.create () in
+    Fault_plan.crash_after_writes plan 2;
+    let m, _ = aged plan in
+    match Block_device.crash_image (Machine.pd_device m) with
+    | None -> scenario name false "the crash never fired"
+    | Some image -> (
+        let rdev =
+          Block_device.create ~config:pd_config ~clock:(Clock.create ()) ()
+        in
+        Block_device.restore rdev image;
+        match Dbfs.mount rdev with
+        | Error e -> scenario name false ("mount failed: " ^ e)
+        | Ok store ->
+            let rep = Dbfs.fsck_repair store in
+            let erased =
+              List.for_all (fun p -> not (live_subject store p)) people
+            in
+            let residue_free =
+              List.for_all
+                (fun (p : Population.person) ->
+                  Block_device.scan rdev p.Population.email = [])
+                people
+            in
+            scenario name
+              (rep.Dbfs.rr_clean && erased && residue_free)
+              (Printf.sprintf
+                 "crash@2/3 members=%d clean=%b erased=%b residue_free=%b"
+                 members rep.Dbfs.rr_clean erased residue_free))
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Log-structured store scenarios: crashes inside a compaction pass and
    inside a group-commit window, on a segmented machine.               *)
@@ -654,6 +710,7 @@ let scenarios ~seed people =
     scenario_transient_retry ~seed people;
     scenario_torn_write_retry ~seed people;
     scenario_degraded_mode ~seed people;
+    scenario_sweep_crash_before_destroy ~seed people;
     scenario_crash_mid_compaction ~seed people "compaction-crash-relocate"
       (fun _ -> 1);
     scenario_crash_mid_compaction ~seed people "compaction-crash-destroy"

@@ -23,8 +23,10 @@
     damage, bit rot inside an on-device paged index node (cold remount
     must hit the page checksum, repair must rebuild the trees with no
     residue of the damaged page), transient-fault retry, torn-write
-    retry, and degraded read-only mode (mutations refused, right of
-    access still served).
+    retry, degraded read-only mode (mutations refused, right of access
+    still served), and a crash inside a TTL sweep's erasure batch after
+    its journal record and before its destruction write (replay and
+    repair must leave every member erased, with no plaintext).
 
     Determinism rule: the same seed and the same workload replay the
     exact same schedule and produce the same verdicts — {!to_json}

@@ -181,15 +181,15 @@ let run_side ~label ~allocator ~window ~subjects ~update_rounds =
   List.iter
     (fun idx ->
       match
-        Dbfs.erase_with t ~actor pds.(idx) ~seal:(fun r ->
+        Dbfs.erase_with t ~actor [ pds.(idx) ] ~seal:(fun r ->
             "SEALED:" ^ Fnv.hash64_hex (Record.encode r))
       with
-      | Ok () -> ()
+      | Ok _ -> ()
       | Error e -> fail "erase" (Dbfs.error_to_string e))
     erased;
   List.iter
     (fun idx ->
-      match Dbfs.delete t ~actor pds.(idx) with
+      match Dbfs.delete t ~actor [ pds.(idx) ] with
       | Ok () -> ()
       | Error e -> fail "delete" (Dbfs.error_to_string e))
     deleted;

@@ -432,7 +432,7 @@ let test_dbfs_outcomes_match_sync () =
       List.init 10 (fun i ->
           insert_user t ~subject:(Printf.sprintf "s%d" i) ~pwd:"secret")
     in
-    ok (Dbfs.delete t ~actor:ded (List.nth pds 3));
+    ok (Dbfs.delete t ~actor:ded [ List.nth pds 3 ]);
     let ms = ok (Dbfs.get_membranes t ~actor:ded (List.filteri (fun i _ -> i <> 3) pds)) in
     let rs = ok (Dbfs.get_records t ~actor:ded (List.filteri (fun i _ -> i <> 3) pds)) in
     Block_device.drain dev;
@@ -521,9 +521,10 @@ let test_dbfs_packed_cost_law () =
          [ ("name", Value.VString pd); ("pwd", Value.VString "rectified") ])
   in
   let erase pd =
-    ok
-      (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pd
-         ~seal:(fun _ -> "sealed"))
+    ignore
+      (ok
+         (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all [ pd ]
+            ~seal:(fun _ -> "sealed")))
   in
   let cases =
     [ ("consent", consent, 74_579, 5, 147); ("rectification", rectify, 56_384, 6, 148);
@@ -562,14 +563,95 @@ let test_dbfs_packed_cost_law () =
     (fun (where, i) ->
       let at what = Printf.sprintf "segments, DED erasure, %s pd: %s" where what in
       let t0 = Clock.now clock in
-      ok
-        (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pds.(i)
-           ~seal:(fun _ -> "sealed"));
+      ignore
+        (ok
+           (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all [ pds.(i) ]
+              ~seal:(fun _ -> "sealed")));
       let cost = Clock.now clock - t0 in
       check_bool (Printf.sprintf "%s: %d sim-ns <= 149156" (at "cost") cost) true
         (cost <= 149_156);
       check_int (at "nothing outstanding") 0 (Block_device.outstanding dev))
     [ ("closed-page", 7); ("open-page", 149) ]
+
+(* The cost law of a batched sweep.  On the heap at depth 1 and window 1,
+   a TTL sweep of k due pds — any k whose journal record fits one chunk —
+   is the expiry probe, two batched loads (the membranes it re-checks,
+   the records it seals: one request each, however many pds), one commit
+   (one payload write, one journal flush) and one destruction (its page
+   read hidden behind the payload write, then one write): the requests
+   of a sweep of one pd, each pd's slots read once — plus, when the
+   longer record ends in a new ring block, the flush's read of it.
+   Before batching every pd paid its own loads, commit and
+   destruction. *)
+let test_sweep_cost_law () =
+  let sweep k =
+    let clock = Clock.create () in
+    let dev = Block_device.create ~clock () in
+    let t = Dbfs.format dev ~journal_blocks:64 in
+    ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+    let insert subject ~created_at =
+      ok
+        (Dbfs.insert t ~actor:ded ~subject ~type_name:"user"
+           ~record:[ ("name", Value.VString subject); ("pwd", Value.VString "pw") ]
+           ~membrane_of:(fun ~pd_id ->
+             M.make ~pd_id ~type_name:"user" ~subject_id:subject
+               ~origin:M.Subject ~consents:[ ("service", M.All) ] ~created_at
+               ~ttl:Clock.year ~sensitivity:M.High ()))
+    in
+    (* the due pds come first, so their pages are closed and hold live
+       neighbours: the destruction reads them *)
+    let due = List.init k (fun i -> insert (Printf.sprintf "due%d" i) ~created_at:0) in
+    for i = 0 to 149 do
+      ignore (insert (Printf.sprintf "n%03d" i) ~created_at:Clock.day)
+    done;
+    let dbfs_counter name = Stats.Counter.get (Dbfs.stats t) name in
+    let before =
+      List.map (counter dev) [ "vec_reads"; "vec_writes" ]
+      @ List.map dbfs_counter [ "membrane_reads"; "record_reads" ]
+    in
+    let rep =
+      Rgpdos_gdpr.Ttl_sweeper.sweep ~dbfs:t ~audit:(Rgpdos_audit.Audit_log.create ())
+        ~now:Clock.year
+        ~mode:(Rgpdos_gdpr.Ttl_sweeper.Crypto_erase (fun _ -> "sealed"))
+        ()
+    in
+    let after =
+      List.map (counter dev) [ "vec_reads"; "vec_writes" ]
+      @ List.map dbfs_counter [ "membrane_reads"; "record_reads" ]
+    in
+    check_int (Printf.sprintf "k=%d: every due pd removed" k) k
+      rep.Rgpdos_gdpr.Ttl_sweeper.removed;
+    List.iter
+      (fun pd ->
+        check_bool (Printf.sprintf "k=%d: %s erased" k pd) true
+          (Dbfs.get_record t ~actor:ded pd = Error (Dbfs.Erased pd)))
+      due;
+    check_int (Printf.sprintf "k=%d: nothing outstanding" k) 0
+      (Block_device.outstanding dev);
+    List.map2 ( - ) after before
+  in
+  match sweep 1 with
+  | [ reads; writes; membranes; records ] ->
+      check_int "one pd: payload write, flush, destruction" 3 writes;
+      check_int "one pd: probe, two loads, destruction read" 4 reads;
+      check_int "one pd: one membrane" 1 membranes;
+      check_int "one pd: one record" 1 records;
+      List.iter
+        (fun k ->
+          match sweep k with
+          | [ reads'; writes'; membranes'; records' ] ->
+              let at what = Printf.sprintf "k=%d: %s" k what in
+              check_int (at "the requests of a sweep of one, writes") writes writes';
+              (* a longer record may end in a ring block the last flush
+                 did not, which the flush reads first *)
+              check_bool (at "the reads of a sweep of one, or the flush's ring block")
+                true
+                (reads' = reads || reads' = reads + 1);
+              check_int (at "each membrane read once") k membranes';
+              check_int (at "each record read once") k records'
+          | _ -> Alcotest.fail "counter shape")
+        [ 2; 3; 6; 12; 20 ]
+  | _ -> Alcotest.fail "counter shape"
 
 (* Every commit settles its payload ticket: at window 1 nothing is
    outstanding after any mutation of a mixed script, on the heap and on
@@ -629,13 +711,14 @@ let test_dbfs_commits_settle ~allocator () =
   List.iteri
     (fun i pd ->
       if i mod 3 = 0 then begin
-        ok
-          (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pd
-             ~seal:(fun _ -> "sealed"));
+        ignore
+          (ok
+             (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all [ pd ]
+                ~seal:(fun _ -> "sealed")));
         settled "erase_with"
       end
       else if i mod 3 = 1 then begin
-        ok (Dbfs.delete t ~actor:ded pd);
+        ok (Dbfs.delete t ~actor:ded [ pd ]);
         settled "delete"
       end)
     pds;
@@ -766,6 +849,8 @@ let () =
             test_dbfs_packed_cost_law;
           Alcotest.test_case "a commit overlaps its payload write" `Quick
             test_dbfs_commit_overlaps_payload;
+          Alcotest.test_case "a k-pd sweep costs a sweep of one" `Quick
+            test_sweep_cost_law;
           Alcotest.test_case "every commit settles (heap)" `Quick
             (test_dbfs_commits_settle ~allocator:Space.Heap);
           Alcotest.test_case "every commit settles (segments)" `Quick

@@ -356,7 +356,7 @@ let test_dbfs_delete_leaves_no_trace () =
   let t, dev, _ = setup () in
   let unique = "DELETED-SUBJECT-SECRET-99" in
   let pd = insert_user t ~subject:"sub-1" unique 1990 in
-  ok (Dbfs.delete t ~actor:ded pd);
+  ok (Dbfs.delete t ~actor:ded [ pd ]);
   check_bool "entry gone" true (Result.is_error (Dbfs.get_record t ~actor:ded pd));
   check_int "zero forensic hits" 0 (List.length (Block_device.scan dev unique));
   Alcotest.(check (list string))
@@ -366,7 +366,8 @@ let test_dbfs_erase_with () =
   let t, dev, _ = setup () in
   let unique = "RIGHT-TO-BE-FORGOTTEN-42" in
   let pd = insert_user t ~subject:"sub-1" unique 1990 in
-  ok (Dbfs.erase_with t ~actor:ded pd ~seal:(fun _ -> "SEALED-ENVELOPE-BYTES"));
+  ignore
+    (ok (Dbfs.erase_with t ~actor:ded [ pd ] ~seal:(fun _ -> "SEALED-ENVELOPE-BYTES")));
   (match Dbfs.get_record t ~actor:ded pd with
   | Error (Dbfs.Erased _) -> ()
   | Error e -> Alcotest.failf "wrong error: %s" (Dbfs.error_to_string e)
@@ -374,8 +375,48 @@ let test_dbfs_erase_with () =
   check_string "sealed payload retrievable" "SEALED-ENVELOPE-BYTES"
     (ok (Dbfs.erased_payload t ~actor:ded pd));
   check_int "plaintext gone from device" 0 (List.length (Block_device.scan dev unique));
-  check_bool "double erase fails" true
-    (Result.is_error (Dbfs.erase_with t ~actor:ded pd ~seal:(fun _ -> "x")))
+  check_bool "a second erase skips the pd, writing nothing" true
+    (Dbfs.erase_with t ~actor:ded [ pd ] ~seal:(fun _ -> "x") = Ok [])
+
+(* The batch contract: a repeated pd counts once, an erased pd is
+   skipped (the result lists what this call erased, in input order), an
+   unknown pd fails the batch before anything is written, and a
+   membrane batch naming a pd twice is refused. *)
+let test_batch_contract () =
+  let t, _, _ = setup () in
+  let pds =
+    List.init 6 (fun i -> insert_user t ~subject:(Printf.sprintf "sub-%d" i) "X" 1990)
+  in
+  let pd i = List.nth pds i in
+  let seal _ = "SEALED" in
+  let erased i =
+    let _, _, e = ok (Dbfs.entry_info t ~actor:ded (pd i)) in
+    e
+  in
+  Alcotest.(check (list string)) "a repeat counts once" [ pd 0; pd 1 ]
+    (ok (Dbfs.erase_with t ~actor:ded [ pd 0; pd 1; pd 0 ] ~seal));
+  Alcotest.(check (list string)) "an erased pd is skipped" [ pd 2 ]
+    (ok (Dbfs.erase_with t ~actor:ded [ pd 1; pd 2 ] ~seal));
+  check_bool "an unknown pd fails the batch" true
+    (Dbfs.erase_with t ~actor:ded [ pd 3; "pd-99999999" ] ~seal
+    = Error (Dbfs.Unknown_pd "pd-99999999"));
+  check_bool "... writing nothing" false (erased 3);
+  check_bool "an unknown pd fails a delete" true
+    (Dbfs.delete t ~actor:ded [ pd 3; "pd-99999999" ]
+    = Error (Dbfs.Unknown_pd "pd-99999999"));
+  ok (Dbfs.delete t ~actor:ded [ pd 3; pd 4; pd 3 ]);
+  check_int "a delete batch removes each pd once" 4 (Dbfs.pd_count t);
+  let m = ok (Dbfs.get_membrane t ~actor:ded (pd 5)) in
+  check_bool "a membrane batch naming a pd twice is refused" true
+    (match
+       Dbfs.update_membranes t ~actor:ded
+         [ (pd 5, M.withdraw_all m); (pd 5, M.withdraw_all m) ]
+     with
+    | Error (Dbfs.Membrane_mismatch _) -> true
+    | _ -> false);
+  check_string "... writing nothing" (M.encode m)
+    (M.encode (ok (Dbfs.get_membrane t ~actor:ded (pd 5))));
+  check_bool "fsck clean" true (Dbfs.fsck t = Ok ())
 
 (* The DED's erasure (withdraw every consent, then seal) crashed after
    each of its write ops, at window 1: after remount and repair the pd is
@@ -394,9 +435,10 @@ let test_erasure_crash_atomic ~allocator () =
     let pd = insert_user t ~subject:"sub-1" secret 1990 in
     let before = ok (Dbfs.get_membrane t ~actor:ded pd) in
     Block_device.set_fault_plan dev (Some plan);
-    ok
-      (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pd
-         ~seal:(fun _ -> "SEALED-ENVELOPE"));
+    ignore
+      (ok
+         (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all [ pd ]
+            ~seal:(fun _ -> "SEALED-ENVELOPE")));
     (dev, pd, before)
   in
   let reference = Fault_plan.create () in
@@ -432,6 +474,177 @@ let test_erasure_crash_atomic ~allocator () =
         = Some (Value.VString secret))
     end
   done
+
+(* A batch erasure is one unit whatever it is: the DED's Art. 17 shape
+   (withdraw, then seal) and the TTL sweep's (seal only), crashed after
+   each of its write ops at window 1.  After remount and repair every
+   member is untouched or every member erased (withdrawn too in the DED
+   shape), with no plaintext of any of them on the image; the pds
+   outside the batch read back.  On the heap the batch costs the three
+   write requests of a one-pd erasure. *)
+let test_batch_erasure_crash_atomic ~allocator ~withdraw () =
+  let secret i = Printf.sprintf "BATCH-MEMBER-%d-SECRET" i in
+  let config = { small_config with block_count = 4096 } in
+  let batch = [ 1; 2; 4 ] in
+  let run plan =
+    let dev = Block_device.create ~config ~clock:(Clock.create ()) () in
+    let t = Dbfs.format ~allocator dev ~journal_blocks:64 in
+    ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+    let pds =
+      List.init 6 (fun i ->
+          insert_user t ~subject:(Printf.sprintf "sub-%d" (i / 2)) (secret i) 1990)
+    in
+    let before = List.map (fun pd -> ok (Dbfs.get_membrane t ~actor:ded pd)) pds in
+    Block_device.set_fault_plan dev (Some plan);
+    let members = List.map (List.nth pds) batch in
+    check_bool "every member erased" true
+      (ok
+         (Dbfs.erase_with t ~actor:ded
+            ?withdraw:(if withdraw then Some M.withdraw_all else None)
+            members
+            ~seal:(fun _ -> "SEALED-ENVELOPE"))
+      = members
+      || Block_device.crash_image dev <> None);
+    (dev, pds, before)
+  in
+  let reference = Fault_plan.create () in
+  ignore (run reference);
+  let writes = Fault_plan.writes_seen reference in
+  if allocator = Space.Heap then check_int "write requests per batch" 3 writes;
+  for k = 1 to writes do
+    let at what = Printf.sprintf "crash after write %d: %s" k what in
+    let plan = Fault_plan.create () in
+    Fault_plan.crash_after_writes plan k;
+    let dev, pds, before = run plan in
+    let dev' = Block_device.create ~config ~clock:(Clock.create ()) () in
+    (match Block_device.crash_image dev with
+    | Some image -> Block_device.restore dev' image
+    | None -> Alcotest.fail (at "no crash image"));
+    let t' =
+      match Dbfs.mount dev' with Ok t -> t | Error e -> Alcotest.fail (at e)
+    in
+    check_bool (at "repair clean") true (Dbfs.fsck_repair t').Dbfs.rr_clean;
+    check_bool (at "fsck clean") true (Dbfs.fsck t' = Ok ());
+    let erased i =
+      let _, _, erased = ok (Dbfs.entry_info t' ~actor:ded (List.nth pds i)) in
+      erased
+    in
+    let all_erased = erased (List.hd batch) in
+    List.iteri
+      (fun i pd ->
+        let membrane = M.encode (ok (Dbfs.get_membrane t' ~actor:ded pd)) in
+        let m0 = List.nth before i in
+        if List.mem i batch && all_erased then begin
+          check_bool (at (Printf.sprintf "member %d erased with the batch" i)) true
+            (erased i);
+          check_string (at (Printf.sprintf "member %d's membrane" i))
+            (M.encode (if withdraw then M.withdraw_all m0 else m0))
+            membrane;
+          check_int (at (Printf.sprintf "no plaintext of member %d" i)) 0
+            (List.length (Block_device.scan dev' (secret i)))
+        end
+        else begin
+          check_bool (at (Printf.sprintf "pd %d live" i)) false (erased i);
+          check_string (at (Printf.sprintf "pd %d's membrane untouched" i))
+            (M.encode m0) membrane;
+          check_bool (at (Printf.sprintf "pd %d reads back" i)) true
+            (Record.get (ok (Dbfs.get_record t' ~actor:ded pd)) "name"
+            = Some (Value.VString (secret i)))
+        end)
+      pds
+  done
+
+(* A batch whose journal record would not fit the ring commits in chunks
+   of whole pds, each atomic: on a two-block ring, an Art. 17-shaped
+   erasure of 16 pds takes several records, and a crash after any of its
+   writes leaves, after remount and repair, a prefix of the batch erased
+   that ends on a chunk boundary — every member of a chunk erased and
+   withdrawn, or none — with no plaintext of an erased member on the
+   image and every other pd intact. *)
+let test_batch_chunks_are_atomic () =
+  let secret i = Printf.sprintf "CHUNKED-%02d-SECRET" i in
+  let config = { small_config with block_count = 4096 } in
+  let n = 16 in
+  let run plan =
+    let dev = Block_device.create ~config ~clock:(Clock.create ()) () in
+    let t = Dbfs.format dev ~journal_blocks:2 in
+    ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+    let pds =
+      List.init (n + 4) (fun i ->
+          insert_user t ~subject:(Printf.sprintf "sub-%02d" i) (secret i) 1990)
+    in
+    let batch = List.filteri (fun i _ -> i < n) pds in
+    let before = List.map (fun pd -> ok (Dbfs.get_membrane t ~actor:ded pd)) pds in
+    let records () =
+      Rgpdos_util.Stats.Counter.get (Dbfs.stats t) "committed_batches"
+    in
+    let r0 = records () in
+    Block_device.set_fault_plan dev (Some plan);
+    ignore
+      (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all batch
+         ~seal:(fun _ -> "SEALED-ENVELOPE"));
+    (dev, t, pds, before, records () - r0)
+  in
+  let reference = Fault_plan.create () in
+  let _, t, pds, _, chunks = run reference in
+  check_bool "the batch took several journal records" true (chunks >= 2);
+  List.iteri
+    (fun i pd ->
+      let _, _, erased = ok (Dbfs.entry_info t ~actor:ded pd) in
+      check_bool (Printf.sprintf "pd %d erased iff in the batch" i) (i < n) erased)
+    pds;
+  let writes = Fault_plan.writes_seen reference in
+  let prefixes = ref [] in
+  for k = 1 to writes do
+    let at what = Printf.sprintf "crash after write %d: %s" k what in
+    let plan = Fault_plan.create () in
+    Fault_plan.crash_after_writes plan k;
+    let dev, _, pds, before, _ = run plan in
+    let dev' = Block_device.create ~config ~clock:(Clock.create ()) () in
+    (match Block_device.crash_image dev with
+    | Some image -> Block_device.restore dev' image
+    | None -> Alcotest.fail (at "no crash image"));
+    let t' =
+      match Dbfs.mount dev' with Ok t -> t | Error e -> Alcotest.fail (at e)
+    in
+    check_bool (at "repair clean") true (Dbfs.fsck_repair t').Dbfs.rr_clean;
+    let erased =
+      List.map
+        (fun pd ->
+          let _, _, erased = ok (Dbfs.entry_info t' ~actor:ded pd) in
+          erased)
+        pds
+    in
+    let prefix = List.length (List.filter Fun.id erased) in
+    check_bool (at "the erased pds are a prefix of the batch") true
+      (prefix <= n && List.for_all Fun.id (List.filteri (fun i _ -> i < prefix) erased));
+    List.iteri
+      (fun i pd ->
+        if i < prefix then begin
+          check_string (at (Printf.sprintf "pd %d withdrawn" i))
+            (M.encode (M.withdraw_all (List.nth before i)))
+            (M.encode (ok (Dbfs.get_membrane t' ~actor:ded pd)));
+          check_int (at (Printf.sprintf "no plaintext of pd %d" i)) 0
+            (List.length (Block_device.scan dev' (secret i)))
+        end
+        else
+          check_bool (at (Printf.sprintf "pd %d reads back" i)) true
+            (Record.get (ok (Dbfs.get_record t' ~actor:ded pd)) "name"
+            = Some (Value.VString (secret i))))
+      pds;
+    prefixes := prefix :: !prefixes
+  done;
+  (* every partial prefix ends on a chunk boundary: a multiple of the
+     first chunk's size (chunks of equal pds hold equally many) *)
+  let partial =
+    List.sort_uniq compare (List.filter (fun p -> p > 0 && p < n) !prefixes)
+  in
+  check_bool "a crash left part of the batch erased" true (partial <> []);
+  let first = List.hd partial in
+  check_bool "every partial prefix is whole chunks" true
+    (List.for_all (fun p -> p mod first = 0) partial);
+  check_int "as many partial states as chunk boundaries" (chunks - 1)
+    (List.length partial)
 
 (* ------------------------------------------------------------------ *)
 (* slots: extents are byte ranges of shared pages                     *)
@@ -489,9 +702,10 @@ let test_erase_shared_page ~allocator () =
     (shares_page t (List.nth pds last) (others last));
   List.iter
     (fun i ->
-      ok
-        (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all (List.nth pds i)
-           ~seal:(fun _ -> "SEALED-ENVELOPE")))
+      ignore
+        (ok
+           (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all [ List.nth pds i ]
+              ~seal:(fun _ -> "SEALED-ENVELOPE"))))
     [ closed; last ];
   let late = insert_user t ~subject:"sub-late" "LATE-ARRIVAL" 2000 in
   check_bool "the late record joins the open page" true
@@ -521,9 +735,10 @@ let test_shared_page_crash ~allocator () =
     [
       ( "erasure",
         fun t pd ->
-          ok
-            (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pd
-               ~seal:(fun _ -> "SEALED-ENVELOPE")) );
+          ignore
+            (ok
+               (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all [ pd ]
+                  ~seal:(fun _ -> "SEALED-ENVELOPE"))) );
       ( "rectification",
         fun t pd ->
           ok (Dbfs.update_record t ~actor:ded pd (user_record "NEW-VERSION" 1999))
@@ -606,9 +821,10 @@ let test_unwritten_tail_dropped ~allocator () =
           ok (Dbfs.update_membrane t ~actor:ded pd (M.withdraw_all m)) );
       ( "erase_with ~withdraw",
         fun t pd ->
-          ok
-            (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pd
-               ~seal:(fun _ -> secret)) );
+          ignore
+            (ok
+               (Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all [ pd ]
+                  ~seal:(fun _ -> secret))) );
     ]
   in
   List.iter
@@ -779,7 +995,7 @@ let test_dbfs_crash_recovery_replays () =
   Dbfs.checkpoint t;
   (* post-checkpoint ops live only in the metadata journal *)
   let pd2 = insert_user t ~subject:"b" "Two" 1981 in
-  ok (Dbfs.delete t ~actor:ded pd1);
+  ok (Dbfs.delete t ~actor:ded [ pd1 ]);
   let t2 = match Dbfs.crash_and_remount t with Ok x -> x | Error e -> Alcotest.fail e in
   check_bool "replayed insert" true (Result.is_ok (Dbfs.get_record t2 ~actor:ded pd2));
   check_bool "replayed delete" true (Result.is_error (Dbfs.get_record t2 ~actor:ded pd1));
@@ -912,7 +1128,7 @@ let prop_crash_consistency =
               match nth_pd i with
               | None -> ()
               | Some pd_id -> (
-                  match Dbfs.delete !t ~actor:ded pd_id with
+                  match Dbfs.delete !t ~actor:ded [ pd_id ] with
                   | Ok () -> Hashtbl.remove model pd_id
                   | Error (Dbfs.Unknown_pd _) -> ()
                   | Error e -> failwith (Dbfs.error_to_string e)))
@@ -920,11 +1136,14 @@ let prop_crash_consistency =
               match nth_pd i with
               | None -> ()
               | Some pd_id -> (
-                  match Dbfs.erase_with !t ~actor:ded pd_id ~seal:(fun _ -> "SEALED") with
-                  | Ok () ->
+                  match
+                    Dbfs.erase_with !t ~actor:ded [ pd_id ] ~seal:(fun _ -> "SEALED")
+                  with
+                  | Ok [] -> () (* already erased *)
+                  | Ok _ ->
                       let record, _ = Hashtbl.find model pd_id in
                       Hashtbl.replace model pd_id (record, true)
-                  | Error (Dbfs.Erased _ | Dbfs.Unknown_pd _ | Dbfs.No_space) -> ()
+                  | Error (Dbfs.Unknown_pd _ | Dbfs.No_space) -> ()
                   | Error e -> failwith (Dbfs.error_to_string e)))
           | S_checkpoint -> Dbfs.checkpoint !t
           | S_crash -> t := Result.get_ok (Dbfs.crash_and_remount !t))
@@ -1014,7 +1233,7 @@ let test_cache_invalidated_by_erasure () =
   (* warm both caches *)
   ignore (ok (Dbfs.get_record t ~actor:ded pd));
   ignore (ok (Dbfs.get_membrane t ~actor:ded pd));
-  ok (Dbfs.erase_with t ~actor:ded pd ~seal:(fun _ -> "SEALED"));
+  ignore (ok (Dbfs.erase_with t ~actor:ded [ pd ] ~seal:(fun _ -> "SEALED")));
   (* the cached plaintext record must be gone, not served *)
   (match Dbfs.get_record t ~actor:ded pd with
   | Error (Dbfs.Erased _) -> ()
@@ -1030,7 +1249,7 @@ let test_cache_invalidated_by_delete () =
   let t, _, _ = setup () in
   let pd = insert_user t ~subject:"erin" "Erin" 2000 in
   ignore (ok (Dbfs.get_record t ~actor:ded pd));
-  ok (Dbfs.delete t ~actor:ded pd);
+  ok (Dbfs.delete t ~actor:ded [ pd ]);
   match Dbfs.get_record t ~actor:ded pd with
   | Error (Dbfs.Unknown_pd _) -> ()
   | Ok _ -> Alcotest.fail "deleted record served from cache"
@@ -1091,10 +1310,20 @@ let () =
           Alcotest.test_case "copy keeps its subject" `Quick test_dbfs_copy_keeps_subject;
           Alcotest.test_case "delete leaves no trace" `Quick test_dbfs_delete_leaves_no_trace;
           Alcotest.test_case "crypto-erase workflow" `Quick test_dbfs_erase_with;
+          Alcotest.test_case "the batch contract" `Quick test_batch_contract;
           Alcotest.test_case "erasure is crash-atomic (heap)" `Quick
             (test_erasure_crash_atomic ~allocator:Space.Heap);
           Alcotest.test_case "erasure is crash-atomic (segments)" `Quick
             (test_erasure_crash_atomic ~allocator:Space.segments);
+          Alcotest.test_case "a batch erasure is crash-atomic (heap)" `Quick
+            (test_batch_erasure_crash_atomic ~allocator:Space.Heap ~withdraw:true);
+          Alcotest.test_case "a batch erasure is crash-atomic (segments)" `Quick
+            (test_batch_erasure_crash_atomic ~allocator:Space.segments
+               ~withdraw:true);
+          Alcotest.test_case "a sweep's batch is crash-atomic (heap)" `Quick
+            (test_batch_erasure_crash_atomic ~allocator:Space.Heap ~withdraw:false);
+          Alcotest.test_case "a batch past the ring commits in atomic chunks" `Quick
+            test_batch_chunks_are_atomic;
           Alcotest.test_case "erasing a shared-page pd (heap)" `Quick
             (test_erase_shared_page ~allocator:Space.Heap);
           Alcotest.test_case "erasing a shared-page pd (segments)" `Quick

@@ -175,7 +175,7 @@ let populate c =
   List.iteri
     (fun i pd ->
       if List.nth c.erase_mask i then
-        ok (Dbfs.erase_with t ~actor:ded pd ~seal))
+        ignore (ok (Dbfs.erase_with t ~actor:ded [ pd ] ~seal)))
     pds;
   (t, clock)
 
@@ -320,8 +320,8 @@ let test_index_survives_crash_interleaved () =
   ok
     (Dbfs.update_record t ~actor:ded (List.nth !pds 2)
        (item_record ~k_int:4 ~k_str:"e" ~extra:99));
-  ok (Dbfs.erase_with t ~actor:ded (List.nth !pds 3) ~seal);
-  ok (Dbfs.delete t ~actor:ded (List.nth !pds 4));
+  ignore (ok (Dbfs.erase_with t ~actor:ded [ List.nth !pds 3 ] ~seal));
+  ok (Dbfs.delete t ~actor:ded [ List.nth !pds 4 ]);
   let t = ok' (Dbfs.crash_and_remount t) in
   check_string "remount restores exactly the rebuilt index"
     (Dbfs.rebuilt_index_dump t) (Dbfs.index_dump t);
@@ -365,8 +365,8 @@ let test_expiry_queue_tracks_membranes () =
   check_ids "expiry order" [ p0; p1; p2 ]
     (ok (Dbfs.expired_pds t ~actor:ded ~now:later));
   (* erase/delete pull entries out of the queue *)
-  ok (Dbfs.erase_with t ~actor:ded p1 ~seal);
-  ok (Dbfs.delete t ~actor:ded p0);
+  ignore (ok (Dbfs.erase_with t ~actor:ded [ p1 ] ~seal));
+  ok (Dbfs.delete t ~actor:ded [ p0 ]);
   check_int "queue shrank" 1 (Dbfs.expiry_queue_size t);
   check_ids "erased and deleted entries left the queue" [ p2 ]
     (ok (Dbfs.expired_pds t ~actor:ded ~now:later));

@@ -807,6 +807,58 @@ let test_consent_rewrites_subject_copies () =
   Alcotest.(check (list string)) "one entry per lineage"
     [ List.nth alice 0; List.nth alice 2 ] changed
 
+(* A lineage's consent change commits as one record: a two-copy lineage
+   crashed after each write of [set_consent] remounts, once repaired,
+   with both copies old or both new — never copies of one PD under
+   different consents. *)
+let test_lineage_consent_crash_atomic () =
+  let module Fault_plan = Block_device.Fault_plan in
+  let run plan =
+    let m, pd_alice, _, _ = boot_with_users () in
+    let lineage = [ pd_alice; copy_of m pd_alice ] in
+    let dev = Machine.pd_device m in
+    Block_device.set_fault_plan dev (Some plan);
+    ignore
+      (Machine.set_consent m ~subject:"sub-alice" ~purpose:"purpose1"
+         Membrane.Denied);
+    (dev, lineage)
+  in
+  let reference = Fault_plan.create () in
+  ignore (run reference);
+  let writes = Fault_plan.writes_seen reference in
+  check_bool "the consent change writes" true (writes > 0);
+  let seen = ref [] in
+  for k = 1 to writes do
+    let at what = Printf.sprintf "crash after write %d: %s" k what in
+    let plan = Fault_plan.create () in
+    Fault_plan.crash_after_writes plan k;
+    let dev, lineage = run plan in
+    let dev' =
+      Block_device.create ~config:(Block_device.config dev)
+        ~clock:(Clock.create ()) ()
+    in
+    (match Block_device.crash_image dev with
+    | Some image -> Block_device.restore dev' image
+    | None -> Alcotest.fail (at "no crash image"));
+    let t' =
+      match Dbfs.mount dev' with Ok t -> t | Error e -> Alcotest.fail (at e)
+    in
+    check_bool (at "repair clean") true (Dbfs.fsck_repair t').Dbfs.rr_clean;
+    let granted =
+      List.map
+        (fun pd ->
+          Membrane.allows
+            (dbfs_ok (Dbfs.get_membrane t' ~actor:Ded.actor pd))
+            ~purpose:"purpose1" ~now:0)
+        lineage
+    in
+    check_bool (at "both copies old or both new") true
+      (List.for_all (( = ) (List.hd granted)) granted);
+    seen := List.hd granted :: !seen
+  done;
+  check_bool "crashes before and after the commit both seen" true
+    (List.mem true !seen && List.mem false !seen)
+
 let test_consent_ignores_other_subjects_damage () =
   let m, _, pd_bob, _ = boot_with_users () in
   let m = ok (Machine.reboot m) in
@@ -1167,6 +1219,8 @@ let () =
             test_rights_read_each_page_once;
           Alcotest.test_case "consent ignores another subject's damage" `Quick
             test_consent_ignores_other_subjects_damage;
+          Alcotest.test_case "a lineage's consent change is crash-atomic" `Quick
+            test_lineage_consent_crash_atomic;
         ] );
       ( "collection",
         [

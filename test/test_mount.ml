@@ -220,16 +220,17 @@ let apply_op t op =
       match live_pds t with
       | [] -> t
       | pds ->
-          ok (Dbfs.delete t ~actor:ded (List.nth pds (i mod List.length pds)));
+          ok (Dbfs.delete t ~actor:ded [ List.nth pds (i mod List.length pds) ]);
           t)
   | Erase i -> (
       match live_pds t with
       | [] -> t
       | pds ->
-          ok
-            (Dbfs.erase_with t ~actor:ded
-               (List.nth pds (i mod List.length pds))
-               ~seal);
+          ignore
+            (ok
+               (Dbfs.erase_with t ~actor:ded
+                  [ List.nth pds (i mod List.length pds) ]
+                  ~seal));
           t)
   | Checkpoint ->
       Dbfs.checkpoint t;
@@ -395,6 +396,122 @@ let test_batched_descent_reads_each_node_once () =
     (reads [ last; first ]);
   check_int "every pd reads every node once" nodes (reads pds)
 
+(* A commit materializes the index facts of its pds in one batched
+   [pdinfo] lookup.  On a checkpointed, remounted store a TTL sweep of k
+   due pds reads each [pdinfo] node on their paths once: the sweep's
+   page reads less the expiry probe and its two entries-tree descents
+   (the membrane check's and the erasure's) are the [pdinfo] reads, at
+   most one path plus one page per further pd — where one lookup per pd
+   read k whole paths. *)
+let test_sweep_reads_each_pdinfo_node_once () =
+  let t = make_dbfs () in
+  for i = 0 to 199 do
+    ignore
+      (insert_item t
+         ~subject:(List.nth subjects_pool (i mod 4))
+         ~k_int:i ~k_str:"a"
+         ~ttl:(Some (if i < 8 then 1_000 else 1_000_000_000)))
+  done;
+  Dbfs.checkpoint t;
+  let image = Block_device.snapshot (Dbfs.device t) in
+  let pds = ok (Dbfs.list_pds t ~actor:ded "item") in
+  (* the due set at [due_at k] is the first k pds *)
+  let due_at k =
+    let m = ok (Dbfs.get_membrane t ~actor:ded (List.nth pds (k - 1))) in
+    m.M.created_at + 1_000
+  in
+  let remounted () =
+    let dev = Block_device.create ~config:small_config ~clock:(Clock.create ()) () in
+    Block_device.restore dev image;
+    match Dbfs.mount dev with
+    | Error e -> Alcotest.failf "mount: %s" e
+    | Ok s ->
+        (* the first mutation after a mount loads the slot map by a walk
+           of the entries tree: take it out of the measurement *)
+        ignore (insert_item s ~subject:"s0" ~k_int:0 ~k_str:"warm" ~ttl:None);
+        s
+  in
+  let page_reads f =
+    let store = remounted () in
+    let get () = Stats.Counter.get (Dbfs.stats store) "index_page_reads" in
+    let r0 = get () in
+    f store;
+    get () - r0
+  in
+  let pdinfo_reads k =
+    let now = due_at k in
+    let due = List.filteri (fun i _ -> i < k) pds in
+    let probe =
+      page_reads (fun s -> check_ids "due" due (ok (Dbfs.expired_pds s ~actor:ded ~now)))
+    in
+    let descent =
+      page_reads (fun s -> ignore (ok (Dbfs.get_membranes s ~actor:ded due)))
+    in
+    let sweep =
+      page_reads (fun s ->
+          let rep =
+            Rgpdos_gdpr.Ttl_sweeper.sweep ~dbfs:s
+              ~audit:(Rgpdos_audit.Audit_log.create ()) ~now
+              ~mode:(Rgpdos_gdpr.Ttl_sweeper.Crypto_erase seal) ()
+          in
+          check_int "every due pd erased" k rep.Rgpdos_gdpr.Ttl_sweeper.removed)
+    in
+    sweep - probe - (2 * descent)
+  in
+  let path = pdinfo_reads 1 in
+  check_bool "the pdinfo tree has interior levels" true (path >= 2);
+  List.iter
+    (fun k ->
+      let got = pdinfo_reads k in
+      check_bool
+        (Printf.sprintf "k=%d: %d pdinfo pages, at most %d" k got (path + k - 1))
+        true
+        (got <= path + k - 1 && got < k * path))
+    [ 2; 4; 8 ]
+
+(* Replay reads each data page once: a remount after un-checkpointed
+   inserts reads the ring, then every data page the replayed records name
+   in one request, and decodes each record's and membrane's index facts
+   from those bytes — at most the ring's blocks plus the distinct data
+   pages, where a request per extent read two per insert. *)
+let test_replay_reads_each_page_once () =
+  let t = make_dbfs () in
+  for i = 0 to 299 do
+    ignore
+      (insert_item t
+         ~subject:(List.nth subjects_pool (i mod 4))
+         ~k_int:(i mod 7) ~k_str:"b" ~ttl:(Some 50_000))
+  done;
+  let pds = ok (Dbfs.list_pds t ~actor:ded "item") in
+  let pages =
+    List.sort_uniq compare
+      (List.concat_map
+         (fun pd ->
+           let r, m = ok (Dbfs.entry_extents t ~actor:ded pd) in
+           r.Space.blocks @ m.Space.blocks)
+         pds)
+  in
+  let dev = Block_device.create ~config:small_config ~clock:(Clock.create ()) () in
+  Block_device.restore dev (Block_device.snapshot (Dbfs.device t));
+  Block_device.reset_stats dev;
+  let store =
+    match Dbfs.mount dev with Ok s -> s | Error e -> Alcotest.failf "mount: %s" e
+  in
+  (match Dbfs.replay_report store with
+  | Some s ->
+      check_int "every insert replayed" 301
+        s.Rgpdos_block.Journal_ring.records_replayed
+  | None -> Alcotest.fail "no replay report");
+  let requests = Stats.Counter.get (Block_device.stats dev) "vec_reads" in
+  check_bool
+    (Printf.sprintf "%d read requests, at most %d ring blocks + %d data pages"
+       requests 256 (List.length pages))
+    true
+    (requests <= 256 + List.length pages);
+  check_bool "the replayed index is the rebuilt one" true
+    (Dbfs.index_dump store = Dbfs.rebuilt_index_dump store);
+  check_int "all entries present" 300 (Dbfs.pd_count store)
+
 (* ------------------------------------------------------------------ *)
 (* O(1) clean mount                                                   *)
 
@@ -513,6 +630,10 @@ let () =
             test_warm_equals_cold;
           Alcotest.test_case "batched descent reads each node once" `Quick
             test_batched_descent_reads_each_node_once;
+          Alcotest.test_case "a sweep reads each pdinfo node once" `Quick
+            test_sweep_reads_each_pdinfo_node_once;
+          Alcotest.test_case "replay reads each data page once" `Quick
+            test_replay_reads_each_page_once;
         ] );
       ( "recovery",
         [

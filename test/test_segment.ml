@@ -145,10 +145,10 @@ let run_script ?allocator ?(after_op = ignore) ~window ops =
           | Some pd when not erased.(i) ->
               erased.(i) <- true;
               (match
-                 Dbfs.erase_with t ~actor pd ~seal:(fun r ->
+                 Dbfs.erase_with t ~actor [ pd ] ~seal:(fun r ->
                      "SEALED:" ^ Fnv.hash64_hex (Record.encode r))
                with
-              | Ok () -> ()
+              | Ok _ -> ()
               | Error e -> failwith (Dbfs.error_to_string e))
           | _ -> ())
       | Delete i -> (
@@ -156,7 +156,7 @@ let run_script ?allocator ?(after_op = ignore) ~window ops =
           | Some pd ->
               pds.(i) <- None;
               erased.(i) <- false;
-              (match Dbfs.delete t ~actor pd with
+              (match Dbfs.delete t ~actor [ pd ] with
               | Ok () -> ()
               | Error e -> failwith (Dbfs.error_to_string e))
           | _ -> ())
@@ -340,9 +340,10 @@ let slot_law ~allocator ~block_size ops =
     | Some (b, off) -> fail "%s: block %d byte %d is outside every live slot" what b off
   in
   let erase i ?withdraw pd =
-    ok "erase"
-      (Dbfs.erase_with !t ~actor ?withdraw pd ~seal:(fun r ->
-           "SEALED:" ^ Fnv.hash64_hex (Record.encode r)));
+    ignore
+      (ok "erase"
+         (Dbfs.erase_with !t ~actor ?withdraw [ pd ] ~seal:(fun r ->
+              "SEALED:" ^ Fnv.hash64_hex (Record.encode r))));
     erased.(i) <- true
   in
   List.iter
@@ -402,7 +403,7 @@ let slot_law ~allocator ~block_size ops =
       | L_delete i -> (
           match pds.(i) with
           | Some pd ->
-              ok what (Dbfs.delete !t ~actor pd);
+              ok what (Dbfs.delete !t ~actor [ pd ]);
               pds.(i) <- None;
               destroyed := true
           | None -> ())
@@ -516,7 +517,7 @@ let test_crash_between_batches_replays_cleanly ~allocator () =
    with
   | Ok () -> ()
   | Error e -> failwith (Dbfs.error_to_string e));
-  (match Dbfs.delete t ~actor (List.nth durable 2) with
+  (match Dbfs.delete t ~actor [ List.nth durable 2 ] with
   | Ok () -> ()
   | Error e -> failwith (Dbfs.error_to_string e));
   (* more records enter the window but never flush: the crash image is
@@ -531,7 +532,7 @@ let test_crash_between_batches_replays_cleanly ~allocator () =
      written in the format-time bitmap) before replay marked them used:
      a purge — any delete — must not zero them *)
   check_bool "fsck clean before repair" true (Dbfs.fsck t' = Ok ());
-  (match Dbfs.delete t' ~actor (List.hd durable) with
+  (match Dbfs.delete t' ~actor [ List.hd durable ] with
   | Ok () -> ()
   | Error e -> failwith (Dbfs.error_to_string e));
   let rep = Dbfs.fsck_repair t' in
@@ -689,12 +690,12 @@ let test_erase_compact_remount_no_residue ~erase_first () =
       (fun (_, pd, doomed) ->
         if doomed then
           match
-            Dbfs.erase_with t ~actor pd ~seal:(fun r ->
+            Dbfs.erase_with t ~actor [ pd ] ~seal:(fun r ->
                 let envelope = "SEALED:" ^ Fnv.hash64_hex (Record.encode r) in
                 Hashtbl.replace sealed pd envelope;
                 envelope)
           with
-          | Ok () -> ()
+          | Ok _ -> ()
           | Error e -> failwith (Dbfs.error_to_string e))
       pds
   in

@@ -257,7 +257,7 @@ let test_fragmentation_fallback_roundtrips () =
   in
   (* ... then free every other one: only 3-block holes remain *)
   List.iteri
-    (fun i pd -> if i mod 2 = 0 then ok (Dbfs.delete t ~actor:ded pd))
+    (fun i pd -> if i mod 2 = 0 then ok (Dbfs.delete t ~actor:ded [ pd ]))
     pds;
   (* a 6-block record cannot get an extent; the scattered fallback must
      still store and round-trip it *)
@@ -283,8 +283,8 @@ let test_delete_and_erase_zero_old_blocks () =
   check_bool "secrets reach the medium" true
     (Block_device.scan dev secret_a <> []
     && Block_device.scan dev secret_b <> []);
-  ok (Dbfs.delete t ~actor:ded pd_a);
-  ok (Dbfs.erase_with t ~actor:ded pd_b ~seal:(fun _ -> "sealed-envelope"));
+  ok (Dbfs.delete t ~actor:ded [ pd_a ]);
+  ignore (ok (Dbfs.erase_with t ~actor:ded [ pd_b ] ~seal:(fun _ -> "sealed-envelope")));
   check_bool "deleted PD zeroed on the device" true
     (Block_device.scan dev secret_a = []);
   check_bool "erased PD plaintext zeroed on the device" true
@@ -314,7 +314,7 @@ let test_batch_matches_scalar_api () =
     rs;
   check_bool "unknown pd fails the whole batch" true
     (Result.is_error (Dbfs.get_membranes t ~actor:ded (pds @ [ "pd-bogus" ])));
-  ok (Dbfs.erase_with t ~actor:ded (List.hd pds) ~seal:(fun _ -> "sealed"));
+  ignore (ok (Dbfs.erase_with t ~actor:ded [ List.hd pds ] ~seal:(fun _ -> "sealed")));
   match ok (Dbfs.get_records t ~actor:ded pds) with
   | (_, None) :: rest ->
       check_bool "live entries still load" true
