@@ -20,8 +20,9 @@ type error =
   | Corrupt of string
   | Device_fault of string
   | Degraded of string
+  | Stopped of { committed : string list; cause : error }
 
-let pp_error fmt = function
+let rec pp_error fmt = function
   | Unknown_type n -> Format.fprintf fmt "unknown PD type: %s" n
   | Type_exists n -> Format.fprintf fmt "PD type already exists: %s" n
   | Unknown_pd id -> Format.fprintf fmt "unknown PD: %s" id
@@ -33,8 +34,13 @@ let pp_error fmt = function
   | Corrupt m -> Format.fprintf fmt "DBFS corruption: %s" m
   | Device_fault m -> Format.fprintf fmt "device fault: %s" m
   | Degraded m -> Format.fprintf fmt "DBFS degraded (read-only): %s" m
+  | Stopped { committed; cause } ->
+      Format.fprintf fmt "batch stopped after %d committed pds: %a"
+        (List.length committed) pp_error cause
 
 let error_to_string e = Format.asprintf "%a" pp_error e
+
+let committed = function Stopped { committed; _ } -> committed | _ -> []
 
 (* One extent: where its bytes live (a slot at [off] of its one page, or
    whole blocks from offset 0), its payload size and the FNV-64 checksum
@@ -965,6 +971,42 @@ let checkpoint t =
   Hashtbl.reset t.entries;
   Hashtbl.reset t.deleted
 
+(* [items] cut into runs, in order, whose journal records fit the ring:
+   [bytes item] is what an item adds to its run's record.  An item larger
+   than the ring still gets a run of its own. *)
+let chunks t bytes items =
+  let limit = Journal_ring.max_payload t.ring in
+  let close cur acc = if cur = [] then acc else List.rev cur :: acc in
+  let rec go acc cur n = function
+    | [] -> List.rev (close cur acc)
+    | x :: rest ->
+        let b = bytes x in
+        if cur <> [] && n + b > limit then go (close cur acc) [ x ] b rest
+        else go acc (x :: cur) (n + b) rest
+  in
+  go [] [] 0 items
+
+(* The journal bytes of a [J_replace] of a [size]-byte payload, known
+   before placement: a loc's fields are fixed-width. *)
+let replace_bytes t kind pd_id size =
+  let blocks = if size = 0 then 0 else ((size - 1) / block_size t) + 1 in
+  String.length
+    (encode_record
+       [
+         J_replace
+           {
+             kind;
+             pd_id;
+             loc =
+               {
+                 blocks = List.init blocks Fun.id;
+                 off = 0;
+                 size;
+                 sum = Fnv.hash64_hex "";
+               };
+           };
+       ])
+
 (* The commit of every mutation.  The payload write of [placed] (one
    vectored request, each page rebuilt from its image with the new slots
    laid in) is submitted, then the read of the pages destroying
@@ -1000,9 +1042,9 @@ let rec commit ?destroy ?(retiring = []) t placed ops =
    ordinary commit, a [J_replace] with identical size and checksum — so
    replay, secondary indexes, caches and the slot map stay coherent with
    no compaction-specific recovery code.  The survivors' pages are read
-   in one request.  Survivors commit in chunks: one payload write and one
-   record of at most [Journal_ring.max_payload] bytes each, settled
-   before the next chunk commits, so only the last record can have its
+   in one request.  Survivors commit in [chunks]: one payload write and
+   one record of at most [Journal_ring.max_payload] bytes each, settled
+   before the next chunk is placed, so only the last record can have its
    data in flight.  An extent failing its checksum is left in place for
    fsck rather than propagated. *)
 and relocate t ~in_victim =
@@ -1029,57 +1071,58 @@ and relocate t ~in_victim =
       | [] -> []
       | _ -> retrying t (fun () -> Block_device.read_vec t.dev pages))
   in
-  let items =
-    List.map
+  let survivors =
+    List.filter_map
       (fun (e, kind) ->
         let l = extent e kind in
         charge_checksum t l.size;
-        (e, kind, extent_bytes h l, l.sum))
+        let raw = extent_bytes h l in
+        if Fnv.hash64_hex raw = l.sum then Some (e, kind, raw, l.sum)
+        else begin
+          Stats.Counter.incr t.counters "compact_verify_failures";
+          None
+        end)
       moves
   in
-  let limit = Journal_ring.max_payload t.ring in
-  let chunk = ref [] and chunk_bytes = ref 0 and relocated = ref 0 in
-  let commit_chunk () =
-    if !chunk <> [] then begin
-      let moved = List.rev !chunk in
-      commit t (List.map fst moved) (List.map snd moved);
-      relocated := !relocated + List.length moved;
-      chunk := [];
-      chunk_bytes := 0
-    end
+  let move (e, kind, raw, sum) =
+    match
+      Space.place t.space [ (zone e kind, String.length raw) ]
+        ~relocate:(relocate t)
+    with
+    | Some [ x ] ->
+        let hint =
+          match kind with
+          | Membrane -> (
+              match Membrane.decode raw with
+              | Ok m -> { no_hint with h_membrane = Some m }
+              | Error _ -> no_hint)
+          | Record -> (
+              match Record.decode raw with
+              | Ok r -> { no_hint with h_record = Some r }
+              | Error _ -> no_hint)
+          | Sealed -> no_hint
+        in
+        let loc = { (loc_of raw x) with sum } in
+        Some
+          ( (raw, x),
+            ({ hint with h_entry = Some e }, J_replace { kind; pd_id = e.pd_id; loc })
+          )
+    | _ -> None (* no room: survivor stays put *)
   in
-  List.iter
-    (fun (e, kind, raw, sum) ->
-      if Fnv.hash64_hex raw <> sum then
-        Stats.Counter.incr t.counters "compact_verify_failures"
-      else
-        match
-          Space.place t.space [ (zone e kind, String.length raw) ]
-            ~relocate:(relocate t)
-        with
-        | Some [ x ] ->
-            let hint =
-              match kind with
-              | Membrane -> (
-                  match Membrane.decode raw with
-                  | Ok m -> { no_hint with h_membrane = Some m }
-                  | Error _ -> no_hint)
-              | Record -> (
-                  match Record.decode raw with
-                  | Ok r -> { no_hint with h_record = Some r }
-                  | Error _ -> no_hint)
-              | Sealed -> no_hint
-            in
-            let loc = { (loc_of raw x) with sum } in
-            let op = J_replace { kind; pd_id = e.pd_id; loc } in
-            let n = String.length (encode_record [ op ]) in
-            if !chunk_bytes + n > limit then commit_chunk ();
-            chunk := ((raw, x), ({ hint with h_entry = Some e }, op)) :: !chunk;
-            chunk_bytes := !chunk_bytes + n
-        | _ -> () (* no room: survivor stays put *))
-    items;
-  commit_chunk ();
-  Stats.Counter.incr t.counters ~by:!relocated "compact_relocations"
+  let relocated =
+    List.fold_left
+      (fun n chunk ->
+        match List.filter_map move chunk with
+        | [] -> n
+        | moved ->
+            commit t (List.map fst moved) (List.map snd moved);
+            n + List.length moved)
+      0
+      (chunks t
+         (fun (e, kind, raw, _) -> replace_bytes t kind e.pd_id (String.length raw))
+         survivors)
+  in
+  Stats.Counter.incr t.counters ~by:relocated "compact_relocations"
 
 let place t items = Space.place t.space items ~relocate:(relocate t)
 
@@ -1182,7 +1225,7 @@ let format ?(allocator = Space.Heap) dev ~journal_blocks =
    one vectored request.  Nothing writes a data page during replay, so
    these bytes are what each op would read at its turn.  [None] when
    there is nothing to read or the read faults: each op then reads its
-   own extent, and the tail check passes (medium damage is fsck's). *)
+   own extent, and the tail check reads the tail's pages alone. *)
 let replay_pages t records =
   match
     List.sort_uniq compare
@@ -1292,9 +1335,15 @@ let mount dev =
                 let tail = decode_record payload in
                 let records = List.rev (Option.value ~default:[] !held) in
                 pages := replay_pages t (tail :: records);
+                (* a faulted page of another record must not excuse the
+                   tail from its check *)
+                let own =
+                  if Option.is_none !pages && records <> [] then replay_pages t [ tail ]
+                  else !pages
+                in
                 held := None;
                 List.iter apply records;
-                t.replay_warning <> None || tail_written t !pages tail)
+                t.replay_warning <> None || tail_written t own tail)
               (fun payload ->
                 let record = decode_record payload in
                 match !held with
@@ -1587,41 +1636,20 @@ let get_record t ~actor pd_id =
   | [ (_, Some r) ] -> Ok r
   | _ -> Error (Erased pd_id)
 
-(* [items] cut into runs, in order, whose journal records fit the ring:
-   [bytes item] is what an item adds to its run's record.  An item larger
-   than the ring still gets a run of its own. *)
-let chunks t bytes items =
-  let limit = Journal_ring.max_payload t.ring in
-  let close cur acc = if cur = [] then acc else List.rev cur :: acc in
-  let rec go acc cur n = function
-    | [] -> List.rev (close cur acc)
-    | x :: rest ->
-        let b = bytes x in
-        if cur <> [] && n + b > limit then go (close cur acc) [ x ] b rest
-        else go acc (x :: cur) (n + b) rest
+(* Commit [items] in [chunks] (by [bytes]), in order, through
+   [commit_chunk]; a failing chunk stops the batch.  When chunks before
+   it committed, the error is [Stopped], naming the pds ([pd_of]) of
+   their items. *)
+let commit_chunks t ~bytes ~pd_of commit_chunk items =
+  let rec go committed = function
+    | [] -> Ok ()
+    | chunk :: rest -> (
+        match commit_chunk chunk with
+        | Ok () -> go (List.rev_append (List.map pd_of chunk) committed) rest
+        | Error cause when committed = [] -> Error cause
+        | Error cause -> Error (Stopped { committed = List.rev committed; cause }))
   in
-  go [] [] 0 items
-
-(* The journal bytes of a [J_replace] of a [size]-byte payload, known
-   before placement: a loc's fields are fixed-width. *)
-let replace_bytes t kind pd_id size =
-  let blocks = if size = 0 then 0 else ((size - 1) / block_size t) + 1 in
-  String.length
-    (encode_record
-       [
-         J_replace
-           {
-             kind;
-             pd_id;
-             loc =
-               {
-                 blocks = List.init blocks Fun.id;
-                 off = 0;
-                 size;
-                 sum = Fnv.hash64_hex "";
-               };
-           };
-       ])
+  go [] (chunks t bytes items)
 
 (* The one extent write behind record updates, membrane updates and
    erasure.  Each [(e, items)] of [batch] replaces extents of entry [e]
@@ -1633,8 +1661,8 @@ let replace_bytes t kind pd_id size =
    destroyed once.  So a crash leaves each chunk all applied or not at
    all.  With a [Sealed] item the destruction is erasure's duty: no
    plaintext of the old record may remain anywhere.  A chunk that cannot
-   be placed or written stops the batch, the chunks before it
-   committed. *)
+   be placed or written stops the batch ([commit_chunks]), the chunks
+   before it committed. *)
 let replace_extents t batch =
   (* the entries enter the overlay before placement: a compaction that
      placement triggers then relocates these very entry objects, so each
@@ -1673,9 +1701,7 @@ let replace_extents t batch =
         n + replace_bytes t kind e.pd_id (String.length payload))
       0 items
   in
-  List.fold_left
-    (fun r chunk -> Result.bind r (fun () -> commit_chunk chunk))
-    (Ok ()) (chunks t bytes batch)
+  commit_chunks t ~bytes ~pd_of:(fun (e, _) -> e.pd_id) commit_chunk batch
 
 let update_record t ~actor pd_id record =
   let** () = guard t ~actor ~op:"write" in
@@ -1727,9 +1753,14 @@ let update_membranes t ~actor updates =
            (fun e (_, m) -> Result.map (fun item -> (e, [ item ])) (membrane_item e m))
            entries updates)
     in
-    let** () = replace_extents t batch in
-    Stats.Counter.incr t.counters ~by:(List.length batch) "membrane_updates";
-    Ok ()
+    let result = replace_extents t batch in
+    let n =
+      match result with
+      | Ok () -> List.length batch
+      | Error e -> List.length (committed e)
+    in
+    if n > 0 then Stats.Counter.incr t.counters ~by:n "membrane_updates";
+    result
 
 let update_membrane t ~actor pd_id membrane =
   update_membranes t ~actor [ (pd_id, membrane) ]
@@ -1751,9 +1782,10 @@ let delete t ~actor pd_ids =
   let** () = guard t ~actor ~op:"delete" in
   let** () = check_degraded t in
   let** entries = resolve_entries t (distinct pd_ids) in
-  List.fold_left
-    (fun r chunk ->
-      let** () = r in
+  commit_chunks t
+    ~bytes:(fun e -> String.length (encode_record [ J_delete e.pd_id ]))
+    ~pd_of:(fun e -> e.pd_id)
+    (fun chunk ->
       protect_write t (fun () ->
           (* physical destruction after the metadata commit *)
           commit t ~destroy:true
@@ -1764,10 +1796,7 @@ let delete t ~actor pd_ids =
                chunk);
           Stats.Counter.incr t.counters ~by:(List.length chunk) "deletes";
           Ok ()))
-    (Ok ())
-    (chunks t
-       (fun e -> String.length (encode_record [ J_delete e.pd_id ]))
-       entries)
+    entries
 
 (* One descent resolves the batch, one load each fetches the live pds'
    membranes (with [withdraw]) and records, and one [replace_extents]
@@ -1790,20 +1819,25 @@ let erase_with t ~actor ?withdraw pd_ids ~seal =
              live got)
   in
   let** records = load_extents t record_x ~channel:0 live in
-  let** () =
+  let result =
     replace_extents t
       (List.map2
          (fun (e, (_, r)) membrane ->
            (e, membrane @ [ (Sealed, no_hint, seal (Option.get r)) ]))
          (List.combine live records) membranes)
   in
-  let n = List.length live in
+  let erased =
+    match result with
+    | Ok () -> List.map (fun e -> e.pd_id) live
+    | Error e -> committed e
+  in
+  let n = List.length erased in
   if n > 0 then begin
     if Option.is_some withdraw then
       Stats.Counter.incr t.counters ~by:n "membrane_updates";
     Stats.Counter.incr t.counters ~by:n "erasures"
   end;
-  Ok (List.map (fun e -> e.pd_id) live)
+  Result.map (fun () -> erased) result
 
 let erased_payload t ~actor pd_id =
   let** () = guard t ~actor ~op:"read" in

@@ -58,9 +58,18 @@ type error =
   | Degraded of string
       (** the store is in degraded read-only mode; mutations are refused
           until [fsck ~repair:true] clears it *)
+  | Stopped of { committed : string list; cause : error }
+      (** a batch larger than one journal chunk failed with [cause] after
+          its first chunks had committed: [committed] are their pds, in
+          batch order, and stay done (see {!erase_with}) *)
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
+
+val committed : error -> string list
+(** The pds a failed batch committed before it stopped ([Stopped]'s
+    list); [[]] for every other error, after which the batch wrote
+    nothing. *)
 
 val format :
   ?allocator:Space.allocator ->
@@ -234,8 +243,10 @@ val update_membranes :
     descent, before anything is written.  The new membranes go out in one
     write, their [J_replace]s in one journal record, and the superseded
     slots are destroyed once, with {!update_record}'s crash contract: a
-    crash leaves every membrane old or every one new.  A pd named twice
-    fails with [Membrane_mismatch], writing nothing. *)
+    crash leaves every membrane old or every one new (a batch whose
+    record would not fit the ring commits in chunks, as {!erase_with}'s
+    does).  A pd named twice fails with [Membrane_mismatch], writing
+    nothing. *)
 
 val copy_pd : t -> actor:string -> string -> (string, error) result
 (** Built-in [copy]: duplicate record and membrane under a fresh pd_id;
@@ -255,7 +266,8 @@ val delete : t -> actor:string -> string list -> (unit, error) result
     journal record, then one destruction of every slot — in chunks
     whose records fit the ring ([Journal_ring.max_payload]), each atomic,
     when the batch is larger; a failing chunk stops the batch, the chunks
-    before it deleted.  A single pd is a batch of one. *)
+    before it deleted, and its error is then [Stopped], naming their pds
+    ({!committed}).  A single pd is a batch of one. *)
 
 val erase_with :
   t ->
@@ -288,7 +300,9 @@ val erase_with :
     destroyed yet.  A batch whose record would not fit the ring
     ([Journal_ring.max_payload]) commits in chunks of whole pds, each
     atomic in the same way; a failing chunk stops the batch, the chunks
-    before it erased.  A single pd is a batch of one. *)
+    before it erased, and its error is then [Stopped], naming their pds
+    ({!committed}) so that a caller can audit them.  A single pd is a
+    batch of one. *)
 
 val erased_payload : t -> actor:string -> string -> (string, error) result
 (** The sealed envelope bytes of an erased entry (what a supervisory

@@ -498,17 +498,16 @@ let builtin_delete t ~pd_id =
 
 (* One DBFS call withdraws the consents and seals the records of the
    whole batch, so each pd is resolved once and the batch commits as one
-   unit. *)
+   unit.  Every pd it erased is audited, those of a batch stopped after
+   its first chunks too. *)
 let builtin_crypto_erase t ~pd_ids ~seal =
-  match
+  let result =
     Dbfs.erase_with t.dbfs ~actor ~withdraw:Membrane.withdraw_all pd_ids ~seal
-  with
-  | Error e -> storage e
-  | Ok erased ->
-      List.iter
-        (fun pd_id ->
-          ignore
-            (Audit_log.append t.audit ~now:(Clock.now t.clock) ~actor
-               (Audit_log.Erased { pd_id; mode = "crypto" })))
-        erased;
-      Ok erased
+  in
+  List.iter
+    (fun pd_id ->
+      ignore
+        (Audit_log.append t.audit ~now:(Clock.now t.clock) ~actor
+           (Audit_log.Erased { pd_id; mode = "crypto" })))
+    (match result with Ok erased -> erased | Error e -> Dbfs.committed e);
+  match result with Ok erased -> Ok erased | Error e -> storage e

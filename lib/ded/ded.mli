@@ -192,7 +192,8 @@ val builtin_crypto_erase :
     so each pd is resolved once and every withdrawal and seal commit in
     one journal record (a crash never leaves a pd withdrawn but live, nor
     the subject half-erased).  Returns the pds it erased, each audited,
-    in order; a pd already erased is skipped, writing nothing.  On an
-    error nothing is audited: the batch wrote nothing unless it was
-    larger than one journal chunk, when the chunks before the failing one
-    stay erased (see {!Rgpdos_dbfs.Dbfs.erase_with}). *)
+    in order; a pd already erased is skipped, writing nothing.  An error
+    wrote nothing unless the batch was larger than one journal chunk and
+    stopped after committing its first chunks: their pds stay erased and
+    are audited, in order, before the error returns (see
+    {!Rgpdos_dbfs.Dbfs.erase_with}). *)

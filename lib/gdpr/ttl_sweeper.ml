@@ -13,31 +13,40 @@ type report = {
 
 let actor = "ded" (* the sweeper is an rgpdOS built-in and runs as the DED *)
 
+(* The [due] pds whose membrane says they have expired: one batched
+   load re-checks them all; if it fails, each pd is re-checked alone, so
+   one damaged membrane holds back no other pd.  Returns the error of
+   each pd that failed alone. *)
+let rec recheck ~dbfs ~now due =
+  match (Dbfs.get_membranes dbfs ~actor due, due) with
+  | Ok ms, _ ->
+      ( List.filter_map
+          (fun (pd_id, m) -> if Membrane.expired m ~now then Some pd_id else None)
+          ms,
+        [] )
+  | Error e, [ pd_id ] -> ([], [ (pd_id, Dbfs.error_to_string e) ])
+  | Error _, _ ->
+      List.fold_left
+        (fun (expired, errors) pd_id ->
+          let x, e = recheck ~dbfs ~now [ pd_id ] in
+          (expired @ x, errors @ e))
+        ([], []) due
+
 (* Remove the expired [pds] with one DBFS call, logging each removal in
    the audit chain, in order.  Returns how many it removed and the error
-   of each pd it did not.  Every pd was live on entry, so after a failed
-   call, which may have removed the chunks before the failing one, a pd
-   that is gone (deleted) or erased was removed by it. *)
-let remove ~dbfs ~audit ~now ~mode pds =
+   of each pd it did not.  A batch stopped after its first chunks reports
+   their pds ([Dbfs.committed]), which stay removed; on any error the
+   pds the call did not remove are retried as batches of one, so one
+   damaged pd holds back no other. *)
+let rec remove ~dbfs ~audit ~now ~mode pds =
   let result, mode_str =
     match mode with
     | Physical_delete ->
         (Result.map (fun () -> pds) (Dbfs.delete dbfs ~actor pds), "physical")
     | Crypto_erase seal -> (Dbfs.erase_with dbfs ~actor pds ~seal, "crypto")
   in
-  let removed, failed =
-    match result with
-    | Ok removed -> (removed, [])
-    | Error e ->
-        let gone pd_id =
-          match (Dbfs.entry_info dbfs ~actor pd_id, mode) with
-          | Error (Dbfs.Unknown_pd _), Physical_delete
-          | Ok (_, _, true), Crypto_erase _ ->
-              true
-          | _ -> false
-        in
-        let removed, kept = List.partition gone pds in
-        (removed, List.map (fun pd_id -> (pd_id, Dbfs.error_to_string e)) kept)
+  let removed =
+    match result with Ok removed -> removed | Error e -> Dbfs.committed e
   in
   List.iter
     (fun pd_id ->
@@ -45,7 +54,18 @@ let remove ~dbfs ~audit ~now ~mode pds =
         (Audit_log.append audit ~now ~actor
            (Audit_log.Erased { pd_id; mode = mode_str })))
     removed;
-  (List.length removed, failed)
+  match (result, pds) with
+  | Ok _, _ -> (List.length removed, [])
+  | Error e, [ pd_id ] -> (0, [ (pd_id, Dbfs.error_to_string e) ])
+  | Error _, _ ->
+      List.fold_left
+        (fun (n, failed) pd_id ->
+          if List.mem pd_id removed then (n, failed)
+          else
+            let k, f = remove ~dbfs ~audit ~now ~mode [ pd_id ] in
+            (n + k, failed @ f))
+        (List.length removed, [])
+        pds
 
 let sweep ~dbfs ~audit ~now ~mode ?(incremental = true) () =
   if incremental then begin
@@ -53,26 +73,15 @@ let sweep ~dbfs ~audit ~now ~mode ?(incremental = true) () =
        membranes one batched load re-checks — the queue is an index, the
        membrane stays the authority — and one call removes.  Removal
        clears each pd's queue entry as part of its journalled op; a pd
-       whose removal fails stays queued and is retried on the next
-       sweep. *)
+       whose re-check or removal fails stays queued and is retried on the
+       next sweep, and the others go on without it. *)
     let due =
       match Dbfs.expired_pds dbfs ~actor ~now with
       | Ok ids -> ids
       | Error _ -> []
     in
     let expired, errors =
-      match due with
-      | [] -> ([], [])
-      | _ -> (
-          match Dbfs.get_membranes dbfs ~actor due with
-          | Ok ms ->
-              ( List.filter_map
-                  (fun (pd_id, m) ->
-                    if Membrane.expired m ~now then Some pd_id else None)
-                  ms,
-                [] )
-          | Error e ->
-              ([], List.map (fun pd_id -> (pd_id, Dbfs.error_to_string e)) due))
+      if due = [] then ([], []) else recheck ~dbfs ~now due
     in
     let removed, failed =
       if expired = [] then (0, []) else remove ~dbfs ~audit ~now ~mode expired

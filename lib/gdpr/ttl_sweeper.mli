@@ -36,8 +36,13 @@ val sweep :
     {!Rgpdos_dbfs.Dbfs.erase_with} (or {!Rgpdos_dbfs.Dbfs.delete}) call:
     one journal record and one destruction for the whole sweep, so a
     crash leaves it all done or not begun.  Audit entries stay one per
-    pd, in expiry order.  A pd whose removal fails stays queued for the
-    next sweep.
+    pd, in expiry order.  If the batched re-check or removal fails (a
+    damaged membrane or record), every pd it did not remove is re-checked
+    or removed alone, so the others are removed and audited without it;
+    a pd whose removal fails stays queued for the next sweep, with its
+    error in [report.errors].  A sweep larger than one journal record
+    commits in chunks ({!Rgpdos_dbfs.Dbfs.erase_with}); the pds of the
+    chunks before a failing one stay removed and are audited.
 
     [~incremental:false] preserves the legacy full scan over every
     non-erased membrane (measurement baseline; identical outcome), each

@@ -141,8 +141,10 @@ val right_to_erasure : t -> subject:string -> (int, string) result
 (** Art. 17: crypto-erase every PD of the subject under the authority's
     public key and withdraw all consents, as one batch
     ({!Rgpdos_ded.Ded.builtin_crypto_erase}): one commit, so a crash
-    leaves the subject wholly erased or untouched.  Returns the number of
-    PD erased (PD already erased are skipped). *)
+    leaves the subject wholly erased or untouched (a subject whose PDs
+    outgrow one journal record commits in chunks, each atomic; an error
+    after the first leaves their PDs erased and audited).  Returns the
+    number of PD erased (PD already erased are skipped). *)
 
 val right_to_rectification :
   t -> pd_id:string -> Rgpdos_dbfs.Record.t -> (unit, string) result

@@ -178,10 +178,15 @@ let zipf_workload store ~n ~ops ~budget =
      else if r < 60 then
        match Dbfs.pds_of_subject store ~actor subject with
        | Error e -> note (Error e)
-       | Ok pds -> (
-           match Dbfs.erase_with store ~actor pds ~seal:(fun _ -> "sealed") with
-           | Ok _ -> ()
-           | Error e -> note (Error e))
+       | Ok pds ->
+           List.iter
+             (fun pd ->
+               match
+                 Dbfs.erase_with store ~actor [ pd ] ~seal:(fun _ -> "sealed")
+               with
+               | Ok _ -> ()
+               | Error e -> note (Error e))
+             pds
      else if r < 98 then
        note
          (Dbfs.select store ~actor "person"

@@ -646,6 +646,158 @@ let test_batch_chunks_are_atomic () =
   check_int "as many partial states as chunk boundaries" (chunks - 1)
     (List.length partial)
 
+(* The pds of the [Erased] audit entries, oldest first. *)
+let audited audit =
+  List.filter_map
+    (fun (e : Rgpdos_audit.Audit_log.entry) ->
+      match e.event with
+      | Rgpdos_audit.Audit_log.Erased { pd_id; _ } -> Some pd_id
+      | _ -> None)
+    (Rgpdos_audit.Audit_log.entries audit)
+
+(* A batch stopped after its first chunk reports it.  On a 2-block
+   ring (24 pds take two records or more), a permanent fault on the
+   first write past the first chunk (its payload write; a checkpoint
+   just before the batch keeps the first chunk's own record from forcing
+   one) leaves that chunk's pds erased: [erase_with]'s error is
+   [Stopped], naming them, and the erasure counters count them.  The
+   DED's erasure and the TTL sweep, stopped at the same write, audit
+   exactly those pds, in batch order. *)
+let test_stopped_batch_reports_its_chunks () =
+  let config = { small_config with block_count = 4096 } in
+  let n = 24 in
+  let seal _ = "SEALED-ENVELOPE" in
+  let counter t name = Rgpdos_util.Stats.Counter.get (Dbfs.stats t) name in
+  (* [erase] run on a fresh, checkpointed store of [n] pds (due at two
+     years), with a permanent write fault at the [k]th write it makes
+     ([k = 0]: none): its result, the pds it left erased, in store order,
+     the rise of the erasure counters, and its writes *)
+  let run k erase =
+    let clock = Clock.create () in
+    let dev = Block_device.create ~config ~clock () in
+    let t = Dbfs.format dev ~journal_blocks:2 in
+    ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+    let pds =
+      List.init n (fun i ->
+          insert_user t ~subject:(Printf.sprintf "sub-%02d" i)
+            (Printf.sprintf "STOPPED-%02d-SECRET" i)
+            1990)
+    in
+    Dbfs.checkpoint t;
+    let plan = Fault_plan.create () in
+    if k > 0 then
+      Fault_plan.on_write plan ~nth:k (Fault_plan.Fail_write { transient = false });
+    let e0 = counter t "erasures" and m0 = counter t "membrane_updates" in
+    Block_device.set_fault_plan dev (Some plan);
+    let result = erase t clock pds in
+    let erased =
+      List.filter
+        (fun pd ->
+          let _, _, erased = ok (Dbfs.entry_info t ~actor:ded pd) in
+          erased)
+        pds
+    in
+    ( result,
+      erased,
+      (counter t "erasures" - e0, counter t "membrane_updates" - m0),
+      Fault_plan.writes_seen plan )
+  in
+  (* the first write at which [erase_with] stops after a chunk *)
+  let stop_point ?withdraw () =
+    let erase t _ pds = Dbfs.erase_with t ~actor:ded ?withdraw pds ~seal in
+    let _, erased, _, writes = run 0 erase in
+    check_int "without a fault the whole batch is erased" n (List.length erased);
+    let rec go k =
+      if k > writes then Alcotest.fail "no write stops the batch after a chunk"
+      else
+        match run k erase with
+        | (Error (Dbfs.Stopped _), _, _, _) as r -> (k, r)
+        | _ -> go (k + 1)
+    in
+    go 1
+  in
+  let k, (result, erased, (erasures, membranes), _) =
+    stop_point ~withdraw:M.withdraw_all ()
+  in
+  check_bool "the first chunk is erased, and only it" true
+    (erased <> [] && List.length erased < n);
+  Alcotest.(check (list string)) "Stopped names the erased pds" erased
+    (match result with Error e -> Dbfs.committed e | Ok _ -> []);
+  check_int "erasures counts them" (List.length erased) erasures;
+  check_int "membrane_updates counts them" (List.length erased) membranes;
+  let audit = ref (Rgpdos_audit.Audit_log.create ()) in
+  let result, erased', _, _ =
+    run k (fun t clock pds ->
+        let d = Rgpdos_ded.Ded.create ~clock ~dbfs:t ~audit:!audit () in
+        Rgpdos_ded.Ded.builtin_crypto_erase d ~pd_ids:pds ~seal)
+  in
+  check_bool "the DED's erasure fails" true (Result.is_error result);
+  Alcotest.(check (list string)) "... erasing the first chunk" erased erased';
+  Alcotest.(check (list string)) "... and auditing it" erased (audited !audit);
+  let k, (_, erased, _, _) = stop_point () in
+  audit := Rgpdos_audit.Audit_log.create ();
+  let report, erased', _, _ =
+    run k (fun t _ _ ->
+        Rgpdos_gdpr.Ttl_sweeper.sweep ~dbfs:t ~audit:!audit ~now:(2 * Clock.year)
+          ~mode:(Rgpdos_gdpr.Ttl_sweeper.Crypto_erase seal) ())
+  in
+  Alcotest.(check (list string)) "the sweep erases the first chunk" erased erased';
+  Alcotest.(check (list string)) "... audits it" erased (audited !audit);
+  check_int "... counts it" (List.length erased)
+    report.Rgpdos_gdpr.Ttl_sweeper.removed;
+  check_int "... and reports every other pd" (n - List.length erased)
+    (List.length report.Rgpdos_gdpr.Ttl_sweeper.errors)
+
+(* One damaged pd holds back no other.  A sweep whose due pds include
+   one whose membrane and another whose record fail their checksums
+   erases and audits every other due pd, in expiry order, reports the
+   two with their errors, and leaves both queued. *)
+let test_sweep_skips_damaged_pds () =
+  let config = { small_config with block_count = 4096 } in
+  let dev = Block_device.create ~config ~clock:(Clock.create ()) () in
+  let t = Dbfs.format dev ~journal_blocks:64 in
+  ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+  for i = 0 to 5 do
+    ignore
+      (insert_user t ~subject:(Printf.sprintf "sub-%d" i) (Printf.sprintf "DUE-%d" i)
+         1990)
+  done;
+  Dbfs.checkpoint t;
+  (* a remount starts with empty caches, so every load reads the medium *)
+  let t =
+    match Dbfs.crash_and_remount t with Ok t -> t | Error e -> Alcotest.fail e
+  in
+  let now = 2 * Clock.year in
+  let due = ok (Dbfs.expired_pds t ~actor:ded ~now) in
+  check_int "every pd is due" 6 (List.length due);
+  let bad_membrane = List.nth due 1 and bad_record = List.nth due 4 in
+  let flip pd pick =
+    let x = pick (ok (Dbfs.entry_extents t ~actor:ded pd)) in
+    Block_device.unsafe_flip dev ~block:(List.hd x.Space.blocks)
+      ~byte:(x.Space.off + 3) ~bit:0
+  in
+  flip bad_membrane snd;
+  flip bad_record fst;
+  let audit = Rgpdos_audit.Audit_log.create () in
+  let report =
+    Rgpdos_gdpr.Ttl_sweeper.sweep ~dbfs:t ~audit ~now
+      ~mode:(Rgpdos_gdpr.Ttl_sweeper.Crypto_erase (fun _ -> "SEALED")) ()
+  in
+  let others = List.filter (fun pd -> pd <> bad_membrane && pd <> bad_record) due in
+  check_int "every other due pd removed" 4 report.Rgpdos_gdpr.Ttl_sweeper.removed;
+  Alcotest.(check (list string)) "... and audited, in expiry order" others
+    (audited audit);
+  List.iter
+    (fun pd ->
+      let _, _, erased = ok (Dbfs.entry_info t ~actor:ded pd) in
+      check_bool (pd ^ " erased iff undamaged") (List.mem pd others) erased)
+    due;
+  Alcotest.(check (list string)) "the damaged pds are reported"
+    [ bad_membrane; bad_record ]
+    (List.map fst report.Rgpdos_gdpr.Ttl_sweeper.errors);
+  Alcotest.(check (list string)) "... and stay queued" [ bad_membrane; bad_record ]
+    (ok (Dbfs.expired_pds t ~actor:ded ~now))
+
 (* ------------------------------------------------------------------ *)
 (* slots: extents are byte ranges of shared pages                     *)
 
@@ -914,6 +1066,41 @@ let test_unwritten_tail_dropped ~allocator () =
         ((Dbfs.fsck_repair t'').Dbfs.rr_journal_truncated = None);
       repaired "after the next append" t'')
     mutations
+
+(* A faulted page of an earlier record does not excuse the tail.  The
+   journal holds two inserts, whose membrane page is then permanently
+   bad, and last a rectification whose data never reached the device:
+   replay's one read of every page the records name faults, so the tail
+   is checked against its own pages alone, and dropped. *)
+let test_tail_checked_despite_faulted_page () =
+  let config = { small_config with block_count = 4096 } in
+  let dev = Block_device.create ~config ~clock:(Clock.create ()) () in
+  let t = Dbfs.format dev ~journal_blocks:64 in
+  ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+  let keep = insert_user t ~subject:"sub-0" "KEEP" 1980 in
+  let pd = insert_user t ~subject:"sub-1" "BEFORE" 1990 in
+  let bad = List.hd (snd (ok (Dbfs.entry_extents t ~actor:ded keep))).Space.blocks in
+  let before = Block_device.snapshot dev in
+  ok (Dbfs.update_record t ~actor:ded pd (user_record "NEVER-WRITTEN" 1991));
+  let image = Block_device.snapshot dev in
+  let data = (Dbfs.layout t).Space.l_data_start in
+  check_bool "the rectification wrote outside the bad page" true
+    (List.hd (fst (ok (Dbfs.entry_extents t ~actor:ded pd))).Space.blocks <> bad);
+  for i = data to config.Block_device.block_count - 1 do
+    image.(i) <- before.(i)
+  done;
+  let dev' = Block_device.create ~config ~clock:(Clock.create ()) () in
+  Block_device.restore dev' image;
+  Block_device.inject_fault dev' bad;
+  let t' = match Dbfs.mount dev' with Ok t -> t | Error e -> Alcotest.fail e in
+  (match Dbfs.replay_report t' with
+  | Some r ->
+      check_string "replay drops the unwritten tail" "unwritten_data"
+        (Rgpdos_block.Journal_ring.stop_reason_to_string r.stop_reason)
+  | None -> Alcotest.fail "no replay report");
+  check_bool "the pd reads its previous record" true
+    (Record.get (ok (Dbfs.get_record t' ~actor:ded pd)) "name"
+    = Some (Value.VString "BEFORE"))
 
 let test_dbfs_queries () =
   let t, _, _ = setup () in
@@ -1324,6 +1511,10 @@ let () =
             (test_batch_erasure_crash_atomic ~allocator:Space.Heap ~withdraw:false);
           Alcotest.test_case "a batch past the ring commits in atomic chunks" `Quick
             test_batch_chunks_are_atomic;
+          Alcotest.test_case "a stopped batch reports its chunks" `Quick
+            test_stopped_batch_reports_its_chunks;
+          Alcotest.test_case "a damaged due pd holds back no other" `Quick
+            test_sweep_skips_damaged_pds;
           Alcotest.test_case "erasing a shared-page pd (heap)" `Quick
             (test_erase_shared_page ~allocator:Space.Heap);
           Alcotest.test_case "erasing a shared-page pd (segments)" `Quick
@@ -1337,6 +1528,8 @@ let () =
             (test_unwritten_tail_dropped ~allocator:Space.Heap);
           Alcotest.test_case "unwritten tail is dropped (segments)" `Quick
             (test_unwritten_tail_dropped ~allocator:Space.segments);
+          Alcotest.test_case "a faulted page does not excuse the tail" `Quick
+            test_tail_checked_despite_faulted_page;
           Alcotest.test_case "queries" `Quick test_dbfs_queries;
           Alcotest.test_case "export subject" `Quick test_dbfs_export_subject;
           Alcotest.test_case "sensitive region separation" `Quick test_dbfs_sensitive_region_separation;
