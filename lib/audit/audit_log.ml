@@ -131,14 +131,6 @@ let event_pd_ids = function
   | Registered _ -> []
   | Attested _ -> []
 
-let for_pd t pd_id =
-  entries t |> List.filter (fun e -> List.mem pd_id (event_pd_ids e.event))
-
-let for_subject_pds t pd_ids =
-  entries t
-  |> List.filter (fun e ->
-         List.exists (fun id -> List.mem id pd_ids) (event_pd_ids e.event))
-
 let verify t =
   let rec go prev_hash = function
     | [] -> Ok ()
@@ -285,7 +277,9 @@ let json_escape s =
 
 let export_for_subject t ~pd_ids =
   let items =
-    for_subject_pds t pd_ids
+    entries t
+    |> List.filter (fun e ->
+           List.exists (fun id -> List.mem id pd_ids) (event_pd_ids e.event))
     |> List.map (fun e ->
            Printf.sprintf
              "{\"seq\": %d, \"time_ns\": %d, \"actor\": \"%s\", \"event\": \"%s\"}"

@@ -44,13 +44,6 @@ val length : t -> int
 val entries : t -> entry list
 (** Oldest first. *)
 
-val for_pd : t -> string -> entry list
-(** Every entry mentioning the given pd_id — the per-PD processing history
-    the right of access requires. *)
-
-val for_subject_pds : t -> string list -> entry list
-(** Entries mentioning any of the given pd_ids. *)
-
 val verify : t -> (unit, int) result
 (** Recompute the chain; [Error seq] points at the first corrupted entry. *)
 
@@ -71,4 +64,5 @@ val pp_entry : Format.formatter -> entry -> unit
 
 val export_for_subject : t -> pd_ids:string list -> string
 (** Human/machine-readable JSON list of the processing history for a
-    subject's PD, included in right-of-access responses. *)
+    subject's PD — every entry mentioning any of [pd_ids], oldest first —
+    included in right-of-access responses. *)

@@ -151,10 +151,11 @@ let enter_degraded t reason =
   end;
   Error (Degraded reason)
 
+let degrade_on_fault t b =
+  enter_degraded t (Printf.sprintf "unrecoverable device fault on block %d" b)
+
 let protect_write t thunk =
-  try thunk ()
-  with Block_device.Faulted b ->
-    enter_degraded t (Printf.sprintf "unrecoverable device fault on block %d" b)
+  try thunk () with Block_device.Faulted b -> degrade_on_fault t b
 
 let protect_read thunk =
   try thunk ()
@@ -794,7 +795,7 @@ let apply_ops ?pages ?freed_acc t ops =
    (entries, index facts, the bitmap) lives behind the roots and is read
    on demand — which is what makes a clean mount O(1) device reads. *)
 
-let encode_root_payload t ~seq =
+let encode_root_payload t ~seq ~half ~used ~entries ~iroots =
   let w = Codec.Writer.create () in
   Codec.Writer.string w root_magic;
   Codec.Writer.int w seq;
@@ -807,11 +808,11 @@ let encode_root_payload t ~seq =
     |> List.sort compare
   in
   Codec.Writer.list w (fun (_, enc) -> Codec.Writer.string w enc) schemas;
-  Codec.Writer.int w t.active_half;
-  Codec.Writer.int w t.heap_used;
+  Codec.Writer.int w half;
+  Codec.Writer.int w used;
   Codec.Writer.int w t.entry_count;
-  Pagestore.encode_root w t.entries_base;
-  Index.encode_roots w t.index_roots;
+  Pagestore.encode_root w entries;
+  Index.encode_roots w iroots;
   Space.encode_root w t.space;
   Codec.Writer.contents w
 
@@ -890,13 +891,13 @@ let read_root_slot dev ~start ~block_size:bs =
       in
       match parse with Ok rs -> Some rs | Error _ -> None)
 
-(* Write the next root: slot alternates with the sequence number, so the
-   previous root survives a torn write of this one.  This is the single
-   commit point of a checkpoint. *)
-let commit_root t =
+(* Write the next root, naming the trees in [half]: slot alternates with
+   the sequence number, so the previous root survives a torn write of
+   this one.  This is the single commit point of a checkpoint. *)
+let commit_root t ~half ~used ~entries ~iroots =
   let bs = block_size t in
   let seq = t.root_seq + 1 in
-  let payload = encode_root_payload t ~seq in
+  let payload = encode_root_payload t ~seq ~half ~used ~entries ~iroots in
   let framed =
     let w = Codec.Writer.create () in
     Codec.Writer.string w payload;
@@ -922,15 +923,18 @@ let commit_root t =
      1. bulk-write every tree into the inactive heap half;
      2. serialize the allocation bitmap (when hydrated);
      3. write the next root slot   <- the commit point;
-     4. retire the journal prefix;
-     5. zero the old heap half;
-     6. drop cached node pages of the retired trees.
+     4. take up the new trees;
+     5. retire the journal prefix;
+     6. zero the old heap half;
+     7. drop cached node pages of the retired trees.
 
    The root is journalled (written) only after every node it references
    persists, so a crash at any step leaves either the old root (with the
    old half intact and the journal still replayable) or the new root
    (with the new half complete) — never a root pointing at missing
-   pages. *)
+   pages.  The store reads the old trees until the root write returns,
+   so a root write that fails leaves it as it was, and a retry writes
+   the same half again. *)
 let checkpoint t =
   let target = 1 - t.active_half in
   let used = ref 0 in
@@ -945,20 +949,25 @@ let checkpoint t =
   Space.checkpoint t.space;
   let old_half = t.active_half in
   let old_used = t.heap_used in
+  commit_root t ~half:target ~used:!used ~entries:entries_root ~iroots;
+  Index.rebase t.index ~io iroots;
   t.entries_base <- entries_root;
   t.index_roots <- iroots;
   t.active_half <- target;
   t.heap_used <- !used;
-  commit_root t;
   (* durability barrier: settle flush submissions (their bytes are
      already on the medium) before retiring the journal prefix *)
   Journal_ring.barrier t.ring;
   Journal_ring.mark_checkpointed t.ring;
   (* deallocation hygiene: the retired half held index facts (subjects,
-     field values) — zero whatever was actually written there *)
-  Space.zero t.space
-    (List.init old_used (fun i -> heap_start t old_half + i)
-    |> List.filter (Block_device.is_written t.dev));
+     field values) — zero whatever was actually written there.  The
+     checkpoint stands: a fault here degrades the store, and the rest of
+     the generation switch still runs *)
+  (try
+     Space.zero t.space
+       (List.init old_used (fun i -> heap_start t old_half + i)
+       |> List.filter (Block_device.is_written t.dev))
+   with Block_device.Faulted b -> ignore (degrade_on_fault t b));
   (* eviction-coherence: cached node pages name heap blocks the next
      checkpoint will reuse — drop them at the generation boundary.  Any
      speculative prefetch still in flight targets the dying generation
@@ -1019,7 +1028,10 @@ let replace_bytes t kind pd_id size =
    page read) rather than their sum.  Only the journal's last record can
    therefore be durable without its data; mount checks that record
    against its data before applying it ([tail_written]).  Both tickets
-   are settled on every path, an append that raises included. *)
+   are settled on every path, an append that raises included.  A fault
+   before the ops apply raises, the commit not done; once they have
+   applied the commit stands, so a fault destroying [retiring] (or in
+   the maintenance after it) degrades the store instead of raising. *)
 let rec commit ?destroy ?(retiring = []) t placed ops =
   let p =
     Space.submit ?destroy t.space placed ~retiring:(List.map ext retiring)
@@ -1032,7 +1044,8 @@ let rec commit ?destroy ?(retiring = []) t placed ops =
             ~on_overflow:(fun () -> checkpoint t)
             (encode_record (List.map snd ops))));
   apply_ops t ops;
-  Space.finish t.space p ~relocate:(relocate t)
+  try Space.finish t.space p ~relocate:(relocate t)
+  with Block_device.Faulted b -> ignore (degrade_on_fault t b)
 
 (* ------------------------------------------------------------------ *)
 (* space: compaction survivors, placement                             *)
@@ -1217,7 +1230,8 @@ let format ?(allocator = Space.Heap) dev ~journal_blocks =
   let t =
     assemble dev ~ring ~counters ~journal_blocks ~meta_blocks ~allocator None
   in
-  commit_root t;
+  commit_root t ~half:0 ~used:0 ~entries:Pagestore.empty_root
+    ~iroots:Index.empty_roots;
   t
 
 (* Replay's one data read: every page the replayed records' extents name
@@ -1637,41 +1651,54 @@ let get_record t ~actor pd_id =
   | _ -> Error (Erased pd_id)
 
 (* Commit [items] in [chunks] (by [bytes]), in order, through
-   [commit_chunk]; a failing chunk stops the batch.  When chunks before
-   it committed, the error is [Stopped], naming the pds ([pd_of]) of
-   their items. *)
-let commit_chunks t ~bytes ~pd_of commit_chunk items =
-  let rec go committed = function
-    | [] -> Ok ()
-    | chunk :: rest -> (
+   [commit_chunk]; a failing chunk stops the batch, and so does a chunk
+   whose commit stands but degraded the store (a fault destroying its
+   superseded slots, see [commit]).  When chunks committed before the
+   stop, the error is [Stopped], naming the pds ([pds_of]) of their
+   items. *)
+let commit_chunks t ~bytes ~pds_of commit_chunk items =
+  let rec go committed chunks =
+    let stop cause =
+      if committed = [] then Error cause
+      else Error (Stopped { committed = List.rev committed; cause })
+    in
+    match (t.degraded, chunks) with
+    | Some reason, _ -> stop (Degraded reason)
+    | None, [] -> Ok ()
+    | None, chunk :: rest -> (
         match commit_chunk chunk with
-        | Ok () -> go (List.rev_append (List.map pd_of chunk) committed) rest
-        | Error cause when committed = [] -> Error cause
-        | Error cause -> Error (Stopped { committed = List.rev committed; cause }))
+        | Ok () -> go (List.rev_append (List.concat_map pds_of chunk) committed) rest
+        | Error cause -> stop cause)
   in
   go [] (chunks t bytes items)
 
+(* The pds of [pds] that the batch [result] did — all of them, or the
+   chunks committed before it stopped — counted under each of [names]. *)
+let done_pds t result pds names =
+  let pds = match result with Ok () -> pds | Error e -> committed e in
+  if pds <> [] then
+    List.iter (Stats.Counter.incr t.counters ~by:(List.length pds)) names;
+  pds
+
 (* The one extent write behind record updates, membrane updates and
-   erasure.  Each [(e, items)] of [batch] replaces extents of entry [e]
-   ([(kind, hint, payload)] items, an entry's items kept together).  The
-   batch commits in chunks whose journal records fit the ring, as
-   [relocate]'s do, and a batch of ordinary size is one chunk: every
-   payload of a chunk is placed at once and written in one request, its
-   [J_replace]s journaled as one record, and its superseded slots
-   destroyed once.  So a crash leaves each chunk all applied or not at
-   all.  With a [Sealed] item the destruction is erasure's duty: no
-   plaintext of the old record may remain anywhere.  A chunk that cannot
-   be placed or written stops the batch ([commit_chunks]), the chunks
-   before it committed. *)
-let replace_extents t batch =
+   erasure.  [units] is the batch: each unit is [(e, item)] pairs, each
+   item [(kind, hint, payload)] replacing an extent of entry [e], and a
+   unit is never split.  The batch commits in chunks of whole units whose
+   journal records fit the ring, as [relocate]'s do, and a batch of
+   ordinary size is one chunk: every payload of a chunk is placed at
+   once and written in one request, its [J_replace]s journaled as one
+   record, and its superseded slots destroyed once.  So a crash leaves
+   each chunk all applied or not at all.  With a [Sealed] item the
+   destruction is erasure's duty: no plaintext of the old record may
+   remain anywhere.  A chunk that cannot be placed or written stops the
+   batch ([commit_chunks]), the chunks before it committed. *)
+let replace_extents t units =
   (* the entries enter the overlay before placement: a compaction that
      placement triggers then relocates these very entry objects, so each
      is current when its own ops apply *)
-  List.iter (fun (e, _) -> Hashtbl.replace t.entries e.pd_id e) batch;
+  List.iter (List.iter (fun (e, _) -> Hashtbl.replace t.entries e.pd_id e)) units;
   let commit_chunk chunk =
-    let items =
-      List.concat_map (fun (e, items) -> List.map (fun i -> (e, i)) items) chunk
-    in
+    let items = List.concat chunk in
     match
       place t
         (List.map
@@ -1695,13 +1722,14 @@ let replace_extents t batch =
                  items xs);
             Ok ())
   in
-  let bytes (e, items) =
-    List.fold_left
-      (fun n (kind, _, payload) ->
-        n + replace_bytes t kind e.pd_id (String.length payload))
-      0 items
-  in
-  commit_chunks t ~bytes ~pd_of:(fun (e, _) -> e.pd_id) commit_chunk batch
+  commit_chunks t
+    ~bytes:
+      (List.fold_left
+         (fun n (e, (kind, _, payload)) ->
+           n + replace_bytes t kind e.pd_id (String.length payload))
+         0)
+    ~pds_of:(fun unit -> distinct (List.map (fun (e, _) -> e.pd_id) unit))
+    commit_chunk units
 
 let update_record t ~actor pd_id record =
   let** () = guard t ~actor ~op:"write" in
@@ -1715,19 +1743,12 @@ let update_record t ~actor pd_id record =
         match Schema.validate_record tbl.schema record with
         | Error msg -> Error (Invalid_record msg)
         | Ok () ->
-            let** () =
-              replace_extents t
-                [
-                  ( e,
-                    [
-                      ( Record,
-                        { no_hint with h_record = Some record },
-                        Record.encode record );
-                    ] );
-                ]
+            let item =
+              (Record, { no_hint with h_record = Some record }, Record.encode record)
             in
-            Stats.Counter.incr t.counters "record_updates";
-            Ok ())
+            let result = replace_extents t [ [ (e, item) ] ] in
+            ignore (done_pds t result [ pd_id ] [ "record_updates" ]);
+            result)
 
 (* A membrane replacement for [e], checked before anything is written:
    it must keep the entry's identity. *)
@@ -1737,33 +1758,47 @@ let membrane_item e m =
   in
   Ok (Membrane, { no_hint with h_membrane = Some m }, Membrane.encode m)
 
-(* One descent resolves every pd, every membrane is checked before
-   anything is written, and one [replace_extents] commits them. *)
-let update_membranes t ~actor updates =
+(* Commit the membrane [units] ([replace_extents]'s); the pds rewritten. *)
+let rewrite_membranes t units =
+  let result = replace_extents t units in
+  let pds = List.concat_map (List.map (fun (e, _) -> e.pd_id)) units in
+  let rewritten = done_pds t result pds [ "membrane_updates" ] in
+  Result.map (fun () -> rewritten) result
+
+(* The [x]s of [(m, x)] pairs grouped by the lineage of membrane [m],
+   each group in input order, the groups in the order of their first
+   member. *)
+let by_lineage pairs =
+  let root (m, _) = Membrane.lineage_root m in
+  List.map
+    (fun r -> List.filter_map (fun p -> if root p = r then Some (snd p) else None) pairs)
+    (distinct (List.map root pairs))
+
+(* One descent resolves the batch, one load reads its membranes, and one
+   [replace_extents] rewrites them, a lineage per unit; every new
+   membrane is checked before anything is written. *)
+let update_membranes t ~actor pd_ids f =
   let** () = guard t ~actor ~op:"write" in
   let** () = check_degraded t in
-  let ids = List.map fst updates in
-  if List.length (distinct ids) <> List.length ids then
-    Error (Membrane_mismatch "a pd named twice in one batch")
-  else
-    let** entries = resolve_entries t ids in
-    let** batch =
-      all_ok
-        (List.map2
-           (fun e (_, m) -> Result.map (fun item -> (e, [ item ])) (membrane_item e m))
-           entries updates)
-    in
-    let result = replace_extents t batch in
-    let n =
-      match result with
-      | Ok () -> List.length batch
-      | Error e -> List.length (committed e)
-    in
-    if n > 0 then Stats.Counter.incr t.counters ~by:n "membrane_updates";
-    result
+  let** entries = resolve_entries t (distinct pd_ids) in
+  let** got = load_extents t membrane_x ~channel:0 entries in
+  let** checked =
+    all_ok
+      (List.map2
+         (fun e (_, m) ->
+           let m = Option.get m in
+           Result.map (fun item -> (m, (e, item))) (membrane_item e (f m)))
+         entries got)
+  in
+  rewrite_membranes t (by_lineage checked)
 
+(* A blind write: the given membrane, with no load of the current one. *)
 let update_membrane t ~actor pd_id membrane =
-  update_membranes t ~actor [ (pd_id, membrane) ]
+  let** () = guard t ~actor ~op:"write" in
+  let** () = check_degraded t in
+  let** e = find_entry t pd_id in
+  let** item = membrane_item e membrane in
+  Result.map ignore (rewrite_membranes t [ [ (e, item) ] ])
 
 let copy_pd t ~actor pd_id =
   let** () = guard t ~actor ~op:"write" in
@@ -1784,7 +1819,7 @@ let delete t ~actor pd_ids =
   let** entries = resolve_entries t (distinct pd_ids) in
   commit_chunks t
     ~bytes:(fun e -> String.length (encode_record [ J_delete e.pd_id ]))
-    ~pd_of:(fun e -> e.pd_id)
+    ~pds_of:(fun e -> [ e.pd_id ])
     (fun chunk ->
       protect_write t (fun () ->
           (* physical destruction after the metadata commit *)
@@ -1799,44 +1834,40 @@ let delete t ~actor pd_ids =
     entries
 
 (* One descent resolves the batch, one load each fetches the live pds'
-   membranes (with [withdraw]) and records, and one [replace_extents]
-   commits them: per pd the rewritten membrane, then the sealed record,
-   in one chunk, so a crash never leaves a pd withdrawn but live. *)
-let erase_with t ~actor ?withdraw pd_ids ~seal =
+   membranes (with [withdraw] or [only]) and the kept pds' records, and
+   one [replace_extents] commits them: per pd the rewritten membrane,
+   then the sealed record, in one unit, so a crash never leaves a pd
+   withdrawn but live. *)
+let erase_with t ~actor ?withdraw ?only pd_ids ~seal =
   let** () = guard t ~actor ~op:"erase" in
   let** () = check_degraded t in
   let** entries = resolve_entries t (distinct pd_ids) in
   let live = List.filter (fun e -> not e.erased) entries in
-  let** membranes =
-    match withdraw with
-    | None -> Ok (List.map (fun _ -> []) live)
-    | Some f ->
-        let** got = load_extents t membrane_x ~channel:0 live in
-        all_ok
-          (List.map2
-             (fun e (_, m) ->
-               Result.map (fun item -> [ item ]) (membrane_item e (f (Option.get m))))
-             live got)
+  let** kept =
+    if withdraw = None && only = None then Ok (List.map (fun e -> (e, [])) live)
+    else
+      let** got = load_extents t membrane_x ~channel:0 live in
+      List.combine live (List.map (fun (_, m) -> Option.get m) got)
+      |> List.filter (fun (_, m) -> Option.fold only ~none:true ~some:(fun f -> f m))
+      |> List.map (fun (e, m) ->
+             match withdraw with
+             | None -> Ok (e, [])
+             | Some f ->
+                 Result.map (fun item -> (e, [ (e, item) ])) (membrane_item e (f m)))
+      |> all_ok
   in
-  let** records = load_extents t record_x ~channel:0 live in
+  let** records = load_extents t record_x ~channel:0 (List.map fst kept) in
   let result =
     replace_extents t
       (List.map2
-         (fun (e, (_, r)) membrane ->
-           (e, membrane @ [ (Sealed, no_hint, seal (Option.get r)) ]))
-         (List.combine live records) membranes)
+         (fun (e, withdrawn) (_, r) ->
+           withdrawn @ [ (e, (Sealed, no_hint, seal (Option.get r))) ])
+         kept records)
   in
-  let erased =
-    match result with
-    | Ok () -> List.map (fun e -> e.pd_id) live
-    | Error e -> committed e
+  let counters =
+    if withdraw = None then [ "erasures" ] else [ "membrane_updates"; "erasures" ]
   in
-  let n = List.length erased in
-  if n > 0 then begin
-    if Option.is_some withdraw then
-      Stats.Counter.incr t.counters ~by:n "membrane_updates";
-    Stats.Counter.incr t.counters ~by:n "erasures"
-  end;
+  let erased = done_pds t result (List.map (fun (e, _) -> e.pd_id) kept) counters in
   Result.map (fun () -> erased) result
 
 let erased_payload t ~actor pd_id =

@@ -59,16 +59,17 @@ type error =
       (** the store is in degraded read-only mode; mutations are refused
           until [fsck ~repair:true] clears it *)
   | Stopped of { committed : string list; cause : error }
-      (** a batch larger than one journal chunk failed with [cause] after
-          its first chunks had committed: [committed] are their pds, in
-          batch order, and stay done (see {!erase_with}) *)
+      (** a batch failed with [cause] after its first chunks had
+          committed (a chunk whose slot destruction faulted included,
+          see {!erase_with}): [committed] are their pds, in batch order,
+          and stay done *)
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val committed : error -> string list
 (** The pds a failed batch committed before it stopped ([Stopped]'s
-    list); [[]] for every other error, after which the batch wrote
+    list); [[]] for every other error, after which the batch changed
     nothing. *)
 
 val format :
@@ -229,24 +230,28 @@ val update_membrane :
   string ->
   Rgpdos_membrane.Membrane.t ->
   (unit, error) result
-(** Replace the membrane (consent changes): an {!update_membranes} batch
-    of one. *)
+(** Replace the membrane with the one given: a blind write, which reads
+    no membrane.  The new membrane must keep the entry's pd_id, type and
+    subject.  It commits like {!update_record}. *)
 
 val update_membranes :
   t ->
   actor:string ->
-  (string * Rgpdos_membrane.Membrane.t) list ->
-  (unit, error) result
-(** Replace the membranes of several distinct pds as one commit (a
-    lineage's consent change).  Each new membrane must keep its entry's
-    pd_id, type and subject; every check runs, in one entries-tree
-    descent, before anything is written.  The new membranes go out in one
-    write, their [J_replace]s in one journal record, and the superseded
-    slots are destroyed once, with {!update_record}'s crash contract: a
-    crash leaves every membrane old or every one new (a batch whose
+  string list ->
+  (Rgpdos_membrane.Membrane.t -> Rgpdos_membrane.Membrane.t) ->
+  (string list, error) result
+(** [update_membranes t ~actor pds f] replaces each pd's membrane [m]
+    with [f m] (consent changes, restriction) in one entries-tree
+    descent, one batched load of the current membranes and one commit,
+    with {!update_record}'s crash contract; every new membrane must keep
+    its entry's pd_id, type and subject, checked before anything is
+    written.  A repeated pd counts once; an unknown pd fails the batch,
+    writing nothing.  Returns the pds rewritten, lineage by lineage
+    ({!Rgpdos_membrane.Membrane.lineage_root}; a lineage's pds in input
+    order, the lineages in the order of their first pd).  A batch whose
     record would not fit the ring commits in chunks, as {!erase_with}'s
-    does).  A pd named twice fails with [Membrane_mismatch], writing
-    nothing. *)
+    does, of whole lineages: neither a crash nor a stop leaves copies of
+    one PD under different membranes. *)
 
 val copy_pd : t -> actor:string -> string -> (string, error) result
 (** Built-in [copy]: duplicate record and membrane under a fresh pd_id;
@@ -273,6 +278,7 @@ val erase_with :
   t ->
   actor:string ->
   ?withdraw:(Rgpdos_membrane.Membrane.t -> Rgpdos_membrane.Membrane.t) ->
+  ?only:(Rgpdos_membrane.Membrane.t -> bool) ->
   string list ->
   seal:(Record.t -> string) ->
   (string list, error) result
@@ -280,19 +286,22 @@ val erase_with :
     sweep): each live pd's record is replaced by [seal record] — an
     authority-sealed envelope — and its plaintext bytes are zeroed.  The
     membrane remains so the entry's existence stays accountable.  With
-    [?withdraw] each membrane is also rewritten, to [withdraw membrane]
-    (the DED's crypto-erase withdraws every consent), under
-    {!update_membrane}'s identity checks, which all run before anything
-    is written.  Returns the pds it erased, in input order: a pd already
-    erased (or named twice) is skipped, writing nothing for it.  An
-    unknown pd fails the batch, writing nothing.
+    [?only] a pd is erased only if [only membrane] holds (the TTL sweep
+    passes [Membrane.expired ~now], so the membrane stays the authority
+    over the expiry queue); the others are skipped, writing nothing for
+    them.  With [?withdraw] each membrane is also rewritten, to
+    [withdraw membrane] (the DED's crypto-erase withdraws every consent),
+    under {!update_membrane}'s identity checks, which all run before
+    anything is written.  Returns the pds it erased, in input order: a
+    pd already erased (or named twice) is skipped, writing nothing for
+    it.  An unknown pd fails the batch, writing nothing.
 
     One entries-tree descent resolves the batch, one batched load reads
-    the membranes (with [?withdraw]) and one the records, and the batch
-    commits as one unit: one vectored write of every new payload, one
-    journal record holding every [J_replace] (per pd, the withdrawn
-    membrane, then the sealed record), flushed while that write is in
-    flight, and, once both are awaited, one destruction of every
+    the membranes (with [?withdraw] or [?only]) and one the records, and
+    the batch commits as one unit: one vectored write of every new
+    payload, one journal record holding every [J_replace] (per pd, the
+    withdrawn membrane, then the sealed record), flushed while that write
+    is in flight, and, once both are awaited, one destruction of every
     superseded slot.  A crash therefore leaves the whole batch untouched
     or every pd withdrawn and sealed, never one withdrawn but live; if
     the record is durable but the new payloads are not, replay drops the
@@ -301,8 +310,9 @@ val erase_with :
     ([Journal_ring.max_payload]) commits in chunks of whole pds, each
     atomic in the same way; a failing chunk stops the batch, the chunks
     before it erased, and its error is then [Stopped], naming their pds
-    ({!committed}) so that a caller can audit them.  A single pd is a
-    batch of one. *)
+    ({!committed}) so that a caller can audit them; a chunk whose slot
+    destruction faults is among them, the store degraded.  A single pd is
+    a batch of one. *)
 
 val erased_payload : t -> actor:string -> string -> (string, error) result
 (** The sealed envelope bytes of an erased entry (what a supervisory

@@ -638,18 +638,21 @@ let checkpoint t ~io =
       rt_max_pd = max_pd;
     }
   in
-  (* the overlay stays: it remains authoritative for touched pds, and the
-     new base holds exactly the same facts for them.  Every pd with
-     overlay facts must now be marked touched — the new base duplicates
-     its facts, and an unmarked pd would be counted from both sides (this
-     matters for pds added while there was no base yet: [materialize] is a
-     no-op then). *)
-  t.base <- Some { io; roots };
-  t.expiry_count <- expiry_count;
-  Hashtbl.iter (fun pd _ -> Hashtbl.replace t.touched pd ()) subj_of;
-  Hashtbl.iter (fun pd _ -> Hashtbl.replace t.touched pd ()) t.pd_keys;
-  Hashtbl.iter (fun pd _ -> Hashtbl.replace t.touched pd ()) t.expiry_of;
   roots
+
+(* The overlay stays: it remains authoritative for touched pds, and the
+   new base holds exactly the same facts for them.  Every pd with overlay
+   facts must now be marked touched — the new base duplicates its facts,
+   and an unmarked pd would be counted from both sides (this matters for
+   pds added while there was no base yet: [materialize] is a no-op
+   then). *)
+let rebase t ~io roots =
+  t.base <- Some { io; roots };
+  t.expiry_count <- roots.rt_expiry_count;
+  let touch pd = Hashtbl.replace t.touched pd () in
+  Hashtbl.iter (fun _ ids -> List.iter touch !ids) t.subjects;
+  Hashtbl.iter (fun pd _ -> touch pd) t.pd_keys;
+  Hashtbl.iter (fun pd _ -> touch pd) t.expiry_of
 
 let encode_roots w r =
   Pagestore.encode_root w r.rt_postings;

@@ -105,9 +105,12 @@ val attach : io:Pagestore.io -> roots -> t
 
 val checkpoint : t -> io:Pagestore.io -> roots
 (** Bulk-write the merged (base + overlay) view as fresh trees through
-    [io] and re-base the index on them.  The overlay is retained: it
-    stays authoritative for touched pds, whose facts the new base
-    duplicates exactly. *)
+    [io].  The index keeps reading its old base until {!rebase}. *)
+
+val rebase : t -> io:Pagestore.io -> roots -> unit
+(** Re-base the index on the trees {!checkpoint} wrote, once their root
+    is durable.  The overlay is retained: it stays authoritative for
+    touched pds, whose facts the new base duplicates exactly. *)
 
 val encode_roots : Rgpdos_util.Codec.Writer.t -> roots -> unit
 val decode_roots : Rgpdos_util.Codec.Reader.t -> (roots, string) result

@@ -301,38 +301,36 @@ let right_to_rectification t ~pd_id record =
   | Ok () -> Ok ()
   | Error e -> Error (Ded.error_to_string e)
 
-(* Rewrite with [f] every membrane of each lineage the subject owns —
-   whole lineages, so copies stay consistent — lineage by lineage, each
-   lineage as ONE commit (a crash never leaves copies of one PD with
-   different consents), then call [on_lineage pd_id] with the lineage's
-   first PD.  A lineage never leaves its subject ([Dbfs.copy_pd] files a
-   copy under its source's subject, and DBFS refuses a membrane naming
-   another subject), so the subject's PDs, in pd order, are every member
-   of those lineages and one batched load of their membranes finds them
-   all.  Returns how many membranes were rewritten. *)
+(* Rewrite with [f] every membrane of the subject's lineages in ONE DBFS
+   call: one descent, one load, one commit, cut only between lineages when
+   it outgrows a journal record, so copies never differ.  A lineage never
+   leaves its subject ([Dbfs.copy_pd] files a copy under its source's
+   subject, and DBFS refuses a membrane naming another subject), so the
+   subject's PDs are every member of its lineages.  [on_lineage] is then
+   called with the first PD of each lineage rewritten, in order.  Returns
+   how many membranes were rewritten. *)
 let update_subject_lineages t ~subject f ~on_lineage =
   let actor = Ded.actor in
-  let rec go updated = function
-    | [] -> Ok updated
-    | (pd_id, m) :: _ as pending -> (
-        let lineage = Membrane.lineage_root m in
-        let members, rest =
-          List.partition (fun (_, m) -> Membrane.lineage_root m = lineage) pending
-        in
-        match
-          Dbfs.update_membranes t.dbfs ~actor
-            (List.map (fun (pd_id, m) -> (pd_id, f m)) members)
-        with
-        | Error e -> Error e
-        | Ok () ->
-            on_lineage pd_id;
-            go (updated + List.length members) rest)
+  let lineage = Hashtbl.create 8 in
+  let f m =
+    Hashtbl.replace lineage m.Membrane.pd_id (Membrane.lineage_root m);
+    f m
   in
-  Result.map_error Dbfs.error_to_string
-    (Result.bind
-       (Result.bind (Dbfs.pds_of_subject t.dbfs ~actor subject)
-          (Dbfs.get_membranes t.dbfs ~actor))
-       (go 0))
+  match Dbfs.pds_of_subject t.dbfs ~actor subject with
+  | Error e -> Error (Dbfs.error_to_string e)
+  | Ok pds ->
+      let result = Dbfs.update_membranes t.dbfs ~actor pds f in
+      (* the pds come back lineage by lineage ([f] noted each one's root):
+         a new root starts a lineage *)
+      ignore
+        (List.fold_left
+           (fun prev pd_id ->
+             let root = Hashtbl.find lineage pd_id in
+             if Some root <> prev then on_lineage pd_id;
+             Some root)
+           None
+           (match result with Ok l -> l | Error e -> Dbfs.committed e));
+      Result.map_error Dbfs.error_to_string (Result.map List.length result)
 
 let set_consent t ~subject ~purpose scope =
   update_subject_lineages t ~subject
@@ -417,13 +415,9 @@ let lift_restriction t ~subject = set_restriction t ~subject false
 (* ------------------------------------------------------------------ *)
 (* operations                                                         *)
 
-let sweep_ttl t ?mode ?incremental () =
-  let mode =
-    match mode with
-    | Some m -> m
-    | None -> Ttl_sweeper.Crypto_erase (Authority.sealer t.authority ~prng:t.prng)
-  in
-  Ttl_sweeper.sweep ~dbfs:t.dbfs ~audit:t.audit ~now:(Clock.now t.clock) ~mode
+let sweep_ttl t ?incremental () =
+  Ttl_sweeper.sweep ~dbfs:t.dbfs ~audit:t.audit ~now:(Clock.now t.clock)
+    ~seal:(Authority.sealer t.authority ~prng:t.prng)
     ?incremental ()
 
 let compliance_evidence t ?(forensic_probes = []) () =

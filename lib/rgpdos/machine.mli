@@ -158,11 +158,15 @@ val set_consent :
 (** Record a subject's consent decision on all their PD (and every copy,
     via lineage propagation).  A lineage never leaves its subject (a copy
     is filed under its source's subject), so the decision reads and
-    rewrites only the subject's own membranes, lineage by lineage in pd
-    order, each lineage as one commit ({!Rgpdos_dbfs.Dbfs.update_membranes}:
-    a crash leaves every copy of a PD old or every one new), and appends
-    one [Consent_changed] entry per lineage naming the subject's first PD
-    in it.  Returns the number of membranes updated. *)
+    rewrites only the subject's own membranes, in one
+    {!Rgpdos_dbfs.Dbfs.update_membranes} call: one entries-tree descent,
+    one load of the membranes and one commit (a subject whose membranes
+    outgrow one journal record commits in chunks of whole lineages, so a
+    crash leaves every copy of a PD old or every one new).  It appends one
+    [Consent_changed] entry per lineage rewritten, naming the subject's
+    first PD in it, lineages in pd order; when a later chunk fails, the
+    lineages committed before it keep their change and their entries.
+    Returns the number of membranes updated. *)
 
 (** A consent receipt: the demonstrable record of a consent decision that
     art. 7(1) requires the operator to keep ("the controller shall be able
@@ -196,25 +200,22 @@ val withdraw_consent : t -> subject:string -> purpose:string -> (int, string) re
 
 val restrict_processing : t -> subject:string -> (int, string) result
 (** GDPR art. 18: mark every PD of the subject (and all copies) as
-    restricted — processings are refused, but the data is retained.
-    Returns the number of membranes updated. *)
+    restricted — processings are refused, but the data is retained.  One
+    DBFS call, like {!set_consent}.  Returns the number of membranes
+    updated. *)
 
 val lift_restriction : t -> subject:string -> (int, string) result
 
 (** {1 Operations} *)
 
 val sweep_ttl :
-  t ->
-  ?mode:Rgpdos_gdpr.Ttl_sweeper.mode ->
-  ?incremental:bool ->
-  unit ->
-  Rgpdos_gdpr.Ttl_sweeper.report
-(** Storage-limitation sweep; default mode crypto-erasure under the
-    machine's authority.  Incremental by default: only the entries due in
-    DBFS's TTL expiry queue are visited, so the sweep costs O(expired)
-    rather than O(population), and the expired PDs are erased as one
-    batch, one commit ([?incremental:false] forces the legacy full
-    membrane scan). *)
+  t -> ?incremental:bool -> unit -> Rgpdos_gdpr.Ttl_sweeper.report
+(** Storage-limitation sweep: crypto-erasure under the machine's
+    authority.  Incremental by default: only the entries due in DBFS's
+    TTL expiry queue are visited, so the sweep costs O(expired) rather
+    than O(population), and the expired PDs are re-checked and erased by
+    one {!Rgpdos_dbfs.Dbfs.erase_with} call, one commit
+    ([?incremental:false] forces the legacy full membrane scan). *)
 
 val compliance_evidence :
   t -> ?forensic_probes:string list -> unit -> Rgpdos_gdpr.Compliance.evidence

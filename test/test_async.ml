@@ -612,7 +612,7 @@ let test_sweep_cost_law () =
     let rep =
       Rgpdos_gdpr.Ttl_sweeper.sweep ~dbfs:t ~audit:(Rgpdos_audit.Audit_log.create ())
         ~now:Clock.year
-        ~mode:(Rgpdos_gdpr.Ttl_sweeper.Crypto_erase (fun _ -> "sealed"))
+        ~seal:(fun _ -> "sealed")
         ()
     in
     let after =

@@ -58,18 +58,19 @@ let test_tamper_first_entry () =
   A.unsafe_tamper log ~seq:0 ~actor:"attacker";
   check_bool "detected" true (A.verify log = Error 0)
 
-let test_for_pd () =
+(* An export holds every entry mentioning one of its pds, once. *)
+let test_export_per_pd () =
   let log = sample_log () in
-  let pd1 = A.for_pd log "pd-1" in
-  check_int "pd-1 history" 4 (List.length pd1);
-  let pd2 = A.for_pd log "pd-2" in
-  check_int "pd-2 appears as produced" 1 (List.length pd2);
-  check_int "unknown pd" 0 (List.length (A.for_pd log "pd-999"))
-
-let test_for_subject_pds () =
-  let log = sample_log () in
-  check_int "union of pds" 4
-    (List.length (A.for_subject_pds log [ "pd-1"; "pd-999" ]))
+  let exported pd_ids =
+    (* one ["seq"] field per exported entry *)
+    List.length
+      (String.split_on_char '"' (A.export_for_subject log ~pd_ids)
+      |> List.filter (( = ) "seq"))
+  in
+  check_int "pd-1 history" 4 (exported [ "pd-1" ]);
+  check_int "pd-2 appears as produced" 1 (exported [ "pd-2" ]);
+  check_int "unknown pd" 0 (exported [ "pd-999" ]);
+  check_int "union of pds" 4 (exported [ "pd-1"; "pd-999" ])
 
 let test_to_of_bytes_roundtrip () =
   let log = sample_log () in
@@ -144,8 +145,7 @@ let () =
         ] );
       ( "queries",
         [
-          Alcotest.test_case "for_pd" `Quick test_for_pd;
-          Alcotest.test_case "for_subject_pds" `Quick test_for_subject_pds;
+          Alcotest.test_case "export per pd" `Quick test_export_per_pd;
           Alcotest.test_case "export json" `Quick test_export_json;
           Alcotest.test_case "to/of bytes roundtrip" `Quick test_to_of_bytes_roundtrip;
           Alcotest.test_case "of_bytes rejects garbage" `Quick test_of_bytes_rejects_garbage;

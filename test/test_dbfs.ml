@@ -381,7 +381,7 @@ let test_dbfs_erase_with () =
 (* The batch contract: a repeated pd counts once, an erased pd is
    skipped (the result lists what this call erased, in input order), an
    unknown pd fails the batch before anything is written, and a
-   membrane batch naming a pd twice is refused. *)
+   membrane batch naming a pd twice rewrites it once. *)
 let test_batch_contract () =
   let t, _, _ = setup () in
   let pds =
@@ -407,15 +407,13 @@ let test_batch_contract () =
   ok (Dbfs.delete t ~actor:ded [ pd 3; pd 4; pd 3 ]);
   check_int "a delete batch removes each pd once" 4 (Dbfs.pd_count t);
   let m = ok (Dbfs.get_membrane t ~actor:ded (pd 5)) in
-  check_bool "a membrane batch naming a pd twice is refused" true
-    (match
-       Dbfs.update_membranes t ~actor:ded
-         [ (pd 5, M.withdraw_all m); (pd 5, M.withdraw_all m) ]
-     with
-    | Error (Dbfs.Membrane_mismatch _) -> true
-    | _ -> false);
-  check_string "... writing nothing" (M.encode m)
+  Alcotest.(check (list string)) "a membrane batch naming a pd twice" [ pd 5 ]
+    (ok (Dbfs.update_membranes t ~actor:ded [ pd 5; pd 5 ] M.withdraw_all));
+  check_string "... rewrites it once" (M.encode (M.withdraw_all m))
     (M.encode (ok (Dbfs.get_membrane t ~actor:ded (pd 5))));
+  check_bool "an unknown pd fails a membrane batch" true
+    (Dbfs.update_membranes t ~actor:ded [ pd 5; "pd-99999999" ] M.withdraw_all
+    = Error (Dbfs.Unknown_pd "pd-99999999"));
   check_bool "fsck clean" true (Dbfs.fsck t = Ok ())
 
 (* The DED's erasure (withdraw every consent, then seal) crashed after
@@ -739,7 +737,7 @@ let test_stopped_batch_reports_its_chunks () =
   let report, erased', _, _ =
     run k (fun t _ _ ->
         Rgpdos_gdpr.Ttl_sweeper.sweep ~dbfs:t ~audit:!audit ~now:(2 * Clock.year)
-          ~mode:(Rgpdos_gdpr.Ttl_sweeper.Crypto_erase seal) ())
+          ~seal ())
   in
   Alcotest.(check (list string)) "the sweep erases the first chunk" erased erased';
   Alcotest.(check (list string)) "... audits it" erased (audited !audit);
@@ -747,6 +745,109 @@ let test_stopped_batch_reports_its_chunks () =
     report.Rgpdos_gdpr.Ttl_sweeper.removed;
   check_int "... and reports every other pd" (n - List.length erased)
     (List.length report.Rgpdos_gdpr.Ttl_sweeper.errors)
+
+(* One DED erasure of 16 pds on a 2-block ring (several chunks, and an
+   overflow checkpoint inside the batch), with a permanent write fault at
+   the [k]th write it makes ([k = 0]: none), on a store checkpointed just
+   before the batch or not: the call's result (or the exception it
+   raised), the pds [entry_info] reports erased, whether the store holds
+   a checkpointed entries tree after the call, the pds and their
+   membranes before the call, the store, and the writes the call made. *)
+let erase_with_fault ~checkpoint k =
+  let config = { small_config with block_count = 4096 } in
+  let dev = Block_device.create ~config ~clock:(Clock.create ()) () in
+  let t = Dbfs.format dev ~journal_blocks:2 in
+  ok (Dbfs.create_type t ~actor:ded (user_schema ()));
+  let pds =
+    List.init 16 (fun i ->
+        insert_user t ~subject:(Printf.sprintf "sub-%02d" i)
+          (Printf.sprintf "FAULT-%02d-SECRET" i)
+          1990)
+  in
+  if checkpoint then Dbfs.checkpoint t;
+  let before = List.map (fun pd -> ok (Dbfs.get_membrane t ~actor:ded pd)) pds in
+  let plan = Fault_plan.create () in
+  if k > 0 then
+    Fault_plan.on_write plan ~nth:k (Fault_plan.Fail_write { transient = false });
+  Block_device.set_fault_plan dev (Some plan);
+  let result =
+    match
+      Dbfs.erase_with t ~actor:ded ~withdraw:M.withdraw_all pds
+        ~seal:(fun _ -> "SEALED")
+    with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let erased =
+    List.filter
+      (fun pd ->
+        let _, _, erased = ok (Dbfs.entry_info t ~actor:ded pd) in
+        erased)
+      pds
+  in
+  ( result,
+    erased,
+    Dbfs.entry_page_blocks t <> [],
+    List.combine pds before,
+    t,
+    Fault_plan.writes_seen plan )
+
+(* A failed batch reports every pd it made durable.  At every write of
+   the 16-pd erasure, a permanent fault leaves [Dbfs.committed] (or the
+   result, when the call succeeds) naming exactly the pds [entry_info]
+   reports erased, and raises nothing — including a fault on a chunk's
+   destruction write, after its record committed and its ops applied,
+   which leaves the store degraded. *)
+let test_failed_batch_reports_what_it_committed () =
+  List.iter
+    (fun checkpoint ->
+      let _, _, _, _, _, writes = erase_with_fault ~checkpoint 0 in
+      for k = 1 to writes do
+        let at = Printf.sprintf "checkpoint=%b, fault at write %d" checkpoint k in
+        match erase_with_fault ~checkpoint k with
+        | Error exn, _, _, _, _, _ -> Alcotest.failf "%s: raised %s" at exn
+        | Ok result, erased, _, _, t, _ ->
+            Alcotest.(check (list string))
+              (at ^ ": the pds reported are the pds erased")
+              erased
+              (match result with Ok l -> l | Error e -> Dbfs.committed e);
+            if Result.is_error result then
+              check_bool (at ^ ": the store is degraded") true
+                (Dbfs.degraded t <> None)
+      done)
+    [ true; false ]
+
+(* A failed overflow checkpoint leaves the store as it was.  On a store
+   never checkpointed, the 16-pd erasure's first record overflows the
+   ring, and the checkpoint that makes room runs before that record is
+   written.  A permanent fault anywhere before the first record commits
+   — in the overflow checkpoint, its root write included — ends the call
+   in [Degraded], raising nothing, with nothing erased, every membrane as
+   it was and every pd listed. *)
+let test_failed_overflow_checkpoint_leaves_store () =
+  let _, _, checkpointed, _, _, writes = erase_with_fault ~checkpoint:false 0 in
+  check_bool "the batch checkpoints to make room" true checkpointed;
+  let untouched = ref 0 in
+  for k = 1 to writes do
+    let at = Printf.sprintf "fault at write %d" k in
+    match erase_with_fault ~checkpoint:false k with
+    | Error exn, _, _, _, _, _ -> Alcotest.failf "%s: raised %s" at exn
+    | Ok _, _ :: _, _, _, _, _ -> ()
+    | Ok result, [], _, before, t, _ ->
+        incr untouched;
+        check_bool (at ^ ": the call ends in Degraded") true
+          (match result with Error (Dbfs.Degraded _) -> true | _ -> false);
+        List.iter
+          (fun (pd, m) ->
+            check_string
+              (Printf.sprintf "%s: %s keeps its membrane" at pd)
+              (M.encode m)
+              (M.encode (ok (Dbfs.get_membrane t ~actor:ded pd))))
+          before;
+        check_int (at ^ ": every pd listed") (List.length before)
+          (List.length (ok (Dbfs.list_pds t ~actor:ded "user")))
+  done;
+  check_bool "faults before the first record are seen" true (!untouched > 1)
 
 (* One damaged pd holds back no other.  A sweep whose due pds include
    one whose membrane and another whose record fail their checksums
@@ -781,7 +882,7 @@ let test_sweep_skips_damaged_pds () =
   let audit = Rgpdos_audit.Audit_log.create () in
   let report =
     Rgpdos_gdpr.Ttl_sweeper.sweep ~dbfs:t ~audit ~now
-      ~mode:(Rgpdos_gdpr.Ttl_sweeper.Crypto_erase (fun _ -> "SEALED")) ()
+      ~seal:(fun _ -> "SEALED") ()
   in
   let others = List.filter (fun pd -> pd <> bad_membrane && pd <> bad_record) due in
   check_int "every other due pd removed" 4 report.Rgpdos_gdpr.Ttl_sweeper.removed;
@@ -1451,11 +1552,11 @@ let test_cache_invalidated_by_ttl_sweep () =
   let audit = Rgpdos_audit.Audit_log.create () in
   let report =
     Rgpdos_gdpr.Ttl_sweeper.sweep ~dbfs:t ~audit ~now:(2 * Clock.year)
-      ~mode:Rgpdos_gdpr.Ttl_sweeper.Physical_delete ()
+      ~seal:(fun _ -> "SEALED") ()
   in
   check_int "swept" 1 report.Rgpdos_gdpr.Ttl_sweeper.removed;
   match Dbfs.get_record t ~actor:ded pd with
-  | Error (Dbfs.Unknown_pd _) -> ()
+  | Error (Dbfs.Erased _) -> ()
   | Ok _ -> Alcotest.fail "expired record served from cache"
   | Error e -> Alcotest.failf "unexpected: %s" (Dbfs.error_to_string e)
 
@@ -1513,6 +1614,10 @@ let () =
             test_batch_chunks_are_atomic;
           Alcotest.test_case "a stopped batch reports its chunks" `Quick
             test_stopped_batch_reports_its_chunks;
+          Alcotest.test_case "a failed batch reports what it committed" `Quick
+            test_failed_batch_reports_what_it_committed;
+          Alcotest.test_case "a failed overflow checkpoint leaves the store" `Quick
+            test_failed_overflow_checkpoint_leaves_store;
           Alcotest.test_case "a damaged due pd holds back no other" `Quick
             test_sweep_skips_damaged_pds;
           Alcotest.test_case "erasing a shared-page pd (heap)" `Quick

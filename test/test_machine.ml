@@ -735,7 +735,9 @@ let pages_read m f =
 (* On a checkpointed store whose subjects hold one PD each, a rights
    request walks the subject index once and descends the entries tree
    once: it reads at most the pages of one [pds_of_subject] plus one
-   [entry_info] for the subject's PD. *)
+   [entry_info] for the subject's PD.  A consent change and a
+   restriction load and rewrite the membrane they resolved, as an
+   erasure does. *)
 let test_rights_read_each_page_once () =
   let m = Machine.boot ~seed:7L () in
   ignore (ok (Machine.load_declarations m declarations));
@@ -773,7 +775,15 @@ let test_rights_read_each_page_once () =
       ok (Machine.right_to_portability m ~subject:(subject 150)));
   check "right to erasure" 200 (fun () ->
       check_int "one PD erased" 1
-        (ok (Machine.right_to_erasure m ~subject:(subject 200))))
+        (ok (Machine.right_to_erasure m ~subject:(subject 200))));
+  check "set consent" 250 (fun () ->
+      check_int "one membrane rewritten" 1
+        (ok
+           (Machine.set_consent m ~subject:(subject 250) ~purpose:"purpose1"
+              Membrane.Denied)));
+  check "restrict processing" 275 (fun () ->
+      check_int "one membrane rewritten" 1
+        (ok (Machine.restrict_processing m ~subject:(subject 275))))
 
 let test_consent_rewrites_subject_copies () =
   let m, alice, bob = boot_with_copies () in
@@ -858,6 +868,82 @@ let test_lineage_consent_crash_atomic () =
   done;
   check_bool "crashes before and after the commit both seen" true
     (List.mem true !seen && List.mem false !seen)
+
+(* A consent change whose record outgrows the journal ring commits in
+   chunks of whole lineages.  On a PD device of 512-byte blocks (a
+   128 KiB ring), a subject with 800 lineages of three copies changes
+   consent in two records.  A permanent write fault at each of the
+   change's last three writes (the second record's commit) fails it and
+   leaves every lineage all old or all new, and one [Consent_changed]
+   entry for each new lineage only, naming its first PD, in pd order;
+   one of them stops the change between its records. *)
+let test_chunked_consent_keeps_lineages_whole () =
+  let module Fault_plan = Block_device.Fault_plan in
+  let run k =
+    let pd_device = { Block_device.default_config with block_size = 512 } in
+    let m = Machine.boot ~seed:7L ~pd_device () in
+    ignore (ok (Machine.load_declarations m declarations));
+    let lineages =
+      List.init 800 (fun i ->
+          let pd =
+            ok
+              (Machine.collect m ~type_name:"user" ~subject:"sub-alice"
+                 ~interface:"web_form:user_form.html"
+                 ~record:(user_record (Printf.sprintf "Alice%03d" i) 1990)
+                 ())
+          in
+          [ pd; copy_of m pd; copy_of m pd ])
+    in
+    let records () =
+      Rgpdos_util.Stats.Counter.get (Dbfs.stats (Machine.dbfs m)) "committed_batches"
+    in
+    let audit0 = Audit_log.length (Machine.audit m) and records0 = records () in
+    let plan = Fault_plan.create () in
+    if k > 0 then
+      Fault_plan.on_write plan ~nth:k (Fault_plan.Fail_write { transient = false });
+    Block_device.set_fault_plan (Machine.pd_device m) (Some plan);
+    let result =
+      Machine.set_consent m ~subject:"sub-alice" ~purpose:"purpose1"
+        Membrane.Denied
+    in
+    let changed =
+      List.filter_map
+        (fun e ->
+          match e.Audit_log.event with
+          | Audit_log.Consent_changed { pd_id; _ } when e.Audit_log.seq >= audit0 ->
+              Some pd_id
+          | _ -> None)
+        (Audit_log.entries (Machine.audit m))
+    in
+    let denied =
+      List.map
+        (List.map (fun pd ->
+             not (Membrane.allows (membrane_of m pd) ~purpose:"purpose1" ~now:0)))
+        lineages
+    in
+    (result, lineages, denied, changed, records () - records0, Fault_plan.writes_seen plan)
+  in
+  let result, _, _, changed, records, writes = run 0 in
+  check_int "every membrane rewritten" 2400 (ok result);
+  check_int "in two records" 2 records;
+  check_int "one entry per lineage" 800 (List.length changed);
+  let split = ref false in
+  for k = writes - 2 to writes do
+    let at what = Printf.sprintf "fault at write %d of %d: %s" k writes what in
+    let result, lineages, denied, changed, _, _ = run k in
+    check_bool (at "the fault is reported") true (Result.is_error result);
+    List.iter
+      (fun d -> check_bool (at "a lineage all old or all new") true (List.for_all (( = ) (List.hd d)) d))
+      denied;
+    let rewritten =
+      List.filter_map
+        (fun (l, d) -> if List.hd d then Some (List.hd l) else None)
+        (List.combine lineages denied)
+    in
+    Alcotest.(check (list string)) (at "an entry per rewritten lineage only") rewritten changed;
+    if rewritten <> [] && List.length rewritten < List.length lineages then split := true
+  done;
+  check_bool "a fault stopped the change between its records" true !split
 
 let test_consent_ignores_other_subjects_damage () =
   let m, _, pd_bob, _ = boot_with_users () in
@@ -1221,6 +1307,8 @@ let () =
             test_consent_ignores_other_subjects_damage;
           Alcotest.test_case "a lineage's consent change is crash-atomic" `Quick
             test_lineage_consent_crash_atomic;
+          Alcotest.test_case "a chunked consent change keeps lineages whole" `Quick
+            test_chunked_consent_keeps_lineages_whole;
         ] );
       ( "collection",
         [

@@ -399,10 +399,10 @@ let test_batched_descent_reads_each_node_once () =
 (* A commit materializes the index facts of its pds in one batched
    [pdinfo] lookup.  On a checkpointed, remounted store a TTL sweep of k
    due pds reads each [pdinfo] node on their paths once: the sweep's
-   page reads less the expiry probe and its two entries-tree descents
-   (the membrane check's and the erasure's) are the [pdinfo] reads, at
-   most one path plus one page per further pd — where one lookup per pd
-   read k whole paths. *)
+   page reads less the expiry probe and its one entries-tree descent
+   (the erasure's, which also re-checks the membranes) are the [pdinfo]
+   reads, at most one path plus one page per further pd — where one
+   lookup per pd read k whole paths. *)
 let test_sweep_reads_each_pdinfo_node_once () =
   let t = make_dbfs () in
   for i = 0 to 199 do
@@ -452,11 +452,11 @@ let test_sweep_reads_each_pdinfo_node_once () =
           let rep =
             Rgpdos_gdpr.Ttl_sweeper.sweep ~dbfs:s
               ~audit:(Rgpdos_audit.Audit_log.create ()) ~now
-              ~mode:(Rgpdos_gdpr.Ttl_sweeper.Crypto_erase seal) ()
+              ~seal ()
           in
           check_int "every due pd erased" k rep.Rgpdos_gdpr.Ttl_sweeper.removed)
     in
-    sweep - probe - (2 * descent)
+    sweep - probe - descent
   in
   let path = pdinfo_reads 1 in
   check_bool "the pdinfo tree has interior levels" true (path >= 2);
