@@ -58,19 +58,25 @@ let test_tamper_first_entry () =
   A.unsafe_tamper log ~seq:0 ~actor:"attacker";
   check_bool "detected" true (A.verify log = Error 0)
 
-(* An export holds every entry mentioning one of its pds, once. *)
-let test_export_per_pd () =
+(* The number of entries [export_for_subject] returns for [pd_ids]: one
+   ["seq"] field per exported entry. *)
+let exported log pd_ids =
+  List.length
+    (String.split_on_char '"' (A.export_for_subject log ~pd_ids)
+    |> List.filter (( = ) "seq"))
+
+(* An export for one pd holds every entry mentioning it. *)
+let test_for_pd () =
   let log = sample_log () in
-  let exported pd_ids =
-    (* one ["seq"] field per exported entry *)
-    List.length
-      (String.split_on_char '"' (A.export_for_subject log ~pd_ids)
-      |> List.filter (( = ) "seq"))
-  in
-  check_int "pd-1 history" 4 (exported [ "pd-1" ]);
-  check_int "pd-2 appears as produced" 1 (exported [ "pd-2" ]);
-  check_int "unknown pd" 0 (exported [ "pd-999" ]);
-  check_int "union of pds" 4 (exported [ "pd-1"; "pd-999" ])
+  check_int "pd-1 history" 4 (exported log [ "pd-1" ]);
+  check_int "pd-2 appears as produced" 1 (exported log [ "pd-2" ]);
+  check_int "unknown pd" 0 (exported log [ "pd-999" ])
+
+(* An export for a subject's pds holds the union of their entries, once. *)
+let test_for_subject_pds () =
+  let log = sample_log () in
+  check_int "union of pds" 4 (exported log [ "pd-1"; "pd-999" ]);
+  check_int "shared entry once" 4 (exported log [ "pd-1"; "pd-2" ])
 
 let test_to_of_bytes_roundtrip () =
   let log = sample_log () in
@@ -145,7 +151,8 @@ let () =
         ] );
       ( "queries",
         [
-          Alcotest.test_case "export per pd" `Quick test_export_per_pd;
+          Alcotest.test_case "for_pd" `Quick test_for_pd;
+          Alcotest.test_case "for_subject_pds" `Quick test_for_subject_pds;
           Alcotest.test_case "export json" `Quick test_export_json;
           Alcotest.test_case "to/of bytes roundtrip" `Quick test_to_of_bytes_roundtrip;
           Alcotest.test_case "of_bytes rejects garbage" `Quick test_of_bytes_rejects_garbage;
