@@ -218,10 +218,37 @@ let block_table got =
   List.iter (fun (b, data) -> Hashtbl.replace h b data) got;
   h
 
-let read_payload t l =
-  extent_bytes
-    (block_table (retrying t (fun () -> Block_device.read_vec t.dev l.blocks)))
-    l
+(* Why an extent cannot be trusted. *)
+type damage = Unreadable | Mismatch | Undecodable of string
+
+(* Every extent of [locs] cut out of ONE vectored read of their pages and
+   checked against its checksum, keyed by the extent: its payload or its
+   damage.  A page that still faults after its retries is left out and
+   the rest read again, so only the extents on it are unreadable. *)
+let check_slots t locs =
+  let rec read = function
+    | [] -> []
+    | blocks -> (
+        match retrying t (fun () -> Block_device.read_vec t.dev blocks) with
+        | got -> got
+        | exception Block_device.Faulted b -> read (List.filter (( <> ) b) blocks))
+  in
+  let h =
+    block_table (read (List.sort_uniq compare (List.concat_map (fun l -> l.blocks) locs)))
+  in
+  let slots = Hashtbl.create (max 16 (List.length locs)) in
+  List.iter
+    (fun l ->
+      if not (Hashtbl.mem slots l) then
+        Hashtbl.replace slots l
+          (if not (List.for_all (Hashtbl.mem h) l.blocks) then Error Unreadable
+           else begin
+             charge_checksum t l.size;
+             let raw = extent_bytes h l in
+             if Fnv.hash64_hex raw = l.sum then Ok raw else Error Mismatch
+           end))
+    locs;
+  slots
 
 (* The channel DBFS's index prefetch queues on: negative so it can never
    collide with consumer-facing channels (DED shards use 0..n); [Space]
@@ -304,8 +331,7 @@ let read_pages t pages =
 
 let page_io t =
   {
-    Pagestore.page_size = block_size t;
-    read_pages = read_pages t;
+    Pagestore.read_pages = read_pages t;
     prefetch_page =
       (fun first n ->
         (* cached or not, so a warm descent overlaps the sibling's service
@@ -320,23 +346,6 @@ let page_io t =
           with
           | tk -> Hashtbl.replace t.page_prefetch first tk
           | exception Block_device.Faulted _ -> ());
-    write_blocks =
-      (fun ws -> retrying t (fun () -> Block_device.write_vec t.dev ws));
-    alloc = (fun _ -> failwith "Dbfs: metadata page allocation outside checkpoint");
-  }
-
-(* Checkpoint-time io: same read/write path plus a bump allocator over the
-   target heap half. *)
-let ckpt_io t ~half used =
-  let io = page_io t in
-  {
-    io with
-    Pagestore.alloc =
-      (fun n ->
-        if !used + n > t.heap_cap then failwith "Dbfs: metadata heap overflow";
-        let b = heap_start t half + !used in
-        used := !used + n;
-        b);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -634,20 +643,13 @@ let record_x =
     x_cache = (fun r -> C_record r);
   }
 
-(* Best-effort decode (index maintenance, fsck): an extent that cannot be
-   read even after retries yields [None] rather than raising — the
-   callers treat it the same as an undecodable payload.  [pages], the
-   [block -> bytes] table of replay's one read, serves the bytes when it
-   holds the extent's pages. *)
-let decode_at ?pages t x e =
-  let l = x.x_loc e in
-  match
-    match pages with
-    | Some h when List.for_all (Hashtbl.mem h) l.blocks -> extent_bytes h l
-    | _ -> read_payload t l
-  with
-  | exception Block_device.Faulted _ -> None
-  | raw -> Result.to_option (x.x_decode raw)
+(* Replay's decode: [slots] are [check_slots]'s over the replayed
+   records.  An extent with no sound payload there yields [None], like
+   one that does not decode, and is left unindexed. *)
+let decode_at ?slots x e =
+  match Option.bind slots (fun h -> Hashtbl.find_opt h (x.x_loc e)) with
+  | Some (Ok raw) -> Result.to_option (x.x_decode raw)
+  | _ -> None
 
 let expiry_instant m =
   match m.Membrane.ttl with
@@ -655,25 +657,25 @@ let expiry_instant m =
   | Some ttl -> Some (m.Membrane.created_at + ttl)
 
 (* The index facts of [e]'s record and membrane, from the hint when the
-   caller has the decoded value, else from [pages] or off the device. *)
-let index_record ?pages t idx ~hint e =
+   caller has the decoded value, else from replay's [slots]. *)
+let index_record ?slots t idx ~hint e =
   let indexed = indexed_fields_of t e.type_name in
   if indexed <> [] then
     let record =
       match hint.h_record with
       | Some r -> Some r
-      | None -> decode_at ?pages t record_x e
+      | None -> decode_at ?slots record_x e
     in
     match record with
     | Some record ->
         Index.add_entry idx ~pd_id:e.pd_id ~type_name:e.type_name ~indexed record
     | None -> ()
 
-let index_membrane ?pages t idx ~hint e =
+let index_membrane ?slots idx ~hint e =
   let membrane =
     match hint.h_membrane with
     | Some m -> Some m
-    | None -> decode_at ?pages t membrane_x e
+    | None -> decode_at ?slots membrane_x e
   in
   match membrane with
   | Some m -> Index.set_expiry idx ~pd_id:e.pd_id (expiry_instant m)
@@ -681,11 +683,11 @@ let index_membrane ?pages t idx ~hint e =
 
 (* Every index fact of one entry: what an insert adds, and what a rebuild
    re-derives.  An erased entry keeps only its subject link. *)
-let index_entry ?pages t idx ~hint e =
+let index_entry ?slots t idx ~hint e =
   Index.add_subject idx ~subject:e.subject ~pd_id:e.pd_id;
   if not e.erased then begin
-    index_record ?pages t idx ~hint e;
-    index_membrane ?pages t idx ~hint e
+    index_record ?slots t idx ~hint e;
+    index_membrane ?slots idx ~hint e
   end
 
 (* [freed_acc], passed by mount-time replay, collects every block an op
@@ -696,7 +698,7 @@ let index_entry ?pages t idx ~hint e =
 
    The hint's entry goes into the overlay as is, with no second lookup.
    Replay has none and resolves the pd with [touch_entry]. *)
-let apply_op ?(hint = no_hint) ?pages ?freed_acc t op =
+let apply_op ?(hint = no_hint) ?slots ?freed_acc t op =
   let target pd_id =
     match hint.h_entry with
     | Some e ->
@@ -726,7 +728,7 @@ let apply_op ?(hint = no_hint) ?pages ?freed_acc t op =
       t.entry_count <- t.entry_count + 1;
       use e.record;
       use e.membrane;
-      index_entry ?pages t t.index ~hint e;
+      index_entry ?slots t t.index ~hint e;
       (* keep pd counter ahead of any replayed id *)
       (match
          int_of_string_opt (String.sub e.pd_id 3 (String.length e.pd_id - 3))
@@ -740,7 +742,7 @@ let apply_op ?(hint = no_hint) ?pages ?freed_acc t op =
       match kind with
       | Record ->
           entry.record <- loc;
-          index_record ?pages t t.index ~hint entry
+          index_record ?slots t t.index ~hint entry
       | Membrane ->
           entry.membrane <- loc;
           (* consent flips and TTL changes land here: re-key the expiry
@@ -748,7 +750,7 @@ let apply_op ?(hint = no_hint) ?pages ?freed_acc t op =
              must never re-enter the expiry queue — its record is already
              gone. *)
           if entry.erased then Index.clear_expiry t.index ~pd_id
-          else index_membrane ?pages t t.index ~hint entry
+          else index_membrane ?slots t.index ~hint entry
       | Sealed ->
           entry.record <- loc;
           entry.erased <- true;
@@ -783,9 +785,9 @@ let index_pd t (hint, op) =
 (* A record's ops, applied in order, each with its hint, after ONE
    batched materialization of the index facts of every pd they change:
    each [pdinfo] page on their paths is read once per commit. *)
-let apply_ops ?pages ?freed_acc t ops =
+let apply_ops ?slots ?freed_acc t ops =
   Index.materialize t.index (List.filter_map (index_pd t) ops);
-  List.iter (fun (hint, op) -> apply_op ~hint ?pages ?freed_acc t op) ops
+  List.iter (fun (hint, op) -> apply_op ~hint ?slots ?freed_acc t op) ops
 
 (* ------------------------------------------------------------------ *)
 (* root slots                                                         *)
@@ -920,8 +922,8 @@ let commit_root t ~half ~used ~entries ~iroots =
 
 (* Checkpoint ordering rule (see DESIGN.md):
 
-     1. bulk-write every tree into the inactive heap half;
-     2. serialize the allocation bitmap (when hydrated);
+     1-2. write every tree, laid out in the inactive heap half, and the
+          allocation bitmap (when hydrated) in ONE request;
      3. write the next root slot   <- the commit point;
      4. take up the new trees;
      5. retire the journal prefix;
@@ -937,24 +939,29 @@ let commit_root t ~half ~used ~entries ~iroots =
    the same half again. *)
 let checkpoint t =
   let target = 1 - t.active_half in
-  let used = ref 0 in
-  let io = ckpt_io t ~half:target used in
+  let first = heap_start t target in
+  let page_size = block_size t in
   let items = ref [] in
   iter_entries t (fun e ->
       let w = Codec.Writer.create () in
       encode_entry w e;
       items := (e.pd_id, Codec.Writer.contents w) :: !items);
-  let entries_root = Pagestore.write_tree io (List.rev !items) in
-  let iroots = Index.checkpoint t.index ~io in
-  Space.checkpoint t.space;
+  let entries_root, entry_pages = Pagestore.layout ~page_size ~first (List.rev !items) in
+  let iroots, index_pages =
+    Index.checkpoint t.index ~page_size ~first:(first + List.length entry_pages)
+  in
+  let used = List.length entry_pages + List.length index_pages in
+  if used > t.heap_cap then failwith "Dbfs: metadata heap overflow";
+  retrying t (fun () ->
+      Block_device.write_vec t.dev (entry_pages @ index_pages @ Space.checkpoint t.space));
   let old_half = t.active_half in
   let old_used = t.heap_used in
-  commit_root t ~half:target ~used:!used ~entries:entries_root ~iroots;
-  Index.rebase t.index ~io iroots;
+  commit_root t ~half:target ~used ~entries:entries_root ~iroots;
+  Index.rebase t.index ~io:(page_io t) iroots;
   t.entries_base <- entries_root;
   t.index_roots <- iroots;
   t.active_half <- target;
-  t.heap_used <- !used;
+  t.heap_used <- used;
   (* durability barrier: settle flush submissions (their bytes are
      already on the medium) before retiring the journal prefix *)
   Journal_ring.barrier t.ring;
@@ -1234,46 +1241,18 @@ let format ?(allocator = Space.Heap) dev ~journal_blocks =
     ~iroots:Index.empty_roots;
   t
 
-(* Replay's one data read: every page the replayed records' extents name
-   (what their index facts decode from, and what the tail check sums), in
-   one vectored request.  Nothing writes a data page during replay, so
-   these bytes are what each op would read at its turn.  [None] when
-   there is nothing to read or the read faults: each op then reads its
-   own extent, and the tail check reads the tail's pages alone. *)
-let replay_pages t records =
-  match
-    List.sort_uniq compare
-      (List.concat_map
-         (function
-           | Ok ops -> List.concat_map (fun l -> l.blocks) (written_extents ops)
-           | Error _ -> [])
-         records)
-  with
-  | [] -> None
-  | blocks -> (
-      match retrying t (fun () -> Block_device.read_vec t.dev blocks) with
-      | exception Block_device.Faulted _ -> None
-      | got -> Some (block_table got))
-
 (* Replay's tail check.  A commit's record goes out while its payload
    write is in flight, so the journal's last record may be durable
-   without its data.  It applies only if every extent it names matches
-   its stored checksum, each slot cut out of its page; otherwise the
-   mutation never completed and the record is dropped like a torn final
-   frame.  A record that does not decode passes (applying it reports
-   that), and so does one whose extents could not be read: that is
-   medium damage, which fsck reports and repair quarantines. *)
-let tail_written t pages = function
+   without its data.  It applies only if no extent it names fails its
+   checksum ([slots] are [check_slots]'s); otherwise the mutation never
+   completed and the record is dropped like a torn final frame.  A
+   record that does not decode passes (applying it reports that), and so
+   does an extent that could not be read: that is medium damage, which
+   fsck reports and repair quarantines. *)
+let tail_written slots = function
   | Error _ -> true
-  | Ok ops -> (
-      match pages with
-      | None -> true
-      | Some h ->
-          List.for_all
-            (fun l ->
-              charge_checksum t l.size;
-              Fnv.hash64_hex (extent_bytes h l) = l.sum)
-            (written_extents ops))
+  | Ok ops ->
+      List.for_all (fun l -> Hashtbl.find slots l <> Error Mismatch) (written_extents ops)
 
 let mount dev =
   let r = Codec.Reader.create (snd (List.hd (Block_device.read_vec dev [ 0 ]))) in
@@ -1326,16 +1305,17 @@ let mount dev =
              into degraded read-only mode instead of failing the mount.
              Records are held until the ring reaches its last one; the
              tail check then reads the pages of every held record and of
-             the last in one request, and the held records apply in order,
-             decoding their index facts from those bytes. *)
+             the last in one request, checking each extent once, and the
+             held records apply in order, decoding their index facts from
+             those slots. *)
           let freed = ref [] in
-          let pages = ref None in
+          let slots = ref None in
           let apply = function
             | _ when t.replay_warning <> None -> ()
             | Error e -> t.replay_warning <- Some ("corrupt journal op: " ^ e)
             | Ok ops -> (
                 try
-                  apply_ops t ?pages:!pages ~freed_acc:freed
+                  apply_ops t ?slots:!slots ~freed_acc:freed
                     (List.map (fun op -> (no_hint, op)) ops)
                 with
                 | Failure m -> t.replay_warning <- Some m
@@ -1348,16 +1328,16 @@ let mount dev =
               ~tail_ok:(fun payload ->
                 let tail = decode_record payload in
                 let records = List.rev (Option.value ~default:[] !held) in
-                pages := replay_pages t (tail :: records);
-                (* a faulted page of another record must not excuse the
-                   tail from its check *)
-                let own =
-                  if Option.is_none !pages && records <> [] then replay_pages t [ tail ]
-                  else !pages
+                let checked =
+                  check_slots t
+                    (List.concat_map
+                       (function Ok ops -> written_extents ops | Error _ -> [])
+                       (tail :: records))
                 in
+                slots := Some checked;
                 held := None;
                 List.iter apply records;
-                t.replay_warning <> None || tail_written t own tail)
+                t.replay_warning <> None || tail_written checked tail)
               (fun payload ->
                 let record = decode_record payload in
                 match !held with
@@ -1875,10 +1855,12 @@ let erased_payload t ~actor pd_id =
   let** e = find_entry t pd_id in
   if not e.erased then Error (Invalid_record (pd_id ^ " is not erased"))
   else
-    protect_read (fun () ->
-        let raw = read_payload t e.record in
-        charge_checksum t e.record.size;
-        verify_sum ~what:"sealed payload" ~pd_id ~stored:e.record.sum raw)
+    match Hashtbl.find (check_slots t [ e.record ]) e.record with
+    | Ok raw -> Ok raw
+    | Error Unreadable ->
+        Error (Device_fault ("sealed payload of " ^ pd_id ^ " unreadable after retries"))
+    | Error _ ->
+        Error (Corrupt ("sealed payload of " ^ pd_id ^ ": extent checksum mismatch"))
 
 let compact ?max_victims ?liveness_pct t =
   Space.compact ?max_victims ?liveness_pct t.space ~relocate:(relocate t)
@@ -2121,20 +2103,6 @@ let describe_trees t ~actor =
 
 let crash_and_remount t = mount t.dev
 
-(* fsck's integrity verdict on one extent of [e]: readable (an
-   exhausted-retries device fault must not stop the scan), checksum
-   clean and, when live, decodable — [Ok (Some v)] with the decoded
-   value, [Ok None] for a sound extent that is not live. *)
-let check_extent t x e =
-  match read_payload t (x.x_loc e) with
-  | exception Block_device.Faulted _ -> Error `Unreadable
-  | raw when Fnv.hash64_hex raw <> (x.x_loc e).sum -> Error `Mismatch
-  | _ when not (x.x_live e) -> Ok None
-  | raw -> (
-      match x.x_decode raw with
-      | Ok v -> Ok (Some v)
-      | Error msg -> Error (`Undecodable msg))
-
 (* Merged entry collection that survives damaged metadata: unreadable tree
    pages and device faults become notes instead of exceptions, and the
    entries gathered before the failure are kept. *)
@@ -2151,27 +2119,81 @@ let collect_entries_noted t note =
      note (Printf.sprintf "device fault on metadata block %d while scanning entries" b));
   List.rev !acc
 
-(* The check pass: every invariant violation as a message, no mutation.
-   [fsck ?repair] wraps this. *)
-let fsck_check t =
+(* One entry as the scan found it: each extent's decoded value ([None]
+   for an erased record's sealed payload, which is not PD) or its
+   damage. *)
+type scanned = {
+  s_entry : entry;
+  s_membrane : (Membrane.t option, damage) result;
+  s_record : (Record.t option, damage) result;
+}
+
+let damage_reason what = function
+  | Unreadable -> what ^ " extent unreadable (device fault)"
+  | Mismatch -> what ^ " extent checksum mismatch"
+  | Undecodable msg -> what ^ " undecodable (" ^ msg ^ ")"
+
+(* Why an entry cannot be trusted, its membrane first; [None] when both
+   extents are sound. *)
+let damage s =
+  match (s.s_membrane, s.s_record) with
+  | Error d, _ -> Some (damage_reason "membrane" d)
+  | _, Error d -> Some (damage_reason "record" d)
+  | _ -> None
+
+(* The one pass fsck, repair and the reference rebuild share: the
+   entries (tree damage reported to [note]), every data page they name
+   read once ([check_slots]), each slot checked and decoded once, and an
+   index rebuilt from the sound entries' values alone. *)
+let scan ?(note = ignore) t =
+  let all = collect_entries_noted t note in
+  let slots = check_slots t (List.concat_map (fun e -> [ e.membrane; e.record ]) all) in
+  let verdict x e =
+    match Hashtbl.find slots (x.x_loc e) with
+    | Error d -> Error d
+    | Ok _ when not (x.x_live e) -> Ok None
+    | Ok raw -> (
+        match x.x_decode raw with
+        | Ok v -> Ok (Some v)
+        | Error msg -> Error (Undecodable msg))
+  in
+  let rebuilt = Index.create () in
+  let scanned =
+    List.map
+      (fun e ->
+        let s = { s_entry = e; s_membrane = verdict membrane_x e; s_record = verdict record_x e } in
+        (match (s.s_membrane, s.s_record) with
+        | Ok m, Ok r ->
+            index_entry t rebuilt ~hint:{ no_hint with h_membrane = m; h_record = r } e
+        | _ -> ());
+        s)
+      all
+  in
+  (scanned, rebuilt)
+
+(* The check: every invariant violation as one message, no mutation,
+   with the scan it made, which [fsck_repair] repairs from. *)
+let check t =
   let problems = ref [] in
-  let note fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
-  let all = collect_entries_noted t (fun s -> problems := s :: !problems) in
-  let entries_h = Hashtbl.create (max 16 (2 * List.length all)) in
-  List.iter (fun e -> Hashtbl.replace entries_h e.pd_id e) all;
+  let add p = problems := p :: !problems in
+  let note fmt = Format.kasprintf add fmt in
+  let scanned, rebuilt = scan ~note:add t in
+  let all = List.map (fun s -> s.s_entry) scanned in
   (* extent integrity + membrane invariant: every entry's extents are
      readable, their checksums match, and the membrane wraps this pd *)
-  let damage pd_id what = function
-    | `Unreadable -> note "entry %s: %s extent unreadable (device fault)" pd_id what
-    | `Mismatch -> note "entry %s: %s extent checksum mismatch" pd_id what
-    | `Undecodable msg -> note "entry %s: undecodable %s (%s)" pd_id what msg
-  in
+  let damaged = Hashtbl.create 16 in
   List.iter
-    (fun e ->
+    (fun s ->
+      let e = s.s_entry in
       let pd_id = e.pd_id in
-      (match check_extent t membrane_x e with
-      | Error d -> damage pd_id "membrane" d
-      | Ok None -> ()
+      let extent what = function
+        | Error d ->
+            Hashtbl.replace damaged pd_id ();
+            note "entry %s: %s" pd_id (damage_reason what d)
+        | Ok _ -> ()
+      in
+      extent "membrane" s.s_membrane;
+      (match s.s_membrane with
       | Ok (Some m) ->
           if m.Membrane.pd_id <> pd_id then
             note "entry %s: membrane wraps %s" pd_id m.Membrane.pd_id;
@@ -2180,14 +2202,12 @@ let fsck_check t =
               e.type_name;
           if m.Membrane.subject_id <> e.subject then
             note "entry %s: membrane subject %s <> %s" pd_id
-              m.Membrane.subject_id e.subject);
-      match check_extent t record_x e with
-      | Error d -> damage pd_id "record" d
-      | Ok _ -> ())
-    all;
+              m.Membrane.subject_id e.subject
+      | _ -> ());
+      extent "record" s.s_record)
+    scanned;
   (* block ownership, zones, leaks and the segment table *)
-  List.iter
-    (fun p -> problems := p :: !problems)
+  List.iter add
     (Space.check t.space
        (List.map
           (fun e ->
@@ -2229,79 +2249,11 @@ let fsck_check t =
    with
   | Pagestore.Corrupt_page b -> note "index page %d fails its checksum" b
   | Block_device.Faulted b -> note "device fault on metadata block %d" b);
-  (* secondary indexes <-> entries, both directions *)
-  (try
-     Index.fold_pd_keys t.index
-       (fun pd_id (type_name, kvs) () ->
-         match Hashtbl.find_opt entries_h pd_id with
-         | None -> note "index keys unknown pd %s" pd_id
-         | Some e ->
-             if e.erased then note "index keys erased pd %s" pd_id;
-             if e.type_name <> type_name then
-               note "index keys pd %s under type %s (entry says %s)" pd_id
-                 type_name e.type_name;
-             (* every claimed key must be posted, and must match the record *)
-             let record = decode_at t record_x e in
-             List.iter
-               (fun (field, v) ->
-                 if
-                   not
-                     (List.mem pd_id
-                        (Index.eq_postings t.index ~type_name ~field v))
-                 then
-                   note "index: pd %s missing from posting list of %s.%s" pd_id
-                     type_name field;
-                 match record with
-                 | None -> note "index: pd %s record undecodable" pd_id
-                 | Some r -> (
-                     match List.assoc_opt field r with
-                     | Some v' when Value.equal v v' -> ()
-                     | _ ->
-                         note "index: stale key %s.%s for pd %s" type_name field
-                           pd_id))
-               kvs)
-       ();
-     List.iter
-       (fun e ->
-         let pd_id = e.pd_id in
-         (* live pd of an indexed type must be keyed *)
-         (if not e.erased then
-            let indexed = indexed_fields_of t e.type_name in
-            if indexed <> [] && Index.pd_key t.index pd_id = None then
-              note "index: live pd %s of indexed type %s has no keys" pd_id
-                e.type_name);
-         (* subject index must link every pd (erased included) *)
-         if not (List.mem pd_id (Index.subject_pds t.index e.subject)) then
-           note "index: pd %s missing from subject %s" pd_id e.subject;
-         (* expiry queue agrees with the membrane *)
-         let expected =
-           if e.erased then None
-           else
-             match decode_at t membrane_x e with
-             | None -> None
-             | Some m -> expiry_instant m
-         in
-         match (expected, Index.expiry_of t.index pd_id) with
-         | None, Some ns ->
-             note "index: pd %s spuriously queued to expire at %d" pd_id ns
-         | Some ns, None ->
-             note "index: pd %s missing from expiry queue (due %d)" pd_id ns
-         | Some a, Some b when a <> b ->
-             note "index: pd %s queued at %d, membrane says %d" pd_id b a
-         | _ -> ())
-       all
-   with
+  (* the secondary indexes, item by item against their rebuild *)
+  (try List.iter add (Index.differences t.index ~rebuilt ~skip:(Hashtbl.mem damaged)) with
   | Pagestore.Corrupt_page b -> note "index page %d fails its checksum" b
   | Block_device.Faulted b -> note "device fault on index block %d" b);
-  List.rev !problems
-
-(* From-scratch index rebuild over the (surviving) entries — the repair
-   path swaps this in wholesale, which heals any in-memory or persisted
-   index damage in one move. *)
-let rebuild_index t =
-  let idx = Index.create () in
-  iter_entries t (index_entry t idx ~hint:no_hint);
-  idx
+  (distinct (List.rev !problems), (scanned, rebuilt))
 
 type repair_report = {
   rr_problems : string list;
@@ -2312,23 +2264,8 @@ type repair_report = {
   rr_clean : bool;
 }
 
-(* An entry is unrecoverable when either extent is unreadable, fails its
-   checksum, or no longer decodes.  [None] means the entry is healthy. *)
-let entry_damage t e =
-  let reason what = function
-    | `Unreadable -> Some (what ^ " extent unreadable")
-    | `Mismatch -> Some (what ^ " extent checksum mismatch")
-    | `Undecodable _ -> Some (what ^ " undecodable")
-  in
-  match check_extent t membrane_x e with
-  | Error d -> reason "membrane" d
-  | Ok _ -> (
-      match check_extent t record_x e with
-      | Error d -> reason "record" d
-      | Ok _ -> None)
-
 let fsck_repair t =
-  let problems = fsck_check t in
+  let problems, (scanned, rebuilt) = check t in
   let actions = ref [] in
   let act fmt = Format.kasprintf (fun s -> actions := s :: !actions) fmt in
   let device_faults = ref false in
@@ -2341,22 +2278,17 @@ let fsck_repair t =
       false
   in
   let on_fault () = device_faults := true in
-  (* 0. pull every recoverable entry out of the (possibly damaged) paged
-     tree: from here on the repair works against the in-memory overlay
+  (* 1. quarantine the entries whose payloads the scan could not trust:
+     remove them from the trees and report them — repair never invents
+     data.  From here on the repair works against the in-memory overlay
      and rebuilds the on-device trees wholesale at the end *)
-  let survivors = collect_entries_noted t (fun s -> act "%s" s) in
-  (* 1. quarantine entries whose payloads cannot be trusted: remove them
-     from the trees and report them — repair never invents data *)
   let damaged, healthy =
     List.partition_map
-      (fun e ->
-        match entry_damage t e with
-        | Some reason -> Left (e, reason)
-        | None -> Right e)
-      survivors
-  in
-  let damaged =
-    List.sort (fun (a, _) (b, _) -> compare a.pd_id b.pd_id) damaged
+      (fun s ->
+        match damage s with
+        | Some reason -> Left (s.s_entry, reason)
+        | None -> Right s.s_entry)
+      scanned
   in
   let quarantined =
     List.map
@@ -2375,8 +2307,9 @@ let fsck_repair t =
   List.iter (fun e -> Hashtbl.replace t.entries e.pd_id e) healthy;
   t.entries_base <- Pagestore.empty_root;
   t.entry_count <- List.length healthy;
-  (* 2. rebuild every secondary index from the surviving records *)
-  t.index <- rebuild_index t;
+  (* 2. every secondary index, as the scan rebuilt it from the surviving
+     entries *)
+  t.index <- rebuilt;
   t.index_roots <- Index.empty_roots;
   act "rebuilt secondary indexes from %d surviving entries"
     (List.length healthy);
@@ -2424,7 +2357,7 @@ let fsck_repair t =
   t.replay_warning <- None;
   Cache.clear t.cache;
   (* 7. verify; leave degraded mode only on a clean bill of health *)
-  let recheck = fsck_check t in
+  let recheck, _ = check t in
   let clean = recheck = [] && not !device_faults in
   if clean then begin
     if t.degraded <> None then act "left degraded read-only mode";
@@ -2446,7 +2379,7 @@ let fsck_repair t =
 
 let fsck ?(repair = false) t =
   if not repair then
-    match fsck_check t with [] -> Ok () | ps -> Error ps
+    match check t with [], _ -> Ok () | ps, _ -> Error ps
   else
     let r = fsck_repair t in
     if r.rr_clean then Ok () else Error (r.rr_problems @ r.rr_actions)
@@ -2473,11 +2406,9 @@ let entry_page_blocks t = Pagestore.node_blocks (page_io t) t.entries_base
 
 let index_dump t = Index.dump t.index
 
-(* From-scratch reference rebuild: re-derive every index fact from the
-   live entries and their on-device payloads, dump canonically.  The
-   crash-consistency tests compare this against [index_dump] after a
-   remount. *)
-let rebuilt_index_dump t = Index.dump (rebuild_index t)
+(* The scan's from-scratch rebuild, dumped canonically: the reference
+   the crash-consistency tests compare [index_dump] against. *)
+let rebuilt_index_dump t = Index.dump (snd (scan t))
 
 let unsafe_tamper_index t pd_id = Index.unsafe_drop_posting t.index ~pd_id
 

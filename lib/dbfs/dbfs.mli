@@ -96,16 +96,19 @@ val mount : Rgpdos_block.Block_device.t -> (t, string) result
     on the medium.  The first mutation after a mount loads the slot map
     from the entries (one walk of the entries tree).
 
-    The journal's last record is applied only if every extent it names
+    The journal's last record is applied only if no extent it names
     (a [J_insert]'s record and membrane, a [J_replace]'s new extent)
-    reads back with its stored checksum, each slot cut out of its page,
-    the pages in one vectored read.  A record
+    fails its stored checksum.  Replay reads the pages of every record's
+    extents in one vectored request and checks each slot once; the
+    replayed ops index what they wrote from those slots, and an extent
+    whose page still faults is unreadable (medium damage, which {!fsck}
+    reports), not unwritten.  A record
     whose data never reached the medium is not applied: the journal ends
     before it (the next append overwrites it), {!replay_report} gives the
     stop reason [Unwritten_data], and {!fsck_repair}'s free-space scrub
-    destroys whatever of its data did land.  Records before the last are
-    not re-read: each mutation awaits its data before the next one
-    starts. *)
+    destroys whatever of its data did land.  Only the last record is
+    held to its checksums: each mutation awaits its data before the next
+    one starts. *)
 
 val device : t -> Rgpdos_block.Block_device.t
 
@@ -409,18 +412,23 @@ val checkpoint : t -> unit
 val crash_and_remount : t -> (t, string) result
 
 val fsck : ?repair:bool -> t -> (unit, string list) result
-(** Invariant check, including the membrane invariant (every stored
-    entry's membrane must decode and match the entry identity), per-extent
-    checksums (every record and membrane extent must read back with its
-    stored FNV-64 sum), the space invariant ({!Space.check}: slots
-    inside allocated pages of their zone and disjoint, no slotless
-    allocated page, the slot map and the segment table), and index ↔
-    entry
-    agreement in both directions:
-    every index key names a live pd and matches its on-device record,
-    every posting list contains its keyed pds, every live pd of an
-    indexed type is keyed, the subject index links every entry, and the
-    expiry queue agrees with each membrane's [created_at + ttl].
+(** Invariant check, made from ONE scan of the store: the entries are
+    collected, every data page they name is read in one vectored request
+    (a page that still faults after its retries is left out, so only the
+    extents on it are unreadable), and each slot is cut out, checked
+    against its stored FNV-64 sum and decoded once.  It checks the
+    membrane invariant (every stored entry's membrane decodes and
+    matches the entry identity), per-extent checksums, the space
+    invariant ({!Space.check}: slots inside allocated pages of their
+    zone and disjoint, no slotless allocated page, the slot map and the
+    segment table), schema membership, the entry count, that every
+    metadata tree page lies in the metadata heap, and the secondary
+    indexes against their rebuild: an index built in memory from the
+    sound entries' values, compared with the store's {!index_dump}
+    rendering item by item, skipping pds already reported damaged — one
+    line per differing item, naming its pd.  Each problem is reported
+    once.  On a cold store this reads each data page once and each
+    entries-tree and index page twice.
 
     With [~repair:true] the check is followed by {!fsck_repair};
     [Ok ()] then means the repaired store passes a re-check. *)
@@ -438,13 +446,15 @@ type repair_report = {
 }
 
 val fsck_repair : t -> repair_report
-(** Self-healing pass: quarantine entries whose extents are unreadable,
-    fail their checksum, or no longer decode (reported, never silently
-    dropped); rebuild every secondary index from the surviving records;
+(** Self-healing pass, from the check's one scan: quarantine entries
+    whose extents the scan found unreadable, failing their checksum, or
+    no longer decoding (reported, never silently dropped); install the
+    scan's index, rebuilt from the surviving entries' decoded values;
     release leaked pages; leave no data-page byte outside a surviving
     slot (including what landed of a dropped last record's data); truncate
     the journal where replay stopped (checkpoint + scrub);
-    and leave degraded read-only mode iff the re-check comes back clean.
+    and leave degraded read-only mode iff the re-check, the only second
+    scan, comes back clean.
     Repair never invents data — a quarantined pd is data loss and is
     reported as such. *)
 
@@ -479,13 +489,17 @@ val entry_page_blocks : t -> (int * int) list
     order (so the last page is the rightmost leaf). *)
 
 val index_dump : t -> string
-(** Canonical rendering of the secondary indexes (sorted, iteration-order
-    independent) — crash-consistency tests compare this across remounts. *)
+(** Canonical rendering of the secondary indexes ({!Index.dump}): one
+    sorted line per fact, each index family rendered from its own
+    structures, so a fact lost from one family shows although another
+    still holds it — crash-consistency tests compare this across
+    remounts. *)
 
 val rebuilt_index_dump : t -> string
-(** What {!index_dump} would print for a from-scratch index rebuilt off
-    the live entries and their on-device payloads — the reference for
-    crash-consistency tests. *)
+(** What {!index_dump} prints for the index {!fsck}'s scan rebuilds from
+    the sound entries and their on-device payloads — the reference for
+    crash-consistency tests, which demand [index_dump t =
+    rebuilt_index_dump t]. *)
 
 val unsafe_tamper_index : t -> string -> bool
 (** Test hook: corrupt the index in place by dropping the pd from the

@@ -554,6 +554,9 @@ let probe_range t ~type_name ~field ~op v =
 
 let key_cmp (a, _) (b, _) = String.compare a b
 
+let posting_pd k = Option.map (fun (_, _, _, pd) -> pd) (split4 k)
+let pair_pd k = Option.map snd (split2 k)
+
 (* Stream a base tree, dropping every key owned by a touched pd. *)
 let base_items t root extract_pd =
   match t.base with
@@ -567,13 +570,23 @@ let base_items t root extract_pd =
           true);
       List.rev !acc
 
-let checkpoint t ~io =
-  let expiry_count = expiry_size t in
-  (* overlay pd -> subject (covers every live-or-erased touched pd) *)
+(* The overlay's [pdinfo] facts, sorted by pd: every pd with a subject
+   link (live or erased), with its indexed values and expiry. *)
+let mem_pdinfo t =
   let subj_of = Hashtbl.create 64 in
   Hashtbl.iter
     (fun s ids -> List.iter (fun pd -> Hashtbl.replace subj_of pd s) !ids)
     t.subjects;
+  Hashtbl.fold
+    (fun pd subject acc ->
+      (pd, (subject, Hashtbl.find_opt t.pd_keys pd, Hashtbl.find_opt t.expiry_of pd))
+      :: acc)
+    subj_of []
+  |> List.sort key_cmp
+
+let checkpoint t ~page_size ~first =
+  let expiry_count = expiry_size t in
+  let info = mem_pdinfo t in
   let postings =
     let mem =
       Hashtbl.fold
@@ -585,60 +598,52 @@ let checkpoint t ~io =
         t.pd_keys []
       |> List.sort key_cmp
     in
-    List.merge key_cmp
-      (base_items t
-         (fun r -> r.rt_postings)
-         (fun k -> Option.map (fun (_, _, _, pd) -> pd) (split4 k)))
-      mem
+    List.merge key_cmp (base_items t (fun r -> r.rt_postings) posting_pd) mem
   in
   let pdinfo =
-    let mem =
-      Hashtbl.fold
-        (fun pd subject acc ->
-          let keyed = Hashtbl.find_opt t.pd_keys pd in
-          let exp = Hashtbl.find_opt t.expiry_of pd in
-          (pd, encode_pdinfo ~subject ~keyed ~exp) :: acc)
-        subj_of []
-      |> List.sort key_cmp
-    in
-    List.merge key_cmp (base_items t (fun r -> r.rt_pdinfo) Option.some) mem
+    List.merge key_cmp
+      (base_items t (fun r -> r.rt_pdinfo) Option.some)
+      (List.map
+         (fun (pd, (subject, keyed, exp)) -> (pd, encode_pdinfo ~subject ~keyed ~exp))
+         info)
   in
   let subjects =
-    let mem =
-      Hashtbl.fold
-        (fun pd subject acc -> (subject_key subject pd, "") :: acc)
-        subj_of []
-      |> List.sort key_cmp
-    in
     List.merge key_cmp
-      (base_items t
-         (fun r -> r.rt_subjects)
-         (fun k -> Option.map snd (split2 k)))
-      mem
+      (base_items t (fun r -> r.rt_subjects) pair_pd)
+      (List.map (fun (pd, (subject, _, _)) -> (subject_key subject pd, "")) info
+      |> List.sort key_cmp)
   in
   let expiry =
     let mem =
       Hashtbl.fold (fun pd ns acc -> (expiry_key ns pd, "") :: acc) t.expiry_of []
       |> List.sort key_cmp
     in
-    List.merge key_cmp
-      (base_items t (fun r -> r.rt_expiry) (fun k -> Option.map snd (split2 k)))
-      mem
+    List.merge key_cmp (base_items t (fun r -> r.rt_expiry) pair_pd) mem
   in
   let max_pd =
     match List.rev pdinfo with (pd, _) :: _ -> pd | [] -> ""
   in
-  let roots =
-    {
-      rt_postings = Pagestore.write_tree io postings;
-      rt_pdinfo = Pagestore.write_tree io pdinfo;
-      rt_subjects = Pagestore.write_tree io subjects;
-      rt_expiry = Pagestore.write_tree io expiry;
+  (* the trees go on contiguous blocks from [first], in this order, the
+     one the store's images have always had *)
+  let next = ref first in
+  let lay items =
+    let root, blocks = Pagestore.layout ~page_size ~first:!next items in
+    next := !next + List.length blocks;
+    (root, blocks)
+  in
+  let rt_expiry, b_expiry = lay expiry in
+  let rt_subjects, b_subjects = lay subjects in
+  let rt_pdinfo, b_pdinfo = lay pdinfo in
+  let rt_postings, b_postings = lay postings in
+  ( {
+      rt_postings;
+      rt_pdinfo;
+      rt_subjects;
+      rt_expiry;
       rt_expiry_count = expiry_count;
       rt_max_pd = max_pd;
-    }
-  in
-  roots
+    },
+    List.concat [ b_expiry; b_subjects; b_pdinfo; b_postings ] )
 
 (* The overlay stays: it remains authoritative for touched pds, and the
    new base holds exactly the same facts for them.  Every pd with overlay
@@ -685,126 +690,97 @@ let node_pages t =
         ]
 
 (* ------------------------------------------------------------------ *)
-(* introspection (tests, fsck)                                        *)
+(* rendering (fsck, tests)                                            *)
 
-(* fsck support: every indexed fact both ways *)
-let fold_pd_keys t f acc =
-  let acc = Hashtbl.fold (fun pd v acc -> f pd v acc) t.pd_keys acc in
-  match t.base with
-  | None -> acc
-  | Some b ->
-      let r = ref acc in
-      Pagestore.iter_from b.io b.roots.rt_pdinfo ~lo:"" (fun pd raw ->
-          (if not (is_touched t pd) then
-             match decode_pdinfo raw with
-             | Ok (_, Some keyed, _) -> r := f pd keyed !r
-             | _ -> ());
-          true);
-      !r
+let render_pdinfo (subject, keyed, exp) =
+  Printf.sprintf "subject %s; keys %s; expiry %s" subject
+    (match keyed with
+    | None -> "none"
+    | Some (type_name, kvs) ->
+        Printf.sprintf "%s{%s}" type_name
+          (String.concat ","
+             (List.map
+                (fun (f, v) -> f ^ "=" ^ canonical v)
+                (List.sort (fun (a, _) (b, _) -> String.compare a b) kvs))))
+    (match exp with None -> "none" | Some ns -> string_of_int ns)
 
-let base_pdinfo t pd_id =
-  match t.base with
-  | Some b when not (is_touched t pd_id) -> (
-      match Pagestore.lookup b.io b.roots.rt_pdinfo [ pd_id ] with
-      | [ Some raw ] -> (
-          match decode_pdinfo raw with Ok info -> Some info | Error _ -> None)
-      | _ -> None)
-  | _ -> None
-
-let pd_key t pd_id =
-  match t.base with
-  | Some _ when not (is_touched t pd_id) ->
-      Option.bind (base_pdinfo t pd_id) (fun (_, keyed, _) -> keyed)
-  | _ -> Hashtbl.find_opt t.pd_keys pd_id
-
-let expiry_of t pd_id =
-  match t.base with
-  | Some _ when not (is_touched t pd_id) ->
-      Option.bind (base_pdinfo t pd_id) (fun (_, _, exp) -> exp)
-  | _ -> Hashtbl.find_opt t.expiry_of pd_id
-
-let eq_postings t ~type_name ~field v =
-  base_eq_postings t ~type_name ~field v @ mem_eq_postings t ~type_name ~field v
-
-(* Canonical rendering, independent of hashtable iteration order and of
-   posting-list internal order — two indexes holding the same facts dump
-   to the same string. *)
-let dump_mem t =
-  let b = Buffer.create 256 in
-  let eq =
-    Hashtbl.fold
-      (fun okey m acc ->
-        VMap.fold
-          (fun v ids acc ->
-            (okey ^ "\x00" ^ canonical v, List.sort String.compare !ids) :: acc)
-          !m acc)
-      t.ord []
-    |> List.sort compare
-  in
-  Buffer.add_string b "eq:\n";
+(* Every family renders from its own structures: the overlay's, then
+   its base tree streamed once, less the touched pds the overlay owns.
+   So a fact lost from one family shows even when another still holds
+   it. *)
+let items t =
+  let acc = ref [] in
+  let add pd what v = acc := (pd, what, v) :: !acc in
+  let posting type_name field = "posting " ^ type_name ^ "." ^ field in
+  Hashtbl.iter
+    (fun okey m ->
+      Option.iter
+        (fun (type_name, field) ->
+          VMap.iter
+            (fun v ids ->
+              List.iter (fun pd -> add pd (posting type_name field) (canonical v)) !ids)
+            !m)
+        (split2 okey))
+    t.ord;
   List.iter
-    (fun (k, ids) ->
-      Buffer.add_string b
-        (Printf.sprintf "  %s -> %s\n"
-           (String.concat "/" (String.split_on_char '\x00' k))
-           (String.concat "," ids)))
-    eq;
-  Buffer.add_string b "subjects:\n";
+    (fun (k, _) ->
+      Option.iter
+        (fun (type_name, field, escanon, pd) ->
+          add pd (posting type_name field) (unesc escanon))
+        (split4 k))
+    (base_items t (fun r -> r.rt_postings) posting_pd);
+  List.iter (fun (pd, info) -> add pd "pdinfo" (render_pdinfo info)) (mem_pdinfo t);
   List.iter
-    (fun s ->
-      Buffer.add_string b
-        (Printf.sprintf "  %s -> %s\n" s
-           (String.concat ","
-              (List.sort String.compare
-                 (match Hashtbl.find_opt t.subjects s with
-                 | None -> []
-                 | Some ids -> !ids)))))
-    (Hashtbl.fold
-       (fun s ids acc -> if !ids = [] then acc else s :: acc)
-       t.subjects []
-    |> List.sort String.compare);
-  Buffer.add_string b "expiry:\n";
+    (fun (pd, raw) ->
+      add pd "pdinfo"
+        (match decode_pdinfo raw with
+        | Ok info -> render_pdinfo info
+        | Error e -> "undecodable: " ^ e))
+    (base_items t (fun r -> r.rt_pdinfo) Option.some);
+  Hashtbl.iter (fun s ids -> List.iter (fun pd -> add pd "subject link" s) !ids) t.subjects;
+  List.iter
+    (fun (k, _) ->
+      Option.iter (fun (esc_s, pd) -> add pd "subject link" (unesc esc_s)) (split2 k))
+    (base_items t (fun r -> r.rt_subjects) pair_pd);
   IMap.iter
-    (fun ns ids ->
-      Buffer.add_string b
-        (Printf.sprintf "  %d -> %s\n" ns
-           (String.concat "," (List.sort String.compare !ids))))
+    (fun ns ids -> List.iter (fun pd -> add pd "expiry" (expiry_ns_key ns)) !ids)
     t.expiry;
-  Buffer.contents b
+  List.iter
+    (fun (k, _) -> Option.iter (fun (nss, pd) -> add pd "expiry" nss) (split2 k))
+    (base_items t (fun r -> r.rt_expiry) pair_pd);
+  List.sort compare !acc
 
 let dump t =
-  match t.base with
-  | None -> dump_mem t
-  | Some b ->
-      (* materialize a merged snapshot and render it like a plain index *)
-      let s = create () in
-      fold_pd_keys t
-        (fun pd (type_name, kvs) () ->
-          Hashtbl.replace s.pd_keys pd (type_name, kvs);
-          List.iter (fun (field, v) -> ord_add s ~type_name ~field v pd) kvs)
-        ();
-      List.iter
-        (fun subj ->
-          Hashtbl.replace s.subjects subj (ref (List.rev (subject_pds t subj))))
-        (subject_list t);
-      Hashtbl.iter
-        (fun pd ns ->
-          Hashtbl.replace s.expiry_of pd ns;
-          match IMap.find_opt ns s.expiry with
-          | Some ids -> ids := pd :: !ids
-          | None -> s.expiry <- IMap.add ns (ref [ pd ]) s.expiry)
-        t.expiry_of;
-      Pagestore.iter_from b.io b.roots.rt_expiry ~lo:"" (fun k _ ->
-          (match split2 k with
-          | Some (nss, pd) when not (is_touched t pd) -> (
-              let ns = int_of_string nss in
-              Hashtbl.replace s.expiry_of pd ns;
-              match IMap.find_opt ns s.expiry with
-              | Some ids -> ids := pd :: !ids
-              | None -> s.expiry <- IMap.add ns (ref [ pd ]) s.expiry)
-          | _ -> ());
-          true);
-      dump_mem s
+  String.concat ""
+    (List.map (fun (pd, what, v) -> Printf.sprintf "%s %s: %s\n" pd what v) (items t))
+
+let differences t ~rebuilt ~skip =
+  let keep (pd, _, _) = not (skip pd) in
+  (* the items of each side the other lacks, as multisets *)
+  let rec diff stray missing a b =
+    match (a, b) with
+    | [], rest -> (stray, List.rev_append rest missing)
+    | rest, [] -> (List.rev_append rest stray, missing)
+    | x :: a', y :: b' ->
+        let c = compare x y in
+        if c = 0 then diff stray missing a' b'
+        else if c < 0 then diff (x :: stray) missing a' b
+        else diff stray (y :: missing) a b'
+  in
+  let stray, missing =
+    diff [] []
+      (List.filter keep (items t))
+      (List.filter keep (items rebuilt))
+  in
+  let key (pd, what, _) = (pd, what) in
+  let keys side = Hashtbl.of_seq (Seq.map (fun i -> (key i, ())) (List.to_seq side)) in
+  let stray_keys = keys stray and missing_keys = keys missing in
+  List.sort_uniq compare (List.map key stray @ List.map key missing)
+  |> List.map (fun ((pd, what) as k) ->
+         match (Hashtbl.mem stray_keys k, Hashtbl.mem missing_keys k) with
+         | true, true -> Printf.sprintf "index: pd %s: %s does not match its extents" pd what
+         | true, false -> Printf.sprintf "index: pd %s: stray %s" pd what
+         | _ -> Printf.sprintf "index: pd %s: %s missing" pd what)
 
 (* test hook: damage one posting list in place (see Dbfs.unsafe_tamper_index) *)
 let unsafe_drop_posting t ~pd_id =

@@ -103,9 +103,11 @@ val attach : io:Pagestore.io -> roots -> t
 (** Index view over checkpointed trees with an empty overlay.  Reads no
     pages — this is what makes a clean mount O(1). *)
 
-val checkpoint : t -> io:Pagestore.io -> roots
-(** Bulk-write the merged (base + overlay) view as fresh trees through
-    [io].  The index keeps reading its old base until {!rebase}. *)
+val checkpoint : t -> page_size:int -> first:int -> roots * (int * string) list
+(** Lay the merged (base + overlay) view out as fresh trees on contiguous
+    blocks from [first]: their roots and every block's bytes, for the
+    caller to write.  The index keeps reading its old base until
+    {!rebase}. *)
 
 val rebase : t -> io:Pagestore.io -> roots -> unit
 (** Re-base the index on the trees {!checkpoint} wrote, once their root
@@ -120,19 +122,28 @@ val node_pages : t -> (int * int) list
     fsck ownership checks and fault injection.  Empty without a base.
     @raise Pagestore.Corrupt_page on unreadable interior pages. *)
 
-(** {2 Introspection — fsck and tests} *)
+(** {2 Rendering — fsck and tests} *)
 
 val dump : t -> string
-(** Canonical rendering of the merged facts (sorted, order-independent):
-    two indexes holding the same facts dump identically, whether the
-    facts live in overlay memory or in base pages. *)
+(** Canonical rendering, one line per fact: ["<pd> <what>: <value>"],
+    sorted, where [what] is ["posting <type>.<field>"] (value: the
+    canonical value), ["pdinfo"] (the pd's subject, indexed values and
+    expiry), ["subject link"] (the subject) or ["expiry"] (the instant).
+    Each family renders from its own structures, its overlay and its
+    base tree streamed once: postings from the posting lists and the
+    postings tree, pdinfo from [pd_keys] and the pdinfo tree, subject
+    links from the subject lists and the subjects tree, the expiry queue
+    from the expiry map and the expiry tree.  So two indexes holding the
+    same facts dump identically, in overlay memory or in base pages, and
+    a fact one family lost shows although another still holds it.
+    @raise Pagestore.Corrupt_page on an unreadable base page. *)
 
-val fold_pd_keys :
-  t -> (string -> string * (string * Value.t) list -> 'a -> 'a) -> 'a -> 'a
-
-val pd_key : t -> string -> (string * (string * Value.t) list) option
-val expiry_of : t -> string -> int option
-val eq_postings : t -> type_name:string -> field:string -> Value.t -> string list
+val differences : t -> rebuilt:t -> skip:(string -> bool) -> string list
+(** One line per (pd, what) whose {!dump} facts differ between the index
+    and [rebuilt] (a stray fact, a missing one, or one whose value
+    differs), naming its pd but not the value; pds [skip] accepts are
+    left out.  @raise Pagestore.Corrupt_page on an unreadable base
+    page. *)
 
 val unsafe_drop_posting : t -> pd_id:string -> bool
 (** Test hook: silently drop [pd_id] from the posting list of its first

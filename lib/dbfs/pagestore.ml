@@ -3,24 +3,25 @@
 
    A tree is a set of immutable pages in the DBFS metadata heap.  Leaves
    hold sorted (key, value) runs; interior nodes hold (first_key, child)
-   separators.  Pages are written once by [write_tree] (bottom-up bulk
-   load from a sorted stream) and never updated in place: mutations go to
+   separators.  Pages are laid out once by [layout] (bottom-up bulk load
+   from a sorted stream) and never updated in place: mutations go to
    the in-memory overlay in [Index] / the DBFS entry overlay, and the next
    checkpoint rewrites the tree into the other metadata heap half.
 
    Every page is framed like the other on-device structures: a u32 payload
    length, the payload, and a 16-hex-char FNV checksum.  A page normally
    occupies one device block; a single oversized entry gets a multi-block
-   ("fat") page.  All device access goes through an [io] record provided
-   by DBFS, which layers the shared LRU page cache and warm==cold read
-   charging underneath.  Point lookups descend in batches: one
-   [read_pages] request per tree level, whatever the number of keys. *)
+   ("fat") page.  [layout] only lays a tree's pages out: the caller writes
+   them, so a checkpoint writes all its trees in one request.  All reads
+   go through an [io] record provided by DBFS, which layers the shared LRU
+   page cache and warm==cold read charging underneath.  Point lookups
+   descend in batches: one [read_pages] request per tree level, whatever
+   the number of keys. *)
 
 module Codec = Rgpdos_util.Codec
 module Fnv = Rgpdos_util.Fnv
 
 type io = {
-  page_size : int;  (** device block size *)
   read_pages : (int * int) list -> string list;
       (** [read_pages [(first, nblocks); ...]] returns each page's
           concatenated raw bytes, in order, fetched in one vectored
@@ -30,10 +31,6 @@ type io = {
           shortly: DBFS submits its device read so the service overlaps
           the decode of the page being scanned now; best-effort, never
           raises *)
-  write_blocks : (int * string) list -> unit;
-  alloc : int -> int;
-      (** [alloc nblocks] reserves a contiguous run in the metadata heap and
-          returns its first block *)
 }
 
 type root = { r_block : int; r_nblocks : int }
@@ -115,29 +112,32 @@ let decode_node ~block raw =
 (* ------------------------------------------------------------------ *)
 (* bulk load                                                          *)
 
-let write_page io raw =
-  let bs = io.page_size in
+(* The blocks of the pages laid out so far, newest first, and the next
+   free block. *)
+type layout = { page_size : int; mutable next : int; mutable blocks : (int * string) list }
+
+let put_page lay raw =
+  let bs = lay.page_size in
   let len = String.length raw in
   let n = max 1 ((len + bs - 1) / bs) in
-  let first = io.alloc n in
-  let writes =
-    List.init n (fun i ->
-        let off = i * bs in
-        (first + i, String.sub raw off (min bs (len - off))))
-  in
-  io.write_blocks writes;
+  let first = lay.next in
+  for i = 0 to n - 1 do
+    let off = i * bs in
+    lay.blocks <- (first + i, String.sub raw off (min bs (len - off))) :: lay.blocks
+  done;
+  lay.next <- first + n;
   { r_block = first; r_nblocks = n }
 
 (* Greedy fill: close a page when the next entry would overflow one block.
    A single entry larger than a block gets its own fat page. *)
-let pack io ~cost ~node_of ~key_of items =
-  let usable = io.page_size - page_overhead in
+let pack lay ~cost ~node_of ~key_of items =
+  let usable = lay.page_size - page_overhead in
   let flush acc group =
     match group with
     | [] -> acc
     | _ ->
         let group = List.rev group in
-        let root = write_page io (frame (encode_node (node_of group))) in
+        let root = put_page lay (frame (encode_node (node_of group))) in
         (key_of (List.hd group), root) :: acc
   in
   let rec go acc group size = function
@@ -150,23 +150,27 @@ let pack io ~cost ~node_of ~key_of items =
   in
   go [] [] 0 items
 
-let rec build_interior io children =
+let rec build_interior lay children =
   match children with
   | [] -> empty_root
   | [ (_, r) ] -> r
   | _ ->
-      build_interior io
-        (pack io
+      build_interior lay
+        (pack lay
            ~cost:(fun (k, _) -> interior_entry_cost k)
            ~node_of:(fun g -> Interior g)
            ~key_of:fst children)
 
-let write_tree io items =
-  build_interior io
-    (pack io
-       ~cost:(fun (k, v) -> leaf_entry_cost k v)
-       ~node_of:(fun g -> Leaf g)
-       ~key_of:fst items)
+let layout ~page_size ~first items =
+  let lay = { page_size; next = first; blocks = [] } in
+  let root =
+    build_interior lay
+      (pack lay
+         ~cost:(fun (k, v) -> leaf_entry_cost k v)
+         ~node_of:(fun g -> Leaf g)
+         ~key_of:fst items)
+  in
+  (root, List.rev lay.blocks)
 
 (* ------------------------------------------------------------------ *)
 (* reads                                                              *)

@@ -3,12 +3,12 @@
 
     Pages are immutable once written: mutations accumulate in in-memory
     overlays and the next checkpoint rewrites the whole tree into the
-    other metadata heap half (see DESIGN.md).  All device access goes
-    through the {!io} closures supplied by DBFS, which layer the shared
-    LRU page cache and warm==cold read charging underneath. *)
+    other metadata heap half (see DESIGN.md).  {!layout} only lays a
+    tree's pages out; the caller writes them.  All reads go through the
+    {!io} closures supplied by DBFS, which layer the shared LRU page cache
+    and warm==cold read charging underneath. *)
 
 type io = {
-  page_size : int;  (** device block size *)
   read_pages : (int * int) list -> string list;
       (** [read_pages [(first, nblocks); ...]]: each page's concatenated
           raw bytes, in order, as one vectored request — cached and
@@ -19,10 +19,6 @@ type io = {
           decode ({!iter_from} issues it for the next sibling before
           descending).  Best-effort: it must not raise, since the scan
           may stop before it needs the page *)
-  write_blocks : (int * string) list -> unit;
-  alloc : int -> int;
-      (** [alloc nblocks] reserves a contiguous metadata-heap run and
-          returns its first block *)
 }
 
 type root = { r_block : int; r_nblocks : int }
@@ -35,8 +31,11 @@ exception Corrupt_page of int
 (** Raised (with the page's first block) when a page fails its checksum or
     does not parse. *)
 
-val write_tree : io -> (string * string) list -> root
-(** Bulk-load a tree from items sorted ascending by key (keys unique).
+val layout :
+  page_size:int -> first:int -> (string * string) list -> root * (int * string) list
+(** Bulk-load a tree from items sorted ascending by key (keys unique),
+    its pages laid out on contiguous blocks from [first]: the tree's root
+    and every block's bytes, in block order, for the caller to write.
     Packs leaves greedily into single blocks (an oversized entry gets a
     multi-block page), then builds interior levels bottom-up. *)
 

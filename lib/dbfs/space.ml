@@ -1129,7 +1129,7 @@ let finish t p ~relocate =
 
 let checkpoint t =
   match t.free_state with
-  | F_unloaded -> () (* no allocation since mount: device bitmap is current *)
+  | F_unloaded -> [] (* no allocation since mount: device bitmap is current *)
   | F_loaded free ->
       let n = Array.length free in
       let bytes = Bytes.make ((n + 7) / 8) '\000' in
@@ -1143,13 +1143,9 @@ let checkpoint t =
       let raw = Bytes.unsafe_to_string bytes in
       let bs = block_size t in
       let nblocks = ((String.length raw - 1) / bs) + 1 in
-      retrying t (fun () ->
-          Block_device.write_vec t.dev
-            (List.init nblocks (fun i ->
-                 ( t.bitmap_start + i,
-                   String.sub raw (i * bs) (min bs (String.length raw - (i * bs)))
-                 ))));
-      t.root <- { present = true; bytes = String.length raw }
+      t.root <- { present = true; bytes = String.length raw };
+      List.init nblocks (fun i ->
+          (t.bitmap_start + i, String.sub raw (i * bs) (min bs (String.length raw - (i * bs)))))
 
 let segment_table t =
   match t.placement with

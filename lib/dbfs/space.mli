@@ -188,8 +188,10 @@ val scrub_freed : t -> extent list -> unit
     written pages of [freed] (extents freed by replayed ops), reading the
     pages that keep live slots ("replay_zeroed_blocks"). *)
 
-val checkpoint : t -> unit
-(** Write the bitmap back when it was hydrated since mount. *)
+val checkpoint : t -> (int * string) list
+(** The bitmap's blocks, for the checkpoint's one write, when it was
+    hydrated since mount ([[]] otherwise); the root ({!encode_root}) now
+    names them. *)
 
 val segment_table : t -> (int * string * int * int * int) list
 (** [(id, state, used, live_pages, live_bytes)] of every non-free

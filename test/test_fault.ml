@@ -292,6 +292,126 @@ let test_index_damage_detected_and_rebuilt () =
   check_string "index matches a from-scratch rebuild"
     (Dbfs.rebuilt_index_dump store) (Dbfs.index_dump store)
 
+(* One rotten record is one problem, its checksum's: the index lines
+   about a pd already reported damaged are left out.  One rotten index
+   page is one problem too, however many walks meet it. *)
+let test_fsck_reports_each_problem_once () =
+  let m, people = boot_machine () in
+  let pd = first_pd (Machine.dbfs m) (List.hd people) in
+  let record = record_extent (Machine.dbfs m) pd in
+  let store = cold_remount (Machine.dbfs m) in
+  Block_device.unsafe_flip (Dbfs.device store)
+    ~block:(List.hd record.Space.blocks) ~byte:(record.Space.off + 10) ~bit:3;
+  Alcotest.(check (result unit (list string)))
+    "bit rot: the record's checksum, once"
+    (Error [ Printf.sprintf "entry %s: record extent checksum mismatch" pd ])
+    (Dbfs.fsck store);
+  let m, _ = boot_machine () in
+  Dbfs.checkpoint (Machine.dbfs m);
+  let block =
+    match Dbfs.index_page_blocks (Machine.dbfs m) with
+    | (b, _) :: _ -> b
+    | [] -> Alcotest.fail "no index pages after a checkpoint"
+  in
+  let store = cold_remount (Machine.dbfs m) in
+  Block_device.unsafe_flip (Dbfs.device store) ~block ~byte:8 ~bit:3;
+  Alcotest.(check (result unit (list string)))
+    "index-page rot: the page, once"
+    (Error [ Printf.sprintf "index page %d fails its checksum" block ])
+    (Dbfs.fsck store)
+
+(* A data page that still faults after its retries costs only the
+   extents on it: the scan reads every other page, and fsck reports
+   exactly the records of that page as unreadable. *)
+let test_faulted_page_costs_only_its_extents () =
+  let m, _ = boot_machine ~subjects:40 () in
+  let store = cold_remount (Machine.dbfs m) in
+  let pds =
+    match Dbfs.list_pds store ~actor Population.type_name with
+    | Ok pds -> pds
+    | Error e -> Alcotest.fail (Dbfs.error_to_string e)
+  in
+  let page = List.hd (record_extent store (List.hd pds)).Space.blocks in
+  let on_page =
+    List.filter (fun pd -> List.mem page (record_extent store pd).Space.blocks) pds
+  in
+  check_bool "the page holds some records, not all" true
+    (on_page <> [] && List.length on_page < List.length pds);
+  Block_device.inject_fault (Dbfs.device store) page;
+  Alcotest.(check (result unit (list string)))
+    "only the faulted page's records are unreadable"
+    (Error
+       (List.map
+          (fun pd -> Printf.sprintf "entry %s: record extent unreadable (device fault)" pd)
+          on_page))
+    (Dbfs.fsck store)
+
+let mentions s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The dump law [index_dump = rebuilt_index_dump] sees a posting lost
+   from a paged index: each index family renders from its own
+   structures, so the pdinfo tree still naming the pd's key does not
+   hide the loss. *)
+let test_dump_law_sees_lost_posting_when_paged () =
+  let m, people = boot_machine () in
+  Dbfs.checkpoint (Machine.dbfs m);
+  let store = cold_remount (Machine.dbfs m) in
+  let pd = first_pd store (List.hd people) in
+  check_string "a sound paged index dumps as its rebuild"
+    (Dbfs.rebuilt_index_dump store) (Dbfs.index_dump store);
+  check_bool "tamper hook applied" true (Dbfs.unsafe_tamper_index store pd);
+  check_bool "the dump differs from the rebuild" true
+    (Dbfs.index_dump store <> Dbfs.rebuilt_index_dump store);
+  match Dbfs.fsck store with
+  | Ok () -> Alcotest.fail "fsck missed the lost posting"
+  | Error problems ->
+      check_bool "fsck names the pd" true
+        (List.exists (fun p -> mentions p pd) problems)
+
+(* fsck of a cold store reads each page at most twice: every data page
+   once, in one request, and each entries-tree and index page once for
+   the heap-bounds walk and once for its facts.  Repairing the clean
+   store, which re-checks after rebuilding, reads at most five times
+   per page. *)
+let test_fsck_reads_each_page_at_most_twice () =
+  let m, _ = boot_machine ~subjects:300 () in
+  Dbfs.checkpoint (Machine.dbfs m);
+  let store = cold_remount (Machine.dbfs m) in
+  let dev = Dbfs.device store in
+  let lay = Dbfs.layout store in
+  let data = ref 0 in
+  for b = lay.Space.l_data_start to lay.Space.l_block_count - 1 do
+    if Block_device.is_written dev b then incr data
+  done;
+  let pages =
+    !data
+    + List.length (Dbfs.index_page_blocks store)
+    + List.length (Dbfs.entry_page_blocks store)
+  in
+  let reads f =
+    Block_device.reset_stats dev;
+    f ();
+    get dev "reads"
+  in
+  let fsck =
+    reads (fun () -> check_bool "fsck clean" true (Dbfs.fsck store = Ok ()))
+  in
+  let repair =
+    reads (fun () ->
+        check_bool "repair clean" true (Dbfs.fsck_repair store).Dbfs.rr_clean)
+  in
+  check_bool
+    (Printf.sprintf "fsck: %d reads for %d pages" fsck pages)
+    true
+    (fsck <= 2 * pages);
+  check_bool
+    (Printf.sprintf "repair: %d reads for %d pages" repair pages)
+    true
+    (repair <= 5 * pages)
+
 let test_transient_fault_ridden_out () =
   let m, people = boot_machine () in
   let pd = first_pd (Machine.dbfs m) (List.hd people) in
@@ -530,6 +650,14 @@ let () =
             test_record_bit_rot_detected_and_healed;
           Alcotest.test_case "index damage detected + rebuilt" `Quick
             test_index_damage_detected_and_rebuilt;
+          Alcotest.test_case "fsck reports each problem once" `Quick
+            test_fsck_reports_each_problem_once;
+          Alcotest.test_case "dump law sees a lost posting when paged" `Quick
+            test_dump_law_sees_lost_posting_when_paged;
+          Alcotest.test_case "fsck reads each page at most twice" `Quick
+            test_fsck_reads_each_page_at_most_twice;
+          Alcotest.test_case "a faulted page costs only its extents" `Quick
+            test_faulted_page_costs_only_its_extents;
           Alcotest.test_case "transient fault ridden out" `Quick
             test_transient_fault_ridden_out;
           Alcotest.test_case "faulted prefetch sibling skipped" `Quick
