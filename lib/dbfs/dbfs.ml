@@ -2342,18 +2342,27 @@ let fsck_repair t =
   in
   (* 6. the old trees may still hold index facts on damaged or orphaned
      heap pages the checkpoint did not overwrite: zero every written heap
-     block outside the newly written live range *)
-  let stale_meta = ref 0 in
-  for half = 0 to 1 do
-    for i = 0 to t.heap_cap - 1 do
-      let b = heap_start t half + i in
-      let live = half = t.active_half && i < t.heap_used in
-      if (not live) && Block_device.is_written t.dev b then
-        if zero_block b then incr stale_meta
-    done
-  done;
-  if !stale_meta > 0 then
-    act "scrubbed %d stale metadata heap block(s)" !stale_meta;
+     block outside the newly written live range, in one request, or block
+     by block when that faults, so the count is exact *)
+  let stale =
+    List.concat_map
+      (fun half ->
+        List.filter_map
+          (fun i ->
+            let b = heap_start t half + i in
+            let live = half = t.active_half && i < t.heap_used in
+            if (not live) && Block_device.is_written t.dev b then Some b else None)
+          (List.init t.heap_cap Fun.id))
+      [ 0; 1 ]
+  in
+  let stale_meta =
+    try
+      Space.zero t.space stale;
+      List.length stale
+    with Block_device.Faulted _ -> List.length (List.filter zero_block stale)
+  in
+  if stale_meta > 0 then
+    act "scrubbed %d stale metadata heap block(s)" stale_meta;
   t.replay_warning <- None;
   Cache.clear t.cache;
   (* 7. verify; leave degraded mode only on a clean bill of health *)

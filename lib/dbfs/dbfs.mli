@@ -427,8 +427,9 @@ val fsck : ?repair:bool -> t -> (unit, string list) result
     sound entries' values, compared with the store's {!index_dump}
     rendering item by item, skipping pds already reported damaged — one
     line per differing item, naming its pd.  Each problem is reported
-    once.  On a cold store this reads each data page once and each
-    entries-tree and index page twice.
+    once.  On a cold store this reads each data page and each tree leaf
+    once and each interior tree page twice: the bounds walk reads only
+    interior pages and each tree's leftmost leaf.
 
     With [~repair:true] the check is followed by {!fsck_repair};
     [Ok ()] then means the repaired store passes a re-check. *)
@@ -452,9 +453,11 @@ val fsck_repair : t -> repair_report
     scan's index, rebuilt from the surviving entries' decoded values;
     release leaked pages; leave no data-page byte outside a surviving
     slot (including what landed of a dropped last record's data); truncate
-    the journal where replay stopped (checkpoint + scrub);
-    and leave degraded read-only mode iff the re-check, the only second
-    scan, comes back clean.
+    the journal where replay stopped (checkpoint + scrub); zero the
+    stale metadata heap blocks; and leave degraded read-only mode iff
+    the re-check, the only second scan, comes back clean.  The data-page
+    scrub and the heap zeroing are one request each, and block by block
+    only when that request faults.
     Repair never invents data — a quarantined pd is data loss and is
     reported as such. *)
 
@@ -481,12 +484,14 @@ val cache_budget : t -> int
 
 val index_page_blocks : t -> (int * int) list
 (** Every on-device node page [(first_block, nblocks)] of the checkpointed
-    index trees — fault-injection targets for [fsck --damage index-page].
-    Empty before the first checkpoint. *)
+    index trees, each tree level by level from its root — fault-injection
+    targets for [fsck --damage index-page].  Reads only interior pages
+    and each tree's leftmost leaf ({!Pagestore.node_blocks}).  Empty
+    before the first checkpoint. *)
 
 val entry_page_blocks : t -> (int * int) list
-(** The same for the checkpointed entries tree, root first and in key
-    order (so the last page is the rightmost leaf). *)
+(** The same for the checkpointed entries tree, root first, each level in
+    key order (so the last page is the rightmost leaf). *)
 
 val index_dump : t -> string
 (** Canonical rendering of the secondary indexes ({!Index.dump}): one

@@ -100,6 +100,15 @@ type t = {
   touched : (string, unit) Hashtbl.t;
       (* pds whose overlay state overrides the base trees *)
   mutable base : base option;
+  mutable base_live : bool;
+      (* the base may hold a pd the overlay has not touched.  Every base
+         key belongs to a pd with a [pdinfo] item, so while this is false
+         every key a base read returns belongs to a touched pd and the
+         merge would drop it: the read is skipped *)
+  mutable carried : int;
+      (* [pdinfo] items the last [checkpoint] carried over, untouched,
+         from the base: the new trees hold an untouched pd exactly when
+         this is non-zero, which [rebase] takes up *)
   mutable expiry_count : int; (* merged queue size (base + overlay) *)
 }
 
@@ -112,12 +121,16 @@ let create () =
     expiry_of = Hashtbl.create 64;
     touched = Hashtbl.create 64;
     base = None;
+    base_live = false;
+    carried = 0;
     expiry_count = 0;
   }
 
+(* A mounted base may hold any pd untouched, unless it is empty. *)
 let attach ~io roots =
   let t = create () in
   t.base <- Some { io; roots };
+  t.base_live <- not (Pagestore.is_empty roots.rt_pdinfo);
   t.expiry_count <- roots.rt_expiry_count;
   t
 
@@ -210,6 +223,15 @@ let split4 k =
 
 let is_touched t pd = Hashtbl.mem t.touched pd
 
+(* The base, while a read of it can add a fact the overlay lacks. *)
+let live_base t = if t.base_live then t.base else None
+
+let iter_live_from t root ~lo f =
+  Option.iter (fun b -> Pagestore.iter_from b.io (root b.roots) ~lo f) (live_base t)
+
+let iter_live_prefix t root ~prefix f =
+  Option.iter (fun b -> Pagestore.iter_prefix b.io (root b.roots) ~prefix f) (live_base t)
+
 (* pdinfo value: (subject, indexed field values if live, expiry ns) *)
 let encode_pdinfo ~subject ~keyed ~exp =
   let w = Writer.create () in
@@ -298,9 +320,10 @@ let ord_remove t ~type_name ~field v pd =
    overlay, before their first mutation: ONE batched [pdinfo] lookup, so
    each node page on the pds' paths is read once however many pds a
    commit names.  Pds beyond the base's largest key (fresh inserts) need
-   no lookup. *)
+   no lookup, and neither does any pd once the base holds no untouched
+   one. *)
 let materialize t pd_ids =
-  match t.base with
+  match live_base t with
   | None -> ()
   | Some b -> (
       let fresh =
@@ -376,14 +399,16 @@ let subject_pds t subject =
   in
   match t.base with
   | None -> mem
-  | Some b ->
+  | Some _ ->
       let acc = ref [] in
       let prefix = esc subject ^ "\x00" in
-      Pagestore.iter_prefix b.io b.roots.rt_subjects ~prefix (fun k _ ->
+      iter_live_prefix t (fun r -> r.rt_subjects) ~prefix (fun k _ ->
           let pd = String.sub k (String.length prefix) (String.length k - String.length prefix) in
           if not (is_touched t pd) then acc := pd :: !acc);
       (* pd ids are zero-padded and assigned monotonically, so sorting by
-         pd restores insertion order across the base/overlay split *)
+         pd restores insertion order across the base/overlay split — and
+         within the overlay, where a base pd materialized after a newer pd
+         of its subject sits behind it *)
       List.sort String.compare (List.rev_append !acc mem)
 
 let subject_list t =
@@ -392,9 +417,9 @@ let subject_list t =
   in
   match t.base with
   | None -> List.sort String.compare mem
-  | Some b ->
+  | Some _ ->
       let acc = ref mem in
-      Pagestore.iter_from b.io b.roots.rt_subjects ~lo:"" (fun k _ ->
+      iter_live_from t (fun r -> r.rt_subjects) ~lo:"" (fun k _ ->
           (match split2 k with
           | Some (esc_s, pd) when not (is_touched t pd) -> acc := unesc esc_s :: !acc
           | _ -> ());
@@ -447,10 +472,10 @@ let expired t ~now =
   let mem = expired_pairs_mem t ~now in
   match t.base with
   | None -> List.map snd mem
-  | Some b ->
+  | Some _ ->
       let acc = ref [] in
       let stop = expiry_ns_key now in
-      Pagestore.iter_from b.io b.roots.rt_expiry ~lo:"" (fun k _ ->
+      iter_live_from t (fun r -> r.rt_expiry) ~lo:"" (fun k _ ->
           match split2 k with
           | None -> true
           | Some (nss, pd) ->
@@ -461,7 +486,8 @@ let expired t ~now =
                 true
               end);
       (* merged order: (ns, pd) ascending — identical to what a full
-         rebuild (which re-queues in pd order) would produce *)
+         rebuild (which re-queues in pd order) would produce; the overlay
+         alone is not in it once a base pd has materialized *)
       List.sort compare (List.rev_append !acc mem) |> List.map snd
 
 let expiry_size t =
@@ -481,17 +507,14 @@ let header_bytes = 32
 let slot_bytes = 16
 
 let base_eq_postings t ~type_name ~field v =
-  match t.base with
-  | None -> []
-  | Some b ->
-      let acc = ref [] in
-      let prefix =
-        String.concat "\x00" [ type_name; field; esc (canonical v) ] ^ "\x00"
-      in
-      Pagestore.iter_prefix b.io b.roots.rt_postings ~prefix (fun k _ ->
-          let pd = String.sub k (String.length prefix) (String.length k - String.length prefix) in
-          if not (is_touched t pd) then acc := pd :: !acc);
-      List.rev !acc
+  let acc = ref [] in
+  let prefix =
+    String.concat "\x00" [ type_name; field; esc (canonical v) ] ^ "\x00"
+  in
+  iter_live_prefix t (fun r -> r.rt_postings) ~prefix (fun k _ ->
+      let pd = String.sub k (String.length prefix) (String.length k - String.length prefix) in
+      if not (is_touched t pd) then acc := pd :: !acc);
+  List.rev !acc
 
 (* Overlay postings of one value, newest first. *)
 let mem_eq_postings t ~type_name ~field v =
@@ -531,23 +554,20 @@ let probe_range t ~type_name ~field ~op v =
         in
         (!ids, bytes)
   in
-  match t.base with
-  | None -> (ids, bytes)
-  | Some b ->
-      let extra = ref [] in
-      let prefix = ord_key ~type_name ~field ^ "\x00" in
-      Pagestore.iter_prefix b.io b.roots.rt_postings ~prefix (fun k _ ->
-          match split4 k with
-          | Some (_, _, escanon, pd) when not (is_touched t pd) -> (
-              match of_canonical (unesc escanon) with
-              | None -> ()
-              | Some v' -> (
-                  match Query.numeric_cmp v' v with
-                  | Some c when (match op with `Lt -> c < 0 | `Gt -> c > 0) ->
-                      extra := pd :: !extra
-                  | _ -> ()))
-          | _ -> ());
-      (List.rev_append !extra ids, bytes)
+  let extra = ref [] in
+  let prefix = ord_key ~type_name ~field ^ "\x00" in
+  iter_live_prefix t (fun r -> r.rt_postings) ~prefix (fun k _ ->
+      match split4 k with
+      | Some (_, _, escanon, pd) when not (is_touched t pd) -> (
+          match of_canonical (unesc escanon) with
+          | None -> ()
+          | Some v' -> (
+              match Query.numeric_cmp v' v with
+              | Some c when (match op with `Lt -> c < 0 | `Gt -> c > 0) ->
+                  extra := pd :: !extra
+              | _ -> ()))
+      | _ -> ());
+  (List.rev_append !extra ids, bytes)
 
 (* ------------------------------------------------------------------ *)
 (* checkpoint: rewrite the base trees from the merged view            *)
@@ -557,7 +577,9 @@ let key_cmp (a, _) (b, _) = String.compare a b
 let posting_pd k = Option.map (fun (_, _, _, pd) -> pd) (split4 k)
 let pair_pd k = Option.map snd (split2 k)
 
-(* Stream a base tree, dropping every key owned by a touched pd. *)
+(* Stream a base tree, dropping every key owned by a touched pd.  fsck's
+   rendering reads it whether or not the base is live, so a rotten page
+   still shows. *)
 let base_items t root extract_pd =
   match t.base with
   | None -> []
@@ -587,6 +609,13 @@ let mem_pdinfo t =
 let checkpoint t ~page_size ~first =
   let expiry_count = expiry_size t in
   let info = mem_pdinfo t in
+  (* a base every pd of which is touched adds no item to the merge: the
+     new trees are laid out from the overlay alone *)
+  let from_base root extract_pd =
+    if t.base_live then base_items t root extract_pd else []
+  in
+  let base_pdinfo = from_base (fun r -> r.rt_pdinfo) Option.some in
+  t.carried <- List.length base_pdinfo;
   let postings =
     let mem =
       Hashtbl.fold
@@ -598,18 +627,17 @@ let checkpoint t ~page_size ~first =
         t.pd_keys []
       |> List.sort key_cmp
     in
-    List.merge key_cmp (base_items t (fun r -> r.rt_postings) posting_pd) mem
+    List.merge key_cmp (from_base (fun r -> r.rt_postings) posting_pd) mem
   in
   let pdinfo =
-    List.merge key_cmp
-      (base_items t (fun r -> r.rt_pdinfo) Option.some)
+    List.merge key_cmp base_pdinfo
       (List.map
          (fun (pd, (subject, keyed, exp)) -> (pd, encode_pdinfo ~subject ~keyed ~exp))
          info)
   in
   let subjects =
     List.merge key_cmp
-      (base_items t (fun r -> r.rt_subjects) pair_pd)
+      (from_base (fun r -> r.rt_subjects) pair_pd)
       (List.map (fun (pd, (subject, _, _)) -> (subject_key subject pd, "")) info
       |> List.sort key_cmp)
   in
@@ -618,7 +646,7 @@ let checkpoint t ~page_size ~first =
       Hashtbl.fold (fun pd ns acc -> (expiry_key ns pd, "") :: acc) t.expiry_of []
       |> List.sort key_cmp
     in
-    List.merge key_cmp (base_items t (fun r -> r.rt_expiry) pair_pd) mem
+    List.merge key_cmp (from_base (fun r -> r.rt_expiry) pair_pd) mem
   in
   let max_pd =
     match List.rev pdinfo with (pd, _) :: _ -> pd | [] -> ""
@@ -649,10 +677,12 @@ let checkpoint t ~page_size ~first =
    new base holds exactly the same facts for them.  Every pd with overlay
    facts must now be marked touched — the new base duplicates its facts,
    and an unmarked pd would be counted from both sides (this matters for
-   pds added while there was no base yet: [materialize] is a no-op
-   then). *)
+   pds added while there was no base yet, or no live one: [materialize]
+   is a no-op then).  So the new base holds an untouched pd exactly when
+   the checkpoint carried one over. *)
 let rebase t ~io roots =
   t.base <- Some { io; roots };
+  t.base_live <- t.carried > 0;
   t.expiry_count <- roots.rt_expiry_count;
   let touch pd = Hashtbl.replace t.touched pd () in
   Hashtbl.iter (fun _ ids -> List.iter touch !ids) t.subjects;

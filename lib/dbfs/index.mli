@@ -16,6 +16,16 @@
     lookup) and from then on the base keys for that pd are ignored.
     {!checkpoint} rewrites the trees from the merged view.
 
+    Every base key belongs to a pd with a [pdinfo] item, so the base can
+    add a fact to a read only while it holds a pd the overlay has not
+    touched.  While it holds none, the probes and {!materialize} skip
+    their descents and {!checkpoint} lays its trees out from the overlay
+    alone: a read is skipped only when the merge would drop every key
+    it returned, never charged less, so this is not a cache.  {!attach}
+    assumes a non-empty base holds such a pd; {!checkpoint} counts the
+    ones it carries over and {!rebase} takes that count up.  {!dump} and
+    {!differences} read the base trees regardless.
+
     The removal source of truth is the pd → indexed-values map (overlay
     [pd_keys], base [pdinfo] tree), so maintenance never re-decodes
     payload bytes — which keeps replay correct when old blocks have been
@@ -31,8 +41,9 @@ val materialize : t -> string list -> unit
 (** Copy the base facts of the given pds into the overlay ahead of their
     first mutation, in one batched [pdinfo] lookup: each node page on
     their paths is read once.  The mutators below materialize their pd
-    themselves (a no-op once done), so a commit that names several pds
-    calls this once, before its ops apply. *)
+    themselves (a no-op once done, and while the base holds no untouched
+    pd), so a commit that names several pds calls this once, before its
+    ops apply. *)
 
 (** {2 Field indexes} *)
 
@@ -65,7 +76,10 @@ val add_subject : t -> subject:string -> pd_id:string -> unit
 val remove_subject : t -> subject:string -> pd_id:string -> unit
 
 val subject_pds : t -> string -> string list
-(** In insertion order (oldest first) — stable across remount. *)
+(** In insertion order (oldest first) — stable across remount.  With a
+    base, the answer is sorted by pd id, whether or not the subjects
+    tree is read: a base pd materialized after a newer pd of the same
+    subject sits behind it in the overlay. *)
 
 val subject_list : t -> string list
 (** Sorted; subjects whose list became empty are skipped. *)
@@ -80,8 +94,9 @@ val clear_expiry : t -> pd_id:string -> unit
 
 val expired : t -> now:int -> string list
 (** Non-destructive: pds whose expiry instant is [<= now], in expiry
-    order.  Entries leave the queue when their pd is deleted, erased or
-    re-membraned — never as a side effect of listing. *)
+    order (with a base, ties in pd order, whether or not the expiry tree
+    is read).  Entries leave the queue when their pd is deleted, erased
+    or re-membraned — never as a side effect of listing. *)
 
 val expiry_size : t -> int
 
@@ -101,18 +116,22 @@ val empty_roots : roots
 
 val attach : io:Pagestore.io -> roots -> t
 (** Index view over checkpointed trees with an empty overlay.  Reads no
-    pages — this is what makes a clean mount O(1). *)
+    pages — this is what makes a clean mount O(1).  Every pd of a
+    non-empty base counts as untouched, so the probes read it. *)
 
 val checkpoint : t -> page_size:int -> first:int -> roots * (int * string) list
 (** Lay the merged (base + overlay) view out as fresh trees on contiguous
     blocks from [first]: their roots and every block's bytes, for the
-    caller to write.  The index keeps reading its old base until
-    {!rebase}. *)
+    caller to write.  It streams the old trees only while they hold an
+    untouched pd, and counts the [pdinfo] items it carries over from
+    them.  The index keeps reading its old base until {!rebase}. *)
 
 val rebase : t -> io:Pagestore.io -> roots -> unit
 (** Re-base the index on the trees {!checkpoint} wrote, once their root
     is durable.  The overlay is retained: it stays authoritative for
-    touched pds, whose facts the new base duplicates exactly. *)
+    touched pds, whose facts the new base duplicates exactly.  The new
+    base holds an untouched pd exactly when the checkpoint carried one
+    over; when it carried none, the probes stop reading the base. *)
 
 val encode_roots : Rgpdos_util.Codec.Writer.t -> roots -> unit
 val decode_roots : Rgpdos_util.Codec.Reader.t -> (roots, string) result
@@ -120,7 +139,9 @@ val decode_roots : Rgpdos_util.Codec.Reader.t -> (roots, string) result
 val node_pages : t -> (int * int) list
 (** Every node page [(first_block, nblocks)] of the four base trees —
     fsck ownership checks and fault injection.  Empty without a base.
-    @raise Pagestore.Corrupt_page on unreadable interior pages. *)
+    Reads each tree's interior pages and leftmost leaf
+    ({!Pagestore.node_blocks}).  @raise Pagestore.Corrupt_page on an
+    unreadable page it reads. *)
 
 (** {2 Rendering — fsck and tests} *)
 

@@ -280,22 +280,62 @@ let iter_prefix ?on_corrupt io root ~prefix f =
         true)
       else false)
 
+(* Every page level by level, root first, reading only the interior
+   levels, one request per level: the leaves are listed from their
+   parents' child pointers.  A bulk load puts every leaf at the same
+   depth, so the leftmost path, read first, gives the height, and its
+   pages are not read again.  A corrupt page on that path leaves the
+   height unknown, and then every level is read. *)
 let node_blocks ?on_corrupt io root =
+  let decode r raw =
+    match decode_node ~block:r.r_block raw with
+    | node -> Some node
+    | exception Corrupt_page b -> (
+        match on_corrupt with
+        | Some g ->
+            g b (* skip the unreadable subtree *);
+            None
+        | None -> raise (Corrupt_page b))
+  in
+  let read = function
+    | [] -> []
+    | rs ->
+        List.combine rs
+          (List.map2 decode rs
+             (io.read_pages (List.map (fun r -> (r.r_block, r.r_nblocks)) rs)))
+  in
+  let rec leftmost r =
+    match read [ r ] with
+    | [ (_, Some (Interior ((_, c) :: _))) ] as got -> got @ leftmost c
+    | got -> got
+  in
   if is_empty root then []
   else
-    let acc = ref [] in
-    let rec go r =
-      acc := (r.r_block, r.r_nblocks) :: !acc;
-      match load io r with
-      | Leaf _ -> ()
-      | Interior children -> List.iter (fun (_, c) -> go c) children
-      | exception Corrupt_page b -> (
-          match on_corrupt with
-          | Some g -> g b
-          | None -> raise (Corrupt_page b))
+    let path = leftmost root in
+    let leaf_depth =
+      match List.rev path with
+      | (_, Some (Leaf _)) :: _ -> Some (List.length path)
+      | _ -> None
     in
-    go root;
-    List.rev !acc
+    (* a level is read only to list the next one *)
+    let rec levels depth level acc =
+      let acc = List.rev_append level acc in
+      if level = [] || Some depth = leaf_depth then List.rev acc
+      else
+        let nodes = Hashtbl.create 64 in
+        List.iter
+          (fun (r, node) -> Hashtbl.replace nodes r node)
+          (path @ read (List.filter (fun r -> not (List.mem_assoc r path)) level));
+        levels (depth + 1)
+          (List.concat_map
+             (fun r ->
+               match Hashtbl.find nodes r with
+               | Some (Interior cs) -> List.map snd cs
+               | _ -> [])
+             level)
+          acc
+    in
+    List.map (fun r -> (r.r_block, r.r_nblocks)) (levels 1 [ root ] [])
 
 (* ------------------------------------------------------------------ *)
 (* root (de)serialization, for the DBFS root slot                     *)

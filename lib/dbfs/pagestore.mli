@@ -58,8 +58,13 @@ val iter_prefix :
 (** Iterate exactly the keys with the given prefix, in order. *)
 
 val node_blocks : ?on_corrupt:(int -> unit) -> io -> root -> (int * int) list
-(** Every page of the tree as [(first_block, nblocks)], root first — used
-    by fsck ownership checks and fault injection. *)
+(** Every page of the tree as [(first_block, nblocks)], level by level,
+    root first and the rightmost leaf last — used by fsck ownership checks
+    and fault injection.  Reads the leftmost path, for the height, and
+    then each interior level in one {!io.read_pages} request; the leaves
+    are listed from their parents, so the leftmost is the only leaf read.
+    With [on_corrupt], an unreadable page is reported and its subtree
+    skipped instead of raising. *)
 
 val encode_root : Rgpdos_util.Codec.Writer.t -> root -> unit
 val decode_root : Rgpdos_util.Codec.Reader.t -> (root, string) result

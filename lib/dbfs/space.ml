@@ -624,8 +624,12 @@ let scrub ?(known = []) t pages =
     | [] -> known
     | _ -> known @ retrying t (fun () -> Block_device.read_vec t.dev need)
   in
+  (* each block's first pair, as [List.assoc] would find it, without a
+     scan per page: a repair scrubs every written page at once *)
+  let first = Hashtbl.create 64 in
+  List.iter (fun (b, raw) -> if not (Hashtbl.mem first b) then Hashtbl.add first b raw) got;
   let bytes_of b =
-    match open_image t b with Some raw -> raw | None -> List.assoc b got
+    match open_image t b with Some raw -> raw | None -> Hashtbl.find first b
   in
   let writes = scrub_writes t ~bytes_of pages in
   write t writes;
@@ -1279,12 +1283,23 @@ let repair t ~owned ~on_fault ~act =
   | First_fit hints -> Array.iter (fun hint -> hint := 0) hints
   | Bump s -> invalidate s);
   if !leaked > 0 then act (Printf.sprintf "released %d leaked block(s)" !leaked);
-  (* every data-page byte outside a live slot must be zero *)
-  let scrubbed = ref 0 in
-  for b = t.data_start to block_count t - 1 do
-    if Block_device.is_written t.dev b then
-      try scrubbed := !scrubbed + scrub t [ b ]
-      with Block_device.Faulted _ -> on_fault ()
-  done;
-  if !scrubbed > 0 then act (Printf.sprintf "scrubbed %d data page(s)" !scrubbed);
-  !scrubbed
+  (* every data-page byte outside a live slot must be zero: one scrub of
+     every written page, or page by page when that faults, so exactly the
+     pages that still fault are skipped *)
+  let written =
+    List.filter (Block_device.is_written t.dev)
+      (List.init (block_count t - t.data_start) (fun i -> t.data_start + i))
+  in
+  let scrubbed =
+    try scrub t written
+    with Block_device.Faulted _ ->
+      List.fold_left
+        (fun n b ->
+          try n + scrub t [ b ]
+          with Block_device.Faulted _ ->
+            on_fault ();
+            n)
+        0 written
+  in
+  if scrubbed > 0 then act (Printf.sprintf "scrubbed %d data page(s)" scrubbed);
+  scrubbed

@@ -216,7 +216,8 @@ val repair :
   t -> owned:extent list -> on_fault:(unit -> unit) -> act:(string -> unit) -> int
 (** Rebuild the slot map and the bitmap from [owned] (releasing every
     allocated page outside it), leave no written data-page byte outside a
-    live slot (a page that faults is skipped, and reported through
+    live slot, in one scrub of every written page (page by page when that
+    faults: a page that still faults is skipped, and reported through
     [on_fault]), and drop the open pages and the segment table so they
     are rebuilt.  Returns the pages written. *)
 

@@ -371,11 +371,29 @@ let test_dump_law_sees_lost_posting_when_paged () =
       check_bool "fsck names the pd" true
         (List.exists (fun p -> mentions p pd) problems)
 
-(* fsck of a cold store reads each page at most twice: every data page
-   once, in one request, and each entries-tree and index page once for
-   the heap-bounds walk and once for its facts.  Repairing the clean
-   store, which re-checks after rebuilding, reads at most five times
-   per page. *)
+(* A node page's payload opens with its tag, "PI" for an interior node:
+   the frame's u32 length, the tag's u32 length, then the tag. *)
+let interior_pages store =
+  let image = Block_device.snapshot (Dbfs.device store) in
+  List.length
+    (List.filter
+       (fun (b, _) -> String.sub image.(b) 8 2 = "PI")
+       (Dbfs.index_page_blocks store @ Dbfs.entry_page_blocks store))
+
+(* The entries tree and the four index trees. *)
+let metadata_trees = 5
+
+(* The free-space bitmap of [pd_config]'s data region, which the first
+   check after a mount loads. *)
+let bitmap_blocks = 1
+
+(* fsck of a cold store reads each leaf page once and each interior page
+   at most twice: every data page once, in one request, each
+   entries-tree and index page once for its facts, and the bitmap.  The
+   heap-bounds walk reads only each tree's interior pages and its
+   leftmost leaf, which gives the walk the tree's height.  Repairing the
+   clean store checks it twice, before and after, and scrubs every data
+   page once more. *)
 let test_fsck_reads_each_page_at_most_twice () =
   let m, _ = boot_machine ~subjects:300 () in
   Dbfs.checkpoint (Machine.dbfs m);
@@ -391,6 +409,7 @@ let test_fsck_reads_each_page_at_most_twice () =
     + List.length (Dbfs.index_page_blocks store)
     + List.length (Dbfs.entry_page_blocks store)
   in
+  let walk = interior_pages store + metadata_trees in
   let reads f =
     Block_device.reset_stats dev;
     f ();
@@ -404,13 +423,35 @@ let test_fsck_reads_each_page_at_most_twice () =
         check_bool "repair clean" true (Dbfs.fsck_repair store).Dbfs.rr_clean)
   in
   check_bool
-    (Printf.sprintf "fsck: %d reads for %d pages" fsck pages)
+    (Printf.sprintf "fsck: %d reads for %d pages, %d walked" fsck pages walk)
     true
-    (fsck <= 2 * pages);
+    (fsck <= pages + walk + bitmap_blocks);
   check_bool
-    (Printf.sprintf "repair: %d reads for %d pages" repair pages)
+    (Printf.sprintf "repair: %d reads for %d pages, %d walked" repair pages walk)
     true
-    (repair <= 5 * pages)
+    (repair <= (2 * (pages + walk + bitmap_blocks)) + !data)
+
+(* Repairing a clean store writes in as many requests at 300 subjects as
+   at 30: the data-page scrub (which writes nothing here), the
+   checkpoint and the zeroing of the stale metadata heap blocks are each
+   one request, however many blocks they name. *)
+let test_clean_repair_writes_do_not_grow () =
+  let write_requests subjects =
+    let m, _ = boot_machine ~subjects () in
+    Dbfs.checkpoint (Machine.dbfs m);
+    let store = cold_remount (Machine.dbfs m) in
+    let dev = Dbfs.device store in
+    Block_device.reset_stats dev;
+    let r = Dbfs.fsck_repair store in
+    check_bool "repair clean" true r.Dbfs.rr_clean;
+    check_int "nothing to scrub" 0 r.Dbfs.rr_scrubbed_blocks;
+    get dev "vec_writes"
+  in
+  let small = write_requests 30 in
+  let big = write_requests 300 in
+  check_int
+    (Printf.sprintf "write requests: %d at 30 subjects, %d at 300" small big)
+    small big
 
 let test_transient_fault_ridden_out () =
   let m, people = boot_machine () in
@@ -656,6 +697,8 @@ let () =
             test_dump_law_sees_lost_posting_when_paged;
           Alcotest.test_case "fsck reads each page at most twice" `Quick
             test_fsck_reads_each_page_at_most_twice;
+          Alcotest.test_case "clean repair writes do not grow" `Quick
+            test_clean_repair_writes_do_not_grow;
           Alcotest.test_case "a faulted page costs only its extents" `Quick
             test_faulted_page_costs_only_its_extents;
           Alcotest.test_case "transient fault ridden out" `Quick

@@ -13,6 +13,7 @@ module Record = Rgpdos_dbfs.Record
 module Query = Rgpdos_dbfs.Query
 module Plan = Rgpdos_dbfs.Plan
 module Dbfs = Rgpdos_dbfs.Dbfs
+module Pagestore = Rgpdos_dbfs.Pagestore
 module Json = Rgpdos_util.Json
 module Bench = Rgpdos_workload.Bench
 
@@ -395,6 +396,52 @@ let test_fsck_flags_tampered_index () =
         (List.exists (fun l -> contains_sub l "index") lines)
 
 (* ------------------------------------------------------------------ *)
+(* paged trees                                                        *)
+
+(* The bounds walk lists every page a bulk load laid out, each once, and
+   reads only the interior pages and the leftmost leaf: trees of one,
+   two and three levels.  A page's payload opens with its tag ("PI" for
+   an interior node, after the frame's and the tag's u32 lengths). *)
+let test_node_blocks_reads_interior_levels () =
+  List.iter
+    (fun (n, height) ->
+      let items =
+        List.init n (fun i -> (Printf.sprintf "k%06d" i, String.make 40 'v'))
+      in
+      let root, blocks = Pagestore.layout ~page_size:512 ~first:100 items in
+      let image = Hashtbl.of_seq (List.to_seq blocks) in
+      let bytes (b, nb) =
+        String.concat "" (List.init nb (fun i -> Hashtbl.find image (b + i)))
+      in
+      let read = ref [] in
+      let io =
+        {
+          Pagestore.read_pages =
+            (fun pages ->
+              read := pages @ !read;
+              List.map bytes pages);
+          prefetch_page = (fun _ _ -> ());
+        }
+      in
+      let at = Printf.sprintf "%d keys" n in
+      ignore (Pagestore.lookup io root [ fst (List.hd items) ]);
+      check_int (at ^ ": levels") height (List.length !read);
+      read := [];
+      let pages = Pagestore.node_blocks io root in
+      check_bool (at ^ ": every laid-out block, each once") true
+        (List.sort compare
+           (List.concat_map (fun (b, nb) -> List.init nb (fun i -> b + i)) pages)
+        = List.map fst blocks);
+      let interior = List.filter (fun p -> String.sub (bytes p) 8 2 = "PI") pages in
+      check_int (at ^ ": the interior pages and one leaf read")
+        (List.length interior + 1)
+        (List.length (List.sort_uniq compare !read));
+      check_int (at ^ ": no page read twice")
+        (List.length (List.sort_uniq compare !read))
+        (List.length !read))
+    [ (5, 1); (100, 2); (2_000, 3) ]
+
+(* ------------------------------------------------------------------ *)
 (* subject index ordering                                             *)
 
 let test_pds_of_subject_insertion_order () =
@@ -507,6 +554,8 @@ let () =
             test_fsck_flags_tampered_index;
           Alcotest.test_case "pds_of_subject insertion order" `Quick
             test_pds_of_subject_insertion_order;
+          Alcotest.test_case "node_blocks reads interior levels" `Quick
+            test_node_blocks_reads_interior_levels;
         ] );
       ( "query",
         [

@@ -732,26 +732,34 @@ let pages_read m f =
   ignore (f ());
   index_page_reads m - r0
 
-(* On a checkpointed store whose subjects hold one PD each, a rights
-   request walks the subject index once and descends the entries tree
-   once: it reads at most the pages of one [pds_of_subject] plus one
-   [entry_info] for the subject's PD.  A consent change and a
-   restriction load and rewrite the membrane they resolved, as an
-   erasure does. *)
-let test_rights_read_each_page_once () =
+let rights_subject i = Printf.sprintf "sub-%03d" i
+
+(* 300 subjects of one PD each, checkpointed: the machine and the pds. *)
+let boot_checkpointed () =
   let m = Machine.boot ~seed:7L () in
   ignore (ok (Machine.load_declarations m declarations));
-  let subject i = Printf.sprintf "sub-%03d" i in
   let pds =
     Array.init 300 (fun i ->
         ok
-          (Machine.collect m ~type_name:"user" ~subject:(subject i)
+          (Machine.collect m ~type_name:"user" ~subject:(rights_subject i)
              ~interface:"web_form:user_form.html"
              ~record:(user_record (Printf.sprintf "User%03d" i) 1990)
              ()))
   in
+  Dbfs.checkpoint (Machine.dbfs m);
+  (m, pds)
+
+(* On a checkpointed store whose subjects hold one PD each, a rights
+   request walks the subject index once and descends the entries tree
+   once: it reads at most the pages of one [pds_of_subject] (none on
+   this store, which was never remounted: see the next test) plus one
+   [entry_info] for the subject's PD.  A consent change and a
+   restriction load and rewrite the membrane they resolved, as an
+   erasure does. *)
+let test_rights_read_each_page_once () =
+  let m, pds = boot_checkpointed () in
+  let subject = rights_subject in
   let store = Machine.dbfs m in
-  Dbfs.checkpoint store;
   let bound i =
     let p =
       pages_read m (fun () -> Dbfs.pds_of_subject store ~actor:Ded.actor (subject i))
@@ -784,6 +792,73 @@ let test_rights_read_each_page_once () =
   check "restrict processing" 275 (fun () ->
       check_int "one membrane rewritten" 1
         (ok (Machine.restrict_processing m ~subject:(subject 275))))
+
+(* A checkpoint taken without a remount leaves every pd's facts in the
+   index overlay, so the base trees hold none the overlay lacks and are
+   not read: [pds_of_subject] reads no index page, and Art. 15, Art. 17
+   and a consent change read only their entries-tree descent.  After a
+   reboot the base is read again, and the same calls answer the same. *)
+let test_shadowed_index_base_not_read () =
+  let m, pds = boot_checkpointed () in
+  let subject = rights_subject in
+  let descent m i =
+    pages_read m (fun () ->
+        Dbfs.entry_info (Machine.dbfs m) ~actor:Ded.actor pds.(i))
+  in
+  let pds_of m i =
+    let got = ref [] in
+    let pages =
+      pages_read m (fun () ->
+          got :=
+            dbfs_ok
+              (Dbfs.pds_of_subject (Machine.dbfs m) ~actor:Ded.actor (subject i)))
+    in
+    (!got, pages)
+  in
+  let rights m ~access ~erase ~consent =
+    [
+      ( "right of access",
+        access,
+        fun () -> ignore (ok (Machine.right_of_access m ~subject:(subject access))) );
+      ( "right to erasure",
+        erase,
+        fun () ->
+          check_int "one PD erased" 1
+            (ok (Machine.right_to_erasure m ~subject:(subject erase))) );
+      ( "set consent",
+        consent,
+        fun () ->
+          check_int "one membrane rewritten" 1
+            (ok
+               (Machine.set_consent m ~subject:(subject consent)
+                  ~purpose:"purpose1" Membrane.Denied)) );
+    ]
+  in
+  let before, pages = pds_of m 10 in
+  check_int "pds_of_subject reads no index page" 0 pages;
+  let export = ok (Machine.right_to_portability m ~subject:(subject 150)) in
+  List.iter
+    (fun (name, i, f) ->
+      let d = descent m i in
+      check_int (name ^ " reads its entries-tree descent alone") d
+        (pages_read m f))
+    (rights m ~access:100 ~erase:200 ~consent:250);
+  let m = ok (Machine.reboot m) in
+  let after, pages = pds_of m 10 in
+  check_bool "after a reboot pds_of_subject reads the subject index" true
+    (pages > 0);
+  Alcotest.(check (list string)) "the same pds" before after;
+  check_string "the same export" export
+    (ok (Machine.right_to_portability m ~subject:(subject 150)));
+  List.iter
+    (fun (name, i, f) ->
+      let d = descent m i in
+      let got = pages_read m f in
+      check_bool
+        (Printf.sprintf "after a reboot %s reads %d pages, more than its %d"
+           name got d)
+        true (got > d))
+    (rights m ~access:101 ~erase:201 ~consent:251)
 
 let test_consent_rewrites_subject_copies () =
   let m, alice, bob = boot_with_copies () in
@@ -1303,6 +1378,8 @@ let () =
             test_consent_rewrites_subject_copies;
           Alcotest.test_case "rights read each index page once" `Quick
             test_rights_read_each_page_once;
+          Alcotest.test_case "a shadowed index base is not read" `Quick
+            test_shadowed_index_base_not_read;
           Alcotest.test_case "consent ignores another subject's damage" `Quick
             test_consent_ignores_other_subjects_damage;
           Alcotest.test_case "a lineage's consent change is crash-atomic" `Quick

@@ -249,7 +249,7 @@ let apply_op t op =
 let prop_paged_equals_reference =
   QCheck.Test.make
     ~name:"paged select/pds_of_subject/TTL sweep == reference at any budget"
-    ~count:60
+    ~count:60 ~long_factor:10
     (QCheck.make ~print:print_ops gen_ops)
     (fun ops ->
       let t = List.fold_left apply_op (make_dbfs ()) ops in
@@ -263,6 +263,43 @@ let prop_paged_equals_reference =
           check_bool "dump == rebuilt dump" true
             (Dbfs.index_dump cold = Dbfs.rebuilt_index_dump cold);
           true)
+
+(* A base pd materialized after a newer pd of its subject sits behind it
+   in the overlay, in its subject's list and its expiry bucket alike.
+   Once a checkpoint leaves no untouched pd in the base, the probes
+   answer from the overlay alone, reading no index page, and still
+   answer in pd order. *)
+let test_shadowed_base_keeps_pd_order () =
+  let t = make_dbfs () in
+  let created_at = Clock.now (store_clock t) in
+  let membrane ~pd_id =
+    M.make ~pd_id ~type_name:"item" ~subject_id:"s0" ~origin:M.Subject
+      ~consents:[ ("service", M.All) ]
+      ~created_at ~ttl:1_000 ()
+  in
+  let insert t k =
+    ok
+      (Dbfs.insert t ~actor:ded ~subject:"s0" ~type_name:"item"
+         ~record:[ ("k_int", Value.VInt k); ("k_str", Value.VString "a") ]
+         ~membrane_of:membrane)
+  in
+  let old_pd = insert t 0 in
+  Dbfs.checkpoint t;
+  let t =
+    match Dbfs.crash_and_remount t with
+    | Ok t -> t
+    | Error e -> Alcotest.failf "remount failed: %s" e
+  in
+  let new_pd = insert t 1 in
+  ok (Dbfs.update_membrane t ~actor:ded old_pd (membrane ~pd_id:old_pd));
+  Dbfs.checkpoint t;
+  let reads0 = Stats.Counter.get (Dbfs.stats t) "index_page_reads" in
+  check_ids "pds_of_subject in pd order" [ old_pd; new_pd ]
+    (ok (Dbfs.pds_of_subject t ~actor:ded "s0"));
+  check_ids "expired_pds in pd order" [ old_pd; new_pd ]
+    (ok (Dbfs.expired_pds t ~actor:ded ~now:(created_at + 1_000)));
+  check_int "no index page read" reads0
+    (Stats.Counter.get (Dbfs.stats t) "index_page_reads")
 
 (* ------------------------------------------------------------------ *)
 (* warm == cold charging                                              *)
@@ -626,6 +663,8 @@ let () =
       ( "equivalence",
         [
           QCheck_alcotest.to_alcotest prop_paged_equals_reference;
+          Alcotest.test_case "a shadowed base keeps pd order" `Quick
+            test_shadowed_base_keeps_pd_order;
           Alcotest.test_case "warm == cold charging" `Quick
             test_warm_equals_cold;
           Alcotest.test_case "batched descent reads each node once" `Quick
