@@ -121,13 +121,12 @@ let mul a b =
     normalize (a.sign * b.sign) out
   end
 
+(* significant bits of one limb *)
+let rec width v = if v = 0 then 0 else 1 + width (v lsr 1)
+
 let num_bits a =
   let n = Array.length a.mag in
-  if n = 0 then 0
-  else
-    let top = a.mag.(n - 1) in
-    let rec width v = if v = 0 then 0 else 1 + width (v lsr 1) in
-    ((n - 1) * limb_bits) + width top
+  if n = 0 then 0 else ((n - 1) * limb_bits) + width a.mag.(n - 1)
 
 let to_int_opt a =
   if num_bits a > 62 then None
@@ -193,62 +192,72 @@ let divmod_small mag d =
   done;
   (q, !r)
 
-(* Binary long division on magnitudes: returns (q, r) with a = q*b + r,
-   0 <= r < b.  O(bits(a) * limbs(b)); the magnitudes involved in the
-   simulation are small enough that this is never a bottleneck. *)
+(* Knuth's Algorithm D (TAOCP vol. 2, 4.3.1) on magnitudes, for a divisor
+   of at least two limbs: returns (q, r) with a = q*b + r, 0 <= r < b, in
+   O(limbs(a) * limbs(b)).  Both operands are shifted left until the
+   divisor's top limb has its high bit set (D1); each quotient limb is then
+   estimated from the remainder's top two limbs over the divisor's top limb
+   and corrected against the next limb of each (D3), which leaves it at most
+   one too large; the multiply-subtract (D4) going negative is that case, and
+   the divisor is added back once (D6).  Every intermediate stays below
+   2^54. *)
 let divmod_mag a b =
-  let bits = num_bits { sign = 1; mag = a } in
-  let lb = Array.length b in
-  let q = Array.make (Array.length a) 0 in
-  (* r kept as a mutable buffer with one spare limb for the shift. *)
-  let r = Array.make (lb + 1) 0 in
-  let r_len = ref 0 in
-  let r_ge_b () =
-    if !r_len > lb then true
-    else if !r_len < lb then false
-    else
-      let rec go i =
-        if i < 0 then true
-        else if r.(i) <> b.(i) then r.(i) > b.(i)
-        else go (i - 1)
-      in
-      go (lb - 1)
+  let n = Array.length b and m = Array.length a - Array.length b in
+  let s = limb_bits - width b.(n - 1) in
+  let shifted x len =
+    let out = Array.make len 0 and carry = ref 0 in
+    Array.iteri
+      (fun i l ->
+        let v = (l lsl s) lor !carry in
+        out.(i) <- v land limb_mask;
+        carry := v lsr limb_bits)
+      x;
+    if !carry <> 0 then out.(Array.length x) <- !carry;
+    out
   in
-  let r_sub_b () =
+  let v = shifted b n and u = shifted a (m + n + 1) in
+  let vtop = v.(n - 1) and vnext = v.(n - 2) in
+  let q = Array.make (m + 1) 0 in
+  for j = m downto 0 do
+    let num = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
+    let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
+    while
+      !rhat < limb_base
+      && (!qhat >= limb_base
+         || !qhat * vnext > (!rhat lsl limb_bits) lor u.(j + n - 2))
+    do
+      decr qhat;
+      rhat := !rhat + vtop
+    done;
+    (* u[j..j+n] -= qhat * v, the borrow carrying the product's high half *)
     let borrow = ref 0 in
-    for i = 0 to !r_len - 1 do
-      let d = r.(i) - (if i < lb then b.(i) else 0) - !borrow in
-      if d < 0 then begin
-        r.(i) <- d + limb_base;
-        borrow := 1
-      end
-      else begin
-        r.(i) <- d;
-        borrow := 0
-      end
+    for i = 0 to n - 1 do
+      let p = !qhat * v.(i) in
+      let d = u.(i + j) - !borrow - (p land limb_mask) in
+      u.(i + j) <- d land limb_mask;
+      borrow := (p lsr limb_bits) - (d asr limb_bits)
     done;
-    while !r_len > 0 && r.(!r_len - 1) = 0 do
-      decr r_len
-    done
-  in
-  for i = bits - 1 downto 0 do
-    (* r := r << 1 | bit_i(a) *)
-    let carry = ref ((a.(i / limb_bits) lsr (i mod limb_bits)) land 1) in
-    for j = 0 to !r_len - 1 do
-      let v = (r.(j) lsl 1) lor !carry in
-      r.(j) <- v land limb_mask;
-      carry := v lsr limb_bits
-    done;
-    if !carry <> 0 then begin
-      r.(!r_len) <- !carry;
-      incr r_len
+    let top = u.(j + n) - !borrow in
+    if top >= 0 then u.(j + n) <- top
+    else begin
+      decr qhat;
+      let carry = ref 0 in
+      for i = 0 to n - 1 do
+        let t = u.(i + j) + v.(i) + !carry in
+        u.(i + j) <- t land limb_mask;
+        carry := t lsr limb_bits
+      done;
+      u.(j + n) <- top + !carry
     end;
-    if r_ge_b () then begin
-      r_sub_b ();
-      q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
-    end
+    q.(j) <- !qhat
   done;
-  (q, Array.sub r 0 !r_len)
+  (* D8: the remainder is u[0..n-1], shifted back *)
+  let r =
+    Array.init n (fun i ->
+        let hi = if i + 1 < n then u.(i + 1) lsl (limb_bits - s) else 0 in
+        (u.(i) lsr s) lor (hi land limb_mask))
+  in
+  (q, r)
 
 let divmod a b =
   if b.sign = 0 then raise Division_by_zero;

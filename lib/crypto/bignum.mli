@@ -4,7 +4,9 @@
     mechanism behind the paper's "right to be forgotten" (§4) is built on
     this module.  The representation is sign + magnitude in base 2^26 limbs;
     all algorithms are the simple quadratic ones, which is ample for the
-    key sizes the simulation uses.
+    key sizes the simulation uses: schoolbook multiplication, and Knuth's
+    Algorithm D for division, so every reduction in [divmod], [rem],
+    [erem], [mod_pow], [mod_inv] and [gcd] costs O(limbs^2).
 
     Values are immutable. *)
 

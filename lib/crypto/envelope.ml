@@ -30,7 +30,7 @@ let seal prng pk payload =
   let ciphertext = Chacha20.encrypt ~key ~nonce payload in
   let sealed_key = Rsa.encrypt prng pk seed in
   let partial =
-    { sealed_key; ciphertext; mac = ""; key_fingerprint = Rsa.fingerprint pk }
+    { sealed_key; ciphertext; mac = ""; key_fingerprint = pk.Rsa.fingerprint }
   in
   { partial with mac = Sha256.hmac ~key (mac_input partial) }
 

@@ -1,10 +1,24 @@
 module Prng = Rgpdos_util.Prng
 
-type public_key = { n : Bignum.t; e : Bignum.t }
-type private_key = { n : Bignum.t; d : Bignum.t }
+type public_key = { n : Bignum.t; e : Bignum.t; fingerprint : string }
+
+type private_key = {
+  n : Bignum.t;
+  d : Bignum.t;
+  p : Bignum.t;
+  q : Bignum.t;
+  dp : Bignum.t;
+  dq : Bignum.t;
+  qinv : Bignum.t;
+}
+
 type keypair = { public : public_key; private_ : private_key }
 
 let f4 = Bignum.of_int 65537
+
+let fingerprint_of n e =
+  let material = Bignum.to_string n ^ ":" ^ Bignum.to_string e in
+  String.sub (Sha256.hexdigest material) 0 16
 
 let generate ?(bits = 256) prng =
   if bits < 32 then invalid_arg "Rsa.generate: modulus too small";
@@ -15,12 +29,23 @@ let generate ?(bits = 256) prng =
     if Bignum.equal p q then go ()
     else
       let n = Bignum.mul p q in
-      let phi =
-        Bignum.mul (Bignum.sub p Bignum.one) (Bignum.sub q Bignum.one)
-      in
-      match Bignum.mod_inv f4 phi with
+      let p1 = Bignum.sub p Bignum.one and q1 = Bignum.sub q Bignum.one in
+      match Bignum.mod_inv f4 (Bignum.mul p1 q1) with
       | None -> go () (* gcd(e, phi) <> 1; rare, retry *)
-      | Some d -> { public = { n; e = f4 }; private_ = { n; d } }
+      | Some d ->
+          {
+            public = { n; e = f4; fingerprint = fingerprint_of n f4 };
+            private_ =
+              {
+                n;
+                d;
+                p;
+                q;
+                dp = Bignum.erem d p1;
+                dq = Bignum.erem d q1;
+                qinv = Option.get (Bignum.mod_inv q p);
+              };
+          }
   in
   go ()
 
@@ -47,11 +72,18 @@ let encrypt prng (pk : public_key) payload =
   let c = Bignum.mod_pow m pk.e pk.n in
   Bignum.to_bytes_be ~len:(modulus_bytes pk.n) c
 
+(* Garner's recombination of c^dp mod p and c^dq mod q: two half-size
+   exponentiations instead of one full-size one. *)
+let private_pow (sk : private_key) c =
+  let mp = Bignum.mod_pow c sk.dp sk.p and mq = Bignum.mod_pow c sk.dq sk.q in
+  let h = Bignum.erem (Bignum.mul sk.qinv (Bignum.sub mp mq)) sk.p in
+  Bignum.add mq (Bignum.mul h sk.q)
+
 let decrypt (sk : private_key) ciphertext =
   let c = Bignum.of_bytes_be ciphertext in
   if Bignum.compare c sk.n >= 0 then Error "ciphertext out of range"
   else
-    let m = Bignum.mod_pow c sk.d sk.n in
+    let m = private_pow sk c in
     let k = modulus_bytes sk.n - 1 in
     if Bignum.num_bits m > k * 8 then Error "plaintext out of range"
     else
@@ -63,7 +95,3 @@ let decrypt (sk : private_key) ciphertext =
       | None -> Error "missing padding terminator"
       | Some sep when sep < 1 + 8 -> Error "random run too short"
       | Some sep -> Ok (String.sub padded (sep + 1) (String.length padded - sep - 1))
-
-let fingerprint (pk : public_key) =
-  let material = Bignum.to_string pk.n ^ ":" ^ Bignum.to_string pk.e in
-  String.sub (Sha256.hexdigest material) 0 16

@@ -11,13 +11,30 @@
     cryptography (no constant-time guarantees) — the reproduction needs the
     escrow mechanism, not resistance to side channels. *)
 
-type public_key = { n : Bignum.t; e : Bignum.t }
-type private_key = { n : Bignum.t; d : Bignum.t }
+type public_key = private {
+  n : Bignum.t;
+  e : Bignum.t;
+  fingerprint : string;
+      (** short hex fingerprint identifying the key, computed once at
+          generation *)
+}
+
+type private_key = private {
+  n : Bignum.t;
+  d : Bignum.t;
+  p : Bignum.t;
+  q : Bignum.t;  (** [n = p * q] *)
+  dp : Bignum.t;  (** [d mod (p - 1)] *)
+  dq : Bignum.t;  (** [d mod (q - 1)] *)
+  qinv : Bignum.t;  (** [q^-1 mod p] *)
+}
+
 type keypair = { public : public_key; private_ : private_key }
 
 val generate : ?bits:int -> Rgpdos_util.Prng.t -> keypair
 (** [generate ~bits prng] creates a keypair with a [bits]-bit modulus
-    (default 256) and public exponent 65537. *)
+    (default 256) and public exponent 65537, with the CRT parameters of
+    the private key. *)
 
 val max_payload : public_key -> int
 (** Maximum plaintext bytes a single [encrypt] accepts (modulus size minus
@@ -27,9 +44,10 @@ val encrypt : Rgpdos_util.Prng.t -> public_key -> string -> string
 (** Randomized-padded encryption of a short payload.
     @raise Invalid_argument if the payload exceeds [max_payload]. *)
 
+val private_pow : private_key -> Bignum.t -> Bignum.t
+(** [private_pow sk c] is [c^d mod n] for [0 <= c < n], computed by the
+    Chinese remainder theorem from the factors of [n]. *)
+
 val decrypt : private_key -> string -> (string, string) result
 (** Inverse of [encrypt]; [Error _] if padding is malformed (wrong key or
     corrupted ciphertext). *)
-
-val fingerprint : public_key -> string
-(** Short hex fingerprint identifying a public key. *)

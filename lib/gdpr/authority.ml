@@ -11,7 +11,7 @@ let create ?(key_bits = 256) ~seed () =
 
 let public_key t = t.keypair.Rsa.public
 
-let key_fingerprint t = Rsa.fingerprint t.keypair.Rsa.public
+let key_fingerprint t = t.keypair.Rsa.public.fingerprint
 
 let seal t ~prng payload = Envelope.seal prng t.keypair.Rsa.public payload
 

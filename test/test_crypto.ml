@@ -198,6 +198,103 @@ let prop_mod_pow_agrees_small =
       = Some naive)
 
 (* ------------------------------------------------------------------ *)
+(* Bignum: division against the bit-serial oracle                     *)
+
+(* The bit-serial long division Bignum used before Algorithm D, on the
+   public API: one shift-and-compare per dividend bit.  Truncated
+   quotient; the remainder takes the dividend's sign. *)
+let divmod_bitserial a b =
+  let ma = Bignum.abs a and mb = Bignum.abs b in
+  let q = ref Bignum.zero and r = ref Bignum.zero in
+  for i = Bignum.num_bits ma - 1 downto 0 do
+    r := Bignum.shift_left !r 1;
+    if Bignum.testbit ma i then r := Bignum.add !r Bignum.one;
+    if Bignum.compare !r mb >= 0 then begin
+      r := Bignum.sub !r mb;
+      q := Bignum.add !q (Bignum.shift_left Bignum.one i)
+    end
+  done;
+  let signed s x = if s < 0 then Bignum.neg x else x in
+  (signed (Bignum.sign a * Bignum.sign b) !q, signed (Bignum.sign a) !r)
+
+let limb_base = 1 lsl 26
+
+(* little-endian base-2^26 limbs, as Bignum stores a magnitude *)
+let of_limbs limbs =
+  List.fold_right
+    (fun l acc -> Bignum.add (Bignum.shift_left acc 26) (Bignum.of_int l))
+    limbs Bignum.zero
+
+(* 1-40 limbs, either sign; the top limb is often 1, 2^25 or all ones,
+   the normalisation shifts Algorithm D meets at its extremes *)
+let gen_operand =
+  QCheck.Gen.(
+    int_range 1 40 >>= fun len ->
+    list_repeat (len - 1)
+      (frequency
+         [ (6, int_bound (limb_base - 1)); (1, return 0);
+           (1, return (limb_base - 1)) ])
+    >>= fun low ->
+    frequency
+      [ (1, return 1); (1, return (1 lsl 25)); (1, return (limb_base - 1));
+        (3, int_range 1 (limb_base - 1)) ]
+    >>= fun top ->
+    map
+      (fun neg ->
+        let v = of_limbs (low @ [ top ]) in
+        if neg then Bignum.neg v else v)
+      bool)
+
+(* an independent dividend, or an exact multiple of the divisor, +-1 *)
+let gen_division =
+  QCheck.Gen.(
+    gen_operand >>= fun b ->
+    frequency
+      [
+        (1, map (fun a -> (a, b)) gen_operand);
+        ( 1,
+          map2
+            (fun k d -> (Bignum.add (Bignum.mul b k) (Bignum.of_int d), b))
+            gen_operand (int_range (-1) 1) );
+      ])
+
+let prop_divmod_matches_bitserial =
+  QCheck.Test.make ~name:"divmod == bit-serial division" ~count:400
+    ~long_factor:10
+    (QCheck.make
+       ~print:(fun (a, b) -> Bignum.to_string a ^ " / " ^ Bignum.to_string b)
+       gen_division)
+    (fun (a, b) ->
+      let q, r = Bignum.divmod a b and q', r' = divmod_bitserial a b in
+      Bignum.equal q q' && Bignum.equal r r')
+
+(* Operands for which Algorithm D's first quotient-limb estimate survives
+   its two-limb correction and is still one too large, so the
+   multiply-subtract goes negative and the divisor is added back (found by
+   searching edge-valued limbs).  Expected values checked against the
+   bit-serial oracle and independently (python3). *)
+let test_divmod_add_back () =
+  let check_qr what divmod a b q r =
+    let q', r' = divmod a b in
+    check_string (what ^ " q") q (Bignum.to_string q');
+    check_string (what ^ " r") r (Bignum.to_string r')
+  in
+  List.iter
+    (fun (a, b, q, r) ->
+      let a = bn a and b = bn b in
+      check_qr "a/b" Bignum.divmod a b q r;
+      check_qr "-a/b" Bignum.divmod (Bignum.neg a) b ("-" ^ q) ("-" ^ r);
+      check_qr "oracle" divmod_bitserial a b q r)
+    [
+      (* 0x3ffffffffffff8000000 / 0x10000003ffffff *)
+      ( "302231454903657159458816", "4503599694479359", "67108862",
+        "4503599694479358" );
+      (* 0xffffff80000008000002000000 / 0x10000000000001 *)
+      ( "20282408999188762868432511172608", "4503599627370497",
+        "4503599493152767", "2251799981457409" );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* SHA-256: NIST vectors                                              *)
 
 let test_sha256_nist_vectors () =
@@ -448,7 +545,7 @@ let test_rsa_wrong_key_fails () =
   | Ok m -> check_bool "wrong key must not yield plaintext" false (m = "secret")
   | Error _ -> ());
   check_bool "fingerprints differ" true
-    (Rsa.fingerprint kp.Rsa.public <> Rsa.fingerprint other.Rsa.public)
+    (kp.Rsa.public.fingerprint <> other.Rsa.public.fingerprint)
 
 let test_rsa_payload_limit () =
   let kp = Lazy.force shared_keypair in
@@ -460,6 +557,35 @@ let test_rsa_payload_limit () =
   Alcotest.check_raises "over the limit"
     (Invalid_argument "Rsa.encrypt: payload too long for modulus") (fun () ->
       ignore (Rsa.encrypt g kp.Rsa.public (String.make (maxp + 1) 'a')))
+
+(* Measured before CRT and Algorithm D: keygen draws the same PRNG values
+   and every power is the same number, so the key is unchanged. *)
+let test_rsa_keygen_known_answer () =
+  let kp = Rsa.generate ~bits:256 (Prng.create ~seed:2L ()) in
+  check_string "n"
+    "83331469606167472362170738539285599665599121332625335112491744449234761971709"
+    (Bignum.to_string kp.Rsa.public.n);
+  check_string "fingerprint" "a1db832798497d3f" kp.Rsa.public.fingerprint
+
+(* The CRT exponentiation is the plain one, c^d mod n, for random c < n,
+   for 0, and for multiples of p and of q (c = 0 mod one factor). *)
+let test_rsa_crt_equals_mod_pow () =
+  List.iter
+    (fun (bits, seed) ->
+      let kp = Rsa.generate ~bits (Prng.create ~seed ()) in
+      let sk = kp.Rsa.private_ in
+      let g = Prng.create ~seed:(Int64.add seed 1L) () in
+      let cs =
+        Bignum.zero :: sk.p :: Bignum.mul sk.p (bn "3") :: sk.q
+        :: List.init 4 (fun _ -> Bignum.random_below g sk.n)
+      in
+      List.iter
+        (fun c ->
+          Alcotest.check bignum_testable
+            (Printf.sprintf "%d bits, c = %s" bits (Bignum.to_string c))
+            (Bignum.mod_pow c sk.d sk.n) (Rsa.private_pow sk c))
+        cs)
+    [ (256, 31L); (512, 32L); (1_024, 33L) ]
 
 (* ------------------------------------------------------------------ *)
 (* Envelope                                                           *)
@@ -516,6 +642,21 @@ let test_envelope_decode_garbage () =
   check_bool "truncated rejected" true
     (Result.is_error (Envelope.decode "RGPDENV1000000ff"))
 
+(* The bytes of one envelope, measured before CRT and Algorithm D: RSA
+   padding, the sealed seed, the MAC and the key fingerprint are all
+   unchanged. *)
+let test_envelope_known_answer () =
+  let kp = Rsa.generate ~bits:256 (Prng.create ~seed:2L ()) in
+  let env =
+    Envelope.seal (Prng.create ~seed:3L ()) kp.Rsa.public "known-answer payload"
+  in
+  check_string "encoded"
+    "52475044454e56313030303030303230025c3bb601911b1b1f0ba8f7ea43c57815bd\
+     0365cf139d7650cfa514bb8a800430303030303031345c0d343ea24e84718a0c4c0f\
+     7a1248b5d1e506bd30303030303032307d0ceebd8ee1f9a7e3dca0ac21e601b8aaa1\
+     01093a0c3d04417b1b68d1ec135d303030303030313061316462383332373938343937643366"
+    (Hex.encode (Envelope.encode env))
+
 let prop_envelope_roundtrip =
   QCheck.Test.make ~name:"envelope roundtrip" ~count:25
     QCheck.(string_of_size Gen.(0 -- 500))
@@ -556,6 +697,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_bytes_roundtrip;
           QCheck_alcotest.to_alcotest prop_mod_pow_agrees_small;
         ] );
+      ( "divmod",
+        [
+          QCheck_alcotest.to_alcotest prop_divmod_matches_bitserial;
+          Alcotest.test_case "add-back vectors" `Quick test_divmod_add_back;
+        ] );
       ( "sha256",
         [
           Alcotest.test_case "NIST vectors" `Quick test_sha256_nist_vectors;
@@ -586,6 +732,9 @@ let () =
           Alcotest.test_case "randomized padding" `Quick test_rsa_randomized_padding;
           Alcotest.test_case "wrong key fails" `Quick test_rsa_wrong_key_fails;
           Alcotest.test_case "payload limit" `Quick test_rsa_payload_limit;
+          Alcotest.test_case "keygen known answer" `Quick
+            test_rsa_keygen_known_answer;
+          Alcotest.test_case "CRT = mod_pow" `Quick test_rsa_crt_equals_mod_pow;
         ] );
       ( "envelope",
         [
@@ -594,6 +743,7 @@ let () =
           Alcotest.test_case "tamper detected" `Quick test_envelope_tamper_detected;
           Alcotest.test_case "encode/decode" `Quick test_envelope_encode_decode;
           Alcotest.test_case "decode garbage" `Quick test_envelope_decode_garbage;
+          Alcotest.test_case "known answer" `Quick test_envelope_known_answer;
           QCheck_alcotest.to_alcotest prop_envelope_roundtrip;
         ] );
     ]
