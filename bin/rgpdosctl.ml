@@ -232,9 +232,10 @@ let fsck_store damage subjects seed =
       store
   | "index-page" ->
       (* the paged index trees exist on the device only after a
-         checkpoint; enumerate a node page while the store is warm, then
-         remount cold (empty page cache) and flip one bit inside the
-         page's framed payload so the next read must fail its checksum *)
+         checkpoint, and only a remounted store reads them (before, the
+         overlay answers): enumerate a node page, remount, and flip one
+         bit inside the page's framed payload so the next read must fail
+         its checksum *)
       Dbfs.checkpoint store;
       (match Dbfs.index_page_blocks store with
       | [] ->
@@ -469,8 +470,8 @@ let fsck_cmd =
 
 (* Populate, checkpoint, remount cold (paged trees on device, caches
    empty), then run a Zipf-skewed read workload under the requested
-   cache budget and print the observability counters: cache
-   hits/misses/evictions, index node-page reads, and the device's own
+   cache budget and print the observability counters: decoded-cache
+   hits/misses/evictions, tree node-page reads, and the device's own
    read/write/seek statistics. *)
 let stats_run subjects seed budget ops =
   let m, people = fsck_boot subjects seed in
@@ -481,6 +482,7 @@ let stats_run subjects seed budget ops =
       Printf.eprintf "remount: %s\n" e;
       2
   | Ok store ->
+      let node_pages = List.length (Dbfs.index_page_blocks store) in
       Dbfs.set_cache_budget store budget;
       let dev = Dbfs.device store in
       Block_device.reset_stats dev;
@@ -505,14 +507,12 @@ let stats_run subjects seed budget ops =
         | _ ->
             note (Dbfs.pds_of_subject store ~actor:"ded" p.Population.subject_id)
       done;
-      (* snapshot the counters before anything else reads pages —
-         enumerating the node pages below walks the trees *)
       (* every observability counter the store can emit is listed by
          name, so a counter that stayed at zero still prints: absence
          would be indistinguishable from "this build doesn't have it" *)
       let dbfs_counter_names =
         [
-          "page_hits"; "page_misses"; "cache_evictions"; "index_page_reads";
+          "cache_hits"; "cache_misses"; "cache_evictions"; "index_page_reads";
           "fault_retries"; "committed_batches"; "batched_ops"; "compactions";
           "compact_relocations"; "compact_verify_failures";
           "segments_reclaimed"; "segment_trims"; "purge_zeroed_blocks";
@@ -556,21 +556,20 @@ let stats_run subjects seed budget ops =
       let get k =
         match List.assoc_opt k dbfs_counters with Some v -> v | None -> 0
       in
-      let hits = get "page_hits" and misses = get "page_misses" in
+      let hits = get "cache_hits" and misses = get "cache_misses" in
       Printf.printf
         "workload: %d ops over %d subjects (Zipf theta=0.99), %d failed\n"
         ops subjects !failed;
       Printf.printf "cache: budget %d entries, resident %d\n"
         (Dbfs.cache_budget store) resident;
-      Printf.printf "  page hits        %8d\n" hits;
-      Printf.printf "  page misses      %8d\n" misses;
+      Printf.printf "  hits             %8d\n" hits;
+      Printf.printf "  misses           %8d\n" misses;
       Printf.printf "  hit rate         %8.1f%%\n"
         (if hits + misses = 0 then 0.0
          else 100.0 *. float_of_int hits /. float_of_int (hits + misses));
       Printf.printf "  evictions        %8d\n" (get "cache_evictions");
       Printf.printf "index: node-page reads %d (%d node pages on device)\n"
-        (get "index_page_reads")
-        (List.length (Dbfs.index_page_blocks store));
+        (get "index_page_reads") node_pages;
       Printf.printf "dbfs counters:\n";
       List.iter (fun (k, v) -> Printf.printf "  %-22s %10d\n" k v) dbfs_counters;
       Printf.printf "device counters:\n";

@@ -263,8 +263,8 @@ let account_write dev sorted nruns =
 (* The blocking vectored read: one [read_latency] seek per contiguous run
    plus the usual per-byte charge, settled before returning.  [move]
    controls whether the bytes are returned, nothing else: [charge_read_vec]
-   is the cost-and-accounting-only variant read caches use, so a cache
-   hit costs exactly the vectored miss it replaces. *)
+   is the cost-and-accounting-only variant, for a read whose bytes live
+   in host memory but whose device cost is still owed. *)
 let read_vec_common dev ~move indices =
   let sorted = sorted_unique indices in
   List.iter (check dev) sorted;
@@ -476,30 +476,16 @@ let settle dev rq =
       Stats.Counter.incr dev.counters ~by:hidden "overlap_ns_hidden"
   end
 
-(* Shared by the real and charge-only read submissions: [move] controls
-   whether payload bytes are captured, nothing else.  Cache hits submitted
-   through the charge-only variant therefore queue, cost and settle
-   exactly like cold reads — the warm==cold rule under the queued
-   model. *)
-let submit_read_common dev ~channel ~move indices =
+let submit_read_vec dev ?(channel = 0) indices =
   let sorted = sorted_unique indices in
   match sorted with
   | [] -> settled_ticket []
   | _ ->
       List.iter (check dev) sorted;
       let service, nruns = vec_cost dev dev.cfg.read_latency sorted in
-      let payload =
-        if move then List.map (fun i -> (i, block_contents dev i)) sorted
-        else []
-      in
+      let payload = List.map (fun i -> (i, block_contents dev i)) sorted in
       account_read dev sorted nruns;
       enqueue dev ~channel service payload
-
-let submit_read_vec dev ?(channel = 0) indices =
-  submit_read_common dev ~channel ~move:true indices
-
-let submit_charge_read_vec dev ?(channel = 0) indices =
-  submit_read_common dev ~channel ~move:false indices
 
 (* Async vectored write: dedup/check/counters/persistence (including the
    fault plan and crash capture) all happen here at submission, in the

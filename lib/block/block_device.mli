@@ -58,9 +58,9 @@ val read_vec : t -> int list -> (int * string) list
 
 val charge_read_vec : t -> int list -> unit
 (** Charge exactly the simulated cost (and IO statistics) of
-    [read_vec dev indices] without transferring any bytes.  Read caches
-    use it so a cache hit costs the same simulated device time as the
-    vectored miss it replaces. *)
+    [read_vec dev indices] without transferring any bytes.  DBFS uses it
+    for the metadata read an index probe answered from its in-memory
+    overlay, so the probe costs what the on-device read would. *)
 
 val write_vec : t -> (int * string) list -> unit
 (** [write_vec dev writes] stores every [(index, data)] pair in one
@@ -106,12 +106,6 @@ val submit_read_vec : t -> ?channel:int -> int list -> ticket
     clock charge settles at {!await}.  Same IO counters as {!read_vec},
     plus the queue counters (see {!stats}). *)
 
-val submit_charge_read_vec : t -> ?channel:int -> int list -> ticket
-(** Cost-and-accounting-only {!submit_read_vec} (the queued analogue of
-    {!charge_read_vec}): cache hits queue, cost and settle exactly like
-    the cold read they replace, so warm==cold holds at every depth.
-    The ticket's payload is empty. *)
-
 val submit_write_vec : t -> ?channel:int -> (int * string) list -> ticket
 (** Enqueue the vectored write of {!write_vec} on [channel].  Bytes
     persist and the fault plan dispatches at submission (raising
@@ -124,7 +118,7 @@ val submit_write_vec : t -> ?channel:int -> (int * string) list -> ticket
 val await : t -> ticket -> (int * string) list
 (** Settle a completion: advance the clock to the request's completion
     instant (zero if compute already passed it) and return the payload
-    captured at submission ([[]] for writes and charge-only reads).
+    captured at submission ([[]] for writes).
     Idempotent — re-awaiting returns the payload without re-charging. *)
 
 val drain : t -> unit

@@ -1,8 +1,8 @@
 (* Bounded LRU cache with a configurable entry budget.
 
-   One cache instance backs every decoded-object class in DBFS (membranes,
-   records, index node pages) so a single budget bounds resident memory and
-   all classes compete under one eviction policy.  The implementation is a
+   One cache instance backs every decoded-object class in DBFS (membranes
+   and records) so a single budget bounds resident memory and all classes
+   compete under one eviction policy.  The implementation is a
    string-keyed hash table over an intrusive doubly-linked recency list:
    every operation is O(1).
 
@@ -78,8 +78,6 @@ let find t key =
       push_front t n;
       Some n.n_value
 
-let mem t key = Hashtbl.mem t.tbl key
-
 let put t key value =
   (match Hashtbl.find_opt t.tbl key with
   | Some n ->
@@ -98,12 +96,6 @@ let remove t key =
   | Some n ->
       unlink t n;
       Hashtbl.remove t.tbl key
-
-let remove_where t pred =
-  let doomed =
-    Hashtbl.fold (fun k _ acc -> if pred k then k :: acc else acc) t.tbl []
-  in
-  List.iter (remove t) doomed
 
 let clear t =
   Hashtbl.reset t.tbl;

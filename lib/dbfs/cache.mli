@@ -1,9 +1,8 @@
 (** Bounded LRU cache with a configurable entry budget.
 
-    A single instance backs every decoded-object class in DBFS (membranes,
-    records, index node pages), so one budget bounds resident memory and all
-    classes compete under the same eviction policy.  All operations are
-    O(1).
+    A single instance backs every decoded-object class in DBFS (membranes
+    and records), so one budget bounds resident memory and all classes
+    compete under the same eviction policy.  All operations are O(1).
 
     The cache bounds host memory only: callers charge the same simulated
     device cost on hit and miss (warm == cold), so eviction is invisible to
@@ -17,18 +16,12 @@ val create : budget:int -> 'a t
 val find : 'a t -> string -> 'a option
 (** Lookup; promotes the entry to most-recently-used on a hit. *)
 
-val mem : 'a t -> string -> bool
-(** Presence test without promoting. *)
-
 val put : 'a t -> string -> 'a -> int
 (** Insert or replace (promoting to MRU), then evict from the LRU end until
     the budget holds again.  Returns the number of entries evicted. *)
 
 val remove : 'a t -> string -> unit
 (** Drop one entry (coherence invalidation); no-op when absent. *)
-
-val remove_where : 'a t -> (string -> bool) -> unit
-(** Drop every entry whose key satisfies the predicate. *)
 
 val clear : 'a t -> unit
 (** Drop everything (counters are preserved). *)

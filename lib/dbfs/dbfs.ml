@@ -62,15 +62,14 @@ type entry = {
 
 type table = { schema : Schema.t }
 
-(* One bounded LRU holds every decoded-object class: raw index/entry node
-   pages ("p:<block>"), membranes ("m:<pd>") and records ("r:<pd>").  A
-   single entry budget therefore bounds resident memory across all three,
-   and they compete under one eviction policy.  The cache bounds host
-   memory only — hits charge the identical simulated device cost as
-   misses (warm == cold), so eviction is invisible to every stage_ns
-   figure and shows up only in the hit/miss/eviction counters. *)
+(* One bounded LRU holds the decoded objects: membranes ("m:<pd>") and
+   records ("r:<pd>").  A single entry budget bounds resident memory
+   across both, and they compete under one eviction policy.  The cache
+   bounds host memory only — a hit still reads its page and skips only
+   the decode (warm == cold), so eviction is invisible to every stage_ns
+   figure and shows up only in the hit/miss/eviction counters.  Tree
+   node pages are not cached: every descent reads the medium. *)
 type cached =
-  | C_page of string
   | C_membrane of Membrane.t
   | C_record of Record.t
 
@@ -109,8 +108,7 @@ type t = {
   page_prefetch : (int, Block_device.ticket) Hashtbl.t;
       (* speculative index-page reads submitted ahead of the descent,
          keyed by first block.  [read_pages] consumes a pending ticket
-         instead of re-reading; checkpoint settles and drops leftovers
-         alongside the page-cache invalidation. *)
+         instead of re-reading; checkpoint settles and drops leftovers. *)
 }
 
 let superblock_magic = "RGPDBFS1"
@@ -274,33 +272,17 @@ let invalidate_caches t pd_id =
 (* ------------------------------------------------------------------ *)
 (* paged metadata I/O                                                 *)
 
-(* The [Pagestore.io] DBFS hands to its trees.  Node pages are cached in
-   the shared LRU under "p:<first block>".  [read_pages] serves one tree
-   level of a descent as one request: every page is counted once, a page
-   with a still-pending prefetch settles that ticket (its service is
-   already charged), and the rest go in one vectored read.  Cache hits
-   stay in that request — it moves bytes only when some page misses, and
-   charges the identical cost either way — so warm and cold probes cost
-   the same simulated time. *)
+(* The [Pagestore.io] DBFS hands to its trees.  [read_pages] serves one
+   tree level of a descent as one request: every page is counted once, a
+   page with a still-pending prefetch settles that ticket (its service is
+   already charged), and the rest go in one vectored read. *)
 let read_pages t pages =
   Stats.Counter.incr t.counters ~by:(List.length pages) "index_page_reads";
-  let key first = "p:" ^ string_of_int first in
   let got = Hashtbl.create 16 in
   let keep = List.iter (fun (b, data) -> Hashtbl.replace got b data) in
-  (* per page: its cached bytes, if any, and the blocks it still needs
-     read — none when a pending prefetch carries them *)
-  let served =
-    List.map
+  let blocks =
+    List.concat_map
       (fun (first, n) ->
-        let hit =
-          match Cache.find t.cache (key first) with
-          | Some (C_page raw) ->
-              Stats.Counter.incr t.counters "page_hits";
-              Some raw
-          | _ ->
-              Stats.Counter.incr t.counters "page_misses";
-              None
-        in
         match Hashtbl.find_opt t.page_prefetch first with
         | Some tk ->
             (* the device service has been running since submission, so
@@ -308,37 +290,24 @@ let read_pages t pages =
                not already hide *)
             Hashtbl.remove t.page_prefetch first;
             keep (Block_device.await t.dev tk);
-            (hit, [])
-        | None -> (hit, List.init n (fun i -> first + i)))
+            []
+        | None -> List.init n (fun i -> first + i))
       pages
   in
-  let blocks = List.concat_map snd served in
-  if List.exists (fun (hit, bs) -> hit = None && bs <> []) served then
-    keep (retrying t (fun () -> Block_device.read_vec t.dev blocks))
-  else if blocks <> [] then
-    retrying t (fun () -> Block_device.charge_read_vec t.dev blocks);
-  List.map2
-    (fun (first, n) (hit, _) ->
-      match hit with
-      | Some raw -> raw
-      | None ->
-          let raw =
-            String.concat "" (List.init n (fun i -> Hashtbl.find got (first + i)))
-          in
-          cache_put t (key first) (C_page raw);
-          raw)
-    pages served
+  if blocks <> [] then
+    keep (retrying t (fun () -> Block_device.read_vec t.dev blocks));
+  List.map
+    (fun (first, n) ->
+      String.concat "" (List.init n (fun i -> Hashtbl.find got (first + i))))
+    pages
 
 let page_io t =
   {
     Pagestore.read_pages = read_pages t;
     prefetch_page =
       (fun first n ->
-        (* cached or not, so a warm descent overlaps the sibling's service
-           exactly as a cold one does; the bytes move because the page may
-           be evicted before [read_pages] consumes the ticket.  Speculative,
-           so a fault is neither retried nor raised: only a [read_pages]
-           that really needs the page meets it *)
+        (* speculative, so a fault is neither retried nor raised: only a
+           [read_pages] that really needs the page meets it *)
         if not (Hashtbl.mem t.page_prefetch first) then
           match
             Block_device.submit_read_vec t.dev ~channel:prefetch_channel
@@ -928,7 +897,7 @@ let commit_root t ~half ~used ~entries ~iroots =
      4. take up the new trees;
      5. retire the journal prefix;
      6. zero the old heap half;
-     7. drop cached node pages of the retired trees.
+     7. settle any prefetch of the retired trees still in flight.
 
    The root is journalled (written) only after every node it references
    persists, so a crash at any step leaves either the old root (with the
@@ -975,15 +944,12 @@ let checkpoint t =
        (List.init old_used (fun i -> heap_start t old_half + i)
        |> List.filter (Block_device.is_written t.dev))
    with Block_device.Faulted b -> ignore (degrade_on_fault t b));
-  (* eviction-coherence: cached node pages name heap blocks the next
-     checkpoint will reuse — drop them at the generation boundary.  Any
-     speculative prefetch still in flight targets the dying generation
-     too: settle its charge and forget the ticket. *)
+  (* a speculative prefetch still in flight targets the dying
+     generation: settle its charge and forget the ticket *)
   Hashtbl.iter
     (fun _ tk -> ignore (Block_device.await t.dev tk))
     t.page_prefetch;
   Hashtbl.reset t.page_prefetch;
-  Cache.remove_where t.cache (fun k -> String.length k > 2 && k.[0] = 'p');
   Hashtbl.reset t.entries;
   Hashtbl.reset t.deleted
 
@@ -1061,12 +1027,13 @@ let rec commit ?destroy ?(retiring = []) t placed ops =
    [Space.compact]'s): relocate every surviving extent through the
    ordinary commit, a [J_replace] with identical size and checksum — so
    replay, secondary indexes, caches and the slot map stay coherent with
-   no compaction-specific recovery code.  The survivors' pages are read
-   in one request.  Survivors commit in [chunks]: one payload write and
-   one record of at most [Journal_ring.max_payload] bytes each, settled
-   before the next chunk is placed, so only the last record can have its
-   data in flight.  An extent failing its checksum is left in place for
-   fsck rather than propagated. *)
+   no compaction-specific recovery code.  The survivors are read and
+   verified by one [check_slots].  Survivors commit in [chunks]: one
+   payload write and one record of at most [Journal_ring.max_payload]
+   bytes each, settled before the next chunk is placed, so only the last
+   record can have its data in flight.  An extent failing its checksum,
+   or on a page that stays unreadable, is left in place for fsck rather
+   than propagated. *)
 and relocate t ~in_victim =
   (* one merged entry pass discovers every surviving extent; the moves
      below change no other entry, and moving one extent leaves its
@@ -1082,26 +1049,16 @@ and relocate t ~in_victim =
           | _ -> ())
         [ Record; Membrane ]);
   let moves = List.rev !moves in
-  let pages =
-    List.concat_map (fun (e, kind) -> (extent e kind).blocks) moves
-  in
-  let h =
-    block_table
-      (match pages with
-      | [] -> []
-      | _ -> retrying t (fun () -> Block_device.read_vec t.dev pages))
-  in
+  let slots = check_slots t (List.map (fun (e, kind) -> extent e kind) moves) in
   let survivors =
     List.filter_map
       (fun (e, kind) ->
         let l = extent e kind in
-        charge_checksum t l.size;
-        let raw = extent_bytes h l in
-        if Fnv.hash64_hex raw = l.sum then Some (e, kind, raw, l.sum)
-        else begin
-          Stats.Counter.incr t.counters "compact_verify_failures";
-          None
-        end)
+        match Hashtbl.find slots l with
+        | Ok raw -> Some (e, kind, raw, l.sum)
+        | Error _ ->
+            Stats.Counter.incr t.counters "compact_verify_failures";
+            None)
       moves
   in
   let move (e, kind, raw, sum) =
@@ -1520,15 +1477,14 @@ let chunk_entries entries n =
    settle chunk k only when its entries decode — the checksum/decode
    compute of chunk k overlaps the in-flight service of chunks k+1..  At
    depth 1 this is one request settled before any decode: exactly a
-   blocking [read_vec] (or [charge_read_vec] when every entry is cached).
-   Chunking depends only on the entry list, and cache-hit batches submit
-   through the charge-only variant with the identical chunk shape, so
-   warm==cold holds at every depth.  A page shared by several entries is
+   blocking [read_vec].  Chunking depends only on the entry list, and a
+   cached entry's page is read like any other, so warm==cold holds at
+   every depth.  A page shared by several entries is
    read by the first chunk that needs it and by no later one, so each page
    is read and charged once per batch; chunks settle in order, so a later
    chunk finds it in the block table.  [blocks_of] names each entry's
    extent; [decode] folds one chunk's entries against the block table. *)
-let pipelined_read t ~channel ~any_miss ~blocks_of ~decode entries =
+let pipelined_read t ~channel ~blocks_of ~decode entries =
   let depth = (Block_device.config t.dev).Block_device.queue_depth in
   let asked = Hashtbl.create 64 in
   let submitted =
@@ -1540,9 +1496,7 @@ let pipelined_read t ~channel ~any_miss ~blocks_of ~decode entries =
         in
         List.iter (fun b -> Hashtbl.replace asked b ()) blocks;
         let tk =
-          retrying t (fun () ->
-              if any_miss then Block_device.submit_read_vec t.dev ~channel blocks
-              else Block_device.submit_charge_read_vec t.dev ~channel blocks)
+          retrying t (fun () -> Block_device.submit_read_vec t.dev ~channel blocks)
         in
         (ch, tk))
       (chunk_entries entries depth)
@@ -1565,10 +1519,6 @@ let pipelined_read t ~channel ~any_miss ~blocks_of ~decode entries =
    result.  Entries whose extent is not live yield [None] and are
    neither read nor charged. *)
 let load_extents t x ~channel entries =
-  let live = List.filter x.x_live entries in
-  let any_miss =
-    List.exists (fun e -> not (Cache.mem t.cache (x.x_key ^ e.pd_id))) live
-  in
   let decode h acc entries =
     let rec go acc = function
       | [] -> Ok acc
@@ -1597,7 +1547,7 @@ let load_extents t x ~channel entries =
     go acc entries
   in
   protect_read (fun () ->
-      pipelined_read t ~channel ~any_miss
+      pipelined_read t ~channel
         ~blocks_of:(fun e -> if x.x_live e then (x.x_loc e).blocks else [])
         ~decode entries)
 
@@ -1893,10 +1843,10 @@ let subjects t ~actor =
    candidate set, batch-load only the candidates and run the original
    predicate as a residual filter.  Exact plans skip the record loads
    entirely.  Probe charging follows the warm==cold rule: base index
-   pages charge their own vectored node reads through [page_io] whether
-   cached or not, and overlay facts charge a synthetic metadata read of
-   their byte footprint — the in-memory acceleration is host-side only
-   and never changes a simulated figure. *)
+   pages are read (never cached) through [page_io], and overlay facts
+   charge a synthetic metadata read of their byte footprint — the
+   in-memory acceleration is host-side only and never changes a
+   simulated figure. *)
 
 module SS = Set.Make (String)
 

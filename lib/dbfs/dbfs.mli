@@ -477,8 +477,8 @@ val set_cache_budget : t -> int -> unit
     figure. *)
 
 val cache_resident : t -> int
-(** Entries currently resident in the shared LRU (node pages + decoded
-    membranes + decoded records). *)
+(** Entries currently resident in the shared LRU (decoded membranes and
+    records; tree node pages are never cached). *)
 
 val cache_budget : t -> int
 
@@ -536,7 +536,10 @@ val compact : ?max_victims:int -> ?liveness_pct:float -> t -> int
     slot bytes, so a page holding one live slot is mostly dead.  Survivors commit in chunks:
     one payload write and one journal record of at most
     [Journal_ring.max_payload] bytes each, the chunk's data awaited
-    before the next chunk commits.  Returns the number
+    before the next chunk commits.  A survivor that fails its checksum,
+    or sits on a page that stays unreadable, is counted in
+    ["compact_verify_failures"] and left in place for fsck; the others
+    still move.  Returns the number
     of victim segments processed; [0] on an update-in-place store or
     when nothing qualifies. *)
 
@@ -553,8 +556,10 @@ val stats : t -> Rgpdos_util.Stats.Counter.t
 
     "cache_hits" / "cache_misses" count lookups in the decoded
     membrane/record read cache.  A hit skips the host-side payload
-    reassembly and decode but is charged the identical simulated device
-    cost, so experiment [stage_ns] figures are unaffected.  Coherence
+    reassembly and decode but still reads its page, so experiment
+    [stage_ns] figures are unaffected; "cache_evictions" counts budget
+    evictions.  "index_page_reads" counts tree node pages read (none is
+    cached).  Coherence
     rule: every journalled operation that touches a pd ([J_insert],
     [J_replace] of its record, membrane or sealed envelope, [J_delete]) —
     whether live or replayed at mount — invalidates that pd's cached

@@ -13,8 +13,8 @@
    occupies one device block; a single oversized entry gets a multi-block
    ("fat") page.  [layout] only lays a tree's pages out: the caller writes
    them, so a checkpoint writes all its trees in one request.  All reads
-   go through an [io] record provided by DBFS, which layers the shared LRU
-   page cache and warm==cold read charging underneath.  Point lookups
+   go through an [io] record provided by DBFS, which reads and charges
+   every page on every call (no page is cached).  Point lookups
    descend in batches: one [read_pages] request per tree level, whatever
    the number of keys. *)
 
@@ -25,7 +25,7 @@ type io = {
   read_pages : (int * int) list -> string list;
       (** [read_pages [(first, nblocks); ...]] returns each page's
           concatenated raw bytes, in order, fetched in one vectored
-          request (cached + charged by DBFS) *)
+          request (charged by DBFS) *)
   prefetch_page : int -> int -> unit;
       (** [prefetch_page first nblocks] hints that the page will be read
           shortly: DBFS submits its device read so the service overlaps

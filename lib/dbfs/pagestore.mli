@@ -5,14 +5,15 @@
     overlays and the next checkpoint rewrites the whole tree into the
     other metadata heap half (see DESIGN.md).  {!layout} only lays a
     tree's pages out; the caller writes them.  All reads go through the
-    {!io} closures supplied by DBFS, which layer the shared LRU page cache
-    and warm==cold read charging underneath. *)
+    {!io} closures supplied by DBFS, which read the device (or a pending
+    prefetch) on every call: no page is cached, so every read is
+    checksummed against what is on the medium. *)
 
 type io = {
   read_pages : (int * int) list -> string list;
       (** [read_pages [(first, nblocks); ...]]: each page's concatenated
-          raw bytes, in order, as one vectored request — cached and
-          cost-charged by the provider, each page once *)
+          raw bytes, in order, as one vectored request — cost-charged by
+          the provider, each page once *)
   prefetch_page : int -> int -> unit;
       (** hint that the page will be read shortly: the provider submits
           the device read so its service overlaps the current page's

@@ -11,15 +11,15 @@ type report = {
 
 let actor = "ded" (* the sweeper is an rgpdOS built-in and runs as the DED *)
 
-(* Crypto-erase [pds] with one DBFS call ([?only] re-checks each membrane
+(* Crypto-erase [pds] with one DBFS call ([only] re-checks each membrane
    inside it), logging each erasure in the audit chain, in order.
    Returns how many it erased and the error of each pd it did not.  A
    batch stopped after its first chunks reports their pds
    ([Dbfs.committed]), which stay erased; on any error the pds the call
    did not erase are retried as batches of one, so one damaged pd holds
    back no other. *)
-let rec remove ?only ~dbfs ~audit ~now ~seal pds =
-  let result = Dbfs.erase_with dbfs ~actor ?only pds ~seal in
+let rec remove ~only ~dbfs ~audit ~now ~seal pds =
+  let result = Dbfs.erase_with dbfs ~actor ~only pds ~seal in
   let removed =
     match result with Ok removed -> removed | Error e -> Dbfs.committed e
   in
@@ -36,72 +36,23 @@ let rec remove ?only ~dbfs ~audit ~now ~seal pds =
   | Error _, rest ->
       List.fold_left
         (fun (n, failed) pd_id ->
-          let k, f = remove ?only ~dbfs ~audit ~now ~seal [ pd_id ] in
+          let k, f = remove ~only ~dbfs ~audit ~now ~seal [ pd_id ] in
           (n + k, failed @ f))
         (List.length removed, [])
         rest
 
-let sweep ~dbfs ~audit ~now ~seal ?(incremental = true) () =
-  if incremental then begin
-    (* O(expired): the due entries of the TTL expiry queue, erased by one
-       call that re-checks each membrane as it loads it — the queue is an
-       index, the membrane stays the authority.  Erasure clears each pd's
-       queue entry as part of its journalled op; a pd whose erasure fails
-       stays queued and is retried on the next sweep, and the others go
-       on without it. *)
-    let due =
-      match Dbfs.expired_pds dbfs ~actor ~now with
-      | Ok ids -> ids
-      | Error _ -> []
-    in
-    let removed, errors =
-      if due = [] then (0, [])
-      else remove ~only:(Membrane.expired ~now) ~dbfs ~audit ~now ~seal due
-    in
-    {
-      scanned = List.length due;
-      expired = removed + List.length errors;
-      removed;
-      errors;
-    }
-  end
-  else begin
-    (* legacy full scan: every non-erased membrane, O(population), each
-       expired pd erased as a batch of one *)
-    let all_pds =
-      match Dbfs.list_types dbfs ~actor with
-      | Error _ -> []
-      | Ok types ->
-          List.concat_map
-            (fun ty ->
-              match Dbfs.list_pds dbfs ~actor ty with
-              | Ok ids -> ids
-              | Error _ -> [])
-            types
-    in
-    let scanned = ref 0 and expired = ref 0 and removed = ref 0 in
-    let errors = ref [] in
-    List.iter
-      (fun pd_id ->
-        match Dbfs.entry_info dbfs ~actor pd_id with
-        | Error _ -> ()
-        | Ok (_, _, true) -> () (* already erased *)
-        | Ok (_, _, false) -> (
-            incr scanned;
-            match Dbfs.get_membrane dbfs ~actor pd_id with
-            | Error e -> errors := (pd_id, Dbfs.error_to_string e) :: !errors
-            | Ok m ->
-                if Membrane.expired m ~now then begin
-                  incr expired;
-                  let n, failed = remove ~dbfs ~audit ~now ~seal [ pd_id ] in
-                  removed := !removed + n;
-                  errors := List.rev_append failed !errors
-                end))
-      all_pds;
-    {
-      scanned = !scanned;
-      expired = !expired;
-      removed = !removed;
-      errors = !errors;
-    }
-  end
+let sweep ~dbfs ~audit ~now ~seal () =
+  (* O(expired): the due entries of the TTL expiry queue, erased by one
+     call that re-checks each membrane as it loads it — the queue is an
+     index, the membrane stays the authority.  Erasure clears each pd's
+     queue entry as part of its journalled op; a pd whose erasure fails
+     stays queued and is retried on the next sweep, and the others go on
+     without it. *)
+  let due =
+    match Dbfs.expired_pds dbfs ~actor ~now with Ok ids -> ids | Error _ -> []
+  in
+  let removed, errors =
+    if due = [] then (0, [])
+    else remove ~only:(Membrane.expired ~now) ~dbfs ~audit ~now ~seal due
+  in
+  { scanned = List.length due; expired = removed + List.length errors; removed; errors }

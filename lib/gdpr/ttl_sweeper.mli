@@ -18,15 +18,14 @@ val sweep :
   audit:Rgpdos_audit.Audit_log.t ->
   now:Rgpdos_util.Clock.ns ->
   seal:(Rgpdos_dbfs.Record.t -> string) ->
-  ?incremental:bool ->
   unit ->
   report
 (** Crypto-erases expired PD under [seal] (the authority sealer),
     logging each erasure in the audit chain.
 
-    [incremental] (the default) pops only the due entries off DBFS's TTL
-    expiry min-queue ({!Rgpdos_dbfs.Dbfs.expired_pds}), so a sweep costs
-    O(expired) rather than O(population); [report.scanned] counts the
+    The sweep pops only the due entries off DBFS's TTL expiry min-queue
+    ({!Rgpdos_dbfs.Dbfs.expired_pds}), so it costs O(expired) rather
+    than O(population); [report.scanned] counts the
     queue candidates, erased by ONE {!Rgpdos_dbfs.Dbfs.erase_with} call
     with [~only:(Membrane.expired ~now)], so the membrane stays the
     authority: one descent, one membrane load, one journal record and one
@@ -37,8 +36,4 @@ val sweep :
     it; a pd whose erasure fails stays queued for the next sweep, with
     its error in [report.errors].  A sweep larger than one journal record
     commits in chunks ({!Rgpdos_dbfs.Dbfs.erase_with}); the pds of the
-    chunks that committed before a failure stay erased and are audited.
-
-    [~incremental:false] preserves the legacy full scan over every
-    non-erased membrane (measurement baseline; identical outcome), each
-    expired pd erased as a batch of one. *)
+    chunks that committed before a failure stay erased and are audited. *)

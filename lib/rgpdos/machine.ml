@@ -415,10 +415,10 @@ let lift_restriction t ~subject = set_restriction t ~subject false
 (* ------------------------------------------------------------------ *)
 (* operations                                                         *)
 
-let sweep_ttl t ?incremental () =
+let sweep_ttl t () =
   Ttl_sweeper.sweep ~dbfs:t.dbfs ~audit:t.audit ~now:(Clock.now t.clock)
     ~seal:(Authority.sealer t.authority ~prng:t.prng)
-    ?incremental ()
+    ()
 
 let compliance_evidence t ?(forensic_probes = []) () =
   let now = Clock.now t.clock in

@@ -208,14 +208,12 @@ val lift_restriction : t -> subject:string -> (int, string) result
 
 (** {1 Operations} *)
 
-val sweep_ttl :
-  t -> ?incremental:bool -> unit -> Rgpdos_gdpr.Ttl_sweeper.report
+val sweep_ttl : t -> unit -> Rgpdos_gdpr.Ttl_sweeper.report
 (** Storage-limitation sweep: crypto-erasure under the machine's
-    authority.  Incremental by default: only the entries due in DBFS's
-    TTL expiry queue are visited, so the sweep costs O(expired) rather
-    than O(population), and the expired PDs are re-checked and erased by
-    one {!Rgpdos_dbfs.Dbfs.erase_with} call, one commit
-    ([?incremental:false] forces the legacy full membrane scan). *)
+    authority.  Only the entries due in DBFS's TTL expiry queue are
+    visited, so the sweep costs O(expired) rather than O(population),
+    and the expired PDs are re-checked and erased by one
+    {!Rgpdos_dbfs.Dbfs.erase_with} call, one commit. *)
 
 val compliance_evidence :
   t -> ?forensic_probes:string list -> unit -> Rgpdos_gdpr.Compliance.evidence

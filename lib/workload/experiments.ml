@@ -1110,9 +1110,7 @@ type eidx_select_row = {
 type eidx_ttl_row = {
   eidx_ttl_population : int;
   eidx_ttl_expired : int;
-  eidx_ttl_full_ns : int;          (** legacy full membrane scan *)
-  eidx_ttl_incr_ns : int;          (** expiry-queue incremental sweep *)
-  eidx_ttl_speedup : float;
+  eidx_ttl_sweep_ns : int;         (** expiry-queue sweep *)
 }
 
 type eidx_result = {
@@ -1221,48 +1219,50 @@ let e_index_select ?(sizes = [ 500; 2_000; 8_000 ]) () =
         eidx_probes)
     sizes
 
-(* Same aged-population shape as E5, but the sweep is timed twice from
-   identical boots: once forced through the legacy full membrane scan,
-   once through the TTL expiry queue.  The expired cohort is held at a
-   fixed [expired] count while the population grows, so the queue path's
-   O(expired) cost stays flat and the measured speedup widens with
-   O(population) — the scaling claim itself. *)
+(* Same aged-population shape as E5: an expired cohort held at a fixed
+   [expired] count while the population grows, so the expiry-queue
+   sweep's O(expired) cost stays flat — the scaling claim itself.  Each
+   sweep must erase exactly the aged cohort: every pd of an aged subject,
+   no other. *)
 let e_index_ttl ?(sizes = [ 500; 2_000; 4_000 ]) ?(expired = 25) () =
-  let boot_aged ~n =
-    let m = boot_sized ~seed:1201L ~n:(n * 2) () in
-    let prng = Prng.create ~seed:1202L () in
-    let n_old = max 1 (min expired n) in
-    let old_people = Population.generate prng ~n:n_old in
-    collect_population m old_people;
-    Clock.advance (Machine.clock m) ((2 * Clock.year) + Clock.day);
-    let fresh_people =
-      List.map
-        (fun (p : Population.person) ->
-          { p with Population.subject_id = "fresh-" ^ p.Population.subject_id })
-        (Population.generate prng ~n:(n - n_old))
-    in
-    collect_population m fresh_people;
-    m
-  in
   List.map
     (fun n ->
-      let time_sweep ~incremental =
-        let m = boot_aged ~n in
-        let clock = Machine.clock m in
-        let t0 = Clock.now clock in
-        let report = Machine.sweep_ttl m ~incremental () in
-        (report, Clock.now clock - t0)
+      let m = boot_sized ~seed:1201L ~n:(n * 2) () in
+      let prng = Prng.create ~seed:1202L () in
+      let old_people = Population.generate prng ~n:(max 1 (min expired n)) in
+      collect_population m old_people;
+      Clock.advance (Machine.clock m) ((2 * Clock.year) + Clock.day);
+      collect_population m
+        (List.map
+           (fun (p : Population.person) ->
+             { p with Population.subject_id = "fresh-" ^ p.Population.subject_id })
+           (Population.generate prng ~n:(n - List.length old_people)));
+      let clock = Machine.clock m in
+      let t0 = Clock.now clock in
+      let report = Machine.sweep_ttl m () in
+      let sweep_ns = Clock.now clock - t0 in
+      let aged =
+        List.map (fun (p : Population.person) -> p.Population.subject_id) old_people
       in
-      let full_report, full_ns = time_sweep ~incremental:false in
-      let incr_report, incr_ns = time_sweep ~incremental:true in
-      if full_report.Ttl_sweeper.removed <> incr_report.Ttl_sweeper.removed
-      then failwith "e_index: incremental sweep removed a different set";
+      let dbfs = Machine.dbfs m in
+      let erased =
+        match Dbfs.list_pds dbfs ~actor:"ded" Population.type_name with
+        | Error e -> failwith ("e_index: " ^ Dbfs.error_to_string e)
+        | Ok pds ->
+            List.fold_left
+              (fun k pd ->
+                match Dbfs.entry_info dbfs ~actor:"ded" pd with
+                | Ok (_, subject, erased) when erased = List.mem subject aged ->
+                    if erased then k + 1 else k
+                | _ -> failwith ("e_index: TTL sweep missed or overreached " ^ pd))
+              0 pds
+      in
+      if report.Ttl_sweeper.errors <> [] || report.Ttl_sweeper.removed <> erased
+      then failwith "e_index: TTL sweep did not remove exactly the aged cohort";
       {
         eidx_ttl_population = n;
-        eidx_ttl_expired = incr_report.Ttl_sweeper.expired;
-        eidx_ttl_full_ns = full_ns;
-        eidx_ttl_incr_ns = incr_ns;
-        eidx_ttl_speedup = float_of_int full_ns /. float_of_int (max 1 incr_ns);
+        eidx_ttl_expired = report.Ttl_sweeper.expired;
+        eidx_ttl_sweep_ns = sweep_ns;
       })
     sizes
 
@@ -1295,19 +1295,15 @@ let render_e_index r =
              fmt_f row.eidx_speedup ^ "x";
            ])
          r.eidx_select)
-  ^ "\nE-index: TTL sweep, full membrane scan vs expiry queue\n"
+  ^ "\nE-index: TTL sweep over the expiry queue\n"
   ^ Table.render
-      ~align:
-        [ Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
-      ~header:
-        [ "population"; "expired"; "full sim us"; "incr sim us"; "speedup" ]
+      ~align:[ Table.Right; Table.Right; Table.Right ]
+      ~header:[ "population"; "expired"; "sweep sim us" ]
       (List.map
          (fun row ->
            [
              string_of_int row.eidx_ttl_population;
              string_of_int row.eidx_ttl_expired;
-             fmt_f (float_of_int row.eidx_ttl_full_ns /. 1e3);
-             fmt_f (float_of_int row.eidx_ttl_incr_ns /. 1e3);
-             fmt_f row.eidx_ttl_speedup ^ "x";
+             fmt_f (float_of_int row.eidx_ttl_sweep_ns /. 1e3);
            ])
          r.eidx_ttl)

@@ -243,9 +243,7 @@ type eidx_select_row = {
 type eidx_ttl_row = {
   eidx_ttl_population : int;
   eidx_ttl_expired : int;
-  eidx_ttl_full_ns : int;          (** legacy full membrane scan *)
-  eidx_ttl_incr_ns : int;          (** expiry-queue incremental sweep *)
-  eidx_ttl_speedup : float;
+  eidx_ttl_sweep_ns : int;         (** expiry-queue sweep *)
 }
 
 type eidx_result = {
@@ -259,8 +257,8 @@ val e_index : ?sizes:int list -> ?ttl_sizes:int list -> unit -> eidx_result
     population (plus [True] at 100%), each probe run by {!Dbfs.select}
     as a full scan and as index pushdown on the same store, with
     identical pd_ids asserted.  Then the TTL sweep over [ttl_sizes]: E5's
-    aged population swept by the legacy full membrane scan and by the
-    expiry queue, with a fixed expired cohort, so the incremental sweep
-    stays O(expired) while the full scan grows O(population). *)
+    aged population, with a fixed expired cohort, swept through the
+    expiry queue, so its cost stays O(expired) as the population grows;
+    each sweep must erase exactly the aged cohort. *)
 
 val render_e_index : eidx_result -> string

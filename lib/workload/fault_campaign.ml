@@ -170,6 +170,13 @@ let live_subject store (p : Population.person) =
           | Error _ -> false)
         ids
 
+(* A crash image on a fresh [pd_config] device, mounted: the power cycle
+   every crash check ends with. *)
+let remount image =
+  let rdev = Block_device.create ~config:pd_config ~clock:(Clock.create ()) () in
+  Block_device.restore rdev image;
+  (rdev, Dbfs.mount rdev)
+
 let run_point ~seed ~spans people k =
   let m = boot ~seed in
   let dev = Machine.pd_device m in
@@ -200,10 +207,8 @@ let run_point ~seed ~spans people k =
     | Ok log -> Audit_log.verify log = Ok ()
     | Error _ -> false
   in
-  let rclock = Clock.create () in
-  let rdev = Block_device.create ~config:pd_config ~clock:rclock () in
-  Block_device.restore rdev image;
-  match Dbfs.mount rdev with
+  let rdev, mounted = remount image in
+  match mounted with
   | Error e ->
       {
         cp_write = k;
@@ -313,8 +318,8 @@ let scenario_index_page_rot ~seed people =
   let store0 = Machine.dbfs m in
   Dbfs.checkpoint store0;
   let before = Dbfs.index_dump store0 in
-  (* enumerate a node page while warm: the cold store must first see the
-     damage through its (empty) page cache, never a stale copy *)
+  (* enumerate a node page, then remount: only a remounted store reads
+     its index trees off the device (before, the overlay answers) *)
   let block =
     match Dbfs.index_page_blocks store0 with
     | (b, _) :: _ -> b
@@ -493,13 +498,9 @@ let scenario_sweep_crash_before_destroy ~seed people =
     match Block_device.crash_image (Machine.pd_device m) with
     | None -> scenario name false "the crash never fired"
     | Some image -> (
-        let rdev =
-          Block_device.create ~config:pd_config ~clock:(Clock.create ()) ()
-        in
-        Block_device.restore rdev image;
-        match Dbfs.mount rdev with
-        | Error e -> scenario name false ("mount failed: " ^ e)
-        | Ok store ->
+        match remount image with
+        | _, Error e -> scenario name false ("mount failed: " ^ e)
+        | rdev, Ok store ->
             let rep = Dbfs.fsck_repair store in
             let erased =
               List.for_all (fun p -> not (live_subject store p)) people
@@ -635,12 +636,9 @@ let scenario_crash_mid_compaction ~seed people name pick =
         scenario name false
           (Printf.sprintf "crash at write %d/%d never fired" k total)
     | Some image -> (
-        let rclock = Clock.create () in
-        let rdev = Block_device.create ~config:pd_config ~clock:rclock () in
-        Block_device.restore rdev image;
-        match Dbfs.mount rdev with
-        | Error e -> scenario name false ("mount failed: " ^ e)
-        | Ok store ->
+        match remount image with
+        | _, Error e -> scenario name false ("mount failed: " ^ e)
+        | rdev, Ok store ->
             let rep, residue_free, survivors_ok =
               seg_recover_checks store rdev people
             in
@@ -684,12 +682,9 @@ let scenario_crash_mid_group_commit ~seed people =
         scenario name false
           (Printf.sprintf "crash at write %d/%d never fired" k total)
     | Some image -> (
-        let rclock = Clock.create () in
-        let rdev = Block_device.create ~config:pd_config ~clock:rclock () in
-        Block_device.restore rdev image;
-        match Dbfs.mount rdev with
-        | Error e -> scenario name false ("mount failed: " ^ e)
-        | Ok store ->
+        match remount image with
+        | _, Error e -> scenario name false ("mount failed: " ^ e)
+        | rdev, Ok store ->
             let rep, residue_free, survivors_ok =
               seg_recover_checks store rdev people
             in

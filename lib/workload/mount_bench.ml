@@ -38,7 +38,7 @@ type zipf_row = {
   zb_hits : int;
   zb_misses : int;
   zb_evictions : int;
-  zb_page_reads : int;    (* index node-page reads (hit or miss) *)
+  zb_page_reads : int;    (* tree node-page reads *)
   zb_sim_ms : float;
   zb_ops_ok : bool;       (* every operation returned Ok *)
 }
@@ -134,14 +134,7 @@ let cold_mount ~config image =
 let measure_mount ~n =
   let dev, config, clock = build ~n in
   let build_ns = Clock.now clock in
-  let image = Block_device.snapshot dev in
-  (* enumerating the node pages walks the trees, so it runs on a mount of
-     its own: the measured store's cache is left to the workload *)
-  let index_pages =
-    let walked, _, _ = cold_mount ~config image in
-    List.length (Dbfs.index_page_blocks walked)
-  in
-  let store, reads, mount_ns = cold_mount ~config image in
+  let store, reads, mount_ns = cold_mount ~config (Block_device.snapshot dev) in
   let resident = Dbfs.cache_resident store in
   let row =
     {
@@ -150,7 +143,7 @@ let measure_mount ~n =
       mb_mount_reads = reads;
       mb_mount_sim_us = float_of_int mount_ns /. 1e3;
       mb_resident_after_mount = resident;
-      mb_index_pages = index_pages;
+      mb_index_pages = List.length (Dbfs.index_page_blocks store);
     }
   in
   (row, store)
@@ -207,8 +200,8 @@ let zipf_workload store ~n ~ops ~budget =
     zb_ops = ops;
     zb_budget = budget;
     zb_resident_max = !resident_max;
-    zb_hits = get "page_hits";
-    zb_misses = get "page_misses";
+    zb_hits = get "cache_hits";
+    zb_misses = get "cache_misses";
     zb_evictions = get "cache_evictions";
     zb_page_reads = get "index_page_reads";
     zb_sim_ms = float_of_int (Clock.now clock - t0) /. 1e6;

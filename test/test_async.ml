@@ -83,15 +83,6 @@ let test_depth1_is_blocking () =
   check_int "read_vec: one seek + 48 bytes" (10 + 48) cb;
   check_int "read: queued == blocking" cb cq;
   check_bool "read: same payload" true (got_b = got_q);
-  let _, cb =
-    cost bclock (fun () -> Block_device.charge_read_vec blocking [ 3; 4; 5 ])
-  in
-  let got_q, cq =
-    cost qclock (fun () ->
-        await (Block_device.submit_charge_read_vec queued [ 3; 4; 5 ]))
-  in
-  check_int "charge-only: queued == blocking" cb cq;
-  check_bool "charge-only payload empty" true (got_q = []);
   let ws = [ (7, "x"); (8, "y") ] in
   let _, cb = cost bclock (fun () -> Block_device.write_vec blocking ws) in
   let _, cq =
@@ -107,8 +98,8 @@ let test_depth1_is_blocking () =
       "reads"; "bytes_read"; "vec_reads"; "writes"; "bytes_written";
       "vec_writes"; "write_ops"; "merged_runs";
     ];
-  check_int "submits" 3 (counter queued "async_submits");
-  check_int "completions" 3 (counter queued "async_completions");
+  check_int "submits" 2 (counter queued "async_submits");
+  check_int "completions" 2 (counter queued "async_completions");
   check_int "nothing hidden" 0 (counter queued "overlap_ns_hidden");
   check_int "highwater" 1 (counter queued "queue_depth_highwater");
   check_int "nothing outstanding" 0 (Block_device.outstanding queued)
@@ -218,7 +209,6 @@ let test_write_bytes_persist_at_submit () =
 
 type op =
   | Read of int * int list          (* channel, indices *)
-  | ChargeRead of int * int list
   | Write of int * (int * string) list
   | Compute of int
   | AwaitOldest
@@ -233,8 +223,7 @@ let gen_script seed =
     (fun _ ->
       let ch = Prng.int prng 3 in
       match Prng.int prng 10 with
-      | 0 | 1 | 2 -> Read (ch, indices ())
-      | 3 | 4 -> ChargeRead (ch, indices ())
+      | 0 | 1 | 2 | 3 | 4 -> Read (ch, indices ())
       | 5 | 6 ->
           Write
             ( ch,
@@ -258,9 +247,6 @@ let run_script ~queue_depth script =
       match op with
       | Read (ch, idx) ->
           pending := !pending @ [ Block_device.submit_read_vec dev ~channel:ch idx ]
-      | ChargeRead (ch, idx) ->
-          pending :=
-            !pending @ [ Block_device.submit_charge_read_vec dev ~channel:ch idx ]
       | Write (ch, ws) ->
           pending := !pending @ [ Block_device.submit_write_vec dev ~channel:ch ws ]
       | Compute ns -> Clock.advance clock ns
@@ -341,9 +327,9 @@ let insert_user t ~subject ~pwd =
 
 (* At depth 1 a batch load is one request settled before any decode:
    [get_membranes], [get_records] and a residual [select] each cost
-   exactly one blocking [read_vec] of the batch's blocks (the
-   [charge_read_vec] it equals once every entry is cached) plus the
-   per-entry checksum charges, cold and warm alike. *)
+   exactly one blocking [read_vec] of the batch's blocks plus the
+   per-entry checksum charges, cold and warm alike: a cached entry skips
+   only its decode. *)
 let test_dbfs_depth1_is_blocking () =
   let t, dev, clock = setup_dbfs ~queue_depth:1 in
   let pds =
@@ -416,9 +402,9 @@ let test_dbfs_warm_eq_cold_under_async () =
   let cold = cost (fun () -> Dbfs.get_membranes t ~actor:ded pds) in
   let warm = cost (fun () -> Dbfs.get_membranes t ~actor:ded pds) in
   check_bool "queued batch charges device time" true (cold > 0);
-  (* cache hits ride the charge-only submission path with the same
-     chunk shape as the cold fetch, so the pipeline hides the same
-     amount of service both times *)
+  (* a cached entry's page is read in the same chunk as on the cold
+     fetch, so the pipeline hides the same amount of service both
+     times *)
   check_int "warm batch costs exactly the cold cost" cold warm;
   let cold_r = cost (fun () -> Dbfs.get_records t ~actor:ded pds) in
   let warm_r = cost (fun () -> Dbfs.get_records t ~actor:ded pds) in

@@ -808,6 +808,84 @@ let test_compaction_commits_chunks ~journal_blocks () =
            (Block_device.scan dev' current)))
     pds
 
+(* Compaction reads its survivors with the store's one checked read of
+   slots: a survivor on a page that stays unreadable is counted in
+   compact_verify_failures and left in place for fsck, and every other
+   survivor of the pass still moves.  Every record is rewritten once, so
+   the new versions fill pages whose slots are all live; rewriting the
+   first half again leaves a segment that holds both halves half dead —
+   a victim whose second-half pages have nothing to scrub.  A reference
+   pass without the fault names the survivors; the bad page is one that
+   never held a dead slot, and whose every slot moved there. *)
+let test_compaction_skips_unreadable_page () =
+  let run ~bad =
+    let dev, _, t, s = make_store ~allocator:small_segments () in
+    let pds =
+      List.init 60 (fun i ->
+          match insert_subject t s i with
+          | Ok pd -> (i, pd)
+          | Error e -> failwith (Dbfs.error_to_string e))
+    in
+    let rewrite v (i, pd) =
+      match
+        Dbfs.update_record t ~actor pd
+          [
+            ("payload", Value.VString (Printf.sprintf "KEEP-%03d-v%03d" i v));
+            ("bucket", Value.VInt (i mod 7));
+          ]
+      with
+      | Ok () -> ()
+      | Error e -> failwith (Dbfs.error_to_string e)
+    in
+    let pages () =
+      List.map
+        (fun (i, pd) ->
+          match Dbfs.entry_extents t ~actor pd with
+          | Ok (record, _) -> (i, List.hd record.Space.blocks)
+          | Error e -> failwith (Dbfs.error_to_string e))
+        pds
+    in
+    let v0 = pages () in
+    List.iter (rewrite 1) pds;
+    let v1 = pages () in
+    List.iter (fun (i, pd) -> if i < 30 then rewrite 2 (i, pd)) pds;
+    let before = pages () in
+    (* every page that held a slot now dead *)
+    let dead = List.map snd (v0 @ List.filter (fun (i, _) -> i < 30) v1) in
+    Option.iter (Block_device.inject_fault dev) bad;
+    let count k = Stats.Counter.get (Dbfs.stats t) k in
+    ignore (Dbfs.compact t ~max_victims:64 ~liveness_pct:75.0);
+    let after = pages () in
+    let moved =
+      List.filter_map
+        (fun ((i, b), (_, b')) -> if b <> b' then Some (i, b) else None)
+        (List.combine before after)
+    in
+    (dead, before, moved, count "compact_relocations", count "compact_verify_failures")
+  in
+  let dead, before, moved, relocated, failures = run ~bad:None in
+  check_int "reference: every survivor read" 0 failures;
+  check_int "reference: relocations counted" (List.length moved) relocated;
+  let on page = List.filter (fun (_, b) -> b = page) before in
+  let bad =
+    match
+      List.find_opt
+        (fun (_, b) ->
+          (not (List.mem b dead)) && List.for_all (fun x -> List.mem x moved) (on b))
+        moved
+    with
+    | Some (_, b) -> b
+    | None -> Alcotest.fail "no victim page whose every slot moved"
+  in
+  let stuck = on bad in
+  let _, _, moved', relocated', failures' = run ~bad:(Some bad) in
+  check_int "every survivor on the bad page counted" (List.length stuck) failures';
+  check_bool "the bad page's survivors stay put" true
+    (List.for_all (fun x -> not (List.mem x moved')) stuck);
+  check_bool "every other survivor still moves" true
+    (List.for_all (fun x -> List.mem x stuck || List.mem x moved') moved);
+  check_int "relocations counted" (List.length moved - List.length stuck) relocated'
+
 (* ------------------------------------------------------------------ *)
 (* backpressure: deterministic stalls                                  *)
 
@@ -892,6 +970,8 @@ let () =
             (test_compaction_commits_chunks ~journal_blocks:256);
           Alcotest.test_case "compaction commits in ring-sized chunks" `Quick
             (test_compaction_commits_chunks ~journal_blocks:4);
+          Alcotest.test_case "an unreadable page holds back only its survivors"
+            `Quick test_compaction_skips_unreadable_page;
           Alcotest.test_case "erase first: sealed envelopes relocated" `Quick
             (test_erase_compact_remount_no_residue ~erase_first:true);
         ] );

@@ -88,7 +88,8 @@ let test_charge_read_vec_matches_read_vec () =
   let t1 = Clock.now clock in
   Block_device.charge_read_vec dev indices;
   check_int "charge-only cost identical" read_cost (Clock.now clock - t1);
-  (* cache hits must be indistinguishable in the device accounting too *)
+  (* a charge-only read must be indistinguishable in the device
+     accounting too *)
   check_bool "charge-only statistics identical" true
     (Stats.Counter.to_list (Block_device.stats dev) = stats_after_read)
 
