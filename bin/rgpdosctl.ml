@@ -514,7 +514,7 @@ let stats_run subjects seed budget ops =
         [
           "cache_hits"; "cache_misses"; "cache_evictions"; "index_page_reads";
           "fault_retries"; "committed_batches"; "batched_ops"; "compactions";
-          "compact_relocations"; "compact_verify_failures";
+          "compact_relocations"; "compact_verify_failures"; "compact_scrub_failures";
           "segments_reclaimed"; "segment_trims"; "purge_zeroed_blocks";
           "backpressure_stalls"; "backpressure_stall_ns";
         ]

@@ -127,12 +127,14 @@ end
 (* An in-flight async request: the bytes (for reads) were captured at
    submission, only the clock settlement is outstanding.  [rq_completion]
    is the absolute simulated time the channel finishes servicing the
-   request; [rq_service] is the request's own service time, used to
-   account how much of it the caller's compute hid.  The device's
-   pending list holds the request alone, so it never pins a payload. *)
+   request; [rq_service] is the request's own service time and
+   [rq_waited] the clock its awaits advanced, which together account how
+   much of the service the caller's compute hid.  The device's pending
+   list holds the request alone, so it never pins a payload. *)
 type request = {
   rq_service : Clock.ns;
   rq_completion : Clock.ns;
+  mutable rq_waited : Clock.ns;
   mutable rq_settled : bool;
 }
 
@@ -413,7 +415,7 @@ let write_vec dev writes =
 
 let settled_ticket payload =
   {
-    tk_req = { rq_service = 0; rq_completion = 0; rq_settled = true };
+    tk_req = { rq_service = 0; rq_completion = 0; rq_waited = 0; rq_settled = true };
     tk_payload = payload;
   }
 
@@ -445,7 +447,7 @@ let enqueue dev ~channel service payload =
   Stats.Counter.incr dev.counters "async_submits";
   Stats.Counter.incr dev.counters ~by:service "async_service_ns";
   let rq =
-    { rq_service = service; rq_completion = completion; rq_settled = false }
+    { rq_service = service; rq_completion = completion; rq_waited = 0; rq_settled = false }
   in
   dev.pending <- rq :: dev.pending;
   dev.pending_len <- dev.pending_len + 1;
@@ -459,19 +461,26 @@ let enqueue dev ~channel service payload =
   note_highwater dev;
   { tk_req = rq; tk_payload = payload }
 
+(* Advance the clock to [instant] on [rq]'s behalf (zero if the caller's
+   compute already passed it). *)
+let wait_until dev rq instant =
+  let now = Clock.now dev.clock in
+  if instant > now then begin
+    Clock.advance dev.clock (instant - now);
+    rq.rq_waited <- rq.rq_waited + (instant - now)
+  end
+
 (* Settle a completion: advance the clock to the request's completion
-   instant (zero if the caller's compute already passed it) and account
-   the hidden service time.  Idempotent — a settled ticket just returns
-   its payload again. *)
+   instant and account the hidden service time — the service its awaits,
+   partial ones included, did not wait for.  Idempotent — a settled
+   ticket just returns its payload again. *)
 let settle dev rq =
   if not rq.rq_settled then begin
     rq.rq_settled <- true;
     dev.outstanding <- dev.outstanding - 1;
-    let now = Clock.now dev.clock in
-    let adv = if rq.rq_completion > now then rq.rq_completion - now else 0 in
-    if adv > 0 then Clock.advance dev.clock adv;
+    wait_until dev rq rq.rq_completion;
     Stats.Counter.incr dev.counters "async_completions";
-    let hidden = rq.rq_service - adv in
+    let hidden = rq.rq_service - rq.rq_waited in
     if hidden > 0 then
       Stats.Counter.incr dev.counters ~by:hidden "overlap_ns_hidden"
   end
@@ -513,6 +522,36 @@ let submit_write_vec dev ?(channel = 0) writes =
 let await dev tk =
   settle dev tk.tk_req;
   tk.tk_payload
+
+(* A queued read's blocks land in elevator order at the rate [vec_cost]
+   charges: block j of the request lands one [read_latency] per run up
+   to and including its own, plus one block transfer per block up to and
+   including it, after the request starts, so the last block lands at
+   completion.  One walk of the payload finds the named blocks and the
+   instant the last of them lands; no per-request table is kept. *)
+let await_blocks dev tk blocks =
+  let rq = tk.tk_req in
+  let start = rq.rq_completion - rq.rq_service in
+  let per_block = dev.cfg.byte_latency * dev.cfg.block_size in
+  let rec go acc landed ~runs ~n ~prev wanted payload =
+    match (wanted, payload) with
+    | [], _ -> (List.rev acc, landed)
+    | w :: _, [] ->
+        invalid_arg
+          (Printf.sprintf "Block_device.await_blocks: block %d is not in the request" w)
+    | w :: ws, (i, data) :: rest ->
+        let runs = if dev.cfg.vectored && i = prev + 1 then runs else runs + 1 in
+        let n = n + 1 in
+        if i < w then go acc landed ~runs ~n ~prev:i wanted rest
+        else if i = w then
+          go ((i, data) :: acc)
+            (start + (dev.cfg.read_latency * runs) + (per_block * n))
+            ~runs ~n ~prev:i ws rest
+        else go acc landed ~runs ~n ~prev:i wanted []
+  in
+  let got, landed = go [] 0 ~runs:0 ~n:0 ~prev:(-2) (sorted_unique blocks) tk.tk_payload in
+  if not rq.rq_settled then wait_until dev rq landed;
+  got
 
 let outstanding dev = dev.outstanding
 

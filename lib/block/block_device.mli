@@ -121,6 +121,21 @@ val await : t -> ticket -> (int * string) list
     captured at submission ([[]] for writes).
     Idempotent — re-awaiting returns the payload without re-charging. *)
 
+val await_blocks : t -> ticket -> int list -> (int * string) list
+(** Consume part of a queued read while the rest is still landing.  A
+    read's blocks land in elevator (ascending) order at the rate its
+    service is charged: block [j] lands one [read_latency] per run up to
+    and including [j]'s run, plus [block_size * byte_latency] per block
+    up to and including [j], after the request starts, so the last block
+    lands at the completion instant.  [await_blocks dev tk blocks]
+    advances the clock only to the latest arrival among [blocks] (zero if
+    compute already passed it) and returns their [(index, contents)] in
+    ascending order; the ticket stays unsettled, and {!await} remains the
+    full settle.  A request's total charge and its ["overlap_ns_hidden"]
+    do not depend on how it is awaited: the hidden time is its service
+    less every advance its awaits made, partial ones included.  Raises
+    [Invalid_argument] if a block is not part of the request. *)
+
 val drain : t -> unit
 (** Settle every in-flight submission (the device-wide durability
     barrier).  After [drain] the clock covers all submitted device
@@ -248,7 +263,8 @@ val stats : t -> Rgpdos_util.Stats.Counter.t
     "async_submits" / "async_completions" (submissions issued / settled),
     "async_service_ns"
     (total service time submitted), "overlap_ns_hidden" (service time
-    hidden behind caller compute — the overlap ratio is
+    hidden behind caller compute, counted when a request settles — the
+    overlap ratio is
     [overlap_ns_hidden / async_service_ns]) and "queue_depth_highwater"
     (maximum simultaneously in-flight submissions). *)
 

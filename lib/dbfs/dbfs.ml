@@ -1431,7 +1431,9 @@ let verify_sum ~what ~pd_id ~stored raw =
    for are verified, decoded and returned.  Cost transparency is
    preserved: cached entries' pages stay in the request (only the
    host-side decode is skipped), so a warm cache changes no stage_ns
-   figure. *)
+   figure.  A load opens (one descent, every request submitted) and is
+   then consumed a subset at a time, so a caller may work on the first
+   entries while the pages of the rest are still landing. *)
 
 (* Every result's value, or the first error. *)
 let all_ok results =
@@ -1472,98 +1474,171 @@ let chunk_entries entries n =
     go [] [] 0 entries
   end
 
-(* Pipelined batch load: split the entry batch into [queue_depth]
-   chunks, submit every chunk's vectored read up-front on [channel], then
-   settle chunk k only when its entries decode — the checksum/decode
-   compute of chunk k overlaps the in-flight service of chunks k+1..  At
-   depth 1 this is one request settled before any decode: exactly a
-   blocking [read_vec].  Chunking depends only on the entry list, and a
-   cached entry's page is read like any other, so warm==cold holds at
-   every depth.  A page shared by several entries is
-   read by the first chunk that needs it and by no later one, so each page
-   is read and charged once per batch; chunks settle in order, so a later
-   chunk finds it in the block table.  [blocks_of] names each entry's
-   extent; [decode] folds one chunk's entries against the block table. *)
-let pipelined_read t ~channel ~blocks_of ~decode entries =
-  let depth = (Block_device.config t.dev).Block_device.queue_depth in
-  let asked = Hashtbl.create 64 in
-  let submitted =
-    List.map
-      (fun ch ->
-        let blocks =
-          List.sort_uniq compare (List.concat_map blocks_of ch)
-          |> List.filter (fun b -> not (Hashtbl.mem asked b))
-        in
-        List.iter (fun b -> Hashtbl.replace asked b ()) blocks;
-        let tk =
-          retrying t (fun () -> Block_device.submit_read_vec t.dev ~channel blocks)
-        in
-        (ch, tk))
-      (chunk_entries entries depth)
-  in
-  let h = Hashtbl.create 64 in
-  let rec settle acc = function
-    | [] -> Ok (List.rev acc)
-    | (ch, tk) :: rest -> (
-        List.iter (fun (i, s) -> Hashtbl.replace h i s) (Block_device.await t.dev tk);
-        match decode h acc ch with
-        | Ok acc -> settle acc rest
-        | Error e ->
-            List.iter (fun (_, tk) -> ignore (Block_device.await t.dev tk)) rest;
-            Error e)
-  in
-  settle [] submitted
+(* [l]'s first [n] elements, and the rest. *)
+let rec split_at n = function
+  | x :: rest when n > 0 ->
+      let here, later = split_at (n - 1) rest in
+      (x :: here, later)
+  | l -> ([], l)
 
-(* The shared load of one extent kind: counter, checksum charge, cache
+(* An opened load.  Its entries split into [queue_depth] chunks, one
+   request each, all submitted on [channel] when the load opens.  A page
+   shared by several entries is read by the first chunk that needs it and
+   by no later one, so each page is read and charged once per batch
+   ([l_owner] names its request), and every consumed page lands in one
+   block table ([l_pages]). *)
+type 'a load = {
+  l_t : t;
+  l_x : 'a extent;
+  l_channel : int;
+  l_entries : entry list; (* the batch, resolved, in input order *)
+  mutable l_rest : entry list; (* not yet consumed *)
+  l_chunks : int list; (* entries per request *)
+  l_reqs : Block_device.ticket array;
+  l_owner : (int, int) Hashtbl.t; (* block -> index of its request *)
+  l_pages : (int, string) Hashtbl.t;
+}
+
+let blocks_of x e = if x.x_live e then (x.x_loc e).blocks else []
+
+let open_load t x ~channel entries =
+  let depth = (Block_device.config t.dev).Block_device.queue_depth in
+  let chunks = chunk_entries entries depth in
+  let owner = Hashtbl.create 64 in
+  let reqs = ref [] in
+  let submit k chunk =
+    let blocks =
+      List.sort_uniq compare (List.concat_map (blocks_of x) chunk)
+      |> List.filter (fun b -> not (Hashtbl.mem owner b))
+    in
+    List.iter (fun b -> Hashtbl.replace owner b k) blocks;
+    let tk = retrying t (fun () -> Block_device.submit_read_vec t.dev ~channel blocks) in
+    reqs := tk :: !reqs
+  in
+  protect_read (fun () ->
+      match List.iteri submit chunks with
+      | () ->
+          Ok
+            {
+              l_t = t;
+              l_x = x;
+              l_channel = channel;
+              l_entries = entries;
+              l_rest = entries;
+              l_chunks = List.map List.length chunks;
+              l_reqs = Array.of_list (List.rev !reqs);
+              l_owner = owner;
+              l_pages = Hashtbl.create 64;
+            }
+      | exception (Block_device.Faulted _ as fault) ->
+          (* the chunks submitted before the fault settle with it *)
+          List.iter (fun tk -> ignore (Block_device.await t.dev tk)) !reqs;
+          raise fault)
+
+(* Settle every request of the load: once its last entry is consumed,
+   or when a consumed entry fails. *)
+let close ld = Array.iter (fun tk -> ignore (Block_device.await ld.l_t.dev tk)) ld.l_reqs
+
+(* The shared decode of one extent kind: counter, checksum charge, cache
    probe, then on a miss assemble, verify and decode, and cache the
    result.  Entries whose extent is not live yield [None] and are
    neither read nor charged. *)
-let load_extents t x ~channel entries =
-  let decode h acc entries =
-    let rec go acc = function
-      | [] -> Ok acc
-      | e :: rest when not (x.x_live e) -> go ((e.pd_id, None) :: acc) rest
-      | e :: rest -> (
-          Stats.Counter.incr t.counters x.x_reads;
-          charge_checksum t (x.x_loc e).size;
-          match Option.bind (Cache.find t.cache (x.x_key ^ e.pd_id)) x.x_cached with
-          | Some v ->
-              Stats.Counter.incr t.counters "cache_hits";
-              go ((e.pd_id, Some v) :: acc) rest
-          | None -> (
-              Stats.Counter.incr t.counters "cache_misses";
-              let l = x.x_loc e in
-              let** raw =
-                verify_sum ~what:x.x_name ~pd_id:e.pd_id ~stored:l.sum
-                  (extent_bytes h l)
-              in
-              match x.x_decode raw with
-              | Ok v ->
-                  cache_put t (x.x_key ^ e.pd_id) (x.x_cache v);
-                  go ((e.pd_id, Some v) :: acc) rest
-              | Error msg ->
-                  Error (Corrupt (x.x_name ^ " of " ^ e.pd_id ^ ": " ^ msg))))
-    in
-    go acc entries
+let decode_slots t x h entries =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | e :: rest when not (x.x_live e) -> go ((e.pd_id, None) :: acc) rest
+    | e :: rest -> (
+        Stats.Counter.incr t.counters x.x_reads;
+        charge_checksum t (x.x_loc e).size;
+        match Option.bind (Cache.find t.cache (x.x_key ^ e.pd_id)) x.x_cached with
+        | Some v ->
+            Stats.Counter.incr t.counters "cache_hits";
+            go ((e.pd_id, Some v) :: acc) rest
+        | None -> (
+            Stats.Counter.incr t.counters "cache_misses";
+            let l = x.x_loc e in
+            let** raw =
+              verify_sum ~what:x.x_name ~pd_id:e.pd_id ~stored:l.sum (extent_bytes h l)
+            in
+            match x.x_decode raw with
+            | Ok v ->
+                cache_put t (x.x_key ^ e.pd_id) (x.x_cache v);
+                go ((e.pd_id, Some v) :: acc) rest
+            | Error msg -> Error (Corrupt (x.x_name ^ " of " ^ e.pd_id ^ ": " ^ msg))))
   in
-  protect_read (fun () ->
-      pipelined_read t ~channel
-        ~blocks_of:(fun e -> if x.x_live e then (x.x_loc e).blocks else [])
-        ~decode entries)
+  go [] entries
 
-let get_membranes t ~actor ?(channel = 0) pd_ids =
+(* Take the next [n] entries: wait only for the pages of theirs that
+   have not landed yet ([Block_device.await_blocks], each request for
+   its own), then verify and decode just their slots. *)
+let consume ld n =
+  let t = ld.l_t in
+  let piece, rest = split_at n ld.l_rest in
+  let wanted = Array.make (Array.length ld.l_reqs) [] in
+  List.iter
+    (fun b ->
+      if not (Hashtbl.mem ld.l_pages b) then
+        let k = Hashtbl.find ld.l_owner b in
+        wanted.(k) <- b :: wanted.(k))
+    (List.sort_uniq compare (List.concat_map (blocks_of ld.l_x) piece));
+  Array.iteri
+    (fun k blocks ->
+      if blocks <> [] then
+        List.iter
+          (fun (b, data) -> Hashtbl.replace ld.l_pages b data)
+          (Block_device.await_blocks t.dev ld.l_reqs.(k) blocks))
+    wanted;
+  let got = decode_slots t ld.l_x ld.l_pages piece in
+  ld.l_rest <- (if Result.is_ok got then rest else []);
+  if ld.l_rest = [] then close ld;
+  got
+
+(* Consume a load chunk by chunk: the checksum and decode of chunk k
+   overlap the in-flight service of chunks k+1..  At depth 1 this is one
+   request settled before any decode: exactly a blocking [read_vec]. *)
+let consume_all ld =
+  let rec go acc = function
+    | [] -> Ok (List.concat (List.rev acc))
+    | n :: rest ->
+        let** got = consume ld n in
+        go (got :: acc) rest
+  in
+  go [] ld.l_chunks
+
+let load_extents t x ~channel entries =
+  let** ld = open_load t x ~channel entries in
+  consume_all ld
+
+let open_batch t x ~actor ~channel pd_ids =
   let** () = guard t ~actor ~op:"read" in
   let** entries = resolve_entries t pd_ids in
-  let** got = load_extents t membrane_x ~channel entries in
+  open_load t x ~channel entries
+
+let open_membranes t ~actor ?(channel = 0) pd_ids =
+  open_batch t membrane_x ~actor ~channel pd_ids
+
+(* The record batch of pds [ld] resolved already: no second descent. *)
+let open_records_of ld pd_ids =
+  let by_id = Hashtbl.create (max 16 (2 * List.length ld.l_entries)) in
+  List.iter (fun e -> Hashtbl.replace by_id e.pd_id e) ld.l_entries;
+  let entry pd_id =
+    match Hashtbl.find_opt by_id pd_id with
+    | Some e -> e
+    | None -> invalid_arg ("Dbfs.open_records_of: " ^ pd_id ^ " is not in the batch")
+  in
+  open_load ld.l_t record_x ~channel:ld.l_channel (List.map entry pd_ids)
+
+let get_membranes t ~actor ?(channel = 0) pd_ids =
+  let** ld = open_membranes t ~actor ~channel pd_ids in
+  let** got = consume_all ld in
   Ok (List.map (fun (pd_id, m) -> (pd_id, Option.get m)) got)
 
 (* Erased pds yield [None] (their sealed payload is not PD and is not
    read), matching the DED's skip-erased semantics without forcing every
    caller to pre-filter the selection. *)
 let get_records t ~actor ?(channel = 0) pd_ids =
-  let** () = guard t ~actor ~op:"read" in
-  let** entries = resolve_entries t pd_ids in
-  load_extents t record_x ~channel entries
+  let** ld = open_batch t record_x ~actor ~channel pd_ids in
+  consume_all ld
 
 (* One extent of an entry already resolved: a load batch of one. *)
 let load_one t x e =

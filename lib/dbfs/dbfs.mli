@@ -198,7 +198,10 @@ val get_membranes :
     its critical path instead of the serial sum.  At depth 1 it is one
     request settled before any decode — exactly one blocking
     [Block_device.read_vec] plus the checksum charges.  Bytes, results
-    and all non-latency counters are the same at every depth. *)
+    and all non-latency counters are the same at every depth.
+
+    It is {!open_membranes} followed by {!consume} of each chunk in
+    turn. *)
 
 val get_records :
   t ->
@@ -211,6 +214,49 @@ val get_records :
     charged — matching the DED's skip-erased semantics.  Any unknown pd
     fails the whole batch.  Resolved in one batched descent and
     pipelined by queue depth exactly like {!get_membranes}. *)
+
+(** {2 Streamed loads}
+
+    The two halves of a batch load, for a caller that works on the
+    first pds of a batch while the pages of the rest are still landing
+    (the DED's two-phase stages).  The data requests are exactly those
+    of {!get_membranes} / {!get_records}: one per [queue_depth] chunk,
+    same blocks, same runs.  A record batch opened from a membrane batch
+    reuses its resolution instead of descending the entries tree
+    again. *)
+
+type 'a load
+(** An opened batch: every request submitted, its pds not yet consumed. *)
+
+val open_membranes :
+  t ->
+  actor:string ->
+  ?channel:int ->
+  string list ->
+  (Rgpdos_membrane.Membrane.t load, error) result
+(** Resolve the batch in one descent and submit its requests on
+    [?channel] (default 0); nothing is awaited.  Fails as
+    {!get_membranes} fails before its first decode, with every request
+    it submitted settled. *)
+
+val open_records_of :
+  Rgpdos_membrane.Membrane.t load -> string list -> (Record.t load, error) result
+(** [open_records_of ld pd_ids] opens the record batch of [pd_ids], pds
+    of the membrane batch [ld], in the given order and on [ld]'s
+    channel: the requests {!get_records} would submit, with no second
+    descent, since [ld] resolved them.  An erased pd reads nothing.
+    Raises [Invalid_argument] for a pd that is not in [ld]. *)
+
+val consume : 'a load -> int -> ((string * 'a option) list, error) result
+(** [consume ld n] takes the next [n] pds of the batch (fewer at its
+    end, [[]] once it is exhausted), in input order.  It waits only for
+    the pages of theirs not yet landed ([Block_device.await_blocks]),
+    then checksums and decodes just their slots through the batch's one
+    block table, so each page is still read and charged once.  An erased
+    pd's record is [None]; a membrane is always [Some].  Every request
+    of the batch is settled once its last pd is consumed, or when a
+    consumed slot fails its checksum or decode — the error returns and
+    the batch yields nothing more. *)
 
 val update_record :
   t -> actor:string -> string -> Record.t -> (unit, error) result
@@ -539,7 +585,11 @@ val compact : ?max_victims:int -> ?liveness_pct:float -> t -> int
     before the next chunk commits.  A survivor that fails its checksum,
     or sits on a page that stays unreadable, is counted in
     ["compact_verify_failures"] and left in place for fsck; the others
-    still move.  Returns the number
+    still move.  A dirty page of such a victim that stays unreadable is
+    not scrubbed: it stays in the dirty set, is counted in
+    ["compact_scrub_failures"] and is left for fsck, and every other
+    dirty page is scrubbed, so the pass never raises after its
+    relocations commit.  Returns the number
     of victim segments processed; [0] on an update-in-place store or
     when nothing qualifies. *)
 
@@ -551,7 +601,8 @@ val stats : t -> Rgpdos_util.Stats.Counter.t
 (** Operation counters ("inserts", "membrane_reads", "record_reads",
     "deletes", "erasures", "denials", ...), plus group-commit
     ("committed_batches", "batched_ops") and segment bookkeeping
-    ("compactions", "compact_relocations", "segments_reclaimed",
+    ("compactions", "compact_relocations", "compact_verify_failures",
+    "compact_scrub_failures", "segments_reclaimed",
     "segment_trims", "purge_zeroed_blocks", "backpressure_stalls").
 
     "cache_hits" / "cache_misses" count lookups in the decoded

@@ -635,6 +635,20 @@ let scrub ?(known = []) t pages =
   write t writes;
   List.length writes
 
+(* [scrub] of [pages] in one request, or page by page when that faults,
+   so exactly the pages that still fault are skipped, each handed to
+   [on_fault]. *)
+let scrub_readable t pages ~on_fault =
+  try scrub t pages
+  with Block_device.Faulted _ ->
+    List.fold_left
+      (fun n b ->
+        try n + scrub t [ b ]
+        with Block_device.Faulted _ ->
+          on_fault b;
+          n)
+      0 pages
+
 (* Rebuild the segment live table on first use after a mount (or a
    repair).  Every segment holding any allocated or written page is
    sealed — appends resume in fresh segments, which is what makes the
@@ -813,12 +827,19 @@ let compact ?(max_victims = compact_batch) ?(liveness_pct = compact_liveness_pct
                     if g.g_live = 0 then reclaim_dead_segment t s g
                     else
                       (* survivors could not move: scrub the pending dead
-                         pages (once — the dirty set forgets them) *)
+                         pages (once — the dirty set forgets them).  The
+                         relocations have committed, so a page that stays
+                         unreadable stays dirty, counted and left for fsck
+                         like an unreadable survivor, and the pass returns *)
                       match dirty_in s g with
                       | [] -> ()
                       | dl ->
                           List.iter (Hashtbl.remove s.dirty) dl;
-                          Stats.Counter.incr t.counters ~by:(scrub t dl)
+                          Stats.Counter.incr t.counters
+                            ~by:
+                              (scrub_readable t dl ~on_fault:(fun b ->
+                                   Hashtbl.replace s.dirty b ();
+                                   Stats.Counter.incr t.counters "compact_scrub_failures"))
                             "purge_zeroed_blocks")
                   victims;
                 List.length victims)
@@ -1283,23 +1304,12 @@ let repair t ~owned ~on_fault ~act =
   | First_fit hints -> Array.iter (fun hint -> hint := 0) hints
   | Bump s -> invalidate s);
   if !leaked > 0 then act (Printf.sprintf "released %d leaked block(s)" !leaked);
-  (* every data-page byte outside a live slot must be zero: one scrub of
-     every written page, or page by page when that faults, so exactly the
-     pages that still fault are skipped *)
+  (* every data-page byte outside a live slot must be zero: the pages
+     that still fault are skipped *)
   let written =
     List.filter (Block_device.is_written t.dev)
       (List.init (block_count t - t.data_start) (fun i -> t.data_start + i))
   in
-  let scrubbed =
-    try scrub t written
-    with Block_device.Faulted _ ->
-      List.fold_left
-        (fun n b ->
-          try n + scrub t [ b ]
-          with Block_device.Faulted _ ->
-            on_fault ();
-            n)
-        0 written
-  in
+  let scrubbed = scrub_readable t written ~on_fault:(fun _ -> on_fault ()) in
   if scrubbed > 0 then act (Printf.sprintf "scrubbed %d data page(s)" scrubbed);
   scrubbed

@@ -101,6 +101,10 @@ let ( let** ) r f = match r with Error e -> Error e | Ok v -> f v
 
 let lift r = match r with Ok v -> Ok v | Error e -> storage e
 
+(* PDs the two-phase stages filter, or project and transfer, per landing
+   of their pages: a selection of at most this many is one piece. *)
+let piece = 256
+
 (* Best-effort exfiltration check on the scalar returned to the caller:
    the value must not verbatim reproduce a PD field it was shown.  (The
    structural guarantee is that records themselves never cross the
@@ -128,11 +132,23 @@ let execute t ?(fetch_mode = Two_phase) ?(location = Host) ?cores ?pool ?grain
   | None -> Error (No_purpose processing.name)
   | Some purpose -> (
       let purpose_name = purpose.Rgpdos_lang.Ast.p_name in
-      let stages = ref [] in
+      (* each stage's simulated time, summed over the pieces it runs in *)
+      let stage2, stage4 =
+        match fetch_mode with
+        | Two_phase -> ("ded_load_membrane", "ded_load_data")
+        | Single_phase -> ("ded_load_membrane+data", "ded_project")
+      in
+      let stages =
+        List.map
+          (fun name -> (name, ref 0))
+          [ "ded_type2req"; stage2; "ded_filter"; stage4; "ded_execute";
+            "ded_build_membrane+store"; "ded_return" ]
+      in
       let staged name f =
         let before = Clock.now t.clock in
         let result = f () in
-        stages := (name, Clock.now t.clock - before) :: !stages;
+        let total = List.assoc name stages in
+        total := !total + (Clock.now t.clock - before);
         result
       in
       (* 1. ded_type2req *)
@@ -154,43 +170,50 @@ let execute t ?(fetch_mode = Two_phase) ?(location = Host) ?cores ?pool ?grain
                 lift (Dbfs.select t.dbfs ~actor ~channel ty pred)
             | Selection (ty, _) -> lift (Dbfs.list_pds t.dbfs ~actor ty))
       in
-      (* 2. ded_load_membrane — under Single_phase (the ablation mode) the
-         record is fetched together with its membrane, before the filter
-         has spoken *)
-      let** loaded =
-        let stage_name =
-          match fetch_mode with
-          | Two_phase -> "ded_load_membrane"
-          | Single_phase -> "ded_load_membrane+data"
-        in
-        staged stage_name (fun () ->
-            (* one vectored request for the whole selection's membranes *)
-            let** membranes = lift (Dbfs.get_membranes t.dbfs ~actor ~channel refs) in
-            match fetch_mode with
-            | Two_phase ->
-                Ok (List.map (fun (pd_id, m) -> (pd_id, m, None)) membranes)
-            | Single_phase ->
-                (* the ablation fetches the records alongside, before the
-                   filter has spoken (erased pds come back as None) *)
-                let** records = lift (Dbfs.get_records t.dbfs ~actor ~channel refs) in
-                Ok
-                  (List.map2
-                     (fun (pd_id, m) (_, r) -> (pd_id, m, r))
-                     membranes records))
-      in
-      (* 3. ded_filter *)
-      let now = Clock.now t.clock in
-      let granted, filtered_out =
+      (* 3. ded_filter of one piece of loaded membranes, decided now *)
+      let filter loaded =
         staged "ded_filter" (fun () ->
-            Clock.advance t.clock
-              (cost_filter_per_membrane * List.length loaded);
-            List.partition_map
+            let now = Clock.now t.clock in
+            Clock.advance t.clock (cost_filter_per_membrane * List.length loaded);
+            List.map
               (fun (pd_id, m, prefetched) ->
                 match Membrane.decide m ~purpose:purpose_name ~now with
-                | Membrane.Granted scope -> Left (pd_id, m, scope, prefetched)
-                | Membrane.Refused reason -> Right (pd_id, reason, prefetched))
+                | Membrane.Granted scope -> Either.Left (pd_id, m, scope, prefetched)
+                | Membrane.Refused reason -> Either.Right (pd_id, reason, prefetched))
               loaded)
       in
+      (* 2+3. Two_phase opens one membrane batch for the whole target and
+         filters it a piece at a time, each piece as its pages land;
+         Single_phase (the ablation) fetches every record together with
+         its membrane, before the filter has spoken *)
+      let** membrane_batch, decided =
+        match fetch_mode with
+        | Two_phase ->
+            let** ld =
+              staged stage2 (fun () ->
+                  lift (Dbfs.open_membranes t.dbfs ~actor ~channel refs))
+            in
+            let rec go acc =
+              let** ms =
+                staged stage2 (fun () -> lift (Dbfs.consume ld piece))
+              in
+              if ms = [] then Ok (Some ld, List.concat (List.rev acc))
+              else
+                go (filter (List.map (fun (pd_id, m) -> (pd_id, Option.get m, None)) ms) :: acc)
+            in
+            go []
+        | Single_phase ->
+            let** loaded =
+              staged stage2 (fun () ->
+                  let** membranes = lift (Dbfs.get_membranes t.dbfs ~actor ~channel refs) in
+                  (* erased pds come back as None *)
+                  let** records = lift (Dbfs.get_records t.dbfs ~actor ~channel refs) in
+                  Ok
+                    (List.map2 (fun (pd_id, m) (_, r) -> (pd_id, m, r)) membranes records))
+            in
+            Ok (None, filter loaded)
+      in
+      let granted, filtered_out = List.partition_map Fun.id decided in
       (* records fetched before their membrane refused: the privacy cost
          the paper's two-phase design exists to avoid *)
       let overread =
@@ -204,53 +227,66 @@ let execute t ?(fetch_mode = Two_phase) ?(location = Host) ?cores ?pool ?grain
                (Audit_log.Filtered_out
                   { purpose = purpose_name; pd_id; reason })))
         filtered_out;
-      (* 4. ded_load_data (Two_phase) / projection only (Single_phase) *)
-      let** inputs =
-        let stage_name =
-          match fetch_mode with
-          | Two_phase -> "ded_load_data"
-          | Single_phase -> "ded_project"
+      (* 4. the consented view of each granted pd, before any record is
+         read, so projection cannot fail while a batch is in flight *)
+      let** views =
+        let rec go acc = function
+          | [] -> Ok (List.rev acc)
+          | (pd_id, m, scope, prefetched) :: rest -> (
+              match Dbfs.schema t.dbfs ~actor m.Membrane.type_name with
+              | Error e -> storage e
+              | Ok schema ->
+                  let visible = Schema.view_fields schema scope in
+                  go ((pd_id, m.Membrane.subject_id, visible, prefetched) :: acc) rest)
         in
-        staged stage_name (fun () ->
-            (* one vectored request for every record the filter granted;
-               erased pds come back as None and silently drop out *)
-            let need =
-              List.filter_map
-                (fun (pd_id, _, _, prefetched) ->
-                  if prefetched = None then Some pd_id else None)
-                granted
-            in
-            let** fetched = lift (Dbfs.get_records t.dbfs ~actor ~channel need) in
-            let by_id = Hashtbl.create (max 16 (2 * List.length fetched)) in
-            List.iter (fun (pd_id, r) -> Hashtbl.replace by_id pd_id r) fetched;
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | (pd_id, m, scope, prefetched) :: rest -> (
-                  let record_opt =
-                    match prefetched with
-                    | Some record -> Some record
-                    | None -> Hashtbl.find by_id pd_id
-                  in
-                  match record_opt with
-                  | None -> go acc rest
-                  | Some record -> (
-                      match Dbfs.schema t.dbfs ~actor m.Membrane.type_name with
-                      | Error e -> storage e
-                      | Ok schema ->
-                          let visible = Schema.view_fields schema scope in
-                          let projected = Record.project record visible in
-                          go
-                            ({
-                               pd_id;
-                               subject = m.Membrane.subject_id;
-                               record = projected;
-                             }
-                            :: acc)
-                            rest))
-            in
-            go [] granted)
+        go [] granted
       in
-      Clock.advance t.clock (location_transfer location * List.length inputs);
+      (* The views a piece of [records] answers, projected (erased pds
+         come back as None and silently drop out) and their host transfer
+         charged; and the views still to come. *)
+      let project_piece views records =
+        let rec go acc views records =
+          match (views, records) with
+          | (pd_id, subject, visible, _) :: views, (_, Some record) :: records ->
+              go ({ pd_id; subject; record = Record.project record visible } :: acc) views records
+          | _ :: views, (_, None) :: records -> go acc views records
+          | views, _ -> (List.rev acc, views)
+        in
+        let inputs, later = go [] views records in
+        Clock.advance t.clock (location_transfer location * List.length inputs);
+        (inputs, later)
+      in
+      (* 4. ded_load_data (Two_phase): one record batch for every granted
+         pd, opened once the filter has spoken for every pd and resolved
+         by the membrane batch, each piece projected and transferred as
+         its pages land.  Single_phase projects what stage 2 prefetched
+         (ded_project). *)
+      let** inputs =
+        match membrane_batch with
+        | Some membranes ->
+            let** ld =
+              staged stage4 (fun () ->
+                  lift
+                    (Dbfs.open_records_of membranes
+                       (List.map (fun (pd_id, _, _, _) -> pd_id) views)))
+            in
+            let rec go acc views =
+              let** records =
+                staged stage4 (fun () -> lift (Dbfs.consume ld piece))
+              in
+              if records = [] then Ok (List.concat (List.rev acc))
+              else
+                let inputs, later = project_piece views records in
+                go (inputs :: acc) later
+            in
+            go [] views
+        | None ->
+            let records =
+              staged stage4 (fun () ->
+                  List.map (fun (pd_id, _, _, prefetched) -> (pd_id, prefetched)) views)
+            in
+            Ok (fst (project_piece views records))
+      in
       (* selection predicates run on the PROJECTED records: a field the
          purpose may not see can never match (fails closed) *)
       let inputs =
@@ -457,7 +493,7 @@ let execute t ?(fetch_mode = Two_phase) ?(location = Host) ?cores ?pool ?grain
               stage_ns = [];
             })
       in
-      Ok { result with stage_ns = List.rev !stages })
+      Ok { result with stage_ns = List.map (fun (name, ns) -> (name, !ns)) stages })
 
 (* ------------------------------------------------------------------ *)
 (* built-ins                                                          *)

@@ -53,7 +53,16 @@ type outcome = {
       (** records fetched from DBFS despite a refusing membrane — always 0
           in [Two_phase] mode *)
   stage_ns : (string * Rgpdos_util.Clock.ns) list;
-      (** simulated nanoseconds per pipeline stage, in stage order *)
+      (** simulated nanoseconds per pipeline stage, in stage order: the
+          seven stages [ded_type2req], [ded_load_membrane], [ded_filter],
+          [ded_load_data], [ded_execute], [ded_build_membrane+store] and
+          [ded_return] ([ded_load_membrane+data] and [ded_project] in
+          [Single_phase]).  A stage that runs in pieces reports its sum
+          over them.  In [Two_phase] the load stages are the {i exposed}
+          wait: the device service the filter's and the transfer's
+          compute did not hide (the hidden rest is the device's
+          ["overlap_ns_hidden"]).  The host transfer and a selection's
+          residual predicate belong to no stage. *)
 }
 
 type error =
@@ -154,11 +163,23 @@ val execute :
     observationally equivalent for an honestly-declared decomposable
     reduce.
 
+    In [Two_phase], stages 2-4 stream.  One membrane batch
+    ({!Rgpdos_dbfs.Dbfs.open_membranes}) covers the whole target and is
+    filtered in pieces of 256 pds, in input order, each piece as its
+    pages land and against the clock of that instant; the
+    [Filtered_out] entries are audited once every membrane is filtered.
+    Then one record batch opens for every granted pd, from the membrane
+    batch's resolution, and each piece is projected and its host
+    transfer charged as its pages land.  The device requests are those
+    of one {!Rgpdos_dbfs.Dbfs.get_membranes} and one
+    {!Rgpdos_dbfs.Dbfs.get_records}; a selection of at most 256 pds is
+    one piece.
+
     [?channel] (default 0) names the {!Block_device} submission channel
-    the load stages use: stage 2/4 batch fetches are pipelined by queue
-    depth so decode of one chunk overlaps the device service of the
-    next, and concurrent [execute] calls on distinct channels queue
-    independently (each DED shard gets its own). *)
+    the load stages use: their batches are split by queue depth into
+    requests in flight together, and concurrent [execute] calls on
+    distinct channels queue independently (each DED shard gets its
+    own). *)
 
 (** {1 Built-in functions} ([F_pd^w], provided by rgpdOS itself) *)
 

@@ -1,9 +1,11 @@
 (* The submission/completion queues: engine arithmetic, depth 1 as the
    blocking model (the device's and DBFS's), the qcheck law (an op script
    produces identical images, payloads and counters at depths 1, 4 and 64
-   — only the latency telemetry may differ), the DBFS warm==cold pin at
-   depth 4, and the BENCH_async_io.json artifact machinery (regression
-   gate included). *)
+   — only the latency telemetry may differ), the streaming law of a read
+   consumed while its blocks land, the DBFS warm==cold pin at depth 4,
+   the DED's streamed two-phase loads against their blocking reference,
+   and the BENCH_async_io.json artifact machinery (regression gate
+   included). *)
 
 module Clock = Rgpdos_util.Clock
 module Stats = Rgpdos_util.Stats
@@ -196,6 +198,171 @@ let test_write_bytes_persist_at_submit () =
     (Block_device.scan dev "hello-async" <> []);
   ignore (Block_device.await dev tk);
   check_int "write counters" 1 (counter dev "writes")
+
+(* ------------------------------------------------------------------ *)
+(* engine: a queued read consumed while its blocks land               *)
+
+(* Blocks land in elevator order at the rate the request is charged:
+   [3; 4; 5] is one run and [9] a second, so block 3 lands one seek and
+   one block after the start, 4 and 5 one block later each, and 9 one
+   more seek and block later: at completion. *)
+let test_await_blocks_streams () =
+  let dev, clock = make_dev ~queue_depth:1 in
+  Block_device.write_vec dev
+    (List.map (fun i -> (i, Printf.sprintf "b%d" i)) [ 3; 4; 5; 9 ]);
+  Block_device.reset_stats dev;
+  let t0 = Clock.now clock in
+  let tk = Block_device.submit_read_vec dev [ 9; 5; 4; 3 ] in
+  let landed blocks =
+    ignore (Block_device.await_blocks dev tk blocks);
+    Clock.now clock - t0
+  in
+  check_int "block 4: a seek and two blocks" (10 + 32) (landed [ 4 ]);
+  check_int "block 3 has landed already" (10 + 32) (landed [ 3 ]);
+  check_int "block 5: one block later" (10 + 48) (landed [ 5 ]);
+  check_int "block 9: a second seek, at completion" (20 + 64) (landed [ 9 ]);
+  check_int "still outstanding" 1 (Block_device.outstanding dev);
+  check_int "nothing completed yet" 0 (counter dev "async_completions");
+  check_bool "the named blocks' bytes, ascending" true
+    (match Block_device.await_blocks dev tk [ 5; 3 ] with
+    | [ (3, a); (5, b) ] -> String.sub a 0 2 = "b3" && String.sub b 0 2 = "b5"
+    | _ -> false);
+  ignore (Block_device.await dev tk);
+  check_int "the settle costs nothing more" (20 + 64) (Clock.now clock - t0);
+  check_int "no compute, nothing hidden" 0 (counter dev "overlap_ns_hidden");
+  check_int "settled" 0 (Block_device.outstanding dev);
+  match Block_device.await_blocks dev tk [ 6 ] with
+  | _ -> Alcotest.fail "a block outside the request must be refused"
+  | exception Invalid_argument _ -> ()
+
+(* The streaming law.  One queued read of a random block set (vectored
+   or not, at depth 1, 4 or 64), consumed as consecutive groups of its
+   blocks in elevator order with random compute before each, then
+   settled:
+   - the groups' bytes and the settle's payload are [read_vec]'s;
+   - awaited one at a time with no compute, the blocks land at
+     nondecreasing instants, each one seek per run and one transfer per
+     block after the start up to and including its own, the last at
+     completion;
+   - the clock moves by the compute plus the service less what the
+     device counts as hidden;
+   - with no compute, the partial awaits and the settle cost exactly one
+     [await]. *)
+let stream_dev ~vectored ~queue_depth =
+  let clock = Clock.create () in
+  let dev =
+    Block_device.create ~config:{ (async_config ~queue_depth) with vectored } ~clock ()
+  in
+  Block_device.write_vec dev (List.init 64 (fun i -> (i, Printf.sprintf "blk-%02d" i)));
+  Block_device.reset_stats dev;
+  (dev, clock)
+
+(* [sorted] cut into consecutive nonempty groups before each of [cuts] *)
+let groups_of sorted cuts =
+  let cuts = List.sort_uniq compare cuts in
+  let rec go acc cur k = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | b :: rest ->
+        if List.mem k cuts && cur <> [] then go (List.rev cur :: acc) [ b ] (k + 1) rest
+        else go acc (b :: cur) (k + 1) rest
+  in
+  go [] [] 0 sorted
+
+let prop_stream_law =
+  let gen =
+    QCheck.Gen.(
+      quad bool (oneofl [ 1; 4; 64 ])
+        (list_size (int_range 1 24) (int_bound 63))
+        (pair (list_size (int_bound 6) (int_bound 24)) (list_repeat 26 (int_bound 60))))
+  in
+  let print (vectored, depth, blocks, (cuts, _)) =
+    Printf.sprintf "vectored=%b depth=%d blocks=[%s] cuts=[%s]" vectored depth
+      (String.concat ";" (List.map string_of_int blocks))
+      (String.concat ";" (List.map string_of_int cuts))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"await_blocks: bytes, arrival order, clock = compute + service - hidden"
+    (QCheck.make ~print gen)
+    (fun (vectored, queue_depth, blocks, (cuts, computes)) ->
+      let sorted = List.sort_uniq compare blocks in
+      let groups = groups_of sorted cuts in
+      let expected =
+        let dev, _ = stream_dev ~vectored ~queue_depth in
+        Block_device.read_vec dev blocks
+      in
+      (* consume [groups] with [compute k] before group k and before the
+         settle: (the groups' bytes, the payload, clock delta, service,
+         hidden, total compute) *)
+      let run compute =
+        let dev, clock = stream_dev ~vectored ~queue_depth in
+        let t0 = Clock.now clock in
+        let tk = Block_device.submit_read_vec dev blocks in
+        let total = ref 0 in
+        let think k =
+          Clock.advance clock (compute k);
+          total := !total + compute k
+        in
+        let parts =
+          List.concat
+            (List.mapi
+               (fun k g ->
+                 think k;
+                 Block_device.await_blocks dev tk g)
+               groups)
+        in
+        think (List.length groups);
+        let payload = Block_device.await dev tk in
+        ( parts,
+          payload,
+          Clock.now clock - t0,
+          counter dev "async_service_ns",
+          counter dev "overlap_ns_hidden",
+          !total )
+      in
+      let parts, payload, delta, service, hidden, compute =
+        run (fun k -> List.nth computes k)
+      in
+      let parts0, _, delta0, _, _, _ = run (fun _ -> 0) in
+      let one_await =
+        let dev, clock = stream_dev ~vectored ~queue_depth in
+        let t0 = Clock.now clock in
+        ignore (Block_device.await dev (Block_device.submit_read_vec dev blocks));
+        Clock.now clock - t0
+      in
+      let arrivals =
+        let dev, clock = stream_dev ~vectored ~queue_depth in
+        let t0 = Clock.now clock in
+        let tk = Block_device.submit_read_vec dev blocks in
+        List.map
+          (fun b ->
+            ignore (Block_device.await_blocks dev tk [ b ]);
+            Clock.now clock - t0)
+          sorted
+      in
+      let formula =
+        List.mapi
+          (fun j b ->
+            let runs =
+              if vectored then
+                List.length
+                  (List.filteri
+                     (fun i b' -> i <= j && not (List.mem (b' - 1) sorted))
+                     sorted)
+              else j + 1
+            in
+            ignore b;
+            (10 * runs) + (16 * (j + 1)))
+          sorted
+      in
+      let rec nondecreasing = function
+        | a :: (b :: _ as rest) -> a <= b && nondecreasing rest
+        | _ -> true
+      in
+      parts = expected && parts0 = expected && payload = expected
+      && arrivals = formula && nondecreasing arrivals
+      && List.nth arrivals (List.length arrivals - 1) = service
+      && delta = compute + service - hidden
+      && delta0 = one_await && one_await = service)
 
 (* ------------------------------------------------------------------ *)
 (* the qcheck law: depth 1 == depths 4/64 modulo latency telemetry    *)
@@ -732,6 +899,288 @@ let test_dbfs_commits_settle ~allocator () =
   settled "a rectification whose flush fails every retry"
 
 (* ------------------------------------------------------------------ *)
+(* the DED's streamed two-phase loads                                 *)
+
+module Ded = Rgpdos_ded.Ded
+module Processing = Rgpdos_ded.Processing
+module Audit_log = Rgpdos_audit.Audit_log
+
+let stream_schema () =
+  match
+    Schema.make ~name:"user"
+      ~fields:
+        [
+          { Schema.fname = "name"; ftype = Value.TString; required = true };
+          { Schema.fname = "yob"; ftype = Value.TInt; required = true };
+        ]
+      ~views:[ { Schema.vname = "v_ano"; vfields = [ "yob" ] } ]
+      ~default_sensitivity:M.High ()
+  with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+(* A store of [n] pds (4 KiB blocks at [queue_depth]; with [free] a
+   device that charges nothing), each with a consent drawn from [seed]
+   for "analytics" and "marketing" (all, the view, denied); one pd in
+   eleven is erased without withdrawing its consents, so its membrane
+   may grant while its record reads nothing.  No checkpoint happens, so
+   resolving a pd reads no page. *)
+let stream_store ?(free = false) ~queue_depth ~seed n =
+  let cfg = { Block_device.default_config with queue_depth } in
+  let cfg =
+    if free then { cfg with read_latency = 0; write_latency = 0; byte_latency = 0 } else cfg
+  in
+  let clock = Clock.create () in
+  let dev = Block_device.create ~config:cfg ~clock () in
+  let t = Dbfs.format dev ~journal_blocks:512 in
+  ok (Dbfs.create_type t ~actor:ded (stream_schema ()));
+  let prng = Prng.create ~seed:(Int64.of_int seed) () in
+  let scope () =
+    match Prng.int prng 3 with 0 -> M.All | 1 -> M.View "v_ano" | _ -> M.Denied
+  in
+  let pds =
+    List.init n (fun i ->
+        let subject = Printf.sprintf "s%04d" i in
+        let consents = [ ("analytics", scope ()); ("marketing", scope ()) ] in
+        ok
+          (Dbfs.insert t ~actor:ded ~subject ~type_name:"user"
+             ~record:[ ("name", Value.VString subject); ("yob", Value.VInt (1950 + (i mod 50))) ]
+             ~membrane_of:(fun ~pd_id ->
+               M.make ~pd_id ~type_name:"user" ~subject_id:subject ~origin:M.Subject
+                 ~consents ~created_at:0 ~sensitivity:M.High ())))
+  in
+  ignore
+    (ok
+       (Dbfs.erase_with t ~actor:ded
+          (List.filteri (fun i _ -> i mod 11 = 5) pds)
+          ~seal:(fun _ -> "sealed")));
+  if Dbfs.entry_page_blocks t <> [] then Alcotest.fail "the store checkpointed";
+  (t, dev, clock)
+
+(* A processing for [purpose] whose body records the inputs it is shown
+   and returns their count. *)
+let recording_reader purpose seen =
+  Processing.make ~name:"reader"
+    ~purpose:
+      {
+        Rgpdos_lang.Ast.p_name = purpose;
+        p_description = "streamed-load law";
+        p_reads = [ ("user", None) ];
+        p_produces = None;
+        p_legal_basis = Rgpdos_lang.Ast.Consent;
+      }
+    ~cpu_cost_per_record:700
+    (fun _ inputs ->
+      seen := inputs;
+      Ok (Processing.value_output (Value.VInt (List.length inputs))))
+
+let io_counters = [ "vec_reads"; "merged_runs"; "reads"; "bytes_read" ]
+
+(* One invocation on a fresh store: the outcome (or error), the body's
+   inputs, the Filtered_out pd ids and Processed inputs it audited, the
+   clock delta and the deltas of [names]. *)
+let invoke ?free ?(flip = fun _ _ -> ()) ~queue_depth ~seed ~n ~purpose ~refs names =
+  let t, dev, clock = stream_store ?free ~queue_depth ~seed n in
+  let pds = ok (Dbfs.list_pds t ~actor:ded "user") in
+  let t =
+    (* a cold store, so every slot is checked against the medium *)
+    match Dbfs.crash_and_remount t with Ok t -> t | Error e -> Alcotest.fail e
+  in
+  flip t dev;
+  let audit = Audit_log.create () in
+  let d = Ded.create ~clock ~dbfs:t ~audit () in
+  let seen = ref [] in
+  let before = List.map (counter dev) names and t0 = Clock.now clock in
+  let result =
+    Ded.execute d ~processing:(recording_reader purpose seen) ~target:(Ded.Pd_refs (refs pds)) ()
+  in
+  let delta = Clock.now clock - t0 in
+  let deltas = List.map2 (fun name n -> counter dev name - n) names before in
+  let filtered, processed =
+    List.fold_right
+      (fun (e : Audit_log.entry) (f, p) ->
+        match e.Audit_log.event with
+        | Audit_log.Filtered_out { pd_id; _ } -> (pd_id :: f, p)
+        | Audit_log.Processed { inputs; _ } -> (f, inputs :: p)
+        | _ -> (f, p))
+      (Audit_log.entries audit) ([], [])
+  in
+  (t, dev, result, !seen, filtered, processed, delta, deltas)
+
+(* The DED law.  Populations of 1-1,200 pds (pieces of 256 straddled),
+   mixed consents, either purpose, depth 1, 4 or 64, the pds in order or
+   shuffled:
+   - the outcome, the order of the Filtered_out entries, the Processed
+     inputs and the body's inputs are those of a reference built from
+     [get_membranes], [Membrane.decide] and [get_records] (overread 0);
+   - the device requests are the reference's: one per kind per depth
+     chunk, the same blocks and runs;
+   - the clock moves by the compute charges (the same invocation on a
+     device that charges nothing) plus the service submitted less what
+     the device counts as hidden. *)
+let prop_ded_stream =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (oneof [ int_range 1 300; int_range 240 1200 ])
+        (oneofl [ 1; 4; 64 ])
+        (oneofl [ "analytics"; "marketing" ])
+        (pair bool (int_bound 1_000_000)))
+  in
+  let print (n, depth, purpose, (shuffled, seed)) =
+    Printf.sprintf "n=%d depth=%d purpose=%s shuffled=%b seed=%d" n depth purpose shuffled
+      seed
+  in
+  QCheck.Test.make ~count:25 ~long_factor:10
+    ~name:"streamed two-phase loads == get_membranes/decide/get_records"
+    (QCheck.make ~print gen)
+    (fun (n, queue_depth, purpose, (shuffled, seed)) ->
+      let refs pds =
+        if shuffled then begin
+          let a = Array.of_list pds in
+          Prng.shuffle (Prng.create ~seed:(Int64.of_int (seed + 1)) ()) a;
+          Array.to_list a
+        end
+        else pds
+      in
+      let names = io_counters @ [ "async_service_ns"; "overlap_ns_hidden" ] in
+      let _, dev, result, seen, filtered, processed, delta, deltas =
+        invoke ~queue_depth ~seed ~n ~purpose ~refs names
+      in
+      let t0, dev0, _, _, _, _, compute, _ =
+        invoke ~free:true ~queue_depth ~seed ~n ~purpose ~refs []
+      in
+      let outcome = match result with Ok o -> o | Error e -> Alcotest.fail (Ded.error_to_string e) in
+      (* the reference, on the free twin *)
+      let refs = refs (ok (Dbfs.list_pds t0 ~actor:ded "user")) in
+      let before = List.map (counter dev0) io_counters in
+      let membranes = ok (Dbfs.get_membranes t0 ~actor:ded refs) in
+      let decided =
+        List.map (fun (pd, m) -> (pd, m, M.decide m ~purpose ~now:0)) membranes
+      in
+      let granted =
+        List.filter_map
+          (fun (pd, m, d) -> match d with M.Granted scope -> Some (pd, m, scope) | _ -> None)
+          decided
+      in
+      let refused =
+        List.filter_map (fun (pd, _, d) -> match d with M.Refused _ -> Some pd | _ -> None) decided
+      in
+      let records = ok (Dbfs.get_records t0 ~actor:ded (List.map (fun (pd, _, _) -> pd) granted)) in
+      let schema = stream_schema () in
+      let inputs =
+        List.filter_map
+          (fun ((pd_id, m, scope), (_, r)) ->
+            Option.map
+              (fun r ->
+                {
+                  Processing.pd_id;
+                  subject = m.M.subject_id;
+                  record = Record.project r (Schema.view_fields schema scope);
+                })
+              r)
+          (List.combine granted records)
+      in
+      let reference_io = List.map2 (fun name n -> counter dev0 name - n) io_counters before in
+      let service, hidden =
+        match List.rev deltas with h :: s :: _ -> (s, h) | _ -> assert false
+      in
+      outcome.Ded.value = Some (Value.VInt (List.length inputs))
+      && outcome.Ded.consumed = List.length inputs
+      && outcome.Ded.filtered = List.length refused
+      && outcome.Ded.overread = 0
+      && filtered = refused
+      && processed = [ List.map (fun (i : Processing.pd_input) -> i.pd_id) inputs ]
+      && seen = inputs
+      && List.filteri (fun i _ -> i < 4) deltas = reference_io
+      && delta = compute + service - hidden
+      && Block_device.outstanding dev = 0)
+
+(* A bit flipped in a membrane slot of the third piece: the invocation
+   fails with a storage error before it audits anything, and leaves no
+   request of the batch outstanding. *)
+let test_ded_stream_membrane_fault () =
+  List.iter
+    (fun queue_depth ->
+      let at what = Printf.sprintf "depth %d: %s" queue_depth what in
+      let flip t dev =
+        let pd = List.nth (ok (Dbfs.list_pds t ~actor:ded "user")) 600 in
+        let _, m = ok (Dbfs.entry_extents t ~actor:ded pd) in
+        Block_device.unsafe_flip dev ~block:(List.hd m.Space.blocks) ~byte:(m.Space.off + 3)
+          ~bit:2
+      in
+      let _, dev, result, _, filtered, processed, _, _ =
+        invoke ~flip ~queue_depth ~seed:7 ~n:800 ~purpose:"analytics" ~refs:Fun.id []
+      in
+      check_bool (at "a storage error") true
+        (match result with Error (Ded.Storage_error _) -> true | _ -> false);
+      check_int (at "no Filtered_out entry") 0 (List.length filtered);
+      check_int (at "no Processed entry") 0 (List.length processed);
+      check_int (at "nothing outstanding") 0 (Block_device.outstanding dev))
+    [ 1; 4 ]
+
+(* A bit flipped in the record slot of the last granted pd: the outcome
+   of a blocking load — the refusals audited, a storage error, nothing
+   processed — and no request left outstanding. *)
+let test_ded_stream_record_fault () =
+  List.iter
+    (fun queue_depth ->
+      let at what = Printf.sprintf "depth %d: %s" queue_depth what in
+      let flip t dev =
+        let pds = ok (Dbfs.list_pds t ~actor:ded "user") in
+        let last =
+          List.fold_left
+            (fun acc (pd, m) ->
+              match (M.decide m ~purpose:"analytics" ~now:0, Dbfs.entry_info t ~actor:ded pd) with
+              | M.Granted _, Ok (_, _, false) -> Some pd
+              | _ -> acc)
+            None
+            (ok (Dbfs.get_membranes t ~actor:ded pds))
+        in
+        let r, _ = ok (Dbfs.entry_extents t ~actor:ded (Option.get last)) in
+        Block_device.unsafe_flip dev ~block:(List.hd r.Space.blocks) ~byte:(r.Space.off + 3)
+          ~bit:2
+      in
+      let _, dev, result, _, filtered, processed, _, _ =
+        invoke ~flip ~queue_depth ~seed:7 ~n:800 ~purpose:"analytics" ~refs:Fun.id []
+      in
+      check_bool (at "a storage error") true
+        (match result with Error (Ded.Storage_error _) -> true | _ -> false);
+      check_bool (at "the refusals audited") true (filtered <> []);
+      check_int (at "no Processed entry") 0 (List.length processed);
+      check_int (at "nothing outstanding") 0 (Block_device.outstanding dev))
+    [ 1; 4 ]
+
+(* The record batch reuses the membrane batch's resolution: on a
+   remounted checkpointed store, where resolving pds reads entries-tree
+   pages, an invocation reads the pages of one descent, as one
+   [get_membranes] of its pds does. *)
+let test_ded_stream_one_descent () =
+  let t, _, clock = stream_store ~queue_depth:1 ~seed:3 600 in
+  Dbfs.checkpoint t;
+  let t = match Dbfs.crash_and_remount t with Ok t -> t | Error e -> Alcotest.fail e in
+  let pds = ok (Dbfs.list_pds t ~actor:ded "user") in
+  let pages f =
+    let count () = Stats.Counter.get (Dbfs.stats t) "index_page_reads" in
+    let before = count () in
+    f ();
+    count () - before
+  in
+  let descent = pages (fun () -> ignore (ok (Dbfs.get_membranes t ~actor:ded pds))) in
+  check_bool "resolving the batch reads pages" true (descent > 0);
+  let d = Ded.create ~clock ~dbfs:t ~audit:(Audit_log.create ()) () in
+  let invocation =
+    pages (fun () ->
+        match
+          Ded.execute d ~processing:(recording_reader "analytics" (ref []))
+            ~target:(Ded.Pd_refs pds) ()
+        with
+        | Ok o -> check_bool "records granted" true (o.Ded.consumed > 0)
+        | Error e -> Alcotest.fail (Ded.error_to_string e))
+  in
+  check_int "one descent for both batches" descent invocation
+
+(* ------------------------------------------------------------------ *)
 (* artifact + regression gate                                         *)
 
 let fake_row ~depth ~speedup ~overlap =
@@ -821,8 +1270,14 @@ let () =
             test_await_idempotent_and_drain;
           Alcotest.test_case "write bytes persist at submit" `Quick
             test_write_bytes_persist_at_submit;
+          Alcotest.test_case "await_blocks streams a read" `Quick
+            test_await_blocks_streams;
         ] );
-      ("law", [ QCheck_alcotest.to_alcotest prop_async_eq_sync ]);
+      ( "law",
+        [
+          QCheck_alcotest.to_alcotest prop_async_eq_sync;
+          QCheck_alcotest.to_alcotest prop_stream_law;
+        ] );
       ( "dbfs",
         [
           Alcotest.test_case "depth 1 is the blocking model" `Quick
@@ -841,6 +1296,16 @@ let () =
             (test_dbfs_commits_settle ~allocator:Space.Heap);
           Alcotest.test_case "every commit settles (segments)" `Quick
             (test_dbfs_commits_settle ~allocator:(Space.Segments 1));
+        ] );
+      ( "ded",
+        [
+          QCheck_alcotest.to_alcotest prop_ded_stream;
+          Alcotest.test_case "a bad membrane fails before any audit" `Quick
+            test_ded_stream_membrane_fault;
+          Alcotest.test_case "a bad record fails after the refusals" `Quick
+            test_ded_stream_record_fault;
+          Alcotest.test_case "both batches resolve in one descent" `Quick
+            test_ded_stream_one_descent;
         ] );
       ( "report",
         [

@@ -808,50 +808,56 @@ let test_compaction_commits_chunks ~journal_blocks () =
            (Block_device.scan dev' current)))
     pds
 
+(* Every record is rewritten once, so the new versions fill pages whose
+   slots are all live; rewriting the first half again leaves a segment
+   that holds both halves half dead: a victim with pages of survivors
+   only and pages of survivors next to dead slots.  Returns the device,
+   the store, a function listing each pd's record page (by pd index) and
+   every page that held a slot now dead. *)
+let half_dead_store () =
+  let dev, _, t, s = make_store ~allocator:small_segments () in
+  let pds =
+    List.init 60 (fun i ->
+        match insert_subject t s i with
+        | Ok pd -> (i, pd)
+        | Error e -> failwith (Dbfs.error_to_string e))
+  in
+  let rewrite v (i, pd) =
+    match
+      Dbfs.update_record t ~actor pd
+        [
+          ("payload", Value.VString (Printf.sprintf "KEEP-%03d-v%03d" i v));
+          ("bucket", Value.VInt (i mod 7));
+        ]
+    with
+    | Ok () -> ()
+    | Error e -> failwith (Dbfs.error_to_string e)
+  in
+  let pages () =
+    List.map
+      (fun (i, pd) ->
+        match Dbfs.entry_extents t ~actor pd with
+        | Ok (record, _) -> (i, List.hd record.Space.blocks)
+        | Error e -> failwith (Dbfs.error_to_string e))
+      pds
+  in
+  let v0 = pages () in
+  List.iter (rewrite 1) pds;
+  let v1 = pages () in
+  List.iter (fun (i, pd) -> if i < 30 then rewrite 2 (i, pd)) pds;
+  let dead = List.map snd (v0 @ List.filter (fun (i, _) -> i < 30) v1) in
+  (dev, t, pages, dead)
+
 (* Compaction reads its survivors with the store's one checked read of
    slots: a survivor on a page that stays unreadable is counted in
    compact_verify_failures and left in place for fsck, and every other
-   survivor of the pass still moves.  Every record is rewritten once, so
-   the new versions fill pages whose slots are all live; rewriting the
-   first half again leaves a segment that holds both halves half dead —
-   a victim whose second-half pages have nothing to scrub.  A reference
-   pass without the fault names the survivors; the bad page is one that
-   never held a dead slot, and whose every slot moved there. *)
+   survivor of the pass still moves.  A reference pass without the fault
+   names the survivors; the bad page is one that never held a dead slot,
+   and whose every slot moved there. *)
 let test_compaction_skips_unreadable_page () =
   let run ~bad =
-    let dev, _, t, s = make_store ~allocator:small_segments () in
-    let pds =
-      List.init 60 (fun i ->
-          match insert_subject t s i with
-          | Ok pd -> (i, pd)
-          | Error e -> failwith (Dbfs.error_to_string e))
-    in
-    let rewrite v (i, pd) =
-      match
-        Dbfs.update_record t ~actor pd
-          [
-            ("payload", Value.VString (Printf.sprintf "KEEP-%03d-v%03d" i v));
-            ("bucket", Value.VInt (i mod 7));
-          ]
-      with
-      | Ok () -> ()
-      | Error e -> failwith (Dbfs.error_to_string e)
-    in
-    let pages () =
-      List.map
-        (fun (i, pd) ->
-          match Dbfs.entry_extents t ~actor pd with
-          | Ok (record, _) -> (i, List.hd record.Space.blocks)
-          | Error e -> failwith (Dbfs.error_to_string e))
-        pds
-    in
-    let v0 = pages () in
-    List.iter (rewrite 1) pds;
-    let v1 = pages () in
-    List.iter (fun (i, pd) -> if i < 30 then rewrite 2 (i, pd)) pds;
+    let dev, t, pages, dead = half_dead_store () in
     let before = pages () in
-    (* every page that held a slot now dead *)
-    let dead = List.map snd (v0 @ List.filter (fun (i, _) -> i < 30) v1) in
     Option.iter (Block_device.inject_fault dev) bad;
     let count k = Stats.Counter.get (Dbfs.stats t) k in
     ignore (Dbfs.compact t ~max_victims:64 ~liveness_pct:75.0);
@@ -885,6 +891,49 @@ let test_compaction_skips_unreadable_page () =
   check_bool "every other survivor still moves" true
     (List.for_all (fun x -> List.mem x stuck || List.mem x moved') moved);
   check_int "relocations counted" (List.length moved - List.length stuck) relocated'
+
+(* A permanently bad page that holds both a survivor and a dead slot:
+   the survivor stays (as above), and the scrub of its victim's dirty
+   pages skips that page — left in the dirty set for fsck and counted in
+   compact_scrub_failures — while every other dead byte is destroyed.
+   The pass returns its victim count: its relocations have committed. *)
+let test_compaction_scrub_skips_unreadable_page () =
+  let dev, t, pages, dead = half_dead_store () in
+  let bad =
+    match List.find_opt (fun (i, b) -> i >= 30 && List.mem b dead) (pages ()) with
+    | Some (_, b) -> b
+    | None -> Alcotest.fail "no page holding a survivor and a dead slot"
+  in
+  Block_device.inject_fault dev bad;
+  let count k = Stats.Counter.get (Dbfs.stats t) k in
+  let victims =
+    match Dbfs.compact t ~max_victims:64 ~liveness_pct:75.0 with
+    | n -> n
+    | exception Block_device.Faulted b -> Alcotest.failf "compact raised Faulted(%d)" b
+  in
+  check_bool "victims processed" true (victims > 0);
+  check_bool "the bad page's survivors counted" true (count "compact_verify_failures" > 0);
+  check_int "the bad page's scrub counted" 1 (count "compact_scrub_failures");
+  List.iter
+    (fun i ->
+      List.iter
+        (fun v ->
+          let dead_version = Printf.sprintf "KEEP-%03d-v%03d" i v in
+          check_bool (dead_version ^ " survives only on the bad page") true
+            (List.for_all (fun (b, _) -> b = bad) (Block_device.scan dev dead_version)))
+        (if i < 30 then [ 0; 1 ] else [ 0 ]))
+    (List.init 60 Fun.id);
+  match Dbfs.fsck t with
+  | Ok () -> Alcotest.fail "fsck must report the unreadable page"
+  | Error problems ->
+      check_bool "fsck reports an unreadable extent" true
+        (List.exists
+           (fun p ->
+             let n = String.length "unreadable" in
+             List.exists
+               (fun k -> String.sub p k n = "unreadable")
+               (List.init (max 0 (String.length p - n + 1)) Fun.id))
+           problems)
 
 (* ------------------------------------------------------------------ *)
 (* backpressure: deterministic stalls                                  *)
@@ -972,6 +1021,8 @@ let () =
             (test_compaction_commits_chunks ~journal_blocks:4);
           Alcotest.test_case "an unreadable page holds back only its survivors"
             `Quick test_compaction_skips_unreadable_page;
+          Alcotest.test_case "an unreadable dirty page does not fail the pass"
+            `Quick test_compaction_scrub_skips_unreadable_page;
           Alcotest.test_case "erase first: sealed envelopes relocated" `Quick
             (test_erase_compact_remount_no_residue ~erase_first:true);
         ] );
